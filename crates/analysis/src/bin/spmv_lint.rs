@@ -15,7 +15,7 @@
 //!    bit-for-bit identical, per output column, to single-vector
 //!    executes at RHS widths covering lone-column, remainder, and full
 //!    register-block decompositions.
-//! 5. **Concurrency protocols** — the scope/pool/level-barrier,
+//! 5. **Concurrency protocols** — the queue-claim/level-barrier,
 //!    serving admission-queue, and refinement publish state machines
 //!    pass exhaustive interleaving (the admission model proves the
 //!    coalescing-window protocol loses no request; the refine model
@@ -58,7 +58,7 @@ use spmv_ml::lint::Severity;
 use spmv_sparse::corpus::CorpusConfig;
 use spmv_verify::interleave::{explore, Verdict};
 use spmv_verify::models::{
-    AdmissionModel, BatchModel, CursorModel, LevelModel, RefineModel, ShardModel, TwoLockModel,
+    AdmissionModel, CursorModel, LevelModel, RefineModel, ShardModel, TwoLockModel,
 };
 use spmv_verify::{driver, hygiene};
 use std::path::{Path, PathBuf};
@@ -230,13 +230,9 @@ fn check_concurrency() -> usize {
     let mut bad = 0;
 
     // The shipped protocols must pass…
-    let sound: [(&str, Verdict); 7] = [
+    let sound: [(&str, Verdict); 6] = [
         (
-            "pool run_batch (3 workers)",
-            explore(BatchModel::correct(3), BUDGET),
-        ),
-        (
-            "scope cursor claim (2 threads, 3 items)",
+            "flat queue cursor claim (2 threads, 3 items)",
             explore(CursorModel::atomic_claim(2, 3), BUDGET),
         ),
         (
@@ -271,12 +267,7 @@ fn check_concurrency() -> usize {
 
     // …and the injected bugs must be *caught* (checker self-test).
     type Expect = fn(&Verdict) -> bool;
-    let buggy: [(&str, Verdict, Expect); 7] = [
-        (
-            "notify-without-lock is detected as lost wakeup",
-            explore(BatchModel::notify_without_lock(2), BUDGET),
-            |v| matches!(v, Verdict::Deadlock { .. }),
-        ),
+    let buggy: [(&str, Verdict, Expect); 6] = [
         (
             "racy cursor claim is detected as double write",
             explore(CursorModel::racy_claim(2, 2), BUDGET),

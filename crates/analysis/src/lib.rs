@@ -20,8 +20,10 @@
 //!    fail before they can mispredict. Re-exported here for the driver.
 //! 3. **Concurrency model checking** — [`interleave`] is a loom-style
 //!    (std-only) exhaustive-interleaving explorer; [`models`] encodes
-//!    the `spmv-parallel` scope/pool protocols as small-N state machines
-//!    and detects lost wakeups, double writes, and deadlocks.
+//!    the `spmv-parallel` queue-claim and barrier protocols and the
+//!    serving layer's admission and refinement protocols as small-N
+//!    state machines, and detects lost wakeups, double writes, and
+//!    deadlocks.
 //!
 //! A fourth, source-level check — [`hygiene`] — enforces the unsafe
 //! hygiene rule: every `unsafe` block in the workspace's own crates must

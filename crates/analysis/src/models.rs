@@ -5,23 +5,16 @@
 //! protocol defect, so the adversarial tests can prove the checker
 //! actually detects what it claims to:
 //!
-//! * [`BatchModel`] — the `ThreadPool::run_batch` completion protocol
-//!   (`BatchState` in `crates/parallel/src/pool.rs`): workers decrement
-//!   an atomic `pending` and the last one signals a condition variable
-//!   the caller waits on. The buggy variant notifies *without* taking
-//!   the lock first — the notify can then land in the waiter's
-//!   check-to-sleep window and be lost, leaving the waiter asleep
-//!   forever (detected as a deadlock).
-//! * [`CursorModel`] — the dynamic-chunk claim in `parallel_for`
-//!   (`crates/parallel/src/scope.rs`): workers claim chunks with one
-//!   atomic `fetch_add`. The buggy variant splits the claim into a read
-//!   and a write, letting two workers claim — and write — the same
-//!   chunk (detected as a double-write violation).
+//! * [`CursorModel`] — the flat-queue claim behind `parallel_for` and
+//!   `fused_for_each_with` (`crates/parallel/src/drain.rs`): workers
+//!   claim items with one atomic `fetch_add`. The buggy variant splits
+//!   the claim into a read and a write, letting two workers claim — and
+//!   write — the same item (detected as a double-write violation).
 //! * [`TwoLockModel`] — two threads taking two locks; with a consistent
 //!   acquisition order the protocol passes, with opposite orders the
 //!   explorer finds the deadlock cycle.
 //! * [`ShardModel`] — the sharded-queue claim protocol
-//!   (`sharded_for_each_scratch` in `crates/parallel/src/shard.rs`):
+//!   (`drain_for_each` in `crates/parallel/src/drain.rs`):
 //!   each worker drains its home shard (`role % n_shards`) through an
 //!   atomic per-shard cursor, then falls back to the remaining shards in
 //!   ring order. The buggy variant drops the ring fallback — a worker
@@ -59,172 +52,7 @@
 
 use crate::interleave::Model;
 
-/// `run_batch` completion protocol: `workers` worker threads each
-/// complete one job (decrementing `pending`), the last one signals; one
-/// waiter blocks until `pending == 0`. Thread ids `0..workers` are
-/// workers, `workers` is the waiter.
-#[derive(Clone, PartialEq, Eq, Hash, Debug)]
-pub struct BatchModel {
-    /// Jobs not yet completed.
-    pending: u8,
-    /// Current mutex holder (thread id), if any.
-    lock: Option<u8>,
-    /// Is the waiter asleep on the condition variable?
-    sleeping: bool,
-    /// Per-worker program counter.
-    worker_pc: Vec<u8>,
-    /// Waiter program counter.
-    waiter_pc: u8,
-    /// Re-introduce the notify-without-lock bug.
-    buggy: bool,
-}
-
-impl BatchModel {
-    /// A model with `workers` workers using the correct
-    /// (notify-under-lock) protocol.
-    pub fn correct(workers: u8) -> Self {
-        Self::new(workers, false)
-    }
-
-    /// A model with `workers` workers whose last completer notifies
-    /// without acquiring the lock — the lost-wakeup bug.
-    pub fn notify_without_lock(workers: u8) -> Self {
-        Self::new(workers, true)
-    }
-
-    fn new(workers: u8, buggy: bool) -> Self {
-        Self {
-            pending: workers,
-            lock: None,
-            sleeping: false,
-            worker_pc: vec![0; workers as usize],
-            waiter_pc: 0,
-            buggy,
-        }
-    }
-
-    fn waiter_id(&self) -> usize {
-        self.worker_pc.len()
-    }
-
-    /// Wake the waiter if (and only if) it is currently asleep; a notify
-    /// with nobody sleeping is lost, exactly like a real condvar.
-    fn notify(&mut self) {
-        if self.sleeping {
-            self.sleeping = false;
-        }
-    }
-}
-
-// Worker pcs: 0 = fetch_sub pending; 1 = acquire lock (correct) or
-// notify unlocked (buggy); 2 = notify + unlock (correct only); 3 = done.
-// Waiter pcs: 0 = acquire lock; 1 = check pending under lock;
-// 2 = cv-wait (atomic unlock + sleep); 3 = woken, reacquire lock;
-// 4 = done.
-impl Model for BatchModel {
-    fn n_threads(&self) -> usize {
-        self.worker_pc.len() + 1
-    }
-
-    fn runnable(&self, t: usize) -> bool {
-        if t < self.worker_pc.len() {
-            match self.worker_pc[t] {
-                0 => true,
-                1 => self.buggy || self.lock.is_none(),
-                2 => true,
-                _ => false,
-            }
-        } else {
-            match self.waiter_pc {
-                0 => self.lock.is_none(),
-                1 | 2 => true,
-                // Asleep on the condvar: only a notify makes the waiter
-                // runnable again (then it must reacquire the lock).
-                3 => !self.sleeping && self.lock.is_none(),
-                _ => false,
-            }
-        }
-    }
-
-    fn step(&mut self, t: usize) {
-        if t < self.worker_pc.len() {
-            match self.worker_pc[t] {
-                0 => {
-                    // pending.fetch_sub(1): last completer goes on to
-                    // signal, everyone else is done.
-                    let was = self.pending;
-                    self.pending -= 1;
-                    self.worker_pc[t] = if was == 1 { 1 } else { 3 };
-                }
-                1 => {
-                    if self.buggy {
-                        // BUG: notify without holding the lock — can
-                        // land between the waiter's check and sleep.
-                        self.notify();
-                        self.worker_pc[t] = 3;
-                    } else {
-                        self.lock = Some(t as u8);
-                        self.worker_pc[t] = 2;
-                    }
-                }
-                2 => {
-                    self.notify();
-                    self.lock = None;
-                    self.worker_pc[t] = 3;
-                }
-                _ => unreachable!(),
-            }
-        } else {
-            let w = self.waiter_id() as u8;
-            match self.waiter_pc {
-                0 | 3 => {
-                    self.lock = Some(w);
-                    self.waiter_pc = 1;
-                }
-                1 => {
-                    if self.pending == 0 {
-                        self.lock = None;
-                        self.waiter_pc = 4;
-                    } else {
-                        self.waiter_pc = 2;
-                    }
-                }
-                2 => {
-                    // cv.wait(): atomically release the lock and sleep.
-                    self.lock = None;
-                    self.sleeping = true;
-                    self.waiter_pc = 3;
-                }
-                _ => unreachable!(),
-            }
-        }
-    }
-
-    fn done(&self) -> bool {
-        self.waiter_pc == 4 && self.worker_pc.iter().all(|&pc| pc == 3)
-    }
-
-    fn violation(&self) -> Option<String> {
-        if self.waiter_pc == 4 && self.pending != 0 {
-            return Some(format!(
-                "waiter returned with {} jobs still pending",
-                self.pending
-            ));
-        }
-        None
-    }
-}
-
-// A waiter at pc 3 is runnable only once awake: `runnable` requires the
-// lock free AND — enforced here — not sleeping.
-impl BatchModel {
-    /// Is the waiter blocked on the condition variable right now?
-    pub fn waiter_asleep(&self) -> bool {
-        self.sleeping
-    }
-}
-
-/// Dynamic-chunk claim protocol of `parallel_for`: `threads` workers
+/// Flat-queue claim protocol of `parallel_for`: `threads` workers
 /// repeatedly claim the next item from a shared cursor and write it.
 /// Correct claims are one atomic `fetch_add`; the buggy variant splits
 /// read and increment, so two workers can claim the same item.
@@ -421,7 +249,7 @@ impl Model for TwoLockModel {
     }
 }
 
-/// Sharded-queue claim protocol of `sharded_for_each_scratch`:
+/// Sharded-queue claim protocol of `drain_for_each`:
 /// `workers` workers each drain the shard they are homed on
 /// (`role % n_shards`) by atomic cursor `fetch_add`, then visit the
 /// remaining shards in ring order (`home + 1`, `home + 2`, …) as a
@@ -1003,20 +831,6 @@ mod tests {
     use crate::interleave::{explore, Verdict};
 
     const BUDGET: usize = 200_000;
-
-    #[test]
-    fn batch_protocol_is_sound() {
-        for workers in 1..=3 {
-            let v = explore(BatchModel::correct(workers), BUDGET);
-            assert!(v.passed(), "workers={workers}: {v}");
-        }
-    }
-
-    #[test]
-    fn notify_without_lock_loses_the_wakeup() {
-        let v = explore(BatchModel::notify_without_lock(2), BUDGET);
-        assert!(matches!(v, Verdict::Deadlock { .. }), "got {v}");
-    }
 
     #[test]
     fn atomic_cursor_claim_is_sound() {

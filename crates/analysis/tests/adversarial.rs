@@ -17,7 +17,7 @@ use spmv_ml::rules::{Cond, Rule, RuleSet};
 use spmv_sparse::gen;
 use spmv_verify::check_dispatch;
 use spmv_verify::interleave::{explore, Verdict};
-use spmv_verify::models::{BatchModel, CursorModel};
+use spmv_verify::models::CursorModel;
 use spmv_verify::VerifyError;
 
 // ---------------------------------------------------------------------
@@ -204,17 +204,6 @@ fn truncated_model_file_is_a_parse_error() {
 // ---------------------------------------------------------------------
 // Analyzer 3: concurrency model checking.
 // ---------------------------------------------------------------------
-
-#[test]
-fn lost_wakeup_bug_is_found_and_correct_protocol_is_not_flagged() {
-    let buggy = explore(BatchModel::notify_without_lock(2), 500_000);
-    assert!(
-        matches!(buggy, Verdict::Deadlock { ref trace } if !trace.is_empty()),
-        "got {buggy}"
-    );
-    let sound = explore(BatchModel::correct(2), 500_000);
-    assert!(sound.passed(), "got {sound}");
-}
 
 #[test]
 fn double_write_bug_is_found_with_a_schedule() {

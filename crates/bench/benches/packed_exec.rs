@@ -38,7 +38,6 @@ fn bench_matrix(c: &mut Criterion, name: &str, a: &CsrMatrix<f32>) {
         Box::new(NativeCpuBackend::new()),
         PlanConfig {
             pack: false,
-            fused: false,
             ..PlanConfig::default()
         },
     )
@@ -49,7 +48,7 @@ fn bench_matrix(c: &mut Criterion, name: &str, a: &CsrMatrix<f32>) {
         let mut u = vec![0.0f32; a.n_rows()];
         b.iter(|| packed.execute_unchecked(a, &v, &mut u).unwrap())
     });
-    group.bench_with_input(BenchmarkId::new("csr-per-bin", name), a, |b, a| {
+    group.bench_with_input(BenchmarkId::new("csr-fused", name), a, |b, a| {
         let mut u = vec![0.0f32; a.n_rows()];
         b.iter(|| unpacked.execute_unchecked(a, &v, &mut u).unwrap())
     });

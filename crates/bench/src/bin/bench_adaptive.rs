@@ -24,6 +24,7 @@
 //! convergence report would be vacuous).
 
 use spmv_autotune::prelude::*;
+use spmv_bench::json_escape;
 use spmv_bench::setup::env_usize;
 use spmv_serve::{classify_plan, probe_candidate, RefineConfig, RefineMode};
 use spmv_sparse::{gen, suite, CsrMatrix, IndexKind};
@@ -169,10 +170,6 @@ struct Round {
     bottleneck: &'static str,
     action: &'static str,
     probe_speedup: f64,
-}
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 fn main() {

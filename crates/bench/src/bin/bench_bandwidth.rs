@@ -16,6 +16,7 @@
 //! matrices — the CI smoke mode).
 
 use spmv_autotune::prelude::*;
+use spmv_bench::json_escape;
 use spmv_bench::setup::{env_usize, load_suite, scaling_efficiency, sweep_threads};
 use spmv_sparse::{gen, CsrMatrix, IndexKind};
 use std::fmt::Write as _;
@@ -182,10 +183,6 @@ fn measure(name: &str, a: &CsrMatrix<f32>, iters: usize, threads: &[usize]) -> M
         nnz: a.nnz(),
         tiers: rows,
     }
-}
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 fn main() {

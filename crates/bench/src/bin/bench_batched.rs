@@ -22,6 +22,7 @@
 //! `SPMV_BENCH_TINY=1` (three small synthetic matrices — CI smoke mode).
 
 use spmv_autotune::prelude::*;
+use spmv_bench::json_escape;
 use spmv_bench::setup::{env_usize, load_suite, scaling_efficiency, sweep_threads};
 use spmv_sparse::{gen, CsrMatrix, DenseBlock};
 use std::fmt::Write as _;
@@ -135,10 +136,6 @@ fn measure(name: &str, a: &CsrMatrix<f32>, iters: usize) -> Row {
         nnz: a.nnz(),
         runs,
     }
-}
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 fn main() {

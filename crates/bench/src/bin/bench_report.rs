@@ -11,6 +11,7 @@
 
 use spmv_autotune::kernels::cpu::spmv_row_parallel;
 use spmv_autotune::prelude::*;
+use spmv_bench::json_escape;
 use spmv_bench::setup::{env_usize, load_suite, scaling_efficiency, sweep_threads};
 use spmv_sparse::{gen, CsrMatrix};
 use std::fmt::Write as _;
@@ -145,10 +146,6 @@ fn measure(name: &str, a: &CsrMatrix<f32>, iters: usize) -> Row {
         total_bpn: traffic.total_bytes_per_nnz(),
         sweep,
     }
-}
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 fn main() {

@@ -19,6 +19,7 @@
 //! mode).
 
 use spmv_autotune::prelude::*;
+use spmv_bench::json_escape;
 use spmv_bench::setup::{env_usize, load_suite, scaling_efficiency, sweep_threads};
 use spmv_sparse::solve::{sptrsv_seq, symgs_seq, SolveDirection};
 use spmv_sparse::{gen, CooMatrix, CsrMatrix};
@@ -187,10 +188,6 @@ fn measure(name: &str, a: &CsrMatrix<f32>, iters: usize, threads: &[usize]) -> M
         levels,
         grains,
     }
-}
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 fn main() {

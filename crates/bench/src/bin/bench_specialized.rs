@@ -19,6 +19,7 @@
 //! matrices — the CI smoke mode).
 
 use spmv_autotune::prelude::*;
+use spmv_bench::json_escape;
 use spmv_bench::setup::{env_usize, scaling_efficiency, sweep_threads};
 use spmv_sparse::{gen, suite, CsrMatrix, IndexKind};
 use std::fmt::Write as _;
@@ -213,10 +214,6 @@ fn structured_suite() -> Vec<(String, CsrMatrix<f32>)> {
         (name.to_string(), meta.generate())
     })
     .collect()
-}
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 fn main() {

@@ -16,3 +16,9 @@ pub mod table;
 
 pub use setup::{env_usize, load_suite, train_default_model, train_or_load_model, SuiteCase};
 pub use table::Table;
+
+/// Escape `s` for embedding in a JSON string literal: backslashes and
+/// double quotes. Bench names and labels carry no control characters.
+pub fn json_escape(s: &str) -> String {
+    s.replace('\\', "\\\\").replace('"', "\\\"")
+}

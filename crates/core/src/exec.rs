@@ -4,13 +4,12 @@
 //! heterogeneous routing) decide *what* to launch — a kernel over a row
 //! subset — and an [`ExecBackend`] decides *where*: on the simulated GPU
 //! (functional execution plus architectural pricing) or natively on the
-//! CPU thread pool. Both backends compute the same `u[r] = Σ A[r,·]·v`
+//! CPU worker team. Both backends compute the same `u[r] = Σ A[r,·]·v`
 //! for the rows they are handed, so they are interchangeable under one
 //! [`crate::plan::SpmvPlan`].
 
 use crate::kernels::cpu::{
-    run_plan_fused, run_plan_fused_batch, run_plan_sharded, spmv_rows_chunked,
-    spmv_rows_nnz_balanced,
+    run_plan_tiles, run_plan_tiles_batch, spmv_rows_chunked, spmv_rows_nnz_balanced,
 };
 use crate::kernels::{run_kernel, KernelId};
 use crate::plan::{rhs_blocks, BinDispatch, BinPayload, ShardedTiles, Tile};
@@ -61,7 +60,7 @@ pub struct PlanParts<'a, T: Scalar> {
     pub dispatch: &'a [BinDispatch],
     /// Per-bin payloads, aligned with `dispatch`.
     pub payloads: &'a [BinPayload<T>],
-    /// The fused tile queue (empty for `fused: false` plans).
+    /// The fused tile queue (empty only for an empty dispatch table).
     pub tiles: &'a [Tile],
     /// Per-tile NNZ weights, aligned with `tiles`.
     pub tile_weights: &'a [usize],
@@ -268,7 +267,7 @@ impl<T: Scalar> ExecBackend<T> for SimGpuBackend {
     }
 }
 
-/// The native multithreaded CPU backend on the `spmv-parallel` pool.
+/// The native multithreaded CPU backend on the `spmv-parallel` worker team.
 ///
 /// [`KernelId`]s map onto the two CPU scheduling disciplines rather than
 /// being emulated thread-for-thread:
@@ -290,13 +289,15 @@ impl<T: Scalar> ExecBackend<T> for SimGpuBackend {
 /// [`with_workers`](Self::with_workers) still overrides it in code.
 #[derive(Clone, Debug)]
 pub struct NativeCpuBackend {
-    /// Rows per scheduling chunk for the row-chunked path.
-    grain: usize,
-    /// Partitions per launch for the NNZ-balanced path.
-    parts: usize,
-    /// Worker cap for the fused paths (`0` = pool default).
+    /// Worker cap for the fused paths (`0` = process default).
     workers: usize,
 }
+
+/// Rows per scheduling chunk for the row-chunked (`Serial`) path.
+const GRAIN: usize = 256;
+
+/// Partitions per worker for the NNZ-balanced path.
+const PARTS_PER_WORKER: usize = 4;
 
 impl Default for NativeCpuBackend {
     fn default() -> Self {
@@ -307,11 +308,7 @@ impl Default for NativeCpuBackend {
             spmv_parallel::PlacementPolicy::Flat => 0,
             _ => placement.workers,
         };
-        Self {
-            grain: 256,
-            parts: spmv_parallel::num_threads() * 4,
-            workers,
-        }
+        Self { workers }
     }
 }
 
@@ -321,21 +318,9 @@ impl NativeCpuBackend {
         Self::default()
     }
 
-    /// Override the row-chunk grain (Serial path).
-    pub fn with_grain(mut self, grain: usize) -> Self {
-        self.grain = grain.max(1);
-        self
-    }
-
-    /// Override the partition count (Subvector/Vector path).
-    pub fn with_parts(mut self, parts: usize) -> Self {
-        self.parts = parts.max(1);
-        self
-    }
-
     /// Cap the worker count of the fused single-scope paths (`0` restores
-    /// the pool default). The pool's thread count is frozen per process,
-    /// so thread-scaling sweeps go through this knob rather than the
+    /// the process default). The process worker count is frozen at first
+    /// use, so thread-scaling sweeps go through this knob rather than the
     /// environment.
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers;
@@ -358,9 +343,10 @@ impl<T: Scalar> ExecBackend<T> for NativeCpuBackend {
     ) -> LaunchCost {
         let t0 = Instant::now();
         let result = match kernel {
-            KernelId::Serial => spmv_rows_chunked(a, rows, self.grain, v, u),
+            KernelId::Serial => spmv_rows_chunked(a, rows, GRAIN, v, u),
             KernelId::Subvector(_) | KernelId::Vector => {
-                spmv_rows_nnz_balanced(a, rows, self.parts, v, u)
+                let parts = spmv_parallel::num_threads() * PARTS_PER_WORKER;
+                spmv_rows_nnz_balanced(a, rows, parts, v, u)
             }
         };
         result.expect("plan validated dimensions");
@@ -370,13 +356,11 @@ impl<T: Scalar> ExecBackend<T> for NativeCpuBackend {
         }
     }
 
-    /// The fused path: one scoped parallel region over the precompiled
-    /// tile queue, workers stealing across bins, packed bins executing
-    /// from their SELL slabs. Sharded plans route through the
+    /// The fused path: one parallel region over the precompiled tile
+    /// queue, workers stealing across bins, packed bins executing from
+    /// their SELL slabs. Sharded plans route through the
     /// shard-partitioned queues (home-first drain, ring-order stealing,
-    /// first-touch on the first execution); flat plans keep the single
-    /// shared cursor. Falls back to per-bin launches when the plan was
-    /// compiled without a tile queue (`fused: false`).
+    /// first-touch on the first execution); flat plans drain one queue.
     fn launch_plan(
         &self,
         a: &CsrMatrix<T>,
@@ -384,36 +368,17 @@ impl<T: Scalar> ExecBackend<T> for NativeCpuBackend {
         v: &[T],
         u: &mut [T],
     ) -> LaunchCost {
-        if parts.tiles.is_empty() {
-            let mut total = LaunchCost::default();
-            for d in parts.dispatch {
-                let cost = self.launch(a, &d.rows, d.kernel, v, u);
-                total.accumulate(&cost);
-            }
-            return total;
-        }
         let t0 = Instant::now();
-        match parts.shards {
-            Some(shards) => run_plan_sharded(
-                a,
-                parts.dispatch,
-                parts.payloads,
-                parts.tiles,
-                shards,
-                self.workers,
-                v,
-                u,
-            ),
-            None => run_plan_fused(
-                a,
-                parts.dispatch,
-                parts.payloads,
-                parts.tiles,
-                self.workers,
-                v,
-                u,
-            ),
-        }
+        run_plan_tiles(
+            a,
+            parts.dispatch,
+            parts.payloads,
+            parts.tiles,
+            parts.shards,
+            self.workers,
+            v,
+            u,
+        )
         .expect("plan validated dimensions");
         LaunchCost {
             stats: None,
@@ -425,8 +390,6 @@ impl<T: Scalar> ExecBackend<T> for NativeCpuBackend {
     /// (tile × RHS-block) work queue — one matrix traversal pays for a
     /// whole RHS block. Sharded plans route the (tile × block) items
     /// through the same per-shard queues as the single-vector path.
-    /// Works for fused and unfused plans alike (the executor synthesizes
-    /// whole-bin tiles when the queue is empty).
     fn launch_plan_batch(
         &self,
         a: &CsrMatrix<T>,
@@ -435,7 +398,7 @@ impl<T: Scalar> ExecBackend<T> for NativeCpuBackend {
         y: &mut DenseBlock<T>,
     ) -> LaunchCost {
         let t0 = Instant::now();
-        run_plan_fused_batch(
+        run_plan_tiles_batch(
             a,
             parts.dispatch,
             parts.payloads,

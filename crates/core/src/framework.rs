@@ -126,7 +126,7 @@ impl AutoSpmv {
         self.plan_on(a, Box::new(SimGpuBackend::new(self.device.clone())))
     }
 
-    /// Compile a plan executing natively on the CPU thread pool (same
+    /// Compile a plan executing natively on the CPU worker team (same
     /// strategy selection; launches run real multithreaded kernels).
     pub fn plan_native<T: Scalar>(&self, a: &CsrMatrix<T>) -> SpmvPlan<T> {
         self.plan_on(a, Box::new(NativeCpuBackend::new()))

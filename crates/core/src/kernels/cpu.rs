@@ -8,9 +8,7 @@
 
 use crate::kernels::table::{self, BatchArgs, BatchKernelFn, KernelKey};
 use crate::plan::{rhs_blocks, BinDispatch, BinPayload, ShardedTiles, Tile};
-use spmv_parallel::{
-    fused_for_each_scratch, fused_for_each_with, parallel_for, sharded_for_each_scratch,
-};
+use spmv_parallel::{drain_for_each, parallel_for, Queues};
 use spmv_sparse::{CsrMatrix, DenseBlock, Scalar, SparseError};
 
 /// Row-parallel SpMV: rows are distributed in fixed-size chunks. The CPU
@@ -148,58 +146,6 @@ pub fn spmv_rows_nnz_balanced<T: Scalar>(
     Ok(())
 }
 
-/// Execute a compiled plan's whole dispatch in **one** scoped parallel
-/// region over its precompiled tile queue — the fused path behind
-/// [`NativeCpuBackend::launch_plan`].
-///
-/// Per-bin launches pay one pool/scope barrier per bin; here workers
-/// claim `(bin, range)` tiles from a single shared queue, so a thread
-/// finishing one bin's tiles immediately steals the next bin's. CSR
-/// tiles walk their span of the dispatch row list exactly like the
-/// per-bin kernels (bit-identical per-row sums); packed tiles stream
-/// their SELL chunk range; cache-blocked tiles walk the same row span
-/// strip-by-strip with worker-private cursors and partial sums
-/// (`blocked_rows_spmv` — bit-identical too, the strips only reorder
-/// *when* entries are consumed across rows, never within one). Packed
-/// value slabs are refreshed from `a` up front, single-threaded, so the
-/// parallel region only ever takes read locks.
-///
-/// Write soundness: each row of the matrix appears in exactly one bin
-/// (binning invariant, proven by `check_dispatch`), each bin's tiles
-/// partition its work (proven by `check_payloads`), and a packed bin's
-/// rows are the bin's rows (ditto) — so across the whole queue every
-/// output index is written by exactly one tile.
-///
-/// `workers` caps the parallel region (`0` = pool default).
-///
-/// [`NativeCpuBackend::launch_plan`]: crate::exec::NativeCpuBackend
-pub fn run_plan_fused<T: Scalar>(
-    a: &CsrMatrix<T>,
-    dispatch: &[BinDispatch],
-    payloads: &[BinPayload<T>],
-    tiles: &[Tile],
-    workers: usize,
-    v: &[T],
-    u: &mut [T],
-) -> Result<(), SparseError> {
-    check_dims(a, v, u)?;
-    assert_eq!(dispatch.len(), payloads.len(), "payload table misaligned");
-    for p in payloads {
-        if let BinPayload::Packed(packed) = p {
-            packed.ensure_values(a);
-        }
-    }
-    let out = SliceWriter::new(u);
-    let kernels = resolve_tile_kernels(payloads);
-    fused_for_each_scratch(
-        workers,
-        tiles.len(),
-        BlockedScratch::<T>::default,
-        |scratch, t| exec_tile(a, dispatch, payloads, &kernels, &tiles[t], v, out, scratch),
-    );
-    Ok(())
-}
-
 /// Resolve each bin's single-vector (`KB = 1`) table kernel once, before
 /// the parallel region opens. `None` for the formats whose single-vector
 /// tile body is bespoke (CSR row walk, packed chunk stream, cache-blocked
@@ -224,11 +170,10 @@ fn resolve_tile_kernels<T: Scalar>(payloads: &[BinPayload<T>]) -> Vec<Option<Bat
         .collect()
 }
 
-/// Execute one tile of the queue — the shared per-item body of the flat
-/// ([`run_plan_fused`]) and sharded ([`run_plan_sharded`]) executors.
-/// Which worker runs a tile cannot change a bit of the result: the
-/// per-row FMA chains below depend only on the tile, never on the
-/// schedule.
+/// Execute one tile of the queue — the per-item body of
+/// [`run_plan_tiles`]. Which worker runs a tile cannot change a bit of
+/// the result: the per-row FMA chains below depend only on the tile,
+/// never on the schedule.
 #[allow(clippy::too_many_arguments)]
 fn exec_tile<T: Scalar>(
     a: &CsrMatrix<T>,
@@ -297,28 +242,49 @@ fn exec_tile<T: Scalar>(
     }
 }
 
-/// Execute a sharded plan's tile queue through its per-shard sub-queues
-/// — the topology-aware sibling of [`run_plan_fused`], behind
-/// `NativeCpuBackend::launch_plan` for plans compiled with more than one
-/// shard.
+/// Execute a compiled plan's whole dispatch in **one** parallel region
+/// over its precompiled tile queue — the native path behind
+/// [`NativeCpuBackend::launch_plan`].
 ///
-/// Workers drain their home shard's queue first and steal cross-shard in
-/// ring order only when it is empty (`spmv_parallel::shard`). On the
-/// **first** execution of a plan, a barrier-separated first-touch phase
+/// Workers claim `(bin, range)` tiles from the queue, so a thread
+/// finishing one bin's tiles immediately steals the next bin's: one
+/// join per execute, not one barrier per bin. CSR tiles walk their span
+/// of the dispatch row list; packed tiles stream their SELL chunk
+/// range; cache-blocked tiles walk the same row span strip-by-strip
+/// with worker-private cursors and partial sums (`blocked_rows_spmv` —
+/// bit-identical, the strips only reorder *when* entries are consumed
+/// across rows, never within one). Packed value slabs are refreshed
+/// from `a` up front, single-threaded, so the parallel region only ever
+/// takes read locks.
+///
+/// An unsharded plan (`shards` is `None`) drains one flat queue. A
+/// sharded plan drains its per-shard sub-queues: workers take their
+/// home shard's queue first and steal cross-shard in ring order only
+/// when it is empty (`spmv_parallel::drain`). On the **first**
+/// execution of a sharded plan, a barrier-separated first-touch step
 /// runs before any tile: each shard's owner zeroes the shard's output
 /// rows and streams its `x` column window, so those pages fault in near
-/// the worker that will write/read them. The zeroes are dead stores
-/// semantically — every shard row is overwritten by exactly one tile —
-/// and the barrier orders them before all real writes, so results stay
-/// bit-for-bit identical to [`run_plan_fused`] and to sequential
-/// execution on every format tier.
+/// the worker that will write/read them. The zeroes are dead stores —
+/// every shard row is overwritten by exactly one tile — and the barrier
+/// orders them before all real writes.
+///
+/// Write soundness: each row of the matrix appears in exactly one bin
+/// (binning invariant, proven by `check_dispatch`), each bin's tiles
+/// partition its work (proven by `check_payloads`), and a packed bin's
+/// rows are the bin's rows (ditto) — so across the whole queue every
+/// output index is written by exactly one tile, and the result is
+/// bit-for-bit identical to sequential execution under any schedule.
+///
+/// `workers` caps the parallel region (`0` = process default).
+///
+/// [`NativeCpuBackend::launch_plan`]: crate::exec::NativeCpuBackend
 #[allow(clippy::too_many_arguments)]
-pub fn run_plan_sharded<T: Scalar>(
+pub fn run_plan_tiles<T: Scalar>(
     a: &CsrMatrix<T>,
     dispatch: &[BinDispatch],
     payloads: &[BinPayload<T>],
     tiles: &[Tile],
-    shards: &ShardedTiles,
+    shards: Option<&ShardedTiles>,
     workers: usize,
     v: &[T],
     u: &mut [T],
@@ -332,25 +298,17 @@ pub fn run_plan_sharded<T: Scalar>(
     }
     let out = SliceWriter::new(u);
     let kernels = resolve_tile_kernels(payloads);
-    let do_touch = shards.begin_first_touch();
-    sharded_for_each_scratch(
+    let queues = shards.map_or(Queues::Flat(tiles.len()), |sh| Queues::Sharded(sh.queues()));
+    let touch = match shards {
+        Some(sh) if sh.begin_first_touch() => Some(move |s| first_touch_shard(sh, s, v, out)),
+        _ => None,
+    };
+    drain_for_each(
         workers,
-        shards.queues(),
-        do_touch,
-        |s| first_touch_shard(shards, s, v, out),
+        queues,
+        touch,
         BlockedScratch::<T>::default,
-        |scratch, t| {
-            exec_tile(
-                a,
-                dispatch,
-                payloads,
-                &kernels,
-                &tiles[t as usize],
-                v,
-                out,
-                scratch,
-            )
-        },
+        |scratch, t| exec_tile(a, dispatch, payloads, &kernels, &tiles[t], v, out, scratch),
     );
     Ok(())
 }
@@ -364,7 +322,7 @@ fn first_touch_shard<T: Scalar>(shards: &ShardedTiles, s: usize, v: &[T], out: S
         // SAFETY: shard row sets are disjoint across shards (proven by
         // `check_shards`, enforced structurally by tile disjointness),
         // the touch phase is barrier-ordered before every tile write,
-        // and the sharded scope joins before `u` is observable again.
+        // and the drain joins before `u` is observable again.
         unsafe { out.write(r as usize, T::ZERO) };
     }
     let (lo, hi) = shards.x_ranges()[s];
@@ -453,7 +411,7 @@ fn blocked_rows_spmv<T: Scalar>(
 }
 
 /// Batched (multi-RHS) plan execution: the SpMM analogue of
-/// [`run_plan_fused`], behind `NativeCpuBackend::launch_plan_batch`.
+/// [`run_plan_tiles`], behind `NativeCpuBackend::launch_plan_batch`.
 ///
 /// The RHS width `K` is decomposed into register-blocked widths by
 /// [`rhs_blocks`] (greedy 8/4/2/1), and the work queue becomes the cross
@@ -469,17 +427,15 @@ fn blocked_rows_spmv<T: Scalar>(
 /// (`rhs_blocks` partitions `[0, K)`, proven by `check_payloads`), so
 /// every `(row, column)` output element is written by exactly one item.
 ///
-/// Sharded plans route the (tile × block) items through the same
-/// per-shard queues as the single-vector path: an item inherits the
-/// shard that owns its tile, so a shard's workers touch only their own
-/// `y` rows (all `K` columns of them) and `x` window. Plans compiled
-/// with `fused: false` have no tile queue; whole-bin tiles are
-/// synthesized on the fly (unsharded — there is no compile-time
-/// partition to honour) so both configurations run the same kernels
-/// (bit-identical results either way). `workers` caps the parallel
-/// region (`0` = pool default).
+/// Sharded plans deal the LPT-sorted items onto per-shard queues — an
+/// item belongs to the shard that owns its tile, so a shard's workers
+/// touch only their own `y` rows (all `K` columns of them) and `x`
+/// window, and each shard queue keeps the global LPT order among its
+/// own items — and drain them with the same home-first/ring-steal
+/// protocol as the single-vector path. `workers` caps the parallel
+/// region (`0` = process default).
 #[allow(clippy::too_many_arguments)]
-pub fn run_plan_fused_batch<T: Scalar>(
+pub fn run_plan_tiles_batch<T: Scalar>(
     a: &CsrMatrix<T>,
     dispatch: &[BinDispatch],
     payloads: &[BinPayload<T>],
@@ -492,6 +448,7 @@ pub fn run_plan_fused_batch<T: Scalar>(
 ) -> Result<(), SparseError> {
     check_block_dims(a, x, y)?;
     assert_eq!(dispatch.len(), payloads.len(), "payload table misaligned");
+    debug_assert_eq!(tiles.len(), tile_weights.len(), "tile weights misaligned");
     let k = x.k();
     if k == 0 {
         return Ok(());
@@ -501,75 +458,7 @@ pub fn run_plan_fused_batch<T: Scalar>(
             packed.ensure_values(a);
         }
     }
-    // Unfused plans carry no tile queue: synthesize one whole-span tile
-    // per bin so both configurations execute the same kernels.
-    if tiles.is_empty() {
-        let mut synth_tiles = Vec::with_capacity(dispatch.len());
-        let mut synth_weights = Vec::with_capacity(dispatch.len());
-        for (bin, (d, p)) in dispatch.iter().zip(payloads).enumerate() {
-            let span = match p {
-                BinPayload::Packed(packed) => packed.n_chunks(),
-                BinPayload::Csr
-                | BinPayload::Blocked { .. }
-                | BinPayload::DenseRun(_)
-                | BinPayload::Banded(_)
-                | BinPayload::RowRun(_) => d.rows.len(),
-            };
-            synth_tiles.push(Tile {
-                bin,
-                start: 0,
-                end: span,
-            });
-            synth_weights.push(d.nnz);
-        }
-        return run_batch_queue(
-            a,
-            dispatch,
-            payloads,
-            &synth_tiles,
-            &synth_weights,
-            None,
-            workers,
-            x,
-            y,
-        );
-    }
-    run_batch_queue(
-        a,
-        dispatch,
-        payloads,
-        tiles,
-        tile_weights,
-        shards,
-        workers,
-        x,
-        y,
-    )
-}
-
-/// The shared (tile × RHS-block) queue executor behind
-/// [`run_plan_fused_batch`]. Dimensions are already validated and packed
-/// value slabs refreshed.
-///
-/// Sharded plans deal the LPT-sorted items onto per-shard queues — an
-/// item belongs to the shard that owns its tile, so each shard queue
-/// keeps the global LPT order among its own items — and drain them with
-/// the same home-first/ring-steal protocol as the single-vector path.
-#[allow(clippy::too_many_arguments)]
-fn run_batch_queue<T: Scalar>(
-    a: &CsrMatrix<T>,
-    dispatch: &[BinDispatch],
-    payloads: &[BinPayload<T>],
-    tiles: &[Tile],
-    tile_weights: &[usize],
-    shards: Option<&ShardedTiles>,
-    workers: usize,
-    x: &DenseBlock<T>,
-    y: &mut DenseBlock<T>,
-) -> Result<(), SparseError> {
-    debug_assert_eq!(tiles.len(), tile_weights.len(), "tile weights misaligned");
-    let blocks = rhs_blocks(x.k());
-    let k = x.k();
+    let blocks = rhs_blocks(k);
     let mut items: Vec<(u32, u32)> = Vec::with_capacity(tiles.len() * blocks.len());
     for bi in 0..blocks.len() {
         for ti in 0..tiles.len() {
@@ -625,8 +514,9 @@ fn run_batch_queue<T: Scalar>(
         };
         resolved[tile.bin][bi as usize](&args);
     };
-    match shards {
-        None => fused_for_each_with(workers, items.len(), exec_item),
+    let item_queues: Vec<Vec<u32>>;
+    let queues = match shards {
+        None => Queues::Flat(items.len()),
         Some(sh) => {
             // Deal items onto the shard that owns their tile. Pushing in
             // the globally sorted order keeps each shard queue LPT-sorted
@@ -637,21 +527,21 @@ fn run_batch_queue<T: Scalar>(
                     owner[t as usize] = s as u32;
                 }
             }
-            let mut item_queues: Vec<Vec<u32>> = vec![Vec::new(); sh.n_shards()];
+            let mut dealt: Vec<Vec<u32>> = vec![Vec::new(); sh.n_shards()];
             for (it, &(ti, _)) in items.iter().enumerate() {
-                item_queues[owner[ti as usize] as usize].push(it as u32);
+                dealt[owner[ti as usize] as usize].push(it as u32);
             }
-            let do_touch = sh.begin_first_touch();
-            sharded_for_each_scratch(
-                workers,
-                &item_queues,
-                do_touch,
-                |s| first_touch_shard_block(sh, s, xs, x_stride, k, &out),
-                || (),
-                |_, it| exec_item(it as usize),
-            );
+            item_queues = dealt;
+            Queues::Sharded(&item_queues)
         }
-    }
+    };
+    let touch = match shards {
+        Some(sh) if sh.begin_first_touch() => {
+            Some(move |s| first_touch_shard_block(sh, s, xs, x_stride, k, &out))
+        }
+        _ => None,
+    };
+    drain_for_each(workers, queues, touch, || (), |_, it| exec_item(it));
     Ok(())
 }
 

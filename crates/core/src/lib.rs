@@ -25,7 +25,7 @@
 //! * [`framework`] — the runtime: features → predicted strategy →
 //!   binning → per-bin kernel launches ([`AutoSpmv`]);
 //! * [`exec`] — execution backends behind one [`ExecBackend`] trait:
-//!   the simulated GPU and the native multithreaded CPU pool;
+//!   the simulated GPU and the native multithreaded CPU worker team;
 //! * [`plan`] — the plan/execute split: [`SpmvPlan`] freezes features,
 //!   strategy and expanded bin row lists once per sparsity pattern so
 //!   iterative solvers pay no per-call tuning or allocation;

@@ -475,8 +475,8 @@ impl IndexPolicy {
 /// Knobs for plan compilation's format and dispatch decisions. The
 /// defaults are what [`SpmvPlan::compile`] uses; benches and tests use
 /// [`SpmvPlan::compile_with`] to pin specific corners (packing off,
-/// fusion off, adversarial padding bounds, forced index widths, tiny
-/// `l2_bytes` to trigger cache blocking on small matrices).
+/// adversarial padding bounds, forced index widths, tiny `l2_bytes` to
+/// trigger cache blocking on small matrices).
 #[derive(Clone, Copy, Debug)]
 pub struct PlanConfig {
     /// Consider SELL packing at all (`false` forces CSR everywhere).
@@ -491,9 +491,6 @@ pub struct PlanConfig {
     /// Bins containing a row longer than this stay CSR — long rows
     /// neither suffer per-row overhead nor pack well.
     pub max_row_nnz: usize,
-    /// Execute through the single-scope fused tile queue (`false` keeps
-    /// one backend launch per bin).
-    pub fused: bool,
     /// Target non-zeros per tile; `0` sizes tiles so each worker sees
     /// several per launch (min 4096 so tiny matrices stay one tile).
     pub tile_nnz: usize,
@@ -550,7 +547,6 @@ impl Default for PlanConfig {
             chunk: 0,
             max_padding: 1.25,
             max_row_nnz: 512,
-            fused: true,
             tile_nnz: 0,
             index: IndexPolicy::Auto,
             cache_block: true,
@@ -574,7 +570,7 @@ impl Default for PlanConfig {
 /// iff every knob — including the float gates, bit-for-bit — agrees.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct PlanConfigKey {
-    flags: [bool; 4],
+    flags: [bool; 3],
     sizes: [usize; 9],
     floats: [u64; 2],
     /// `IndexPolicy` discriminant: 0 = `Auto`, else 1 + byte width.
@@ -585,7 +581,7 @@ impl PlanConfig {
     /// The cache identity of this configuration (see [`PlanConfigKey`]).
     pub fn cache_key(&self) -> PlanConfigKey {
         PlanConfigKey {
-            flags: [self.pack, self.fused, self.cache_block, self.specialize],
+            flags: [self.pack, self.cache_block, self.specialize],
             sizes: [
                 self.chunk,
                 self.max_row_nnz,
@@ -760,11 +756,7 @@ impl<T: Scalar> SpmvPlan<T> {
             });
             payloads.push(payload);
         }
-        let (tiles, tile_weights) = if config.fused {
-            build_tiles(a, &dispatch, &payloads, &config)
-        } else {
-            (Vec::new(), Vec::new())
-        };
+        let (tiles, tile_weights) = build_tiles(a, &dispatch, &payloads, &config);
         // Shard the tile queue when the placement (or an explicit config
         // override) asks for more than one shard. An unsharded plan
         // carries `None` and executes exactly as before.
@@ -996,7 +988,7 @@ impl<T: Scalar> SpmvPlan<T> {
         &self.payloads
     }
 
-    /// The fused tile queue (empty when compiled with `fused: false`).
+    /// The fused tile queue (empty only for an empty dispatch table).
     pub fn tiles(&self) -> &[Tile] {
         &self.tiles
     }

@@ -243,7 +243,7 @@ impl Tuner {
         }
         assert!(!schemes.is_empty(), "tuner needs at least one scheme");
         let results: Vec<CandidateResult> =
-            parallel_map_collect_nc(schemes.len(), |i| self.evaluate_scheme(a, schemes[i]));
+            parallel_map_collect(schemes.len(), 1, |i| self.evaluate_scheme(a, schemes[i]));
         let best = results
             .iter()
             .min_by(|x, y| x.cycles.partial_cmp(&y.cycles).unwrap())
@@ -426,12 +426,6 @@ impl Tuner {
             measured_fallback,
         }
     }
-}
-
-/// `parallel_map_collect` for non-`Default` results.
-fn parallel_map_collect_nc<T: Send + Clone>(n: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
-    let slots: Vec<Option<T>> = parallel_map_collect(n, 1, |i| Some(f(i)));
-    slots.into_iter().map(Option::unwrap).collect()
 }
 
 #[cfg(test)]

@@ -484,9 +484,11 @@ pub fn check_dispatch<T: Scalar>(
 ///    chunks length-sorted with consistent offsets, every non-padding
 ///    slot pointing at the CSR entry it claims, every padding slot
 ///    marked ([`spmv_sparse::packed::PackedSell::check_against`]);
-/// 3. the fused tile queue (when present) partitions each bin's work —
-///    chunk ranges for packed bins, row-list spans for CSR bins — with
-///    no overlap, no gap, and no overrun.
+/// 3. the fused tile queue partitions each bin's work — chunk ranges
+///    for packed bins, row-list spans for CSR bins — with no overlap, no
+///    gap, and no overrun. An empty queue passes only for an empty
+///    dispatch table: every native execute drains the queue, so a bin
+///    without tiles would never be written.
 ///
 /// Together with [`check_dispatch`] (rows owned exactly once across
 /// bins) this proves the fused executor's write set: every output index
@@ -635,12 +637,8 @@ pub fn check_payloads<T: Scalar>(
     // The batched executor tiles the output as (row range × RHS block).
     // The row axis is covered by the dispatch/tile proofs; the column
     // axis is the deterministic RHS-block decomposition, proven here for
-    // a sweep of batch widths. This runs for unfused plans too — the
-    // batched path executes those through synthesized whole-bin tiles.
+    // a sweep of batch widths.
     check_rhs_blocks()?;
-    if tiles.is_empty() {
-        return Ok(()); // per-bin launch path: nothing fused to prove
-    }
     // Per-bin tile-partition proof: collect each bin's ranges, sort, and
     // require exact coverage of that bin's work span.
     let mut per_bin: Vec<Vec<(usize, usize)>> = vec![Vec::new(); dispatch.len()];
@@ -1089,6 +1087,28 @@ mod tests {
             Err(VerifyError::UncoveredRows { rows: (5, 7) }) => {}
             other => panic!("expected UncoveredRows(5..=7), got {other:?}"),
         }
+    }
+
+    #[test]
+    fn empty_tile_queue_proves_nothing_for_a_populated_plan() {
+        let a = gen::powerlaw::<f64>(300, 1, 40, 2.1, 5);
+        let strategy = Strategy {
+            binning: BinningScheme::Coarse { u: 10 },
+            kernels: vec![KernelId::Serial; 8],
+        };
+        let plan = SpmvPlan::compile(
+            &a,
+            strategy,
+            Box::new(SimGpuBackend::new(GpuDevice::kaveri())),
+        );
+        assert!(!plan.dispatch().is_empty());
+        check_payloads(&a, plan.dispatch(), plan.payloads(), plan.tiles()).unwrap();
+        match check_payloads(&a, plan.dispatch(), plan.payloads(), &[]) {
+            Err(VerifyError::TilesNotPartition { .. }) => {}
+            other => panic!("expected TilesNotPartition, got {other:?}"),
+        }
+        // An empty dispatch table needs no tiles.
+        check_payloads::<f64>(&a, &[], &[], &[]).unwrap();
     }
 
     #[test]

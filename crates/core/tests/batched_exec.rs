@@ -3,7 +3,7 @@
 //! `execute` calls — across random matrices, strategies, RHS widths
 //! (including 0, 1, and widths that exercise every register-block size
 //! and the remainder path), strided blocks, packed and CSR-fallback
-//! bins, fused and unfused dispatch, and both backends.
+//! bins, and both backends.
 
 use spmv_autotune::prelude::*;
 use spmv_sparse::gen;
@@ -133,8 +133,8 @@ fn strided_blocks_match_and_slack_is_untouched() {
 }
 
 /// The format/dispatch configuration must not change batched results:
-/// packed vs CSR payloads, fused tile queue vs synthesized whole-bin
-/// tiles, and explicit chunk/tile overrides all agree bitwise.
+/// packed vs CSR payloads and explicit chunk/tile overrides all agree
+/// bitwise.
 #[test]
 fn batched_configs_are_bitwise_equal() {
     let a = gen::mixture::<f64>(
@@ -152,10 +152,6 @@ fn batched_configs_are_bitwise_equal() {
         PlanConfig::default(),
         PlanConfig {
             pack: false,
-            ..PlanConfig::default()
-        },
-        PlanConfig {
-            fused: false,
             ..PlanConfig::default()
         },
         PlanConfig {

@@ -66,8 +66,8 @@ fn fuzz_packed_plans_bit_identical_to_reference() {
     }
 }
 
-/// The format decision must not change results: packing on vs off, and
-/// fused vs per-bin dispatch, are all bitwise the same.
+/// The format decision must not change results: packing on vs off and
+/// explicit chunk/tile overrides are all bitwise the same.
 #[test]
 fn packed_and_unpacked_configs_are_bitwise_equal() {
     let a = gen::powerlaw::<f64>(900, 1, 70, 2.1, 17);
@@ -78,15 +78,6 @@ fn packed_and_unpacked_configs_are_bitwise_equal() {
         PlanConfig::default(),
         PlanConfig {
             pack: false,
-            ..PlanConfig::default()
-        },
-        PlanConfig {
-            fused: false,
-            ..PlanConfig::default()
-        },
-        PlanConfig {
-            pack: false,
-            fused: false,
             ..PlanConfig::default()
         },
         PlanConfig {

@@ -2,51 +2,40 @@
 //!
 //! A small, dependency-light data-parallel substrate: the CPU analogue of
 //! the paper's OpenCL work-group machinery. The CPU-native SpMV kernels
-//! run on this, and the GPU *simulator* uses it to cost work-groups
-//! concurrently.
+//! and the level-scheduled solves run on it.
 //!
-//! Two layers are provided:
+//! Workers are spawned in exactly one place, [`stepped_for_each`]: a
+//! team that marches through barrier-separated steps. Everything else
+//! is a schedule handed to that team:
 //!
-//! * [`parallel_for`]-style free functions built on `std::thread::scope`
-//!   that operate on borrowed data with dynamic (atomic-counter) chunk
-//!   scheduling — the moral equivalent of a `#pragma omp parallel for
-//!   schedule(dynamic)`;
-//! * a persistent [`pool::ThreadPool`] for `'static` jobs, so repeated
-//!   small launches (one per bin, as the framework issues) don't pay
-//!   thread spawn/join each time;
-//! * a fused single-scope dispatcher ([`fused_for_each`]) that runs a
-//!   whole precompiled tile queue in one parallel region, so multi-bin
-//!   plans pay one join instead of one barrier per bin;
-//! * a topology/placement layer ([`topology`]) naming how many workers
-//!   run and how work queues map onto worker groups, and a sharded
-//!   dispatcher ([`sharded_for_each_scratch`]) that drains per-shard
-//!   queues home-first with ring-order cross-shard stealing;
-//! * a barrier-stepped dispatcher ([`stepped_for_each`]) for
-//!   dependency-carrying schedules (level-set triangular solves): one
-//!   worker team marches through barrier-separated steps, so step
-//!   `s + 1` reads what step `s` wrote without a spawn/join per level.
+//! * [`drain_for_each`] runs independent items from one flat queue or
+//!   from per-shard queues (home shard first, ring-order stealing,
+//!   per-worker scratch), with an optional first-touch step before the
+//!   drain; [`fused_for_each_with`] is its flat, scratch-free form, the
+//!   one parallel region a compiled plan's whole tile queue runs in;
+//! * [`parallel_for`] and [`parallel_map_collect`] are chunked flat
+//!   drains over `[0, n)` — the moral equivalent of a
+//!   `#pragma omp parallel for schedule(dynamic)`;
+//! * level-set triangular solves use the team directly: step `s + 1`
+//!   reads what step `s` wrote, without a spawn/join per level.
+//!
+//! A topology/placement layer ([`topology`]) names how many workers run
+//! and how many shards plans cut their queues into.
 
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod clock;
-pub mod fused;
-pub mod partition;
-pub mod pool;
+pub mod drain;
 pub mod scope;
-pub mod shard;
 pub mod step;
 pub mod topology;
 
 pub use clock::{Clock, FakeClock, MonotonicClock};
-pub use fused::{fused_for_each, fused_for_each_scratch, fused_for_each_with};
-pub use partition::{chunk_ranges, Chunk};
-pub use pool::ThreadPool;
+pub use drain::{drain_for_each, fused_for_each_with, Queues};
 pub use scope::{
     hardware_threads, machine_threads, num_threads, parallel_for, parallel_map_collect,
-    parallel_reduce,
 };
-pub use shard::sharded_for_each_scratch;
 pub use step::stepped_for_each;
 pub use topology::{
     parse_placement, parse_threads_alias, Placement, PlacementError, PlacementPolicy, Topology,

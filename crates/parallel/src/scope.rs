@@ -1,14 +1,15 @@
-//! Scoped data-parallel loops over borrowed data.
+//! Thread budgets and chunked data-parallel loops over borrowed data.
 //!
-//! Built directly on `std::thread::scope`, with a shared atomic cursor
-//! for dynamic scheduling: workers repeatedly claim the next chunk of
-//! `grain` items until the index space is exhausted. This is the
-//! load-balancing discipline the paper's binning is designed around —
-//! uneven per-item work (rows of different NNZ) must not serialise on one
-//! slow worker.
+//! [`parallel_for`] and [`parallel_map_collect`] cut `[0, n)` into
+//! chunks of `grain` items and drain them as a flat queue
+//! ([`fused_for_each_with`]): workers repeatedly claim the next chunk
+//! from a shared atomic cursor until the index space is exhausted. This
+//! is the load-balancing discipline the paper's binning is designed
+//! around — uneven per-item work (rows of different NNZ) must not
+//! serialise on one slow worker.
 
+use crate::drain::fused_for_each_with;
 use std::num::NonZeroUsize;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 /// The raw hardware thread budget: the `SPMV_NUM_THREADS` environment
@@ -47,8 +48,8 @@ pub fn machine_threads() -> usize {
 /// Number of worker threads used by the free functions: the resolved
 /// process placement's worker count
 /// ([`crate::topology::Placement::from_env`]), so every layer — the flat
-/// loops here, the sharded runtime, the thread pool, servers, benches —
-/// observes **one** topology per process. `SPMV_PLACEMENT` (or the
+/// loops here, the sharded runtime, servers, benches — observes **one**
+/// topology per process. `SPMV_PLACEMENT` (or the
 /// `SPMV_THREADS` alias) caps this; with neither set it is the hardware
 /// budget (`SPMV_NUM_THREADS` or the machine's available parallelism).
 ///
@@ -63,99 +64,23 @@ pub fn num_threads() -> usize {
 /// `grain` items across [`num_threads`] workers. `body` must be safe to
 /// call concurrently on disjoint ranges.
 ///
-/// Falls back to a plain sequential loop when `n` is small or only one
-/// thread is available.
+/// Runs inline on the caller when `n` fits one chunk or only one thread
+/// is available.
 pub fn parallel_for<F>(n: usize, grain: usize, body: F)
 where
     F: Fn(usize, usize) + Sync,
 {
     let grain = grain.max(1);
-    let workers = num_threads();
-    if workers == 1 || n <= grain {
-        if n > 0 {
-            body(0, n);
-        }
-        return;
-    }
-    let cursor = AtomicUsize::new(0);
-    let workers = workers.min(n.div_ceil(grain));
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let start = cursor.fetch_add(grain, Ordering::Relaxed);
-                if start >= n {
-                    break;
-                }
-                let end = (start + grain).min(n);
-                body(start, end);
-            });
-        }
+    fused_for_each_with(0, n.div_ceil(grain), |chunk| {
+        let start = chunk * grain;
+        body(start, (start + grain).min(n));
     });
 }
 
 /// Map every index of `[0, n)` through `f` and collect the results in
-/// order. Scheduling is dynamic; result placement uses disjoint writes
-/// into a pre-sized buffer.
+/// order. Scheduling is dynamic; each result lands in its own slot of a
+/// pre-sized buffer.
 pub fn parallel_map_collect<T, F>(n: usize, grain: usize, f: F) -> Vec<T>
-where
-    T: Send + Default + Clone,
-    F: Fn(usize) -> T + Sync,
-{
-    let mut out = vec![T::default(); n];
-    {
-        let out_ptr = SendPtr(out.as_mut_ptr());
-        parallel_for(n, grain, |start, end| {
-            // SAFETY: chunks are disjoint, so each index is written by
-            // exactly one worker; the buffer outlives the scope.
-            let p = out_ptr;
-            for i in start..end {
-                unsafe { *p.0.add(i) = f(i) };
-            }
-        });
-    }
-    out
-}
-
-struct SendPtr<T>(*mut T);
-impl<T> Clone for SendPtr<T> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<T> Copy for SendPtr<T> {}
-// SAFETY: the pointer is only used to write disjoint indices inside the
-// scope of `parallel_for`, which joins all workers before returning.
-unsafe impl<T: Send> Send for SendPtr<T> {}
-// SAFETY: same restriction — shared only between workers writing disjoint
-// indices, all joined before the buffer is read.
-unsafe impl<T: Send> Sync for SendPtr<T> {}
-
-/// Parallel reduction: fold `[0, n)` with `map`, combining per-worker
-/// partials with `combine` starting from `identity`. The combination
-/// order is deterministic (chunk order), so floating-point reductions are
-/// reproducible for a fixed `n`, `grain`, and thread count.
-pub fn parallel_reduce<T, M, C>(n: usize, grain: usize, identity: T, map: M, combine: C) -> T
-where
-    T: Send + Clone,
-    M: Fn(usize, usize) -> T + Sync,
-    C: Fn(T, T) -> T,
-{
-    let grain = grain.max(1);
-    if n == 0 {
-        return identity;
-    }
-    let n_chunks = n.div_ceil(grain);
-    let partials: Vec<T> = parallel_map_collect_nondefault(n_chunks, 1, |c| {
-        let start = c * grain;
-        let end = (start + grain).min(n);
-        map(start, end)
-    });
-    partials.into_iter().fold(identity, combine)
-}
-
-/// `parallel_map_collect` without the `Default` bound (used internally):
-/// collects via per-chunk vectors and concatenation.
-fn parallel_map_collect_nondefault<T, F>(n: usize, grain: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
@@ -165,19 +90,34 @@ where
     parallel_for(n, grain, |start, end| {
         let p = out_ptr;
         for i in start..end {
-            // SAFETY: disjoint indices, buffer outlives the scope.
+            // SAFETY: chunks are disjoint, so each index is written by
+            // exactly one worker; the buffer outlives the drain.
             unsafe { *p.0.add(i) = Some(f(i)) };
         }
     });
     out.into_iter()
-        .map(|x| x.expect("chunk not computed"))
+        .map(|x| x.expect("parallel_for covers every index"))
         .collect()
 }
+
+struct SendPtr<T>(*mut T);
+impl<T> Clone for SendPtr<T> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+impl<T> Copy for SendPtr<T> {}
+// SAFETY: the pointer is only used to write disjoint indices inside
+// `parallel_for`, which joins all workers before returning.
+unsafe impl<T: Send> Send for SendPtr<T> {}
+// SAFETY: same restriction — shared only between workers writing disjoint
+// indices, all joined before the buffer is read.
+unsafe impl<T: Send> Sync for SendPtr<T> {}
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
     #[test]
     fn parallel_for_visits_every_index_once() {
@@ -215,35 +155,10 @@ mod tests {
     }
 
     #[test]
-    fn reduce_sums_correctly() {
-        let total = parallel_reduce(
-            100_000,
-            1024,
-            0u64,
-            |s, e| (s..e).map(|i| i as u64).sum::<u64>(),
-            |a, b| a + b,
-        );
-        assert_eq!(total, 100_000u64 * 99_999 / 2);
-    }
-
-    #[test]
-    fn reduce_empty_is_identity() {
-        let r = parallel_reduce(0, 16, 42u32, |_, _| 0, |a, b| a + b);
-        assert_eq!(r, 42);
-    }
-
-    #[test]
-    fn reduce_is_deterministic_for_floats() {
-        let run = || {
-            parallel_reduce(
-                50_000,
-                128,
-                0.0f64,
-                |s, e| (s..e).map(|i| (i as f64).sqrt()).sum::<f64>(),
-                |a, b| a + b,
-            )
-        };
-        assert_eq!(run(), run());
+    fn map_collect_needs_no_default() {
+        struct NoDefault(usize);
+        let v = parallel_map_collect(500, 3, NoDefault);
+        assert!(v.iter().enumerate().all(|(i, x)| x.0 == i));
     }
 
     #[test]

@@ -1,22 +1,21 @@
-//! Barrier-stepped execution: a fixed worker team marches through a
-//! sequence of steps, separated by barriers.
+//! Barrier-stepped execution: the crate's one worker team. A fixed
+//! team marches through a sequence of steps, separated by barriers.
 //!
-//! The fused ([`crate::fused`]) and sharded ([`crate::shard`])
-//! dispatchers run *independent* items — any interleaving is fine, so
-//! one scope with free-running workers suffices. Dependency-carrying
-//! work (level-set scheduled triangular solves) is different: step
-//! `s + 1` may read what step `s` wrote, so every worker must finish
-//! step `s` before any worker starts `s + 1`. Spawning one scope per
-//! step would give that ordering at the cost of a spawn/join per level
-//! — hundreds for deep triangular factors. Instead, this dispatcher
-//! spawns the team once and separates steps with a [`Barrier`], the
-//! same device the sharded executor uses to order first-touch before
-//! draining.
+//! Every parallel region in this crate runs here. Independent-item work
+//! ([`crate::drain`]) is one step, or two when a first-touch phase
+//! leads; dependency-carrying work (level-set scheduled triangular
+//! solves) is many, where step `s + 1` may read what step `s` wrote, so
+//! every worker must finish step `s` before any worker starts `s + 1`.
+//! Spawning one scope per step would give that ordering at the cost of
+//! a spawn/join per level — hundreds for deep triangular factors.
+//! Instead, the team is spawned once and steps are separated by a
+//! [`Barrier`].
 //!
 //! `Barrier::wait` gives the needed happens-before edge: every write
 //! made in step `s` (by any worker) is visible to every worker in step
 //! `s + 1`, so the step bodies can use plain (non-atomic) disjoint
-//! writes, exactly like the SpMV kernels.
+//! writes, exactly like the SpMV kernels. The last step needs no
+//! barrier: the scope join orders its writes before the caller's reads.
 //!
 //! Steps marked serial run on worker 0 only — the others proceed
 //! straight to the barrier. The solve planner uses this for merged
@@ -26,7 +25,7 @@
 use std::sync::Barrier;
 
 /// March `workers` workers through `parallel.len()` steps in order,
-/// with a barrier after every step. For each step `s`:
+/// with a barrier between consecutive steps. For each step `s`:
 ///
 /// * if `parallel[s]`, every worker calls `body(s, role, workers)`
 ///   with its own `role` in `0..workers` — the body partitions the
@@ -42,7 +41,8 @@ use std::sync::Barrier;
 ///
 /// The body sees steps in strictly increasing order, and all writes of
 /// step `s` happen-before all reads of step `s + 1` — the property the
-/// dependency-order prover's per-step schedule relies on.
+/// dependency-order prover's per-step schedule relies on. All writes of
+/// the last step happen-before this function returns.
 pub fn stepped_for_each<F>(workers: usize, parallel: &[bool], body: F)
 where
     F: Fn(usize, usize, usize) + Sync,
@@ -54,6 +54,7 @@ where
         return;
     }
     let barrier = Barrier::new(workers);
+    let last = parallel.len().saturating_sub(1);
     std::thread::scope(|scope| {
         for role in 0..workers {
             let barrier = &barrier;
@@ -65,7 +66,9 @@ where
                     } else if role == 0 {
                         body(step, 0, workers);
                     }
-                    barrier.wait();
+                    if step < last {
+                        barrier.wait();
+                    }
                 }
             });
         }
@@ -145,6 +148,21 @@ mod tests {
                 n * (n + 1) / 2,
                 "workers={workers}"
             );
+        }
+    }
+
+    #[test]
+    fn last_step_writes_are_visible_on_return() {
+        // No barrier follows the last step; the scope join must order
+        // its writes before the caller reads them.
+        for workers in [2, 4] {
+            let slots: Vec<AtomicUsize> = (0..workers).map(|_| AtomicUsize::new(0)).collect();
+            stepped_for_each(workers, &[false, true], |_, role, _| {
+                slots[role].store(role + 1, Ordering::Relaxed);
+            });
+            for (role, s) in slots.iter().enumerate() {
+                assert_eq!(s.load(Ordering::Relaxed), role + 1, "workers={workers}");
+            }
         }
     }
 

@@ -2,7 +2,7 @@
 //!
 //! The execution layer used to know exactly one number: the process-wide
 //! thread count (`SPMV_THREADS` capping [`crate::scope::num_threads`]).
-//! That is enough for a flat pool but says nothing about *where* work
+//! That is enough for a flat team but says nothing about *where* work
 //! should live — on a multi-socket or core-clustered part, threads that
 //! share a cache level should share a work queue, and threads that do
 //! not should prefer their own. This module names that structure:
@@ -181,7 +181,7 @@ impl Placement {
     ///
     /// This is the **single entry point** for topology resolution:
     /// [`crate::scope::num_threads`] (and through it every flat parallel
-    /// loop, the thread pool default, and the benches) returns
+    /// loop, every drain default, and the benches) returns
     /// `from_env().workers`, so no two layers of one process can observe
     /// different thread counts from the same environment.
     ///

@@ -1,35 +1,13 @@
 //! Property tests of the scheduling substrate: every index visited
-//! exactly once, partitions exact, reductions independent of grain.
+//! exactly once, results collected in order.
 //! Randomised sizes come from a seeded generator for reproducibility.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use spmv_parallel::{chunk_ranges, parallel_for, parallel_map_collect, parallel_reduce, Chunk};
+use spmv_parallel::{parallel_for, parallel_map_collect};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 const CASES: usize = 64;
-
-#[test]
-fn chunks_partition_exactly() {
-    let mut rng = StdRng::seed_from_u64(0x5C01);
-    for _ in 0..CASES {
-        let n = rng.gen_range(0usize..10_000);
-        let parts = rng.gen_range(0usize..64);
-        let chunks = chunk_ranges(n, parts);
-        let mut cursor = 0usize;
-        for c in &chunks {
-            assert_eq!(c.start, cursor);
-            assert!(c.end > c.start);
-            cursor = c.end;
-        }
-        assert_eq!(cursor, if parts == 0 { 0 } else { n });
-        if n > 0 && parts > 0 {
-            let min = chunks.iter().map(Chunk::len).min().unwrap();
-            let max = chunks.iter().map(Chunk::len).max().unwrap();
-            assert!(max - min <= 1);
-        }
-    }
-}
 
 #[test]
 fn parallel_for_visits_each_index_once() {
@@ -58,26 +36,5 @@ fn map_collect_is_order_preserving() {
         for (i, &x) in v.iter().enumerate() {
             assert_eq!(x, i * 3 + 1);
         }
-    }
-}
-
-#[test]
-fn reduce_is_grain_invariant() {
-    let mut rng = StdRng::seed_from_u64(0x5C04);
-    for _ in 0..CASES {
-        let n = rng.gen_range(0usize..4_000);
-        let g1 = rng.gen_range(1usize..300);
-        let g2 = rng.gen_range(1usize..300);
-        let run = |g: usize| {
-            parallel_reduce(
-                n,
-                g,
-                0u64,
-                |s, e| (s..e).map(|i| i as u64).sum(),
-                |a, b| a + b,
-            )
-        };
-        assert_eq!(run(g1), run(g2));
-        assert_eq!(run(g1), (0..n as u64).sum::<u64>());
     }
 }

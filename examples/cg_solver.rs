@@ -58,7 +58,7 @@ fn main() {
     );
 
     // Plan once: select a strategy with a reduced oracle search, freeze
-    // the binning, and target the native CPU thread pool. Every CG
+    // the binning, and target the native CPU worker team. Every CG
     // iteration below reuses this plan with zero re-tuning.
     let device = GpuDevice::kaveri();
     let tuner = Tuner::with_config(
