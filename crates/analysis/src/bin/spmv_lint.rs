@@ -16,8 +16,10 @@
 //!    executes at RHS widths covering lone-column, remainder, and full
 //!    register-block decompositions.
 //! 5. **Concurrency protocols** — the queue-claim/level-barrier,
-//!    serving admission-queue, and refinement publish state machines
-//!    pass exhaustive interleaving (the admission model proves the
+//!    worker-team park/wake, serving admission-queue, and refinement
+//!    publish state machines pass exhaustive interleaving (the team
+//!    model proves a parked helper never misses a published job; the
+//!    admission model proves the
 //!    coalescing-window protocol loses no request; the refine model
 //!    proves a candidate plan is always verified before it is published
 //!    over a serving incumbent); the deliberately buggy variants are
@@ -58,7 +60,7 @@ use spmv_ml::lint::Severity;
 use spmv_sparse::corpus::CorpusConfig;
 use spmv_verify::interleave::{explore, Verdict};
 use spmv_verify::models::{
-    AdmissionModel, CursorModel, LevelModel, RefineModel, ShardModel, TwoLockModel,
+    AdmissionModel, CursorModel, LevelModel, RefineModel, ShardModel, TeamModel, TwoLockModel,
 };
 use spmv_verify::{driver, hygiene};
 use std::path::{Path, PathBuf};
@@ -230,7 +232,7 @@ fn check_concurrency() -> usize {
     let mut bad = 0;
 
     // The shipped protocols must pass…
-    let sound: [(&str, Verdict); 6] = [
+    let sound: [(&str, Verdict); 7] = [
         (
             "flat queue cursor claim (2 threads, 3 items)",
             explore(CursorModel::atomic_claim(2, 3), BUDGET),
@@ -246,6 +248,10 @@ fn check_concurrency() -> usize {
         (
             "level-barrier stepped solve (3 workers)",
             explore(LevelModel::correct(3), BUDGET),
+        ),
+        (
+            "worker-team park/wake handoff (2 helpers, 2 jobs)",
+            explore(TeamModel::correct(2, 2), BUDGET),
         ),
         (
             "serving admission queue (3 producers, batches of 2)",
@@ -267,7 +273,7 @@ fn check_concurrency() -> usize {
 
     // …and the injected bugs must be *caught* (checker self-test).
     type Expect = fn(&Verdict) -> bool;
-    let buggy: [(&str, Verdict, Expect); 6] = [
+    let buggy: [(&str, Verdict, Expect); 7] = [
         (
             "racy cursor claim is detected as double write",
             explore(CursorModel::racy_claim(2, 2), BUDGET),
@@ -287,6 +293,11 @@ fn check_concurrency() -> usize {
             "skipped level barrier is detected as a dependency race",
             explore(LevelModel::skipped_barrier(2), BUDGET),
             |v| matches!(v, Verdict::Violation { .. }),
+        ),
+        (
+            "checking for sleepers before publishing is detected as a lost wake-up",
+            explore(TeamModel::sleepers_checked_before_publish(2, 1), BUDGET),
+            |v| matches!(v, Verdict::Deadlock { .. }),
         ),
         (
             "non-atomic admission wait is detected as a stranded request",

@@ -49,6 +49,14 @@
 //!   barrier but does not wait — a worker can then read a dependency
 //!   another worker has not written yet (detected as a
 //!   read-before-write violation).
+//! * [`TeamModel`] — the persistent team's park/wake handoff
+//!   (`stepped_for_each` in `crates/parallel/src/step.rs`): the caller
+//!   publishes a job epoch, *then* wakes registered sleepers, then waits
+//!   for a done count; an idle helper takes the lock, registers as a
+//!   sleeper and **rechecks the epoch under the lock** before it parks.
+//!   The buggy variant checks for sleepers before publishing: a helper
+//!   can register and recheck in between, park on the old epoch, and
+//!   never be woken (detected as a deadlock — a lost wake-up).
 
 use crate::interleave::Model;
 
@@ -825,6 +833,204 @@ impl Model for LevelModel {
     }
 }
 
+/// Park/wake handoff of the persistent worker team: one caller
+/// (thread 0) runs `jobs` jobs on `helpers` helpers (threads
+/// `1..=helpers`). Per job the caller resets the done count and
+/// publishes the next epoch (one atomic store), loads the sleeper
+/// count, and only if it is non-zero takes and drops the lock and
+/// notifies every parked helper; it then waits until every helper has
+/// reported done. An idle helper takes the lock, registers as a sleeper,
+/// and rechecks the epoch: a new one sends it to run the job (after
+/// deregistering and unlocking), an old one parks it — a condvar wait
+/// that atomically unlocks and sleeps; a notify makes it reacquire the
+/// lock and recheck. The buggy variant loads the sleeper count *before*
+/// publishing the epoch.
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
+pub struct TeamModel {
+    /// Published job epoch (0 = no job yet).
+    epoch: u8,
+    /// Jobs the caller runs.
+    jobs: u8,
+    /// Helpers that finished the current job.
+    done: u8,
+    /// Registered sleepers (the caller's lock-free hint).
+    sleepers: u8,
+    /// Current lock holder (thread id), if any.
+    lock: Option<u8>,
+    /// Caller pc: 0, 1 = publish / load sleepers (order is the bug
+    /// toggle); 2 = take the lock; 3 = drop it; 4 = notify all;
+    /// 5 = wait for done; 9 = finished.
+    caller_pc: u8,
+    /// What the caller's sleeper load saw (buggy order only).
+    saw_sleepers: bool,
+    /// Per-helper pc: 0 = take the lock; 1 = register; 2 = recheck the
+    /// epoch (run, or park); 3 = parked; 4 = run the job; 9 = exited.
+    helper_pc: Vec<u8>,
+    /// Per-helper: parked until notified.
+    parked: Vec<bool>,
+    /// Per-helper: the last epoch it ran.
+    seen: Vec<u8>,
+    /// Re-introduce the check-sleepers-before-publishing bug.
+    buggy: bool,
+}
+
+impl TeamModel {
+    /// Correct protocol: publish the epoch, then check for sleepers.
+    pub fn correct(helpers: u8, jobs: u8) -> Self {
+        Self::new(helpers, jobs, false)
+    }
+
+    /// Buggy protocol: check for sleepers, then publish the epoch — a
+    /// helper that parks in between is never woken.
+    pub fn sleepers_checked_before_publish(helpers: u8, jobs: u8) -> Self {
+        Self::new(helpers, jobs, true)
+    }
+
+    fn new(helpers: u8, jobs: u8, buggy: bool) -> Self {
+        assert!((1..=3).contains(&helpers), "1..=3 helpers");
+        assert!((1..=3).contains(&jobs), "1..=3 jobs");
+        Self {
+            epoch: 0,
+            jobs,
+            done: 0,
+            sleepers: 0,
+            lock: None,
+            caller_pc: 0,
+            saw_sleepers: false,
+            helper_pc: vec![0; helpers as usize],
+            parked: vec![false; helpers as usize],
+            seen: vec![0; helpers as usize],
+            buggy,
+        }
+    }
+
+    fn helpers(&self) -> u8 {
+        self.helper_pc.len() as u8
+    }
+
+    fn publish(&mut self) {
+        self.done = 0;
+        self.epoch += 1;
+    }
+}
+
+impl Model for TeamModel {
+    fn n_threads(&self) -> usize {
+        self.helper_pc.len() + 1
+    }
+
+    fn runnable(&self, t: usize) -> bool {
+        if t == 0 {
+            match self.caller_pc {
+                2 => self.lock.is_none(),
+                5 => self.done == self.helpers(),
+                9 => false,
+                _ => true,
+            }
+        } else {
+            let h = t - 1;
+            match self.helper_pc[h] {
+                0 => self.lock.is_none(),
+                // Parked: only a notify makes it runnable, and then it
+                // must reacquire the lock.
+                3 => !self.parked[h] && self.lock.is_none(),
+                9 => false,
+                _ => true,
+            }
+        }
+    }
+
+    fn step(&mut self, t: usize) {
+        if t == 0 {
+            match self.caller_pc {
+                0 => {
+                    if self.buggy {
+                        // BUG (part 1): look for sleepers first…
+                        self.saw_sleepers = self.sleepers > 0;
+                    } else {
+                        self.publish();
+                    }
+                    self.caller_pc = 1;
+                }
+                1 => {
+                    let wake = if self.buggy {
+                        // BUG (part 2): …then publish; a helper that
+                        // registered and rechecked in between is parked
+                        // on the old epoch, and nobody notifies it.
+                        self.publish();
+                        self.saw_sleepers
+                    } else {
+                        self.sleepers > 0
+                    };
+                    self.caller_pc = if wake { 2 } else { 5 };
+                }
+                2 => {
+                    self.lock = Some(0);
+                    self.caller_pc = 3;
+                }
+                3 => {
+                    self.lock = None;
+                    self.caller_pc = 4;
+                }
+                4 => {
+                    self.parked.iter_mut().for_each(|p| *p = false);
+                    self.caller_pc = 5;
+                }
+                5 => {
+                    self.caller_pc = if self.epoch == self.jobs { 9 } else { 0 };
+                }
+                _ => unreachable!(),
+            }
+        } else {
+            let h = t - 1;
+            let me = t as u8;
+            match self.helper_pc[h] {
+                0 | 3 => {
+                    self.lock = Some(me);
+                    self.helper_pc[h] = if self.helper_pc[h] == 0 { 1 } else { 2 };
+                }
+                1 => {
+                    self.sleepers += 1;
+                    self.helper_pc[h] = 2;
+                }
+                2 => {
+                    if self.epoch != self.seen[h] {
+                        self.sleepers -= 1;
+                        self.lock = None;
+                        self.helper_pc[h] = 4;
+                    } else {
+                        // cv.wait(): atomically unlock and park.
+                        self.lock = None;
+                        self.parked[h] = true;
+                        self.helper_pc[h] = 3;
+                    }
+                }
+                4 => {
+                    self.seen[h] = self.epoch;
+                    self.done += 1;
+                    self.helper_pc[h] = if self.epoch == self.jobs { 9 } else { 0 };
+                }
+                _ => unreachable!(),
+            }
+        }
+    }
+
+    fn done(&self) -> bool {
+        self.caller_pc == 9 && self.helper_pc.iter().all(|&pc| pc == 9)
+    }
+
+    fn violation(&self) -> Option<String> {
+        if self.done > self.helpers() {
+            return Some(format!(
+                "{} done reports from {} helpers: a job ran twice",
+                self.done,
+                self.helpers()
+            ));
+        }
+        None
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -963,6 +1169,30 @@ mod tests {
     fn even_one_executor_can_catch_the_unverified_publish() {
         let v = explore(RefineModel::publish_before_verify(1), BUDGET);
         assert!(matches!(v, Verdict::Violation { .. }), "got {v}");
+    }
+
+    #[test]
+    fn team_park_wake_handoff_is_sound() {
+        for helpers in 1..=3 {
+            for jobs in 1..=2 {
+                let v = explore(TeamModel::correct(helpers, jobs), BUDGET);
+                assert!(v.passed(), "helpers={helpers}, jobs={jobs}: {v}");
+            }
+        }
+    }
+
+    #[test]
+    fn checking_sleepers_before_publishing_loses_a_wake_up() {
+        for helpers in 1..=2 {
+            let v = explore(
+                TeamModel::sleepers_checked_before_publish(helpers, 1),
+                BUDGET,
+            );
+            assert!(
+                matches!(v, Verdict::Deadlock { .. }),
+                "helpers={helpers}: {v}"
+            );
+        }
     }
 
     #[test]

@@ -17,7 +17,7 @@ use spmv_ml::rules::{Cond, Rule, RuleSet};
 use spmv_sparse::gen;
 use spmv_verify::check_dispatch;
 use spmv_verify::interleave::{explore, Verdict};
-use spmv_verify::models::CursorModel;
+use spmv_verify::models::{CursorModel, TeamModel};
 use spmv_verify::VerifyError;
 
 // ---------------------------------------------------------------------
@@ -214,6 +214,22 @@ fn double_write_bug_is_found_with_a_schedule() {
         }
         other => panic!("expected Violation, got {other}"),
     }
+}
+
+#[test]
+fn lost_team_wake_up_is_found_as_a_deadlock_with_a_schedule() {
+    // The caller looks for sleepers before it publishes the job epoch;
+    // the helper registers, rechecks the old epoch and parks in the gap.
+    match explore(TeamModel::sleepers_checked_before_publish(1, 1), 500_000) {
+        Verdict::Deadlock { trace } => {
+            assert!(
+                trace.contains(&0) && trace.contains(&1),
+                "got trace: {trace:?}"
+            );
+        }
+        other => panic!("expected Deadlock, got {other}"),
+    }
+    assert!(explore(TeamModel::correct(1, 1), 500_000).passed());
 }
 
 // ---------------------------------------------------------------------

@@ -28,7 +28,7 @@ pub fn spmv_row_parallel<T: Scalar>(
                 sum = x.mul_add_(v[c as usize], sum);
             }
             // SAFETY: `parallel_for` hands out disjoint row ranges and
-            // joins before returning; `u` outlives the call.
+            // returns only once every worker is done; `u` outlives the call.
             unsafe { out.write(i, sum) };
         }
     });
@@ -109,7 +109,7 @@ pub fn spmv_rows_chunked<T: Scalar>(
                 sum = x.mul_add_(v[c as usize], sum);
             }
             // SAFETY: each row id appears once in `rows`, so writes are
-            // disjoint; `parallel_for` joins before returning.
+            // disjoint; `parallel_for` returns only once every worker is done.
             unsafe { out.write(r as usize, sum) };
         }
     });
@@ -195,8 +195,9 @@ fn exec_tile<T: Scalar>(
                     sum = x.mul_add_(v[c as usize], sum);
                 }
                 // SAFETY: tiles of one bin cover disjoint spans of its
-                // row list, bins own disjoint rows, and the enclosing
-                // scope joins before `u` is observable again.
+                // row list, bins own disjoint rows, and the parallel
+                // region returns only once every worker is done, before
+                // `u` is observable again.
                 unsafe { out.write(r as usize, sum) };
             }
         }
@@ -322,7 +323,8 @@ fn first_touch_shard<T: Scalar>(shards: &ShardedTiles, s: usize, v: &[T], out: S
         // SAFETY: shard row sets are disjoint across shards (proven by
         // `check_shards`, enforced structurally by tile disjointness),
         // the touch phase is barrier-ordered before every tile write,
-        // and the drain joins before `u` is observable again.
+        // and the drain returns only once every worker is done, before
+        // `u` is observable again.
         unsafe { out.write(r as usize, T::ZERO) };
     }
     let (lo, hi) = shards.x_ranges()[s];
@@ -404,8 +406,8 @@ fn blocked_rows_spmv<T: Scalar>(
     for (i, &r) in rows.iter().enumerate() {
         // SAFETY: the same tile-disjointness argument as the CSR arm —
         // this tile owns `rows`, every strip of a row was accumulated
-        // into this tile's scratch, and the fused scope joins before `u`
-        // is observable again.
+        // into this tile's scratch, and the parallel region returns
+        // only once every worker is done, before `u` is observable again.
         unsafe { out.write(r as usize, scratch.sums[i]) };
     }
 }
@@ -681,9 +683,10 @@ struct SliceWriter<T> {
     #[cfg(debug_assertions)]
     len: usize,
 }
-// SAFETY: used only for disjoint-index writes inside a joined scope.
+// SAFETY: used only for disjoint-index writes inside one parallel
+// region, which returns only once every worker is done.
 unsafe impl<T: Send> Send for SliceWriter<T> {}
-// SAFETY: same restriction — disjoint indices, scope joins before use.
+// SAFETY: same restriction — disjoint indices, every worker done before use.
 unsafe impl<T: Send> Sync for SliceWriter<T> {}
 
 impl<T> SliceWriter<T> {
@@ -743,11 +746,11 @@ pub struct BlockWriter<T> {
     #[cfg(debug_assertions)]
     len: usize,
 }
-// SAFETY: used only for disjoint (row, column) writes inside a joined
-// fused scope.
+// SAFETY: used only for disjoint (row, column) writes inside one
+// parallel region, which returns only once every worker is done.
 unsafe impl<T: Send> Send for BlockWriter<T> {}
-// SAFETY: same restriction — disjoint output rectangles, scope joins
-// before the block is read.
+// SAFETY: same restriction — disjoint output rectangles, every worker
+// done before the block is read.
 unsafe impl<T: Send> Sync for BlockWriter<T> {}
 
 impl<T: Scalar> BlockWriter<T> {

@@ -31,7 +31,8 @@ pub(crate) struct XVec<T> {
 }
 
 // SAFETY: see the type-level invariant above — disjoint-row writes and
-// happens-before-ordered reads only, inside a joined scope.
+// happens-before-ordered reads only, inside one `stepped_for_each`
+// call, which returns only once every worker is done.
 unsafe impl<T: Send> Send for XVec<T> {}
 // SAFETY: as above; shared access is index-disjoint per step.
 unsafe impl<T: Send> Sync for XVec<T> {}

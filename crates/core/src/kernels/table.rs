@@ -201,8 +201,9 @@ fn batch_csr<T: Scalar, const KB: usize>(args: &BatchArgs<'_, T>) {
             }
         }
         // SAFETY: each row id appears in exactly one tile of one bin and
-        // this item owns columns `c0..c0 + KB`; the enclosing scope joins
-        // before the output is observable again.
+        // this item owns columns `c0..c0 + KB`; the parallel region
+        // returns only once every worker is done, before the output is
+        // observable again.
         unsafe { args.out.write_block(r as usize, args.c0, sums) };
     }
 }

@@ -158,7 +158,7 @@ pub fn drain_for_each<S, I, T, F>(
 /// [`num_threads`]). The process-wide thread count is frozen at first
 /// use, so benches that sweep thread counts within one process cap it
 /// here. Degenerates to a sequential loop when `n <= 1` or only one
-/// thread is available, so callers never pay a spawn for trivial
+/// thread is available, so callers never wake the team for trivial
 /// queues.
 pub fn fused_for_each_with<F>(workers: usize, n: usize, body: F)
 where
@@ -262,7 +262,11 @@ mod tests {
         let caller = std::thread::current().id();
         fused_for_each_with(4, 1, |t| {
             assert_eq!(t, 0);
-            assert_eq!(std::thread::current().id(), caller, "one item spawned");
+            assert_eq!(
+                std::thread::current().id(),
+                caller,
+                "one item left the caller"
+            );
         });
     }
 

@@ -4,9 +4,17 @@
 //! the paper's OpenCL work-group machinery. The CPU-native SpMV kernels
 //! and the level-scheduled solves run on it.
 //!
-//! Workers are spawned in exactly one place, [`stepped_for_each`]: a
-//! team that marches through barrier-separated steps. Everything else
-//! is a schedule handed to that team:
+//! Every parallel region runs on one persistent, process-wide team
+//! behind [`stepped_for_each`]: created on first use with
+//! [`num_threads`]` - 1` helper threads that park between calls, the
+//! calling thread joining as team thread 0, and steps separated by a
+//! spin-then-park barrier. No call spawns a thread. When a schedule has
+//! more roles than the team has threads, the roles are dealt
+//! round-robin over the threads within each step, so a body must never
+//! wait on another role of the same step; a caller that finds the team
+//! busy (another thread's call, or a nested call from inside a step)
+//! runs every role itself. Everything else is a schedule handed to that
+//! team:
 //!
 //! * [`drain_for_each`] runs independent items from one flat queue or
 //!   from per-shard queues (home shard first, ring-order stealing,
@@ -17,7 +25,7 @@
 //!   drains over `[0, n)` — the moral equivalent of a
 //!   `#pragma omp parallel for schedule(dynamic)`;
 //! * level-set triangular solves use the team directly: step `s + 1`
-//!   reads what step `s` wrote, without a spawn/join per level.
+//!   reads what step `s` wrote, with one barrier per level.
 //!
 //! A topology/placement layer ([`topology`]) names how many workers run
 //! and how many shards plans cut their queues into.

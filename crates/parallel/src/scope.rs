@@ -108,10 +108,10 @@ impl<T> Clone for SendPtr<T> {
 }
 impl<T> Copy for SendPtr<T> {}
 // SAFETY: the pointer is only used to write disjoint indices inside
-// `parallel_for`, which joins all workers before returning.
+// `parallel_for`, which returns only once every worker is done.
 unsafe impl<T: Send> Send for SendPtr<T> {}
 // SAFETY: same restriction — shared only between workers writing disjoint
-// indices, all joined before the buffer is read.
+// indices, all done before the buffer is read.
 unsafe impl<T: Send> Sync for SendPtr<T> {}
 
 #[cfg(test)]
@@ -159,31 +159,6 @@ mod tests {
         struct NoDefault(usize);
         let v = parallel_map_collect(500, 3, NoDefault);
         assert!(v.iter().enumerate().all(|(i, x)| x.0 == i));
-    }
-
-    #[test]
-    fn work_is_actually_distributed() {
-        // With uneven per-item work, dynamic scheduling should let more
-        // than one thread participate (can't assert timing, but we can
-        // assert multiple distinct thread ids touched the loop when
-        // hardware allows).
-        if num_threads() < 2 {
-            return;
-        }
-        let ids = distinct_thread_ids();
-        assert!(ids >= 1);
-    }
-
-    fn distinct_thread_ids() -> usize {
-        use std::collections::HashSet;
-        use std::sync::Mutex;
-        let seen = Mutex::new(HashSet::new());
-        parallel_for(10_000, 16, |_, _| {
-            seen.lock().unwrap().insert(std::thread::current().id());
-            std::hint::black_box(0);
-        });
-        let n = seen.lock().unwrap().len();
-        n
     }
 
     #[test]
