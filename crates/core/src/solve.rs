@@ -40,10 +40,11 @@ use crate::kernels::KernelId;
 use crate::plan::{PatternFingerprint, PlanError, SpmvPlan, VerifiedPlan};
 use crate::strategy::Strategy;
 use crate::verify::{check_solve_schedule, VerifyError};
-use spmv_parallel::{num_threads, stepped_for_each};
+use spmv_parallel::{fused_for_each_with, num_threads, stepped_for_each};
 use spmv_sparse::solve::{level_sets, split_triangular, SolveDirection, TriangularHalves};
 use spmv_sparse::{CsrMatrix, Scalar, SolveBuildError};
 use std::marker::PhantomData;
+use std::sync::OnceLock;
 
 /// Tuning knobs for building a [`SolvePlan`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -481,14 +482,17 @@ impl<T: Scalar> SymgsPlan<T> {
 
     /// [`build`](Self::build) with explicit solve knobs (shared by the
     /// forward and backward halves; the residual SpMV plans use the
-    /// same worker count).
+    /// same worker count). The four verified parts are independent and
+    /// are built concurrently on the worker team, or on the caller alone
+    /// when the team is busy; each is the same plan whichever thread
+    /// builds it. The first error is reported in a fixed order —
+    /// forward, backward, upper, lower — not in completion order.
     pub fn build_with(a: &CsrMatrix<T>, config: SolveConfig) -> Result<Self, SolveError> {
         let halves = split_triangular(a)?;
         let (workers, _) = config.resolve();
-        let forward = SolvePlan::build_with(halves.lower(), SolveDirection::Forward, config)?
-            .verify(halves.lower())?;
-        let backward = SolvePlan::build_with(halves.upper(), SolveDirection::Backward, config)?
-            .verify(halves.upper())?;
+        let solve_for = |half: &CsrMatrix<T>, direction| -> Result<_, SolveError> {
+            Ok(SolvePlan::build_with(half, direction, config)?.verify(half)?)
+        };
         let spmv_for = |half: &CsrMatrix<T>| -> Result<VerifiedPlan<T>, SolveError> {
             let backend = crate::exec::NativeCpuBackend::new().with_workers(workers);
             let plan = SpmvPlan::compile(
@@ -498,8 +502,29 @@ impl<T: Scalar> SymgsPlan<T> {
             );
             Ok(plan.verify(half)?)
         };
-        let upper_spmv = spmv_for(halves.strict_upper())?;
-        let lower_spmv = spmv_for(halves.strict_lower())?;
+        // One four-item drain; results are collected, then unwrapped in
+        // the documented error order.
+        let solves: [OnceLock<Result<VerifiedSolvePlan<T>, SolveError>>; 2] = Default::default();
+        let spmvs: [OnceLock<Result<VerifiedPlan<T>, SolveError>>; 2] = Default::default();
+        fused_for_each_with(workers, 4, |part| {
+            let fresh = match part {
+                0 => solves[0]
+                    .set(solve_for(halves.lower(), SolveDirection::Forward))
+                    .is_ok(),
+                1 => solves[1]
+                    .set(solve_for(halves.upper(), SolveDirection::Backward))
+                    .is_ok(),
+                2 => spmvs[0].set(spmv_for(halves.strict_upper())).is_ok(),
+                _ => spmvs[1].set(spmv_for(halves.strict_lower())).is_ok(),
+            };
+            debug_assert!(fresh, "part {part} built twice");
+        });
+        let [forward, backward] =
+            solves.map(|s| s.into_inner().expect("the drain builds every part"));
+        let [upper_spmv, lower_spmv] =
+            spmvs.map(|s| s.into_inner().expect("the drain builds every part"));
+        let (forward, backward) = (forward?, backward?);
+        let (upper_spmv, lower_spmv) = (upper_spmv?, lower_spmv?);
         Ok(Self {
             fingerprint: PatternFingerprint::of(a),
             r: vec![T::ZERO; a.n_rows()],
@@ -807,23 +832,86 @@ mod tests {
         }
     }
 
-    #[test]
-    fn symgs_refreshes_values_on_change() {
-        let a0 = tril(80, 7);
-        // Make it symmetric-ish general: A = L + L^T keeps the diagonal.
-        let mut a = {
-            let mut coo = spmv_sparse::CooMatrix::<f64>::new(80, 80);
-            for i in 0..80 {
-                let (rc, rv) = a0.row(i);
-                for (&c, &v) in rc.iter().zip(rv) {
+    /// A symmetric general matrix `L + L^T` (diagonal once) from
+    /// [`tril`]; rows in `drop_diag` lose their diagonal entry.
+    fn sym(m: usize, seed: u64, drop_diag: &[usize]) -> CsrMatrix<f64> {
+        let l = tril(m, seed);
+        let mut coo = spmv_sparse::CooMatrix::<f64>::new(m, m);
+        for i in 0..m {
+            let (rc, rv) = l.row(i);
+            for (&c, &v) in rc.iter().zip(rv) {
+                if (c as usize) != i {
                     coo.push(i, c as usize, v);
-                    if (c as usize) != i {
-                        coo.push(c as usize, i, v);
-                    }
+                    coo.push(c as usize, i, v);
+                } else if !drop_diag.contains(&i) {
+                    coo.push(i, i, v);
                 }
             }
-            coo.to_csr()
-        };
+        }
+        coo.to_csr()
+    }
+
+    #[test]
+    fn symgs_built_inside_a_busy_team_matches_a_top_level_build() {
+        let a = sym(600, 11, &[]);
+        let top = SymgsPlan::build(&a).unwrap();
+        // A build from inside a step body finds the team busy, so its
+        // four parts run on that role's thread alone.
+        let nested = std::sync::Mutex::new(None);
+        stepped_for_each(2, &[true], |_, role, _| {
+            if role == 0 {
+                *nested.lock().unwrap() = Some(SymgsPlan::build(&a).unwrap());
+            }
+        });
+        let mut nested = nested.into_inner().unwrap().unwrap();
+        assert_eq!(
+            nested.forward().plan().steps(),
+            top.forward().plan().steps()
+        );
+        assert_eq!(
+            nested.backward().plan().steps(),
+            top.backward().plan().steps()
+        );
+        let b: Vec<f64> = (0..600).map(|i| ((i % 13) as f64) - 6.0).collect();
+        let mut x = vec![0.0; 600];
+        let mut x_ref = vec![0.0; 600];
+        for _ in 0..3 {
+            nested.apply(&a, &b, &mut x).unwrap();
+            spmv_sparse::solve::symgs_seq(&a, &b, &mut x_ref).unwrap();
+        }
+        for (i, (got, want)) in x.iter().zip(&x_ref).enumerate() {
+            assert_eq!(got.to_bits(), want.to_bits(), "row {i}");
+        }
+    }
+
+    #[test]
+    fn symgs_build_errors_name_the_first_defect() {
+        let wide = gen::random_uniform::<f64>(40, 41, 1, 5, 2);
+        let holes = sym(90, 3, &[61, 17, 40]);
+        for workers in [0usize, 1, 4] {
+            let config = SolveConfig {
+                workers,
+                min_parallel_rows: 0,
+            };
+            assert!(matches!(
+                SymgsPlan::build_with(&wide, config),
+                Err(SolveError::Build(SolveBuildError::NotSquare {
+                    n_rows: 40,
+                    n_cols: 41
+                }))
+            ));
+            assert!(matches!(
+                SymgsPlan::build_with(&holes, config),
+                Err(SolveError::Build(SolveBuildError::MissingDiagonal {
+                    row: 17
+                }))
+            ));
+        }
+    }
+
+    #[test]
+    fn symgs_refreshes_values_on_change() {
+        let mut a = sym(80, 7, &[]);
         let b = vec![1.0; 80];
         let mut plan = SymgsPlan::build(&a).unwrap();
         let mut x1 = vec![0.0; 80];

@@ -480,10 +480,11 @@ pub fn check_dispatch<T: Scalar>(
 ///    entry's materialised payload matches the recorded [`BinFormat`]
 ///    (a `PackedSell` format with a CSR payload — or vice versa — means
 ///    the plan would execute a different format than it reports);
-/// 2. every packed payload mirrors its bin exactly: same row multiset,
-///    chunks length-sorted with consistent offsets, every non-padding
-///    slot pointing at the CSR entry it claims, every padding slot
-///    marked ([`spmv_sparse::packed::PackedSell::check_against`]);
+/// 2. every packed payload mirrors its bin exactly: same row set (each
+///    row once), chunks length-sorted with consistent offsets, every
+///    non-padding slot pointing at the CSR entry it claims, every
+///    padding slot marked
+///    ([`spmv_sparse::packed::PackedSell::check_against`]);
 /// 3. the fused tile queue partitions each bin's work — chunk ranges
 ///    for packed bins, row-list spans for CSR bins — with no overlap, no
 ///    gap, and no overrun. An empty queue passes only for an empty
@@ -492,7 +493,8 @@ pub fn check_dispatch<T: Scalar>(
 ///
 /// Together with [`check_dispatch`] (rows owned exactly once across
 /// bins) this proves the fused executor's write set: every output index
-/// written by exactly one tile. O(slots + Σ|rows| + |tiles| log |tiles|).
+/// written by exactly one tile. O(slots + Σ|rows| + packed bins × m +
+/// |tiles| log |tiles|).
 pub fn check_payloads<T: Scalar>(
     a: &CsrMatrix<T>,
     dispatch: &[BinDispatch],

@@ -501,23 +501,35 @@ impl<T: Scalar> PackedSell<T> {
             "matrix too large for the u32 source map"
         );
         let row_ptr = a.row_ptr();
-        let mut order: Vec<u32> = rows.to_vec();
         // Primary: NNZ descending (the SELL length sort). Tie-break:
         // minimum column, so equal-length rows with nearby column sets
         // share a chunk — the locality the Column base mode prices.
-        // Each row's dot product is accumulated independently, so lane
-        // placement cannot change any result bit.
-        order.sort_by_key(|&r| {
-            let (rcols, _) = a.row(r as usize);
-            (
-                std::cmp::Reverse(rcols.len()),
-                rcols.iter().copied().min().unwrap_or(u32::MAX),
-            )
-        });
-        let lens: Vec<u32> = order
+        // Fully tied rows keep their input order. Rows need not be
+        // column-sorted, so the minimum takes a scan of the row: each
+        // key is computed once, in one O(nnz) pass, and packed with the
+        // row's input position — unique keys, so an unstable sort
+        // yields exactly the stable order. Each row's dot product is
+        // accumulated independently, so lane placement cannot change
+        // any result bit.
+        let mut keyed: Vec<(u64, usize)> = rows
             .iter()
-            .map(|&r| a.row_nnz(r as usize) as u32)
+            .enumerate()
+            .map(|(pos, &r)| {
+                let (rcols, _) = a.row(r as usize);
+                let min_col = rcols.iter().copied().min().unwrap_or(u32::MAX);
+                // `!len` in the high word puts longer rows first; row
+                // lengths fit u32 (nnz < SRC_PAD is asserted above).
+                let len = rcols.len() as u32;
+                ((u64::from(!len) << 32) | u64::from(min_col), pos)
+            })
             .collect();
+        keyed.sort_unstable();
+        let order: Vec<u32> = keyed.iter().map(|&(_, pos)| rows[pos]).collect();
+        let lens: Vec<u32> = keyed
+            .iter()
+            .map(|&(key, _)| !((key >> 32) as u32))
+            .collect();
+        drop(keyed); // freed before the slabs are allocated
 
         let n_chunks = order.len().div_ceil(chunk);
         let mut chunk_off = Vec::with_capacity(n_chunks + 1);
@@ -1256,8 +1268,9 @@ impl<T: Scalar> PackedSell<T> {
     }
 
     /// Re-derive the packed layout from `a` and `expected_rows` and prove
-    /// this payload matches it exactly: same row multiset, lengths equal
-    /// to the CSR row lengths, chunks length-sorted with correct offsets,
+    /// this payload matches it exactly: same row set (each row once, in
+    /// bounds), lengths equal to the CSR row lengths, chunks
+    /// length-sorted with correct offsets,
     /// every non-padding slot's `(decoded col, src)` equal to the CSR
     /// entry it claims to mirror with the decoded column in bounds,
     /// every padding slot marked, and every chunk's stored encoding
@@ -1266,7 +1279,7 @@ impl<T: Scalar> PackedSell<T> {
     /// tightest anchors the delta proof assumed. The slab is refreshed
     /// from `a` first, so the proof covers the state execution will
     /// read. Returns a description of the first defect.
-    /// O(slots + |rows| log |rows|).
+    /// O(slots + |rows| + m).
     pub fn check_against(&self, a: &CsrMatrix<T>, expected_rows: &[u32]) -> Result<(), String> {
         self.ensure_values(a);
         if self.n_cols != a.n_cols() {
@@ -1283,20 +1296,29 @@ impl<T: Scalar> PackedSell<T> {
                 expected_rows.len()
             ));
         }
-        let mut mine = self.rows.clone();
-        let mut theirs = expected_rows.to_vec();
-        mine.sort_unstable();
-        theirs.sort_unstable();
-        if mine != theirs {
-            return Err("packed rows are not the bin's row set".into());
-        }
+        // Row-set proof with a mark array: every expected row in bounds
+        // and listed once, then every packed row in bounds and marked
+        // (unmarking it, so a repeat fails). Equal counts make that a
+        // bijection.
         let m = a.n_rows();
+        let mut marked = vec![false; m];
+        for &r in expected_rows {
+            match marked.get_mut(r as usize) {
+                None => return Err(format!("bin row {r} out of bounds (m = {m})")),
+                Some(true) => return Err(format!("bin lists row {r} twice")),
+                Some(mark) => *mark = true,
+            }
+        }
+        for &r in &self.rows {
+            match marked.get_mut(r as usize) {
+                None => return Err(format!("packed row {r} out of bounds (m = {m})")),
+                Some(false) => return Err("packed rows are not the bin's row set".into()),
+                Some(mark) => *mark = false,
+            }
+        }
         let row_ptr = a.row_ptr();
         let a_cols = a.col_idx();
         for (i, (&r, &len)) in self.rows.iter().zip(&self.lens).enumerate() {
-            if (r as usize) >= m {
-                return Err(format!("packed row {r} out of bounds (m = {m})"));
-            }
             if a.row_nnz(r as usize) != len as usize {
                 return Err(format!(
                     "packed row {r}: cached len {len} != CSR len {}",
@@ -1705,6 +1727,98 @@ mod tests {
         let slot = p.src.iter().position(|&s| s != SRC_PAD).unwrap();
         p.src[slot] = p.src[slot].wrapping_add(1);
         assert!(p.check_against(&a, &rows).is_err());
+    }
+
+    #[test]
+    fn row_order_is_the_stable_length_then_min_column_sort() {
+        // Unsorted rows with the diagonal last (the SymGS companions'
+        // layout), ties on length, ties on length *and* minimum column,
+        // and empty rows, listed in a scrambled input order.
+        let lists: [&[u32]; 12] = [
+            &[5, 9, 0],
+            &[7, 3, 1],
+            &[4, 2],
+            &[8, 0, 3],
+            &[],
+            &[6, 5],
+            &[2, 6],
+            &[15, 1, 12, 7],
+            &[0, 8],
+            &[3, 9],
+            &[],
+            &[1, 14, 2, 11],
+        ];
+        let mut row_ptr = vec![0usize];
+        let mut cols = Vec::new();
+        for l in lists {
+            cols.extend_from_slice(l);
+            row_ptr.push(cols.len());
+        }
+        let vals: Vec<f64> = (0..cols.len()).map(|k| k as f64 + 1.0).collect();
+        let a = CsrMatrix::from_parts(12, 16, row_ptr, cols, vals).unwrap();
+        let reference = |rows: &[u32]| {
+            let mut order = rows.to_vec();
+            order.sort_by_key(|&r| {
+                let (rcols, _) = a.row(r as usize);
+                (
+                    std::cmp::Reverse(rcols.len()),
+                    rcols.iter().copied().min().unwrap_or(u32::MAX),
+                )
+            });
+            order
+        };
+        let scrambled = [11u32, 3, 10, 6, 0, 9, 2, 7, 4, 1, 8, 5];
+        for rows in [&scrambled[..], &scrambled[3..9], &all_rows(&a)[..]] {
+            for chunk in [1, 4, 8] {
+                let p = PackedSell::from_rows(&a, rows, chunk);
+                assert_eq!(p.rows(), &reference(rows)[..], "chunk {chunk}");
+                p.check_against(&a, rows).unwrap();
+            }
+        }
+        // A larger random matrix: long tie runs on every length.
+        let b = gen::random_uniform::<f64>(400, 60, 0, 6, 17);
+        let rows: Vec<u32> = (0..400u32).map(|i| (i * 151) % 400).collect();
+        let mut order = rows.clone();
+        order.sort_by_key(|&r| {
+            let (rcols, _) = b.row(r as usize);
+            (
+                std::cmp::Reverse(rcols.len()),
+                rcols.iter().copied().min().unwrap_or(u32::MAX),
+            )
+        });
+        assert_eq!(PackedSell::from_rows(&b, &rows, 8).rows(), &order[..]);
+    }
+
+    #[test]
+    fn check_against_rejects_a_wrong_row_set() {
+        let a = gen::random_uniform::<f64>(40, 40, 1, 5, 9);
+        let rows = all_rows(&a);
+        let p = PackedSell::from_rows(&a, &rows, 8);
+        // A duplicated expected row (one row dropped for it).
+        let mut dup = rows.clone();
+        dup[7] = dup[3];
+        assert!(p.check_against(&a, &dup).is_err());
+        // An out-of-bounds expected row.
+        let mut oob = rows.clone();
+        oob[39] = 40;
+        assert!(p.check_against(&a, &oob).is_err());
+        // A duplicated or out-of-bounds packed row — also when the whole
+        // payload was packed consistently from the duplicate.
+        let mut tampered = p.clone();
+        tampered.rows[1] = tampered.rows[0];
+        assert!(tampered.check_against(&a, &rows).is_err());
+        assert!(PackedSell::from_rows(&a, &dup, 8)
+            .check_against(&a, &rows)
+            .is_err());
+        let mut tampered = p.clone();
+        tampered.rows[5] = 40;
+        assert!(tampered.check_against(&a, &rows).is_err());
+        // Same length, different set.
+        let subset: Vec<u32> = (0..20).collect();
+        let q = PackedSell::from_rows(&a, &subset, 8);
+        q.check_against(&a, &subset).unwrap();
+        let shifted: Vec<u32> = (1..21).collect();
+        assert!(q.check_against(&a, &shifted).is_err());
     }
 
     #[test]

@@ -341,6 +341,37 @@ pub fn split_triangular<T: Scalar>(
         });
     }
     let m = a.n_rows();
+    // Counting pass: each half's row pointers (and the missing-diagonal
+    // check), so the fill pass below writes into exactly-sized buffers.
+    // Halves: 0 = L + D, 1 = D + U, 2 = L, 3 = U.
+    let mut row_ptrs: [Vec<usize>; 4] = std::array::from_fn(|_| {
+        let mut p = Vec::with_capacity(m + 1);
+        p.push(0);
+        p
+    });
+    // Running entry totals below / above the diagonal, so every push
+    // is a row end.
+    let (mut below, mut above) = (0usize, 0usize);
+    for i in 0..m {
+        let (cols, _) = a.row(i);
+        let mut has_diag = false;
+        for &c in cols {
+            let ci = c as usize;
+            has_diag |= ci == i;
+            below += usize::from(ci < i);
+            above += usize::from(ci > i);
+        }
+        if !has_diag {
+            return Err(SolveBuildError::MissingDiagonal { row: i });
+        }
+        let diag = a.row_ptr()[i + 1] - below - above;
+        for (p, end) in row_ptrs
+            .iter_mut()
+            .zip([below + diag, diag + above, below, above])
+        {
+            p.push(end);
+        }
+    }
     struct HalfAcc<T> {
         row_ptr: Vec<usize>,
         cols: Vec<u32>,
@@ -348,38 +379,28 @@ pub fn split_triangular<T: Scalar>(
         map: Vec<u32>,
     }
     impl<T> HalfAcc<T> {
-        fn new(m: usize) -> Self {
-            Self {
-                row_ptr: Vec::with_capacity(m + 1),
-                cols: Vec::new(),
-                vals: Vec::new(),
-                map: Vec::new(),
-            }
-        }
         fn push(&mut self, c: u32, v: T, pos: usize) {
             self.cols.push(c);
             self.vals.push(v);
             self.map.push(pos as u32);
         }
     }
-    let mut halves: [HalfAcc<T>; 4] = [
-        HalfAcc::new(m), // L + D
-        HalfAcc::new(m), // D + U
-        HalfAcc::new(m), // L
-        HalfAcc::new(m), // U
-    ];
-    for h in &mut halves {
-        h.row_ptr.push(0);
-    }
+    let mut halves = row_ptrs.map(|row_ptr| {
+        let nnz = row_ptr[m];
+        HalfAcc {
+            row_ptr,
+            cols: Vec::with_capacity(nnz),
+            vals: Vec::with_capacity(nnz),
+            map: Vec::with_capacity(nnz),
+        }
+    });
     for i in 0..m {
         let (cols, vals) = a.row(i);
         let base = a.row_ptr()[i];
-        let mut has_diag = false;
         for (k, (&c, &v)) in cols.iter().zip(vals).enumerate() {
             let pos = base + k;
             let ci = c as usize;
             if ci == i {
-                has_diag = true;
                 halves[0].push(c, v, pos);
                 halves[1].push(c, v, pos);
             } else if ci < i {
@@ -389,12 +410,6 @@ pub fn split_triangular<T: Scalar>(
                 halves[1].push(c, v, pos);
                 halves[3].push(c, v, pos);
             }
-        }
-        if !has_diag {
-            return Err(SolveBuildError::MissingDiagonal { row: i });
-        }
-        for h in &mut halves {
-            h.row_ptr.push(h.cols.len());
         }
     }
     let [ld, du, l, u] = halves;
