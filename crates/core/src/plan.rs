@@ -62,11 +62,21 @@ impl PatternFingerprint {
         }
     }
 
-    /// A second, independent row-pointer checksum ([`confirm_row_ptr`])
-    /// for `a` — what a cache layer stores next to a fingerprinted entry
-    /// so a hit can be confirmed without trusting FNV-1a alone.
+    /// A second, independent checksum of `a`'s whole pattern — what a
+    /// cache layer stores next to a fingerprinted entry so a hit can be
+    /// confirmed without trusting FNV-1a alone. [`confirm_row_ptr`]
+    /// continued over the column indices (column `k` mixed at position
+    /// `m + 1 + k`), so it also separates patterns that share `row_ptr`:
+    /// two bands of equal width, a stencil and its shifted copy.
+    /// O(m + nnz), allocation-free.
     pub fn confirm_of<T: Scalar>(a: &CsrMatrix<T>) -> u64 {
-        confirm_row_ptr(a.row_ptr())
+        let base = a.row_ptr().len();
+        a.col_idx()
+            .iter()
+            .enumerate()
+            .fold(confirm_row_ptr(a.row_ptr()), |acc, (k, &c)| {
+                acc.wrapping_add(position_mix(u64::from(c), base + k))
+            })
     }
 }
 
@@ -78,14 +88,17 @@ impl PatternFingerprint {
 /// collide here — the confirmation a plan cache performs before reusing
 /// an entry whose fingerprint matched. O(m), allocation-free.
 pub fn confirm_row_ptr(row_ptr: &[usize]) -> u64 {
-    let mut acc: u64 = 0;
-    for (i, &p) in row_ptr.iter().enumerate() {
-        let mut z = (p as u64) ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        acc = acc.wrapping_add(z ^ (z >> 31));
-    }
-    acc
+    row_ptr.iter().enumerate().fold(0, |acc, (i, &p)| {
+        acc.wrapping_add(position_mix(p as u64, i))
+    })
+}
+
+/// SplitMix64 finalizer of `value` salted with its position.
+fn position_mix(value: u64, position: usize) -> u64 {
+    let mut z = value ^ (position as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
 }
 
 /// Why a plan refused to execute.
@@ -1623,6 +1636,16 @@ mod tests {
         assert_eq!(
             PatternFingerprint::confirm_of(&m),
             PatternFingerprint::confirm_of(&v)
+        );
+        // A permutation and the identity share `row_ptr`; the columns
+        // separate them.
+        let ptr = vec![0, 1, 2, 3];
+        let eye = CsrMatrix::from_parts(3, 3, ptr.clone(), vec![0, 1, 2], vec![1.0; 3]).unwrap();
+        let perm = CsrMatrix::from_parts(3, 3, ptr, vec![1, 2, 0], vec![1.0; 3]).unwrap();
+        assert_eq!(PatternFingerprint::of(&eye), PatternFingerprint::of(&perm));
+        assert_ne!(
+            PatternFingerprint::confirm_of(&eye),
+            PatternFingerprint::confirm_of(&perm)
         );
     }
 

@@ -3,11 +3,17 @@
 //! Plan compilation is the expensive half of the plan/execute split
 //! (~150× an execute for suite-scale matrices), and a serving process
 //! replays it for every tenant that names the same matrix. The cache
-//! keys verified plans by **structural identity** — the
-//! [`PatternFingerprint`] plus the [`PlanConfigKey`] of the compile
-//! configuration — so every request against an already-planned pattern
-//! pays one shard read-lock and two O(m) row-pointer scans instead of a
-//! compile-and-verify.
+//! keys verified plans by **structural identity** — a [`PlanKey`] of the
+//! [`PatternFingerprint`], an FNV-1a hash of the column indices, and the
+//! [`PlanConfigKey`] of the compile configuration — so every request
+//! against an already-planned pattern pays one shard read-lock instead
+//! of a compile-and-verify. A [`PatternIdentity`] (the key plus an
+//! independent confirm checksum) costs O(m + nnz); the serving layer
+//! computes it once per registration and hands it to
+//! [`PlanCache::get_or_build_keyed`] on every batch, so a lookup never
+//! rescans the pattern. Because the identity covers `col_idx`, two
+//! matrices that share `row_ptr` but differ in columns (two bands of
+//! equal width) get separate entries.
 //!
 //! Three properties the serving layer leans on:
 //!
@@ -20,14 +26,14 @@
 //!   for the same key block on the flight's condvar and receive the
 //!   same `Arc`'d plan (or the same build error). N tenants cold-hitting
 //!   one matrix cost one compile, not N.
-//! * **A fingerprint match is confirmed, never trusted.** The FNV-1a
-//!   row-pointer hash inside [`PatternFingerprint`] is forgeable (two
-//!   chosen arrays can collide; see the regression test), so each entry
-//!   stores the independent [`confirm_row_ptr`] checksum and every hit
-//!   recomputes it for the probing matrix — O(m), the same order as the
-//!   fingerprint itself. A mismatch is treated as a miss and counted in
-//!   [`CacheStats::collisions`]; the cache never returns a plan for a
-//!   structurally different matrix, it only ever rebuilds.
+//! * **A key match is confirmed, never trusted.** The FNV-1a hashes
+//!   inside the key are forgeable (two chosen arrays can collide; see
+//!   the regression test), so each entry stores the independent
+//!   [`PatternFingerprint::confirm_of`] checksum of the pattern it was
+//!   built for, and a hit must present the same one. A mismatch is
+//!   treated as a miss and counted in [`CacheStats::collisions`]; the
+//!   cache never returns a plan for a structurally different matrix, it
+//!   only ever rebuilds.
 //!
 //! Capacity is bounded per shard (`capacity / shards`, min 1): when an
 //! insert overflows a shard, eviction is **cost-aware**, not pure LRU.
@@ -49,7 +55,7 @@
 //! sides of a swap are [`VerifiedPlan`]s for one structure, so results
 //! stay bit-for-bit identical across the transition.
 
-use spmv_autotune::{confirm_row_ptr, PatternFingerprint, PlanConfig, PlanConfigKey, VerifiedPlan};
+use spmv_autotune::{PatternFingerprint, PlanConfig, PlanConfigKey, VerifiedPlan};
 use spmv_sparse::{CsrMatrix, Scalar};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -58,8 +64,50 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 
 /// The full cache key: what the plan was compiled *for* (the sparsity
-/// pattern) and *with* (the frozen configuration).
-pub type PlanKey = (PatternFingerprint, PlanConfigKey);
+/// pattern, row structure and columns) and *with* (the frozen
+/// configuration).
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub struct PlanKey {
+    /// Dimensions, NNZ and the row-pointer hash.
+    pub pattern: PatternFingerprint,
+    /// FNV-1a over the column indices.
+    pub columns: u64,
+    /// The compile configuration.
+    pub config: PlanConfigKey,
+}
+
+/// A matrix's identity as the cache sees it: the key it is stored under
+/// and the independent [`PatternFingerprint::confirm_of`] checksum a hit
+/// must match. Both cover `row_ptr` and `col_idx`; values are not part
+/// of it, so a value refresh keeps the identity.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct PatternIdentity {
+    /// The cache key.
+    pub key: PlanKey,
+    /// The confirm checksum.
+    pub confirm: u64,
+}
+
+impl PatternIdentity {
+    /// The identity of `a`'s pattern compiled under `config`. O(m +
+    /// nnz): compute it once per matrix, not per lookup.
+    pub fn of<T: Scalar>(a: &CsrMatrix<T>, config: &PlanConfig) -> Self {
+        let columns = a
+            .col_idx()
+            .iter()
+            .fold(0xcbf2_9ce4_8422_2325, |h: u64, &c| {
+                (h ^ u64::from(c)).wrapping_mul(0x0000_0100_0000_01b3)
+            });
+        Self {
+            key: PlanKey {
+                pattern: PatternFingerprint::of(a),
+                columns,
+                config: config.cache_key(),
+            },
+            confirm: PatternFingerprint::confirm_of(a),
+        }
+    }
+}
 
 /// Why a cache lookup failed: the only failure mode is the builder
 /// itself (compile/verify) failing — every waiter of a single-flight
@@ -142,7 +190,8 @@ impl CacheStats {
 /// A cached verified plan plus the evidence needed to reuse it safely.
 struct Entry<T: Scalar> {
     plan: Arc<VerifiedPlan<T>>,
-    /// [`confirm_row_ptr`] of the matrix the plan was built against.
+    /// [`PatternFingerprint::confirm_of`] of the matrix the plan was
+    /// built against.
     confirm: u64,
     /// LRU stamp: the global tick at last use (relaxed store on hit).
     last_used: AtomicU64,
@@ -223,23 +272,25 @@ impl<T: Scalar> PlanCache<T> {
     /// The plan for `(a, config)`: a confirmed hit when cached, else a
     /// single-flight `build()`. The builder runs outside every cache
     /// lock; its error (if any) is delivered to every waiter of the
-    /// flight.
+    /// flight. Computes `a`'s [`PatternIdentity`] (O(m + nnz)); callers
+    /// that look the same matrix up repeatedly keep the identity and use
+    /// [`get_or_build_keyed`](Self::get_or_build_keyed).
     pub fn get_or_build(
         &self,
         a: &CsrMatrix<T>,
         config: &PlanConfig,
         build: impl FnOnce() -> Result<VerifiedPlan<T>, CacheError>,
     ) -> Result<Arc<VerifiedPlan<T>>, CacheError> {
-        let key = (PatternFingerprint::of(a), config.cache_key());
-        let confirm = confirm_row_ptr(a.row_ptr());
-        self.get_or_build_keyed(key, confirm, build)
+        let id = PatternIdentity::of(a, config);
+        self.get_or_build_keyed(id.key, id.confirm, build)
     }
 
     /// [`get_or_build`](Self::get_or_build) with the key and confirm
-    /// checksum precomputed. Public so the forged-collision regression
-    /// test can probe the confirm layer directly: two structurally
-    /// different matrices that (adversarially) share a full `PlanKey`
-    /// must still never share a plan.
+    /// checksum precomputed — the serving path's lookup, with the
+    /// identity its registration stored. O(1) on a hit. The forged-
+    /// collision regression test also probes the confirm layer through
+    /// it: two structurally different matrices that (adversarially)
+    /// share a full `PlanKey` must still never share a plan.
     pub fn get_or_build_keyed(
         &self,
         key: PlanKey,
@@ -356,12 +407,12 @@ impl<T: Scalar> PlanCache<T> {
     /// on the incumbent hold their own `Arc` and finish undisturbed.
     ///
     /// The caller must guarantee `plan` is verified **for the same
-    /// matrix structure** the slot serves — same fingerprint (the first
-    /// half of `key`) and same `confirm` checksum — which is what makes
-    /// the swap response-invariant: both sides write bit-identical
-    /// outputs for every input. `build_ns` is the measured cost of
-    /// producing the replacement (it becomes the entry's rebuild cost
-    /// for eviction scoring). The plan's telemetry is reset so the
+    /// matrix structure** the slot serves — same pattern (the
+    /// `pattern` and `columns` of `key`) and same `confirm` checksum —
+    /// which is what makes the swap response-invariant: both sides write
+    /// bit-identical outputs for every input. `build_ns` is the measured
+    /// cost of producing the replacement (it becomes the entry's rebuild
+    /// cost for eviction scoring). The plan's telemetry is reset so the
     /// replacement earns its own execute history.
     ///
     /// Returns `false` without publishing when the slot currently holds
@@ -377,7 +428,7 @@ impl<T: Scalar> PlanCache<T> {
     ) -> bool {
         debug_assert_eq!(
             plan.fingerprint(),
-            &key.0,
+            &key.pattern,
             "swapped plan must match the slot's pattern"
         );
         let shard = &self.shards[self.shard_index(&key)];
@@ -508,7 +559,7 @@ impl<T: Scalar> PlanCache<T> {
 mod tests {
     use super::*;
     use spmv_autotune::{
-        BinningScheme, KernelId, NativeCpuBackend, PlanConfig, SpmvPlan, Strategy,
+        confirm_row_ptr, BinningScheme, KernelId, NativeCpuBackend, PlanConfig, SpmvPlan, Strategy,
     };
     use spmv_sparse::gen;
     use std::sync::atomic::AtomicUsize;
@@ -681,23 +732,20 @@ mod tests {
         // `CsrMatrix` pair with colliding *valid* row pointers cannot be
         // constructed, which is part of the defense in depth, but the
         // cache must not rely on it.
+        let cfg = PlanConfig::default();
         let cache = PlanCache::<f64>::new(CacheConfig::default());
         let ma = gen::random_uniform::<f64>(120, 120, 1, 4, 5);
         let mb = gen::random_uniform::<f64>(120, 120, 2, 6, 6);
-        assert_ne!(
-            PatternFingerprint::of(&ma),
-            PatternFingerprint::of(&mb),
-            "distinct test matrices"
+        let (ida, idb) = (
+            PatternIdentity::of(&ma, &cfg),
+            PatternIdentity::of(&mb, &cfg),
         );
-        let shared_key = (
-            PatternFingerprint::of(&ma),
-            PlanConfig::default().cache_key(),
-        );
+        assert_ne!(ida.key, idb.key, "distinct test matrices");
         let p_a = cache
-            .get_or_build_keyed(shared_key, ca, || compile(&ma))
+            .get_or_build_keyed(ida.key, ida.confirm, || compile(&ma))
             .unwrap();
         let p_b = cache
-            .get_or_build_keyed(shared_key, cb, || compile(&mb))
+            .get_or_build_keyed(ida.key, idb.confirm, || compile(&mb))
             .unwrap();
         assert!(
             !Arc::ptr_eq(&p_a, &p_b),
@@ -711,9 +759,53 @@ mod tests {
         assert_eq!(cache.stats().collisions, 1);
         // And the replacement is a normal entry: same confirm hits now.
         let p_b2 = cache
-            .get_or_build_keyed(shared_key, cb, || compile(&mb))
+            .get_or_build_keyed(ida.key, idb.confirm, || compile(&mb))
             .unwrap();
         assert!(Arc::ptr_eq(&p_b, &p_b2));
+
+        // The same forgery on a pair that differs only in `col_idx`:
+        // circulant bands {-1, 0, +1} and {-7, 0, +7} share `row_ptr`, so
+        // every row-pointer hash agrees. The confirm checksum covers the
+        // columns and still separates them under a shared key.
+        let (b1, b7) = (circulant(64, 1), circulant(64, 7));
+        assert_eq!(b1.row_ptr(), b7.row_ptr());
+        assert_eq!(PatternFingerprint::of(&b1), PatternFingerprint::of(&b7));
+        let (id1, id7) = (
+            PatternIdentity::of(&b1, &cfg),
+            PatternIdentity::of(&b7, &cfg),
+        );
+        assert_ne!(id1.confirm, id7.confirm, "confirm must cover col_idx");
+        assert_ne!(id1.key.columns, id7.key.columns, "key must cover col_idx");
+        let p_1 = cache
+            .get_or_build_keyed(id1.key, id1.confirm, || compile(&b1))
+            .unwrap();
+        let p_7 = cache
+            .get_or_build_keyed(id1.key, id7.confirm, || compile(&b7))
+            .unwrap();
+        assert!(
+            !Arc::ptr_eq(&p_1, &p_7),
+            "columns-only forgery reused a plan"
+        );
+        assert_eq!(cache.stats().collisions, 2);
+        let x: Vec<f64> = (0..64).map(|i| i as f64).collect();
+        let (mut got, mut want) = (vec![0.0; 64], vec![0.0; 64]);
+        p_7.execute_unchecked(&b7, &x, &mut got).unwrap();
+        b7.spmv_seq(&x, &mut want).unwrap();
+        assert_eq!(got, want, "the rebuilt plan must serve its own columns");
+    }
+
+    /// `n × n` circulant band with offsets `{-d, 0, +d}` (mod `n`): every
+    /// row holds three entries, so `row_ptr` is the same for every `d`.
+    fn circulant(n: usize, d: usize) -> CsrMatrix<f64> {
+        let mut col_idx = Vec::with_capacity(3 * n);
+        for i in 0..n {
+            let mut cols = [(i + n - d) % n, i, (i + d) % n].map(|c| c as u32);
+            cols.sort_unstable();
+            col_idx.extend(cols);
+        }
+        let row_ptr = (0..=n).map(|i| 3 * i).collect();
+        let values = (0..3 * n).map(|k| (k % 5) as f64 - 2.0).collect();
+        CsrMatrix::from_parts(n, n, row_ptr, col_idx, values).unwrap()
     }
 
     /// The cost-aware satellite regression: an expensive-to-rebuild plan
@@ -789,9 +881,8 @@ mod tests {
         // the incumbent's key.
         let refined = Arc::new(compile(&a).unwrap());
         refined.telemetry().record(1_000, 1);
-        let key = (PatternFingerprint::of(&a), incumbent_cfg.cache_key());
-        let confirm = confirm_row_ptr(a.row_ptr());
-        assert!(cache.swap(key, confirm, 5_000, Arc::clone(&refined)));
+        let id = PatternIdentity::of(&a, &incumbent_cfg);
+        assert!(cache.swap(id.key, id.confirm, 5_000, Arc::clone(&refined)));
         // Future lookups for the *original* config now get the refined
         // plan, from cache, with its telemetry freshly zeroed.
         let before = cache.stats().builds;
@@ -810,8 +901,7 @@ mod tests {
         let cache = PlanCache::<f64>::new(CacheConfig::default());
         let a = gen::random_uniform::<f64>(200, 200, 1, 4, 11);
         let cfg = PlanConfig::default();
-        let key = (PatternFingerprint::of(&a), cfg.cache_key());
-        let confirm = confirm_row_ptr(a.row_ptr());
+        let id = PatternIdentity::of(&a, &cfg);
         let refined = Arc::new(compile(&a).unwrap());
         // While a build is in flight for the key, swap must decline.
         let swapped = std::thread::scope(|s| {
@@ -831,7 +921,7 @@ mod tests {
                     .unwrap();
             });
             in_builder.wait();
-            let swapped = cache.swap(key, confirm, 1, Arc::clone(&refined));
+            let swapped = cache.swap(id.key, id.confirm, 1, Arc::clone(&refined));
             release.wait();
             swapped
         });
@@ -851,14 +941,13 @@ mod tests {
         }
         let mut seen = Vec::new();
         cache.for_each_ready(|key, confirm, plan| {
-            assert_eq!(plan.fingerprint(), &key.0);
-            seen.push((key.0, *plan.config(), confirm));
+            assert_eq!(plan.fingerprint(), &key.pattern);
+            seen.push((*key, confirm));
         });
         assert_eq!(seen.len(), 3);
         for m in &mats {
-            let fp = PatternFingerprint::of(m);
-            let confirm = confirm_row_ptr(m.row_ptr());
-            assert!(seen.iter().any(|(f, _, c)| *f == fp && *c == confirm));
+            let id = PatternIdentity::of(m, &cfg);
+            assert!(seen.contains(&(id.key, id.confirm)));
         }
     }
 }

@@ -7,12 +7,14 @@
 //!
 //! * **Plan compilation amortization.** Building and verifying a plan
 //!   costs orders of magnitude more than executing it. The
-//!   [`cache::PlanCache`] keys verified plans by pattern fingerprint +
-//!   frozen [`PlanConfig`](spmv_autotune::PlanConfig), dedups
-//!   concurrent builds (single-flight), serves hits without an
-//!   exclusive lock, and confirms every fingerprint match with an
-//!   independent row-pointer checksum so a hash collision can never
-//!   smuggle the wrong plan to a tenant.
+//!   [`cache::PlanCache`] keys verified plans by sparsity pattern (row
+//!   structure and columns) + frozen
+//!   [`PlanConfig`](spmv_autotune::PlanConfig), dedups concurrent
+//!   builds (single-flight), serves hits without an exclusive lock, and
+//!   confirms every key match with an independent whole-pattern
+//!   checksum so a hash collision can never smuggle the wrong plan to a
+//!   tenant. A registered matrix's key and checksum are computed once,
+//!   at registration.
 //! * **Memory-traffic amortization.** `K` requests against the same
 //!   matrix as one SpMM batch walk the pattern once instead of `K`
 //!   times. The [`serve::SpmvServer`] admission queue coalesces
@@ -39,7 +41,7 @@ pub mod cache;
 pub mod refine;
 pub mod serve;
 
-pub use cache::{CacheConfig, CacheError, CacheStats, PlanCache, PlanKey};
+pub use cache::{CacheConfig, CacheError, CacheStats, PatternIdentity, PlanCache, PlanKey};
 pub use refine::{
     classify_plan, probe_candidate, ProbeReport, RefineConfig, RefineError, RefineMode,
     RefineScheduler, RefineStats,

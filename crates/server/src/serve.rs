@@ -36,26 +36,43 @@
 //! crate (`spmv-lint`): an arrival can never slip between "batch
 //! dispatched" and "dispatcher asleep" and be stranded.
 //!
+//! A batch costs the kernel plus one pass over its inputs and one over
+//! its outputs; nothing per batch rescans the pattern or allocates a
+//! block:
+//!
+//! * [`SpmvServer::register_matrix`] computes the matrix's
+//!   [`PatternIdentity`] — cache key and confirm checksum, both covering
+//!   `row_ptr` and `col_idx` — once, outside the registry lock. Every
+//!   batch looks its plan up with that stored identity (an O(1) hit),
+//!   and the refiner matches registered matrices by it.
+//! * The dispatcher owns one `x` and one `y` [`DenseBlock`] and reshapes
+//!   them for each batch, reusing their storage. Request vectors are
+//!   gathered straight into `x` by a width-specialised transpose. `y` is
+//!   not zeroed: the plan's verified covering proof guarantees the
+//!   kernel writes every `(row, column)` element.
+//! * Each output column is scattered back into its request's own input
+//!   `Vec` (spent once the gather is done), which becomes the
+//!   [`Response`]'s `y`; [`Ticket::wait`] hands the response out by move.
+//!
 //! Value refreshes ride the `values_id` mechanism: [`SpmvServer::
 //! update_values`] swaps the registered matrix for a value-updated
-//! clone (same pattern, new id), and cached plans re-gather their
-//! packed value slabs lazily on next execute — no plan rebuild, no
-//! cache invalidation.
+//! clone (same pattern, new id, same identity), and cached plans
+//! re-gather their packed value slabs lazily on next execute — no plan
+//! rebuild, no cache invalidation. The clone is built outside the
+//! registry lock, which is held only for the pointer swap.
 
-use crate::cache::{CacheConfig, CacheError, CacheStats, PlanCache, PlanKey};
+use crate::cache::{CacheConfig, CacheError, CacheStats, PatternIdentity, PlanCache, PlanKey};
 use crate::refine::{
     classify_plan, feature_row, learner_schema, probe_candidate, RefineConfig, RefineCounters,
     RefineMode, RefineScheduler, RefineStats, CLASS_INCUMBENT, CLASS_REFINED,
 };
-use spmv_autotune::{
-    confirm_row_ptr, NativeCpuBackend, PatternFingerprint, PlanConfig, SpmvPlan, Strategy,
-};
+use spmv_autotune::{NativeCpuBackend, PlanConfig, SpmvPlan, Strategy};
 use spmv_ml::{IncrementalLearner, OnlineConfig, RetrainOutcome};
 use spmv_parallel::{Clock, MonotonicClock};
 use spmv_sparse::{CsrMatrix, DenseBlock, Scalar};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -184,14 +201,17 @@ pub struct Ticket<T> {
     inner: Arc<TicketInner<T>>,
 }
 
-impl<T: Clone> Ticket<T> {
-    /// Block until the request is served (or failed).
+impl<T> Ticket<T> {
+    /// Block until the request is served (or failed). The response is
+    /// moved out of the ticket, not copied.
     pub fn wait(self) -> Result<Response<T>, ServeError> {
         let mut slot = self.inner.slot.lock().unwrap();
-        while slot.is_none() {
+        loop {
+            if let Some(result) = slot.take() {
+                return result;
+            }
             slot = self.inner.cv.wait(slot).unwrap();
         }
-        slot.as_ref().unwrap().clone()
     }
 }
 
@@ -229,15 +249,11 @@ impl<T> QueueState<T> {
             if let Some(t) = pick {
                 return t;
             }
-            let backlogged: Vec<TenantId> = self
-                .queues
-                .iter()
-                .filter(|(_, q)| !q.is_empty())
-                .map(|(t, _)| *t)
-                .collect();
-            debug_assert!(!backlogged.is_empty(), "select_tenant on empty queues");
-            for t in backlogged {
-                *self.deficits.entry(t).or_insert(0) += quantum;
+            debug_assert!(self.total_queued() > 0, "select_tenant on empty queues");
+            for (t, q) in &self.queues {
+                if !q.is_empty() {
+                    *self.deficits.entry(*t).or_insert(0) += quantum;
+                }
             }
         }
     }
@@ -247,26 +263,44 @@ impl<T> QueueState<T> {
     /// completion within a tenant is observable only as lower latency).
     /// Each rider is charged one deficit unit; the counter may go
     /// negative and is repaid by future quanta.
+    ///
+    /// Tenants are visited in ascending id order and each queue front to
+    /// back, so when more riders wait than the batch has room for, the
+    /// lowest tenant ids' oldest requests ride. Allocation-free: the next
+    /// tenant is the smallest id above the last one (a scan of the
+    /// handful of tenant keys), and each queue gives up its riders in one
+    /// rotation pass.
     fn pull_riders(&mut self, matrix: MatrixId, batch: &mut Vec<Pending<T>>, max_batch: usize) {
-        if batch.len() >= max_batch {
-            return;
-        }
-        let mut tenants: Vec<TenantId> = self.queues.keys().copied().collect();
-        tenants.sort_unstable();
-        for t in tenants {
-            let queue = self.queues.get_mut(&t).unwrap();
-            let mut i = 0;
-            while i < queue.len() && batch.len() < max_batch {
-                if queue[i].matrix == matrix {
-                    batch.push(queue.remove(i).unwrap());
-                    *self.deficits.entry(t).or_insert(0) -= 1;
+        let mut after = None;
+        while batch.len() < max_batch {
+            let Some(t) = self
+                .queues
+                .keys()
+                .copied()
+                .filter(|&t| after < Some(t))
+                .min()
+            else {
+                return;
+            };
+            after = Some(t);
+            let queue = self.queues.get_mut(&t).expect("tenant key just seen");
+            let Some(first) = queue.iter().position(|p| p.matrix == matrix) else {
+                continue;
+            };
+            // Requests ahead of the first rider move to the back unchanged;
+            // the rest pass the front once, riders into the batch and the
+            // others back behind them, so queue order is kept.
+            queue.rotate_left(first);
+            let before = batch.len();
+            for _ in first..queue.len() {
+                let p = queue.pop_front().expect("rotation stays in bounds");
+                if p.matrix == matrix && batch.len() < max_batch {
+                    batch.push(p);
                 } else {
-                    i += 1;
+                    queue.push_back(p);
                 }
             }
-            if batch.len() >= max_batch {
-                return;
-            }
+            *self.deficits.entry(t).or_insert(0) -= (batch.len() - before) as i64;
         }
     }
 }
@@ -274,11 +308,19 @@ impl<T> QueueState<T> {
 struct Registered<T: Scalar> {
     matrix: Arc<CsrMatrix<T>>,
     strategy: Strategy,
+    /// `matrix`'s pattern identity under the server's plan config,
+    /// computed once at registration; value refreshes carry it over.
+    identity: PatternIdentity,
+    /// Serialises value refreshes of this id; carried over by refreshes
+    /// and re-registrations, so one id has one gate.
+    refresh: Arc<Mutex<()>>,
 }
 
 struct Inner<T: Scalar> {
     config: ServeConfig,
-    registry: RwLock<HashMap<MatrixId, Registered<T>>>,
+    /// Entries are replaced whole (`Arc` swap), never mutated, so a
+    /// batch holds one consistent `(matrix, identity)` pair.
+    registry: RwLock<HashMap<MatrixId, Arc<Registered<T>>>>,
     cache: PlanCache<T>,
     queue: Mutex<QueueState<T>>,
     arrivals: Condvar,
@@ -294,6 +336,16 @@ struct Inner<T: Scalar> {
     /// `scan_interval`, not on arrivals.
     refine_stop: Mutex<bool>,
     refine_halt: Condvar,
+}
+
+impl<T: Scalar> Inner<T> {
+    /// The current registry entry for `id`.
+    fn entry(&self, id: MatrixId) -> Result<Arc<Registered<T>>, ServeError> {
+        let reg = self.registry.read().unwrap();
+        reg.get(&id)
+            .map(Arc::clone)
+            .ok_or(ServeError::UnknownMatrix(id))
+    }
 }
 
 /// Snapshot of serving counters ([`SpmvServer::stats`]).
@@ -389,29 +441,63 @@ impl<T: Scalar> SpmvServer<T> {
     /// Register (or replace) a matrix under `id`. Requests may name it
     /// immediately; its plan is built on first use and cached by
     /// pattern, so replacing a matrix with an identical pattern keeps
-    /// the cached plan warm.
+    /// the cached plan warm. The pattern identity (O(m + nnz)) is
+    /// computed here, before the registry lock is taken.
     pub fn register_matrix(&self, id: MatrixId, a: CsrMatrix<T>, strategy: Strategy) {
+        let identity = PatternIdentity::of(&a, &self.inner.config.plan);
+        let matrix = Arc::new(a);
         let mut reg = self.inner.registry.write().unwrap();
+        let refresh = reg
+            .get(&id)
+            .map_or_else(Default::default, |old| Arc::clone(&old.refresh));
         reg.insert(
             id,
-            Registered {
-                matrix: Arc::new(a),
+            Arc::new(Registered {
+                matrix,
                 strategy,
-            },
+                identity,
+                refresh,
+            }),
         );
     }
 
-    /// Refresh the numeric values of a registered matrix in place (same
-    /// pattern). Cached plans are *not* invalidated: the swapped-in
-    /// clone carries a fresh `values_id`, and packed value slabs
-    /// re-gather lazily on the next execute.
-    pub fn update_values(&self, id: MatrixId, f: impl FnMut(usize) -> T) -> Result<(), ServeError> {
-        let mut reg = self.inner.registry.write().unwrap();
-        let entry = reg.get_mut(&id).ok_or(ServeError::UnknownMatrix(id))?;
-        let mut refreshed = (*entry.matrix).clone();
-        refreshed.fill_values_with(f);
-        entry.matrix = Arc::new(refreshed);
-        Ok(())
+    /// Refresh the numeric values of a registered matrix (same pattern):
+    /// value `k` becomes `f(k)`. Cached plans are *not* invalidated: the
+    /// swapped-in clone carries a fresh `values_id` and the same pattern
+    /// identity, and packed value slabs re-gather lazily on the next
+    /// execute.
+    ///
+    /// The clone is built outside the registry lock; the write lock
+    /// covers only the `Arc` swap, so dispatch never stalls behind a
+    /// refresh. Concurrent refreshes of one id run one at a time, so
+    /// every served version is one whole refresh and the last refresh
+    /// wins. If a re-registration replaces the matrix while its clone is
+    /// being built, the refresh is applied again to the new matrix.
+    pub fn update_values(
+        &self,
+        id: MatrixId,
+        mut f: impl FnMut(usize) -> T,
+    ) -> Result<(), ServeError> {
+        let gate = Arc::clone(&self.inner.entry(id)?.refresh);
+        // The gate guards no data, so a refresh that panicked leaves
+        // nothing to repair.
+        let _serial = gate.lock().unwrap_or_else(PoisonError::into_inner);
+        loop {
+            let base = self.inner.entry(id)?;
+            let mut refreshed = (*base.matrix).clone();
+            refreshed.fill_values_with(&mut f);
+            let mut reg = self.inner.registry.write().unwrap();
+            let slot = reg.get_mut(&id).ok_or(ServeError::UnknownMatrix(id))?;
+            if Arc::ptr_eq(slot, &base) {
+                *slot = Arc::new(Registered {
+                    matrix: Arc::new(refreshed),
+                    strategy: base.strategy.clone(),
+                    identity: base.identity,
+                    refresh: Arc::clone(&base.refresh),
+                });
+                return Ok(());
+            }
+        }
     }
 
     /// Admit a request: `y = A_matrix · x` for `tenant`, scheduled no
@@ -425,13 +511,7 @@ impl<T: Scalar> SpmvServer<T> {
         x: Vec<T>,
         deadline: Instant,
     ) -> Result<Ticket<T>, ServeError> {
-        let expected = {
-            let reg = self.inner.registry.read().unwrap();
-            reg.get(&matrix)
-                .ok_or(ServeError::UnknownMatrix(matrix))?
-                .matrix
-                .n_cols()
-        };
+        let expected = self.inner.entry(matrix)?.matrix.n_cols();
         if x.len() != expected {
             return Err(ServeError::DimensionMismatch {
                 matrix,
@@ -522,6 +602,9 @@ impl<T: Scalar> Drop for SpmvServer<T> {
 /// → loop (re-checking the queue *before* the next sleep, so a request
 /// that arrived during the execute is picked up immediately).
 fn dispatcher_loop<T: Scalar>(inner: Arc<Inner<T>>) {
+    // The batch blocks, reshaped per batch: their storage grows to the
+    // largest batch served and is then reused.
+    let mut blocks = (DenseBlock::zeros(0, 0), DenseBlock::zeros(0, 0));
     loop {
         let (matrix, batch) = {
             let mut q = inner.queue.lock().unwrap();
@@ -558,7 +641,7 @@ fn dispatcher_loop<T: Scalar>(inner: Arc<Inner<T>>) {
             }
             (matrix, batch)
         };
-        serve_batch(&inner, matrix, batch);
+        serve_batch(&inner, matrix, batch, &mut blocks);
     }
 }
 
@@ -569,35 +652,47 @@ fn fail_all<T>(batch: Vec<Pending<T>>, err: ServeError) {
 }
 
 /// Execute one coalesced batch and resolve its tickets. Runs with no
-/// queue lock held; the plan comes from the cache (single-flight cold,
-/// wait-free warm).
-fn serve_batch<T: Scalar>(inner: &Inner<T>, matrix: MatrixId, batch: Vec<Pending<T>>) {
+/// queue lock held; the plan comes from the cache by the identity the
+/// registration stored (single-flight cold, wait-free warm). `x` and `y`
+/// are the dispatcher's reused blocks; their contents on entry are
+/// stale and never read.
+fn serve_batch<T: Scalar>(
+    inner: &Inner<T>,
+    matrix: MatrixId,
+    batch: Vec<Pending<T>>,
+    (x, y): &mut (DenseBlock<T>, DenseBlock<T>),
+) {
     let k = batch.len();
     debug_assert!(k >= 1);
     inner.batches.fetch_add(1, Ordering::Relaxed);
     inner.occupancy[(k - 1).min(inner.occupancy.len() - 1)].fetch_add(1, Ordering::Relaxed);
 
-    let registered = {
-        let reg = inner.registry.read().unwrap();
-        reg.get(&matrix)
-            .map(|r| (Arc::clone(&r.matrix), r.strategy.clone()))
+    let entry = match inner.entry(matrix) {
+        Ok(entry) => entry,
+        Err(e) => {
+            // Registration is validated at submit; a replaced-away
+            // matrix between submit and dispatch still fails cleanly.
+            fail_all(batch, e);
+            return;
+        }
     };
-    let Some((a, strategy)) = registered else {
-        // Registration is validated at submit; a replaced-away matrix
-        // between submit and dispatch still fails cleanly.
-        fail_all(batch, ServeError::UnknownMatrix(matrix));
-        return;
-    };
+    let a = entry.matrix.as_ref();
 
-    let plan = inner.cache.get_or_build(&a, &inner.config.plan, || {
+    let id = entry.identity;
+    let plan = inner.cache.get_or_build_keyed(id.key, id.confirm, || {
         let backend = if inner.config.workers > 0 {
             NativeCpuBackend::new().with_workers(inner.config.workers)
         } else {
             NativeCpuBackend::new()
         };
-        SpmvPlan::compile_with(&a, strategy.clone(), Box::new(backend), inner.config.plan)
-            .verify(&a)
-            .map_err(|e| CacheError::Build(e.to_string()))
+        SpmvPlan::compile_with(
+            a,
+            entry.strategy.clone(),
+            Box::new(backend),
+            inner.config.plan,
+        )
+        .verify(a)
+        .map_err(|e| CacheError::Build(e.to_string()))
     });
     let plan = match plan {
         Ok(p) => p,
@@ -613,17 +708,24 @@ fn serve_batch<T: Scalar>(inner: &Inner<T>, matrix: MatrixId, batch: Vec<Pending
         columns.push(p.x);
         tickets.push(p.ticket);
     }
-    let x = DenseBlock::from_columns(&columns);
-    let mut y = DenseBlock::zeros(a.n_rows(), k);
-    match plan.execute_batch_unchecked(&a, &x, &mut y) {
+    x.reshape(a.n_cols(), k);
+    x.set_columns(&columns);
+    // No zeroing: the verified plan writes every element of `y`.
+    y.reshape(a.n_rows(), k);
+    match plan.execute_batch_unchecked(a, x, y) {
         Ok(_) => {
             let completed = Instant::now();
+            // The request vectors are spent: each takes its output column.
+            for col in &mut columns {
+                col.resize(a.n_rows(), T::ZERO);
+            }
+            y.copy_columns_to(&mut columns);
             // Count before resolving: a ticket-holder reading stats()
             // right after wait() must see its own completion.
             inner.completed.fetch_add(k as u64, Ordering::Relaxed);
-            for (j, ticket) in tickets.iter().enumerate() {
+            for (ticket, y) in tickets.iter().zip(columns) {
                 ticket.resolve(Ok(Response {
-                    y: y.column(j),
+                    y,
                     batch_k: k,
                     completed,
                 }));
@@ -697,16 +799,15 @@ fn refiner_loop<T: Scalar>(inner: Arc<Inner<T>>) {
                 inner.refine.observed.fetch_add(1, Ordering::Relaxed);
                 continue;
             }
-            // Find the live matrix this plan serves: same pattern (the
-            // key's fingerprint) *and* same confirm checksum, the exact
-            // pair the cache itself trusts.
+            // Find the live matrix this plan serves: the registered
+            // identity equal to the entry's key *and* confirm checksum,
+            // the exact pair the cache itself trusts.
+            let identity = PatternIdentity { key, confirm };
             let matched = {
                 let reg = inner.registry.read().unwrap();
-                reg.values().find_map(|r| {
-                    (PatternFingerprint::of(r.matrix.as_ref()) == key.0
-                        && confirm_row_ptr(r.matrix.row_ptr()) == confirm)
-                        .then(|| Arc::clone(&r.matrix))
-                })
+                reg.values()
+                    .find(|r| r.identity == identity)
+                    .map(|r| Arc::clone(&r.matrix))
             };
             let Some(a) = matched else {
                 // Unregistered since caching; the entry will age out.
@@ -1078,6 +1179,85 @@ mod tests {
         assert_eq!(s.refine.built, 0, "observe mode must not compile");
         assert_eq!(s.refine.swapped, 0);
         assert_eq!(s.cache.swaps, 0);
+        server.shutdown();
+    }
+
+    /// Two threads refresh one id at once while requests flow: every
+    /// response is `A_v x` for exactly one whole version `v`, and the
+    /// last refresh wins.
+    #[test]
+    fn concurrent_refreshes_serve_whole_versions() {
+        const PER_THREAD: u64 = 12;
+        let values = |v: u64| move |k: usize| ((k as u64 * 13 + v * 7) % 23) as f64 / 8.0 - 1.0;
+        let server = SpmvServer::start(ServeConfig {
+            coalesce_window: Duration::from_micros(50),
+            ..ServeConfig::default()
+        });
+        let a = gen::random_uniform::<f64>(3_000, 3_000, 2, 10, 21);
+        let x: Vec<f64> = (0..a.n_cols()).map(|i| (i % 11) as f64 - 5.0).collect();
+        // Version 0 is the registered matrix; thread t writes versions
+        // t * PER_THREAD + 1 ..= (t + 1) * PER_THREAD.
+        let plan = SpmvPlan::compile_with(
+            &a,
+            strategy(),
+            Box::new(NativeCpuBackend::new()),
+            PlanConfig::default(),
+        )
+        .verify(&a)
+        .unwrap();
+        let expected: Vec<Vec<f64>> = (0..=2 * PER_THREAD)
+            .map(|v| {
+                let mut m = a.clone();
+                if v > 0 {
+                    m.fill_values_with(values(v));
+                }
+                let mut y = vec![0.0; m.n_rows()];
+                plan.execute(&m, &x, &mut y).unwrap();
+                y
+            })
+            .collect();
+        server.register_matrix(1, a, strategy());
+
+        let start = std::sync::Barrier::new(3);
+        let running = std::sync::atomic::AtomicUsize::new(2);
+        std::thread::scope(|s| {
+            for t in 0..2u64 {
+                let (server, start, running) = (&server, &start, &running);
+                s.spawn(move || {
+                    start.wait();
+                    for v in t * PER_THREAD + 1..=(t + 1) * PER_THREAD {
+                        server.update_values(1, values(v)).unwrap();
+                    }
+                    running.fetch_sub(1, Ordering::SeqCst);
+                });
+            }
+            start.wait();
+            let mut served = 0;
+            while running.load(Ordering::SeqCst) > 0 || served < 8 {
+                let tickets: Vec<_> = (0..4)
+                    .map(|t| server.submit(t, 1, x.clone(), far_deadline()).unwrap())
+                    .collect();
+                for ticket in tickets {
+                    let y = ticket.wait().unwrap().y;
+                    assert!(
+                        expected.contains(&y),
+                        "a response matches no whole version of the values"
+                    );
+                    served += 1;
+                }
+            }
+        });
+        let last = server
+            .submit(0, 1, x.clone(), far_deadline())
+            .unwrap()
+            .wait()
+            .unwrap()
+            .y;
+        assert!(
+            last == expected[PER_THREAD as usize] || last == expected[2 * PER_THREAD as usize],
+            "the final version must be one thread's last refresh"
+        );
+        assert_eq!(server.stats().cache.builds, 1, "refreshes never rebuild");
         server.shutdown();
     }
 

@@ -191,3 +191,84 @@ fn backlog_coalesces_and_stays_bit_for_bit() {
     );
     server.shutdown();
 }
+
+/// `a` with every third row (from row 1) emptied: the kernel must still
+/// write those outputs, as zeros.
+fn with_empty_rows(a: &CsrMatrix<f64>) -> CsrMatrix<f64> {
+    let (mut row_ptr, mut col_idx, mut values) = (vec![0], Vec::new(), Vec::new());
+    for i in 0..a.n_rows() {
+        if i % 3 != 1 {
+            let span = a.row_ptr()[i]..a.row_ptr()[i + 1];
+            col_idx.extend_from_slice(&a.col_idx()[span.clone()]);
+            values.extend_from_slice(&a.values()[span]);
+        }
+        row_ptr.push(col_idx.len());
+    }
+    CsrMatrix::from_parts(a.n_rows(), a.n_cols(), row_ptr, col_idx, values).unwrap()
+}
+
+/// The dispatcher reuses one `x` and one `y` block across batches and
+/// does not zero them, and each response is written over its request's
+/// own vector. Interleave matrices of different shapes (more rows than
+/// columns, fewer rows than columns, empty rows) at widths 1..=8, with a
+/// full-width batch of the largest matrix right before each narrow
+/// batch of the smallest: any element of a block or a response that a
+/// batch fails to rewrite holds another batch's data and shows up here.
+#[test]
+fn reused_blocks_never_leak_between_batches() {
+    let workers = 2;
+    let big = gen::random_uniform::<f64>(1_500, 1_200, 1, 12, 51);
+    let wide = gen::random_uniform::<f64>(400, 1_000, 2, 10, 52);
+    let holes = with_empty_rows(&gen::random_uniform::<f64>(700, 700, 1, 9, 53));
+    let small = gen::random_uniform::<f64>(120, 90, 1, 5, 54);
+    let matrices = [&big, &wide, &holes, &small];
+    let plans: Vec<_> = matrices
+        .iter()
+        .map(|a| standalone_plan(a, workers))
+        .collect();
+
+    let server = SpmvServer::start(ServeConfig {
+        max_batch: 8,
+        coalesce_window: Duration::from_millis(30),
+        workers,
+        ..ServeConfig::default()
+    });
+    for (id, a) in matrices.iter().enumerate() {
+        server.register_matrix(id as u64, (*a).clone(), strategy());
+    }
+
+    let (big_id, wide_id, holes_id, small_id) = (0, 1, 2, 3);
+    let mut schedule = Vec::new();
+    for w in 1..=8 {
+        schedule.extend([(big_id, 8), (small_id, w), (holes_id, 9 - w), (wide_id, w)]);
+    }
+    let deadline = Instant::now() + Duration::from_secs(60);
+    for (phase, &(id, width)) in schedule.iter().enumerate() {
+        let a = matrices[id];
+        let tickets: Vec<_> = (0..width)
+            .map(|j| {
+                let x = request_vector(a.n_cols(), phase * 8 + j);
+                let ticket = server.submit(j as u32 % 3, id as u64, x.clone(), deadline);
+                (x, ticket.unwrap())
+            })
+            .collect();
+        for (j, (x, ticket)) in tickets.into_iter().enumerate() {
+            let resp = ticket.wait().unwrap();
+            let mut expect = vec![0.0; a.n_rows()];
+            plans[id].execute(a, &x, &mut expect).unwrap();
+            assert_eq!(
+                resp.y,
+                expect,
+                "phase {phase}: matrix {id} ({}x{}), request {j} of {width} (rode a \
+                 {}-wide batch) diverges from the standalone execute",
+                a.n_rows(),
+                a.n_cols(),
+                resp.batch_k
+            );
+        }
+    }
+    let stats = server.stats();
+    assert_eq!(stats.cache.builds, 4);
+    assert_eq!(stats.cache.collisions, 0);
+    server.shutdown();
+}

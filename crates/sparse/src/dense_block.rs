@@ -58,17 +58,46 @@ impl<T: Scalar> DenseBlock<T> {
     /// Panics if the columns have unequal lengths.
     pub fn from_columns(columns: &[Vec<T>]) -> Self {
         let rows = columns.first().map_or(0, |c| c.len());
-        assert!(
-            columns.iter().all(|c| c.len() == rows),
-            "columns of unequal length"
-        );
         let mut block = Self::zeros(rows, columns.len());
-        for (j, col) in columns.iter().enumerate() {
-            for (i, &x) in col.iter().enumerate() {
-                block.data[i * block.stride + j] = x;
-            }
-        }
+        block.set_columns(columns);
         block
+    }
+
+    /// Reshape to `rows × k` with the tight stride `k`, keeping the
+    /// allocation: a block reused across batches of different shapes
+    /// allocates only when it outgrows its largest shape so far. Element
+    /// values after the call are whatever the storage held (stale), so
+    /// the caller must overwrite every element it reads.
+    pub fn reshape(&mut self, rows: usize, k: usize) {
+        let len = rows.checked_mul(k).expect("dense block too large");
+        self.data.resize(len, T::ZERO);
+        self.rows = rows;
+        self.k = k;
+        self.stride = k;
+    }
+
+    /// Overwrite every column: column `j` from `columns[j]`. One
+    /// row-major pass per group of up to eight columns.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `columns.len() != k` or a column's length is not
+    /// `n_rows`.
+    pub fn set_columns<C: AsRef<[T]>>(&mut self, columns: &[C]) {
+        assert_eq!(columns.len(), self.k, "column count != k");
+        self.gather(0, columns);
+    }
+
+    /// Copy every column out: column `j` into `columns[j]`. The inverse of
+    /// [`set_columns`](Self::set_columns), with the same pass structure.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `columns.len() != k` or a column's length is not
+    /// `n_rows`.
+    pub fn copy_columns_to<C: AsMut<[T]>>(&self, columns: &mut [C]) {
+        assert_eq!(columns.len(), self.k, "column count != k");
+        self.scatter(0, columns);
     }
 
     /// Fill every addressable element `(i, k)` with values from `f(i, k)`.
@@ -109,9 +138,9 @@ impl<T: Scalar> DenseBlock<T> {
     /// Copy column `j` out into a contiguous vector.
     pub fn column(&self, j: usize) -> Vec<T> {
         assert!(j < self.k, "column {j} out of bounds (k = {})", self.k);
-        (0..self.rows)
-            .map(|i| self.data[i * self.stride + j])
-            .collect()
+        let mut col = vec![T::ZERO; self.rows];
+        self.scatter(j, std::slice::from_mut(&mut col));
+        col
     }
 
     /// Overwrite column `j` from a contiguous vector.
@@ -121,10 +150,7 @@ impl<T: Scalar> DenseBlock<T> {
     /// Panics if `j >= k` or `col.len() != n_rows`.
     pub fn set_column(&mut self, j: usize, col: &[T]) {
         assert!(j < self.k, "column {j} out of bounds (k = {})", self.k);
-        assert_eq!(col.len(), self.rows, "column length != rows");
-        for (i, &x) in col.iter().enumerate() {
-            self.data[i * self.stride + j] = x;
-        }
+        self.gather(j, std::slice::from_ref(&col));
     }
 
     /// The backing storage (row-major, including stride slack).
@@ -135,6 +161,116 @@ impl<T: Scalar> DenseBlock<T> {
     /// Mutable backing storage.
     pub fn as_mut_slice(&mut self) -> &mut [T] {
         &mut self.data
+    }
+
+    /// Write `columns` into columns `first..first + columns.len()`, in
+    /// groups of up to [`LANES`] columns, each group one width-specialised
+    /// row-major pass.
+    fn gather<C: AsRef<[T]>>(&mut self, first: usize, columns: &[C]) {
+        assert!(first + columns.len() <= self.k, "columns out of bounds");
+        for (g, group) in columns.chunks(LANES).enumerate() {
+            let c0 = first + g * LANES;
+            let (rows, stride, data) = (self.rows, self.stride, &mut self.data[..]);
+            match group.len() {
+                1 => gather_lanes::<T, C, 1>(data, rows, stride, c0, group),
+                2 => gather_lanes::<T, C, 2>(data, rows, stride, c0, group),
+                3 => gather_lanes::<T, C, 3>(data, rows, stride, c0, group),
+                4 => gather_lanes::<T, C, 4>(data, rows, stride, c0, group),
+                5 => gather_lanes::<T, C, 5>(data, rows, stride, c0, group),
+                6 => gather_lanes::<T, C, 6>(data, rows, stride, c0, group),
+                7 => gather_lanes::<T, C, 7>(data, rows, stride, c0, group),
+                _ => gather_lanes::<T, C, LANES>(data, rows, stride, c0, group),
+            }
+        }
+    }
+
+    /// Copy columns `first..first + columns.len()` out into `columns`;
+    /// the mirror of [`gather`](Self::gather).
+    fn scatter<C: AsMut<[T]>>(&self, first: usize, columns: &mut [C]) {
+        assert!(first + columns.len() <= self.k, "columns out of bounds");
+        for (g, group) in columns.chunks_mut(LANES).enumerate() {
+            let c0 = first + g * LANES;
+            let (rows, stride, data) = (self.rows, self.stride, &self.data[..]);
+            match group.len() {
+                1 => scatter_lanes::<T, C, 1>(data, rows, stride, c0, group),
+                2 => scatter_lanes::<T, C, 2>(data, rows, stride, c0, group),
+                3 => scatter_lanes::<T, C, 3>(data, rows, stride, c0, group),
+                4 => scatter_lanes::<T, C, 4>(data, rows, stride, c0, group),
+                5 => scatter_lanes::<T, C, 5>(data, rows, stride, c0, group),
+                6 => scatter_lanes::<T, C, 6>(data, rows, stride, c0, group),
+                7 => scatter_lanes::<T, C, 7>(data, rows, stride, c0, group),
+                _ => scatter_lanes::<T, C, LANES>(data, rows, stride, c0, group),
+            }
+        }
+    }
+}
+
+/// Widest column group the transposes move in one pass. Eight `f64`
+/// columns make one 64-byte row segment; wider blocks go in groups.
+const LANES: usize = 8;
+
+/// `data[i * stride + c0 + j] = group[j][i]` for every row `i` and lane
+/// `j < W`. `W` is a constant, so the lane loop unrolls into `W` loads
+/// from `W` sequential streams and one contiguous store per row; a tight
+/// block as wide as the group also gets a constant row stride.
+fn gather_lanes<T: Scalar, C: AsRef<[T]>, const W: usize>(
+    data: &mut [T],
+    rows: usize,
+    stride: usize,
+    c0: usize,
+    group: &[C],
+) {
+    let cols: [&[T]; W] = std::array::from_fn(|j| {
+        let col = group[j].as_ref();
+        assert_eq!(col.len(), rows, "column length != rows");
+        col
+    });
+    let put = |i: usize, lanes: &mut [T]| {
+        let lanes: &mut [T; W] = lanes.try_into().expect("W lanes");
+        for (dst, col) in lanes.iter_mut().zip(&cols) {
+            *dst = col[i];
+        }
+    };
+    if stride == W {
+        (0..rows)
+            .zip(data.chunks_exact_mut(W))
+            .for_each(|(i, row)| put(i, row));
+    } else {
+        (0..rows)
+            .zip(data.chunks_exact_mut(stride))
+            .for_each(|(i, row)| put(i, &mut row[c0..c0 + W]));
+    }
+}
+
+/// `group[j][i] = data[i * stride + c0 + j]`: the inverse of
+/// [`gather_lanes`], with the same specialisation.
+fn scatter_lanes<T: Scalar, C: AsMut<[T]>, const W: usize>(
+    data: &[T],
+    rows: usize,
+    stride: usize,
+    c0: usize,
+    group: &mut [C],
+) {
+    let mut lanes = group.iter_mut();
+    let mut cols: [&mut [T]; W] = std::array::from_fn(|_| {
+        let col = lanes.next().expect("group holds W columns").as_mut();
+        assert_eq!(col.len(), rows, "column length != rows");
+        col
+    });
+    let mut put = |i: usize, lanes: &[T]| {
+        let lanes: &[T; W] = lanes.try_into().expect("W lanes");
+        for (col, &value) in cols.iter_mut().zip(lanes) {
+            col[i] = value;
+        }
+    };
+    if stride == W {
+        (0..rows)
+            .zip(data.chunks_exact(W))
+            .for_each(|(i, row)| put(i, row));
+    } else {
+        (0..rows)
+            .zip(data.chunks_exact(stride))
+            .for_each(|(i, row)| put(i, &row[c0..c0 + W]));
     }
 }
 
@@ -168,6 +304,61 @@ mod tests {
         c.set_column(1, &[9.0, 9.0, 9.0, 9.0]);
         assert_eq!(c.column(1), vec![9.0; 4]);
         assert_eq!(c.column(0), b.column(0));
+    }
+
+    /// Every width 1..=19 (one to three lane groups, full and partial),
+    /// tight and strided, through the gather and the scatter.
+    #[test]
+    fn grouped_transposes_round_trip_every_width() {
+        for k in 1..=19 {
+            let cols: Vec<Vec<f32>> = (0..k)
+                .map(|j| (0..37).map(|i| (i * 31 + j) as f32).collect())
+                .collect();
+            let tight = DenseBlock::from_columns(&cols);
+            let mut strided = DenseBlock::zeros_strided(37, k, k + 3);
+            strided.set_columns(&cols);
+            for b in [&tight, &strided] {
+                for i in 0..37 {
+                    let want: Vec<f32> = (0..k).map(|j| (i * 31 + j) as f32).collect();
+                    assert_eq!(b.row(i), want.as_slice(), "k = {k}, row {i}");
+                }
+                let mut out = vec![vec![0.0f32; 37]; k];
+                b.copy_columns_to(&mut out);
+                assert_eq!(out, cols, "k = {k}");
+                assert_eq!(b.column(k - 1), cols[k - 1]);
+            }
+            // Stride slack is never written.
+            for i in 0..37 {
+                assert_eq!(
+                    &strided.as_slice()[i * (k + 3) + k..(i + 1) * (k + 3)],
+                    &[0.0; 3]
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn reshape_reuses_storage_and_keeps_stale_values() {
+        let mut b = DenseBlock::from_columns(&[vec![1.0f64; 6], vec![2.0; 6]]);
+        let ptr = b.as_slice().as_ptr();
+        b.reshape(4, 3);
+        assert_eq!((b.n_rows(), b.k(), b.stride()), (4, 3, 3));
+        assert_eq!(
+            b.as_slice().as_ptr(),
+            ptr,
+            "a smaller shape must not reallocate"
+        );
+        assert_eq!(b.as_slice().len(), 12);
+        // The storage is left as it was: the caller overwrites it.
+        assert_eq!(b.row(0), &[1.0, 2.0, 1.0]);
+        b.set_columns(&[[5.0; 4], [6.0; 4], [7.0; 4]]);
+        assert_eq!(b.row(3), &[5.0, 6.0, 7.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "column length != rows")]
+    fn unequal_columns_panic() {
+        let _ = DenseBlock::from_columns(&[vec![1.0f64; 3], vec![1.0; 2]]);
     }
 
     #[test]
