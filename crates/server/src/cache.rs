@@ -269,34 +269,20 @@ impl<T: Scalar> PlanCache<T> {
         }
     }
 
-    /// The plan for `(a, config)`: a confirmed hit when cached, else a
-    /// single-flight `build()`. The builder runs outside every cache
-    /// lock; its error (if any) is delivered to every waiter of the
-    /// flight. Computes `a`'s [`PatternIdentity`] (O(m + nnz)); callers
-    /// that look the same matrix up repeatedly keep the identity and use
-    /// [`get_or_build_keyed`](Self::get_or_build_keyed).
-    pub fn get_or_build(
-        &self,
-        a: &CsrMatrix<T>,
-        config: &PlanConfig,
-        build: impl FnOnce() -> Result<VerifiedPlan<T>, CacheError>,
-    ) -> Result<Arc<VerifiedPlan<T>>, CacheError> {
-        let id = PatternIdentity::of(a, config);
-        self.get_or_build_keyed(id.key, id.confirm, build)
-    }
-
-    /// [`get_or_build`](Self::get_or_build) with the key and confirm
-    /// checksum precomputed — the serving path's lookup, with the
-    /// identity its registration stored. O(1) on a hit. The forged-
-    /// collision regression test also probes the confirm layer through
-    /// it: two structurally different matrices that (adversarially)
-    /// share a full `PlanKey` must still never share a plan.
+    /// The plan for the pattern `id` names: a confirmed hit when cached
+    /// (O(1) — the identity was computed once, when the caller first saw
+    /// the matrix), else a single-flight `build()`. The builder runs
+    /// outside every cache lock; its error (if any) is delivered to every
+    /// waiter of the flight. The forged-collision regression test probes
+    /// the confirm layer through it: two structurally different matrices
+    /// that (adversarially) share a full `PlanKey` must still never share
+    /// a plan.
     pub fn get_or_build_keyed(
         &self,
-        key: PlanKey,
-        confirm: u64,
+        id: PatternIdentity,
         build: impl FnOnce() -> Result<VerifiedPlan<T>, CacheError>,
     ) -> Result<Arc<VerifiedPlan<T>>, CacheError> {
+        let PatternIdentity { key, confirm } = id;
         let mut build = Some(build);
         let shard = &self.shards[self.shard_index(&key)];
         loop {
@@ -401,14 +387,13 @@ impl<T: Scalar> PlanCache<T> {
         }
     }
 
-    /// Atomically publish a refined `plan` over the slot at `key`: the
-    /// refinement layer's swap point. Future lookups for `key` with the
-    /// same `confirm` checksum receive `plan`; executes already running
-    /// on the incumbent hold their own `Arc` and finish undisturbed.
+    /// Atomically publish a refined `plan` over the slot `id` names: the
+    /// refinement layer's swap point. Future lookups with the same
+    /// identity receive `plan`; executes already running on the
+    /// incumbent hold their own `Arc` and finish undisturbed.
     ///
     /// The caller must guarantee `plan` is verified **for the same
-    /// matrix structure** the slot serves — same pattern (the
-    /// `pattern` and `columns` of `key`) and same `confirm` checksum —
+    /// matrix structure** the slot serves — the pattern `id` covers —
     /// which is what makes the swap response-invariant: both sides write
     /// bit-identical outputs for every input. `build_ns` is the measured
     /// cost of producing the replacement (it becomes the entry's rebuild
@@ -419,13 +404,8 @@ impl<T: Scalar> PlanCache<T> {
     /// an in-flight build (never race a builder; the refiner retries on
     /// its next pass). Publishes and returns `true` when the slot is
     /// Ready or empty.
-    pub fn swap(
-        &self,
-        key: PlanKey,
-        confirm: u64,
-        build_ns: u64,
-        plan: Arc<VerifiedPlan<T>>,
-    ) -> bool {
+    pub fn swap(&self, id: PatternIdentity, build_ns: u64, plan: Arc<VerifiedPlan<T>>) -> bool {
+        let PatternIdentity { key, confirm } = id;
         debug_assert_eq!(
             plan.fingerprint(),
             &key.pattern,
@@ -449,16 +429,22 @@ impl<T: Scalar> PlanCache<T> {
         true
     }
 
-    /// Visit every Ready entry as `(key, confirm, plan)` — the
-    /// refinement layer's scan surface. Shards are visited under their
-    /// read lock, so `f` must not call back into the cache (collect
-    /// candidates, drop out of the scan, then act).
-    pub fn for_each_ready(&self, mut f: impl FnMut(&PlanKey, u64, &Arc<VerifiedPlan<T>>)) {
+    /// Visit every Ready entry as `(identity, plan)` — the refinement
+    /// layer's scan surface. Shards are visited under their read lock,
+    /// so `f` must not call back into the cache (collect candidates, drop
+    /// out of the scan, then act).
+    pub fn for_each_ready(&self, mut f: impl FnMut(PatternIdentity, &Arc<VerifiedPlan<T>>)) {
         for shard in &self.shards {
             let map = shard.read().unwrap();
-            for (k, v) in map.iter() {
+            for (&key, v) in map.iter() {
                 if let SlotState::Ready(e) = v {
-                    f(k, e.confirm, &e.plan);
+                    f(
+                        PatternIdentity {
+                            key,
+                            confirm: e.confirm,
+                        },
+                        &e.plan,
+                    );
                 }
             }
         }
@@ -563,6 +549,18 @@ mod tests {
     };
     use spmv_sparse::gen;
     use std::sync::atomic::AtomicUsize;
+
+    impl<T: Scalar> PlanCache<T> {
+        /// Look `a` up under `config`, computing its identity first.
+        fn get_or_build(
+            &self,
+            a: &CsrMatrix<T>,
+            config: &PlanConfig,
+            build: impl FnOnce() -> Result<VerifiedPlan<T>, CacheError>,
+        ) -> Result<Arc<VerifiedPlan<T>>, CacheError> {
+            self.get_or_build_keyed(PatternIdentity::of(a, config), build)
+        }
+    }
 
     fn compile(a: &CsrMatrix<f64>) -> Result<VerifiedPlan<f64>, CacheError> {
         let strategy = Strategy {
@@ -741,12 +739,13 @@ mod tests {
             PatternIdentity::of(&mb, &cfg),
         );
         assert_ne!(ida.key, idb.key, "distinct test matrices");
-        let p_a = cache
-            .get_or_build_keyed(ida.key, ida.confirm, || compile(&ma))
-            .unwrap();
-        let p_b = cache
-            .get_or_build_keyed(ida.key, idb.confirm, || compile(&mb))
-            .unwrap();
+        // `mb` presented under `ma`'s key: the forged collision.
+        let forged_b = PatternIdentity {
+            key: ida.key,
+            confirm: idb.confirm,
+        };
+        let p_a = cache.get_or_build_keyed(ida, || compile(&ma)).unwrap();
+        let p_b = cache.get_or_build_keyed(forged_b, || compile(&mb)).unwrap();
         assert!(
             !Arc::ptr_eq(&p_a, &p_b),
             "colliding key reused the wrong plan"
@@ -758,9 +757,7 @@ mod tests {
         );
         assert_eq!(cache.stats().collisions, 1);
         // And the replacement is a normal entry: same confirm hits now.
-        let p_b2 = cache
-            .get_or_build_keyed(ida.key, idb.confirm, || compile(&mb))
-            .unwrap();
+        let p_b2 = cache.get_or_build_keyed(forged_b, || compile(&mb)).unwrap();
         assert!(Arc::ptr_eq(&p_b, &p_b2));
 
         // The same forgery on a pair that differs only in `col_idx`:
@@ -776,11 +773,15 @@ mod tests {
         );
         assert_ne!(id1.confirm, id7.confirm, "confirm must cover col_idx");
         assert_ne!(id1.key.columns, id7.key.columns, "key must cover col_idx");
-        let p_1 = cache
-            .get_or_build_keyed(id1.key, id1.confirm, || compile(&b1))
-            .unwrap();
+        let p_1 = cache.get_or_build_keyed(id1, || compile(&b1)).unwrap();
         let p_7 = cache
-            .get_or_build_keyed(id1.key, id7.confirm, || compile(&b7))
+            .get_or_build_keyed(
+                PatternIdentity {
+                    key: id1.key,
+                    confirm: id7.confirm,
+                },
+                || compile(&b7),
+            )
             .unwrap();
         assert!(
             !Arc::ptr_eq(&p_1, &p_7),
@@ -882,7 +883,7 @@ mod tests {
         let refined = Arc::new(compile(&a).unwrap());
         refined.telemetry().record(1_000, 1);
         let id = PatternIdentity::of(&a, &incumbent_cfg);
-        assert!(cache.swap(id.key, id.confirm, 5_000, Arc::clone(&refined)));
+        assert!(cache.swap(id, 5_000, Arc::clone(&refined)));
         // Future lookups for the *original* config now get the refined
         // plan, from cache, with its telemetry freshly zeroed.
         let before = cache.stats().builds;
@@ -921,7 +922,7 @@ mod tests {
                     .unwrap();
             });
             in_builder.wait();
-            let swapped = cache.swap(id.key, id.confirm, 1, Arc::clone(&refined));
+            let swapped = cache.swap(id, 1, Arc::clone(&refined));
             release.wait();
             swapped
         });
@@ -940,14 +941,13 @@ mod tests {
             cache.get_or_build(m, &cfg, || compile(m)).unwrap();
         }
         let mut seen = Vec::new();
-        cache.for_each_ready(|key, confirm, plan| {
-            assert_eq!(plan.fingerprint(), &key.pattern);
-            seen.push((*key, confirm));
+        cache.for_each_ready(|id, plan| {
+            assert_eq!(plan.fingerprint(), &id.key.pattern);
+            seen.push(id);
         });
         assert_eq!(seen.len(), 3);
         for m in &mats {
-            let id = PatternIdentity::of(m, &cfg);
-            assert!(seen.contains(&(id.key, id.confirm)));
+            assert!(seen.contains(&PatternIdentity::of(m, &cfg)));
         }
     }
 }

@@ -72,7 +72,7 @@ use spmv_parallel::{Clock, MonotonicClock};
 use spmv_sparse::{CsrMatrix, DenseBlock, Scalar};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -264,25 +264,31 @@ impl<T> QueueState<T> {
     /// Each rider is charged one deficit unit; the counter may go
     /// negative and is repaid by future quanta.
     ///
-    /// Tenants are visited in ascending id order and each queue front to
-    /// back, so when more riders wait than the batch has room for, the
-    /// lowest tenant ids' oldest requests ride. Allocation-free: the next
-    /// tenant is the smallest id above the last one (a scan of the
-    /// handful of tenant keys), and each queue gives up its riders in one
-    /// rotation pass.
-    fn pull_riders(&mut self, matrix: MatrixId, batch: &mut Vec<Pending<T>>, max_batch: usize) {
-        let mut after = None;
-        while batch.len() < max_batch {
-            let Some(t) = self
-                .queues
-                .keys()
-                .copied()
-                .filter(|&t| after < Some(t))
-                .min()
-            else {
+    /// Backlogged tenants are visited in ascending id order and each
+    /// queue front to back, so when more riders wait than the batch has
+    /// room for, the lowest tenant ids' oldest requests ride. The id order
+    /// is sorted into `order`, a scratch the caller keeps across calls, so
+    /// a warm pull allocates nothing; each queue gives up its riders in
+    /// one rotation pass.
+    fn pull_riders_with(
+        &mut self,
+        matrix: MatrixId,
+        batch: &mut Vec<Pending<T>>,
+        max_batch: usize,
+        order: &mut Vec<TenantId>,
+    ) {
+        order.clear();
+        order.extend(
+            self.queues
+                .iter()
+                .filter(|(_, q)| !q.is_empty())
+                .map(|(&t, _)| t),
+        );
+        order.sort_unstable();
+        for &t in order.iter() {
+            if batch.len() >= max_batch {
                 return;
-            };
-            after = Some(t);
+            }
             let queue = self.queues.get_mut(&t).expect("tenant key just seen");
             let Some(first) = queue.iter().position(|p| p.matrix == matrix) else {
                 continue;
@@ -303,6 +309,11 @@ impl<T> QueueState<T> {
             *self.deficits.entry(t).or_insert(0) -= (batch.len() - before) as i64;
         }
     }
+
+    #[cfg(test)]
+    fn pull_riders(&mut self, matrix: MatrixId, batch: &mut Vec<Pending<T>>, max_batch: usize) {
+        self.pull_riders_with(matrix, batch, max_batch, &mut Vec::new());
+    }
 }
 
 struct Registered<T: Scalar> {
@@ -311,9 +322,6 @@ struct Registered<T: Scalar> {
     /// `matrix`'s pattern identity under the server's plan config,
     /// computed once at registration; value refreshes carry it over.
     identity: PatternIdentity,
-    /// Serialises value refreshes of this id; carried over by refreshes
-    /// and re-registrations, so one id has one gate.
-    refresh: Arc<Mutex<()>>,
 }
 
 struct Inner<T: Scalar> {
@@ -321,6 +329,11 @@ struct Inner<T: Scalar> {
     /// Entries are replaced whole (`Arc` swap), never mutated, so a
     /// batch holds one consistent `(matrix, identity)` pair.
     registry: RwLock<HashMap<MatrixId, Arc<Registered<T>>>>,
+    /// Serialises registry replacements: held by a value refresh from
+    /// reading its base entry to swapping in the clone, and by a
+    /// registration for its insert, so no refresh is lost or applied to
+    /// a replaced matrix.
+    replace: Mutex<()>,
     cache: PlanCache<T>,
     queue: Mutex<QueueState<T>>,
     arrivals: Condvar,
@@ -339,6 +352,12 @@ struct Inner<T: Scalar> {
 }
 
 impl<T: Scalar> Inner<T> {
+    /// Take the registry-replacement lock. It guards no data, so a
+    /// refresh whose value function panicked leaves nothing to repair.
+    fn serialise_replacements(&self) -> MutexGuard<'_, ()> {
+        self.replace.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// The current registry entry for `id`.
     fn entry(&self, id: MatrixId) -> Result<Arc<Registered<T>>, ServeError> {
         let reg = self.registry.read().unwrap();
@@ -405,6 +424,7 @@ impl<T: Scalar> SpmvServer<T> {
             occupancy: (0..max_batch).map(|_| AtomicU64::new(0)).collect(),
             config,
             registry: RwLock::new(HashMap::new()),
+            replace: Mutex::new(()),
             cache,
             queue: Mutex::new(QueueState {
                 queues: HashMap::new(),
@@ -444,21 +464,13 @@ impl<T: Scalar> SpmvServer<T> {
     /// the cached plan warm. The pattern identity (O(m + nnz)) is
     /// computed here, before the registry lock is taken.
     pub fn register_matrix(&self, id: MatrixId, a: CsrMatrix<T>, strategy: Strategy) {
-        let identity = PatternIdentity::of(&a, &self.inner.config.plan);
-        let matrix = Arc::new(a);
-        let mut reg = self.inner.registry.write().unwrap();
-        let refresh = reg
-            .get(&id)
-            .map_or_else(Default::default, |old| Arc::clone(&old.refresh));
-        reg.insert(
-            id,
-            Arc::new(Registered {
-                matrix,
-                strategy,
-                identity,
-                refresh,
-            }),
-        );
+        let entry = Arc::new(Registered {
+            identity: PatternIdentity::of(&a, &self.inner.config.plan),
+            matrix: Arc::new(a),
+            strategy,
+        });
+        let _serial = self.inner.serialise_replacements();
+        self.inner.registry.write().unwrap().insert(id, entry);
     }
 
     /// Refresh the numeric values of a registered matrix (same pattern):
@@ -469,35 +481,21 @@ impl<T: Scalar> SpmvServer<T> {
     ///
     /// The clone is built outside the registry lock; the write lock
     /// covers only the `Arc` swap, so dispatch never stalls behind a
-    /// refresh. Concurrent refreshes of one id run one at a time, so
-    /// every served version is one whole refresh and the last refresh
-    /// wins. If a re-registration replaces the matrix while its clone is
-    /// being built, the refresh is applied again to the new matrix.
-    pub fn update_values(
-        &self,
-        id: MatrixId,
-        mut f: impl FnMut(usize) -> T,
-    ) -> Result<(), ServeError> {
-        let gate = Arc::clone(&self.inner.entry(id)?.refresh);
-        // The gate guards no data, so a refresh that panicked leaves
-        // nothing to repair.
-        let _serial = gate.lock().unwrap_or_else(PoisonError::into_inner);
-        loop {
-            let base = self.inner.entry(id)?;
-            let mut refreshed = (*base.matrix).clone();
-            refreshed.fill_values_with(&mut f);
-            let mut reg = self.inner.registry.write().unwrap();
-            let slot = reg.get_mut(&id).ok_or(ServeError::UnknownMatrix(id))?;
-            if Arc::ptr_eq(slot, &base) {
-                *slot = Arc::new(Registered {
-                    matrix: Arc::new(refreshed),
-                    strategy: base.strategy.clone(),
-                    identity: base.identity,
-                    refresh: Arc::clone(&base.refresh),
-                });
-                return Ok(());
-            }
-        }
+    /// refresh. Refreshes and registrations replace entries one at a
+    /// time, so every served version is one whole refresh, the last
+    /// refresh wins, and a refresh never overwrites a newer registration.
+    pub fn update_values(&self, id: MatrixId, f: impl FnMut(usize) -> T) -> Result<(), ServeError> {
+        let _serial = self.inner.serialise_replacements();
+        let base = self.inner.entry(id)?;
+        let mut refreshed = (*base.matrix).clone();
+        refreshed.fill_values_with(f);
+        let entry = Arc::new(Registered {
+            matrix: Arc::new(refreshed),
+            strategy: base.strategy.clone(),
+            identity: base.identity,
+        });
+        self.inner.registry.write().unwrap().insert(id, entry);
+        Ok(())
     }
 
     /// Admit a request: `y = A_matrix · x` for `tenant`, scheduled no
@@ -603,8 +601,10 @@ impl<T: Scalar> Drop for SpmvServer<T> {
 /// that arrived during the execute is picked up immediately).
 fn dispatcher_loop<T: Scalar>(inner: Arc<Inner<T>>) {
     // The batch blocks, reshaped per batch: their storage grows to the
-    // largest batch served and is then reused.
+    // largest batch served and is then reused. Likewise the tenant order
+    // of the rider pull.
     let mut blocks = (DenseBlock::zeros(0, 0), DenseBlock::zeros(0, 0));
+    let mut tenant_order = Vec::new();
     loop {
         let (matrix, batch) = {
             let mut q = inner.queue.lock().unwrap();
@@ -628,7 +628,12 @@ fn dispatcher_loop<T: Scalar>(inner: Arc<Inner<T>>) {
             let window_ends = anchor.enqueued + inner.config.coalesce_window;
             let mut batch = vec![anchor];
             loop {
-                q.pull_riders(matrix, &mut batch, inner.config.max_batch);
+                q.pull_riders_with(
+                    matrix,
+                    &mut batch,
+                    inner.config.max_batch,
+                    &mut tenant_order,
+                );
                 if batch.len() >= inner.config.max_batch || q.shutdown {
                     break;
                 }
@@ -645,9 +650,12 @@ fn dispatcher_loop<T: Scalar>(inner: Arc<Inner<T>>) {
     }
 }
 
-fn fail_all<T>(batch: Vec<Pending<T>>, err: ServeError) {
-    for p in batch {
-        p.ticket.resolve(Err(err.clone()));
+fn fail_all<'a, T: 'a>(
+    tickets: impl IntoIterator<Item = &'a Arc<TicketInner<T>>>,
+    err: ServeError,
+) {
+    for ticket in tickets {
+        ticket.resolve(Err(err.clone()));
     }
 }
 
@@ -662,24 +670,40 @@ fn serve_batch<T: Scalar>(
     batch: Vec<Pending<T>>,
     (x, y): &mut (DenseBlock<T>, DenseBlock<T>),
 ) {
-    let k = batch.len();
-    debug_assert!(k >= 1);
-    inner.batches.fetch_add(1, Ordering::Relaxed);
-    inner.occupancy[(k - 1).min(inner.occupancy.len() - 1)].fetch_add(1, Ordering::Relaxed);
-
     let entry = match inner.entry(matrix) {
         Ok(entry) => entry,
         Err(e) => {
-            // Registration is validated at submit; a replaced-away
-            // matrix between submit and dispatch still fails cleanly.
-            fail_all(batch, e);
+            fail_all(batch.iter().map(|p| &p.ticket), e);
             return;
         }
     };
     let a = entry.matrix.as_ref();
 
-    let id = entry.identity;
-    let plan = inner.cache.get_or_build_keyed(id.key, id.confirm, || {
+    // Lengths were checked at submit, against the registration current
+    // then. A request admitted before `register_matrix` replaced the id
+    // with a matrix of another width fails here; the rest are served.
+    let mut columns = Vec::with_capacity(batch.len());
+    let mut tickets = Vec::with_capacity(batch.len());
+    for p in batch {
+        if p.x.len() == a.n_cols() {
+            columns.push(p.x);
+            tickets.push(p.ticket);
+        } else {
+            p.ticket.resolve(Err(ServeError::DimensionMismatch {
+                matrix,
+                expected: a.n_cols(),
+                got: p.x.len(),
+            }));
+        }
+    }
+    let k = columns.len();
+    if k == 0 {
+        return;
+    }
+    inner.batches.fetch_add(1, Ordering::Relaxed);
+    inner.occupancy[(k - 1).min(inner.occupancy.len() - 1)].fetch_add(1, Ordering::Relaxed);
+
+    let plan = inner.cache.get_or_build_keyed(entry.identity, || {
         let backend = if inner.config.workers > 0 {
             NativeCpuBackend::new().with_workers(inner.config.workers)
         } else {
@@ -697,17 +721,11 @@ fn serve_batch<T: Scalar>(
     let plan = match plan {
         Ok(p) => p,
         Err(e) => {
-            fail_all(batch, ServeError::Plan(e.to_string()));
+            fail_all(&tickets, ServeError::Plan(e.to_string()));
             return;
         }
     };
 
-    let mut columns = Vec::with_capacity(k);
-    let mut tickets = Vec::with_capacity(k);
-    for p in batch {
-        columns.push(p.x);
-        tickets.push(p.ticket);
-    }
     x.reshape(a.n_cols(), k);
     x.set_columns(&columns);
     // No zeroing: the verified plan writes every element of `y`.
@@ -731,12 +749,7 @@ fn serve_batch<T: Scalar>(
                 }));
             }
         }
-        Err(e) => {
-            let err = ServeError::Exec(e.to_string());
-            for ticket in &tickets {
-                ticket.resolve(Err(err.clone()));
-            }
-        }
+        Err(e) => fail_all(&tickets, ServeError::Exec(e.to_string())),
     }
 }
 
@@ -776,12 +789,13 @@ fn refiner_loop<T: Scalar>(inner: Arc<Inner<T>>) {
 
         // Collect outside the scan: for_each_ready holds shard read
         // locks, and acting on a plan re-enters the cache.
-        let mut ready: Vec<(PlanKey, u64, Arc<spmv_autotune::VerifiedPlan<T>>)> = Vec::new();
+        let mut ready: Vec<(PatternIdentity, Arc<spmv_autotune::VerifiedPlan<T>>)> = Vec::new();
         inner
             .cache
-            .for_each_ready(|key, confirm, plan| ready.push((*key, confirm, Arc::clone(plan))));
+            .for_each_ready(|identity, plan| ready.push((identity, Arc::clone(plan))));
 
-        for (key, confirm, plan) in ready {
+        for (identity, plan) in ready {
+            let key = identity.key;
             let (_bottleneck, Some(suggestion)) = classify_plan(&plan, &cfg.adapt) else {
                 continue;
             };
@@ -802,7 +816,6 @@ fn refiner_loop<T: Scalar>(inner: Arc<Inner<T>>) {
             // Find the live matrix this plan serves: the registered
             // identity equal to the entry's key *and* confirm checksum,
             // the exact pair the cache itself trusts.
-            let identity = PatternIdentity { key, confirm };
             let matched = {
                 let reg = inner.registry.read().unwrap();
                 reg.values()
@@ -849,7 +862,7 @@ fn refiner_loop<T: Scalar>(inner: Arc<Inner<T>>) {
                     let published = report.improved
                         && inner
                             .cache
-                            .swap(key, confirm, report.build_ns, report.candidate);
+                            .swap(identity, report.build_ns, report.candidate);
                     if published {
                         inner.refine.swapped.fetch_add(1, Ordering::Relaxed);
                     } else {
@@ -1258,6 +1271,40 @@ mod tests {
             "the final version must be one thread's last refresh"
         );
         assert_eq!(server.stats().cache.builds, 1, "refreshes never rebuild");
+        server.shutdown();
+    }
+
+    #[test]
+    fn request_outlived_by_its_registration_fails_cleanly() {
+        // A long window holds the first request as an anchor; a width-2
+        // batch dispatches as soon as the second one rides along.
+        let server = SpmvServer::start(ServeConfig {
+            max_batch: 2,
+            coalesce_window: Duration::from_secs(5),
+            ..ServeConfig::default()
+        });
+        let n = 300;
+        server.register_matrix(1, gen::random_uniform::<f64>(n, n, 1, 5, 3), strategy());
+        let stale = server.submit(0, 1, vec![1.0; n], far_deadline()).unwrap();
+        let wider = gen::random_uniform::<f64>(n, n + 5, 1, 5, 4);
+        server.register_matrix(1, wider.clone(), strategy());
+        let x: Vec<f64> = (0..n + 5).map(|i| (i % 9) as f64 - 4.0).collect();
+        let fresh = server.submit(1, 1, x.clone(), far_deadline()).unwrap();
+        assert_eq!(
+            stale.wait().unwrap_err(),
+            ServeError::DimensionMismatch {
+                matrix: 1,
+                expected: n + 5,
+                got: n,
+            }
+        );
+        let mut want = vec![0.0; n];
+        wider.spmv_seq(&x, &mut want).unwrap();
+        let served = fresh.wait().unwrap();
+        assert_eq!(served.y, want);
+        assert_eq!(served.batch_k, 1);
+        let stats = server.stats();
+        assert_eq!((stats.batches, stats.completed), (1, 1));
         server.shutdown();
     }
 
