@@ -7,12 +7,17 @@
 //!
 //! Acceptance target: on the low-variance inputs, the packed plan beats
 //! the row-parallel CSR kernel.
+//!
+//! A second group times a europe_osm-sized road network (511k rows,
+//! one coarse bin) at K = 1 and K = 8, default plan against
+//! `pack: false`: the local view of the row-sort window, which keeps
+//! the packed slab walking `x` and `y` in near row order.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use spmv_autotune::kernels::cpu::spmv_row_parallel;
 use spmv_autotune::prelude::*;
 use spmv_sparse::gen;
-use spmv_sparse::CsrMatrix;
+use spmv_sparse::{CsrMatrix, DenseBlock};
 
 fn strategy() -> Strategy {
     Strategy {
@@ -76,5 +81,37 @@ fn bench_packed(c: &mut Criterion) {
     );
 }
 
-criterion_group!(benches, bench_packed);
+fn bench_road_network(c: &mut Criterion) {
+    const K: usize = 8;
+    let a = gen::road_network::<f32>(715, 715, 0.53, 1);
+    let v: Vec<f32> = (0..a.n_cols()).map(|i| ((i % 9) as f32) - 4.0).collect();
+    let mut x = DenseBlock::<f32>::zeros(a.n_cols(), K);
+    x.fill_with(|i, j| (((i + 3 * j) % 11) as f32) - 5.0);
+    let mut group = c.benchmark_group("packed_exec_road");
+    group.sample_size(10);
+    for (label, pack) in [("packed", true), ("csr", false)] {
+        let plan = SpmvPlan::compile_with(
+            &a,
+            strategy(),
+            Box::new(NativeCpuBackend::new()),
+            PlanConfig {
+                pack,
+                ..PlanConfig::default()
+            },
+        )
+        .verify(&a)
+        .expect("road-network plan must verify");
+        group.bench_function(BenchmarkId::new("spmv", label), |b| {
+            let mut u = vec![0.0f32; a.n_rows()];
+            b.iter(|| plan.execute_unchecked(&a, &v, &mut u).unwrap())
+        });
+        group.bench_function(BenchmarkId::new("spmm8", label), |b| {
+            let mut y = DenseBlock::<f32>::zeros(a.n_rows(), K);
+            b.iter(|| plan.execute_batch_unchecked(&a, &x, &mut y).unwrap())
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_packed, bench_road_network);
 criterion_main!(benches);

@@ -133,24 +133,43 @@ pub struct KernelEntry<T: Scalar> {
 }
 
 /// Generate the registry from one `family => body` list × one width
-/// list: the outer arm iterates families, the inner arm instantiates
-/// each body at every width literal. This is the **only** place the
-/// (family × KB) matrix is spelled out.
+/// list: the outer arm iterates families, the inner arms instantiate
+/// each body at every width literal — once as the [`kernel_table`]
+/// listing and once as [`lookup`]'s allocation-free `match`. This is
+/// the **only** place the (family × KB) matrix is spelled out.
 macro_rules! kernel_table {
     ($( $family:ident => $body:ident ),+ $(,)?) => {
+        kernel_table!(@gen [1, 2, 4, 8] $( $family => $body ),+);
+    };
+    (@gen $widths:tt $( $family:ident => $body:ident ),+) => {
         /// The full generated kernel table: every family at every RHS
         /// width, in deterministic (family, width) order.
         pub fn kernel_table<T: Scalar>() -> Vec<KernelEntry<T>> {
             let mut table = Vec::with_capacity(KernelFamily::ALL.len() * RHS_WIDTHS.len());
-            $( kernel_table!(@widths table, $family, $body, 1, 2, 4, 8); )+
+            $( kernel_table!(@push table, $family, $body, $widths); )+
             table
         }
+
+        /// Resolve one instantiation point, `None` for widths outside
+        /// [`RHS_WIDTHS`]. A `match` over family × width: no table is
+        /// built, so executors may resolve per call.
+        pub fn lookup<T: Scalar>(key: KernelKey) -> Option<BatchKernelFn<T>> {
+            match key.family {
+                $( KernelFamily::$family => kernel_table!(@width key.kb, $body, $widths), )+
+            }
+        }
     };
-    (@widths $table:ident, $family:ident, $body:ident, $( $kb:literal ),+) => {
+    (@push $table:ident, $family:ident, $body:ident, [$( $kb:literal ),+]) => {
         $( $table.push(KernelEntry {
             key: KernelKey { family: KernelFamily::$family, kb: $kb },
             run: $body::<T, $kb>,
         }); )+
+    };
+    (@width $kb_of:expr, $body:ident, [$( $kb:literal ),+]) => {
+        match $kb_of {
+            $( $kb => Some($body::<T, $kb> as BatchKernelFn<T>), )+
+            _ => None,
+        }
     };
 }
 
@@ -160,16 +179,6 @@ kernel_table! {
     DenseRun => batch_dense_run,
     Banded => batch_banded,
     RowRun => batch_row_run,
-}
-
-/// Resolve one instantiation point, `None` for widths outside
-/// [`RHS_WIDTHS`]. Builds the table, so resolve once per (bin, block)
-/// outside hot loops — the executors do.
-pub fn lookup<T: Scalar>(key: KernelKey) -> Option<BatchKernelFn<T>> {
-    kernel_table::<T>()
-        .into_iter()
-        .find(|e| e.key == key)
-        .map(|e| e.run)
 }
 
 /// The kernel family a payload executes with (the payload side of

@@ -24,6 +24,7 @@ use crate::strategy::Strategy;
 use crate::telemetry::PlanTelemetry;
 use crate::verify::{check_dispatch, check_payloads, check_shards, VerifyError};
 use spmv_parallel::Placement;
+use spmv_sparse::packed::SORT_WINDOW_CHUNKS;
 use spmv_sparse::{
     BandSet, ColumnLocality, CsrMatrix, DenseBlock, DenseRuns, FeatureSet, IndexKind,
     MatrixFeatures, PackedSell, RowRuns, Scalar,
@@ -1194,8 +1195,7 @@ fn choose_format<T: Scalar>(
     }
     let chunk = match config.chunk {
         0 => {
-            let mut lens: Vec<usize> = rows.iter().map(|&r| a.row_nnz(r as usize)).collect();
-            lens.sort_unstable_by(|x, y| y.cmp(x));
+            let lens: Vec<usize> = rows.iter().map(|&r| a.row_nnz(r as usize)).collect();
             match pick_auto_chunk(&lens, config.max_padding) {
                 Some(c) => c,
                 None => return csr_fallback(a, rows, config),
@@ -1297,40 +1297,27 @@ fn csr_fallback<T: Scalar>(
 }
 
 /// Pick the chunk height for an auto (`config.chunk == 0`) bin from its
-/// row-length spread. For each candidate height the padding the slab
-/// *would* realise is computed analytically from the length-sorted row
-/// lengths (exactly [`PackedSell`]'s slot count — widest lane of each
-/// group of `C` times its lane count — with no slab materialised). The
-/// widest candidate that packs tightly wins; when none does, the
-/// least-padded candidate still under `max_padding`. High-variance bins
-/// thus slide to narrower chunks — trading SIMD width for dead slots —
-/// instead of losing to CSR outright. Returns `None` when every
-/// candidate blows the padding gate.
-fn pick_auto_chunk(lens_desc: &[usize], max_padding: f64) -> Option<usize> {
+/// row-length spread. `lens` are the bin's row lengths in bin order. For
+/// each candidate height the padding the slab *would* realise is
+/// computed analytically (exactly [`PackedSell`]'s slot count — each
+/// window of `SORT_WINDOW_CHUNKS · C` lengths sorted descending, widest
+/// lane of each group of `C` times its lane count — with no slab
+/// materialised). The widest candidate that packs tightly wins; when
+/// none does, the least-padded candidate still under `max_padding`.
+/// High-variance bins thus slide to narrower chunks — trading SIMD
+/// width for dead slots — instead of losing to CSR outright. Returns
+/// `None` when every candidate blows the padding gate.
+fn pick_auto_chunk(lens: &[usize], max_padding: f64) -> Option<usize> {
     /// Padding this tight is treated as free: take the widest such chunk.
     const TIGHT: f64 = 1.05;
-    let candidates: &[usize] = if lens_desc.len() < 8 {
-        &[4, 2]
-    } else {
-        &[8, 4, 2]
-    };
-    let nnz: usize = lens_desc.iter().sum();
+    let candidates: &[usize] = if lens.len() < 8 { &[4, 2] } else { &[8, 4, 2] };
+    let nnz: usize = lens.iter().sum();
     if nnz == 0 {
         return Some(candidates[0]);
     }
-    let padding = |c: usize| {
-        let mut slots = 0usize;
-        let mut lane0 = 0usize;
-        while lane0 < lens_desc.len() {
-            let lanes = (lens_desc.len() - lane0).min(c);
-            slots += lens_desc[lane0] * lanes;
-            lane0 += c;
-        }
-        slots as f64 / nnz as f64
-    };
     let mut best: Option<(usize, f64)> = None;
     for &c in candidates {
-        let p = padding(c);
+        let p = packed_padding(lens, nnz, c);
         if p <= TIGHT {
             return Some(c);
         }
@@ -1339,6 +1326,22 @@ fn pick_auto_chunk(lens_desc: &[usize], max_padding: f64) -> Option<usize> {
         }
     }
     best.and_then(|(c, p)| (p <= max_padding).then_some(c))
+}
+
+/// `slots / nnz` of a [`PackedSell`] of rows with lengths `lens` (bin
+/// order, summing to `nnz > 0`) at chunk height `c`: each window of
+/// `SORT_WINDOW_CHUNKS · c` lengths sorted descending, every group of
+/// `c` padded to its first (widest) lane.
+fn packed_padding(lens: &[usize], nnz: usize, c: usize) -> f64 {
+    let mut sorted = Vec::with_capacity(SORT_WINDOW_CHUNKS * c);
+    let mut slots = 0usize;
+    for window in lens.chunks(SORT_WINDOW_CHUNKS * c) {
+        sorted.clear();
+        sorted.extend_from_slice(window);
+        sorted.sort_unstable_by(|x, y| y.cmp(x));
+        slots += sorted.chunks(c).map(|g| g[0] * g.len()).sum::<usize>();
+    }
+    slots as f64 / nnz as f64
 }
 
 /// Precompute the fused dispatch queue: cut every bin's work into tiles
@@ -1812,6 +1815,32 @@ mod tests {
         cpu.execute(&a, &v, &mut u2).unwrap();
         for i in 0..a.n_rows() {
             assert!(approx_eq(u1[i], u2[i], a.row_nnz(i).max(1)), "row {i}");
+        }
+    }
+
+    #[test]
+    fn padding_model_is_the_packed_slot_count() {
+        // Several sort windows at every candidate height, empty rows
+        // included: the auto-chunk model must price the layout the
+        // packer realises, not a whole-bin sort.
+        use spmv_sparse::gen::mixture::RowRegime;
+        let a = gen::mixture::<f64>(
+            3_000,
+            3_000,
+            &[RowRegime::new(0, 6, 0.7), RowRegime::new(10, 40, 0.3)],
+            true,
+            5,
+        );
+        let rows: Vec<u32> = (0..3_000u32).map(|i| (i * 1_201) % 3_000).collect();
+        let lens: Vec<usize> = rows.iter().map(|&r| a.row_nnz(r as usize)).collect();
+        let nnz: usize = lens.iter().sum();
+        for c in [2, 4, 8] {
+            let packed = PackedSell::from_rows(&a, &rows, c);
+            assert_eq!(
+                packed_padding(&lens, nnz, c),
+                packed.padding_ratio(),
+                "chunk {c}"
+            );
         }
     }
 }

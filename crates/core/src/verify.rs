@@ -481,7 +481,8 @@ pub fn check_dispatch<T: Scalar>(
 ///    (a `PackedSell` format with a CSR payload — or vice versa — means
 ///    the plan would execute a different format than it reports);
 /// 2. every packed payload mirrors its bin exactly: same row set (each
-///    row once), chunks length-sorted with consistent offsets, every
+///    row once, in its sort window), lengths non-increasing within each
+///    window, consistent chunk offsets, every
 ///    non-padding slot pointing at the CSR entry it claims, every
 ///    padding slot marked
 ///    ([`spmv_sparse::packed::PackedSell::check_against`]);

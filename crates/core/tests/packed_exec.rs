@@ -7,7 +7,8 @@
 use spmv_autotune::prelude::*;
 use spmv_sparse::gen;
 use spmv_sparse::gen::mixture::RowRegime;
-use spmv_sparse::{CooMatrix, CsrMatrix};
+use spmv_sparse::packed::SORT_WINDOW_CHUNKS;
+use spmv_sparse::{CooMatrix, CsrMatrix, IndexKind};
 
 fn native_plan(a: &CsrMatrix<f64>, strategy: Strategy, config: PlanConfig) -> SpmvPlan<f64> {
     SpmvPlan::compile_with(a, strategy, Box::new(NativeCpuBackend::new()), config)
@@ -399,6 +400,165 @@ fn check_payloads_rejects_mismatch_and_bad_tiles() {
     ))];
     assert!(matches!(
         check_payloads(&a, &dispatch, &wrong_rows, &good_tiles),
+        Err(VerifyError::PackedPayloadInvalid { .. })
+    ));
+}
+
+/// Bit-for-bit check of a verified plan against `spmv_seq`: one
+/// single-vector execute, then a batched execute at every `K` in
+/// `1..=8`, each column compared with its own sequential product.
+fn assert_spmv_and_spmm_match_reference(a: &CsrMatrix<f64>, plan: SpmvPlan<f64>, label: &str) {
+    let plan = plan.verify(a).expect("plan must verify");
+    let v: Vec<f64> = (0..a.n_cols()).map(|i| ((i % 17) as f64) - 8.0).collect();
+    let mut u = vec![f64::NAN; a.n_rows()];
+    plan.execute(a, &v, &mut u).unwrap();
+    assert_eq!(u, a.spmv_seq_alloc(&v).unwrap(), "{label}: SpMV diverges");
+    for k in 1..=8usize {
+        let mut x = spmv_autotune::DenseBlock::<f64>::zeros(a.n_cols(), k);
+        x.fill_with(|i, j| (((i * 7 + j * 13) % 29) as f64) - 14.0);
+        let mut y = spmv_autotune::DenseBlock::<f64>::zeros(a.n_rows(), k);
+        plan.execute_batch(a, &x, &mut y).unwrap();
+        for j in 0..k {
+            let reference = a.spmv_seq_alloc(&x.column(j)).unwrap();
+            assert_eq!(y.column(j), reference, "{label}: SpMM K = {k} column {j}");
+        }
+    }
+}
+
+/// The packed bins of a plan and how many row-sort windows each spans.
+fn packed_windows(plan: &SpmvPlan<f64>) -> Vec<(usize, usize)> {
+    plan.payloads()
+        .iter()
+        .filter_map(|p| match p {
+            BinPayload::Packed(packed) => Some((
+                packed.chunk(),
+                packed
+                    .rows()
+                    .len()
+                    .div_ceil(SORT_WINDOW_CHUNKS * packed.chunk()),
+            )),
+            _ => None,
+        })
+        .collect()
+}
+
+/// Rows are length-sorted only within windows of `SORT_WINDOW_CHUNKS`
+/// chunks. Bins spanning many windows — a road network with empty
+/// rows, mixtures at several chunk heights, and a block-structured bin
+/// repacked at its identical-run height of 6 (windows of 192 rows, not
+/// a power of two) — must stay bit-for-bit equal to the sequential
+/// reference for SpMV and for SpMM at every `K`.
+#[test]
+fn windowed_row_sort_is_bit_identical_across_windows() {
+    let road = gen::road_network::<f64>(110, 110, 0.53, 5);
+    assert!(
+        (0..road.n_rows()).any(|r| road.row_nnz(r) == 0),
+        "the road network must keep empty rows"
+    );
+    let plan = native_plan(
+        &road,
+        Strategy::single_kernel(KernelId::Serial),
+        PlanConfig::default(),
+    );
+    assert!(
+        packed_windows(&plan).iter().any(|&(_, w)| w > 20),
+        "no packed road-network bin spans more than 20 windows: {:?}",
+        packed_windows(&plan)
+    );
+    assert_spmv_and_spmm_match_reference(&road, plan, "road network");
+
+    let mix = gen::mixture::<f64>(
+        6_000,
+        6_400,
+        &[
+            RowRegime::new(0, 3, 0.5),
+            RowRegime::new(4, 12, 0.4),
+            RowRegime::new(20, 40, 0.1),
+        ],
+        true,
+        29,
+    );
+    for chunk in [2, 4, 8] {
+        let plan = native_plan(
+            &mix,
+            Strategy::single_kernel(KernelId::Serial),
+            PlanConfig {
+                chunk,
+                ..PlanConfig::default()
+            },
+        );
+        assert!(
+            packed_windows(&plan)
+                .iter()
+                .any(|&(c, w)| c == chunk && w > 2),
+            "chunk {chunk}: no packed bin spans several windows: {:?}",
+            packed_windows(&plan)
+        );
+        assert_spmv_and_spmm_match_reference(&mix, plan, &format!("mixture at chunk {chunk}"));
+    }
+
+    let blocks = gen::block_structured::<f64>(200, 6, 2, 3);
+    let plan = native_plan(
+        &blocks,
+        Strategy::single_kernel(KernelId::Serial),
+        PlanConfig {
+            index: IndexPolicy::Fixed(IndexKind::U8),
+            specialize: false,
+            ..PlanConfig::default()
+        },
+    );
+    assert!(
+        packed_windows(&plan).iter().any(|&(c, w)| c == 6 && w > 2),
+        "the block bin was not repacked at its run height: {:?}",
+        packed_windows(&plan)
+    );
+    assert_spmv_and_spmm_match_reference(&blocks, plan, "block rows at chunk 6");
+}
+
+/// The window proof: a slab packed consistently from a row list in
+/// which two equal-length rows from different windows trade places is
+/// a valid layout of *that* list, so a prover that only checked the row
+/// set and per-window length order would accept it against the bin's
+/// own list. `check_against` and `check_payloads` must reject it.
+#[test]
+fn check_against_rejects_rows_swapped_across_windows() {
+    let a = gen::random_uniform::<f64>(900, 900, 2, 6, 12);
+    let rows: Vec<u32> = (0..900).collect();
+    let chunk = 4;
+    let window = SORT_WINDOW_CHUNKS * chunk;
+    let len = a.row_nnz(0);
+    let far = (window..rows.len())
+        .find(|&r| a.row_nnz(r) == len)
+        .expect("an equal-length row in a later window");
+    let mut swapped = rows.clone();
+    swapped.swap(0, far);
+
+    let good = spmv_sparse::PackedSell::from_rows(&a, &rows, chunk);
+    good.check_against(&a, &rows).unwrap();
+    let bad = spmv_sparse::PackedSell::from_rows(&a, &swapped, chunk);
+    bad.check_against(&a, &swapped).unwrap();
+    let err = bad
+        .check_against(&a, &rows)
+        .expect_err("a row moved across windows must be rejected");
+    assert!(err.contains("window"), "unexpected defect: {err}");
+
+    let dispatch = vec![BinDispatch {
+        bin_id: 0,
+        kernel: KernelId::Serial,
+        rows,
+        nnz: a.nnz(),
+        format: BinFormat::PackedSell {
+            chunk,
+            index: bad.index_kind(),
+        },
+    }];
+    let tiles = vec![Tile {
+        bin: 0,
+        start: 0,
+        end: bad.n_chunks(),
+    }];
+    assert!(matches!(
+        check_payloads(&a, &dispatch, &[BinPayload::Packed(bad)], &tiles),
         Err(VerifyError::PackedPayloadInvalid { .. })
     ));
 }

@@ -6,11 +6,16 @@
 //! irregular short inner loop per row. [`PackedSell`] removes that
 //! overhead for the low/mid-NNZ bins where it dominates:
 //!
-//! * the bin's rows are sorted by NNZ descending (the "σ" sort, with σ =
-//!   the whole bin — bins are already workload-homogeneous), with
-//!   equal-length rows ordered by minimum column: structurally similar
-//!   rows land in the same chunk, which is what the per-column base
-//!   anchors below monetise;
+//! * the bin's rows are sorted by NNZ descending — the "σ" sort — but
+//!   only within *windows* of [`SORT_WINDOW_CHUNKS`] chunks (`32·C`
+//!   consecutive positions of the bin's row list), with equal-length
+//!   rows ordered by minimum column: structurally similar rows land in
+//!   the same chunk, which is what the per-column base anchors below
+//!   monetise. Bounding σ keeps most of the padding benefit (bins are
+//!   already workload-homogeneous) while the slab still walks `x` and
+//!   `y` roughly in row order; a whole-bin sort turns each length class
+//!   into its own sweep over both vectors, which on a large
+//!   scatter-heavy bin costs more than the padding it saves;
 //! * consecutive groups of `C` rows form a *chunk* whose columns are laid
 //!   out column-major (`lane` fastest), so one pass over a chunk streams
 //!   `C` rows in lock-step with unit-stride loads — the shape a compiler
@@ -73,6 +78,14 @@
 use crate::csr::CsrMatrix;
 use crate::scalar::Scalar;
 use std::sync::RwLock;
+
+/// Chunks per row-sort window: [`PackedSell`] sorts the bin's row list
+/// only within consecutive, chunk-aligned windows of
+/// `SORT_WINDOW_CHUNKS · C` positions. In the perfbench window sweep
+/// SpMM and SpMV gain about equally from 16 to 128 chunks; at 4 the
+/// extra padding costs SpMV a third of its speed, and at 1024 the gain
+/// on L2-resident bins is lost again (DESIGN §7).
+pub const SORT_WINDOW_CHUNKS: usize = 32;
 
 /// Sentinel in the `src` map marking a padding slot (never read by the
 /// kernels; kept so [`refresh`](PackedSell::ensure_values) is branch-light
@@ -411,7 +424,7 @@ fn choose_encoding<T: Scalar>(
 }
 
 /// A row subset packed into length-sorted, column-major chunks of `C`
-/// lanes (SELL-C-σ with σ = the whole subset), with the column-index
+/// lanes (SELL-C-σ with σ = [`SORT_WINDOW_CHUNKS`]` · C`), with the column-index
 /// stream delta-compressed per chunk (see the module docs). Built once
 /// per sparsity pattern by plan compilation; executes many times.
 pub struct PackedSell<T: Scalar> {
@@ -429,7 +442,7 @@ pub struct PackedSell<T: Scalar> {
     /// [`check_against`](Self::check_against) re-derives every chunk's
     /// encoding under the same floor.
     floor: IndexKind,
-    /// Row ids in packed (length-sorted) order.
+    /// Row ids in packed (window-sorted) order.
     rows: Vec<u32>,
     /// NNZ of each packed row (same order as `rows`).
     lens: Vec<u32>,
@@ -461,9 +474,11 @@ impl<T: Scalar> PackedSell<T> {
     /// Pack `rows` of `a` into chunks of `chunk` lanes with the
     /// narrowest feasible index width (equivalent to
     /// [`from_rows_with_index`](Self::from_rows_with_index) with an
-    /// [`IndexKind::U8`] floor). Rows are sorted by NNZ descending,
-    /// equal lengths by minimum column (stable beyond that, so fully
-    /// tied rows keep their input order); the caller's list is not
+    /// [`IndexKind::U8`] floor). Within each window of
+    /// [`SORT_WINDOW_CHUNKS`]` · chunk` consecutive positions of `rows`,
+    /// rows are sorted by NNZ descending, equal lengths by minimum
+    /// column (stable beyond that, so fully tied rows keep their input
+    /// order); rows never leave their window. The caller's list is not
     /// modified. The value slab is gathered immediately from `a`'s
     /// current values.
     ///
@@ -501,16 +516,17 @@ impl<T: Scalar> PackedSell<T> {
             "matrix too large for the u32 source map"
         );
         let row_ptr = a.row_ptr();
-        // Primary: NNZ descending (the SELL length sort). Tie-break:
-        // minimum column, so equal-length rows with nearby column sets
-        // share a chunk — the locality the Column base mode prices.
-        // Fully tied rows keep their input order. Rows need not be
-        // column-sorted, so the minimum takes a scan of the row: each
-        // key is computed once, in one O(nnz) pass, and packed with the
-        // row's input position — unique keys, so an unstable sort
-        // yields exactly the stable order. Each row's dot product is
-        // accumulated independently, so lane placement cannot change
-        // any result bit.
+        // Within each window of SORT_WINDOW_CHUNKS chunks — consecutive,
+        // chunk-aligned runs of the input list — primary: NNZ descending
+        // (the SELL length sort). Tie-break: minimum column, so
+        // equal-length rows with nearby column sets share a chunk — the
+        // locality the Column base mode prices. Fully tied rows keep
+        // their input order. Rows need not be column-sorted, so the
+        // minimum takes a scan of the row: each key is computed once, in
+        // one O(nnz) pass, and packed with the row's input position —
+        // unique keys, so an unstable sort yields exactly the stable
+        // order. Each row's dot product is accumulated independently, so
+        // lane placement cannot change any result bit.
         let mut keyed: Vec<(u64, usize)> = rows
             .iter()
             .enumerate()
@@ -523,7 +539,9 @@ impl<T: Scalar> PackedSell<T> {
                 ((u64::from(!len) << 32) | u64::from(min_col), pos)
             })
             .collect();
-        keyed.sort_unstable();
+        for window in keyed.chunks_mut(SORT_WINDOW_CHUNKS * chunk) {
+            window.sort_unstable();
+        }
         let order: Vec<u32> = keyed.iter().map(|&(_, pos)| rows[pos]).collect();
         let lens: Vec<u32> = keyed
             .iter()
@@ -538,7 +556,8 @@ impl<T: Scalar> PackedSell<T> {
         for c in 0..n_chunks {
             let lane0 = c * chunk;
             let lanes = (order.len() - lane0).min(chunk);
-            // Widest lane first within each chunk (global desc sort).
+            // Widest lane first: windows are chunk-aligned and sorted
+            // by length descending.
             let width = lens[lane0] as usize;
             slots += width * lanes;
             chunk_off.push(slots);
@@ -676,7 +695,9 @@ impl<T: Scalar> PackedSell<T> {
         (covered[best] * 2 >= self.rows.len() && best != self.chunk).then_some(best)
     }
 
-    /// Rows covered, in packed (length-sorted) order.
+    /// Rows covered, in packed order: the caller's list with each window
+    /// of [`SORT_WINDOW_CHUNKS`]` · C` positions sorted by length
+    /// descending, then minimum column.
     pub fn rows(&self) -> &[u32] {
         &self.rows
     }
@@ -1269,8 +1290,10 @@ impl<T: Scalar> PackedSell<T> {
 
     /// Re-derive the packed layout from `a` and `expected_rows` and prove
     /// this payload matches it exactly: same row set (each row once, in
-    /// bounds), lengths equal to the CSR row lengths, chunks
-    /// length-sorted with correct offsets,
+    /// bounds) with every packed row in the same sort window of
+    /// `expected_rows` it was listed in, lengths equal to the CSR row
+    /// lengths and non-increasing within each window (so every chunk's
+    /// widest lane comes first), correct chunk offsets,
     /// every non-padding slot's `(decoded col, src)` equal to the CSR
     /// entry it claims to mirror with the decoded column in bounds,
     /// every padding slot marked, and every chunk's stored encoding
@@ -1296,24 +1319,35 @@ impl<T: Scalar> PackedSell<T> {
                 expected_rows.len()
             ));
         }
-        // Row-set proof with a mark array: every expected row in bounds
-        // and listed once, then every packed row in bounds and marked
-        // (unmarking it, so a repeat fails). Equal counts make that a
-        // bijection.
+        // Row-set and window proof with a window-tag array: every
+        // expected row in bounds and listed once, tagged with its sort
+        // window; then every packed row in bounds, tagged with the
+        // window of its packed position (clearing the tag, so a repeat
+        // fails). Equal counts make that a bijection that keeps every
+        // row in its window.
+        const UNTAGGED: u32 = u32::MAX;
+        let window = SORT_WINDOW_CHUNKS * self.chunk;
         let m = a.n_rows();
-        let mut marked = vec![false; m];
-        for &r in expected_rows {
-            match marked.get_mut(r as usize) {
+        let mut tag = vec![UNTAGGED; m];
+        for (pos, &r) in expected_rows.iter().enumerate() {
+            match tag.get_mut(r as usize) {
                 None => return Err(format!("bin row {r} out of bounds (m = {m})")),
-                Some(true) => return Err(format!("bin lists row {r} twice")),
-                Some(mark) => *mark = true,
+                Some(t) if *t != UNTAGGED => return Err(format!("bin lists row {r} twice")),
+                Some(t) => *t = (pos / window) as u32,
             }
         }
-        for &r in &self.rows {
-            match marked.get_mut(r as usize) {
+        for (pos, &r) in self.rows.iter().enumerate() {
+            match tag.get_mut(r as usize) {
                 None => return Err(format!("packed row {r} out of bounds (m = {m})")),
-                Some(false) => return Err("packed rows are not the bin's row set".into()),
-                Some(mark) => *mark = false,
+                Some(t) if *t == UNTAGGED => {
+                    return Err("packed rows are not the bin's row set".into())
+                }
+                Some(t) if *t as usize != pos / window => {
+                    return Err(format!(
+                        "packed row {r} at index {pos} left its sort window {t}"
+                    ))
+                }
+                Some(t) => *t = UNTAGGED,
             }
         }
         let row_ptr = a.row_ptr();
@@ -1325,8 +1359,10 @@ impl<T: Scalar> PackedSell<T> {
                     a.row_nnz(r as usize)
                 ));
             }
-            if i + 1 < self.lens.len() && self.lens[i + 1] > len {
-                return Err(format!("packed rows not length-sorted at index {i}"));
+            if (i + 1) % window != 0 && i + 1 < self.lens.len() && self.lens[i + 1] > len {
+                return Err(format!(
+                    "packed rows not length-sorted within their window at index {i}"
+                ));
             }
         }
         if self.chunk_off.first() != Some(&0) || self.chunk_off.last() != Some(&self.src.len()) {
@@ -1729,8 +1765,25 @@ mod tests {
         assert!(p.check_against(&a, &rows).is_err());
     }
 
+    /// The packed row order by definition: a stable
+    /// `(Reverse(len), min col)` sort within each window of
+    /// `SORT_WINDOW_CHUNKS · chunk` positions of the input list.
+    fn windowed_reference(a: &CsrMatrix<f64>, rows: &[u32], chunk: usize) -> Vec<u32> {
+        let mut order = rows.to_vec();
+        for window in order.chunks_mut(SORT_WINDOW_CHUNKS * chunk) {
+            window.sort_by_key(|&r| {
+                let (rcols, _) = a.row(r as usize);
+                (
+                    std::cmp::Reverse(rcols.len()),
+                    rcols.iter().copied().min().unwrap_or(u32::MAX),
+                )
+            });
+        }
+        order
+    }
+
     #[test]
-    fn row_order_is_the_stable_length_then_min_column_sort() {
+    fn row_order_is_the_windowed_stable_length_then_min_column_sort() {
         // Unsorted rows with the diagonal last (the SymGS companions'
         // layout), ties on length, ties on length *and* minimum column,
         // and empty rows, listed in a scrambled input order.
@@ -1756,37 +1809,40 @@ mod tests {
         }
         let vals: Vec<f64> = (0..cols.len()).map(|k| k as f64 + 1.0).collect();
         let a = CsrMatrix::from_parts(12, 16, row_ptr, cols, vals).unwrap();
-        let reference = |rows: &[u32]| {
-            let mut order = rows.to_vec();
-            order.sort_by_key(|&r| {
-                let (rcols, _) = a.row(r as usize);
-                (
-                    std::cmp::Reverse(rcols.len()),
-                    rcols.iter().copied().min().unwrap_or(u32::MAX),
-                )
-            });
-            order
-        };
         let scrambled = [11u32, 3, 10, 6, 0, 9, 2, 7, 4, 1, 8, 5];
         for rows in [&scrambled[..], &scrambled[3..9], &all_rows(&a)[..]] {
             for chunk in [1, 4, 8] {
                 let p = PackedSell::from_rows(&a, rows, chunk);
-                assert_eq!(p.rows(), &reference(rows)[..], "chunk {chunk}");
+                assert_eq!(
+                    p.rows(),
+                    &windowed_reference(&a, rows, chunk)[..],
+                    "chunk {chunk}"
+                );
                 p.check_against(&a, rows).unwrap();
             }
         }
         // A larger random matrix: long tie runs on every length.
         let b = gen::random_uniform::<f64>(400, 60, 0, 6, 17);
         let rows: Vec<u32> = (0..400u32).map(|i| (i * 151) % 400).collect();
-        let mut order = rows.clone();
-        order.sort_by_key(|&r| {
-            let (rcols, _) = b.row(r as usize);
-            (
-                std::cmp::Reverse(rcols.len()),
-                rcols.iter().copied().min().unwrap_or(u32::MAX),
-            )
-        });
-        assert_eq!(PackedSell::from_rows(&b, &rows, 8).rows(), &order[..]);
+        assert_eq!(
+            PackedSell::from_rows(&b, &rows, 8).rows(),
+            &windowed_reference(&b, &rows, 8)[..]
+        );
+        // A list spanning three windows, the last one partial: rows
+        // never cross a window boundary, and each window is sorted.
+        let c = gen::random_uniform::<f64>(700, 90, 0, 9, 23);
+        let rows: Vec<u32> = (0..700u32).map(|i| (i * 263) % 700).collect();
+        for chunk in [4, 8] {
+            let window = SORT_WINDOW_CHUNKS * chunk;
+            let take = 2 * window + window / 3;
+            let p = PackedSell::from_rows(&c, &rows[..take], chunk);
+            let reference = windowed_reference(&c, &rows[..take], chunk);
+            assert_eq!(p.rows(), &reference[..], "chunk {chunk}");
+            // A chunk height of `take` makes one window: the global sort.
+            let global = windowed_reference(&c, &rows[..take], take);
+            assert_ne!(reference, global, "chunk {chunk}: no row crossed a window");
+            p.check_against(&c, &rows[..take]).unwrap();
+        }
     }
 
     #[test]
