@@ -60,7 +60,7 @@ use spmv_ml::lint::Severity;
 use spmv_sparse::corpus::CorpusConfig;
 use spmv_verify::interleave::{explore, Verdict};
 use spmv_verify::models::{
-    AdmissionModel, CursorModel, LevelModel, RefineModel, ShardModel, TeamModel, TwoLockModel,
+    AdmissionModel, CursorModel, LevelModel, RefineModel, TeamModel, TwoLockModel,
 };
 use spmv_verify::{driver, hygiene};
 use std::path::{Path, PathBuf};
@@ -232,7 +232,7 @@ fn check_concurrency() -> usize {
     let mut bad = 0;
 
     // The shipped protocols must pass…
-    let sound: [(&str, Verdict); 7] = [
+    let sound: [(&str, Verdict); 6] = [
         (
             "flat queue cursor claim (2 threads, 3 items)",
             explore(CursorModel::atomic_claim(2, 3), BUDGET),
@@ -240,10 +240,6 @@ fn check_concurrency() -> usize {
         (
             "consistent lock order",
             explore(TwoLockModel::consistent_order(), BUDGET),
-        ),
-        (
-            "shard home-first claim with ring stealing (2 workers, 3 shards)",
-            explore(ShardModel::correct(2, &[2, 0, 1]), BUDGET),
         ),
         (
             "level-barrier stepped solve (3 workers)",
@@ -273,7 +269,7 @@ fn check_concurrency() -> usize {
 
     // …and the injected bugs must be *caught* (checker self-test).
     type Expect = fn(&Verdict) -> bool;
-    let buggy: [(&str, Verdict, Expect); 7] = [
+    let buggy: [(&str, Verdict, Expect); 6] = [
         (
             "racy cursor claim is detected as double write",
             explore(CursorModel::racy_claim(2, 2), BUDGET),
@@ -283,11 +279,6 @@ fn check_concurrency() -> usize {
             "opposite lock order is detected as deadlock",
             explore(TwoLockModel::opposite_order(), BUDGET),
             |v| matches!(v, Verdict::Deadlock { .. }),
-        ),
-        (
-            "dropped ring fallback is detected as stranded items",
-            explore(ShardModel::no_cross_shard_fallback(2, &[1, 1, 1]), BUDGET),
-            |v| matches!(v, Verdict::Violation { .. }),
         ),
         (
             "skipped level barrier is detected as a dependency race",

@@ -13,14 +13,6 @@
 //! * [`TwoLockModel`] — two threads taking two locks; with a consistent
 //!   acquisition order the protocol passes, with opposite orders the
 //!   explorer finds the deadlock cycle.
-//! * [`ShardModel`] — the sharded-queue claim protocol
-//!   (`drain_for_each` in `crates/parallel/src/drain.rs`):
-//!   each worker drains its home shard (`role % n_shards`) through an
-//!   atomic per-shard cursor, then falls back to the remaining shards in
-//!   ring order. The buggy variant drops the ring fallback — a worker
-//!   stops after its home queue — so queues no worker is homed on (more
-//!   shards than workers) are never drained (detected as stranded
-//!   items).
 //! * [`AdmissionModel`] — the serving layer's admission-queue protocol
 //!   (`SpmvServer` in `crates/server/src/serve.rs`): producers enqueue
 //!   requests and notify under the queue lock; one dispatcher drains
@@ -253,118 +245,6 @@ impl Model for TwoLockModel {
     }
 
     fn violation(&self) -> Option<String> {
-        None
-    }
-}
-
-/// Sharded-queue claim protocol of `drain_for_each`:
-/// `workers` workers each drain the shard they are homed on
-/// (`role % n_shards`) by atomic cursor `fetch_add`, then visit the
-/// remaining shards in ring order (`home + 1`, `home + 2`, …) as a
-/// stealing fallback. The buggy variant stops after the home shard.
-#[derive(Clone, PartialEq, Eq, Hash, Debug)]
-pub struct ShardModel {
-    /// Immutable queue lengths per shard.
-    sizes: Vec<u8>,
-    /// Per-shard claim cursor (the atomic `fetch_add` target).
-    cursors: Vec<u8>,
-    /// Per-item claim count, flattened shard-major.
-    claims: Vec<u8>,
-    /// Per-worker ring offset `d` (the worker is draining shard
-    /// `(home + d) % n_shards`); `DONE` when it has exited.
-    offset: Vec<u8>,
-    /// Re-introduce the no-fallback bug.
-    buggy: bool,
-}
-
-impl ShardModel {
-    const DONE: u8 = u8::MAX;
-
-    /// Correct protocol: home shard first, ring fallback over the rest.
-    pub fn correct(workers: u8, sizes: &[u8]) -> Self {
-        Self::new(workers, sizes, false)
-    }
-
-    /// Buggy protocol: a worker drains only its home shard, so shards
-    /// no worker is homed on are never visited.
-    pub fn no_cross_shard_fallback(workers: u8, sizes: &[u8]) -> Self {
-        Self::new(workers, sizes, true)
-    }
-
-    fn new(workers: u8, sizes: &[u8], buggy: bool) -> Self {
-        assert!(!sizes.is_empty(), "need at least one shard");
-        let items: usize = sizes.iter().map(|&n| n as usize).sum();
-        Self {
-            sizes: sizes.to_vec(),
-            cursors: vec![0; sizes.len()],
-            claims: vec![0; items],
-            offset: vec![0; workers as usize],
-            buggy,
-        }
-    }
-
-    /// Flattened item index of slot `i` in shard `s`.
-    fn flat(&self, s: usize, i: u8) -> usize {
-        let before: usize = self.sizes[..s].iter().map(|&n| n as usize).sum();
-        before + i as usize
-    }
-
-    /// How many shards a worker visits before exiting.
-    fn ring_len(&self) -> u8 {
-        if self.buggy {
-            1
-        } else {
-            self.sizes.len() as u8
-        }
-    }
-}
-
-// One step is one atomic claim attempt on the current shard: claim-and-
-// bump when the queue has items left (the real `fetch_add`), otherwise
-// advance to the next ring position or exit.
-impl Model for ShardModel {
-    fn n_threads(&self) -> usize {
-        self.offset.len()
-    }
-
-    fn runnable(&self, t: usize) -> bool {
-        self.offset[t] != Self::DONE
-    }
-
-    fn step(&mut self, t: usize) {
-        let n_shards = self.sizes.len();
-        let home = t % n_shards;
-        let d = self.offset[t];
-        let s = (home + d as usize) % n_shards;
-        let i = self.cursors[s];
-        if i < self.sizes[s] {
-            // cursors[s].fetch_add(1): claim slot i atomically.
-            self.cursors[s] += 1;
-            let idx = self.flat(s, i);
-            self.claims[idx] += 1;
-        } else {
-            // Queue exhausted: move along the ring, or exit.
-            self.offset[t] = if d + 1 < self.ring_len() {
-                d + 1
-            } else {
-                Self::DONE
-            };
-        }
-    }
-
-    fn done(&self) -> bool {
-        self.offset.iter().all(|&d| d == Self::DONE)
-    }
-
-    fn violation(&self) -> Option<String> {
-        if let Some(i) = self.claims.iter().position(|&c| c > 1) {
-            return Some(format!("item {i} claimed {} times", self.claims[i]));
-        }
-        if self.done() {
-            if let Some(i) = self.claims.iter().position(|&c| c == 0) {
-                return Some(format!("item {i} stranded: no worker ever claimed it"));
-            }
-        }
         None
     }
 }
@@ -1050,35 +930,6 @@ mod tests {
         match v {
             Verdict::Violation { message, .. } => {
                 assert!(message.contains("written"), "unexpected message {message}");
-            }
-            other => panic!("expected Violation, got {other}"),
-        }
-    }
-
-    #[test]
-    fn shard_claim_protocol_is_sound() {
-        // Workers × shard shapes covering: balanced, empty shard,
-        // one-item shard, and more shards than workers.
-        let configs: [(u8, &[u8]); 4] = [
-            (1, &[2, 2]),
-            (2, &[2, 0, 1]),
-            (2, &[1, 1, 1, 1]),
-            (3, &[2, 1]),
-        ];
-        for (workers, sizes) in configs {
-            let v = explore(ShardModel::correct(workers, sizes), BUDGET);
-            assert!(v.passed(), "workers={workers}, sizes={sizes:?}: {v}");
-        }
-    }
-
-    #[test]
-    fn dropping_the_ring_fallback_strands_items() {
-        // Two workers homed on shards 0 and 1; shard 2 has items only
-        // the ring fallback would reach.
-        let v = explore(ShardModel::no_cross_shard_fallback(2, &[1, 1, 1]), BUDGET);
-        match v {
-            Verdict::Violation { message, .. } => {
-                assert!(message.contains("stranded"), "unexpected message {message}");
             }
             other => panic!("expected Violation, got {other}"),
         }

@@ -133,12 +133,6 @@ fn measure(name: &str, a: &CsrMatrix<f32>, iters: usize, threads: &[usize]) -> M
     for (tier, config) in tiers() {
         for &w in threads {
             let backend = Box::new(NativeCpuBackend::new().with_workers(w));
-            // Shard the tile queue to match the worker count, so every
-            // tier's scaling curve runs through the sharded executor.
-            let config = PlanConfig {
-                shards: w,
-                ..config
-            };
             let verified = SpmvPlan::compile_with(a, strategy.clone(), backend, config)
                 .verify(a)
                 .expect("tiered plan must verify");

@@ -81,16 +81,11 @@ fn measure(name: &str, a: &CsrMatrix<f32>, iters: usize) -> Row {
 
     let mut runs = Vec::new();
     for &threads in &thread_counts {
-        // Shard the tile queue to match the worker count, so the sweep
-        // times the sharded runtime the executor actually ships.
         let verified = SpmvPlan::compile_with(
             a,
             strategy.clone(),
             Box::new(NativeCpuBackend::new().with_workers(threads)),
-            PlanConfig {
-                shards: threads,
-                ..PlanConfig::default()
-            },
+            PlanConfig::default(),
         )
         .verify(a)
         .expect("plan must verify");

@@ -101,15 +101,10 @@ fn measure(name: &str, a: &CsrMatrix<f32>, iters: usize) -> Row {
     };
     let traffic = plan.traffic();
 
-    // Thread sweep over the sharded runtime: one plan per point, cut
-    // into `t` shards and executed by `t` workers, so the scaling curve
-    // measures exactly what the topology-aware executor ships.
+    // Thread sweep: one plan per point, its flat tile queue drained by
+    // `t` workers.
     let mut sweep = Vec::new();
     for t in sweep_threads() {
-        let config = PlanConfig {
-            shards: t,
-            ..PlanConfig::default()
-        };
         let strategy = Strategy {
             binning: BinningScheme::Coarse { u: 10 },
             kernels: vec![KernelId::Subvector(8); 8],
@@ -118,14 +113,14 @@ fn measure(name: &str, a: &CsrMatrix<f32>, iters: usize) -> Row {
             a,
             strategy,
             Box::new(NativeCpuBackend::new().with_workers(t)),
-            config,
+            PlanConfig::default(),
         )
         .verify(a)
-        .expect("sharded plan must verify");
+        .expect("plan must verify");
         let secs = time_loop(iters, || {
             verified.execute_unchecked(a, &v, &mut u).unwrap();
         });
-        assert_eq!(u, csr_ref, "{name}: sharded ({t} threads) diverges");
+        assert_eq!(u, csr_ref, "{name}: {t} threads diverges");
         sweep.push(SweepPoint {
             threads: t,
             gflops: gflops(a.nnz(), iters, secs),

@@ -10,7 +10,6 @@
 //!
 //! | class | evidence | suggested move |
 //! |---|---|---|
-//! | [`Imbalanced`](Bottleneck::Imbalanced) | static shard-load skew above threshold | cut finer tiles so the LPT deal can even out |
 //! | [`LatencyBound`](Bottleneck::LatencyBound) | scatter-heavy rows with cache blocking off | enable column blocking |
 //! | [`MemoryBound`](Bottleneck::MemoryBound) | full-width index stream with compression headroom, or measured time far above the traffic-model roofline | re-open the pack/specialize/index gates |
 //! | [`OnModel`](Bottleneck::OnModel) | none of the above | leave the plan alone |
@@ -40,9 +39,6 @@ pub enum Bottleneck {
     /// with compression headroom, or measured time far above the
     /// traffic-model roofline.
     MemoryBound,
-    /// The compiled shard deal loads one shard markedly heavier than the
-    /// mean — workers idle at the join.
-    Imbalanced,
     /// Scatter-heavy gathers of `x` with column blocking disabled —
     /// rows stall on cache-line latency, not bandwidth.
     LatencyBound,
@@ -56,7 +52,6 @@ impl Bottleneck {
     pub fn as_str(self) -> &'static str {
         match self {
             Bottleneck::MemoryBound => "memory_bound",
-            Bottleneck::Imbalanced => "imbalanced",
             Bottleneck::LatencyBound => "latency_bound",
             Bottleneck::OnModel => "on_model",
         }
@@ -79,9 +74,6 @@ pub struct AdaptConfig {
     /// Observed / predicted ns ratio above which a structurally clean
     /// plan is still declared off-model ([`Bottleneck::MemoryBound`]).
     pub divergence_ratio: f64,
-    /// Static `max / mean` shard load at or above which the plan is
-    /// [`Bottleneck::Imbalanced`].
-    pub imbalance_threshold: f64,
     /// Index bytes per non-zero at or above which the stream counts as
     /// uncompressed (the CSR fallback is charged 4 — a full `u32` per
     /// non-zero).
@@ -98,7 +90,6 @@ impl Default for AdaptConfig {
         Self {
             min_executes: 8,
             divergence_ratio: 1.5,
-            imbalance_threshold: 1.25,
             index_bytes_per_nnz: 3.5,
             assumed_bandwidth_gbps: 10.0,
         }
@@ -144,9 +135,6 @@ pub fn classify(
     if snapshot.executes < cfg.min_executes {
         return Bottleneck::OnModel;
     }
-    if snapshot.static_imbalance >= cfg.imbalance_threshold {
-        return Bottleneck::Imbalanced;
-    }
     if avg_lines_per_row >= config.scatter_lines_per_row && !config.cache_block {
         return Bottleneck::LatencyBound;
     }
@@ -184,18 +172,6 @@ pub fn suggest(bottleneck: Bottleneck, incumbent: &PlanConfig) -> Option<PlanCon
                 ..*incumbent
             })
         }
-        Bottleneck::Imbalanced => {
-            // Finer tiles give the LPT deal more pieces to even out.
-            let finer = match incumbent.tile_nnz {
-                0 => 2048,
-                n if n > 256 => n / 2,
-                _ => return None,
-            };
-            Some(PlanConfig {
-                tile_nnz: finer,
-                ..*incumbent
-            })
-        }
         Bottleneck::LatencyBound => {
             if incumbent.cache_block {
                 return None;
@@ -213,7 +189,7 @@ pub fn suggest(bottleneck: Bottleneck, incumbent: &PlanConfig) -> Option<PlanCon
 mod tests {
     use super::*;
 
-    fn snap(executes: u64, ewma_ns: f64, imbalance: f64) -> TelemetrySnapshot {
+    fn snap(executes: u64, ewma_ns: f64) -> TelemetrySnapshot {
         TelemetrySnapshot {
             executes,
             columns: executes,
@@ -221,7 +197,6 @@ mod tests {
             last_ns_per_column: ewma_ns,
             flops_per_column: 2_000.0,
             model_bytes: 12_000,
-            static_imbalance: imbalance,
         }
     }
 
@@ -246,39 +221,14 @@ mod tests {
     #[test]
     fn too_few_samples_is_on_model() {
         let cfg = AdaptConfig::default();
-        let b = classify(
-            &snap(3, 1e9, 9.0),
-            &traffic(4_000),
-            &forced_csr(),
-            1.0,
-            &cfg,
-        );
+        let b = classify(&snap(3, 1e9), &traffic(4_000), &forced_csr(), 1.0, &cfg);
         assert_eq!(b, Bottleneck::OnModel);
-    }
-
-    #[test]
-    fn shard_skew_wins_over_everything() {
-        let cfg = AdaptConfig::default();
-        let b = classify(
-            &snap(100, 1e9, 1.5),
-            &traffic(4_000),
-            &forced_csr(),
-            9.0,
-            &cfg,
-        );
-        assert_eq!(b, Bottleneck::Imbalanced);
     }
 
     #[test]
     fn scatter_without_blocking_is_latency_bound() {
         let cfg = AdaptConfig::default();
-        let b = classify(
-            &snap(100, 100.0, 1.0),
-            &traffic(4_000),
-            &forced_csr(),
-            6.0,
-            &cfg,
-        );
+        let b = classify(&snap(100, 100.0), &traffic(4_000), &forced_csr(), 6.0, &cfg);
         assert_eq!(b, Bottleneck::LatencyBound);
     }
 
@@ -287,13 +237,7 @@ mod tests {
         // 4 index bytes per nnz with pack/specialize off: structural
         // verdict, independent of the measured time.
         let cfg = AdaptConfig::default();
-        let b = classify(
-            &snap(100, 1.0, 1.0),
-            &traffic(4_000),
-            &forced_csr(),
-            1.0,
-            &cfg,
-        );
+        let b = classify(&snap(100, 1.0), &traffic(4_000), &forced_csr(), 1.0, &cfg);
         assert_eq!(b, Bottleneck::MemoryBound);
     }
 
@@ -303,7 +247,7 @@ mod tests {
         // nature, and a fast plan stays on-model.
         let cfg = AdaptConfig::default();
         let open = PlanConfig::default();
-        let b = classify(&snap(100, 1.0, 1.0), &traffic(4_000), &open, 1.0, &cfg);
+        let b = classify(&snap(100, 1.0), &traffic(4_000), &open, 1.0, &cfg);
         assert_eq!(b, Bottleneck::OnModel);
     }
 
@@ -313,12 +257,12 @@ mod tests {
         let open = PlanConfig::default();
         let t = traffic(1_000); // compressed: below the index prior
         let predicted = cfg.predicted_ns(&t);
-        let slow = snap(100, predicted * 2.0, 1.0);
+        let slow = snap(100, predicted * 2.0);
         assert_eq!(
             classify(&slow, &t, &open, 1.0, &cfg),
             Bottleneck::MemoryBound
         );
-        let fine = snap(100, predicted * 1.2, 1.0);
+        let fine = snap(100, predicted * 1.2);
         assert_eq!(classify(&fine, &t, &open, 1.0, &cfg), Bottleneck::OnModel);
     }
 
@@ -332,11 +276,6 @@ mod tests {
         let s = suggest(Bottleneck::LatencyBound, &csr).expect("blocking off");
         assert!(s.cache_block);
         assert!(!s.pack, "latency move must not touch unrelated knobs");
-
-        let s = suggest(Bottleneck::Imbalanced, &PlanConfig::default()).expect("auto tiles");
-        assert_eq!(s.tile_nnz, 2048);
-        let s2 = suggest(Bottleneck::Imbalanced, &s).expect("still divisible");
-        assert_eq!(s2.tile_nnz, 1024);
     }
 
     #[test]
@@ -344,16 +283,11 @@ mod tests {
         assert!(suggest(Bottleneck::OnModel, &PlanConfig::default()).is_none());
         assert!(suggest(Bottleneck::MemoryBound, &PlanConfig::default()).is_none());
         assert!(suggest(Bottleneck::LatencyBound, &PlanConfig::default()).is_none());
-        let floor = PlanConfig {
-            tile_nnz: 256,
-            ..PlanConfig::default()
-        };
-        assert!(suggest(Bottleneck::Imbalanced, &floor).is_none());
     }
 
     #[test]
     fn divergence_is_zero_before_first_sample() {
         let cfg = AdaptConfig::default();
-        assert_eq!(cfg.divergence(&snap(0, 0.0, 1.0), &traffic(4_000)), 0.0);
+        assert_eq!(cfg.divergence(&snap(0, 0.0), &traffic(4_000)), 0.0);
     }
 }

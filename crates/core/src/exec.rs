@@ -12,9 +12,8 @@ use crate::kernels::cpu::{
     run_plan_tiles, run_plan_tiles_batch, spmv_rows_chunked, spmv_rows_nnz_balanced,
 };
 use crate::kernels::{run_kernel, KernelId};
-use crate::plan::{rhs_blocks, BinDispatch, BinPayload, ShardedTiles, Tile};
+use crate::plan::{rhs_blocks, BinDispatch, BinPayload, Tile};
 use spmv_gpusim::{GpuDevice, LaunchStats};
-use spmv_parallel::Placement;
 use spmv_sparse::{CsrMatrix, DenseBlock, Scalar};
 use std::time::{Duration, Instant};
 
@@ -50,11 +49,10 @@ impl LaunchCost {
 }
 
 /// The borrowed compiled tables of one plan, bundled for a backend
-/// launch: dispatch entries, payloads, the fused tile queue with its
-/// LPT weights, and (when the plan was compiled for more than one
-/// shard) the shard partition. One bundle instead of five parallel
-/// slice arguments — adding a table no longer ripples through every
-/// backend signature.
+/// launch: dispatch entries, payloads, and the fused tile queue with
+/// its LPT weights. One bundle instead of four parallel slice
+/// arguments — adding a table no longer ripples through every backend
+/// signature.
 pub struct PlanParts<'a, T: Scalar> {
     /// Dispatch table (one entry per populated bin).
     pub dispatch: &'a [BinDispatch],
@@ -64,8 +62,6 @@ pub struct PlanParts<'a, T: Scalar> {
     pub tiles: &'a [Tile],
     /// Per-tile NNZ weights, aligned with `tiles`.
     pub tile_weights: &'a [usize],
-    /// Shard partition of the tile queue (`None` = flat queue).
-    pub shards: Option<&'a ShardedTiles>,
 }
 
 /// A place kernel launches execute: hands a kernel and a row subset to
@@ -95,9 +91,9 @@ pub trait ExecBackend<T: Scalar>: Send + Sync {
     ) -> LaunchCost;
 
     /// Execute a whole compiled plan: dispatch table, per-bin payloads,
-    /// the fused tile queue, and (if present) its shard partition.
+    /// and the fused tile queue.
     ///
-    /// The default implementation ignores payloads, tiles, and shards
+    /// The default implementation ignores payloads and tiles
     /// and issues one [`launch`](Self::launch) per bin — semantically
     /// the reference path, and what the simulated GPU keeps (its per-bin
     /// pricing *is* the point). Backends that can exploit the packed
@@ -278,16 +274,10 @@ impl<T: Scalar> ExecBackend<T> for SimGpuBackend {
 ///   partitioning of the bin's row list — the CPU's answer to long-row
 ///   load imbalance.
 ///
-/// The fused worker cap honours the process placement at construction
-/// ([`Default::default`] / [`new`](Self::new)): `SPMV_PLACEMENT`
-/// (`flat`, `grouped:G`, `pinned:N`) with `SPMV_THREADS=N` as the
-/// back-compat alias for `pinned:N` — see
-/// [`spmv_parallel::topology`]. A malformed value of either variable
-/// warns once on stderr and falls back to flat (all cores), so a typo
-/// is never silently identical to unset. This makes bench runs
-/// reproducible on shared CI boxes without recompiling.
-/// [`with_workers`](Self::with_workers) still overrides it in code.
-#[derive(Clone, Debug)]
+/// A default backend runs the fused paths on the process worker count,
+/// [`spmv_parallel::num_threads`] (`SPMV_THREADS=N` caps it);
+/// [`with_workers`](Self::with_workers) caps it further in code.
+#[derive(Clone, Debug, Default)]
 pub struct NativeCpuBackend {
     /// Worker cap for the fused paths (`0` = process default).
     workers: usize,
@@ -298,19 +288,6 @@ const GRAIN: usize = 256;
 
 /// Partitions per worker for the NNZ-balanced path.
 const PARTS_PER_WORKER: usize = 4;
-
-impl Default for NativeCpuBackend {
-    fn default() -> Self {
-        // `Flat` means "no explicit cap" — keep 0 so with_workers-less
-        // construction behaves exactly as before placement existed.
-        let placement = Placement::from_env();
-        let workers = match placement.policy {
-            spmv_parallel::PlacementPolicy::Flat => 0,
-            _ => placement.workers,
-        };
-        Self { workers }
-    }
-}
 
 impl NativeCpuBackend {
     /// Backend with the default scheduling parameters.
@@ -358,9 +335,7 @@ impl<T: Scalar> ExecBackend<T> for NativeCpuBackend {
 
     /// The fused path: one parallel region over the precompiled tile
     /// queue, workers stealing across bins, packed bins executing from
-    /// their SELL slabs. Sharded plans route through the
-    /// shard-partitioned queues (home-first drain, ring-order stealing,
-    /// first-touch on the first execution); flat plans drain one queue.
+    /// their SELL slabs.
     fn launch_plan(
         &self,
         a: &CsrMatrix<T>,
@@ -374,7 +349,6 @@ impl<T: Scalar> ExecBackend<T> for NativeCpuBackend {
             parts.dispatch,
             parts.payloads,
             parts.tiles,
-            parts.shards,
             self.workers,
             v,
             u,
@@ -388,8 +362,7 @@ impl<T: Scalar> ExecBackend<T> for NativeCpuBackend {
 
     /// The real batched path: register-blocked multi-RHS kernels over the
     /// (tile × RHS-block) work queue — one matrix traversal pays for a
-    /// whole RHS block. Sharded plans route the (tile × block) items
-    /// through the same per-shard queues as the single-vector path.
+    /// whole RHS block.
     fn launch_plan_batch(
         &self,
         a: &CsrMatrix<T>,
@@ -404,7 +377,6 @@ impl<T: Scalar> ExecBackend<T> for NativeCpuBackend {
             parts.payloads,
             parts.tiles,
             parts.tile_weights,
-            parts.shards,
             self.workers,
             x,
             y,
@@ -499,19 +471,11 @@ mod tests {
     }
 
     #[test]
-    fn default_backend_workers_follow_the_process_placement() {
-        // The placement grammar itself (including the SPMV_THREADS alias
-        // and malformed-value rejection) is unit-tested in
-        // `spmv_parallel::topology`; here we only pin the mapping from
-        // the resolved process placement to the backend's worker cap:
-        // flat keeps the "no cap" default, everything else pins it.
-        let placement = Placement::from_env();
-        let backend = NativeCpuBackend::default();
-        let expected = match placement.policy {
-            spmv_parallel::PlacementPolicy::Flat => 0,
-            _ => placement.workers,
-        };
-        assert_eq!(backend.workers, expected);
+    fn default_backend_leaves_the_worker_cap_to_the_process() {
+        // `SPMV_THREADS` is applied once, inside `num_threads`; the
+        // backend adds no cap of its own unless `with_workers` sets one.
+        assert_eq!(NativeCpuBackend::default().workers, 0);
+        assert_eq!(NativeCpuBackend::new().with_workers(3).workers, 3);
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! row-parallel (cheap, imbalanced) versus NNZ-balanced partitioning.
 
 use crate::kernels::table::{self, BatchArgs, BatchKernelFn, KernelKey};
-use crate::plan::{rhs_blocks, BinDispatch, BinPayload, ShardedTiles, Tile};
-use spmv_parallel::{drain_for_each, parallel_for, Queues};
+use crate::plan::{rhs_blocks, BinDispatch, BinPayload, Tile};
+use spmv_parallel::{drain_for_each, fused_for_each_with, parallel_for};
 use spmv_sparse::{CsrMatrix, DenseBlock, Scalar, SparseError};
 
 /// Row-parallel SpMV: rows are distributed in fixed-size chunks. The CPU
@@ -258,17 +258,6 @@ fn exec_tile<T: Scalar>(
 /// from `a` up front, single-threaded, so the parallel region only ever
 /// takes read locks.
 ///
-/// An unsharded plan (`shards` is `None`) drains one flat queue. A
-/// sharded plan drains its per-shard sub-queues: workers take their
-/// home shard's queue first and steal cross-shard in ring order only
-/// when it is empty (`spmv_parallel::drain`). On the **first**
-/// execution of a sharded plan, a barrier-separated first-touch step
-/// runs before any tile: each shard's owner zeroes the shard's output
-/// rows and streams its `x` column window, so those pages fault in near
-/// the worker that will write/read them. The zeroes are dead stores —
-/// every shard row is overwritten by exactly one tile — and the barrier
-/// orders them before all real writes.
-///
 /// Write soundness: each row of the matrix appears in exactly one bin
 /// (binning invariant, proven by `check_dispatch`), each bin's tiles
 /// partition its work (proven by `check_payloads`), and a packed bin's
@@ -279,13 +268,11 @@ fn exec_tile<T: Scalar>(
 /// `workers` caps the parallel region (`0` = process default).
 ///
 /// [`NativeCpuBackend::launch_plan`]: crate::exec::NativeCpuBackend
-#[allow(clippy::too_many_arguments)]
 pub fn run_plan_tiles<T: Scalar>(
     a: &CsrMatrix<T>,
     dispatch: &[BinDispatch],
     payloads: &[BinPayload<T>],
     tiles: &[Tile],
-    shards: Option<&ShardedTiles>,
     workers: usize,
     v: &[T],
     u: &mut [T],
@@ -299,41 +286,13 @@ pub fn run_plan_tiles<T: Scalar>(
     }
     let out = SliceWriter::new(u);
     let kernels = resolve_tile_kernels(payloads);
-    let queues = shards.map_or(Queues::Flat(tiles.len()), |sh| Queues::Sharded(sh.queues()));
-    let touch = match shards {
-        Some(sh) if sh.begin_first_touch() => Some(move |s| first_touch_shard(sh, s, v, out)),
-        _ => None,
-    };
     drain_for_each(
         workers,
-        queues,
-        touch,
+        tiles.len(),
         BlockedScratch::<T>::default,
         |scratch, t| exec_tile(a, dispatch, payloads, &kernels, &tiles[t], v, out, scratch),
     );
     Ok(())
-}
-
-/// First-touch one shard's working set: zero its output rows and stream
-/// its `x` window. Placement only — the zeroes are overwritten by the
-/// shard's tiles and the reads are discarded (kept live via
-/// `black_box`).
-fn first_touch_shard<T: Scalar>(shards: &ShardedTiles, s: usize, v: &[T], out: SliceWriter<T>) {
-    for &r in &shards.shard_rows()[s] {
-        // SAFETY: shard row sets are disjoint across shards (proven by
-        // `check_shards`, enforced structurally by tile disjointness),
-        // the touch phase is barrier-ordered before every tile write,
-        // and the drain returns only once every worker is done, before
-        // `u` is observable again.
-        unsafe { out.write(r as usize, T::ZERO) };
-    }
-    let (lo, hi) = shards.x_ranges()[s];
-    let window = &v[lo as usize..(hi as usize).min(v.len())];
-    let mut acc = T::ZERO;
-    for &x in window {
-        acc += x;
-    }
-    std::hint::black_box(acc);
 }
 
 /// Worker-private cursor/partial-sum buffers for the cache-blocked
@@ -429,13 +388,7 @@ fn blocked_rows_spmv<T: Scalar>(
 /// (`rhs_blocks` partitions `[0, K)`, proven by `check_payloads`), so
 /// every `(row, column)` output element is written by exactly one item.
 ///
-/// Sharded plans deal the LPT-sorted items onto per-shard queues — an
-/// item belongs to the shard that owns its tile, so a shard's workers
-/// touch only their own `y` rows (all `K` columns of them) and `x`
-/// window, and each shard queue keeps the global LPT order among its
-/// own items — and drain them with the same home-first/ring-steal
-/// protocol as the single-vector path. `workers` caps the parallel
-/// region (`0` = process default).
+/// `workers` caps the parallel region (`0` = process default).
 #[allow(clippy::too_many_arguments)]
 pub fn run_plan_tiles_batch<T: Scalar>(
     a: &CsrMatrix<T>,
@@ -443,7 +396,6 @@ pub fn run_plan_tiles_batch<T: Scalar>(
     payloads: &[BinPayload<T>],
     tiles: &[Tile],
     tile_weights: &[usize],
-    shards: Option<&ShardedTiles>,
     workers: usize,
     x: &DenseBlock<T>,
     y: &mut DenseBlock<T>,
@@ -516,66 +468,8 @@ pub fn run_plan_tiles_batch<T: Scalar>(
         };
         resolved[tile.bin][bi as usize](&args);
     };
-    let item_queues: Vec<Vec<u32>>;
-    let queues = match shards {
-        None => Queues::Flat(items.len()),
-        Some(sh) => {
-            // Deal items onto the shard that owns their tile. Pushing in
-            // the globally sorted order keeps each shard queue LPT-sorted
-            // among its own items.
-            let mut owner = vec![0u32; tiles.len()];
-            for (s, queue) in sh.queues().iter().enumerate() {
-                for &t in queue {
-                    owner[t as usize] = s as u32;
-                }
-            }
-            let mut dealt: Vec<Vec<u32>> = vec![Vec::new(); sh.n_shards()];
-            for (it, &(ti, _)) in items.iter().enumerate() {
-                dealt[owner[ti as usize] as usize].push(it as u32);
-            }
-            item_queues = dealt;
-            Queues::Sharded(&item_queues)
-        }
-    };
-    let touch = match shards {
-        Some(sh) if sh.begin_first_touch() => {
-            Some(move |s| first_touch_shard_block(sh, s, xs, x_stride, k, &out))
-        }
-        _ => None,
-    };
-    drain_for_each(workers, queues, touch, || (), |_, it| exec_item(it));
+    fused_for_each_with(workers, items.len(), exec_item);
     Ok(())
-}
-
-/// Batched analogue of `first_touch_shard`: zero every RHS column of the
-/// shard's output rows and stream its `x` window (all `K` lanes of the
-/// gathered column range) from a worker homed on the shard. The zeroes
-/// are dead stores — every `(row, block)` cell is overwritten by exactly
-/// one queue item — so results stay bit-identical.
-fn first_touch_shard_block<T: Scalar>(
-    shards: &ShardedTiles,
-    s: usize,
-    xs: &[T],
-    x_stride: usize,
-    k: usize,
-    out: &BlockWriter<T>,
-) {
-    for &r in &shards.shard_rows()[s] {
-        for c in 0..k {
-            // SAFETY: shard write sets are disjoint (proven by
-            // `check_shards`) and the touch phase is barrier-ordered
-            // before every drain, so no other write can race this one.
-            unsafe { out.write_block(r as usize, c, [T::ZERO; 1]) };
-        }
-    }
-    let (lo, hi) = shards.x_ranges()[s];
-    let start = (lo as usize * x_stride).min(xs.len());
-    let end = (hi as usize * x_stride).min(xs.len());
-    let mut acc = T::ZERO;
-    for &v in &xs[start..end] {
-        acc += v;
-    }
-    std::hint::black_box(acc);
 }
 
 /// Positions into `rows` that split it into `parts` spans of roughly

@@ -89,8 +89,8 @@ pub mod prelude {
     pub use crate::model_io::{load_model_file, save_model_file};
     pub use crate::plan::{
         confirm_row_ptr, rhs_blocks, BinDispatch, BinFormat, BinPayload, IndexPolicy,
-        PatternFingerprint, PlanConfig, PlanConfigKey, PlanError, ShardedTiles, SpmvPlan, Tile,
-        TrafficStats, VerifiedPlan,
+        PatternFingerprint, PlanConfig, PlanConfigKey, PlanError, SpmvPlan, Tile, TrafficStats,
+        VerifiedPlan,
     };
     pub use crate::solve::{
         SolveConfig, SolveError, SolvePlan, SolveStep, SymgsPlan, VerifiedSolvePlan,
@@ -100,8 +100,7 @@ pub mod prelude {
     pub use crate::training::{TrainedModel, Trainer, TrainingReport};
     pub use crate::tuner::{FormatSearch, TunedFormat, TunedStrategy, Tuner, TunerConfig};
     pub use crate::verify::{
-        check_dispatch, check_payloads, check_rhs_blocks, check_shards, check_solve_schedule,
-        VerifyError,
+        check_dispatch, check_payloads, check_rhs_blocks, check_solve_schedule, VerifyError,
     };
     pub use spmv_gpusim::{GpuDevice, LaunchStats};
     pub use spmv_sparse::DenseBlock;

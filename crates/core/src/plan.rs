@@ -22,14 +22,12 @@ use crate::kernels::table::{self, KernelFamily, KernelKey};
 use crate::kernels::KernelId;
 use crate::strategy::Strategy;
 use crate::telemetry::PlanTelemetry;
-use crate::verify::{check_dispatch, check_payloads, check_shards, VerifyError};
-use spmv_parallel::Placement;
+use crate::verify::{check_dispatch, check_payloads, VerifyError};
 use spmv_sparse::packed::SORT_WINDOW_CHUNKS;
 use spmv_sparse::{
     BandSet, ColumnLocality, CsrMatrix, DenseBlock, DenseRuns, FeatureSet, IndexKind,
     MatrixFeatures, PackedSell, RowRuns, Scalar,
 };
-use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Structural identity of a CSR matrix: dimensions, NNZ, and an FNV-1a
 /// checksum of the row-pointer array. Two matrices with equal
@@ -282,149 +280,6 @@ pub struct Tile {
     pub end: usize,
 }
 
-/// Visit every output row a tile writes, in the tile's own traversal
-/// order: packed tiles own the slab rows of their chunk range, CSR and
-/// blocked tiles own their span of the dispatch row list. This is the
-/// write-set enumeration both the shard builder and the shard-partition
-/// prover walk.
-pub(crate) fn for_each_tile_row<T: Scalar>(
-    dispatch: &[BinDispatch],
-    payloads: &[BinPayload<T>],
-    tile: &Tile,
-    mut f: impl FnMut(u32),
-) {
-    match &payloads[tile.bin] {
-        BinPayload::Packed(packed) => {
-            let c = packed.chunk();
-            let rows = packed.rows();
-            let start = (tile.start * c).min(rows.len());
-            let end = (tile.end * c).min(rows.len());
-            for &r in &rows[start..end] {
-                f(r);
-            }
-        }
-        // Specialized bins tile over row-list positions exactly like CSR
-        // bins — their payloads index the bin's row list, never reorder
-        // it.
-        BinPayload::Csr
-        | BinPayload::Blocked { .. }
-        | BinPayload::DenseRun(_)
-        | BinPayload::Banded(_)
-        | BinPayload::RowRun(_) => {
-            for &r in &dispatch[tile.bin].rows[tile.start..tile.end] {
-                f(r);
-            }
-        }
-    }
-}
-
-/// Compile-time shard partition of the fused tile queue: the data side of
-/// the topology-aware runtime (`spmv_parallel::topology` names the
-/// worker side).
-///
-/// The LPT-ordered queue is dealt greedily onto `n_shards` sub-queues —
-/// each tile goes to the currently lightest shard, so the cuts are
-/// NNZ-balanced (greedy LPT is within 4/3 of optimal makespan). Because
-/// tiles own disjoint row spans, the deal also partitions the **output
-/// rows**: `shard_rows[s]` is exactly the set of `y` indices shard `s`'s
-/// workers will write, and `x_ranges[s]` is the column window those rows
-/// gather from — the shard's streamed working set. Both are what the
-/// executor first-touches from the owning worker before the first drain,
-/// and what [`check_shards`] proves disjoint/covering before a plan is
-/// promoted to [`VerifiedPlan`].
-#[derive(Debug)]
-pub struct ShardedTiles {
-    /// Per-shard tile-id queues (ids into the plan's tile table), each in
-    /// descending-weight order.
-    queues: Vec<Vec<u32>>,
-    /// Per-shard output rows — the union of the queue's tile write sets,
-    /// in queue traversal order.
-    shard_rows: Vec<Vec<u32>>,
-    /// Per-shard half-open column window `[lo, hi)` covering every column
-    /// the shard's rows gather; `(0, 0)` for an empty shard.
-    x_ranges: Vec<(u32, u32)>,
-    /// Whether a first-touch pass has run for this plan (set by the first
-    /// execution; placement is per-buffer-page, so once is enough).
-    touched: AtomicBool,
-}
-
-impl ShardedTiles {
-    /// Deal the LPT tile queue onto `n_shards` NNZ-balanced sub-queues
-    /// and derive each shard's output-row and `x`-window working sets.
-    pub(crate) fn build<T: Scalar>(
-        a: &CsrMatrix<T>,
-        dispatch: &[BinDispatch],
-        payloads: &[BinPayload<T>],
-        tiles: &[Tile],
-        tile_weights: &[usize],
-        n_shards: usize,
-    ) -> Self {
-        let n_shards = n_shards.max(1);
-        let mut queues = vec![Vec::new(); n_shards];
-        let mut loads = vec![0usize; n_shards];
-        for t in 0..tiles.len() {
-            // Tiles arrive heaviest-first (build_tiles sorts them), so
-            // the greedy lightest-shard assignment is exactly LPT. Ties
-            // take the lowest shard id — deterministic cuts.
-            let s = (0..n_shards).min_by_key(|&s| loads[s]).unwrap_or(0);
-            queues[s].push(t as u32);
-            loads[s] += tile_weights.get(t).copied().unwrap_or(0).max(1);
-        }
-        let mut shard_rows: Vec<Vec<u32>> = vec![Vec::new(); n_shards];
-        let mut x_ranges = Vec::with_capacity(n_shards);
-        for (s, queue) in queues.iter().enumerate() {
-            for &t in queue {
-                let rows = &mut shard_rows[s];
-                for_each_tile_row(dispatch, payloads, &tiles[t as usize], |r| rows.push(r));
-            }
-            let mut lo = u32::MAX;
-            let mut hi = 0u32;
-            for &r in &shard_rows[s] {
-                // Full column scan — rows are not guaranteed sorted, and
-                // compile already walks every non-zero once.
-                let (cols, _) = a.row(r as usize);
-                for &c in cols {
-                    lo = lo.min(c);
-                    hi = hi.max(c + 1);
-                }
-            }
-            x_ranges.push(if lo == u32::MAX { (0, 0) } else { (lo, hi) });
-        }
-        Self {
-            queues,
-            shard_rows,
-            x_ranges,
-            touched: AtomicBool::new(false),
-        }
-    }
-
-    /// Number of shards (≥ 1).
-    pub fn n_shards(&self) -> usize {
-        self.queues.len()
-    }
-
-    /// Per-shard tile-id queues, each in descending-weight order.
-    pub fn queues(&self) -> &[Vec<u32>] {
-        &self.queues
-    }
-
-    /// Per-shard output rows (the shard's proven write set).
-    pub fn shard_rows(&self) -> &[Vec<u32>] {
-        &self.shard_rows
-    }
-
-    /// Per-shard half-open `x` column windows.
-    pub fn x_ranges(&self) -> &[(u32, u32)] {
-        &self.x_ranges
-    }
-
-    /// Claim the one-shot first-touch pass: `true` exactly once per plan
-    /// (the caller that wins runs the touch phase).
-    pub fn begin_first_touch(&self) -> bool {
-        !self.touched.swap(true, Ordering::AcqRel)
-    }
-}
-
 /// Decompose a batch width `K` into the register-blocked RHS widths the
 /// batched kernels are compiled for: greedy `(start, width)` blocks of
 /// width 8, then one of 4, 2, 1 for the remainder (e.g. `K = 7` →
@@ -529,12 +384,6 @@ pub struct PlanConfig {
     /// Smaller operand sets are cache-resident, where narrower lanes
     /// save no DRAM traffic but still pay their decode cost.
     pub llc_bytes: usize,
-    /// Shard count for the fused tile queue: `0` resolves the process
-    /// placement (`SPMV_PLACEMENT` / the `SPMV_THREADS` alias, default
-    /// flat → one shard), `1` pins the plan unsharded, `n > 1` cuts the
-    /// queue into `n` NNZ-balanced sub-queues with per-shard row/`x`
-    /// working sets (see [`ShardedTiles`]).
-    pub shards: usize,
     /// Probe the structure fast paths ([`BinFormat::Banded`],
     /// [`BinFormat::DenseRun`], [`BinFormat::RowRunReuse`]) at all
     /// (`false` restricts the gate to the PR 5 format tiers — the knob
@@ -567,7 +416,6 @@ impl Default for PlanConfig {
             l2_bytes: 256 * 1024,
             scatter_lines_per_row: 4.0,
             llc_bytes: 32 * 1024 * 1024,
-            shards: 0,
             specialize: true,
             band_max_offsets: 16,
             min_dense_run: 8,
@@ -585,7 +433,7 @@ impl Default for PlanConfig {
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct PlanConfigKey {
     flags: [bool; 3],
-    sizes: [usize; 9],
+    sizes: [usize; 8],
     floats: [u64; 2],
     /// `IndexPolicy` discriminant: 0 = `Auto`, else 1 + byte width.
     index: u8,
@@ -602,7 +450,6 @@ impl PlanConfig {
                 self.tile_nnz,
                 self.l2_bytes,
                 self.llc_bytes,
-                self.shards,
                 self.band_max_offsets,
                 self.min_dense_run,
                 self.min_row_run,
@@ -704,26 +551,24 @@ pub struct SpmvPlan<T: Scalar> {
     payloads: Vec<BinPayload<T>>,
     tiles: Vec<Tile>,
     tile_weights: Vec<usize>,
-    shards: Option<ShardedTiles>,
     config: PlanConfig,
     backend: Box<dyn ExecBackend<T>>,
     /// Lock-free measured-feedback counters (EWMA ns/column, effective
-    /// rate, static shard imbalance) updated by every execute path —
+    /// rate) updated by every execute path —
     /// the observation side of the online bottleneck classifier.
     telemetry: PlanTelemetry,
 }
 
-// Compile-time `Send + Sync` proofs: plans, proof tokens, and shard
-// structures cross thread boundaries in a multi-tenant runtime, so
-// thread safety is part of their contract — adding a `!Sync` field
-// (an `Rc`, a bare `Cell`) must fail to compile, not fail at a caller.
+// Compile-time `Send + Sync` proofs: plans and proof tokens cross
+// thread boundaries in a multi-tenant runtime, so thread safety is
+// part of their contract — adding a `!Sync` field (an `Rc`, a bare
+// `Cell`) must fail to compile, not fail at a caller.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<SpmvPlan<f32>>();
     assert_send_sync::<SpmvPlan<f64>>();
     assert_send_sync::<VerifiedPlan<f32>>();
     assert_send_sync::<VerifiedPlan<f64>>();
-    assert_send_sync::<ShardedTiles>();
 };
 
 impl<T: Scalar> SpmvPlan<T> {
@@ -771,48 +616,16 @@ impl<T: Scalar> SpmvPlan<T> {
             payloads.push(payload);
         }
         let (tiles, tile_weights) = build_tiles(a, &dispatch, &payloads, &config);
-        // Shard the tile queue when the placement (or an explicit config
-        // override) asks for more than one shard. An unsharded plan
-        // carries `None` and executes exactly as before.
-        let n_shards = match config.shards {
-            0 => Placement::from_env().shards,
-            n => n,
-        };
-        let shards = if n_shards > 1 && !tiles.is_empty() {
-            Some(ShardedTiles::build(
-                a,
-                &dispatch,
-                &payloads,
-                &tiles,
-                &tile_weights,
-                n_shards,
-            ))
-        } else {
-            None
-        };
-        // Freeze the telemetry constants now: the modelled traffic and the
-        // shard deal's static imbalance never change after compilation, so
-        // the execute paths only ever touch the atomic counters.
-        let shard_loads: Vec<usize> = shards
-            .as_ref()
-            .map(|s| {
-                s.queues()
-                    .iter()
-                    .map(|q| {
-                        q.iter()
-                            .map(|&t| tile_weights.get(t as usize).copied().unwrap_or(0))
-                            .sum()
-                    })
-                    .collect()
-            })
-            .unwrap_or_default();
+        // Freeze the telemetry constants now: the modelled traffic never
+        // changes after compilation, so the execute paths only ever touch
+        // the atomic counters.
         let traffic = traffic_of(
             &dispatch,
             &payloads,
             features.avg_lines_per_row,
             fingerprint.m,
         );
-        let telemetry = PlanTelemetry::new(a.nnz(), &traffic, &shard_loads);
+        let telemetry = PlanTelemetry::new(a.nnz(), &traffic);
         Self {
             strategy,
             features,
@@ -821,7 +634,6 @@ impl<T: Scalar> SpmvPlan<T> {
             payloads,
             tiles,
             tile_weights,
-            shards,
             config,
             backend,
             telemetry,
@@ -866,12 +678,11 @@ impl<T: Scalar> SpmvPlan<T> {
             payloads: &self.payloads,
             tiles: &self.tiles,
             tile_weights: &self.tile_weights,
-            shards: self.shards.as_ref(),
         }
     }
 
-    /// Hand the whole compiled dispatch — table, payloads, tile queue,
-    /// shard partition — to the backend. All validation happens in the
+    /// Hand the whole compiled dispatch — table, payloads, tile queue —
+    /// to the backend. All validation happens in the
     /// callers.
     fn launch_all(&self, a: &CsrMatrix<T>, v: &[T], u: &mut [T]) -> LaunchCost {
         let cost = self.backend.launch_plan(a, &self.parts(), v, u);
@@ -952,15 +763,10 @@ impl<T: Scalar> SpmvPlan<T> {
     /// Then [`check_payloads`]: every packed payload mirrors its bin's
     /// CSR entries slot-for-slot, and the fused tile queue partitions
     /// each bin's work — so the packed/fused path provably writes the
-    /// same set of rows the dispatch proof covered. For sharded plans,
-    /// [`check_shards`] then proves the shard partition: queues
-    /// partition the tile ids, per-shard write sets match their queues
-    /// and stay disjoint across shards, and each shard's `x` window
-    /// covers its gathers. Failures are a typed [`VerifyError`] naming
-    /// the bin, kernel id, and offending row range. The one O(m +
-    /// Σ|rows| + slots) proof replaces the per-execute O(m) fingerprint
-    /// scan — sharding adds the same order of work, so promotion cost
-    /// is unchanged asymptotically.
+    /// same set of rows the dispatch proof covered. Failures are a typed
+    /// [`VerifyError`] naming the bin, kernel id, and offending row
+    /// range. The one O(m + Σ|rows| + slots) proof replaces the
+    /// per-execute O(m) fingerprint scan.
     pub fn verify(self, a: &CsrMatrix<T>) -> Result<VerifiedPlan<T>, VerifyError> {
         let got = PatternFingerprint::of(a);
         if got != self.fingerprint {
@@ -971,9 +777,6 @@ impl<T: Scalar> SpmvPlan<T> {
         }
         check_dispatch(a, &self.dispatch)?;
         check_payloads(a, &self.dispatch, &self.payloads, &self.tiles)?;
-        if let Some(shards) = &self.shards {
-            check_shards(a, &self.dispatch, &self.payloads, &self.tiles, shards)?;
-        }
         Ok(VerifiedPlan { plan: self })
     }
 
@@ -1011,12 +814,6 @@ impl<T: Scalar> SpmvPlan<T> {
     /// LPT cost the batched executor scales by RHS-block width.
     pub fn tile_weights(&self) -> &[usize] {
         &self.tile_weights
-    }
-
-    /// The shard partition of the tile queue, when the plan was compiled
-    /// for more than one shard (`None` means the flat queue).
-    pub fn sharded(&self) -> Option<&ShardedTiles> {
-        self.shards.as_ref()
     }
 
     /// The configuration the plan was compiled with.

@@ -10,7 +10,7 @@
 //! sample, which lags the average by one observation — acceptable for a
 //! feedback signal, and it keeps the hot path wait-free.
 //!
-//! What is tracked, and why these four (they are the inputs Elafrou-
+//! What is tracked, and why these three (they are the inputs Elafrou-
 //! style bottleneck classification needs):
 //!
 //! * **EWMA of ns per output column** — the plan's observed speed. Per
@@ -20,9 +20,6 @@
 //!   time) — dividing it by the observed time yields the *effective
 //!   bandwidth*; a plan far below the machine's streaming rate is not
 //!   memory-bound no matter what its format gate assumed.
-//! * **Static shard imbalance** — `max / mean` NNZ over the compiled
-//!   shard deal (from the existing tile bookkeeping): the load-skew
-//!   prior the Imbalanced class keys on.
 //! * **Execute/column counters** — the refinement layer's hysteresis
 //!   inputs (no classification before `min_executes` samples).
 
@@ -55,27 +52,12 @@ pub struct PlanTelemetry {
     flops_per_column: f64,
     /// Modelled bytes one execution moves (frozen at compile).
     model_bytes: u64,
-    /// `max / mean` shard NNZ load of the compiled shard deal
-    /// (1.0 for unsharded plans; frozen at compile).
-    static_imbalance: f64,
 }
 
 impl PlanTelemetry {
     /// Telemetry for a plan covering `nnz` non-zeros with modelled
-    /// per-execute `traffic` and per-shard `shard_loads` (NNZ; empty for
-    /// unsharded plans).
-    pub fn new(nnz: usize, traffic: &TrafficStats, shard_loads: &[usize]) -> Self {
-        let static_imbalance = if shard_loads.is_empty() {
-            1.0
-        } else {
-            let max = shard_loads.iter().copied().max().unwrap_or(0) as f64;
-            let mean = shard_loads.iter().sum::<usize>() as f64 / shard_loads.len() as f64;
-            if mean > 0.0 {
-                max / mean
-            } else {
-                1.0
-            }
-        };
+    /// per-execute `traffic`.
+    pub fn new(nnz: usize, traffic: &TrafficStats) -> Self {
         Self {
             executes: AtomicU64::new(0),
             columns: AtomicU64::new(0),
@@ -84,7 +66,6 @@ impl PlanTelemetry {
             flops_per_column: 2.0 * nnz as f64,
             model_bytes: (traffic.value_bytes + traffic.index_bytes + traffic.x_gather_bytes)
                 as u64,
-            static_imbalance,
         }
     }
 
@@ -120,7 +101,6 @@ impl PlanTelemetry {
             last_ns_per_column: f64::from_bits(self.last_ns.load(Ordering::Relaxed)),
             flops_per_column: self.flops_per_column,
             model_bytes: self.model_bytes,
-            static_imbalance: self.static_imbalance,
         }
     }
 
@@ -151,8 +131,6 @@ pub struct TelemetrySnapshot {
     pub flops_per_column: f64,
     /// Modelled bytes one execution moves (compile-time traffic model).
     pub model_bytes: u64,
-    /// `max / mean` shard load of the compiled deal (1.0 unsharded).
-    pub static_imbalance: f64,
 }
 
 impl TelemetrySnapshot {
@@ -191,7 +169,7 @@ mod tests {
 
     #[test]
     fn first_sample_seeds_the_ewma() {
-        let t = PlanTelemetry::new(100, &traffic(800), &[]);
+        let t = PlanTelemetry::new(100, &traffic(800));
         t.record(1_000, 1);
         let s = t.snapshot();
         assert_eq!(s.executes, 1);
@@ -202,7 +180,7 @@ mod tests {
 
     #[test]
     fn ewma_converges_toward_sustained_rate() {
-        let t = PlanTelemetry::new(100, &traffic(800), &[]);
+        let t = PlanTelemetry::new(100, &traffic(800));
         t.record(1_000, 1);
         for _ in 0..64 {
             t.record(2_000, 1);
@@ -217,7 +195,7 @@ mod tests {
 
     #[test]
     fn batches_normalise_per_column() {
-        let t = PlanTelemetry::new(100, &traffic(800), &[]);
+        let t = PlanTelemetry::new(100, &traffic(800));
         // An 8-wide batch in 8000 ns is 1000 ns/column.
         t.record(8_000, 8);
         let s = t.snapshot();
@@ -228,14 +206,14 @@ mod tests {
 
     #[test]
     fn zero_width_records_are_ignored() {
-        let t = PlanTelemetry::new(100, &traffic(800), &[]);
+        let t = PlanTelemetry::new(100, &traffic(800));
         t.record(5_000, 0);
         assert_eq!(t.snapshot().executes, 0);
     }
 
     #[test]
     fn derived_rates() {
-        let t = PlanTelemetry::new(500, &traffic(4_000), &[]);
+        let t = PlanTelemetry::new(500, &traffic(4_000));
         t.record(1_000, 1);
         let s = t.snapshot();
         // 1000 flops in 1000 ns = 1 GFLOP/s; 4000 bytes in 1000 ns = 4 GB/s.
@@ -244,16 +222,8 @@ mod tests {
     }
 
     #[test]
-    fn imbalance_is_max_over_mean() {
-        let t = PlanTelemetry::new(100, &traffic(800), &[300, 100, 200]);
-        assert!((t.snapshot().static_imbalance - 1.5).abs() < 1e-12);
-        let flat = PlanTelemetry::new(100, &traffic(800), &[]);
-        assert_eq!(flat.snapshot().static_imbalance, 1.0);
-    }
-
-    #[test]
     fn reset_keeps_compile_time_constants() {
-        let t = PlanTelemetry::new(500, &traffic(4_000), &[200, 100]);
+        let t = PlanTelemetry::new(500, &traffic(4_000));
         t.record(1_000, 4);
         t.reset_measurements();
         let s = t.snapshot();
@@ -261,12 +231,11 @@ mod tests {
         assert_eq!(s.ewma_ns_per_column, 0.0);
         assert_eq!(s.flops_per_column, 1_000.0);
         assert_eq!(s.model_bytes, 4_000);
-        assert!((s.static_imbalance - 2.0 / 1.5).abs() < 1e-12);
     }
 
     #[test]
     fn concurrent_records_never_corrupt_counters() {
-        let t = std::sync::Arc::new(PlanTelemetry::new(100, &traffic(800), &[]));
+        let t = std::sync::Arc::new(PlanTelemetry::new(100, &traffic(800)));
         std::thread::scope(|s| {
             for _ in 0..4 {
                 let t = std::sync::Arc::clone(&t);

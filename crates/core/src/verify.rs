@@ -23,7 +23,7 @@
 
 use crate::kernels::cpu::rows_nnz_cuts;
 use crate::kernels::KernelId;
-use crate::plan::{for_each_tile_row, BinDispatch, BinFormat, BinPayload, ShardedTiles, Tile};
+use crate::plan::{BinDispatch, BinFormat, BinPayload, Tile};
 use crate::solve::SolveStep;
 use spmv_sparse::solve::SolveDirection;
 use spmv_sparse::{CsrMatrix, Scalar};
@@ -149,18 +149,6 @@ pub enum VerifyError {
     BatchBlocksNotPartition {
         /// The batch width whose decomposition is broken.
         k: usize,
-        /// What property failed.
-        detail: String,
-    },
-    /// The shard decomposition is not a sound refinement of the tile
-    /// queue: the shard queues fail to partition the tile ids, a shard's
-    /// recorded write set disagrees with the rows its tiles own, two
-    /// shards claim the same output row, or a shard's `x` window misses
-    /// a column its rows gather — the sharded executor's first-touch
-    /// writes or locality claims would be unsound.
-    ShardsNotPartition {
-        /// The shard the violation was detected on.
-        shard: usize,
         /// What property failed.
         detail: String,
     },
@@ -343,9 +331,6 @@ impl std::fmt::Display for VerifyError {
                 f,
                 "RHS blocks for batch width {k} are not a partition: {detail}"
             ),
-            VerifyError::ShardsNotPartition { shard, detail } => {
-                write!(f, "shard {shard}: shard cover is not a partition: {detail}")
-            }
             VerifyError::SolveStructureMismatch { what } => write!(
                 f,
                 "matrix {what} disagrees with the plan's structure snapshot \
@@ -716,104 +701,6 @@ pub fn check_rhs_blocks() -> Result<(), VerifyError> {
         }
         if pos != k {
             return Err(fail(format!("blocks cover 0..{pos} of 0..{k}")));
-        }
-    }
-    Ok(())
-}
-
-/// Prove a plan's shard decomposition refines the tile queue soundly:
-///
-/// 1. the shard queues **partition** the tile ids `0..tiles.len()` —
-///    every tile claimed by exactly one shard, no id out of range;
-/// 2. each shard's recorded write set (`shard_rows`) is exactly, slot
-///    for slot, the rows its queued tiles own (derived independently
-///    from the dispatch/payload tables here) — the first-touch zeroing
-///    pass writes precisely these rows, so they must be real;
-/// 3. across shards the write sets are **disjoint** and in bounds —
-///    with (1) and the tile proofs this means every output row is
-///    first-touched by exactly one shard;
-/// 4. each shard's `x` window `[lo, hi)` covers every column its rows
-///    gather — the streamed working set really is the working set.
-///
-/// Together with [`check_dispatch`] + [`check_payloads`] this extends
-/// the exactly-once write proof to the sharded executor without raising
-/// its asymptotic cost: one O(m)-space ownership pass over rows, one
-/// over tiles, and one O(nnz) column scan.
-pub fn check_shards<T: Scalar>(
-    a: &CsrMatrix<T>,
-    dispatch: &[BinDispatch],
-    payloads: &[BinPayload<T>],
-    tiles: &[Tile],
-    shards: &ShardedTiles,
-) -> Result<(), VerifyError> {
-    let m = a.n_rows();
-    const UNOWNED: u32 = u32::MAX;
-    // (1) tile partition.
-    let mut tile_owner: Vec<u32> = vec![UNOWNED; tiles.len()];
-    for (s, queue) in shards.queues().iter().enumerate() {
-        let fail = |detail: String| VerifyError::ShardsNotPartition { shard: s, detail };
-        for &t in queue {
-            let ti = t as usize;
-            if ti >= tiles.len() {
-                return Err(fail(format!(
-                    "tile id {t} out of range (|tiles| = {})",
-                    tiles.len()
-                )));
-            }
-            if tile_owner[ti] != UNOWNED {
-                return Err(fail(format!(
-                    "tile {t} already claimed by shard {}",
-                    tile_owner[ti]
-                )));
-            }
-            tile_owner[ti] = s as u32;
-        }
-    }
-    if let Some(t) = tile_owner.iter().position(|&o| o == UNOWNED) {
-        return Err(VerifyError::ShardsNotPartition {
-            shard: shards.n_shards(),
-            detail: format!("tile {t} claimed by no shard"),
-        });
-    }
-    // (2) recorded write sets match the tiles; (3) disjoint + in bounds;
-    // (4) x window covers the gathered columns.
-    let mut row_owner: Vec<u32> = vec![UNOWNED; m];
-    for (s, queue) in shards.queues().iter().enumerate() {
-        let fail = |detail: String| VerifyError::ShardsNotPartition { shard: s, detail };
-        let mut derived: Vec<u32> = Vec::new();
-        for &t in queue {
-            for_each_tile_row(dispatch, payloads, &tiles[t as usize], |r| derived.push(r));
-        }
-        let recorded = &shards.shard_rows()[s];
-        if recorded != &derived {
-            return Err(fail(format!(
-                "recorded write set ({} rows) differs from the rows its {} tiles own ({} rows)",
-                recorded.len(),
-                queue.len(),
-                derived.len()
-            )));
-        }
-        let (lo, hi) = shards.x_ranges()[s];
-        for &r in recorded {
-            let ri = r as usize;
-            if ri >= m {
-                return Err(fail(format!("row {r} out of bounds (m = {m})")));
-            }
-            if row_owner[ri] != UNOWNED {
-                return Err(fail(format!(
-                    "row {r} already owned by shard {}",
-                    row_owner[ri]
-                )));
-            }
-            row_owner[ri] = s as u32;
-            let (cols, _) = a.row(ri);
-            for &c in cols {
-                if c < lo || c >= hi {
-                    return Err(fail(format!(
-                        "row {r} gathers column {c} outside the x window {lo}..{hi}"
-                    )));
-                }
-            }
         }
     }
     Ok(())

@@ -16,19 +16,20 @@
 //! runs every role itself. Everything else is a schedule handed to that
 //! team:
 //!
-//! * [`drain_for_each`] runs independent items from one flat queue or
-//!   from per-shard queues (home shard first, ring-order stealing,
-//!   per-worker scratch), with an optional first-touch step before the
-//!   drain; [`fused_for_each_with`] is its flat, scratch-free form, the
-//!   one parallel region a compiled plan's whole tile queue runs in;
+//! * [`drain_for_each`] runs independent items from one flat queue
+//!   (a shared atomic cursor, per-worker scratch); [`fused_for_each_with`]
+//!   is its scratch-free form, the one parallel region a compiled plan's
+//!   whole tile queue runs in;
 //! * [`parallel_for`] and [`parallel_map_collect`] are chunked flat
 //!   drains over `[0, n)` — the moral equivalent of a
 //!   `#pragma omp parallel for schedule(dynamic)`;
 //! * level-set triangular solves use the team directly: step `s + 1`
 //!   reads what step `s` wrote, with one barrier per level.
 //!
-//! A topology/placement layer ([`topology`]) names how many workers run
-//! and how many shards plans cut their queues into.
+//! The worker count is [`num_threads`]: `SPMV_THREADS` clamped to
+//! [`hardware_threads`] (`SPMV_NUM_THREADS`, else the machine's
+//! available parallelism). A malformed value of either variable warns
+//! once and is ignored.
 
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
@@ -37,14 +38,10 @@ pub mod clock;
 pub mod drain;
 pub mod scope;
 pub mod step;
-pub mod topology;
 
 pub use clock::{Clock, FakeClock, MonotonicClock};
-pub use drain::{drain_for_each, fused_for_each_with, Queues};
+pub use drain::{drain_for_each, fused_for_each_with};
 pub use scope::{
     hardware_threads, machine_threads, num_threads, parallel_for, parallel_map_collect,
 };
 pub use step::stepped_for_each;
-pub use topology::{
-    parse_placement, parse_threads_alias, Placement, PlacementError, PlacementPolicy, Topology,
-};

@@ -12,24 +12,17 @@ use crate::drain::fused_for_each_with;
 use std::num::NonZeroUsize;
 use std::sync::OnceLock;
 
-/// The raw hardware thread budget: the `SPMV_NUM_THREADS` environment
+/// The hardware thread budget: the `SPMV_NUM_THREADS` environment
 /// variable if set, otherwise the machine's available parallelism
-/// (minimum 1). This is what [`crate::topology::Topology::detect`]
-/// reports as `cores` — the ceiling placement policies resolve against,
-/// *not* the worker count parallel regions use (that is [`num_threads`]).
+/// (minimum 1). This is the ceiling [`num_threads`] clamps
+/// `SPMV_THREADS` to, and may exceed the machine's core count
+/// (`SPMV_NUM_THREADS=4` on a 2-core host forces 4 workers).
 ///
 /// Computed once per process and cached: changing `SPMV_NUM_THREADS`
 /// after the first launch has no effect for the rest of the process.
 pub fn hardware_threads() -> usize {
     static CACHED: OnceLock<usize> = OnceLock::new();
-    *CACHED.get_or_init(|| {
-        if let Ok(s) = std::env::var("SPMV_NUM_THREADS") {
-            if let Ok(n) = s.parse::<usize>() {
-                return n.max(1);
-            }
-        }
-        machine_threads()
-    })
+    *CACHED.get_or_init(|| thread_count_env("SPMV_NUM_THREADS").unwrap_or_else(machine_threads))
 }
 
 /// The machine's *actual* available parallelism, with no environment
@@ -45,19 +38,49 @@ pub fn machine_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// Number of worker threads used by the free functions: the resolved
-/// process placement's worker count
-/// ([`crate::topology::Placement::from_env`]), so every layer — the flat
-/// loops here, the sharded runtime, servers, benches — observes **one**
-/// topology per process. `SPMV_PLACEMENT` (or the
-/// `SPMV_THREADS` alias) caps this; with neither set it is the hardware
-/// budget (`SPMV_NUM_THREADS` or the machine's available parallelism).
+/// Number of worker threads parallel regions use: `SPMV_THREADS`
+/// clamped to [`hardware_threads`] when set, otherwise
+/// [`hardware_threads`]. Every layer — the flat loops here, plan
+/// execution, servers, benches — observes this one count per process.
 ///
-/// The placement is computed once per process and cached — kernel
-/// launches call this on their hot path (per bin, per execute), and
-/// re-parsing environment variables there costs syscalls per call.
+/// Computed once per process and cached — kernel launches call this on
+/// their hot path (per bin, per execute), and re-reading the
+/// environment there costs syscalls per call.
 pub fn num_threads() -> usize {
-    crate::topology::Placement::from_env().workers
+    static CACHED: OnceLock<usize> = OnceLock::new();
+    *CACHED.get_or_init(|| {
+        let budget = hardware_threads();
+        thread_count_env("SPMV_THREADS").map_or(budget, |n| n.min(budget))
+    })
+}
+
+/// Parse the value `raw` of the thread-count variable `var`: a positive
+/// integer, surrounding whitespace allowed. A blank value reads as
+/// unset (`Ok(None)`); anything else (`four`, `0`, `-3`, `1.5`) is an
+/// error naming the variable and the value.
+fn parse_thread_count(var: &str, raw: &str) -> Result<Option<usize>, String> {
+    let s = raw.trim();
+    if s.is_empty() {
+        return Ok(None);
+    }
+    match s.parse::<usize>() {
+        Ok(n) if n > 0 => Ok(Some(n)),
+        _ => Err(format!(
+            "{var}={raw:?} is not a positive thread count; ignoring it"
+        )),
+    }
+}
+
+/// Read the thread-count variable `var` ([`parse_thread_count`]). A
+/// malformed value warns on stderr and reads as unset, so a typo is
+/// never silently identical to unset. Both callers cache their result,
+/// so each variable warns at most once per process.
+fn thread_count_env(var: &str) -> Option<usize> {
+    let raw = std::env::var(var).ok()?;
+    parse_thread_count(var, &raw).unwrap_or_else(|warning| {
+        eprintln!("warning: {warning}");
+        None
+    })
 }
 
 /// Run `body(start, end)` over `[0, n)` in dynamically scheduled chunks of
@@ -118,6 +141,24 @@ unsafe impl<T: Send> Sync for SendPtr<T> {}
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+
+    #[test]
+    fn both_thread_variables_share_one_parser() {
+        for var in ["SPMV_THREADS", "SPMV_NUM_THREADS"] {
+            assert_eq!(parse_thread_count(var, "4"), Ok(Some(4)));
+            assert_eq!(parse_thread_count(var, " 4 "), Ok(Some(4)));
+            assert_eq!(parse_thread_count(var, ""), Ok(None));
+            for bad in ["four", "0"] {
+                let warning = parse_thread_count(var, bad).unwrap_err();
+                assert!(warning.starts_with(&format!("{var}={bad:?}")), "{warning}");
+            }
+        }
+    }
+
+    #[test]
+    fn num_threads_is_capped_by_the_hardware_budget() {
+        assert!((1..=hardware_threads()).contains(&num_threads()));
+    }
 
     #[test]
     fn parallel_for_visits_every_index_once() {

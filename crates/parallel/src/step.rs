@@ -2,9 +2,8 @@
 //! marches through a sequence of steps, separated by barriers.
 //!
 //! Every parallel region in this crate runs here. Independent-item work
-//! ([`crate::drain`]) is one step, or two when a first-touch phase
-//! leads; dependency-carrying work (level-set scheduled triangular
-//! solves) is many, where step `s + 1` may read what step `s` wrote, so
+//! ([`crate::drain`]) is one step; dependency-carrying work (level-set
+//! scheduled triangular solves) is many, where step `s + 1` may read what step `s` wrote, so
 //! every worker must finish step `s` before any worker starts `s + 1`.
 //!
 //! The team is process-wide and persistent: it is created on first use
