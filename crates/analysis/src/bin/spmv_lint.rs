@@ -385,7 +385,8 @@ fn check_solve() -> usize {
     }
     if bad == 0 {
         println!(
-            "ok: {} solve schedules certified and bit-identical to the sequential references",
+            "ok: {} solve checks: schedules certified and bit-identical to the sequential \
+             references, tampered snapshots rejected",
             checks.len()
         );
         0

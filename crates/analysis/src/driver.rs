@@ -677,7 +677,8 @@ pub fn solve_granularities() -> Vec<(&'static str, usize)> {
 /// bit-for-bit identical to the sequential reference.
 #[derive(Debug)]
 pub struct SolveCheck {
-    /// Operation exercised: `forward`, `backward`, or `symgs`.
+    /// Operation exercised: `forward`, `backward`, `symgs`, or a
+    /// `tamper: …` snapshot the prover must reject.
     pub op: &'static str,
     /// Label of the matrix checked.
     pub matrix: String,
@@ -694,7 +695,9 @@ pub struct SolveCheck {
 /// every (worker count × level granularity), run each through the
 /// dependency-order prover, and compare the certified execution
 /// bit-for-bit against [`spmv_sparse::solve::sptrsv_seq`] /
-/// [`spmv_sparse::solve::symgs_seq`].
+/// [`spmv_sparse::solve::symgs_seq`]. Each suite matrix also gets five
+/// rows showing that a tampered schedule-ordered snapshot is rejected
+/// (`snapshot_tamper_checks`).
 ///
 /// Like the bandwidth sweep, coverage is asserted: at least one plan
 /// must carry a parallel (barrier-stepped) step and at least one must
@@ -712,6 +715,15 @@ pub fn solve_sweep() -> Vec<SolveCheck> {
         let lower = lower_with_diag(&a);
         let upper = lower.transpose();
         let sym = square_with_diag(&a);
+        for (op, result) in snapshot_tamper_checks(&lower) {
+            out.push(SolveCheck {
+                op,
+                matrix: label.clone(),
+                workers: 4,
+                granularity: "parallel-all",
+                result,
+            });
+        }
         for workers in [1usize, 4] {
             for (granularity, min_parallel_rows) in solve_granularities() {
                 let config = SolveConfig {
@@ -764,6 +776,59 @@ pub fn solve_sweep() -> Vec<SolveCheck> {
         });
     }
     out
+}
+
+/// The snapshot prover's negative cases: copy the schedule and the
+/// schedule-ordered snapshot out of an honest forward plan (4 workers,
+/// every level parallel), break one property each, and require
+/// `check_solve_snapshot` to reject it as a snapshot mismatch. Each row
+/// is `Ok` when the tamper is caught.
+fn snapshot_tamper_checks(tri: &CsrMatrix<f64>) -> Vec<(&'static str, Result<(), String>)> {
+    use spmv_autotune::solve::{SolveConfig, SolvePlan, SolveSnapshot};
+    use spmv_autotune::verify::{check_solve_snapshot, VerifyError};
+    use spmv_sparse::solve::SolveDirection;
+    type Tamper = fn(&mut SolveSnapshot<f64>);
+    let tampers: [(&'static str, Tamper); 5] = [
+        ("tamper: row ids swapped across steps", |s| {
+            let last = s.rows.len() - 1;
+            s.rows.swap(0, last);
+        }),
+        ("tamper: slab column edited", |s| {
+            let k = s.cols.len() / 2;
+            s.cols[k] = s.cols[k].wrapping_add(1);
+        }),
+        ("tamper: diagonal edited", |s| s.diag[0] += 1.0),
+        ("tamper: diagonal dropped", |s| {
+            s.diag.pop();
+        }),
+        ("tamper: position beyond the steps", |s| {
+            s.rows.push(0);
+            s.diag.push(1.0);
+            s.entry_ptr.push(s.cols.len());
+        }),
+    ];
+    let config = SolveConfig {
+        workers: 4,
+        min_parallel_rows: 1,
+    };
+    let plan = match SolvePlan::build_with(tri, SolveDirection::Forward, config) {
+        Ok(plan) => plan,
+        Err(e) => return vec![("tamper: build", Err(format!("build: {e}")))],
+    };
+    let (steps, honest) = (plan.steps(), plan.snapshot());
+    tampers
+        .into_iter()
+        .map(|(op, tamper)| {
+            let mut snap = honest.clone();
+            tamper(&mut snap);
+            let result = match check_solve_snapshot(tri, SolveDirection::Forward, &steps, 4, &snap)
+            {
+                Err(VerifyError::SolveSnapshotMismatch { .. }) => Ok(()),
+                other => Err(format!("expected a snapshot mismatch, got {other:?}")),
+            };
+            (op, result)
+        })
+        .collect()
 }
 
 /// Build + verify + execute one triangular plan; `Ok(merged)` reports
@@ -862,7 +927,9 @@ mod tests {
     #[test]
     fn solve_sweep_is_certified_and_bit_identical_everywhere() {
         let checks = solve_sweep();
-        assert_eq!(checks.len(), 3 * 2 * 3 * 3 + 2, "solve grid changed?");
+        // Per suite matrix: 2 worker counts × 3 granularities × 3 ops,
+        // plus 5 snapshot tamper cases; then 2 sweep-wide coverage rows.
+        assert_eq!(checks.len(), 3 * (2 * 3 * 3 + 5) + 2, "solve grid changed?");
         for c in &checks {
             assert!(
                 c.result.is_ok(),

@@ -14,7 +14,7 @@
 //! end), so any dependency-respecting schedule reproduces the
 //! sequential reference bit for bit.
 
-use spmv_sparse::Scalar;
+use spmv_sparse::{prefetch_read, CsrMatrix, Scalar};
 
 /// Shared read/write window over the solution vector `x`, passable to
 /// a barrier-stepped scope. `Copy`, so each worker keeps its own
@@ -76,46 +76,80 @@ impl<T: Scalar> XVec<T> {
     }
 }
 
-/// Solve the listed rows against the plan's structure snapshot:
-/// `x[r] = (b[r] - Σ_{c != r} a[r,c] * x[c]) / a[r,r]`, products
-/// subtracted in storage order — bit-for-bit the arithmetic of
-/// `sptrsv_seq`. A structurally missing diagonal (never present in a
-/// verified schedule) divides by `T::ONE`, keeping the output finite.
+/// Rows ahead of a schedule-order walk whose columns and values are
+/// hinted toward cache; twice as far ahead, the row's `row_ptr` pair.
+const ROW_AHEAD: usize = 8;
+
+/// Hint the CPU toward the rows a walk over `a` in `order` visits next:
+/// `row_ptr` of `order[q + 2 * ROW_AHEAD]`, and the columns and values of
+/// `order[q + ROW_AHEAD]`. Level order scatters consecutive rows over
+/// the whole matrix, so without the hints every row of the build's
+/// gather, the prover's walk and a value refresh is a chain of cache
+/// misses (about a third of the gather's time on a 0.5M-row road
+/// network). Hints only: nothing is read that the walk would not.
+#[inline(always)]
+pub(crate) fn prefetch_rows_ahead<T: Scalar>(a: &CsrMatrix<T>, order: &[u32], q: usize) {
+    let row_ptr = a.row_ptr();
+    if let Some(&r) = order.get(q + 2 * ROW_AHEAD) {
+        prefetch_read(row_ptr, r as usize);
+    }
+    if let Some(&r) = order.get(q + ROW_AHEAD) {
+        if let Some(&start) = row_ptr.get(r as usize) {
+            prefetch_read(a.col_idx(), start);
+            prefetch_read(a.values(), start);
+        }
+    }
+}
+
+/// A solve plan's schedule-ordered snapshot, borrowed: position `p`
+/// (in the order the schedule's steps run) solves row `rows[p]`, whose
+/// off-diagonal entries are `cols[entry_ptr[p]..entry_ptr[p + 1]]` with
+/// values `vals[..]` in the same range, in the row's storage order, and
+/// whose diagonal value is `diag[p]`.
+#[derive(Clone, Copy)]
+pub(crate) struct SnapshotRef<'a, T> {
+    pub(crate) rows: &'a [u32],
+    pub(crate) entry_ptr: &'a [usize],
+    pub(crate) cols: &'a [u32],
+    pub(crate) diag: &'a [T],
+    pub(crate) vals: &'a [T],
+}
+
+/// Solve positions `[lo, hi)` of a schedule-ordered snapshot, streaming
+/// its arrays front to back: `x[r] = (b[r] - Σ a[r,c] * x[c]) / a[r,r]`
+/// with the products subtracted in the row's storage order — bit for bit
+/// the arithmetic of `sptrsv_seq`, which skips the diagonal in place
+/// where the snapshot has lifted it out.
 ///
 /// # Safety
 ///
-/// Every off-diagonal column of every listed row must already be
-/// finalised in `x` (earlier steps, or earlier in this worker's own
-/// serial chunk), no other thread may touch the listed rows during
-/// this call, and `row_ptr`/`col_idx` must describe a structure whose
-/// rows and columns are in bounds for `x`/`b`/`values` — all of which
-/// the dependency-order prover establishes for certified schedules.
-pub(crate) unsafe fn solve_rows<T: Scalar>(
-    row_ptr: &[usize],
-    col_idx: &[u32],
-    values: &[T],
+/// Every column of every position in `[lo, hi)` must be in bounds for
+/// `x` and already finalised there (earlier steps, or earlier positions
+/// of this worker's own serial chunk), and no other thread may touch
+/// those positions' rows during this call — all of which the
+/// dependency-order prover establishes for certified schedules. `rows`
+/// must be in bounds for `x` and `b`.
+pub(crate) unsafe fn solve_positions<T: Scalar>(
+    snap: SnapshotRef<'_, T>,
     b: &[T],
     x: XVec<T>,
-    rows: &[u32],
+    lo: usize,
+    hi: usize,
 ) {
-    for &r in rows {
+    let rows = &snap.rows[lo..hi];
+    let diag = &snap.diag[lo..hi];
+    let ends = &snap.entry_ptr[lo + 1..=hi];
+    let mut k = snap.entry_ptr[lo];
+    for ((&r, &d), &end) in rows.iter().zip(diag).zip(ends) {
         let i = r as usize;
-        let (start, end) = (row_ptr[i], row_ptr[i + 1]);
-        let cols = &col_idx[start..end];
-        let vals = &values[start..end];
         let mut sum = b[i];
-        let mut diag = T::ONE;
-        for (&c, &v) in cols.iter().zip(vals) {
-            let ci = c as usize;
-            if ci == i {
-                diag = v;
-            } else {
-                // SAFETY: `ci` is a proven dependency of row `i`,
-                // finalised before this step (caller contract).
-                sum = sum - v * unsafe { x.read(ci) };
-            }
+        for (&c, &v) in snap.cols[k..end].iter().zip(&snap.vals[k..end]) {
+            // SAFETY: `c` is a proven dependency of row `i`, finalised
+            // before this position runs (caller contract).
+            sum = sum - v * unsafe { x.read(c as usize) };
         }
+        k = end;
         // SAFETY: row `i` is owned by this worker in this step.
-        unsafe { x.write(i, sum / diag) };
+        unsafe { x.write(i, sum / d) };
     }
 }

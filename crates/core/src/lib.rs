@@ -31,13 +31,14 @@
 //!   iterative solvers pay no per-call tuning or allocation;
 //! * [`verify`] — the write-set disjointness checker: proves a plan's
 //!   dispatch table writes every output row exactly once, producing a
-//!   [`VerifiedPlan`] whose `execute_unchecked` drops the per-call
-//!   O(m) fingerprint scan;
+//!   [`VerifiedPlan`] whose `execute_unchecked` validates each call in
+//!   O(1);
 //! * [`solve`] — level-scheduled sparse triangular solves and the SymGS
 //!   sweep behind the same plan/verify split: a dependency-order prover
-//!   ([`verify::check_solve_schedule`]) certifies the barrier-stepped
-//!   schedule and mints a [`VerifiedSolvePlan`], bit-for-bit identical
-//!   to the sequential references at every worker count.
+//!   ([`verify::check_solve_snapshot`]) certifies the barrier-stepped
+//!   schedule and the schedule-ordered snapshot the kernel streams, and
+//!   mints a [`VerifiedSolvePlan`], bit-for-bit identical to the
+//!   sequential references at every worker count.
 //!
 //! ## Quick start
 //!
@@ -93,14 +94,15 @@ pub mod prelude {
         VerifiedPlan,
     };
     pub use crate::solve::{
-        SolveConfig, SolveError, SolvePlan, SolveStep, SymgsPlan, VerifiedSolvePlan,
+        SolveConfig, SolveError, SolvePlan, SolveSnapshot, SolveStep, SymgsPlan, VerifiedSolvePlan,
     };
     pub use crate::strategy::Strategy;
     pub use crate::telemetry::{PlanTelemetry, TelemetrySnapshot};
     pub use crate::training::{TrainedModel, Trainer, TrainingReport};
     pub use crate::tuner::{FormatSearch, TunedFormat, TunedStrategy, Tuner, TunerConfig};
     pub use crate::verify::{
-        check_dispatch, check_payloads, check_rhs_blocks, check_solve_schedule, VerifyError,
+        check_dispatch, check_payloads, check_rhs_blocks, check_solve_schedule,
+        check_solve_snapshot, VerifyError,
     };
     pub use spmv_gpusim::{GpuDevice, LaunchStats};
     pub use spmv_sparse::DenseBlock;

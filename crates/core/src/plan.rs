@@ -63,19 +63,21 @@ impl PatternFingerprint {
 
     /// A second, independent checksum of `a`'s whole pattern — what a
     /// cache layer stores next to a fingerprinted entry so a hit can be
-    /// confirmed without trusting FNV-1a alone. [`confirm_row_ptr`]
-    /// continued over the column indices (column `k` mixed at position
-    /// `m + 1 + k`), so it also separates patterns that share `row_ptr`:
-    /// two bands of equal width, a stencil and its shifted copy.
-    /// O(m + nnz), allocation-free.
+    /// confirmed without trusting FNV-1a alone, and what an
+    /// [`SpmvPlan`] records to accept a matrix it did not compile from.
+    /// [`confirm_row_ptr`] continued over the column indices (a column
+    /// of row `i` mixed at position `m + 1 + i`), so it separates
+    /// patterns that share `row_ptr` — two bands of equal width, a
+    /// stencil and its shifted copy — but not two orders of one row's
+    /// columns: [`CsrMatrix::sort_rows`] keeps it, as SpMV plans keep
+    /// working across that sort. O(m + nnz), allocation-free.
     pub fn confirm_of<T: Scalar>(a: &CsrMatrix<T>) -> u64 {
         let base = a.row_ptr().len();
-        a.col_idx()
-            .iter()
-            .enumerate()
-            .fold(confirm_row_ptr(a.row_ptr()), |acc, (k, &c)| {
-                acc.wrapping_add(position_mix(u64::from(c), base + k))
+        (0..a.n_rows()).fold(confirm_row_ptr(a.row_ptr()), |acc, i| {
+            a.row(i).0.iter().fold(acc, |acc, &c| {
+                acc.wrapping_add(position_mix(u64::from(c), base + i))
             })
+        })
     }
 }
 
@@ -98,6 +100,59 @@ fn position_mix(value: u64, position: usize) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+/// What a plan remembers about the pattern it was built for: its
+/// [`PatternFingerprint`] and the matrix's [`CsrMatrix::pattern_id`]
+/// generation. O(m) to take.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct PatternBinding {
+    pub(crate) fingerprint: PatternFingerprint,
+    pattern_id: u64,
+}
+
+impl PatternBinding {
+    pub(crate) fn of<T: Scalar>(a: &CsrMatrix<T>) -> Self {
+        Self {
+            fingerprint: PatternFingerprint::of(a),
+            pattern_id: a.pattern_id(),
+        }
+    }
+
+    /// The fingerprint of `a` when its pattern is *not* the bound one,
+    /// `None` when it is. An equal generation accepts in O(1): the build
+    /// matrix itself, a clone of it, or either after value updates. Any
+    /// other matrix — an independently rebuilt copy, one whose rows were
+    /// re-sorted — must match the fingerprint *and* pass
+    /// `same_columns`, the plan's own column check (a checksum, or an
+    /// exact comparison against the structure the plan stores), which
+    /// separates two patterns that share `row_ptr`.
+    pub(crate) fn mismatch<T: Scalar>(
+        &self,
+        a: &CsrMatrix<T>,
+        same_columns: impl FnOnce() -> bool,
+    ) -> Option<PatternFingerprint> {
+        if a.pattern_id() == self.pattern_id {
+            return None;
+        }
+        let got = PatternFingerprint::of(a);
+        (got != self.fingerprint || !same_columns()).then_some(got)
+    }
+
+    /// [`mismatch`](Self::mismatch) as the checked paths' typed error.
+    pub(crate) fn check<T: Scalar>(
+        &self,
+        a: &CsrMatrix<T>,
+        same_columns: impl FnOnce() -> bool,
+    ) -> Result<(), PlanError> {
+        match self.mismatch(a, same_columns) {
+            None => Ok(()),
+            Some(got) => Err(PlanError::PatternMismatch {
+                expected: self.fingerprint,
+                got,
+            }),
+        }
+    }
 }
 
 /// Why a plan refused to execute.
@@ -546,7 +601,9 @@ pub(crate) fn expand_populated<T: Scalar>(
 pub struct SpmvPlan<T: Scalar> {
     strategy: Strategy,
     features: MatrixFeatures,
-    fingerprint: PatternFingerprint,
+    pattern: PatternBinding,
+    /// [`PatternFingerprint::confirm_of`] the compile matrix.
+    confirm: u64,
     dispatch: Vec<BinDispatch>,
     payloads: Vec<BinPayload<T>>,
     tiles: Vec<Tile>,
@@ -589,7 +646,8 @@ impl<T: Scalar> SpmvPlan<T> {
         config: PlanConfig,
     ) -> Self {
         let features = MatrixFeatures::extract(a, FeatureSet::TableI);
-        let fingerprint = PatternFingerprint::of(a);
+        let pattern = PatternBinding::of(a);
+        let confirm = PatternFingerprint::confirm_of(a);
         let bins = bin_matrix(a, strategy.binning);
         let mut dispatch = Vec::new();
         let mut payloads = Vec::new();
@@ -623,13 +681,14 @@ impl<T: Scalar> SpmvPlan<T> {
             &dispatch,
             &payloads,
             features.avg_lines_per_row,
-            fingerprint.m,
+            pattern.fingerprint.m,
         );
         let telemetry = PlanTelemetry::new(a.nnz(), &traffic);
         Self {
             strategy,
             features,
-            fingerprint,
+            pattern,
+            confirm,
             dispatch,
             payloads,
             tiles,
@@ -642,33 +701,37 @@ impl<T: Scalar> SpmvPlan<T> {
 
     /// Execute the plan: one backend launch per dispatch entry.
     ///
-    /// Validates dimensions and the pattern fingerprint (O(m) scan, no
-    /// allocation), then launches over the cached row lists. Value-only
-    /// updates to `a` since compilation are fine; structural changes are
-    /// a [`PlanError::PatternMismatch`].
+    /// Validates dimensions and the pattern (O(1) for the compile matrix,
+    /// a clone, or either after value updates; otherwise the fingerprint
+    /// and the column-covering confirm checksum, O(m + nnz)), then
+    /// launches over the cached row lists. Value-only updates to `a`
+    /// since compilation are fine; structural changes — including a
+    /// matrix that shares `row_ptr` but not columns — are a
+    /// [`PlanError::PatternMismatch`].
     pub fn execute(&self, a: &CsrMatrix<T>, v: &[T], u: &mut [T]) -> Result<LaunchCost, PlanError> {
-        if v.len() != self.fingerprint.n {
+        if v.len() != self.pattern.fingerprint.n {
             return Err(PlanError::DimensionMismatch {
                 what: "input vector",
-                expected: self.fingerprint.n,
+                expected: self.pattern.fingerprint.n,
                 got: v.len(),
             });
         }
-        if u.len() != self.fingerprint.m {
+        if u.len() != self.pattern.fingerprint.m {
             return Err(PlanError::DimensionMismatch {
                 what: "output vector",
-                expected: self.fingerprint.m,
+                expected: self.pattern.fingerprint.m,
                 got: u.len(),
             });
         }
-        let got = PatternFingerprint::of(a);
-        if got != self.fingerprint {
-            return Err(PlanError::PatternMismatch {
-                expected: self.fingerprint,
-                got,
-            });
-        }
+        self.check_pattern(a)?;
         Ok(self.launch_all(a, v, u))
+    }
+
+    /// The checked paths' pattern guard: O(1) for the compile matrix's
+    /// generation, else the fingerprint plus the confirm checksum.
+    fn check_pattern(&self, a: &CsrMatrix<T>) -> Result<(), PlanError> {
+        self.pattern
+            .check(a, || PatternFingerprint::confirm_of(a) == self.confirm)
     }
 
     /// Borrow the compiled tables as one bundle for the backend.
@@ -697,7 +760,7 @@ impl<T: Scalar> SpmvPlan<T> {
     /// `m × K`; each output column is bit-for-bit identical to a
     /// single-vector [`execute`](Self::execute) against that input
     /// column. `K = 0` is a no-op. Validation mirrors `execute`:
-    /// dimensions, block widths, then the O(m) fingerprint scan.
+    /// dimensions, block widths, then the pattern check.
     pub fn execute_batch(
         &self,
         a: &CsrMatrix<T>,
@@ -705,30 +768,24 @@ impl<T: Scalar> SpmvPlan<T> {
         y: &mut DenseBlock<T>,
     ) -> Result<LaunchCost, PlanError> {
         self.check_batch_dims(x, y)?;
-        let got = PatternFingerprint::of(a);
-        if got != self.fingerprint {
-            return Err(PlanError::PatternMismatch {
-                expected: self.fingerprint,
-                got,
-            });
-        }
+        self.check_pattern(a)?;
         Ok(self.launch_all_batch(a, x, y))
     }
 
     /// Block-shape validation shared by the checked and verified batched
     /// paths: O(1), no allocation.
     fn check_batch_dims(&self, x: &DenseBlock<T>, y: &DenseBlock<T>) -> Result<(), PlanError> {
-        if x.n_rows() != self.fingerprint.n {
+        if x.n_rows() != self.pattern.fingerprint.n {
             return Err(PlanError::DimensionMismatch {
                 what: "input block rows",
-                expected: self.fingerprint.n,
+                expected: self.pattern.fingerprint.n,
                 got: x.n_rows(),
             });
         }
-        if y.n_rows() != self.fingerprint.m {
+        if y.n_rows() != self.pattern.fingerprint.m {
             return Err(PlanError::DimensionMismatch {
                 what: "output block rows",
-                expected: self.fingerprint.m,
+                expected: self.pattern.fingerprint.m,
                 got: y.n_rows(),
             });
         }
@@ -766,12 +823,15 @@ impl<T: Scalar> SpmvPlan<T> {
     /// same set of rows the dispatch proof covered. Failures are a typed
     /// [`VerifyError`] naming the bin, kernel id, and offending row
     /// range. The one O(m + Σ|rows| + slots) proof replaces the
-    /// per-execute O(m) fingerprint scan.
+    /// per-execute pattern check. `a` must have the compile matrix's
+    /// pattern, as `execute` checks it.
     pub fn verify(self, a: &CsrMatrix<T>) -> Result<VerifiedPlan<T>, VerifyError> {
-        let got = PatternFingerprint::of(a);
-        if got != self.fingerprint {
+        if let Some(got) = self
+            .pattern
+            .mismatch(a, || PatternFingerprint::confirm_of(a) == self.confirm)
+        {
             return Err(VerifyError::PatternMismatch {
-                expected: self.fingerprint,
+                expected: self.pattern.fingerprint,
                 got,
             });
         }
@@ -792,7 +852,7 @@ impl<T: Scalar> SpmvPlan<T> {
 
     /// The pattern this plan is bound to.
     pub fn fingerprint(&self) -> &PatternFingerprint {
-        &self.fingerprint
+        &self.pattern.fingerprint
     }
 
     /// The dispatch table (one entry per populated bin).
@@ -858,7 +918,7 @@ impl<T: Scalar> SpmvPlan<T> {
             &self.dispatch,
             &self.payloads,
             self.features.avg_lines_per_row,
-            self.fingerprint.m,
+            self.pattern.fingerprint.m,
         )
     }
 
@@ -1241,12 +1301,13 @@ pub struct VerifiedPlan<T: Scalar> {
 }
 
 impl<T: Scalar> VerifiedPlan<T> {
-    /// Execute without the per-call O(m) fingerprint scan.
+    /// Execute without the per-call pattern check.
     ///
     /// Validation is O(1): vector lengths plus the matrix's dimensions
-    /// and NNZ against the compiled fingerprint. The row-pointer hash is
-    /// *not* rechecked — that is exactly the cost the verification proof
-    /// paid for once. Handing this a different matrix that happens to
+    /// and NNZ against the compiled fingerprint. Neither the pattern
+    /// generation nor the checksums are consulted — a matrix of another
+    /// generation would cost the checked path O(m + nnz), which is the
+    /// cost the verification proof paid for once. Handing this a different matrix that happens to
     /// share dimensions and NNZ therefore produces wrong *values* (never
     /// undefined behaviour: row reads still go through bounds-checked
     /// slices, and output writes were proven in-bounds for this shape).
@@ -1257,7 +1318,7 @@ impl<T: Scalar> VerifiedPlan<T> {
         v: &[T],
         u: &mut [T],
     ) -> Result<LaunchCost, PlanError> {
-        let fp = &self.plan.fingerprint;
+        let fp = &self.plan.pattern.fingerprint;
         if v.len() != fp.n {
             return Err(PlanError::DimensionMismatch {
                 what: "input vector",
@@ -1281,13 +1342,13 @@ impl<T: Scalar> VerifiedPlan<T> {
         Ok(self.plan.launch_all(a, v, u))
     }
 
-    /// The checked execute path (full fingerprint validation), for
-    /// callers that want the proof *and* the per-call pattern guard.
+    /// The checked execute path (the full pattern check), for callers
+    /// that want the proof *and* the per-call pattern guard.
     pub fn execute(&self, a: &CsrMatrix<T>, v: &[T], u: &mut [T]) -> Result<LaunchCost, PlanError> {
         self.plan.execute(a, v, u)
     }
 
-    /// Batched execute without the per-call O(m) fingerprint scan: the
+    /// Batched execute without the per-call pattern check: the
     /// SpMM counterpart of [`execute_unchecked`](Self::execute_unchecked),
     /// with the same O(1) validation contract. The verification proof
     /// already covered the batched write set — `check_payloads` proves
@@ -1300,7 +1361,7 @@ impl<T: Scalar> VerifiedPlan<T> {
         x: &DenseBlock<T>,
         y: &mut DenseBlock<T>,
     ) -> Result<LaunchCost, PlanError> {
-        let fp = &self.plan.fingerprint;
+        let fp = &self.plan.pattern.fingerprint;
         self.plan.check_batch_dims(x, y)?;
         if a.n_rows() != fp.m || a.n_cols() != fp.n || a.nnz() != fp.nnz {
             return Err(PlanError::PatternMismatch {
@@ -1311,7 +1372,7 @@ impl<T: Scalar> VerifiedPlan<T> {
         Ok(self.plan.launch_all_batch(a, x, y))
     }
 
-    /// Batched execute with the full per-call fingerprint guard.
+    /// Batched execute with the full per-call pattern guard.
     pub fn execute_batch(
         &self,
         a: &CsrMatrix<T>,
@@ -1329,7 +1390,7 @@ impl<T: Scalar> VerifiedPlan<T> {
     /// The pattern this plan is bound to (cache-key convenience; same as
     /// `plan().fingerprint()`).
     pub fn fingerprint(&self) -> &PatternFingerprint {
-        &self.plan.fingerprint
+        &self.plan.pattern.fingerprint
     }
 
     /// The configuration the plan was compiled with (cache-key
@@ -1362,7 +1423,7 @@ impl<T: Scalar> std::fmt::Debug for SpmvPlan<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SpmvPlan")
             .field("strategy", &self.strategy)
-            .field("fingerprint", &self.fingerprint)
+            .field("fingerprint", &self.pattern.fingerprint)
             .field("launches", &self.dispatch.len())
             .field("backend", &self.backend.name())
             .finish()

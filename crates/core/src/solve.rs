@@ -11,13 +11,14 @@
 //!    of tiny levels merged into barrier-free serial chunks (the
 //!    auto-tuned granularity knob, [`SolveConfig::min_parallel_rows`])
 //!    and wide levels split across workers by NNZ-balanced cuts.
-//! 2. [`SolvePlan::verify`] hands the schedule to the dependency-order
-//!    prover ([`check_solve_schedule`]), which re-derives from the
-//!    structure alone that every row is scheduled exactly once, reads
-//!    only rows finalised before it, and owns a structural diagonal.
+//! 2. [`SolvePlan::verify`] hands the schedule and the plan's snapshot
+//!    to the dependency-order prover ([`check_solve_snapshot`]), which
+//!    re-derives from the structure alone that every row is scheduled
+//!    exactly once, reads only rows finalised before it, and owns a
+//!    structural diagonal, and that the snapshot mirrors the matrix.
 //!    Success mints a [`VerifiedSolvePlan`] — unforgeable outside this
 //!    module — whose [`solve_unchecked`](VerifiedSolvePlan::solve_unchecked)
-//!    drops the per-call O(m) fingerprint scan to O(1) validation.
+//!    validates each call in O(1).
 //! 3. [`SymgsPlan`] composes one forward and one backward verified
 //!    solve with two verified residual SpMV plans into the SymGS sweep,
 //!    bit-for-bit identical to [`spmv_sparse::solve::symgs_seq`].
@@ -27,24 +28,45 @@
 //! The SpMV kernels read the caller's matrix each call, and their proof
 //! survives that because a wrong matrix only changes *values* read
 //! through bounds-checked slices. A solve kernel is sharper: dependency
-//! order is a property of the *column indices*, and the pattern
-//! fingerprint does not hash those. So the plan copies `row_ptr` and
-//! `col_idx` at build time and the kernels walk the snapshot, taking
-//! only values from the caller's matrix. Memory safety therefore never
-//! depends on what the caller passes — a mismatched matrix yields wrong
-//! numbers, never a data race — and `solve_unchecked` stays a safe fn.
+//! order is a property of the *column indices*, and the unchecked path
+//! does not re-read them. So the plan copies the structure at build
+//! time and the kernel reads structure only from that copy. Memory
+//! safety therefore never depends on what the caller passes — a
+//! mismatched matrix yields wrong numbers, never a data race — and
+//! `solve_unchecked` stays a safe fn.
+//!
+//! The copy is laid out the way the schedule runs, not the way the
+//! matrix is stored. Position `p` of the *schedule-ordered snapshot* is
+//! the `p`-th row the steps run: its row id, its diagonal value, and
+//! its off-diagonal columns and values, contiguous and in storage order
+//! ([`SolveSnapshot`] is the copied-out form). A step is a span of
+//! positions (a parallel step, one span per worker), so the kernel
+//! streams `[lo, hi)` front to back rather than chasing a natural-order
+//! CSR through row lists, where every row of a level would be a cache
+//! miss on `row_ptr`, `col_idx` and `values`. The row column is the
+//! schedule's only copy of its row order.
+//!
+//! Values enter the snapshot at build. They are re-gathered only when
+//! the matrix handed to a solve carries a different
+//! [`CsrMatrix::values_id`]: the refresh walks that matrix's rows in
+//! schedule order under the slab's write lock, so it keeps no
+//! per-entry source map, and a solve holds the slab's lock (read, or
+//! the write lock it refreshed under) from start to end, so a refresh
+//! never lands mid-solve.
 
 use crate::kernels::cpu::rows_nnz_cuts;
-use crate::kernels::solve::{solve_rows, XVec};
+use crate::kernels::solve::{prefetch_rows_ahead, solve_positions, SnapshotRef, XVec};
 use crate::kernels::KernelId;
-use crate::plan::{PatternFingerprint, PlanError, SpmvPlan, VerifiedPlan};
+use crate::plan::{PatternBinding, PatternFingerprint, PlanError, SpmvPlan, VerifiedPlan};
 use crate::strategy::Strategy;
-use crate::verify::{check_solve_schedule, VerifyError};
+use crate::verify::{prove_solve, VerifyError};
 use spmv_parallel::{fused_for_each_with, num_threads, stepped_for_each};
-use spmv_sparse::solve::{level_sets, split_triangular, SolveDirection, TriangularHalves};
+use spmv_sparse::solve::{level_order, split_triangular, SolveDirection, TriangularHalves};
 use spmv_sparse::{CsrMatrix, Scalar, SolveBuildError};
-use std::marker::PhantomData;
-use std::sync::OnceLock;
+use std::sync::{OnceLock, PoisonError, RwLock};
+
+#[cfg(doc)]
+use crate::verify::check_solve_snapshot;
 
 /// Tuning knobs for building a [`SolvePlan`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -113,26 +135,82 @@ impl SolveStep {
     }
 }
 
+/// A solve plan's schedule-ordered snapshot, copied out by
+/// [`SolvePlan::snapshot`] for inspection and for the public prover
+/// entry [`check_solve_snapshot`]. Position `p` is the `p`-th row the
+/// schedule runs.
+#[derive(Clone, Debug, PartialEq)]
+pub struct SolveSnapshot<T> {
+    /// Row id at each position.
+    pub rows: Vec<u32>,
+    /// Position `p`'s off-diagonal entries are
+    /// `entry_ptr[p]..entry_ptr[p + 1]` of `cols` and `vals`.
+    pub entry_ptr: Vec<usize>,
+    /// Off-diagonal columns, position by position, each row's in
+    /// storage order.
+    pub cols: Vec<u32>,
+    /// The values of `cols`.
+    pub vals: Vec<T>,
+    /// Diagonal value at each position.
+    pub diag: Vec<T>,
+}
+
+impl<T> SolveSnapshot<T> {
+    pub(crate) fn view(&self) -> SnapshotRef<'_, T> {
+        SnapshotRef {
+            rows: &self.rows,
+            entry_ptr: &self.entry_ptr,
+            cols: &self.cols,
+            diag: &self.diag,
+            vals: &self.vals,
+        }
+    }
+}
+
+/// The snapshot's values and the [`CsrMatrix::values_id`] they were
+/// gathered from, under one lock so a solve never mixes two versions.
+struct ValueSlab<T> {
+    source: u64,
+    diag: Vec<T>,
+    vals: Vec<T>,
+}
+
 /// A compiled level-set schedule for one triangular solve, bound to the
 /// sparsity pattern it was built from. Build once per structure with
 /// [`SolvePlan::build`], then [`solve`](SolvePlan::solve) repeatedly as
 /// values change — or promote to a [`VerifiedSolvePlan`] via
-/// [`verify`](SolvePlan::verify) to drop the per-call pattern scan.
+/// [`verify`](SolvePlan::verify) to drop the per-call pattern check.
 pub struct SolvePlan<T: Scalar> {
     direction: SolveDirection,
-    fingerprint: PatternFingerprint,
-    /// Structure snapshot: the kernels never read structure from the
-    /// caller's matrix (see the module docs).
-    row_ptr: Vec<usize>,
-    col_idx: Vec<u32>,
-    steps: Vec<SolveStep>,
-    /// `steps[s].is_parallel()`, precomputed for `stepped_for_each`.
+    pattern: PatternBinding,
+    /// The snapshot's structure (see the module docs): the row at each
+    /// position, each position's entry range, and the off-diagonal
+    /// columns. The kernel reads structure only from here.
+    rows: Vec<u32>,
+    entry_ptr: Vec<usize>,
+    cols: Vec<u32>,
+    /// The snapshot's values.
+    slab: RwLock<ValueSlab<T>>,
+    /// Per step, its position bounds: `[start, end]` for a serial step,
+    /// one start per worker role plus the end for a parallel step.
+    bounds: Vec<Vec<usize>>,
+    /// Whether each step is parallel, for `stepped_for_each`.
     parallel_flags: Vec<bool>,
     n_levels: usize,
     workers: usize,
     config: SolveConfig,
-    _values: PhantomData<T>,
 }
+
+// Plans and their proof tokens cross threads in a multi-tenant runtime;
+// a `!Sync` field must fail to compile here, not at a caller.
+const _: () = {
+    const fn assert_send_sync<T: Send + Sync>() {}
+    assert_send_sync::<SolvePlan<f32>>();
+    assert_send_sync::<VerifiedSolvePlan<f32>>();
+    assert_send_sync::<VerifiedSolvePlan<f64>>();
+    assert_send_sync::<SymgsPlan<f32>>();
+    assert_send_sync::<SymgsPlan<f64>>();
+};
 
 impl<T: Scalar> SolvePlan<T> {
     /// Build a schedule for `a` with the default [`SolveConfig`].
@@ -148,97 +226,132 @@ impl<T: Scalar> SolvePlan<T> {
         direction: SolveDirection,
         config: SolveConfig,
     ) -> Result<Self, SolveBuildError> {
-        let levels = level_sets(a, direction)?;
-        let n_levels = levels.len();
+        // Levels in order are the run order; a step is a span of it.
+        let (rows, starts) = level_order(a, direction)?;
+        let n_levels = starts.len() - 1;
         let (workers, min_parallel) = config.resolve();
-        let mut steps: Vec<SolveStep> = Vec::new();
-        let mut pending: Vec<u32> = Vec::new();
-        if workers == 1 {
-            // One worker: a single serial chunk in level order, zero
-            // barriers — the deterministic reference schedule.
-            pending = levels.into_iter().flatten().collect();
-        } else {
-            for rows in levels {
-                if rows.len() >= min_parallel {
-                    if !pending.is_empty() {
-                        steps.push(SolveStep::Serial {
-                            rows: std::mem::take(&mut pending),
-                        });
-                    }
-                    let cuts = rows_nnz_cuts(a, &rows, workers);
-                    steps.push(SolveStep::Parallel { rows, cuts });
+        // Runs of levels narrower than `min_parallel` merge into serial
+        // chunks. With one worker everything is a single serial chunk,
+        // zero barriers — the deterministic reference schedule.
+        let mut bounds: Vec<Vec<usize>> = Vec::new();
+        let mut parallel_flags = Vec::new();
+        let mut chunk_start = 0;
+        for w in starts.windows(2) {
+            let (start, end) = (w[0], w[1]);
+            if workers == 1 || end - start < min_parallel {
+                continue;
+            }
+            if start > chunk_start {
+                bounds.push(vec![chunk_start, start]);
+                parallel_flags.push(false);
+            }
+            let cuts = rows_nnz_cuts(a, &rows[start..end], workers);
+            bounds.push(cuts.iter().map(|&c| start + c).collect());
+            parallel_flags.push(true);
+            chunk_start = end;
+        }
+        if rows.len() > chunk_start {
+            bounds.push(vec![chunk_start, rows.len()]);
+            parallel_flags.push(false);
+        }
+        // Gather the snapshot in run order. `level_order` proved every
+        // row has a diagonal; the last one wins, as in `sptrsv_seq`.
+        let n_off = a.nnz().saturating_sub(rows.len());
+        let mut entry_ptr = Vec::with_capacity(rows.len() + 1);
+        let mut cols = Vec::with_capacity(n_off);
+        let mut vals = Vec::with_capacity(n_off);
+        let mut diag = Vec::with_capacity(rows.len());
+        entry_ptr.push(0);
+        for (q, &r) in rows.iter().enumerate() {
+            prefetch_rows_ahead(a, &rows, q);
+            let i = r as usize;
+            let (rc, rv) = a.row(i);
+            let mut d = T::ONE;
+            for (&c, &v) in rc.iter().zip(rv) {
+                if c as usize == i {
+                    d = v;
                 } else {
-                    pending.extend(rows);
+                    cols.push(c);
+                    vals.push(v);
                 }
             }
+            diag.push(d);
+            entry_ptr.push(cols.len());
         }
-        if !pending.is_empty() {
-            steps.push(SolveStep::Serial { rows: pending });
-        }
-        let parallel_flags = steps.iter().map(SolveStep::is_parallel).collect();
         Ok(Self {
             direction,
-            fingerprint: PatternFingerprint::of(a),
-            row_ptr: a.row_ptr().to_vec(),
-            col_idx: a.col_idx().to_vec(),
-            steps,
+            pattern: PatternBinding::of(a),
+            rows,
+            entry_ptr,
+            cols,
+            slab: RwLock::new(ValueSlab {
+                source: a.values_id(),
+                diag,
+                vals,
+            }),
+            bounds,
             parallel_flags,
             n_levels,
             workers,
             config,
-            _values: PhantomData,
         })
     }
 
-    /// Execute the solve with the full per-call pattern guard: `a` must
-    /// fingerprint-match the build matrix (O(m) scan), and `b`/`x` must
-    /// have the system's length. Values are read from `a`, structure
-    /// from the plan's snapshot.
+    /// Execute the solve with the per-call pattern guard: `a` must have
+    /// the build matrix's pattern (O(1) for that matrix, a clone, or
+    /// either after value updates; otherwise the fingerprint plus an
+    /// exact comparison with the snapshot's columns, in storage order,
+    /// O(nnz)), and `b`/`x` must have the system's length. Values come from `a` (re-gathered into the
+    /// snapshot when its value generation changed), structure from the
+    /// plan's snapshot.
     pub fn solve(&self, a: &CsrMatrix<T>, b: &[T], x: &mut [T]) -> Result<(), PlanError> {
-        let got = PatternFingerprint::of(a);
-        if got != self.fingerprint {
-            return Err(PlanError::PatternMismatch {
-                expected: self.fingerprint,
-                got,
-            });
-        }
+        self.pattern.check(a, || self.mirrors(a))?;
         self.check_dims(b, x)?;
-        self.run(a.values(), b, x);
+        self.run(a, b, x);
         Ok(())
     }
 
     /// Promote this plan to a [`VerifiedSolvePlan`] by running the
     /// dependency-order prover against `a`:
     ///
-    /// 1. `a` must fingerprint-match the build matrix **and** agree
-    ///    with the structure snapshot entry-for-entry (the fingerprint
-    ///    does not hash column indices; the proof must be about the
-    ///    matrix the caller will solve with);
-    /// 2. [`check_solve_schedule`] then proves, from the structure
-    ///    alone, that every row is scheduled exactly once, every
-    ///    off-diagonal column is a same-direction dependency finalised
-    ///    before the row runs (strictly earlier step for parallel
-    ///    steps; earlier position suffices inside a serial chunk),
-    ///    every row has a structural diagonal, and every parallel
-    ///    step's cuts partition its rows across the worker team.
+    /// 1. `a` must have the build matrix's pattern (generation, or
+    ///    fingerprint plus the snapshot's columns) — the proof must be
+    ///    about the matrix the caller will solve with;
+    /// 2. the snapshot's values are brought up to date with `a`;
+    /// 3. [`check_solve_snapshot`]'s obligations then prove, from the
+    ///    structure alone, that every row is scheduled exactly once,
+    ///    every off-diagonal column is a same-direction dependency
+    ///    finalised before the row runs (strictly earlier step for
+    ///    parallel steps; earlier position suffices inside a serial
+    ///    chunk), every row has a structural diagonal, every parallel
+    ///    step's cuts partition its span across the worker team, and
+    ///    that the steps tile the snapshot's positions, each of which
+    ///    holds exactly its row's off-diagonals in storage order and
+    ///    its row's diagonal.
     ///
-    /// The prover re-derives everything from the matrix; it trusts
-    /// nothing the builder wrote down.
+    /// The prover re-derives everything from the matrix in one row
+    /// walk; it trusts nothing the builder wrote down.
     pub fn verify(self, a: &CsrMatrix<T>) -> Result<VerifiedSolvePlan<T>, VerifyError> {
-        let got = PatternFingerprint::of(a);
-        if got != self.fingerprint {
+        if let Some(got) = self.pattern.mismatch(a, || self.mirrors(a)) {
             return Err(VerifyError::PatternMismatch {
-                expected: self.fingerprint,
+                expected: self.pattern.fingerprint,
                 got,
             });
         }
-        if a.row_ptr() != &self.row_ptr[..] {
-            return Err(VerifyError::SolveStructureMismatch { what: "row_ptr" });
+        // The dimensions match (the pattern does), so the refresh may
+        // read `a`'s rows.
+        {
+            let slab = self.values_for(a);
+            prove_solve(
+                a,
+                self.direction,
+                &self.rows,
+                &self.bounds,
+                &self.parallel_flags,
+                self.workers,
+                Some(self.view(&slab)),
+            )?;
         }
-        if a.col_idx() != &self.col_idx[..] {
-            return Err(VerifyError::SolveStructureMismatch { what: "col_idx" });
-        }
-        check_solve_schedule(a, self.direction, &self.steps, self.workers)?;
         Ok(VerifiedSolvePlan { plan: self })
     }
 
@@ -249,12 +362,39 @@ impl<T: Scalar> SolvePlan<T> {
 
     /// The pattern this plan is bound to.
     pub fn fingerprint(&self) -> &PatternFingerprint {
-        &self.fingerprint
+        &self.pattern.fingerprint
     }
 
-    /// The barrier-separated schedule.
-    pub fn steps(&self) -> &[SolveStep] {
-        &self.steps
+    /// The barrier-separated schedule, materialised from the snapshot's
+    /// row order (a copy; the plan stores each step as a span).
+    pub fn steps(&self) -> Vec<SolveStep> {
+        self.bounds
+            .iter()
+            .zip(&self.parallel_flags)
+            .map(|(b, &par)| {
+                let (start, end) = (b[0], b[b.len() - 1]);
+                let rows = self.rows[start..end].to_vec();
+                if par {
+                    let cuts = b.iter().map(|&c| c - start).collect();
+                    SolveStep::Parallel { rows, cuts }
+                } else {
+                    SolveStep::Serial { rows }
+                }
+            })
+            .collect()
+    }
+
+    /// A copy of the schedule-ordered snapshot, values as of the last
+    /// solve, refresh or build.
+    pub fn snapshot(&self) -> SolveSnapshot<T> {
+        let slab = self.slab.read().unwrap_or_else(PoisonError::into_inner);
+        SolveSnapshot {
+            rows: self.rows.clone(),
+            entry_ptr: self.entry_ptr.clone(),
+            cols: self.cols.clone(),
+            vals: slab.vals.clone(),
+            diag: slab.diag.clone(),
+        }
     }
 
     /// Depth of the dependency DAG (number of level sets).
@@ -267,7 +407,7 @@ impl<T: Scalar> SolvePlan<T> {
     /// this below `n_levels - 1`).
     pub fn n_barriers(&self) -> usize {
         if self.workers > 1 {
-            self.steps.len().saturating_sub(1)
+            self.bounds.len().saturating_sub(1)
         } else {
             0
         }
@@ -284,50 +424,137 @@ impl<T: Scalar> SolvePlan<T> {
     }
 
     fn check_dims(&self, b: &[T], x: &[T]) -> Result<(), PlanError> {
-        if b.len() != self.fingerprint.m {
+        let fp = &self.pattern.fingerprint;
+        if b.len() != fp.m {
             return Err(PlanError::DimensionMismatch {
                 what: "rhs vector",
-                expected: self.fingerprint.m,
+                expected: fp.m,
                 got: b.len(),
             });
         }
-        if x.len() != self.fingerprint.n {
+        if x.len() != fp.n {
             return Err(PlanError::DimensionMismatch {
                 what: "solution vector",
-                expected: self.fingerprint.n,
+                expected: fp.n,
                 got: x.len(),
             });
         }
         Ok(())
     }
 
-    /// March the worker team through the schedule. Callers guarantee
-    /// `values.len() == fingerprint.nnz`, `b.len() == m`,
-    /// `x.len() == n`; everything else the kernel needs holds by
-    /// construction: the snapshot came from a matrix `level_sets`
-    /// validated (square, on-triangle, in-bounds columns, full
-    /// diagonal), the steps cover rows in dependency order, and the
-    /// fields are private so no safe code can break those invariants
-    /// after the build.
-    fn run(&self, values: &[T], b: &[T], x: &mut [T]) {
-        let xv = XVec::new(x);
-        stepped_for_each(self.workers, &self.parallel_flags, |step, role, _w| {
-            match &self.steps[step] {
-                SolveStep::Serial { rows } => {
-                    // SAFETY: serial steps run on one worker; earlier
-                    // rows of the chunk and all prior steps are done.
-                    unsafe { solve_rows(&self.row_ptr, &self.col_idx, values, b, xv, rows) }
-                }
-                SolveStep::Parallel { rows, cuts } => {
-                    let span = &rows[cuts[role]..cuts[role + 1]];
-                    // SAFETY: level rows are mutually independent and
-                    // the cuts are disjoint, so this worker's span
-                    // races with nobody; dependencies sit in earlier,
-                    // barrier-separated steps.
-                    unsafe { solve_rows(&self.row_ptr, &self.col_idx, values, b, xv, span) }
+    /// Whether `a`'s off-diagonal columns are the snapshot's, row for
+    /// row in storage order, every row keeping a diagonal: the checked
+    /// paths' exact column check for a matrix of another generation
+    /// (the fingerprint has matched, so the shape and row lengths do).
+    /// The order counts — the kernel subtracts in it — so a matrix whose
+    /// rows [`CsrMatrix::sort_rows`] reordered is refused. O(nnz).
+    fn mirrors(&self, a: &CsrMatrix<T>) -> bool {
+        self.rows
+            .iter()
+            .zip(self.entry_ptr.windows(2))
+            .all(|(&r, e)| {
+                let i = r as usize;
+                let (cols, _) = a.row(i);
+                let off = cols.iter().filter(|&&c| c as usize != i).copied();
+                cols.contains(&r) && off.eq(self.cols[e[0]..e[1]].iter().copied())
+            })
+    }
+
+    fn view<'a>(&'a self, slab: &'a ValueSlab<T>) -> SnapshotRef<'a, T> {
+        SnapshotRef {
+            rows: &self.rows,
+            entry_ptr: &self.entry_ptr,
+            cols: &self.cols,
+            diag: &slab.diag,
+            vals: &slab.vals,
+        }
+    }
+
+    /// The value slab, gathered from `a` if it holds another value
+    /// generation, behind a guard held for as long as the caller reads
+    /// it. A refresh takes the write lock and the caller keeps it
+    /// (readers of the old values are done; readers of the new ones
+    /// wait), so a caller always reads the values of the `a` it passed.
+    /// `a` must have `m` rows; any other difference in pattern yields
+    /// wrong values, never an out-of-bounds write.
+    fn values_for(&self, a: &CsrMatrix<T>) -> SlabGuard<'_, T> {
+        let want = a.values_id();
+        let slab = self.slab.read().unwrap_or_else(PoisonError::into_inner);
+        if slab.source == want {
+            return SlabGuard::Read(slab);
+        }
+        drop(slab);
+        let mut slab = self.slab.write().unwrap_or_else(PoisonError::into_inner);
+        if slab.source != want {
+            // Stale until the walk completes, should it panic midway.
+            slab.source = 0;
+            self.gather_values(&mut slab, a);
+            slab.source = want;
+        }
+        SlabGuard::Write(slab)
+    }
+
+    /// Re-gather the snapshot's values from `a`, walking its rows in
+    /// schedule order and routing each entry as the build did: the
+    /// diagonal to its position's slot, the off-diagonals in storage
+    /// order into its entry range (surplus entries of a mismatched row
+    /// are dropped).
+    fn gather_values(&self, slab: &mut ValueSlab<T>, a: &CsrMatrix<T>) {
+        let ValueSlab { diag, vals, .. } = slab;
+        for (p, (&r, d)) in self.rows.iter().zip(diag.iter_mut()).enumerate() {
+            prefetch_rows_ahead(a, &self.rows, p);
+            let i = r as usize;
+            let (rc, rv) = a.row(i);
+            let mut slots = vals[self.entry_ptr[p]..self.entry_ptr[p + 1]].iter_mut();
+            for (&c, &v) in rc.iter().zip(rv) {
+                if c as usize == i {
+                    *d = v;
+                } else if let Some(slot) = slots.next() {
+                    *slot = v;
                 }
             }
+        }
+    }
+
+    /// March the worker team through the schedule with `a`'s values.
+    /// Callers guarantee `a.n_rows() == m`, `b.len() == m`,
+    /// `x.len() == n`; everything else the kernel needs holds by
+    /// construction: the snapshot's structure came from a matrix
+    /// `level_order` validated (square, on-triangle, in-bounds columns,
+    /// full diagonal), the steps run its levels in dependency order,
+    /// and the fields are private so no safe code can change that
+    /// structure after the build (a refresh rewrites values only).
+    fn run(&self, a: &CsrMatrix<T>, b: &[T], x: &mut [T]) {
+        let slab = self.values_for(a);
+        let snap = self.view(&slab);
+        let xv = XVec::new(x);
+        stepped_for_each(self.workers, &self.parallel_flags, |step, role, _w| {
+            let bounds = &self.bounds[step];
+            // SAFETY: a serial step runs on role 0 alone, after every
+            // earlier step; a parallel step is one level, whose rows
+            // are mutually independent, and the roles' spans are
+            // disjoint — so this span races with nobody, and its
+            // dependencies sit in earlier, barrier-separated steps or
+            // earlier positions of this worker's own chunk.
+            unsafe { solve_positions(snap, b, xv, bounds[role], bounds[role + 1]) }
         });
+    }
+}
+
+/// A read or write guard on a plan's value slab.
+enum SlabGuard<'a, T> {
+    Read(std::sync::RwLockReadGuard<'a, ValueSlab<T>>),
+    Write(std::sync::RwLockWriteGuard<'a, ValueSlab<T>>),
+}
+
+impl<T> std::ops::Deref for SlabGuard<'_, T> {
+    type Target = ValueSlab<T>;
+
+    fn deref(&self) -> &ValueSlab<T> {
+        match self {
+            SlabGuard::Read(g) => g,
+            SlabGuard::Write(g) => g,
+        }
     }
 }
 
@@ -335,28 +562,28 @@ impl<T: Scalar> std::fmt::Debug for SolvePlan<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SolvePlan")
             .field("direction", &self.direction)
-            .field("m", &self.fingerprint.m)
-            .field("nnz", &self.fingerprint.nnz)
+            .field("m", &self.pattern.fingerprint.m)
+            .field("nnz", &self.pattern.fingerprint.nnz)
             .field("n_levels", &self.n_levels)
-            .field("steps", &self.steps.len())
+            .field("steps", &self.bounds.len())
             .field("workers", &self.workers)
             .finish()
     }
 }
 
-/// A solve plan whose schedule has been *proven* dependency-respecting
-/// by [`SolvePlan::verify`] — the token that unlocks
+/// A solve plan whose schedule and snapshot have been *proven* by
+/// [`SolvePlan::verify`] — the token that unlocks
 /// [`solve_unchecked`](Self::solve_unchecked).
 ///
 /// The only way to obtain one is through `verify`; the wrapped plan is
-/// immutable from outside, so the proof cannot go stale for the
-/// pattern it was established against.
+/// immutable from outside, so the proof cannot go stale for the pattern
+/// it was established against.
 pub struct VerifiedSolvePlan<T: Scalar> {
     plan: SolvePlan<T>,
 }
 
 impl<T: Scalar> VerifiedSolvePlan<T> {
-    /// Solve without the per-call O(m) fingerprint scan.
+    /// Solve without the per-call pattern check.
     ///
     /// Validation is O(1): vector lengths plus the matrix's dimensions
     /// and NNZ against the compiled fingerprint. Structure always comes
@@ -366,7 +593,7 @@ impl<T: Scalar> VerifiedSolvePlan<T> {
     /// rely on is a property of the snapshot, not of `a`). Value-only
     /// updates — the intended use — are always fine.
     pub fn solve_unchecked(&self, a: &CsrMatrix<T>, b: &[T], x: &mut [T]) -> Result<(), PlanError> {
-        let fp = &self.plan.fingerprint;
+        let fp = &self.plan.pattern.fingerprint;
         self.plan.check_dims(b, x)?;
         if a.n_rows() != fp.m || a.n_cols() != fp.n || a.nnz() != fp.nnz {
             return Err(PlanError::PatternMismatch {
@@ -374,12 +601,12 @@ impl<T: Scalar> VerifiedSolvePlan<T> {
                 got: PatternFingerprint::of(a),
             });
         }
-        self.plan.run(a.values(), b, x);
+        self.plan.run(a, b, x);
         Ok(())
     }
 
-    /// The checked solve path (full fingerprint validation), for
-    /// callers that want the proof *and* the per-call pattern guard.
+    /// The checked solve path (full pattern validation), for callers
+    /// that want the proof *and* the per-call pattern guard.
     pub fn solve(&self, a: &CsrMatrix<T>, b: &[T], x: &mut [T]) -> Result<(), PlanError> {
         self.plan.solve(a, b, x)
     }
@@ -463,7 +690,7 @@ impl From<VerifyError> for SolveError {
 /// [`apply`](SymgsPlan::apply) refreshes the halves' values in O(nnz)
 /// only when the source matrix's value generation changed.
 pub struct SymgsPlan<T: Scalar> {
-    fingerprint: PatternFingerprint,
+    pattern: PatternBinding,
     halves: TriangularHalves<T>,
     forward: VerifiedSolvePlan<T>,
     backward: VerifiedSolvePlan<T>,
@@ -526,7 +753,7 @@ impl<T: Scalar> SymgsPlan<T> {
         let (forward, backward) = (forward?, backward?);
         let (upper_spmv, lower_spmv) = (upper_spmv?, lower_spmv?);
         Ok(Self {
-            fingerprint: PatternFingerprint::of(a),
+            pattern: PatternBinding::of(a),
             r: vec![T::ZERO; a.n_rows()],
             halves,
             forward,
@@ -536,29 +763,26 @@ impl<T: Scalar> SymgsPlan<T> {
         })
     }
 
-    /// Run one sweep: `a` must fingerprint-match the build matrix
-    /// (values may differ — they are re-copied into the halves when
-    /// stale), `b` is the right-hand side, `x` the iterate updated in
-    /// place.
+    /// Run one sweep: `a` must have the build matrix's pattern (O(1)
+    /// for that matrix, a clone, or either after value updates;
+    /// otherwise the fingerprint plus [`TriangularHalves::is_split_of`],
+    /// an exact O(nnz) column comparison), values may differ — they are
+    /// re-copied into the halves when stale. `b` is the right-hand side, `x` the
+    /// iterate updated in place.
     pub fn apply(&mut self, a: &CsrMatrix<T>, b: &[T], x: &mut [T]) -> Result<(), PlanError> {
-        let got = PatternFingerprint::of(a);
-        if got != self.fingerprint {
-            return Err(PlanError::PatternMismatch {
-                expected: self.fingerprint,
-                got,
-            });
-        }
-        if b.len() != self.fingerprint.m {
+        self.pattern.check(a, || self.halves.is_split_of(a))?;
+        let fp = &self.pattern.fingerprint;
+        if b.len() != fp.m {
             return Err(PlanError::DimensionMismatch {
                 what: "rhs vector",
-                expected: self.fingerprint.m,
+                expected: fp.m,
                 got: b.len(),
             });
         }
-        if x.len() != self.fingerprint.n {
+        if x.len() != fp.n {
             return Err(PlanError::DimensionMismatch {
                 what: "solution vector",
-                expected: self.fingerprint.n,
+                expected: fp.n,
                 got: x.len(),
             });
         }
@@ -587,7 +811,7 @@ impl<T: Scalar> SymgsPlan<T> {
 
     /// The pattern this sweep is bound to.
     pub fn fingerprint(&self) -> &PatternFingerprint {
-        &self.fingerprint
+        &self.pattern.fingerprint
     }
 
     /// The verified forward (`L + D`) solve.
@@ -609,8 +833,8 @@ impl<T: Scalar> SymgsPlan<T> {
 impl<T: Scalar> std::fmt::Debug for SymgsPlan<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SymgsPlan")
-            .field("m", &self.fingerprint.m)
-            .field("nnz", &self.fingerprint.nnz)
+            .field("m", &self.pattern.fingerprint.m)
+            .field("nnz", &self.pattern.fingerprint.nnz)
             .field("forward", &self.forward)
             .field("backward", &self.backward)
             .finish()

@@ -12,7 +12,7 @@
 //! and the CSR row pointer in one O(m + nnz-scan) pass. Plans that pass
 //! become a [`VerifiedPlan`] (see [`SpmvPlan::verify`]) which unlocks
 //! [`VerifiedPlan::execute_unchecked`] — the fast path that drops the
-//! per-execute O(m) fingerprint scan from the hot loop. Failures are a
+//! per-execute pattern check from the hot loop. Failures are a
 //! typed [`VerifyError`] naming the bin, kernel id, and offending row
 //! range.
 //!
@@ -22,9 +22,10 @@
 //! [`VerifiedPlan::execute_unchecked`]: crate::plan::VerifiedPlan::execute_unchecked
 
 use crate::kernels::cpu::rows_nnz_cuts;
+use crate::kernels::solve::{prefetch_rows_ahead, SnapshotRef};
 use crate::kernels::KernelId;
 use crate::plan::{BinDispatch, BinFormat, BinPayload, Tile};
-use crate::solve::SolveStep;
+use crate::solve::{SolveSnapshot, SolveStep};
 use spmv_sparse::solve::SolveDirection;
 use spmv_sparse::{CsrMatrix, Scalar};
 
@@ -152,16 +153,17 @@ pub enum VerifyError {
         /// What property failed.
         detail: String,
     },
-    /// The matrix handed to [`SolvePlan::verify`] fingerprint-matches
-    /// the plan but disagrees with its structure snapshot — possible
-    /// because the fingerprint hashes only the row pointer, and fatal
-    /// for a solve proof because dependency order lives in the column
-    /// indices.
-    ///
-    /// [`SolvePlan::verify`]: crate::solve::SolvePlan::verify
-    SolveStructureMismatch {
-        /// Which snapshot array disagreed (`"row_ptr"` / `"col_idx"`).
-        what: &'static str,
+    /// A solve plan's schedule-ordered snapshot does not mirror the
+    /// matrix it is proven against: a position holds a row its step
+    /// does not run, the steps do not tile the positions, a position's
+    /// entries are not exactly its row's off-diagonals in storage order,
+    /// or its diagonal is not the row's. The kernel reads structure
+    /// only from the snapshot, so the proof must be about the snapshot.
+    SolveSnapshotMismatch {
+        /// First position (index into the run order) that disagrees.
+        position: usize,
+        /// What property failed.
+        detail: String,
     },
     /// A triangular solve needs a square system; this matrix is not.
     SolveNotSquare {
@@ -331,10 +333,9 @@ impl std::fmt::Display for VerifyError {
                 f,
                 "RHS blocks for batch width {k} are not a partition: {detail}"
             ),
-            VerifyError::SolveStructureMismatch { what } => write!(
+            VerifyError::SolveSnapshotMismatch { position, detail } => write!(
                 f,
-                "matrix {what} disagrees with the plan's structure snapshot \
-                 (same fingerprint, different pattern)"
+                "solve snapshot position {position} does not mirror the matrix: {detail}"
             ),
             VerifyError::SolveNotSquare { n_rows, n_cols } => write!(
                 f,
@@ -730,8 +731,9 @@ pub fn check_rhs_blocks() -> Result<(), VerifyError> {
 ///    executor hands out are disjoint and complete.
 ///
 /// Everything is re-derived from `a`'s structure; nothing the schedule
-/// builder wrote down is trusted. O(m) space, O(m + nnz) time plus the
-/// cut scans.
+/// builder wrote down is trusted. O(m) space, O(m + nnz) time.
+/// [`check_solve_snapshot`] adds the obligations of the snapshot a plan
+/// executes from.
 ///
 /// [`VerifiedSolvePlan`]: crate::solve::VerifiedSolvePlan
 pub fn check_solve_schedule<T: Scalar>(
@@ -740,6 +742,115 @@ pub fn check_solve_schedule<T: Scalar>(
     steps: &[SolveStep],
     workers: usize,
 ) -> Result<(), VerifyError> {
+    let (order, bounds, parallel) = positions_of(steps, workers)?;
+    prove_solve(a, direction, &order, &bounds, &parallel, workers, None)
+}
+
+/// [`check_solve_schedule`] plus the obligations of the schedule-ordered
+/// snapshot a solve plan executes from, for a schedule and snapshot
+/// copied out of a plan ([`SolvePlan::steps`], [`SolvePlan::snapshot`]):
+///
+/// 6. the snapshot's positions are the steps' rows, in run order;
+/// 7. each position's entries are exactly its matrix row's off-diagonal
+///    `(column, value)` pairs in storage order;
+/// 8. each position's diagonal is its row's diagonal value (the last
+///    one in storage order, as `sptrsv_seq` takes it).
+///
+/// The proof runs inside the row walk of obligations 3–4, so it costs
+/// no second pass over the matrix. [`SolvePlan::verify`] runs the same
+/// proof on the plan's own snapshot. Values are compared bit for bit.
+///
+/// [`SolvePlan::steps`]: crate::solve::SolvePlan::steps
+/// [`SolvePlan::snapshot`]: crate::solve::SolvePlan::snapshot
+/// [`SolvePlan::verify`]: crate::solve::SolvePlan::verify
+pub fn check_solve_snapshot<T: Scalar>(
+    a: &CsrMatrix<T>,
+    direction: SolveDirection,
+    steps: &[SolveStep],
+    workers: usize,
+    snapshot: &SolveSnapshot<T>,
+) -> Result<(), VerifyError> {
+    let (order, bounds, parallel) = positions_of(steps, workers)?;
+    let n = order.len().max(snapshot.rows.len());
+    if let Some(q) = (0..n).find(|&q| order.get(q) != snapshot.rows.get(q)) {
+        return Err(VerifyError::SolveSnapshotMismatch {
+            position: q,
+            detail: format!(
+                "the snapshot holds row {:?} where the steps run row {:?}",
+                snapshot.rows.get(q),
+                order.get(q)
+            ),
+        });
+    }
+    prove_solve(
+        a,
+        direction,
+        &order,
+        &bounds,
+        &parallel,
+        workers,
+        Some(snapshot.view()),
+    )
+}
+
+/// A step list in the prover's position form: the concatenated run
+/// order, each step's absolute position bounds (`[start, end]` for a
+/// serial step, one bound per role plus the end for a parallel one) and
+/// its parallel flag. Each parallel step's cuts are checked on the way
+/// (obligation 5).
+type Positions = (Vec<u32>, Vec<Vec<usize>>, Vec<bool>);
+
+fn positions_of(steps: &[SolveStep], workers: usize) -> Result<Positions, VerifyError> {
+    let mut order = Vec::new();
+    let mut bounds = Vec::with_capacity(steps.len());
+    for (s, st) in steps.iter().enumerate() {
+        let start = order.len();
+        match st {
+            SolveStep::Serial { rows } => bounds.push(vec![start, start + rows.len()]),
+            SolveStep::Parallel { rows, cuts } => {
+                let fail = |detail: String| VerifyError::SolveCutsInvalid { step: s, detail };
+                if cuts.len() != workers + 1 {
+                    return Err(fail(format!(
+                        "{} cuts for {workers} workers (need workers + 1)",
+                        cuts.len()
+                    )));
+                }
+                if cuts.first() != Some(&0) {
+                    return Err(fail(format!("first cut {:?} != 0", cuts.first())));
+                }
+                if cuts.last() != Some(&rows.len()) {
+                    return Err(fail(format!(
+                        "last cut {:?} != |rows| = {}",
+                        cuts.last(),
+                        rows.len()
+                    )));
+                }
+                bounds.push(cuts.iter().map(|&c| start + c).collect());
+            }
+        }
+        order.extend_from_slice(st.rows());
+    }
+    Ok((
+        order,
+        bounds,
+        steps.iter().map(SolveStep::is_parallel).collect(),
+    ))
+}
+
+/// The one solve prover behind [`check_solve_schedule`],
+/// [`check_solve_snapshot`] and `SolvePlan::verify`: obligations 1–5
+/// over the run order `order` split into steps by `bounds`, plus 7–8
+/// against `snap` when given (obligation 6 holds when `order` is the
+/// snapshot's own row column).
+pub(crate) fn prove_solve<T: Scalar>(
+    a: &CsrMatrix<T>,
+    direction: SolveDirection,
+    order: &[u32],
+    bounds: &[Vec<usize>],
+    parallel: &[bool],
+    workers: usize,
+    snap: Option<SnapshotRef<'_, T>>,
+) -> Result<(), VerifyError> {
     let m = a.n_rows();
     if a.n_cols() != m {
         return Err(VerifyError::SolveNotSquare {
@@ -747,13 +858,48 @@ pub fn check_solve_schedule<T: Scalar>(
             n_cols: a.n_cols(),
         });
     }
-    // (2) exactly-once scheduling, recording each row's (step, position)
-    // so the dependency check can compare finalisation order.
+    let mismatch =
+        |position: usize, detail: String| VerifyError::SolveSnapshotMismatch { position, detail };
+    // (5) + (6): every step's bounds are well-formed and the steps tile
+    // the positions in order, so role spans are disjoint and complete
+    // (a step the flags do not reach leaves its positions uncovered).
+    let mut end = 0usize;
+    for (s, (b, &par)) in bounds.iter().zip(parallel).enumerate() {
+        let fail = |detail: String| VerifyError::SolveCutsInvalid { step: s, detail };
+        let want = if par { workers + 1 } else { 2 };
+        if b.len() != want {
+            return Err(fail(format!(
+                "{} bounds where the step needs {want}",
+                b.len()
+            )));
+        }
+        if b[0] != end {
+            return Err(mismatch(
+                end,
+                format!(
+                    "step {s} starts at position {}, not where its predecessor ended",
+                    b[0]
+                ),
+            ));
+        }
+        if let Some(w) = b.windows(2).find(|w| w[0] > w[1]) {
+            return Err(fail(format!("cuts not monotone at {} > {}", w[0], w[1])));
+        }
+        end = b[want - 1];
+    }
+    if end != order.len() {
+        return Err(mismatch(
+            end.min(order.len()),
+            format!("the steps cover positions 0..{end} of 0..{}", order.len()),
+        ));
+    }
+    // (2) exactly-once scheduling, recording each row's step and
+    // position so the dependency check can compare finalisation order.
     const UNSCHEDULED: u32 = u32::MAX;
     let mut step_of: Vec<u32> = vec![UNSCHEDULED; m];
     let mut pos_of: Vec<u32> = vec![0; m];
-    for (s, st) in steps.iter().enumerate() {
-        for (p, &r) in st.rows().iter().enumerate() {
+    for (s, b) in bounds.iter().enumerate() {
+        for (q, &r) in order.iter().enumerate().take(b[b.len() - 1]).skip(b[0]) {
             let ri = r as usize;
             if ri >= m {
                 return Err(VerifyError::SolveRowOutOfBounds { row: r, m });
@@ -766,43 +912,51 @@ pub fn check_solve_schedule<T: Scalar>(
                 });
             }
             step_of[ri] = s as u32;
-            pos_of[ri] = p as u32;
-        }
-        // (5) parallel cuts partition the step's rows across the team.
-        if let SolveStep::Parallel { rows, cuts } = st {
-            let fail = |detail: String| VerifyError::SolveCutsInvalid { step: s, detail };
-            if cuts.len() != workers + 1 {
-                return Err(fail(format!(
-                    "{} cuts for {workers} workers (need workers + 1)",
-                    cuts.len()
-                )));
-            }
-            if cuts.first() != Some(&0) {
-                return Err(fail(format!("first cut {:?} != 0", cuts.first())));
-            }
-            if cuts.last() != Some(&rows.len()) {
-                return Err(fail(format!(
-                    "last cut {:?} != |rows| = {}",
-                    cuts.last(),
-                    rows.len()
-                )));
-            }
-            if let Some(w) = cuts.windows(2).find(|w| w[0] > w[1]) {
-                return Err(fail(format!("cuts not monotone at {} > {}", w[0], w[1])));
-            }
+            pos_of[ri] = q as u32;
         }
     }
     if let Some(row) = step_of.iter().position(|&s| s == UNSCHEDULED) {
         return Err(VerifyError::SolveRowUnscheduled { row });
     }
-    // (3) + (4): per-row structure scan against the finalisation order.
-    for (s, st) in steps.iter().enumerate() {
-        let par = st.is_parallel();
-        for (p, &r) in st.rows().iter().enumerate() {
-            let i = r as usize;
-            let (cols, _) = a.row(i);
-            let mut has_diag = false;
-            for &c in cols {
+    if let Some(sn) = &snap {
+        let n = order.len();
+        if sn.diag.len() != n
+            || sn.entry_ptr.len() != n + 1
+            || sn.entry_ptr[0] != 0
+            || sn.vals.len() != sn.cols.len()
+        {
+            return Err(mismatch(
+                0,
+                format!(
+                    "array lengths do not fit {n} positions: {} diagonals, {} entry \
+                     pointers, {} columns, {} values",
+                    sn.diag.len(),
+                    sn.entry_ptr.len(),
+                    sn.cols.len(),
+                    sn.vals.len()
+                ),
+            ));
+        }
+    }
+    // (3) + (4) + (7) + (8): per-row structure scan against the
+    // finalisation order, walking the snapshot's entries alongside.
+    for (s, (b, &par)) in bounds.iter().zip(parallel).enumerate() {
+        for q in b[0]..b[b.len() - 1] {
+            prefetch_rows_ahead(a, order, q);
+            let i = order[q] as usize;
+            let (cols, vals) = a.row(i);
+            let (mut k, k_end) = match &snap {
+                Some(sn) => (sn.entry_ptr[q], sn.entry_ptr[q + 1]),
+                None => (0, 0),
+            };
+            if snap.is_some_and(|sn| k > k_end || k_end > sn.cols.len()) {
+                return Err(mismatch(
+                    q,
+                    format!("entry range {k}..{k_end} is not inside the entry arrays"),
+                ));
+            }
+            let mut diag = None;
+            for (&c, &v) in cols.iter().zip(vals) {
                 let ci = c as usize;
                 if ci >= m {
                     return Err(VerifyError::SolveColOutOfBounds {
@@ -812,7 +966,7 @@ pub fn check_solve_schedule<T: Scalar>(
                     });
                 }
                 if ci == i {
-                    has_diag = true;
+                    diag = Some(v);
                     continue;
                 }
                 if !direction.is_dependency(i, ci) {
@@ -831,7 +985,7 @@ pub fn check_solve_schedule<T: Scalar>(
                 } else {
                     // Serial chunks run on one worker in listed order:
                     // an earlier position of the same step suffices.
-                    cs < s || (cs == s && (pos_of[ci] as usize) < p)
+                    cs < s || (cs == s && (pos_of[ci] as usize) < q)
                 };
                 if !finalised {
                     return Err(VerifyError::SolveDependencyViolated {
@@ -841,13 +995,51 @@ pub fn check_solve_schedule<T: Scalar>(
                         col_step: cs,
                     });
                 }
+                if let Some(sn) = &snap {
+                    if k == k_end || sn.cols[k] != c || !same_bits(sn.vals[k], v) {
+                        let held = (k < k_end).then(|| (sn.cols[k], sn.vals[k]));
+                        return Err(mismatch(
+                            q,
+                            format!(
+                                "row {i}: off-diagonal entry {} is ({c}, {v}) in the matrix \
+                                 but {held:?} in the snapshot",
+                                k - sn.entry_ptr[q]
+                            ),
+                        ));
+                    }
+                    k += 1;
+                }
             }
-            if !has_diag {
+            let Some(d) = diag else {
                 return Err(VerifyError::SolveMissingDiagonal { row: i });
+            };
+            if let Some(sn) = &snap {
+                if k != k_end {
+                    return Err(mismatch(
+                        q,
+                        format!("row {i}: the snapshot holds {} extra entries", k_end - k),
+                    ));
+                }
+                if !same_bits(sn.diag[q], d) {
+                    return Err(mismatch(
+                        q,
+                        format!(
+                            "row {i}: diagonal {d} in the matrix, {} in the snapshot",
+                            sn.diag[q]
+                        ),
+                    ));
+                }
             }
         }
     }
     Ok(())
+}
+
+/// Bitwise equality of two scalars (`NaN` equals itself, `-0` does not
+/// equal `+0`): widening to `f64` is exact and injective on the values
+/// a copy can produce.
+fn same_bits<T: Scalar>(a: T, b: T) -> bool {
+    a.to_f64().to_bits() == b.to_f64().to_bits()
 }
 
 /// The inclusive row range two launches both claim. When the duplicate

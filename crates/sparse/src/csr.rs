@@ -7,10 +7,11 @@ use crate::error::{CsrBuildError, SparseError};
 use crate::scalar::Scalar;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Process-unique generation id handed to each freshly built (or value-
-/// mutated) matrix. Monotone and never reused, so two matrices — or two
-/// mutation epochs of one matrix — can never collide.
-fn next_values_id() -> u64 {
+/// Process-unique generation id handed to each freshly built (or
+/// mutated) matrix's values and pattern. Monotone and never reused, so
+/// two matrices — or two mutation epochs of one matrix — can never
+/// collide.
+fn next_generation() -> u64 {
     static NEXT: AtomicU64 = AtomicU64::new(1);
     NEXT.fetch_add(1, Ordering::Relaxed)
 }
@@ -42,14 +43,23 @@ pub struct CsrMatrix<T> {
     /// updates without rescanning O(nnz) data. Clones keep the id — their
     /// values are bit-identical until either side mutates (which bumps).
     values_id: u64,
+    /// Generation id of the current sparsity pattern (`row_ptr` and
+    /// `col_idx`): assigned fresh at construction, kept by clones, and
+    /// bumped by every call that may move a column ([`sort_rows`]).
+    /// Value updates leave it alone. Plans compare it to accept the
+    /// matrix they were built for in O(1).
+    ///
+    /// [`sort_rows`]: CsrMatrix::sort_rows
+    pattern_id: u64,
 }
 
 impl<T: PartialEq> PartialEq for CsrMatrix<T> {
-    /// Structural + numeric equality. The [`values_id`] generation tag is
-    /// deliberately ignored: two matrices built independently with the
-    /// same arrays are equal.
+    /// Structural + numeric equality. The [`values_id`] and
+    /// [`pattern_id`] generation tags are deliberately ignored: two
+    /// matrices built independently with the same arrays are equal.
     ///
     /// [`values_id`]: CsrMatrix::values_id
+    /// [`pattern_id`]: CsrMatrix::pattern_id
     fn eq(&self, other: &Self) -> bool {
         self.n_rows == other.n_rows
             && self.n_cols == other.n_cols
@@ -132,7 +142,8 @@ impl<T: Scalar> CsrMatrix<T> {
             row_ptr,
             col_idx,
             values,
-            values_id: next_values_id(),
+            values_id: next_generation(),
+            pattern_id: next_generation(),
         })
     }
 
@@ -155,7 +166,8 @@ impl<T: Scalar> CsrMatrix<T> {
             row_ptr,
             col_idx,
             values,
-            values_id: next_values_id(),
+            values_id: next_generation(),
+            pattern_id: next_generation(),
         }
     }
 
@@ -167,7 +179,8 @@ impl<T: Scalar> CsrMatrix<T> {
             row_ptr: vec![0; n_rows + 1],
             col_idx: Vec::new(),
             values: Vec::new(),
-            values_id: next_values_id(),
+            values_id: next_generation(),
+            pattern_id: next_generation(),
         }
     }
 
@@ -179,7 +192,8 @@ impl<T: Scalar> CsrMatrix<T> {
             row_ptr: (0..=n).collect(),
             col_idx: (0..n as u32).collect(),
             values: vec![T::ONE; n],
-            values_id: next_values_id(),
+            values_id: next_generation(),
+            pattern_id: next_generation(),
         }
     }
 
@@ -225,7 +239,7 @@ impl<T: Scalar> CsrMatrix<T> {
     /// tagging at hand-out time is exact.
     #[inline]
     pub fn values_mut(&mut self) -> &mut [T] {
-        self.values_id = next_values_id();
+        self.values_id = next_generation();
         &mut self.values
     }
 
@@ -240,6 +254,20 @@ impl<T: Scalar> CsrMatrix<T> {
     #[inline]
     pub fn values_id(&self) -> u64 {
         self.values_id
+    }
+
+    /// Generation id of the current sparsity pattern. Fresh at
+    /// construction, kept by `clone`, changed by [`sort_rows`] (the one
+    /// method that may move a column) and by nothing that only touches
+    /// values. Two matrices with equal ids have the same `row_ptr` and
+    /// `col_idx`, so a plan that recorded the id at build time accepts
+    /// the matrix in O(1); unequal ids say nothing either way, and the
+    /// plan falls back to comparing checksums.
+    ///
+    /// [`sort_rows`]: Self::sort_rows
+    #[inline]
+    pub fn pattern_id(&self) -> u64 {
+        self.pattern_id
     }
 
     /// Number of stored entries in row `i`.
@@ -322,7 +350,8 @@ impl<T: Scalar> CsrMatrix<T> {
     /// Sort the entries of every row by column index (stable with respect
     /// to values, which travel with their column).
     pub fn sort_rows(&mut self) {
-        self.values_id = next_values_id();
+        self.values_id = next_generation();
+        self.pattern_id = next_generation();
         for i in 0..self.n_rows {
             let (s, e) = (self.row_ptr[i], self.row_ptr[i + 1]);
             let mut pairs: Vec<(u32, T)> = self.col_idx[s..e]
@@ -366,7 +395,8 @@ impl<T: Scalar> CsrMatrix<T> {
             row_ptr,
             col_idx,
             values,
-            values_id: next_values_id(),
+            values_id: next_generation(),
+            pattern_id: next_generation(),
         }
     }
 
@@ -391,7 +421,7 @@ impl<T: Scalar> CsrMatrix<T> {
     /// Deterministically randomise the values (structure preserved),
     /// useful for turning a pattern matrix into a numeric one.
     pub fn fill_values_with(&mut self, mut f: impl FnMut(usize) -> T) {
-        self.values_id = next_values_id();
+        self.values_id = next_generation();
         for (k, v) in self.values.iter_mut().enumerate() {
             *v = f(k);
         }
@@ -530,6 +560,24 @@ mod tests {
         let (cols, vals) = a.row(0);
         assert_eq!(cols, &[0, 2, 3]);
         assert_eq!(vals, &[0.5, 20.0, 30.0]);
+    }
+
+    #[test]
+    fn pattern_generation_follows_the_pattern_not_the_values() {
+        let mut a = figure1_example::<f64>();
+        let id = a.pattern_id();
+        assert_eq!(a.clone().pattern_id(), id, "clones keep the pattern id");
+        a.values_mut()[0] = 9.0;
+        a.fill_values_with(|k| k as f64);
+        assert_eq!(a.pattern_id(), id, "value updates keep it");
+        assert_ne!(
+            figure1_example::<f64>().pattern_id(),
+            id,
+            "fresh on construction"
+        );
+        assert_ne!(a.transpose().pattern_id(), id);
+        a.sort_rows();
+        assert_ne!(a.pattern_id(), id, "sort_rows may move columns");
     }
 
     #[test]

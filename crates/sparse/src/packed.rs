@@ -330,9 +330,10 @@ const PF_MIN_X_BYTES: usize = 32 * 1024;
 /// How many dense unroll windows ahead the prefetch runs.
 const PF_DIST: usize = 4;
 
-/// Hint the CPU to pull `v[idx]` toward L1. Never reads memory.
+/// Hint the CPU to pull `v[idx]` toward L1. Never reads memory, so any
+/// `idx` is fine (an out-of-range one is a wasted hint).
 #[inline(always)]
-fn prefetch_read<T>(v: &[T], idx: usize) {
+pub fn prefetch_read<T>(v: &[T], idx: usize) {
     #[cfg(target_arch = "x86_64")]
     // SAFETY: `_mm_prefetch` is a pure cache hint — it cannot fault even
     // on an unmapped address, and the pointer itself is formed with

@@ -172,40 +172,82 @@ pub fn check_solvable<T: Scalar>(
 /// sits in a level `< l`.
 ///
 /// Rejects non-square, non-triangular, or diagonal-deficient inputs
-/// with a typed [`SolveBuildError`]. O(m + nnz).
+/// with a typed [`SolveBuildError`]. O(m + nnz). [`level_order`] is the
+/// same schedule as one flat array.
 pub fn level_sets<T: Scalar>(
     a: &CsrMatrix<T>,
     dir: SolveDirection,
 ) -> Result<Vec<Vec<u32>>, SolveBuildError> {
-    check_solvable(a, dir)?;
+    let (rows, starts) = level_order(a, dir)?;
+    Ok(starts
+        .windows(2)
+        .map(|w| rows[w[0]..w[1]].to_vec())
+        .collect())
+}
+
+/// [`level_sets`] flattened: every row in level order (each level in the
+/// direction's traversal order), and each level's start in that array —
+/// `starts[l]..starts[l + 1]` is level `l`, `starts.len()` is the level
+/// count plus one. One level pass and one counting-sort pass, no
+/// per-level allocation; the [`check_solvable`] premises are checked in
+/// the level pass itself. Same validation and errors as [`level_sets`].
+pub fn level_order<T: Scalar>(
+    a: &CsrMatrix<T>,
+    dir: SolveDirection,
+) -> Result<(Vec<u32>, Vec<usize>), SolveBuildError> {
+    // The level pass below checks the `check_solvable` premises as it
+    // goes; on a defect, `check_solvable` names the first one in row
+    // order, whichever the traversal met first.
+    let defect = || check_solvable(a, dir).expect_err("the level pass met a defect");
     let m = a.n_rows();
-    let mut level = vec![0u32; m];
-    let mut n_levels = 0usize;
-    let order: Box<dyn Iterator<Item = usize>> = match dir {
-        SolveDirection::Forward => Box::new(0..m),
-        SolveDirection::Backward => Box::new((0..m).rev()),
+    if a.n_cols() != m {
+        return Err(defect());
+    }
+    let row_at = |t: usize| match dir {
+        SolveDirection::Forward => t,
+        SolveDirection::Backward => m - 1 - t,
     };
-    let mut traversal = Vec::with_capacity(m);
-    for i in order {
-        let (cols, _) = a.row(i);
+    let mut level = vec![0u32; m];
+    let mut counts: Vec<usize> = Vec::new();
+    for t in 0..m {
+        let i = row_at(t);
         let mut l = 0u32;
-        for &c in cols {
+        let mut has_diag = false;
+        for &c in a.row(i).0 {
             let ci = c as usize;
-            if ci != i {
-                // check_solvable proved ci is a same-direction
-                // dependency, so level[ci] is already final.
+            if ci == i {
+                has_diag = true;
+            } else if dir.is_dependency(i, ci) && ci < m {
+                // A same-direction dependency: level[ci] is final.
                 l = l.max(level[ci] + 1);
+            } else {
+                return Err(defect());
             }
         }
+        if !has_diag {
+            return Err(defect());
+        }
         level[i] = l;
-        n_levels = n_levels.max(l as usize + 1);
-        traversal.push(i);
+        // A level is at most one past the deepest seen so far.
+        if l as usize == counts.len() {
+            counts.push(0);
+        }
+        counts[l as usize] += 1;
     }
-    let mut levels = vec![Vec::new(); n_levels];
-    for &i in &traversal {
-        levels[level[i] as usize].push(i as u32);
+    let mut starts = Vec::with_capacity(counts.len() + 1);
+    starts.push(0);
+    for c in counts {
+        starts.push(starts[starts.len() - 1] + c);
     }
-    Ok(levels)
+    let mut next = starts[..starts.len() - 1].to_vec();
+    let mut rows = vec![0u32; m];
+    for t in 0..m {
+        let i = row_at(t);
+        let slot = &mut next[level[i] as usize];
+        rows[*slot] = i as u32;
+        *slot += 1;
+    }
+    Ok((rows, starts))
 }
 
 /// Sequential sparse triangular solve: `a * x = b` with `a` triangular
@@ -273,11 +315,6 @@ pub struct TriangularHalves<T: Scalar> {
     upper: CsrMatrix<T>,
     strict_lower: CsrMatrix<T>,
     strict_upper: CsrMatrix<T>,
-    /// For each half, the source-nnz position of each copied entry.
-    lower_map: Vec<u32>,
-    upper_map: Vec<u32>,
-    strict_lower_map: Vec<u32>,
-    strict_upper_map: Vec<u32>,
     src_values_id: u64,
 }
 
@@ -302,24 +339,72 @@ impl<T: Scalar> TriangularHalves<T> {
         &self.strict_upper
     }
 
+    /// Whether `a` has exactly the pattern these halves were split from:
+    /// the same shape, and every row's entries on or below the diagonal
+    /// are the `L + D` row, those on or above it the `D + U` row, column
+    /// for column in storage order (the strict halves are those rows
+    /// without the diagonal). O(nnz), exact — the column order counts,
+    /// because the refresh routes values by it and the solves subtract
+    /// in it.
+    pub fn is_split_of(&self, a: &CsrMatrix<T>) -> bool {
+        let m = self.lower.n_rows();
+        if a.n_rows() != m
+            || a.n_cols() != m
+            || a.nnz() != self.lower.nnz() + self.strict_upper.nnz()
+        {
+            return false;
+        }
+        (0..m).all(|i| {
+            let (cols, _) = a.row(i);
+            let below = cols.iter().filter(|&&c| c as usize <= i).copied();
+            let above = cols.iter().filter(|&&c| c as usize >= i).copied();
+            below.eq(self.lower.row(i).0.iter().copied())
+                && above.eq(self.upper.row(i).0.iter().copied())
+        })
+    }
+
     /// Re-copy the halves' values from `a` if its value generation
     /// changed since the split (or the last refresh). `a` must have the
     /// sparsity pattern the split was built from — callers guard that
-    /// with a pattern fingerprint. Returns whether a refresh ran.
+    /// with a pattern check. Returns whether a refresh ran.
+    ///
+    /// No per-entry position map is kept: the refresh walks `a`'s rows
+    /// in storage order and routes each entry exactly as
+    /// [`split_triangular`]'s fill pass did — a diagonal entry to `L + D`
+    /// and `D + U`, `c < i` to `L + D` and `L`, `c > i` to `D + U` and
+    /// `U` — so each half's cursor lands on the slot the split gave that
+    /// entry. A matrix whose rows route differently (a different
+    /// pattern) gets wrong values, never an out-of-bounds write: every
+    /// write is to a slot that exists.
     pub fn ensure_values(&mut self, a: &CsrMatrix<T>) -> bool {
         if a.values_id() == self.src_values_id {
             return false;
         }
-        let src = a.values();
-        for (half, map) in [
-            (&mut self.lower, &self.lower_map),
-            (&mut self.upper, &self.upper_map),
-            (&mut self.strict_lower, &self.strict_lower_map),
-            (&mut self.strict_upper, &self.strict_upper_map),
-        ] {
-            let dst = half.values_mut();
-            for (slot, &pos) in dst.iter_mut().zip(map) {
-                *slot = src[pos as usize];
+        let ld = self.lower.values_mut();
+        let du = self.upper.values_mut();
+        let l = self.strict_lower.values_mut();
+        let u = self.strict_upper.values_mut();
+        let (mut kld, mut kdu, mut kl, mut ku) = (0usize, 0usize, 0usize, 0usize);
+        let put = |half: &mut [T], k: &mut usize, v: T| {
+            if let Some(slot) = half.get_mut(*k) {
+                *slot = v;
+            }
+            *k += 1;
+        };
+        for i in 0..a.n_rows() {
+            let (cols, vals) = a.row(i);
+            for (&c, &v) in cols.iter().zip(vals) {
+                let ci = c as usize;
+                if ci == i {
+                    put(ld, &mut kld, v);
+                    put(du, &mut kdu, v);
+                } else if ci < i {
+                    put(ld, &mut kld, v);
+                    put(l, &mut kl, v);
+                } else {
+                    put(du, &mut kdu, v);
+                    put(u, &mut ku, v);
+                }
             }
         }
         self.src_values_id = a.values_id();
@@ -376,13 +461,11 @@ pub fn split_triangular<T: Scalar>(
         row_ptr: Vec<usize>,
         cols: Vec<u32>,
         vals: Vec<T>,
-        map: Vec<u32>,
     }
     impl<T> HalfAcc<T> {
-        fn push(&mut self, c: u32, v: T, pos: usize) {
+        fn push(&mut self, c: u32, v: T) {
             self.cols.push(c);
             self.vals.push(v);
-            self.map.push(pos as u32);
         }
     }
     let mut halves = row_ptrs.map(|row_ptr| {
@@ -391,47 +474,35 @@ pub fn split_triangular<T: Scalar>(
             row_ptr,
             cols: Vec::with_capacity(nnz),
             vals: Vec::with_capacity(nnz),
-            map: Vec::with_capacity(nnz),
         }
     });
+    // The routing here is the one `ensure_values` replays on refresh.
     for i in 0..m {
         let (cols, vals) = a.row(i);
-        let base = a.row_ptr()[i];
-        for (k, (&c, &v)) in cols.iter().zip(vals).enumerate() {
-            let pos = base + k;
+        for (&c, &v) in cols.iter().zip(vals) {
             let ci = c as usize;
             if ci == i {
-                halves[0].push(c, v, pos);
-                halves[1].push(c, v, pos);
+                halves[0].push(c, v);
+                halves[1].push(c, v);
             } else if ci < i {
-                halves[0].push(c, v, pos);
-                halves[2].push(c, v, pos);
+                halves[0].push(c, v);
+                halves[2].push(c, v);
             } else {
-                halves[1].push(c, v, pos);
-                halves[3].push(c, v, pos);
+                halves[1].push(c, v);
+                halves[3].push(c, v);
             }
         }
     }
-    let [ld, du, l, u] = halves;
-    let build = |h: HalfAcc<T>| {
-        let map = h.map;
-        let csr = CsrMatrix::from_parts(m, m, h.row_ptr, h.cols, h.vals)
-            .expect("split halves preserve CSR invariants");
-        (csr, map)
-    };
-    let (lower, lower_map) = build(ld);
-    let (upper, upper_map) = build(du);
-    let (strict_lower, strict_lower_map) = build(l);
-    let (strict_upper, strict_upper_map) = build(u);
+    // Each half is a row-order subsequence of `a`'s entries with
+    // exactly-counted row pointers, so `a`'s CSR invariants carry over
+    // and need no second validation scan.
+    let [lower, upper, strict_lower, strict_upper] =
+        halves.map(|h| CsrMatrix::from_parts_unchecked(m, m, h.row_ptr, h.cols, h.vals));
     Ok(TriangularHalves {
         lower,
         upper,
         strict_lower,
         strict_upper,
-        lower_map,
-        upper_map,
-        strict_lower_map,
-        strict_upper_map,
         src_values_id: a.values_id(),
     })
 }
@@ -596,6 +667,43 @@ mod tests {
     }
 
     #[test]
+    fn level_order_is_level_sets_flattened_and_names_the_same_defects() {
+        let a = tril_with_diag(&gen::powerlaw::<f64>(300, 1, 60, 2.1, 5));
+        for (m, dir) in [
+            (a.clone(), SolveDirection::Forward),
+            (a.transpose(), SolveDirection::Backward),
+        ] {
+            let levels = level_sets(&m, dir).unwrap();
+            let (rows, starts) = level_order(&m, dir).unwrap();
+            assert_eq!(rows, levels.concat());
+            assert_eq!(starts.len(), levels.len() + 1);
+            for (l, w) in levels.iter().zip(starts.windows(2)) {
+                assert_eq!(l.len(), w[1] - w[0]);
+            }
+        }
+        // A backward walk meets row 19's defect first; the error still
+        // names the first defective row in row order, as
+        // `check_solvable` does.
+        let mut b = crate::gen::RowsBuilder::<f64>::new(20);
+        for i in 0..20u32 {
+            match i {
+                3 => b.push_row_sorted(&[1, 3], &[1.0, 1.0]),
+                19 => b.push_row_sorted(&[0, 19], &[1.0, 1.0]),
+                _ => b.push_row_sorted(&[i], &[1.0]),
+            }
+        }
+        let bad = b.finish();
+        assert_eq!(
+            level_order(&bad, SolveDirection::Backward).unwrap_err(),
+            check_solvable(&bad, SolveDirection::Backward).unwrap_err()
+        );
+        assert!(matches!(
+            level_order(&bad, SolveDirection::Backward),
+            Err(SolveBuildError::OffTriangle { row: 3, .. })
+        ));
+    }
+
+    #[test]
     fn level_sets_reject_bad_structure() {
         let full = gen::banded::<f64>(20, 1, 3);
         assert!(matches!(
@@ -659,6 +767,38 @@ mod tests {
             .map(|(_, &v)| v)
             .unwrap();
         assert_eq!(*dv.last().unwrap(), diag_src);
+    }
+
+    #[test]
+    fn refresh_routes_unsorted_rows_without_maps_and_pattern_checks_are_exact() {
+        // Rows stored in descending column order, diagonal in the middle.
+        let sorted = gen::banded::<f64>(60, 2, 5);
+        let (mut cols, mut vals) = (Vec::new(), Vec::new());
+        for i in 0..60 {
+            let (rc, rv) = sorted.row(i);
+            cols.extend(rc.iter().rev());
+            vals.extend(rv.iter().rev());
+        }
+        let mut a = CsrMatrix::from_parts(60, 60, sorted.row_ptr().to_vec(), cols, vals).unwrap();
+        let mut halves = split_triangular(&a).unwrap();
+        assert!(halves.is_split_of(&a));
+        assert!(halves.is_split_of(&a.clone()));
+        a.fill_values_with(|k| (k % 13) as f64 - 6.0);
+        assert!(halves.ensure_values(&a));
+        let fresh = split_triangular(&a).unwrap();
+        for (got, want) in [
+            (halves.lower(), fresh.lower()),
+            (halves.upper(), fresh.upper()),
+            (halves.strict_lower(), fresh.strict_lower()),
+            (halves.strict_upper(), fresh.strict_upper()),
+        ] {
+            assert_eq!(got, want, "a refresh must equal a fresh split");
+        }
+        // Same row pointer, columns re-sorted: not the split's pattern.
+        let mut resorted = a.clone();
+        resorted.sort_rows();
+        assert!(!halves.is_split_of(&resorted));
+        assert!(!halves.is_split_of(&sorted));
     }
 
     #[test]
