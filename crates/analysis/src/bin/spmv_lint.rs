@@ -24,12 +24,12 @@
 //!    proves a candidate plan is always verified before it is published
 //!    over a serving incumbent); the deliberately buggy variants are
 //!    *detected* (a checker that flags nothing proves nothing).
-//! 6. **Bandwidth tiers** — every (strategy × backend × index/blocking
+//! 6. **Bandwidth tiers** — every (strategy × backend × default/blocked
 //!    tier) plan verifies and executes bit-for-bit against the
-//!    sequential CSR reference, the sweep demonstrably reaches sub-u32
-//!    lanes and cache-blocked bins, and the `n_cols`-shrink guard
-//!    rejects a compressed plan whose delta proof a column-shrunk
-//!    matrix would invalidate.
+//!    sequential CSR reference, the sweep demonstrably reaches
+//!    cache-blocked bins, and the `n_cols`-shrink guard rejects a packed
+//!    plan whose gather-bound proof a column-shrunk matrix would
+//!    invalidate.
 //! 7. **Kernel table** — every reachable `KernelKey` (each format's
 //!    kernel family × every register-block width) resolves to a
 //!    registered micro-kernel and every registered entry is reachable
@@ -313,7 +313,7 @@ fn check_concurrency() -> usize {
 }
 
 fn check_bandwidth() -> usize {
-    println!("\n== bandwidth tiers (compressed / cache-blocked plans) ==");
+    println!("\n== bandwidth tiers (default / cache-blocked plans) ==");
     let checks = driver::bandwidth_sweep();
     let mut bad = 0;
     for c in &checks {
@@ -332,7 +332,7 @@ fn check_bandwidth() -> usize {
         );
     }
     match driver::shrink_guard_lint() {
-        Ok(()) => println!("ok: n_cols-shrink guard rejects stale delta proofs"),
+        Ok(()) => println!("ok: n_cols-shrink guard rejects stale gather-bound proofs"),
         Err(e) => {
             eprintln!("FAIL: shrink guard: {e}");
             bad += 1;

@@ -10,12 +10,12 @@
 use spmv_autotune::binning::BinningScheme;
 use spmv_autotune::exec::{ExecBackend, NativeCpuBackend, SimGpuBackend};
 use spmv_autotune::kernels::KernelId;
-use spmv_autotune::plan::{BinFormat, IndexPolicy, PlanConfig, SpmvPlan};
+use spmv_autotune::plan::{BinFormat, PlanConfig, SpmvPlan};
 use spmv_autotune::strategy::Strategy;
 use spmv_autotune::verify::VerifyError;
 use spmv_gpusim::GpuDevice;
 use spmv_sparse::gen::{self, mixture::RowRegime};
-use spmv_sparse::{CsrMatrix, IndexKind, Scalar};
+use spmv_sparse::{CsrMatrix, Scalar};
 
 /// Outcome of verifying one (strategy, backend, matrix) combination.
 #[derive(Debug)]
@@ -210,38 +210,13 @@ fn check_batch_equivalence(
 }
 
 /// The bandwidth-tier plan configurations `spmv-lint` sweeps on top of
-/// the strategy grid: the PR 3 u32-lane baseline, the shipped default
-/// gate, the Auto policy's compress branch (an exhausted `llc_bytes`
-/// budget classifies every suite matrix as streaming), an explicit u8
-/// floor (which the pack-time span proof may widen), and a forced
+/// the strategy grid: the shipped default gate and a forced
 /// cache-blocked tier (tiny strip budget plus a permissive scatter
 /// threshold so the gate actually fires on the 400–600-column suite
 /// matrices).
 pub fn bandwidth_tiers() -> Vec<(&'static str, PlanConfig)> {
     vec![
-        (
-            "u32",
-            PlanConfig {
-                index: IndexPolicy::Fixed(IndexKind::U32),
-                cache_block: false,
-                ..PlanConfig::default()
-            },
-        ),
         ("auto", PlanConfig::default()),
-        (
-            "compressed",
-            PlanConfig {
-                llc_bytes: 0,
-                ..PlanConfig::default()
-            },
-        ),
-        (
-            "u8-floor",
-            PlanConfig {
-                index: IndexPolicy::Fixed(IndexKind::U8),
-                ..PlanConfig::default()
-            },
-        ),
         (
             "blocked",
             PlanConfig {
@@ -254,7 +229,7 @@ pub fn bandwidth_tiers() -> Vec<(&'static str, PlanConfig)> {
     ]
 }
 
-/// Outcome of one bandwidth-tier check: a compressed or cache-blocked
+/// Outcome of one bandwidth-tier check: a packed or cache-blocked
 /// plan must verify (the payload proofs re-run) and execute bit-for-bit
 /// against the sequential CSR reference.
 #[derive(Debug)]
@@ -275,13 +250,11 @@ pub struct BandwidthCheck {
 /// matrix suite, verified and executed against the sequential reference.
 ///
 /// Beyond per-plan correctness, the sweep asserts it actually exercised
-/// the new payloads: at least one plan must realise a sub-u32 index
-/// width, and at least one must carry a cache-blocked bin — a sweep that
-/// silently gates everything back to plain CSR proves nothing. Those
-/// coverage failures are appended as synthetic checks.
+/// the blocked payload: at least one plan must carry a cache-blocked bin
+/// — a sweep that silently gates everything back to plain CSR proves
+/// nothing. That coverage failure is appended as a synthetic check.
 pub fn bandwidth_sweep() -> Vec<BandwidthCheck> {
     let mut out = Vec::new();
-    let mut saw_narrow = false;
     let mut saw_blocked = false;
     for (label, a) in matrix_suite() {
         let reference = a.spmv_seq_alloc(&probe(a.n_cols())).unwrap();
@@ -291,9 +264,6 @@ pub fn bandwidth_sweep() -> Vec<BandwidthCheck> {
                     let backend = backend_pair::<f64>().swap_remove(which);
                     let name = backend.name();
                     let plan = SpmvPlan::compile_with(&a, strategy.clone(), backend, config);
-                    saw_narrow |= plan.dispatch().iter().any(|d| {
-                        matches!(d.format, BinFormat::PackedSell { index, .. } if index != IndexKind::U32)
-                    });
                     saw_blocked |= plan.blocked_bins() > 0;
                     out.push(BandwidthCheck {
                         tier,
@@ -306,22 +276,20 @@ pub fn bandwidth_sweep() -> Vec<BandwidthCheck> {
             }
         }
     }
-    for (flag, what) in [
-        (saw_narrow, "no plan realised a sub-u32 index width"),
-        (saw_blocked, "no plan produced a cache-blocked bin"),
-    ] {
-        out.push(BandwidthCheck {
-            tier: "coverage",
-            strategy: "sweep-wide".into(),
-            backend: "-",
-            matrix: "-".into(),
-            result: if flag {
-                Ok(())
-            } else {
-                Err(format!("{what}: the sweep never left the CSR fallback"))
-            },
-        });
-    }
+    out.push(BandwidthCheck {
+        tier: "coverage",
+        strategy: "sweep-wide".into(),
+        backend: "-",
+        matrix: "-".into(),
+        result: if saw_blocked {
+            Ok(())
+        } else {
+            Err(
+                "no plan produced a cache-blocked bin: the sweep never left the CSR fallback"
+                    .into(),
+            )
+        },
+    });
     out
 }
 
@@ -352,7 +320,7 @@ fn check_against_reference(
     Ok(())
 }
 
-/// The `n_cols`-shrink guard: a compressed plan's delta proof is
+/// The `n_cols`-shrink guard: a packed plan's gather-bound proof is
 /// anchored to the compile-time column count, so handing the plan a
 /// column-shrunk matrix (same pattern otherwise) must be rejected on
 /// every entry point — checked execute, unchecked execute, and
@@ -381,7 +349,7 @@ pub fn shrink_guard_lint() -> Result<(), String> {
     };
     let plan = compile();
     if plan.packed_bins() == 0 {
-        return Err("shrink guard never compiled a compressed bin".into());
+        return Err("shrink guard never compiled a packed bin".into());
     }
     let v = vec![1.0f64; narrow.n_cols()];
     let mut u = vec![0.0f64; narrow.n_rows()];
@@ -422,10 +390,7 @@ pub fn kernel_table_lint() -> Result<(), String> {
     // fields do not influence the family mapping.
     let formats = [
         BinFormat::Csr,
-        BinFormat::PackedSell {
-            chunk: 4,
-            index: IndexKind::U16,
-        },
+        BinFormat::PackedSell { chunk: 4 },
         BinFormat::CacheBlockedCsr { strip_cols: 64 },
         BinFormat::DenseRun,
         BinFormat::Banded { offsets: 3 },
@@ -478,8 +443,8 @@ pub fn kernel_table_lint() -> Result<(), String> {
 /// An identical-row-run matrix for the specialized sweep: runs of
 /// `run_len` rows sharing one scattered column list (values still
 /// differ per row), the shape the [`BinFormat::RowRunReuse`] gate
-/// exists for. Columns are scattered over 4000 so packed delta lanes
-/// stay wide and the row-run index stream demonstrably wins.
+/// exists for. Columns are scattered over 4000 columns, and the
+/// row-run index stream demonstrably beats the packed `u32` slab.
 pub fn row_run_matrix(n_runs: usize, run_len: usize, nnz_per_row: usize) -> CsrMatrix<f64> {
     let n_rows = n_runs * run_len;
     let n_cols = 4_000;
@@ -503,7 +468,7 @@ pub fn row_run_matrix(n_runs: usize, run_len: usize, nnz_per_row: usize) -> CsrM
 /// The specialized-tier cases `spmv-lint` sweeps: one (matrix, config)
 /// pair per structure fast path, with the knobs that route the gate
 /// there, plus a disabled tier proving the `specialize` kill switch
-/// regates everything to the PR 5 formats.
+/// regates everything to the packed, blocked and CSR formats.
 pub fn specialized_tiers() -> Vec<(&'static str, CsrMatrix<f64>, PlanConfig)> {
     vec![
         // Band-complete generator under the default knobs.
@@ -910,7 +875,7 @@ mod tests {
     #[test]
     fn bandwidth_sweep_is_bit_identical_and_covers_new_payloads() {
         let checks = bandwidth_sweep();
-        assert_eq!(checks.len(), 3 * 20 * 5 * 2 + 2, "bandwidth grid changed?");
+        assert_eq!(checks.len(), 3 * 20 * 2 * 2 + 1, "bandwidth grid changed?");
         for c in &checks {
             assert!(
                 c.result.is_ok(),

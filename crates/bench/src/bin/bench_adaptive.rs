@@ -27,7 +27,7 @@ use spmv_autotune::prelude::*;
 use spmv_bench::json_escape;
 use spmv_bench::setup::env_usize;
 use spmv_serve::{classify_plan, probe_candidate, RefineConfig, RefineMode};
-use spmv_sparse::{gen, suite, CsrMatrix, IndexKind};
+use spmv_sparse::{gen, suite, CsrMatrix};
 use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
@@ -37,8 +37,9 @@ use std::time::Instant;
 /// a classifier that keeps suggesting.
 const MAX_ROUNDS: usize = 4;
 
-/// The oracle grid: every tier the specialized-kernel report compares,
-/// minus the forced fast paths (subsumed by `auto` on a banded input).
+/// The oracle grid: plain CSR, packed `u32` slabs with and without
+/// cache blocking, and the full planner. The forced fast paths are left
+/// out (subsumed by `auto` on a banded input).
 fn oracle_tiers() -> Vec<(&'static str, PlanConfig)> {
     vec![
         (
@@ -53,14 +54,13 @@ fn oracle_tiers() -> Vec<(&'static str, PlanConfig)> {
         (
             "u32",
             PlanConfig {
-                index: IndexPolicy::Fixed(IndexKind::U32),
                 cache_block: false,
                 specialize: false,
                 ..PlanConfig::default()
             },
         ),
         (
-            "pr5-auto",
+            "u32-blocked",
             PlanConfig {
                 specialize: false,
                 ..PlanConfig::default()

@@ -1,12 +1,12 @@
 //! Specialized-kernel throughput report: times the structured subset of
 //! the Table II suite (the banded and block-coupled matrices, plus a
 //! power-law control the gate must decline) over every kernel-table
-//! tier — plain CSR, the PR 3 u32-lane floor, the PR 5 bottleneck-aware
-//! gate with specialization off, the forced dense-run and row-run fast
-//! paths, and the shipped gate with the full table — and emits
-//! `BENCH_specialized.json` with GFLOP/s, modelled traffic (bytes per
-//! non-zero), the per-tier format mix, and a thread sweep with scaling
-//! efficiency.
+//! tier — plain CSR, the packed `u32` slab with specialization off, the
+//! forced dense-run and row-run fast paths, and the shipped gate with
+//! the full table — and emits `BENCH_specialized.json` with GFLOP/s
+//! (the median of interleaved trials, each trial listed), modelled
+//! traffic (bytes per non-zero), the per-tier format mix, and a thread
+//! sweep with scaling efficiency.
 //!
 //! Every tier is asserted bit-for-bit against the sequential CSR
 //! reference before its timing is reported.
@@ -21,16 +21,17 @@
 use spmv_autotune::prelude::*;
 use spmv_bench::json_escape;
 use spmv_bench::setup::{env_usize, scaling_efficiency, sweep_threads};
-use spmv_sparse::{gen, suite, CsrMatrix, IndexKind};
+use spmv_sparse::{gen, suite, CsrMatrix};
 use std::fmt::Write as _;
 use std::time::Instant;
 
-/// The kernel-table tiers compared. `csr` and `u32` reproduce the
-/// pre-packing and PR 3 layouts; `pr5-auto` is the PR 5 bottleneck-aware
-/// gate with the structure fast paths switched off (the best prior
-/// tier on every matrix); `dense-run` and `row-run` force one fast path
-/// each (banded tier disabled, thresholds lowered to the suite's run
-/// lengths); `auto` is the shipped gate searching the full table.
+/// The kernel-table tiers compared. `csr` is the pre-packing layout;
+/// `u32` is the packed slab with the structure fast paths and cache
+/// blocking switched off (the baseline the fast paths must beat);
+/// `dense-run` and `row-run` force one fast path each (banded tier
+/// disabled, thresholds lowered to the suite's run lengths, and for
+/// `row-run` a zero `llc_bytes` so every matrix counts as streaming);
+/// `auto` is the shipped gate searching the full table.
 fn tiers() -> Vec<(&'static str, PlanConfig)> {
     vec![
         (
@@ -45,15 +46,7 @@ fn tiers() -> Vec<(&'static str, PlanConfig)> {
         (
             "u32",
             PlanConfig {
-                index: IndexPolicy::Fixed(IndexKind::U32),
                 cache_block: false,
-                specialize: false,
-                ..PlanConfig::default()
-            },
-        ),
-        (
-            "pr5-auto",
-            PlanConfig {
                 specialize: false,
                 ..PlanConfig::default()
             },
@@ -80,10 +73,17 @@ fn tiers() -> Vec<(&'static str, PlanConfig)> {
     ]
 }
 
+/// Timing trials per (tier, thread count). Each trial times every tier
+/// once, in tier order, so host noise lands on all tiers alike; the
+/// reported GFLOP/s is the median trial.
+const TRIALS: usize = 5;
+
 struct TierRow {
     tier: &'static str,
     threads: usize,
+    /// Median of `trials`.
     gflops: f64,
+    trials: Vec<f64>,
     index_bpn: f64,
     value_bpn: f64,
     total_bpn: f64,
@@ -125,6 +125,17 @@ fn gflops(nnz: usize, iters: usize, secs: f64) -> f64 {
     2.0 * nnz as f64 * iters as f64 / secs / 1e9
 }
 
+fn median(xs: &[f64]) -> f64 {
+    let mut sorted = xs.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let mid = sorted.len() / 2;
+    if sorted.len() % 2 == 1 {
+        sorted[mid]
+    } else {
+        (sorted[mid - 1] + sorted[mid]) / 2.0
+    }
+}
+
 fn measure(name: &str, a: &CsrMatrix<f32>, iters: usize, threads: &[usize]) -> MatrixRow {
     let v: Vec<f32> = (0..a.n_cols()).map(|i| ((i % 9) as f32) - 4.0).collect();
     let reference = a.spmv_seq_alloc(&v).unwrap();
@@ -132,21 +143,39 @@ fn measure(name: &str, a: &CsrMatrix<f32>, iters: usize, threads: &[usize]) -> M
         binning: BinningScheme::Coarse { u: 10 },
         kernels: vec![KernelId::Subvector(8); 8],
     };
-    let mut rows = Vec::new();
-    for (tier, config) in tiers() {
-        for &w in threads {
-            let backend = Box::new(NativeCpuBackend::new().with_workers(w));
-            let verified = SpmvPlan::compile_with(a, strategy.clone(), backend, config)
-                .verify(a)
-                .expect("specialized plan must verify");
-            let mut u = vec![0.0f32; a.n_rows()];
-            let secs = time_loop(iters, || {
+    let tiers = tiers();
+    let mut by_tier: Vec<Vec<TierRow>> = tiers.iter().map(|_| Vec::new()).collect();
+    let mut u = vec![0.0f32; a.n_rows()];
+    for &w in threads {
+        let plans: Vec<_> = tiers
+            .iter()
+            .map(|&(tier, config)| {
+                let backend = Box::new(NativeCpuBackend::new().with_workers(w));
+                let verified = SpmvPlan::compile_with(a, strategy.clone(), backend, config)
+                    .verify(a)
+                    .expect("specialized plan must verify");
+                // NaN-fill so the check proves this tier writes every row.
+                u.fill(f32::NAN);
                 verified.execute_unchecked(a, &v, &mut u).unwrap();
-            });
-            assert_eq!(
-                u, reference,
-                "{name}/{tier} (threads {w}) diverges from the CSR reference"
-            );
+                assert_eq!(
+                    u, reference,
+                    "{name}/{tier} (threads {w}) diverges from the CSR reference"
+                );
+                verified
+            })
+            .collect();
+        let mut trials = vec![Vec::with_capacity(TRIALS); plans.len()];
+        for _ in 0..TRIALS {
+            for (verified, t) in plans.iter().zip(&mut trials) {
+                let secs = time_loop(iters, || {
+                    verified.execute_unchecked(a, &v, &mut u).unwrap();
+                });
+                t.push(gflops(a.nnz(), iters, secs));
+            }
+        }
+        for (((&(tier, _), verified), trials), rows) in
+            tiers.iter().zip(&plans).zip(trials).zip(&mut by_tier)
+        {
             let plan = verified.plan();
             let traffic = plan.traffic();
             let (mut banded, mut dense_run, mut row_run) = (0usize, 0usize, 0usize);
@@ -161,7 +190,8 @@ fn measure(name: &str, a: &CsrMatrix<f32>, iters: usize, threads: &[usize]) -> M
             rows.push(TierRow {
                 tier,
                 threads: w,
-                gflops: gflops(a.nnz(), iters, secs),
+                gflops: median(&trials),
+                trials,
                 index_bpn: traffic.index_bytes_per_nnz(),
                 value_bpn: traffic.value_bytes_per_nnz(),
                 total_bpn: traffic.total_bytes_per_nnz(),
@@ -182,7 +212,7 @@ fn measure(name: &str, a: &CsrMatrix<f32>, iters: usize, threads: &[usize]) -> M
         m: a.n_rows(),
         n: a.n_cols(),
         nnz: a.nnz(),
-        tiers: rows,
+        tiers: by_tier.into_iter().flatten().collect(),
     }
 }
 
@@ -190,7 +220,7 @@ fn measure(name: &str, a: &CsrMatrix<f32>, iters: usize, threads: &[usize]) -> M
 /// matrices the `Banded` tier exists for, three block-coupled FEM
 /// matrices whose identical-row blocks feed the dense-run and row-run
 /// paths, and a power-law control where the gate must decline every
-/// fast path (its `auto` row must match `pr5-auto`).
+/// fast path (its `auto` row must carry no specialized bin).
 fn structured_suite() -> Vec<(String, CsrMatrix<f32>)> {
     [
         "apache1",
@@ -266,6 +296,7 @@ fn main() {
     }
     writeln!(json, "],").unwrap();
     writeln!(json, "  \"iters\": {iters},").unwrap();
+    writeln!(json, "  \"trials\": {TRIALS},").unwrap();
     writeln!(json, "  \"tiny\": {tiny},").unwrap();
     writeln!(json, "  \"matrices\": [").unwrap();
     for (i, r) in rows.iter().enumerate() {
@@ -285,10 +316,11 @@ fn main() {
                 .find(|q| q.tier == t.tier && q.threads == 1)
                 .map(|q| q.gflops)
                 .unwrap_or(0.0);
+            let trials: Vec<String> = t.trials.iter().map(|g| format!("{g:.3}")).collect();
             write!(
                 json,
                 "      {{\"tier\": \"{}\", \"threads\": {}, \"gflops\": {:.3}, \
-                 \"scaling_efficiency\": {:.3}, \
+                 \"gflops_trials\": [{}], \"scaling_efficiency\": {:.3}, \
                  \"index_bytes_per_nnz\": {:.4}, \"value_bytes_per_nnz\": {:.4}, \
                  \"total_bytes_per_nnz\": {:.4}, \
                  \"banded_bins\": {}, \"dense_run_bins\": {}, \"row_run_bins\": {}, \
@@ -296,6 +328,7 @@ fn main() {
                 t.tier,
                 t.threads,
                 t.gflops,
+                trials.join(", "),
                 scaling_efficiency(t.threads, t.gflops, base),
                 t.index_bpn,
                 t.value_bpn,

@@ -11,7 +11,7 @@
 //! | class | evidence | suggested move |
 //! |---|---|---|
 //! | [`LatencyBound`](Bottleneck::LatencyBound) | scatter-heavy rows with cache blocking off | enable column blocking |
-//! | [`MemoryBound`](Bottleneck::MemoryBound) | full-width index stream with compression headroom, or measured time far above the traffic-model roofline | re-open the pack/specialize/index gates |
+//! | [`MemoryBound`](Bottleneck::MemoryBound) | full-width index stream with the pack or specialize gate closed, or measured time far above the traffic-model roofline | re-open the pack/specialize gates |
 //! | [`OnModel`](Bottleneck::OnModel) | none of the above | leave the plan alone |
 //!
 //! The checks run in that order and the *structural* signals come first,
@@ -25,19 +25,18 @@
 //! ([`PlanConfig::scatter_lines_per_row`] for scatter, the 4-bytes-per-
 //! non-zero `u32` index stream the CSR fallback is charged) — the
 //! classifier and the compiler must agree on what "scatter-heavy" or
-//! "uncompressed" mean, or refinement would oscillate.
+//! "full-width" mean, or refinement would oscillate.
 
-use crate::plan::{IndexPolicy, PlanConfig, TrafficStats};
+use crate::plan::{PlanConfig, TrafficStats};
 use crate::telemetry::TelemetrySnapshot;
-use spmv_sparse::IndexKind;
 
 /// What is limiting a running plan, per the classifier's evidence order
 /// (see the module docs).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Bottleneck {
-    /// Moving more bytes than it needs to: an uncompressed index stream
-    /// with compression headroom, or measured time far above the
-    /// traffic-model roofline.
+    /// Moving more bytes than it needs to: a full-width index stream
+    /// with the pack or specialize gate closed, or measured time far
+    /// above the traffic-model roofline.
     MemoryBound,
     /// Scatter-heavy gathers of `x` with column blocking disabled —
     /// rows stall on cache-line latency, not bandwidth.
@@ -75,7 +74,7 @@ pub struct AdaptConfig {
     /// plan is still declared off-model ([`Bottleneck::MemoryBound`]).
     pub divergence_ratio: f64,
     /// Index bytes per non-zero at or above which the stream counts as
-    /// uncompressed (the CSR fallback is charged 4 — a full `u32` per
+    /// full-width (the CSR fallback is charged 4 — a full `u32` per
     /// non-zero).
     pub index_bytes_per_nnz: f64,
     /// Streaming rate (GB/s = bytes/ns) the roofline prediction assumes;
@@ -114,12 +113,13 @@ impl AdaptConfig {
     }
 }
 
-/// Whether `config` still has traffic-shrinking gates closed that a
-/// refinement could open (the "headroom" precondition for the structural
-/// [`Bottleneck::MemoryBound`] verdict — with every gate already open,
-/// a fat index stream is the matrix's fault, not the plan's).
-fn compression_headroom(config: &PlanConfig) -> bool {
-    !config.pack || !config.specialize || config.index == IndexPolicy::Fixed(IndexKind::U32)
+/// Whether `config` still has a structure gate (`pack` or `specialize`)
+/// closed that a refinement could open — the precondition for the
+/// structural [`Bottleneck::MemoryBound`] verdict. With both gates
+/// already open, a fat index stream is the matrix's fault, not the
+/// plan's.
+fn structure_gates_closed(config: &PlanConfig) -> bool {
+    !config.pack || !config.specialize
 }
 
 /// Classify what limits a plan, from a telemetry snapshot plus the
@@ -138,7 +138,7 @@ pub fn classify(
     if avg_lines_per_row >= config.scatter_lines_per_row && !config.cache_block {
         return Bottleneck::LatencyBound;
     }
-    if traffic.index_bytes_per_nnz() >= cfg.index_bytes_per_nnz && compression_headroom(config) {
+    if traffic.index_bytes_per_nnz() >= cfg.index_bytes_per_nnz && structure_gates_closed(config) {
         return Bottleneck::MemoryBound;
     }
     if cfg.divergence(snapshot, traffic) >= cfg.divergence_ratio {
@@ -161,13 +161,12 @@ pub fn classify(
 pub fn suggest(bottleneck: Bottleneck, incumbent: &PlanConfig) -> Option<PlanConfig> {
     match bottleneck {
         Bottleneck::MemoryBound => {
-            if !compression_headroom(incumbent) {
+            if !structure_gates_closed(incumbent) {
                 return None;
             }
             Some(PlanConfig {
                 pack: true,
                 specialize: true,
-                index: IndexPolicy::Auto,
                 cache_block: true,
                 ..*incumbent
             })
@@ -255,7 +254,7 @@ mod tests {
     fn measured_divergence_is_the_catch_all() {
         let cfg = AdaptConfig::default();
         let open = PlanConfig::default();
-        let t = traffic(1_000); // compressed: below the index prior
+        let t = traffic(1_000); // below the index prior
         let predicted = cfg.predicted_ns(&t);
         let slow = snap(100, predicted * 2.0);
         assert_eq!(
@@ -271,7 +270,6 @@ mod tests {
         let csr = forced_csr();
         let s = suggest(Bottleneck::MemoryBound, &csr).expect("headroom exists");
         assert!(s.pack && s.specialize && s.cache_block);
-        assert_eq!(s.index, IndexPolicy::Auto);
 
         let s = suggest(Bottleneck::LatencyBound, &csr).expect("blocking off");
         assert!(s.cache_block);

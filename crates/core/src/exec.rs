@@ -187,12 +187,12 @@ impl<T: Scalar> ExecBackend<T> for SimGpuBackend {
 
     /// Per-bin launches priced with the index-stream discount: a bin
     /// whose payload moves fewer index bytes than the `nnz × 4` the
-    /// functional CSR pricing charged — a delta-compressed SELL slab, or
-    /// a structure-specialized tier whose metadata (run descriptors,
-    /// diagonal offsets, one column pattern per row run) replaces
-    /// per-element indices entirely — has the saved bytes subtracted
-    /// from its modelled traffic (bandwidth-bound kernel times scale
-    /// down with the bytes; compute-bound times are left alone).
+    /// functional CSR pricing charged — a structure-specialized tier
+    /// whose metadata (run descriptors, diagonal offsets, one column
+    /// pattern per row run) replaces per-element indices — has the
+    /// saved bytes subtracted from its modelled traffic (bandwidth-bound
+    /// kernel times scale down with the bytes; compute-bound times are
+    /// left alone).
     /// Execution stays per-bin and functional — only the price changes.
     fn launch_plan(
         &self,
@@ -205,11 +205,12 @@ impl<T: Scalar> ExecBackend<T> for SimGpuBackend {
         for (d, p) in parts.dispatch.iter().zip(parts.payloads) {
             let mut cost = self.launch(a, &d.rows, d.kernel, v, u);
             let streamed = match p {
-                BinPayload::Packed(packed) => Some(packed.index_stream_bytes()),
                 BinPayload::DenseRun(runs) => Some(runs.index_stream_bytes()),
                 BinPayload::Banded(band) => Some(band.index_stream_bytes()),
                 BinPayload::RowRun(rr) => Some(rr.index_stream_bytes()),
-                BinPayload::Csr | BinPayload::Blocked { .. } => None,
+                // A packed slab streams one u32 per slot, never fewer
+                // than the nnz × 4 already charged.
+                BinPayload::Packed(_) | BinPayload::Csr | BinPayload::Blocked { .. } => None,
             };
             if let Some(bytes) = streamed {
                 let saved = (d.nnz * std::mem::size_of::<u32>()).saturating_sub(bytes);

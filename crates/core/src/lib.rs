@@ -89,9 +89,8 @@ pub mod prelude {
     pub use crate::kernels::{KernelId, ALL_KERNELS};
     pub use crate::model_io::{load_model_file, save_model_file};
     pub use crate::plan::{
-        confirm_row_ptr, rhs_blocks, BinDispatch, BinFormat, BinPayload, IndexPolicy,
-        PatternFingerprint, PlanConfig, PlanConfigKey, PlanError, SpmvPlan, Tile, TrafficStats,
-        VerifiedPlan,
+        confirm_row_ptr, rhs_blocks, BinDispatch, BinFormat, BinPayload, PatternFingerprint,
+        PlanConfig, PlanConfigKey, PlanError, SpmvPlan, Tile, TrafficStats, VerifiedPlan,
     };
     pub use crate::solve::{
         SolveConfig, SolveError, SolvePlan, SolveSnapshot, SolveStep, SymgsPlan, VerifiedSolvePlan,
@@ -99,7 +98,7 @@ pub mod prelude {
     pub use crate::strategy::Strategy;
     pub use crate::telemetry::{PlanTelemetry, TelemetrySnapshot};
     pub use crate::training::{TrainedModel, Trainer, TrainingReport};
-    pub use crate::tuner::{FormatSearch, TunedFormat, TunedStrategy, Tuner, TunerConfig};
+    pub use crate::tuner::{TunedStrategy, Tuner, TunerConfig};
     pub use crate::verify::{
         check_dispatch, check_payloads, check_rhs_blocks, check_solve_schedule,
         check_solve_snapshot, VerifyError,

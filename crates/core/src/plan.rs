@@ -25,8 +25,8 @@ use crate::telemetry::PlanTelemetry;
 use crate::verify::{check_dispatch, check_payloads, VerifyError};
 use spmv_sparse::packed::SORT_WINDOW_CHUNKS;
 use spmv_sparse::{
-    BandSet, ColumnLocality, CsrMatrix, DenseBlock, DenseRuns, FeatureSet, IndexKind,
-    MatrixFeatures, PackedSell, RowRuns, Scalar,
+    BandSet, ColumnLocality, CsrMatrix, DenseBlock, DenseRuns, FeatureSet, MatrixFeatures,
+    PackedSell, RowRuns, Scalar,
 };
 
 /// Structural identity of a CSR matrix: dimensions, NNZ, and an FNV-1a
@@ -218,14 +218,9 @@ pub enum BinFormat {
     Csr,
     /// SELL-style packed slabs ([`PackedSell`]) with the given lane
     /// count, for low/mid-NNZ bins where per-row loop overhead dominates.
-    /// `index` is the *realised* column-index width: the narrowest delta
-    /// lane the pack-time span proof admitted (never narrower than the
-    /// [`PlanConfig::index`] policy floor).
     PackedSell {
         /// Lanes per chunk (`C`).
         chunk: usize,
-        /// Realised delta-compressed column-index width.
-        index: IndexKind,
     },
     /// CSR traversal with column-blocked (cache-blocked) execution on the
     /// fused native path: the gather vector `x` is tiled into vertical
@@ -249,9 +244,9 @@ pub enum BinFormat {
         /// Number of distinct diagonal offsets.
         offsets: usize,
     },
-    /// Structure fast path building on PR 5's run-aligned chunks: runs
-    /// of identical-pattern rows ([`spmv_sparse::RowRuns`]) load their
-    /// shared column list once per run instead of once per row.
+    /// Structure fast path: runs of identical-pattern rows
+    /// ([`spmv_sparse::RowRuns`]) load their shared column list once per
+    /// run instead of once per row.
     RowRunReuse,
 }
 
@@ -259,7 +254,7 @@ impl std::fmt::Display for BinFormat {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             BinFormat::Csr => write!(f, "csr"),
-            BinFormat::PackedSell { chunk, index } => write!(f, "sell-{chunk}-{index}"),
+            BinFormat::PackedSell { chunk } => write!(f, "sell-{chunk}"),
             BinFormat::CacheBlockedCsr { strip_cols } => write!(f, "blocked-csr-{strip_cols}"),
             BinFormat::DenseRun => write!(f, "dense-run"),
             BinFormat::Banded { offsets } => write!(f, "banded-{offsets}"),
@@ -362,45 +357,12 @@ pub fn rhs_blocks(k: usize) -> Vec<(usize, usize)> {
     blocks
 }
 
-/// Column-index width policy for packed bins: how narrow the base+delta
-/// lanes may go. The realised width is always the *widest* of the policy
-/// floor and what the pack-time span proof requires.
-///
-/// `Auto` is the bottleneck-aware setting: it floors at `u8` (narrowest
-/// proven width per chunk) only when the matrix's streamed working set
-/// outgrows [`PlanConfig::llc_bytes`]. A cache-resident operand set
-/// re-reads its index stream from cache, so delta decode would add
-/// per-non-zero work without saving any memory traffic — the gate keeps
-/// full `u32` words there. `Fixed(IndexKind::U8)` forces compression
-/// unconditionally (bandwidth studies, machines whose cache budget the
-/// default misjudges); `Fixed(IndexKind::U32)` reproduces the
-/// uncompressed PR 3 layout exactly (every delta stored in a full word).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum IndexPolicy {
-    /// Narrowest proven width when the working set streams from memory,
-    /// full words when it is cache-resident (the default).
-    Auto,
-    /// Floor the width at the given kind, bypassing the bottleneck gate
-    /// (benchmark baselines, A/B runs).
-    Fixed(IndexKind),
-}
-
-impl IndexPolicy {
-    /// The width floor this policy imposes before the bottleneck gate
-    /// (the narrowest width a bin may ever realise under it).
-    pub fn floor(self) -> IndexKind {
-        match self {
-            IndexPolicy::Auto => IndexKind::U8,
-            IndexPolicy::Fixed(k) => k,
-        }
-    }
-}
-
 /// Knobs for plan compilation's format and dispatch decisions. The
 /// defaults are what [`SpmvPlan::compile`] uses; benches and tests use
 /// [`SpmvPlan::compile_with`] to pin specific corners (packing off,
-/// adversarial padding bounds, forced index widths, tiny `l2_bytes` to
-/// trigger cache blocking on small matrices).
+/// adversarial padding bounds, a zero `llc_bytes` to classify every
+/// matrix as streaming, tiny `l2_bytes` to trigger cache blocking on
+/// small matrices).
 #[derive(Clone, Copy, Debug)]
 pub struct PlanConfig {
     /// Consider SELL packing at all (`false` forces CSR everywhere).
@@ -418,9 +380,6 @@ pub struct PlanConfig {
     /// Target non-zeros per tile; `0` sizes tiles so each worker sees
     /// several per launch (min 4096 so tiny matrices stay one tile).
     pub tile_nnz: usize,
-    /// Column-index width floor for packed bins (default
-    /// [`IndexPolicy::Auto`]: narrowest proven width per bin).
-    pub index: IndexPolicy,
     /// Consider column-blocked execution for scatter-heavy CSR-fallback
     /// bins (`false` keeps plain CSR traversal).
     pub cache_block: bool,
@@ -432,17 +391,17 @@ pub struct PlanConfig {
     /// scatter-heavy (latency-bound) when its rows touch at least this
     /// many distinct cache lines of `x` on average.
     pub scatter_lines_per_row: f64,
-    /// Width-gate working-set budget in bytes (a last-level-cache
-    /// stand-in): under [`IndexPolicy::Auto`], packed bins realise
-    /// compressed index lanes only when the matrix's streamed bytes
-    /// (values, `u32` indices, and the dense vectors) exceed this.
-    /// Smaller operand sets are cache-resident, where narrower lanes
-    /// save no DRAM traffic but still pay their decode cost.
+    /// Row-run regime budget in bytes (a last-level-cache stand-in):
+    /// the [`BinFormat::RowRunReuse`] probe runs only when the matrix's
+    /// streamed bytes (values, `u32` indices, and the dense vectors)
+    /// exceed this. Smaller operand sets are cache-resident and re-read
+    /// their index stream from cache, so trading the SIMD-friendly slab
+    /// for pattern reuse buys nothing there.
     pub llc_bytes: usize,
     /// Probe the structure fast paths ([`BinFormat::Banded`],
     /// [`BinFormat::DenseRun`], [`BinFormat::RowRunReuse`]) at all
-    /// (`false` restricts the gate to the PR 5 format tiers — the knob
-    /// benches use to pin the compressed baseline).
+    /// (`false` restricts the gate to the packed, cache-blocked and CSR
+    /// tiers — the knob benches use to pin the packed baseline).
     pub specialize: bool,
     /// Banded fast-path budget: a bin qualifies only when its entries
     /// sit on at most this many distinct diagonal offsets (`0` disables
@@ -466,7 +425,6 @@ impl Default for PlanConfig {
             max_padding: 1.25,
             max_row_nnz: 512,
             tile_nnz: 0,
-            index: IndexPolicy::Auto,
             cache_block: true,
             l2_bytes: 256 * 1024,
             scatter_lines_per_row: 4.0,
@@ -490,8 +448,6 @@ pub struct PlanConfigKey {
     flags: [bool; 3],
     sizes: [usize; 8],
     floats: [u64; 2],
-    /// `IndexPolicy` discriminant: 0 = `Auto`, else 1 + byte width.
-    index: u8,
 }
 
 impl PlanConfig {
@@ -513,20 +469,14 @@ impl PlanConfig {
                 self.max_padding.to_bits(),
                 self.scatter_lines_per_row.to_bits(),
             ],
-            index: match self.index {
-                IndexPolicy::Auto => 0,
-                IndexPolicy::Fixed(k) => 1 + k.bytes() as u8,
-            },
         }
     }
 }
 
 /// Bytes one execution of a plan must move from memory, broken down by
 /// payload stream — the observability counterpart of the format gate.
-/// Packed bins charge their realised slot count (padding included) at
-/// each chunk's compressed index width plus the `u32` anchor table (one
-/// base per chunk, or one per dense column position for column-anchored
-/// chunks); CSR and blocked bins charge `nnz × 4` index bytes. `x_gather_bytes` is the
+/// Packed bins charge one `u32` column per slot (padding included); CSR
+/// and blocked bins charge `nnz × 4` index bytes. `x_gather_bytes` is the
 /// cache-line-granular estimate of gather traffic derived from the
 /// matrix's measured distinct-lines-per-row feature — an estimate of
 /// compulsory misses, not a bound (reuse across rows may reduce it,
@@ -535,7 +485,7 @@ impl PlanConfig {
 pub struct TrafficStats {
     /// Matrix value bytes (packed slabs charge padding slots too).
     pub value_bytes: usize,
-    /// Column-index bytes (delta lanes + anchor tables for packed bins).
+    /// Column-index bytes (one `u32` per slot for packed bins).
     pub index_bytes: usize,
     /// Estimated `x` gather traffic at cache-line granularity.
     pub x_gather_bytes: usize,
@@ -999,16 +949,14 @@ fn traffic_of<T: Scalar>(
 ///    rows to fill lanes, no row may exceed the dense-row bound, the
 ///    `u32` source map must suffice, and the realised padding must stay
 ///    under [`PlanConfig::max_padding`] — otherwise the bin falls back to
-///    CSR. Packed bins pass through the bottleneck classifier's width
-///    axis ([`IndexPolicy`]): compressed index lanes only when the
-///    operand set outgrows [`PlanConfig::llc_bytes`], full `u32` words
-///    when it is cache-resident.
-/// 4. [`BinFormat::RowRunReuse`] — probed only in the compressed regime
-///    (width floor below `u32`, i.e. the streaming working sets where
-///    index bandwidth is the bottleneck) against the packed candidate
-///    the SELL gate just built: it wins exactly when its modelled index
-///    stream is *strictly* smaller than the packed stream; ties keep
-///    [`BinFormat::PackedSell`] (the SIMD-friendlier layout).
+///    CSR.
+/// 4. [`BinFormat::RowRunReuse`] — probed only in the row-run regime
+///    (the matrix's streamed operand set outgrows
+///    [`PlanConfig::llc_bytes`], so index bandwidth is the bottleneck)
+///    against the packed candidate the SELL gate just built: it wins
+///    exactly when its modelled index stream is *strictly* smaller than
+///    the packed `u32` stream; ties keep [`BinFormat::PackedSell`] (the
+///    SIMD-friendlier layout).
 /// 5. CSR-fallback bins pass through the scatter axis: when cache
 ///    blocking is enabled, the rows are column-sorted, `x` outgrows the
 ///    [`PlanConfig::l2_bytes`] budget, and the bin's measured column
@@ -1060,60 +1008,25 @@ fn choose_format<T: Scalar>(
         }
         c => c,
     };
-    // The bottleneck classifier's width axis: under `Auto`, narrow
-    // lanes are only worth their decode cost when the whole operand set
-    // streams from memory every iteration — estimated as the matrix's
-    // values + u32 indices + both dense vectors against the LLC budget.
-    let floor = match config.index {
-        IndexPolicy::Fixed(k) => k,
-        IndexPolicy::Auto => {
-            let streamed = a.nnz() * (T::BYTES + 4) + (a.n_rows() + a.n_cols()) * T::BYTES;
-            if streamed > config.llc_bytes {
-                IndexKind::U8
-            } else {
-                IndexKind::U32
-            }
-        }
-    };
-    let mut chunk = chunk;
-    let mut packed = PackedSell::from_rows_with_index(a, rows, chunk, floor);
+    let packed = PackedSell::from_rows(a, rows, chunk);
     if packed.padding_ratio() > config.max_padding {
         return csr_fallback(a, rows, config);
     }
-    // Block-structured bins: if runs of identical rows dominate, repack
-    // with the run length as the chunk height so every chunk holds
-    // copies of one row (zero lane spread → narrowest deltas). Only
-    // probed when the gate chose compression (at a u32 floor the run
-    // height could merely trim padding, and the baseline layout must
-    // stay exactly PR 3's), and kept only when it shrinks the stream.
-    if floor < IndexKind::U32 {
-        if let Some(c2) = packed.identical_run_chunk(a) {
-            let alt = PackedSell::from_rows_with_index(a, rows, c2, floor);
-            if alt.padding_ratio() <= config.max_padding
-                && alt.index_stream_bytes() < packed.index_stream_bytes()
-            {
-                chunk = c2;
-                packed = alt;
+    // Gate step 4: when the whole operand set — values, u32 indices and
+    // both dense vectors — streams from memory every iteration,
+    // identical-row-run reuse competes with the packed slab on modelled
+    // index bytes. Strictly smaller wins; ties keep the SELL slab.
+    if specialize {
+        let streamed = a.nnz() * (T::BYTES + 4) + (a.n_rows() + a.n_cols()) * T::BYTES;
+        if streamed > config.llc_bytes {
+            if let Some(rr) = RowRuns::detect(a, rows, config.min_row_run) {
+                if rr.index_stream_bytes() < packed.index_stream_bytes() {
+                    return (BinFormat::RowRunReuse, BinPayload::RowRun(rr));
+                }
             }
         }
     }
-    // Gate step 4: in the compressed regime, identical-row-run reuse
-    // competes with the packed layout on modelled index bytes. Strictly
-    // smaller wins; ties keep the SELL slab. Not probed at a u32 floor —
-    // cache-resident operand sets re-read their index stream from cache,
-    // so trading the SIMD-friendly slab for pattern reuse buys nothing.
-    if specialize && floor < IndexKind::U32 {
-        if let Some(rr) = RowRuns::detect(a, rows, config.min_row_run) {
-            if rr.index_stream_bytes() < packed.index_stream_bytes() {
-                return (BinFormat::RowRunReuse, BinPayload::RowRun(rr));
-            }
-        }
-    }
-    let index = packed.index_kind();
-    (
-        BinFormat::PackedSell { chunk, index },
-        BinPayload::Packed(packed),
-    )
+    (BinFormat::PackedSell { chunk }, BinPayload::Packed(packed))
 }
 
 /// The CSR side of the format gate: plain CSR, unless the bottleneck
@@ -1519,19 +1432,11 @@ mod tests {
             ..base
         };
         assert_ne!(base.cache_key(), padded.cache_key());
-        let fixed = PlanConfig {
-            index: IndexPolicy::Fixed(IndexKind::U16),
+        let streaming = PlanConfig {
+            llc_bytes: 0,
             ..base
         };
-        assert_ne!(base.cache_key(), fixed.cache_key());
-        assert_ne!(
-            fixed.cache_key(),
-            PlanConfig {
-                index: IndexPolicy::Fixed(IndexKind::U32),
-                ..base
-            }
-            .cache_key()
-        );
+        assert_ne!(base.cache_key(), streaming.cache_key());
     }
 
     #[test]

@@ -2,22 +2,13 @@
 //! bin the matrix, try every kernel on every populated bin, and keep the
 //! cheapest combination. This is the ground truth the machine-learning
 //! model is trained to imitate (§III-C's off-line "train process").
-//!
-//! Since the kernel pool grew a format axis (packed/compressed tiers,
-//! and the structure-specialized dense-run/banded/row-run families of
-//! the generated kernel table), the tuner also searches that enlarged
-//! space: [`Tuner::tune_format`] prices one strategy under each format
-//! tier on the SimGpu traffic model and falls back to measured
-//! native-CPU timings when the model calls it too close.
 
 use crate::binning::{bin_matrix, BinningScheme};
-use crate::exec::{NativeCpuBackend, SimGpuBackend};
 use crate::kernels::{run_kernel, KernelId, ALL_KERNELS};
-use crate::plan::{IndexPolicy, PlanConfig, SpmvPlan};
 use crate::strategy::Strategy;
 use spmv_gpusim::{GpuDevice, LaunchStats};
 use spmv_parallel::parallel_map_collect;
-use spmv_sparse::{CsrMatrix, IndexKind, Scalar};
+use spmv_sparse::{CsrMatrix, Scalar};
 
 /// Tuner search space.
 #[derive(Clone, Debug)]
@@ -213,22 +204,6 @@ impl Tuner {
         }
     }
 
-    /// Tune `a`, then compile the winning strategy into an executable
-    /// [`SpmvPlan`](crate::plan::SpmvPlan) on `backend` under an explicit
-    /// [`PlanConfig`](crate::plan::PlanConfig) — the entry the bandwidth
-    /// bench uses to compare format tiers (u32 floor, delta-compressed,
-    /// cache-blocked, …) under one identical tuned strategy.
-    pub fn plan_on<T: Scalar>(
-        &self,
-        a: &CsrMatrix<T>,
-        backend: Box<dyn crate::exec::ExecBackend<T>>,
-        config: crate::plan::PlanConfig,
-    ) -> (crate::plan::SpmvPlan<T>, TunedStrategy) {
-        let tuned = self.tune(a);
-        let plan = crate::plan::SpmvPlan::compile_with(a, tuned.strategy.clone(), backend, config);
-        (plan, tuned)
-    }
-
     /// Tune a matrix: evaluate every candidate scheme (in parallel) and
     /// return the best strategy plus the full candidate table.
     pub fn tune<T: Scalar>(&self, a: &CsrMatrix<T>) -> TunedStrategy {
@@ -252,178 +227,6 @@ impl Tuner {
             strategy: best.strategy(),
             cycles: best.cycles,
             candidates: results.clone(),
-        }
-    }
-}
-
-/// Search settings for the format-tier axis ([`Tuner::tune_format`]).
-#[derive(Clone, Debug)]
-pub struct FormatSearch {
-    /// Relative cycle margin under which the SimGpu model is considered
-    /// too close to call and the near-tied candidates are re-timed on
-    /// the native CPU backend (`0.0` disables the measured fallback and
-    /// keeps the search fully deterministic).
-    pub margin: f64,
-    /// Executions per candidate in the measured fallback (the minimum
-    /// wall time wins).
-    pub measure_iters: usize,
-}
-
-impl Default for FormatSearch {
-    fn default() -> Self {
-        Self {
-            margin: 0.10,
-            measure_iters: 3,
-        }
-    }
-}
-
-/// One format tier priced by [`Tuner::tune_format`].
-#[derive(Clone, Debug)]
-pub struct FormatCandidate {
-    /// Tier label (`u32-floor`, `compressed`, `specialized`).
-    pub name: &'static str,
-    /// The plan configuration the tier stands for.
-    pub config: PlanConfig,
-    /// Modelled cycles of one execution on the SimGpu traffic model.
-    pub modelled_cycles: f64,
-    /// Modelled DRAM bytes read of that execution.
-    pub modelled_bytes: u64,
-    /// Bins the tier's gate routed to a structure-specialized kernel.
-    pub specialized_bins: usize,
-    /// Measured native wall time, if the fallback re-timed this tier.
-    pub measured: Option<std::time::Duration>,
-}
-
-/// Result of the format-tier search: the winning configuration plus the
-/// full candidate table.
-#[derive(Clone, Debug)]
-pub struct TunedFormat {
-    /// Winning tier's label.
-    pub name: &'static str,
-    /// Winning tier's plan configuration (compile with this).
-    pub config: PlanConfig,
-    /// Every tier evaluated.
-    pub candidates: Vec<FormatCandidate>,
-    /// Whether the measured fallback decided the winner (the model
-    /// called it within [`FormatSearch::margin`]).
-    pub measured_fallback: bool,
-}
-
-impl Tuner {
-    /// Search the format axis the kernel table enlarged: price
-    /// `strategy` under each format tier — u32-floor packing, the
-    /// delta-compressed tier, and the structure-specialized tier (the
-    /// gate free to pick dense-run/banded/row-run kernels) — on the
-    /// SimGpu traffic model, derived from `base` so caller knobs
-    /// (chunk, cache budget, structure thresholds) apply to every tier
-    /// alike. The cheapest modelled tier wins; when the model puts
-    /// contenders within [`FormatSearch::margin`] of the winner, those
-    /// tiers are re-timed on [`NativeCpuBackend`] and the minimum
-    /// measured wall time decides instead.
-    pub fn tune_format<T: Scalar>(
-        &self,
-        a: &CsrMatrix<T>,
-        strategy: &Strategy,
-        base: PlanConfig,
-        search: &FormatSearch,
-    ) -> TunedFormat {
-        let tiers: [(&'static str, PlanConfig); 3] = [
-            (
-                "u32-floor",
-                PlanConfig {
-                    index: IndexPolicy::Fixed(IndexKind::U32),
-                    specialize: false,
-                    ..base
-                },
-            ),
-            (
-                "compressed",
-                PlanConfig {
-                    index: IndexPolicy::Auto,
-                    specialize: false,
-                    ..base
-                },
-            ),
-            (
-                "specialized",
-                PlanConfig {
-                    specialize: true,
-                    ..base
-                },
-            ),
-        ];
-        let v = vec![T::ONE; a.n_cols()];
-        let mut u = vec![T::ZERO; a.n_rows()];
-        let mut candidates: Vec<FormatCandidate> = tiers
-            .into_iter()
-            .map(|(name, config)| {
-                let plan = SpmvPlan::compile_with(
-                    a,
-                    strategy.clone(),
-                    Box::new(SimGpuBackend::new(self.device.clone())),
-                    config,
-                );
-                let cost = plan.execute(a, &v, &mut u).expect("sim execution");
-                let stats = cost.stats.expect("sim backend prices every launch");
-                FormatCandidate {
-                    name,
-                    config,
-                    modelled_cycles: stats.cycles,
-                    modelled_bytes: stats.bytes_read,
-                    specialized_bins: plan.specialized_bins(),
-                    measured: None,
-                }
-            })
-            .collect();
-        let best_cycles = candidates
-            .iter()
-            .map(|c| c.modelled_cycles)
-            .fold(f64::INFINITY, f64::min);
-        let near: Vec<usize> = candidates
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.modelled_cycles <= best_cycles * (1.0 + search.margin))
-            .map(|(i, _)| i)
-            .collect();
-        let measured_fallback = search.margin > 0.0 && near.len() > 1;
-        let winner = if measured_fallback {
-            // The model can't separate the contenders: measure them.
-            for &i in &near {
-                let plan = SpmvPlan::compile_with(
-                    a,
-                    strategy.clone(),
-                    Box::new(NativeCpuBackend::default()),
-                    candidates[i].config,
-                );
-                let mut best = std::time::Duration::MAX;
-                for _ in 0..search.measure_iters.max(1) {
-                    let cost = plan.execute(a, &v, &mut u).expect("native execution");
-                    best = best.min(cost.wall);
-                }
-                candidates[i].measured = Some(best);
-            }
-            near.iter()
-                .copied()
-                .min_by_key(|&i| candidates[i].measured.expect("just measured"))
-                .expect("at least one near-margin candidate")
-        } else {
-            candidates
-                .iter()
-                .enumerate()
-                .min_by(|x, y| {
-                    x.1.modelled_cycles
-                        .partial_cmp(&y.1.modelled_cycles)
-                        .unwrap()
-                })
-                .map(|(i, _)| i)
-                .expect("three candidates")
-        };
-        TunedFormat {
-            name: candidates[winner].name,
-            config: candidates[winner].config,
-            candidates,
-            measured_fallback,
         }
     }
 }
@@ -522,63 +325,6 @@ mod tests {
         for b in 0..crate::binning::MAX_BINS {
             let _ = tuned.strategy.kernel_for(b);
         }
-    }
-
-    #[test]
-    fn format_search_prices_three_tiers_and_specialization_cuts_modelled_bytes() {
-        // Band-complete matrix, classified as streaming so every tier's
-        // traffic story is live: the banded fast path must model strictly
-        // fewer DRAM bytes than delta-compressed packing, which must
-        // model strictly fewer than the u32 floor.
-        let a = gen::banded::<f64>(3_000, 4, 7);
-        let tuner = Tuner::new(GpuDevice::kaveri());
-        let strategy = Strategy::single_kernel(KernelId::Serial);
-        let base = PlanConfig {
-            llc_bytes: 0,
-            ..PlanConfig::default()
-        };
-        let search = FormatSearch {
-            margin: 0.0, // model only: fully deterministic
-            measure_iters: 1,
-        };
-        let tf = tuner.tune_format(&a, &strategy, base, &search);
-        assert!(!tf.measured_fallback);
-        assert_eq!(tf.candidates.len(), 3);
-        let by = |n: &str| tf.candidates.iter().find(|c| c.name == n).expect(n);
-        let (u32f, comp, spec) = (by("u32-floor"), by("compressed"), by("specialized"));
-        assert!(spec.specialized_bins >= 1, "banded matrix not specialized");
-        assert_eq!(u32f.specialized_bins, 0);
-        assert_eq!(comp.specialized_bins, 0);
-        assert!(
-            spec.modelled_bytes < comp.modelled_bytes && comp.modelled_bytes < u32f.modelled_bytes,
-            "traffic model not monotone across tiers: {} / {} / {}",
-            spec.modelled_bytes,
-            comp.modelled_bytes,
-            u32f.modelled_bytes
-        );
-        assert!(tf.candidates.iter().all(|c| c.measured.is_none()));
-    }
-
-    #[test]
-    fn format_search_measured_fallback_times_near_ties() {
-        // A structureless matrix: no tier can win on the model, so a
-        // generous margin must route the decision through measured
-        // native timings.
-        let a = gen::random_uniform::<f64>(800, 800, 4, 4, 5);
-        let tuner = Tuner::new(GpuDevice::kaveri());
-        let strategy = Strategy::single_kernel(KernelId::Serial);
-        let search = FormatSearch {
-            margin: 10.0,
-            measure_iters: 2,
-        };
-        let tf = tuner.tune_format(&a, &strategy, PlanConfig::default(), &search);
-        assert!(tf.measured_fallback, "generous margin must trigger timing");
-        let winner = tf
-            .candidates
-            .iter()
-            .find(|c| c.name == tf.name)
-            .expect("winner in table");
-        assert!(winner.measured.is_some(), "winner decided without timing");
     }
 
     #[test]

@@ -502,7 +502,7 @@ pub fn check_payloads<T: Scalar>(
     for (d, p) in dispatch.iter().zip(payloads) {
         match (d.format, p) {
             (BinFormat::Csr, BinPayload::Csr) => {}
-            (BinFormat::PackedSell { chunk, index }, BinPayload::Packed(packed)) => {
+            (BinFormat::PackedSell { chunk }, BinPayload::Packed(packed)) => {
                 if packed.chunk() != chunk {
                     return Err(VerifyError::PackedPayloadInvalid {
                         bin_id: d.bin_id,
@@ -513,20 +513,9 @@ pub fn check_payloads<T: Scalar>(
                         ),
                     });
                 }
-                if packed.index_kind() != index {
-                    return Err(VerifyError::PackedPayloadInvalid {
-                        bin_id: d.bin_id,
-                        kernel: d.kernel,
-                        detail: format!(
-                            "recorded index width {index} != payload width {}",
-                            packed.index_kind()
-                        ),
-                    });
-                }
-                // check_against re-proves the compressed-index bounds:
-                // every decoded `base + delta` equals the CSR column,
-                // stays inside [0, n_cols), and each chunk base is the
-                // tight minimum (so the span proof is reproducible).
+                // check_against re-proves the gather bound: every slab
+                // column equals its CSR column and stays inside
+                // [0, n_cols).
                 packed.check_against(a, &d.rows).map_err(|detail| {
                     VerifyError::PackedPayloadInvalid {
                         bin_id: d.bin_id,

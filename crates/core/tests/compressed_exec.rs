@@ -1,14 +1,14 @@
-//! Bandwidth-tier execution suite: delta-compressed column indices and
+//! Bandwidth-tier execution suite: the packed `u32` column slab and
 //! cache-blocked scatter execution must be **bit-for-bit** identical to
-//! the sequential CSR reference across index widths, forced-fallback
-//! wide-span rows, value-only refreshes after `sort_rows`, and
-//! scatter-heavy generators — and the verifier must reject tampered
-//! compressed/blocked payloads.
+//! the sequential CSR reference across value-only refreshes after
+//! `sort_rows` and scatter-heavy generators, the traffic model must
+//! charge exactly the streamed index bytes, and the verifier must
+//! reject tampered packed/blocked payloads.
 
 use spmv_autotune::prelude::*;
 use spmv_sparse::gen;
 use spmv_sparse::gen::mixture::RowRegime;
-use spmv_sparse::{CooMatrix, CsrMatrix, IndexKind};
+use spmv_sparse::{CsrMatrix, PackedSell};
 
 fn native_plan(a: &CsrMatrix<f64>, strategy: Strategy, config: PlanConfig) -> SpmvPlan<f64> {
     SpmvPlan::compile_with(a, strategy, Box::new(NativeCpuBackend::new()), config)
@@ -27,101 +27,11 @@ fn probe_vector(n: usize, seed: u64) -> Vec<f64> {
         .collect()
 }
 
-/// Every index-width policy produces bit-identical results, the realised
-/// width never drops below the policy floor, and every plan survives
-/// `VerifiedPlan` promotion (which re-proves the compressed-index
-/// bounds).
-#[test]
-fn fuzz_every_index_width_bit_identical_to_reference() {
-    let policies = [
-        IndexPolicy::Auto,
-        IndexPolicy::Fixed(IndexKind::U8),
-        IndexPolicy::Fixed(IndexKind::U16),
-        IndexPolicy::Fixed(IndexKind::U32),
-    ];
-    for seed in 0..8u64 {
-        let m = 150 + (seed as usize * 37) % 400;
-        let a = gen::mixture::<f64>(
-            m,
-            m + 40,
-            &[
-                RowRegime::new(1, 3, 0.4),
-                RowRegime::new(5, 20, 0.4),
-                RowRegime::new(30, 80, 0.2),
-            ],
-            true,
-            seed,
-        );
-        let v = probe_vector(a.n_cols(), seed);
-        let reference = a.spmv_seq_alloc(&v).unwrap();
-        for policy in policies {
-            let config = PlanConfig {
-                index: policy,
-                ..PlanConfig::default()
-            };
-            let plan = native_plan(&a, coarse(KernelId::Serial), config);
-            for d in plan.dispatch() {
-                if let BinFormat::PackedSell { index, .. } = d.format {
-                    assert!(
-                        index >= policy.floor(),
-                        "seed {seed} {policy:?}: bin {} realised {index} below floor",
-                        d.bin_id
-                    );
-                }
-            }
-            let verified = plan.verify(&a).expect("compressed plan must verify");
-            let mut u = vec![f64::NAN; a.n_rows()];
-            verified.execute_unchecked(&a, &v, &mut u).unwrap();
-            assert_eq!(u, reference, "seed {seed} {policy:?} diverges");
-        }
-    }
-}
-
-/// Lane spreads wider than a u8/u16 delta can express force the
-/// pack-time proof to widen the realised lanes — never to produce wrong
-/// results. Adjacent rows 66_000 columns apart defeat both anchor modes
-/// (chunk span and per-column lane spread both exceed 65_535 for any
-/// chunk height ≥ 2), so Auto must realise u32 on that bin.
-#[test]
-fn wide_span_rows_widen_lanes_not_results() {
-    let mut coo = CooMatrix::<f64>::new(8, 463_001);
-    for r in 0..8usize {
-        coo.push(r, r * 66_000, 1.0 + r as f64);
-        coo.push(r, r * 66_000 + 1, -1.0 - r as f64);
-    }
-    let a: CsrMatrix<f64> = coo.to_csr();
-    let config = PlanConfig {
-        // Force compression past the width gate and keep the scatter
-        // gate out of the way: this test is about the span proof.
-        index: IndexPolicy::Fixed(IndexKind::U8),
-        cache_block: false,
-        ..PlanConfig::default()
-    };
-    let plan = native_plan(&a, Strategy::single_kernel(KernelId::Serial), config);
-    let mut saw_u32 = false;
-    for d in plan.dispatch() {
-        if let BinFormat::PackedSell { index, .. } = d.format {
-            assert_eq!(
-                index,
-                IndexKind::U32,
-                "lane spread 66_000 cannot fit {index}"
-            );
-            saw_u32 = true;
-        }
-    }
-    assert!(saw_u32, "wide-span bin did not pack at all");
-    let v = probe_vector(a.n_cols(), 1);
-    let reference = a.spmv_seq_alloc(&v).unwrap();
-    let mut u = vec![f64::NAN; a.n_rows()];
-    plan.verify(&a).unwrap().execute(&a, &v, &mut u).unwrap();
-    assert_eq!(u, reference);
-}
-
 /// `sort_rows` permutes entries *within* rows (values travel with their
 /// columns), bumps the values id, and leaves the row pointer — hence the
-/// fingerprint and every chunk's column *set* — unchanged. The slab
-/// refresh must re-derive deltas against the unchanged chunk bases and
-/// keep matching the (now sorted) reference bit-for-bit.
+/// fingerprint — unchanged. The slab refresh must re-gather columns
+/// with their values and keep matching the (now sorted) reference
+/// bit-for-bit.
 #[test]
 fn value_only_refresh_after_sort_rows_stays_bit_identical() {
     // Deliberately unsorted rows: 40 rows of 4 entries in descending
@@ -140,12 +50,7 @@ fn value_only_refresh_after_sort_rows_stays_bit_identical() {
     }
     let mut a = CsrMatrix::from_parts(m, n, row_ptr, col_idx, values).unwrap();
     assert!(!a.rows_sorted(), "test premise: rows start unsorted");
-    // Force narrow lanes so the refresh re-proves real delta windows.
-    let config = PlanConfig {
-        index: IndexPolicy::Fixed(IndexKind::U8),
-        ..PlanConfig::default()
-    };
-    let plan = native_plan(&a, coarse(KernelId::Serial), config);
+    let plan = native_plan(&a, coarse(KernelId::Serial), PlanConfig::default());
     assert!(plan.packed_bins() >= 1, "uniform 4-NNZ rows must pack");
     let v = probe_vector(n, 7);
     let fp_before = *plan.fingerprint();
@@ -219,7 +124,7 @@ fn cache_blocked_equals_unblocked_on_scatter_heavy_matrices() {
     }
 }
 
-/// The batched (SpMM) path over blocked and compressed payloads matches
+/// The batched (SpMM) path over blocked and packed payloads matches
 /// per-column single-vector execution bit-for-bit.
 #[test]
 fn batched_execution_matches_columns_for_bandwidth_payloads() {
@@ -244,27 +149,23 @@ fn batched_execution_matches_columns_for_bandwidth_payloads() {
 }
 
 /// `check_payloads` rejects tampered bandwidth-tier plans: a recorded
-/// index width that disagrees with the payload, a blocked strip width
+/// chunk height that disagrees with the payload, a blocked strip width
 /// mismatch, and a zero strip width.
 #[test]
-fn verify_rejects_tampered_compressed_and_blocked_payloads() {
+fn verify_rejects_tampered_packed_and_blocked_payloads() {
     let a = gen::random_uniform::<f64>(80, 80, 3, 5, 8);
     let rows: Vec<u32> = (0..80).collect();
     let nnz = a.nnz();
-    let packed = spmv_sparse::PackedSell::from_rows(&a, &rows, 8);
-    assert_eq!(packed.index_kind(), IndexKind::U8, "80 columns fit u8");
+    let packed = PackedSell::from_rows(&a, &rows, 8);
     let n_chunks = packed.n_chunks();
 
-    // Recorded index width disagrees with the realised payload width.
+    // Recorded chunk height disagrees with the payload's.
     let lying = vec![BinDispatch {
         bin_id: 0,
         kernel: KernelId::Serial,
         rows: rows.clone(),
         nnz,
-        format: BinFormat::PackedSell {
-            chunk: 8,
-            index: IndexKind::U16,
-        },
+        format: BinFormat::PackedSell { chunk: 4 },
     }];
     let payloads = vec![BinPayload::Packed(packed)];
     let tiles = vec![Tile {
@@ -274,7 +175,7 @@ fn verify_rejects_tampered_compressed_and_blocked_payloads() {
     }];
     match check_payloads(&a, &lying, &payloads, &tiles) {
         Err(VerifyError::PackedPayloadInvalid { detail, .. }) => {
-            assert!(detail.contains("index width"), "got: {detail}")
+            assert!(detail.contains("recorded chunk"), "got: {detail}")
         }
         other => panic!("expected PackedPayloadInvalid, got {other:?}"),
     }
@@ -308,7 +209,7 @@ fn verify_rejects_tampered_compressed_and_blocked_payloads() {
     }
 }
 
-/// The pack-time delta proof is anchored to the compile-time `n_cols`:
+/// The gather-bound proof is anchored to the compile-time `n_cols`:
 /// executing (checked or unchecked) against a column-shrunk matrix of
 /// the same pattern otherwise must be rejected, never gathered
 /// out-of-bounds. This is the runtime half of the spmv-lint shrink
@@ -350,131 +251,54 @@ fn column_shrink_invalidates_the_plan() {
     );
 }
 
-/// Traffic accounting: Auto with an exhausted cache budget (every
-/// working set counts as streaming) realises narrow lanes on a low-span
-/// matrix, cutting index bytes-per-nnz at least 2× under the u32 floor,
-/// with identical value bytes and NNZ.
+/// Every packed slab streams exactly one `u32` column per slot — no
+/// per-chunk base word — at each auto chunk height, and the plan's
+/// traffic model charges exactly that for each packed bin (CSR bins
+/// `nnz × 4`).
 #[test]
-fn traffic_stats_reflect_index_compression() {
-    let a = gen::banded::<f64>(2_000, 3, 5);
-    let auto = native_plan(
-        &a,
-        coarse(KernelId::Serial),
-        PlanConfig {
-            llc_bytes: 0,
-            // This test pins the *packed* tier's compression ratio; the
-            // banded fast path would otherwise claim this matrix first.
-            specialize: false,
-            ..PlanConfig::default()
-        },
+fn packed_index_stream_is_one_u32_per_slot() {
+    let a = gen::mixture::<f64>(
+        3_000,
+        3_200,
+        &[RowRegime::new(1, 4, 0.5), RowRegime::new(6, 20, 0.5)],
+        true,
+        21,
     );
-    let fixed = native_plan(
-        &a,
-        coarse(KernelId::Serial),
-        PlanConfig {
-            index: IndexPolicy::Fixed(IndexKind::U32),
-            specialize: false,
-            ..PlanConfig::default()
-        },
-    );
-    assert!(auto.packed_bins() >= 1 && fixed.packed_bins() >= 1);
-    let (ta, tf) = (auto.traffic(), fixed.traffic());
-    assert_eq!(ta.nnz, tf.nnz);
-    assert_eq!(ta.value_bytes, tf.value_bytes);
-    assert!(
-        ta.index_bytes_per_nnz() * 2.0 <= tf.index_bytes_per_nnz(),
-        "compression saved less than 2x: {} vs {}",
-        ta.index_bytes_per_nnz(),
-        tf.index_bytes_per_nnz()
-    );
-}
+    let rows: Vec<u32> = (0..a.n_rows() as u32).collect();
+    for chunk in [2, 4, 8] {
+        let packed = PackedSell::from_rows(&a, &rows, chunk);
+        assert!(
+            packed.n_chunks() > 1,
+            "chunk {chunk}: one chunk proves nothing"
+        );
+        assert_eq!(
+            packed.index_stream_bytes(),
+            4 * packed.slots(),
+            "chunk {chunk}"
+        );
 
-/// The SimGpu pricing model charges the reduced index stream: the same
-/// strategy priced over a delta-compressed plan reads fewer modelled
-/// bytes than over the u32-floored plan.
-#[test]
-fn sim_pricing_charges_fewer_bytes_for_compressed_indices() {
-    let a = gen::banded::<f64>(3_000, 4, 2);
-    let mk = |policy| {
-        SpmvPlan::compile_with(
-            &a,
-            coarse(KernelId::Serial),
-            Box::new(SimGpuBackend::new(GpuDevice::kaveri())),
-            PlanConfig {
-                index: policy,
-                // Classify the matrix as streaming so Auto compresses.
-                llc_bytes: 0,
-                // Pin the packed tier: the banded fast path would
-                // otherwise claim this matrix before packing runs.
-                specialize: false,
-                ..PlanConfig::default()
-            },
-        )
-    };
-    let auto = mk(IndexPolicy::Auto);
-    let fixed = mk(IndexPolicy::Fixed(IndexKind::U32));
-    assert!(auto.packed_bins() >= 1);
-    let v = vec![1.0f64; a.n_cols()];
-    let mut u = vec![0.0f64; a.n_rows()];
-    let ca = auto.execute(&a, &v, &mut u).unwrap();
-    let cf = fixed.execute(&a, &v, &mut u).unwrap();
-    let (ba, bf) = (
-        ca.stats.expect("sim prices").bytes_read,
-        cf.stats.expect("sim prices").bytes_read,
-    );
-    assert!(
-        ba < bf,
-        "compressed plan priced at {ba} bytes, u32 floor at {bf}"
-    );
-}
-
-/// The width axis of the bottleneck gate: the same matrix under `Auto`
-/// keeps full `u32` words when its working set fits the LLC budget
-/// (cache-resident — decode would be pure overhead) and realises narrow
-/// lanes when the budget says it streams; both plans stay bit-identical
-/// to the reference.
-#[test]
-fn width_gate_follows_the_cache_budget() {
-    let a = gen::banded::<f64>(5_000, 3, 11);
-    let streamed = a.nnz() * (8 + 4) + (a.n_rows() + a.n_cols()) * 8;
-    let mk = |llc_bytes| {
-        native_plan(
+        let plan = native_plan(
             &a,
             coarse(KernelId::Serial),
             PlanConfig {
-                llc_bytes,
-                // Pin the packed tier: the banded fast path would
-                // otherwise claim this matrix before packing runs.
+                chunk,
+                max_padding: 8.0,
+                cache_block: false,
                 specialize: false,
                 ..PlanConfig::default()
             },
-        )
-    };
-    let resident = mk(streamed + 1);
-    let streaming = mk(streamed - 1);
-    assert!(resident.packed_bins() >= 1 && streaming.packed_bins() >= 1);
-    for d in resident.dispatch() {
-        if let BinFormat::PackedSell { index, .. } = d.format {
-            assert_eq!(index, IndexKind::U32, "cache-resident bin compressed");
+        );
+        let mut expected = 0usize;
+        for (d, p) in plan.dispatch().iter().zip(plan.payloads()) {
+            expected += match p {
+                BinPayload::Packed(packed) => {
+                    assert_eq!(d.format, BinFormat::PackedSell { chunk });
+                    4 * packed.slots()
+                }
+                _ => 4 * d.nnz,
+            };
         }
-    }
-    let narrow = streaming
-        .dispatch()
-        .iter()
-        .filter(
-            |d| matches!(d.format, BinFormat::PackedSell { index, .. } if index < IndexKind::U32),
-        )
-        .count();
-    assert!(
-        narrow >= 1,
-        "streaming-classified plan realised no narrow lanes"
-    );
-    assert!(streaming.traffic().index_bytes < resident.traffic().index_bytes);
-    let v = probe_vector(a.n_cols(), 3);
-    let reference = a.spmv_seq_alloc(&v).unwrap();
-    for plan in [resident, streaming] {
-        let mut u = vec![f64::NAN; a.n_rows()];
-        plan.verify(&a).unwrap().execute(&a, &v, &mut u).unwrap();
-        assert_eq!(u, reference);
+        assert!(plan.packed_bins() >= 1, "chunk {chunk}: nothing packed");
+        assert_eq!(plan.traffic().index_bytes, expected, "chunk {chunk}");
     }
 }

@@ -1,7 +1,7 @@
 //! Multi-worker determinism suite for the flat tile queue: a plan
 //! executed by `t` workers must produce **bit-for-bit** the same output
 //! as the same plan executed by one worker — for every format tier
-//! (CSR, packed, compressed-index, cache-blocked), every worker count in
+//! (CSR, packed, cache-blocked), every worker count in
 //! {2, 3, 4, 7}, the single-vector and the batched (SpMM) path, checked
 //! and unchecked, and across repeated executes.
 //!
@@ -12,7 +12,7 @@
 use spmv_autotune::prelude::*;
 use spmv_sparse::gen;
 use spmv_sparse::gen::mixture::RowRegime;
-use spmv_sparse::{CsrMatrix, IndexKind};
+use spmv_sparse::CsrMatrix;
 use std::sync::Once;
 
 const WORKERS: [usize; 4] = [2, 3, 4, 7];
@@ -83,14 +83,6 @@ fn format_tiers() -> Vec<(&'static str, PlanConfig)> {
             },
         ),
         (
-            "compressed",
-            PlanConfig {
-                index: IndexPolicy::Fixed(IndexKind::U16),
-                tile_nnz: 1 << 11,
-                ..PlanConfig::default()
-            },
-        ),
-        (
             "cache-blocked",
             PlanConfig {
                 pack: false,
@@ -127,7 +119,7 @@ fn tiers_compile_to_their_formats() {
         let plan = plan_with(&a, coarse(KernelId::Subvector(8)), config, 1);
         let expect = match tier {
             "csr" => plan.packed_bins() == 0 && plan.blocked_bins() == 0,
-            "packed" | "compressed" => plan.packed_bins() > 0,
+            "packed" => plan.packed_bins() > 0,
             _ => plan.blocked_bins() > 0,
         };
         let formats: Vec<BinFormat> = plan.dispatch().iter().map(|d| d.format).collect();

@@ -8,7 +8,7 @@ use spmv_autotune::prelude::*;
 use spmv_sparse::gen;
 use spmv_sparse::gen::mixture::RowRegime;
 use spmv_sparse::packed::SORT_WINDOW_CHUNKS;
-use spmv_sparse::{CooMatrix, CsrMatrix, IndexKind};
+use spmv_sparse::{CooMatrix, CsrMatrix};
 
 fn native_plan(a: &CsrMatrix<f64>, strategy: Strategy, config: PlanConfig) -> SpmvPlan<f64> {
     SpmvPlan::compile_with(a, strategy, Box::new(NativeCpuBackend::new()), config)
@@ -342,10 +342,7 @@ fn check_payloads_rejects_mismatch_and_bad_tiles() {
         kernel: KernelId::Serial,
         rows,
         nnz,
-        format: BinFormat::PackedSell {
-            chunk: 8,
-            index: packed.index_kind(),
-        },
+        format: BinFormat::PackedSell { chunk: 8 },
     }];
     let good_tiles = vec![Tile {
         bin: 0,
@@ -445,8 +442,8 @@ fn packed_windows(plan: &SpmvPlan<f64>) -> Vec<(usize, usize)> {
 /// Rows are length-sorted only within windows of `SORT_WINDOW_CHUNKS`
 /// chunks. Bins spanning many windows — a road network with empty
 /// rows, mixtures at several chunk heights, and a block-structured bin
-/// repacked at its identical-run height of 6 (windows of 192 rows, not
-/// a power of two) — must stay bit-for-bit equal to the sequential
+/// packed at its identical-run height of 6 (windows of 192 rows, not a
+/// power of two, run by the dynamic-height kernel) — must stay bit-for-bit equal to the sequential
 /// reference for SpMV and for SpMM at every `K`.
 #[test]
 fn windowed_row_sort_is_bit_identical_across_windows() {
@@ -502,14 +499,14 @@ fn windowed_row_sort_is_bit_identical_across_windows() {
         &blocks,
         Strategy::single_kernel(KernelId::Serial),
         PlanConfig {
-            index: IndexPolicy::Fixed(IndexKind::U8),
+            chunk: 6,
             specialize: false,
             ..PlanConfig::default()
         },
     );
     assert!(
         packed_windows(&plan).iter().any(|&(c, w)| c == 6 && w > 2),
-        "the block bin was not repacked at its run height: {:?}",
+        "the block bin was not packed at its run height: {:?}",
         packed_windows(&plan)
     );
     assert_spmv_and_spmm_match_reference(&blocks, plan, "block rows at chunk 6");
@@ -547,10 +544,7 @@ fn check_against_rejects_rows_swapped_across_windows() {
         kernel: KernelId::Serial,
         rows,
         nnz: a.nnz(),
-        format: BinFormat::PackedSell {
-            chunk,
-            index: bad.index_kind(),
-        },
+        format: BinFormat::PackedSell { chunk },
     }];
     let tiles = vec![Tile {
         bin: 0,

@@ -11,7 +11,7 @@
 
 use spmv_autotune::prelude::*;
 use spmv_autotune::solve::SolveStep;
-use spmv_sparse::solve::{level_sets, sptrsv_seq, symgs_seq, SolveDirection};
+use spmv_sparse::solve::{level_order, sptrsv_seq, symgs_seq, SolveDirection};
 use spmv_sparse::{gen, CsrMatrix, SolveBuildError};
 
 /// Deterministic lower-triangular matrix with a dominant diagonal,
@@ -43,10 +43,11 @@ fn tril(m: usize, max_nnz: usize, seed: u64) -> CsrMatrix<f64> {
 /// The honest level-set schedule, every level parallel, cuts from the
 /// same NNZ-balanced splitter the planner uses.
 fn honest_schedule(a: &CsrMatrix<f64>, workers: usize) -> Vec<SolveStep> {
-    level_sets(a, SolveDirection::Forward)
-        .unwrap()
-        .into_iter()
-        .map(|rows| {
+    let (order, starts) = level_order(a, SolveDirection::Forward).unwrap();
+    starts
+        .windows(2)
+        .map(|w| {
+            let rows = order[w[0]..w[1]].to_vec();
             let cuts = spmv_autotune::kernels::cpu::rows_nnz_cuts(a, &rows, workers);
             SolveStep::Parallel { rows, cuts }
         })
@@ -174,11 +175,7 @@ fn serial_chunk_in_wrong_order_is_rejected() {
     // earlier-position-reads-later is legal. Reversing the chunk breaks
     // program order.
     let a = tril(100, 5, 13);
-    let mut rows: Vec<u32> = level_sets(&a, SolveDirection::Forward)
-        .unwrap()
-        .into_iter()
-        .flatten()
-        .collect();
+    let (mut rows, _) = level_order(&a, SolveDirection::Forward).unwrap();
     let steps_ok = vec![SolveStep::Serial { rows: rows.clone() }];
     check_solve_schedule(&a, SolveDirection::Forward, &steps_ok, 1).unwrap();
     rows.reverse();

@@ -363,7 +363,7 @@ fn gate_precedence_is_deterministic_and_knob_gated() {
             .map(|d| d.format)
             .collect::<Vec<_>>()
     );
-    // Both structure tiers disabled → the PR 5 gate is unchanged.
+    // Both structure tiers disabled → no bin is specialized.
     let neither = plan_for(
         PlanConfig {
             band_max_offsets: 0,
@@ -442,8 +442,8 @@ fn gate_precedence_is_deterministic_and_knob_gated() {
 
 /// The specialized tiers' traffic accounting: a banded plan's modelled
 /// index stream is the offset list alone (bytes ≈ 8 × offsets), far
-/// below both the u32 floor and the delta-compressed tier, and the
-/// SimGpu pricing charges the reduction.
+/// below the packed `u32` slab, and the SimGpu pricing charges the
+/// reduction.
 #[test]
 fn specialized_traffic_is_modelled_and_priced() {
     setup();

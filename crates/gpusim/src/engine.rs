@@ -87,8 +87,7 @@ impl LaunchStats {
     /// Remove `matrix_bytes` of modelled matrix-stream traffic from this
     /// priced launch — the discount behind every format tier that moves
     /// fewer index bytes than the functional CSR pricing charged
-    /// (delta-compressed SELL slabs, structure-specialized traversals)
-    /// and behind the non-leading columns of a register-blocked RHS
+    /// (structure-specialized traversals) and behind the non-leading columns of a register-blocked RHS
     /// block. Bytes and transactions scale by the kept fraction;
     /// cycles/seconds scale only when the launch was bandwidth-bound
     /// (compute-bound kernels do not run faster for moving fewer bytes).

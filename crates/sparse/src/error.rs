@@ -153,12 +153,12 @@ impl From<CsrBuildError> for SparseError {
 }
 
 /// Typed rejection of a matrix handed to the triangular-solve stack
-/// ([`level_sets`], [`split_triangular`], and the solve-plan builders in
+/// ([`level_order`], [`split_triangular`], and the solve-plan builders in
 /// `spmv-autotune`). Each variant names the violated premise and a
 /// witness, so plan construction fails with a diagnosable error instead
 /// of a panic (or a silently wrong solve).
 ///
-/// [`level_sets`]: crate::solve::level_sets
+/// [`level_order`]: crate::solve::level_order
 /// [`split_triangular`]: crate::solve::split_triangular
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SolveBuildError {

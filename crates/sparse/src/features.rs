@@ -2,21 +2,20 @@
 //! feed the two-stage machine-learning model, plus the extended
 //! histogram-based features that §IV-C proposes as future work and the
 //! column-locality features that drive the bandwidth-tier format gate
-//! (delta-compressed indices vs cache-blocked execution; see the plan
-//! layer).
+//! (cache-blocked execution; see the plan layer).
 
 use crate::csr::CsrMatrix;
 use crate::histogram::RowHistogram;
 use crate::scalar::Scalar;
 
 /// Column-locality summary of a row subset — the cheap structural
-/// signals the bottleneck classifier uses to pick an index width and to
-/// spot scatter-heavy bins (following the lightweight feature-based
-/// selection of Elafrou et al.):
+/// signals the bottleneck classifier uses to spot scatter-heavy bins
+/// (following the lightweight feature-based selection of Elafrou et
+/// al.):
 ///
 /// * **column span** (`max col − min col` per row) predicts how far the
-///   `x` gathers of one row reach, hence whether per-chunk base+delta
-///   indices can be narrow;
+///   `x` gathers of one row reach, hence whether they outgrow one
+///   cache-blocking strip;
 /// * **distinct cache lines per row** estimates how many `x` cache lines
 ///   one row touches — high values mean the gather is a scatter and the
 ///   working set, not the streamed matrix bytes, is the bottleneck.

@@ -50,10 +50,10 @@ pub use dense_block::DenseBlock;
 pub use error::{CsrBuildError, SolveBuildError, SparseError};
 pub use features::{ColumnLocality, FeatureSet, MatrixFeatures};
 pub use histogram::RowHistogram;
-pub use packed::{prefetch_read, BaseMode, IndexKind, PackedSell, SlabView};
+pub use packed::{prefetch_read, PackedSell, SlabView};
 pub use scalar::Scalar;
 pub use solve::{
-    level_order, level_sets, split_triangular, sptrsv_seq, symgs_seq, SolveDirection,
-    TriangularHalves, Triangularity,
+    level_order, split_triangular, sptrsv_seq, symgs_seq, SolveDirection, TriangularHalves,
+    Triangularity,
 };
 pub use special::{BandSet, DenseRuns, RowRuns};

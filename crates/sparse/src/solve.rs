@@ -16,7 +16,7 @@
 //!
 //! * [`CsrMatrix::triangularity`] — classify a pattern as lower/upper
 //!   triangular (or neither) and detect missing diagonal entries;
-//! * [`level_sets`] — build the level schedule for a triangular matrix,
+//! * [`level_order`] — build the level schedule for a triangular matrix,
 //!   rejecting non-triangular or diagonal-deficient inputs with a typed
 //!   [`SolveBuildError`];
 //! * [`split_triangular`] — extract the `L + D` / `D + U` halves (and
@@ -164,33 +164,20 @@ pub fn check_solvable<T: Scalar>(
     Ok(())
 }
 
-/// Build the level-set schedule for a triangular solve: `levels[l]`
-/// lists the rows whose longest dependency chain has length `l`, in the
-/// direction's natural traversal order (ascending rows for forward,
-/// descending for backward). Rows within one level are mutually
-/// independent by construction; every dependency of a level-`l` row
-/// sits in a level `< l`.
+/// Build the level-set schedule for a triangular solve as one flat
+/// array: every row in level order, and each level's start in that
+/// array — `starts[l]..starts[l + 1]` is level `l`, `starts.len()` is
+/// the level count plus one. Level `l` lists the rows whose longest
+/// dependency chain has length `l`, in the direction's natural
+/// traversal order (ascending rows for forward, descending for
+/// backward). Rows within one level are mutually independent by
+/// construction; every dependency of a level-`l` row sits in a level
+/// `< l`.
 ///
-/// Rejects non-square, non-triangular, or diagonal-deficient inputs
-/// with a typed [`SolveBuildError`]. O(m + nnz). [`level_order`] is the
-/// same schedule as one flat array.
-pub fn level_sets<T: Scalar>(
-    a: &CsrMatrix<T>,
-    dir: SolveDirection,
-) -> Result<Vec<Vec<u32>>, SolveBuildError> {
-    let (rows, starts) = level_order(a, dir)?;
-    Ok(starts
-        .windows(2)
-        .map(|w| rows[w[0]..w[1]].to_vec())
-        .collect())
-}
-
-/// [`level_sets`] flattened: every row in level order (each level in the
-/// direction's traversal order), and each level's start in that array —
-/// `starts[l]..starts[l + 1]` is level `l`, `starts.len()` is the level
-/// count plus one. One level pass and one counting-sort pass, no
-/// per-level allocation; the [`check_solvable`] premises are checked in
-/// the level pass itself. Same validation and errors as [`level_sets`].
+/// One level pass and one counting-sort pass, no per-level allocation;
+/// the [`check_solvable`] premises are checked in the level pass
+/// itself. Rejects non-square, non-triangular, or diagonal-deficient
+/// inputs with a typed [`SolveBuildError`]. O(m + nnz).
 pub fn level_order<T: Scalar>(
     a: &CsrMatrix<T>,
     dir: SolveDirection,
@@ -637,14 +624,14 @@ mod tests {
     }
 
     #[test]
-    fn level_sets_respect_dependencies_and_partition_rows() {
+    fn level_order_respects_dependencies_and_partitions_rows() {
         let a = tril_with_diag(&gen::powerlaw::<f64>(300, 1, 60, 2.1, 5));
-        let levels = level_sets(&a, SolveDirection::Forward).unwrap();
+        let (order, starts) = level_order(&a, SolveDirection::Forward).unwrap();
         let mut level_of = vec![usize::MAX; a.n_rows()];
         let mut seen = 0usize;
-        for (l, rows) in levels.iter().enumerate() {
-            assert!(!rows.is_empty(), "level {l} is empty");
-            for &r in rows {
+        for (l, w) in starts.windows(2).enumerate() {
+            assert!(w[0] < w[1], "level {l} is empty");
+            for &r in &order[w[0]..w[1]] {
                 assert_eq!(level_of[r as usize], usize::MAX, "row {r} scheduled twice");
                 level_of[r as usize] = l;
                 seen += 1;
@@ -667,18 +654,25 @@ mod tests {
     }
 
     #[test]
-    fn level_order_is_level_sets_flattened_and_names_the_same_defects() {
+    fn level_order_walks_levels_in_traversal_order_and_names_the_same_defects() {
         let a = tril_with_diag(&gen::powerlaw::<f64>(300, 1, 60, 2.1, 5));
         for (m, dir) in [
             (a.clone(), SolveDirection::Forward),
             (a.transpose(), SolveDirection::Backward),
         ] {
-            let levels = level_sets(&m, dir).unwrap();
             let (rows, starts) = level_order(&m, dir).unwrap();
-            assert_eq!(rows, levels.concat());
-            assert_eq!(starts.len(), levels.len() + 1);
-            for (l, w) in levels.iter().zip(starts.windows(2)) {
-                assert_eq!(l.len(), w[1] - w[0]);
+            assert_eq!(starts.first(), Some(&0));
+            assert_eq!(starts.last(), Some(&m.n_rows()));
+            assert_eq!(rows.len(), m.n_rows());
+            for w in starts.windows(2) {
+                let level = &rows[w[0]..w[1]];
+                assert!(
+                    level.windows(2).all(|p| match dir {
+                        SolveDirection::Forward => p[0] < p[1],
+                        SolveDirection::Backward => p[0] > p[1],
+                    }),
+                    "{dir:?}: a level is not in traversal order"
+                );
             }
         }
         // A backward walk meets row 19's defect first; the error still
@@ -704,21 +698,21 @@ mod tests {
     }
 
     #[test]
-    fn level_sets_reject_bad_structure() {
+    fn level_order_rejects_bad_structure() {
         let full = gen::banded::<f64>(20, 1, 3);
         assert!(matches!(
-            level_sets(&full, SolveDirection::Forward),
+            level_order(&full, SolveDirection::Forward),
             Err(SolveBuildError::OffTriangle { .. })
         ));
         let rect = gen::random_uniform::<f64>(10, 20, 1, 3, 4);
         assert!(matches!(
-            level_sets(&rect, SolveDirection::Forward),
+            level_order(&rect, SolveDirection::Forward),
             Err(SolveBuildError::NotSquare { .. })
         ));
         let no_diag =
             CsrMatrix::<f64>::from_parts(2, 2, vec![0, 1, 2], vec![0, 0], vec![1.0, 1.0]).unwrap();
         assert!(matches!(
-            level_sets(&no_diag, SolveDirection::Forward),
+            level_order(&no_diag, SolveDirection::Forward),
             Err(SolveBuildError::MissingDiagonal { row: 1 })
         ));
     }

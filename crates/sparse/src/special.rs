@@ -1,8 +1,8 @@
 //! Structure-exploiting bin specializations: the pack-time *detectors*
 //! and *structural proofs* behind the pattern-specialized kernel table.
 //!
-//! Where [`crate::packed`] compresses the index stream generically, the
-//! three shapes here eliminate it for bins whose sparsity has exploitable
+//! Where [`crate::packed`] streams one `u32` column per slot, the
+//! three shapes here eliminate that stream for bins whose sparsity has exploitable
 //! structure:
 //!
 //! * [`DenseRuns`] — rows whose columns form contiguous runs execute as
