@@ -1,8 +1,9 @@
 //! Criterion bench for plan set-up: what a plan costs before its first
 //! execute. Times `SpmvPlan::compile` + `verify` on a skewed 30k-row
 //! mixture, and `SymgsPlan::build` (triangular split, two verified
-//! solves, two verified residual SpMV plans) on its diagonally dominant
-//! square companion — the local view of `setup_s` in the repo
+//! solves, one verified residual SpMV plan for the strict upper half —
+//! the forward solve emits the lower residual itself) on its diagonally
+//! dominant square companion — the local view of `setup_s` in the repo
 //! benchmark.
 
 use criterion::{criterion_group, criterion_main, Criterion};

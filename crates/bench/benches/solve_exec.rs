@@ -1,10 +1,12 @@
-//! Criterion bench for the level-scheduled triangular solves: one
-//! forward (`L + D`) and one backward (`D + U`) verified solve of a SymGS
-//! sweep, through `solve_unchecked` on the sweep's own halves, at the
-//! default worker count and level-merge granularity. Two SymGS
-//! companions (the off-diagonal pattern plus a dominant diagonal): the
-//! `road_network(715, 715, 0.53, ·)` analogue of europe_osm, whose long
-//! chains of thin levels are the serial-chunk case, and a
+//! Criterion bench for the level-scheduled triangular solves and the
+//! SymGS sweep built on them: one forward (`L + D`) and one backward
+//! (`D + U`) verified solve, through `solve_unchecked` on the sweep's own
+//! halves, and one whole sweep through `SymgsPlan::apply` (upper
+//! residual SpMV, forward solve emitting the lower residual, backward
+//! solve), at the default worker count and level-merge granularity. Two
+//! SymGS companions (the off-diagonal pattern plus a dominant diagonal):
+//! the `road_network(715, 715, 0.53, ·)` analogue of europe_osm, whose
+//! long chains of thin levels are the serial-chunk case, and a
 //! `block_structured` FEM-like matrix with few, wide levels. The
 //! `plan_setup` bench bounds what building these plans costs.
 
@@ -50,15 +52,20 @@ fn bench_solve_exec(c: &mut Criterion) {
     let mut group = c.benchmark_group("solve_exec");
     group.sample_size(20);
     for (name, sym) in &cases {
-        let sweep = SymgsPlan::build(sym).expect("companion has a full diagonal");
-        let h = sweep.halves();
+        let mut sweep = SymgsPlan::build(sym).expect("companion has a full diagonal");
         let b: Vec<f32> = (0..sym.n_rows()).map(|i| ((i % 7) as f32) - 3.0).collect();
         let mut x = vec![0.0f32; sym.n_rows()];
+        let h = sweep.halves();
         group.bench_function(format!("{name}/forward"), |bench| {
             bench.iter(|| sweep.forward().solve_unchecked(h.lower(), &b, &mut x))
         });
         group.bench_function(format!("{name}/backward"), |bench| {
             bench.iter(|| sweep.backward().solve_unchecked(h.upper(), &b, &mut x))
+        });
+        // Sweeps from the iterate the solves left behind; a sweep's cost
+        // does not depend on the values of `x`.
+        group.bench_function(format!("{name}/symgs"), |bench| {
+            bench.iter(|| sweep.apply(sym, &b, &mut x))
         });
     }
     group.finish();

@@ -7,7 +7,10 @@
 //! read only rows finished in earlier steps — the barrier in
 //! `stepped_for_each` orders those writes before these reads — so a
 //! shared read/write raw-pointer window ([`XVec`]) over `x` is sound
-//! for exactly the schedules the prover certifies.
+//! for exactly the schedules the prover certifies. The fused forward
+//! half of a SymGS sweep also reads and writes a residual `r` through a
+//! second window; it touches only `r[i]` of the row `i` it solves, so
+//! the same row ownership covers it.
 //!
 //! The per-row arithmetic is *identical* to `spmv_sparse::sptrsv_seq`
 //! (subtract off-diagonal products in storage order, one divide at the
@@ -121,6 +124,17 @@ pub(crate) struct SnapshotRef<'a, T> {
 /// the arithmetic of `sptrsv_seq`, which skips the diagonal in place
 /// where the snapshot has lifted it out.
 ///
+/// With `EMIT` the call is the forward half of a SymGS sweep and `r` is
+/// live: on entry `r[i]` holds `(U·x_old)[i]` for each row `i` solved,
+/// the row's right-hand side is `b[i] - r[i]` (the composed reference's
+/// residual subtract), and beside the solve the same entries feed a
+/// second chain, a fused multiply-add from zero over the finalised
+/// `x[c]` in storage order, whose result leaves as
+/// `r[i] = b[i] - Σ a[i,c] * x[c]` — `spmv_seq` of the strict lower
+/// triangle at the new iterate followed by the reference's subtract, so
+/// the backward half reads its residual without a second pass over `L`.
+/// Without `EMIT`, `r` is never touched.
+///
 /// # Safety
 ///
 /// Every column of every position in `[lo, hi)` must be in bounds for
@@ -128,11 +142,14 @@ pub(crate) struct SnapshotRef<'a, T> {
 /// of this worker's own serial chunk), and no other thread may touch
 /// those positions' rows during this call — all of which the
 /// dependency-order prover establishes for certified schedules. `rows`
-/// must be in bounds for `x` and `b`.
-pub(crate) unsafe fn solve_positions<T: Scalar>(
+/// must be in bounds for `x` and `b`, and with `EMIT` for `r`, whose
+/// slot `r[i]` belongs to the worker solving row `i` exactly as `x[i]`
+/// does.
+pub(crate) unsafe fn solve_positions<T: Scalar, const EMIT: bool>(
     snap: SnapshotRef<'_, T>,
     b: &[T],
     x: XVec<T>,
+    r: XVec<T>,
     lo: usize,
     hi: usize,
 ) {
@@ -140,16 +157,32 @@ pub(crate) unsafe fn solve_positions<T: Scalar>(
     let diag = &snap.diag[lo..hi];
     let ends = &snap.entry_ptr[lo + 1..=hi];
     let mut k = snap.entry_ptr[lo];
-    for ((&r, &d), &end) in rows.iter().zip(diag).zip(ends) {
-        let i = r as usize;
-        let mut sum = b[i];
+    for ((&row, &d), &end) in rows.iter().zip(diag).zip(ends) {
+        let i = row as usize;
+        let mut sum = if EMIT {
+            // SAFETY: row `i` is owned by this worker in this step.
+            b[i] - unsafe { r.read(i) }
+        } else {
+            b[i]
+        };
+        let mut emitted = T::ZERO;
         for (&c, &v) in snap.cols[k..end].iter().zip(&snap.vals[k..end]) {
             // SAFETY: `c` is a proven dependency of row `i`, finalised
             // before this position runs (caller contract).
-            sum = sum - v * unsafe { x.read(c as usize) };
+            let xc = unsafe { x.read(c as usize) };
+            sum = sum - v * xc;
+            if EMIT {
+                emitted = v.mul_add_(xc, emitted);
+            }
         }
         k = end;
-        // SAFETY: row `i` is owned by this worker in this step.
-        unsafe { x.write(i, sum / d) };
+        // SAFETY: row `i` is owned by this worker in this step, in `x`
+        // and (with `EMIT`) in `r`.
+        unsafe {
+            x.write(i, sum / d);
+            if EMIT {
+                r.write(i, b[i] - emitted);
+            }
+        }
     }
 }

@@ -19,9 +19,12 @@
 //!    Success mints a [`VerifiedSolvePlan`] — unforgeable outside this
 //!    module — whose [`solve_unchecked`](VerifiedSolvePlan::solve_unchecked)
 //!    validates each call in O(1).
-//! 3. [`SymgsPlan`] composes one forward and one backward verified
-//!    solve with two verified residual SpMV plans into the SymGS sweep,
-//!    bit-for-bit identical to [`spmv_sparse::solve::symgs_seq`].
+//! 3. [`SymgsPlan`] composes one verified residual SpMV plan (`U·x`)
+//!    with one forward and one backward verified solve into the SymGS
+//!    sweep, bit-for-bit identical to [`spmv_sparse::solve::symgs_seq`].
+//!    The forward solve runs in its emitting mode: beside each row it
+//!    solves it forms that row's backward residual `b - L·x` from the
+//!    entries it has just read, so a sweep reads `L` once.
 //!
 //! ## Why the plan snapshots its structure
 //!
@@ -525,9 +528,17 @@ impl<T: Scalar> SolvePlan<T> {
     /// and the fields are private so no safe code can change that
     /// structure after the build (a refresh rewrites values only).
     fn run(&self, a: &CsrMatrix<T>, b: &[T], x: &mut [T]) {
+        self.run_with::<false>(a, b, x, &mut []);
+    }
+
+    /// [`run`](Self::run), emitting the SymGS residual into `r` when
+    /// `EMIT` (see [`solve_positions`]); callers of the emitting form
+    /// also guarantee `r.len() == m`.
+    fn run_with<const EMIT: bool>(&self, a: &CsrMatrix<T>, b: &[T], x: &mut [T], r: &mut [T]) {
         let slab = self.values_for(a);
         let snap = self.view(&slab);
         let xv = XVec::new(x);
+        let rv = XVec::new(r);
         stepped_for_each(self.workers, &self.parallel_flags, |step, role, _w| {
             let bounds = &self.bounds[step];
             // SAFETY: a serial step runs on role 0 alone, after every
@@ -535,8 +546,9 @@ impl<T: Scalar> SolvePlan<T> {
             // are mutually independent, and the roles' spans are
             // disjoint — so this span races with nobody, and its
             // dependencies sit in earlier, barrier-separated steps or
-            // earlier positions of this worker's own chunk.
-            unsafe { solve_positions(snap, b, xv, bounds[role], bounds[role + 1]) }
+            // earlier positions of this worker's own chunk. The span's
+            // `r` slots are its own rows, owned exactly as in `x`.
+            unsafe { solve_positions::<T, EMIT>(snap, b, xv, rv, bounds[role], bounds[role + 1]) }
         });
     }
 }
@@ -593,6 +605,31 @@ impl<T: Scalar> VerifiedSolvePlan<T> {
     /// rely on is a property of the snapshot, not of `a`). Value-only
     /// updates — the intended use — are always fine.
     pub fn solve_unchecked(&self, a: &CsrMatrix<T>, b: &[T], x: &mut [T]) -> Result<(), PlanError> {
+        self.check_call(a, b, x)?;
+        self.plan.run(a, b, x);
+        Ok(())
+    }
+
+    /// The forward half of a SymGS sweep in one pass over `L + D`: with
+    /// `r = U·x_old` on entry, solves `(L + D) x = b - r` and leaves
+    /// `r = b - L·x` for the backward half (see [`solve_positions`]).
+    /// Validation as in [`solve_unchecked`](Self::solve_unchecked);
+    /// `r` is the sweep's own scratch, sized at build.
+    fn solve_emitting_unchecked(
+        &self,
+        a: &CsrMatrix<T>,
+        b: &[T],
+        x: &mut [T],
+        r: &mut [T],
+    ) -> Result<(), PlanError> {
+        self.check_call(a, b, x)?;
+        assert_eq!(r.len(), b.len(), "residual scratch has the system's length");
+        self.plan.run_with::<true>(a, b, x, r);
+        Ok(())
+    }
+
+    /// The O(1) call validation of the unchecked paths.
+    fn check_call(&self, a: &CsrMatrix<T>, b: &[T], x: &[T]) -> Result<(), PlanError> {
         let fp = &self.plan.pattern.fingerprint;
         self.plan.check_dims(b, x)?;
         if a.n_rows() != fp.m || a.n_cols() != fp.n || a.nnz() != fp.nnz {
@@ -601,7 +638,6 @@ impl<T: Scalar> VerifiedSolvePlan<T> {
                 got: PatternFingerprint::of(a),
             });
         }
-        self.plan.run(a, b, x);
         Ok(())
     }
 
@@ -674,17 +710,20 @@ impl From<VerifyError> for SolveError {
 /// A compiled symmetric Gauss-Seidel sweep over a general square matrix
 /// `A = L + D + U`, composed entirely from verified parts:
 ///
-/// 1. `r = b - U x`   — verified SpMV plan over the strict upper half
-/// 2. `(L + D) x = r` — verified forward solve
-/// 3. `r = b - L x`   — verified SpMV plan over the strict lower half
-/// 4. `(D + U) x = r` — verified backward solve
+/// 1. `r = U x`       — verified SpMV plan over the strict upper half
+/// 2. `(L + D) x = b - r`, fused with `r = b - L x` — the verified
+///    forward solve, which reads every `l_ij` and finalised `x[j]` the
+///    lower residual needs and emits it as it goes
+/// 3. `(D + U) x = r` — verified backward solve
 ///
 /// This is exactly the composed definition of
 /// [`spmv_sparse::solve::symgs_seq`], so the result is bit-for-bit
 /// identical to the sequential reference at every worker count: the
-/// SpMV plans reproduce `spmv_seq` exactly (per-row storage-order
-/// accumulation) and the verified solves reproduce `sptrsv_seq`
-/// exactly.
+/// SpMV plan reproduces `spmv_seq` exactly (per-row storage-order
+/// accumulation), the verified solves reproduce `sptrsv_seq` exactly,
+/// and the forward solve's emitted residual runs `spmv_seq`'s fused
+/// multiply-add chain over the strict lower entries in storage order,
+/// apart from the solve's own running sum.
 ///
 /// The split is structural and done once; each
 /// [`apply`](SymgsPlan::apply) refreshes the halves' values in O(nnz)
@@ -695,7 +734,6 @@ pub struct SymgsPlan<T: Scalar> {
     forward: VerifiedSolvePlan<T>,
     backward: VerifiedSolvePlan<T>,
     upper_spmv: VerifiedPlan<T>,
-    lower_spmv: VerifiedPlan<T>,
     /// Residual scratch, allocated once.
     r: Vec<T>,
 }
@@ -708,12 +746,12 @@ impl<T: Scalar> SymgsPlan<T> {
     }
 
     /// [`build`](Self::build) with explicit solve knobs (shared by the
-    /// forward and backward halves; the residual SpMV plans use the
-    /// same worker count). The four verified parts are independent and
+    /// forward and backward halves; the residual SpMV plan uses the
+    /// same worker count). The three verified parts are independent and
     /// are built concurrently on the worker team, or on the caller alone
     /// when the team is busy; each is the same plan whichever thread
     /// builds it. The first error is reported in a fixed order —
-    /// forward, backward, upper, lower — not in completion order.
+    /// forward, backward, upper — not in completion order.
     pub fn build_with(a: &CsrMatrix<T>, config: SolveConfig) -> Result<Self, SolveError> {
         let halves = split_triangular(a)?;
         let (workers, _) = config.resolve();
@@ -729,11 +767,11 @@ impl<T: Scalar> SymgsPlan<T> {
             );
             Ok(plan.verify(half)?)
         };
-        // One four-item drain; results are collected, then unwrapped in
+        // One three-item drain; results are collected, then unwrapped in
         // the documented error order.
         let solves: [OnceLock<Result<VerifiedSolvePlan<T>, SolveError>>; 2] = Default::default();
-        let spmvs: [OnceLock<Result<VerifiedPlan<T>, SolveError>>; 2] = Default::default();
-        fused_for_each_with(workers, 4, |part| {
+        let upper: OnceLock<Result<VerifiedPlan<T>, SolveError>> = OnceLock::new();
+        fused_for_each_with(workers, 3, |part| {
             let fresh = match part {
                 0 => solves[0]
                     .set(solve_for(halves.lower(), SolveDirection::Forward))
@@ -741,17 +779,14 @@ impl<T: Scalar> SymgsPlan<T> {
                 1 => solves[1]
                     .set(solve_for(halves.upper(), SolveDirection::Backward))
                     .is_ok(),
-                2 => spmvs[0].set(spmv_for(halves.strict_upper())).is_ok(),
-                _ => spmvs[1].set(spmv_for(halves.strict_lower())).is_ok(),
+                _ => upper.set(spmv_for(halves.strict_upper())).is_ok(),
             };
             debug_assert!(fresh, "part {part} built twice");
         });
-        let [forward, backward] =
-            solves.map(|s| s.into_inner().expect("the drain builds every part"));
-        let [upper_spmv, lower_spmv] =
-            spmvs.map(|s| s.into_inner().expect("the drain builds every part"));
+        let built = "the drain builds every part";
+        let [forward, backward] = solves.map(|s| s.into_inner().expect(built));
         let (forward, backward) = (forward?, backward?);
-        let (upper_spmv, lower_spmv) = (upper_spmv?, lower_spmv?);
+        let upper_spmv = upper.into_inner().expect(built)?;
         Ok(Self {
             pattern: PatternBinding::of(a),
             r: vec![T::ZERO; a.n_rows()],
@@ -759,7 +794,6 @@ impl<T: Scalar> SymgsPlan<T> {
             forward,
             backward,
             upper_spmv,
-            lower_spmv,
         })
     }
 
@@ -792,19 +826,11 @@ impl<T: Scalar> SymgsPlan<T> {
             forward,
             backward,
             upper_spmv,
-            lower_spmv,
             r,
             ..
         } = self;
         upper_spmv.execute_unchecked(halves.strict_upper(), x, r)?;
-        for (ri, &bi) in r.iter_mut().zip(b) {
-            *ri = bi - *ri;
-        }
-        forward.solve_unchecked(halves.lower(), r, x)?;
-        lower_spmv.execute_unchecked(halves.strict_lower(), x, r)?;
-        for (ri, &bi) in r.iter_mut().zip(b) {
-            *ri = bi - *ri;
-        }
+        forward.solve_emitting_unchecked(halves.lower(), b, x, r)?;
         backward.solve_unchecked(halves.upper(), r, x)?;
         Ok(())
     }
@@ -1080,7 +1106,7 @@ mod tests {
         let a = sym(600, 11, &[]);
         let top = SymgsPlan::build(&a).unwrap();
         // A build from inside a step body finds the team busy, so its
-        // four parts run on that role's thread alone.
+        // three parts run on that role's thread alone.
         let nested = std::sync::Mutex::new(None);
         stepped_for_each(2, &[true], |_, role, _| {
             if role == 0 {
@@ -1135,21 +1161,124 @@ mod tests {
 
     #[test]
     fn symgs_refreshes_values_on_change() {
+        // A nonzero start keeps `U·x` live, so a half or residual plan
+        // left on stale values shows in the very first sweep after an
+        // update; the second sweep of each version checks that nothing
+        // reverts once the values have settled.
         let mut a = sym(80, 7, &[]);
-        let b = vec![1.0; 80];
+        let b: Vec<f64> = (0..80).map(|i| ((i % 5) as f64) - 2.0).collect();
         let mut plan = SymgsPlan::build(&a).unwrap();
-        let mut x1 = vec![0.0; 80];
-        plan.apply(&a, &b, &mut x1).unwrap();
-        for v in a.values_mut() {
-            *v *= 3.0;
+        let mut x: Vec<f64> = (0..80).map(|i| ((i * 7 % 11) as f64) - 5.0).collect();
+        let mut x_ref = x.clone();
+        for version in 0..3 {
+            if version > 0 {
+                for (k, v) in a.values_mut().iter_mut().enumerate() {
+                    *v = *v * 3.0 + (k % 4) as f64 * 0.25;
+                }
+            }
+            for sweep in 0..2 {
+                let before = x.clone();
+                plan.apply(&a, &b, &mut x).unwrap();
+                spmv_sparse::solve::symgs_seq(&a, &b, &mut x_ref).unwrap();
+                assert_ne!(x, before, "version {version} sweep {sweep} moved nothing");
+                for (i, (got, want)) in x.iter().zip(&x_ref).enumerate() {
+                    assert_eq!(
+                        got.to_bits(),
+                        want.to_bits(),
+                        "version {version} sweep {sweep} row {i}"
+                    );
+                }
+            }
         }
-        let mut x2 = vec![0.0; 80];
-        plan.apply(&a, &b, &mut x2).unwrap();
-        let mut x2_ref = vec![0.0; 80];
-        spmv_sparse::solve::symgs_seq(&a, &b, &mut x2_ref).unwrap();
-        assert_ne!(x1, x2, "value refresh must change the sweep");
-        for (got, want) in x2.iter().zip(&x2_ref) {
-            assert_eq!(got.to_bits(), want.to_bits());
+    }
+
+    #[test]
+    fn fused_forward_emits_the_lower_residual_bitwise() {
+        // Odd rows stored in reverse, so the emitted chain must follow
+        // storage order; row `dup` carries a second diagonal entry (the
+        // snapshot keeps the last, and neither may enter the residual);
+        // row `bare` loses its strict-lower entries, so its residual is
+        // `b - 0`.
+        let m = 400;
+        let base = tril(m, 13);
+        let below = |i: usize| base.row(i).0.iter().filter(|&&c| (c as usize) < i).count();
+        let dup = (0..m).find(|&i| below(i) >= 2).unwrap();
+        let bare = (dup + 1..m).find(|&i| below(i) >= 1).unwrap();
+        let mut row_ptr = vec![0usize];
+        let (mut cols, mut vals) = (Vec::new(), Vec::new());
+        for i in 0..m {
+            let (rc, rv) = base.row(i);
+            let mut entries: Vec<(u32, f64)> = rc.iter().copied().zip(rv.iter().copied()).collect();
+            if i % 2 == 1 {
+                entries.reverse();
+            }
+            if i == dup {
+                entries.insert(0, (i as u32, 0.5));
+            }
+            if i == bare {
+                entries.retain(|&(c, _)| c as usize == i);
+            }
+            for (c, v) in entries {
+                cols.push(c);
+                vals.push(v);
+            }
+            row_ptr.push(cols.len());
+        }
+        let lower = CsrMatrix::from_parts(m, m, row_ptr, cols, vals).unwrap();
+        assert_eq!(
+            lower
+                .row(dup)
+                .0
+                .iter()
+                .filter(|&&c| c as usize == dup)
+                .count(),
+            2
+        );
+        assert_eq!(lower.row(bare).0, &[bare as u32]);
+        // The strict lower triangle, entries in storage order.
+        let (mut sp, mut sc, mut sv) = (vec![0usize], Vec::new(), Vec::new());
+        for i in 0..m {
+            let (rc, rv) = lower.row(i);
+            for (&c, &v) in rc.iter().zip(rv) {
+                if (c as usize) < i {
+                    sc.push(c);
+                    sv.push(v);
+                }
+            }
+            sp.push(sc.len());
+        }
+        let strict = CsrMatrix::from_parts(m, m, sp, sc, sv).unwrap();
+
+        let b: Vec<f64> = (0..m).map(|i| ((i % 11) as f64) - 5.0).collect();
+        let ux: Vec<f64> = (0..m)
+            .map(|i| ((i * 5 % 13) as f64) * 0.375 - 2.0)
+            .collect();
+        let rhs: Vec<f64> = b.iter().zip(&ux).map(|(&bi, &ui)| bi - ui).collect();
+        let mut x_ref = vec![0.0; m];
+        sptrsv_seq(&lower, SolveDirection::Forward, &rhs, &mut x_ref).unwrap();
+        let lx = strict.spmv_seq_alloc(&x_ref).unwrap();
+        let r_ref: Vec<f64> = b.iter().zip(&lx).map(|(&bi, &li)| bi - li).collect();
+        assert_eq!(r_ref[bare].to_bits(), b[bare].to_bits());
+        for workers in [1usize, 2, 4, 7] {
+            for min_parallel in [1usize, 0, usize::MAX] {
+                let cfg = SolveConfig {
+                    workers,
+                    min_parallel_rows: min_parallel,
+                };
+                let plan = SolvePlan::build_with(&lower, SolveDirection::Forward, cfg)
+                    .unwrap()
+                    .verify(&lower)
+                    .unwrap();
+                let mut x = vec![f64::NAN; m];
+                let mut r = ux.clone();
+                plan.solve_emitting_unchecked(&lower, &b, &mut x, &mut r)
+                    .unwrap();
+                for i in 0..m {
+                    let at = format!("workers={workers} min_parallel={min_parallel} row {i}");
+                    assert_eq!(x[i].to_bits(), x_ref[i].to_bits(), "x, {at}");
+                    assert_eq!(r[i].to_bits(), r_ref[i].to_bits(), "r, {at}");
+                }
+            }
         }
     }
 }

@@ -52,7 +52,7 @@
 
 use crate::csr::CsrMatrix;
 use crate::scalar::Scalar;
-use std::sync::RwLock;
+use std::sync::{PoisonError, RwLock};
 
 /// Chunks per row-sort window: [`PackedSell`] sorts the bin's row list
 /// only within consecutive, chunk-aligned windows of
@@ -335,14 +335,17 @@ impl<T: Scalar> PackedSell<T> {
     /// the kernels.
     pub fn ensure_values(&self, a: &CsrMatrix<T>) {
         let want = a.values_id();
-        if self.vals.read().unwrap().source == want {
+        if self.slab_read().source == want {
             return;
         }
-        let mut slab = self.vals.write().unwrap();
+        let mut slab = self.vals.write().unwrap_or_else(PoisonError::into_inner);
         if slab.source == want {
             return; // another thread refreshed while we waited
         }
         let ValueSlab { cols, vals, source } = &mut *slab;
+        // Stale until the walk completes, should it panic midway (every
+        // column it did write passed the bound check first).
+        *source = 0;
         let (a_cols, av) = (a.col_idx(), a.values());
         for ((&s, col), val) in self.src.iter().zip(cols.iter_mut()).zip(vals.iter_mut()) {
             if s == SRC_PAD {
@@ -365,11 +368,20 @@ impl<T: Scalar> PackedSell<T> {
     /// launch), so this costs one atomic acquire per call — take it once
     /// per tile, not per chunk.
     pub fn with_slab<R>(&self, f: impl FnOnce(SlabView<'_, T>) -> R) -> R {
-        let guard = self.vals.read().unwrap();
+        let guard = self.slab_read();
         f(SlabView {
             cols: &guard.cols,
             vals: &guard.vals,
         })
+    }
+
+    /// The slab's read guard. A refresh that panicked (its column bound
+    /// check) poisons the lock but leaves the slab tagged stale with
+    /// in-bounds columns, so the guard is recovered: the next
+    /// [`ensure_values`](Self::ensure_values) re-gathers, and a later
+    /// refresh from the right matrix succeeds.
+    fn slab_read(&self) -> std::sync::RwLockReadGuard<'_, ValueSlab<T>> {
+        self.vals.read().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// SpMV over chunks `[c0, c1)`: for every row `r` of those chunks,
@@ -696,7 +708,7 @@ impl<T: Scalar> PackedSell<T> {
         if self.chunk_off.first() != Some(&0) || self.chunk_off.last() != Some(&self.src.len()) {
             return Err("chunk offsets do not span the slab".into());
         }
-        let slab = self.vals.read().unwrap();
+        let slab = self.slab_read();
         if slab.cols.len() != self.src.len() || slab.vals.len() != self.src.len() {
             return Err("slab length mismatch".into());
         }
@@ -754,7 +766,7 @@ impl<T: Scalar> PackedSell<T> {
 
 impl<T: Scalar> Clone for PackedSell<T> {
     fn clone(&self) -> Self {
-        let slab = self.vals.read().unwrap();
+        let slab = self.slab_read();
         Self {
             chunk: self.chunk,
             n_cols: self.n_cols,
@@ -898,7 +910,7 @@ mod tests {
         assert!(shifted.check_against(&a, &rows).is_err());
         // So must a slab column that no longer mirrors its CSR entry
         // (the refresh is a no-op: the values generation still matches).
-        let mut slab = p.vals.write().unwrap();
+        let mut slab = p.vals.write().unwrap_or_else(PoisonError::into_inner);
         slab.cols[slot] = (slab.cols[slot] + 1) % 40;
         drop(slab);
         let err = p.check_against(&a, &rows).unwrap_err();
@@ -1112,5 +1124,37 @@ mod tests {
         p.spmv_into(&a, &v, &mut u);
         assert_eq!(u, reference, "padding participated in the sum");
         assert!(u[2..].iter().all(|&x| x == 0.0));
+    }
+
+    #[test]
+    fn panicked_refresh_does_not_poison_later_refreshes() {
+        // A refresh from a matrix whose columns overflow the packed
+        // column count panics on its bound check while holding the write
+        // lock. Later refreshes, from the right matrix at its old or a
+        // new value generation, must still succeed and be exact.
+        let mut a = gen::random_uniform::<f64>(40, 40, 1, 6, 3);
+        let rows = all_rows(&a);
+        let p = PackedSell::from_rows(&a, &rows, 4);
+        let mut wide_cols = a.col_idx().to_vec();
+        *wide_cols.last_mut().unwrap() = 45;
+        let wide =
+            CsrMatrix::from_parts(40, 48, a.row_ptr().to_vec(), wide_cols, a.values().to_vec())
+                .unwrap();
+        let refresh = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            p.ensure_values(&wide);
+        }));
+        assert!(refresh.is_err(), "an out-of-bounds column must panic");
+        let v: Vec<f64> = (0..40).map(|i| (i % 7) as f64 - 3.0).collect();
+        for version in 0..2 {
+            if version > 0 {
+                for x in a.values_mut() {
+                    *x *= -2.0;
+                }
+            }
+            let mut u = vec![f64::NAN; 40];
+            p.spmv_into(&a, &v, &mut u);
+            assert_eq!(u, a.spmv_seq_alloc(&v).unwrap(), "version {version}");
+            p.check_against(&a, &rows).unwrap();
+        }
     }
 }
