@@ -660,7 +660,7 @@ pub struct SolveCheck {
 /// every (worker count × level granularity), run each through the
 /// dependency-order prover, and compare the certified execution
 /// bit-for-bit against [`spmv_sparse::solve::sptrsv_seq`] /
-/// [`spmv_sparse::solve::symgs_seq`]. Each suite matrix also gets five
+/// [`spmv_sparse::solve::symgs_seq`]. Each suite matrix also gets nine
 /// rows showing that a tampered schedule-ordered snapshot is rejected
 /// (`snapshot_tamper_checks`).
 ///
@@ -745,31 +745,43 @@ pub fn solve_sweep() -> Vec<SolveCheck> {
 
 /// The snapshot prover's negative cases: copy the schedule and the
 /// schedule-ordered snapshot out of an honest forward plan (4 workers,
-/// every level parallel), break one property each, and require
-/// `check_solve_snapshot` to reject it as a snapshot mismatch. Each row
-/// is `Ok` when the tamper is caught.
+/// every level parallel), break one property each — five edits of what
+/// the snapshot mirrors, then every [`LayoutTamper`] — and require
+/// `check_solve_snapshot` to reject it: as a snapshot mismatch, or for
+/// the lane that reads another lane of its chunk, as a dependency
+/// violation. Each row is `Ok` when the tamper is caught.
 fn snapshot_tamper_checks(tri: &CsrMatrix<f64>) -> Vec<(&'static str, Result<(), String>)> {
-    use spmv_autotune::solve::{SolveConfig, SolvePlan, SolveSnapshot};
+    use spmv_autotune::solve::{LayoutTamper, SolveConfig, SolvePlan, SolveSnapshot};
     use spmv_autotune::verify::{check_solve_snapshot, VerifyError};
     use spmv_sparse::solve::SolveDirection;
-    type Tamper = fn(&mut SolveSnapshot<f64>);
-    let tampers: [(&'static str, Tamper); 5] = [
+    type Tamper = fn(&mut SolveSnapshot<f64>) -> bool;
+    let edits: [(&str, Tamper); 5] = [
         ("tamper: row ids swapped across steps", |s| {
             let last = s.rows.len() - 1;
             s.rows.swap(0, last);
+            true
         }),
         ("tamper: slab column edited", |s| {
-            let k = s.cols.len() / 2;
-            s.cols[k] = s.cols[k].wrapping_add(1);
+            let Some(p) = (0..s.rows.len()).find(|&p| s.lens[p] > 0) else {
+                return false;
+            };
+            let k = s.chunk_ptr.partition_point(|&q| q <= p) - 1;
+            let slot = s.slot_ptr[k] + p - s.chunk_ptr[k];
+            s.cols[slot] = s.cols[slot].wrapping_add(1);
+            true
         }),
-        ("tamper: diagonal edited", |s| s.diag[0] += 1.0),
-        ("tamper: diagonal dropped", |s| {
-            s.diag.pop();
+        ("tamper: diagonal edited", |s| {
+            s.diag[0] += 1.0;
+            true
         }),
+        ("tamper: diagonal dropped", |s| s.diag.pop().is_some()),
         ("tamper: position beyond the steps", |s| {
             s.rows.push(0);
             s.diag.push(1.0);
-            s.entry_ptr.push(s.cols.len());
+            s.lens.push(0);
+            s.chunk_ptr.push(s.rows.len());
+            s.slot_ptr.push(s.cols.len());
+            true
         }),
     ];
     let config = SolveConfig {
@@ -780,20 +792,38 @@ fn snapshot_tamper_checks(tri: &CsrMatrix<f64>) -> Vec<(&'static str, Result<(),
         Ok(plan) => plan,
         Err(e) => return vec![("tamper: build", Err(format!("build: {e}")))],
     };
-    let (steps, honest) = (plan.steps(), plan.snapshot());
-    tampers
-        .into_iter()
-        .map(|(op, tamper)| {
-            let mut snap = honest.clone();
-            tamper(&mut snap);
-            let result = match check_solve_snapshot(tri, SolveDirection::Forward, &steps, 4, &snap)
-            {
-                Err(VerifyError::SolveSnapshotMismatch { .. }) => Ok(()),
-                other => Err(format!("expected a snapshot mismatch, got {other:?}")),
-            };
-            (op, result)
-        })
-        .collect()
+    let (honest_steps, honest) = (plan.steps(), plan.snapshot());
+    let mut out = Vec::new();
+    let mut check = |op, dependency: bool, broken: bool, steps: &[_], snap: &SolveSnapshot<f64>| {
+        let result = if !broken {
+            Err("the honest plan offers no site for this tamper".into())
+        } else {
+            match check_solve_snapshot(tri, SolveDirection::Forward, steps, 4, snap) {
+                Err(VerifyError::SolveDependencyViolated { .. }) if dependency => Ok(()),
+                Err(VerifyError::SolveSnapshotMismatch { .. }) if !dependency => Ok(()),
+                other => Err(format!("caught wrongly or not at all: {other:?}")),
+            }
+        };
+        out.push((op, result));
+    };
+    for (op, edit) in edits {
+        let mut snap = honest.clone();
+        let broken = edit(&mut snap);
+        check(op, false, broken, &honest_steps, &snap);
+    }
+    for tamper in LayoutTamper::ALL {
+        let (mut steps, mut snap) = (honest_steps.clone(), honest.clone());
+        let broken = tamper.apply(&mut steps, &mut snap).is_some();
+        let op = match tamper {
+            LayoutTamper::LaneReadsLane => "tamper: lane reads another lane of its chunk",
+            LayoutTamper::LanesOutOfOrder => "tamper: lanes out of length order",
+            LayoutTamper::PaddingClaimed => "tamper: padding slot claimed as an entry",
+            LayoutTamper::RoleCutInChunk => "tamper: chunk straddles a role cut",
+        };
+        let dependency = tamper == LayoutTamper::LaneReadsLane;
+        check(op, dependency, broken, &steps, &snap);
+    }
+    out
 }
 
 /// Build + verify + execute one triangular plan; `Ok(merged)` reports
@@ -893,8 +923,8 @@ mod tests {
     fn solve_sweep_is_certified_and_bit_identical_everywhere() {
         let checks = solve_sweep();
         // Per suite matrix: 2 worker counts × 3 granularities × 3 ops,
-        // plus 5 snapshot tamper cases; then 2 sweep-wide coverage rows.
-        assert_eq!(checks.len(), 3 * (2 * 3 * 3 + 5) + 2, "solve grid changed?");
+        // plus 9 snapshot tamper cases; then 2 sweep-wide coverage rows.
+        assert_eq!(checks.len(), 3 * (2 * 3 * 3 + 9) + 2, "solve grid changed?");
         for c in &checks {
             assert!(
                 c.result.is_ok(),

@@ -3,7 +3,8 @@
 //! every level parallel (maximum barriers), the shipped auto merge, and
 //! everything serial (zero barriers) — across the thread sweep, and
 //! emits `BENCH_solve.json` with the level structure (levels, steps,
-//! barriers per row, parallel-row share), GFLOP/s, and scaling
+//! barriers per row, parallel-row share, and the share of rows that run
+//! in lock-step chunks of two or more lanes), GFLOP/s, and scaling
 //! efficiency.
 //!
 //! Every timed plan is asserted bit-for-bit against the sequential
@@ -28,7 +29,7 @@ use std::time::Instant;
 
 /// The level-granularity settings compared (`min_parallel_rows` values):
 /// `parallel-all` schedules every level as a barrier-stepped parallel
-/// step, `auto` is the shipped merge heuristic, `serial-all` collapses
+/// step, `auto` is the shipped work-based merge, `serial-all` collapses
 /// the whole schedule into one barrier-free serial chunk.
 fn granularities() -> Vec<(&'static str, usize)> {
     vec![("parallel-all", 1), ("auto", 0), ("serial-all", usize::MAX)]
@@ -74,6 +75,7 @@ struct GrainRow {
     steps: usize,
     barriers: usize,
     parallel_rows_pct: f64,
+    lockstep_rows_pct: f64,
     gflops: f64,
 }
 
@@ -154,6 +156,7 @@ fn measure(name: &str, a: &CsrMatrix<f32>, iters: usize, threads: &[usize]) -> M
                 steps: plan.steps().len(),
                 barriers: plan.n_barriers(),
                 parallel_rows_pct: 100.0 * parallel_rows as f64 / tri.n_rows() as f64,
+                lockstep_rows_pct: 100.0 * plan.lockstep_rows() as f64 / tri.n_rows() as f64,
                 gflops: gflops(tri.nnz(), iters, secs),
             });
         }
@@ -273,7 +276,8 @@ fn main() {
                 json,
                 "      {{\"granularity\": \"{}\", \"threads\": {}, \"steps\": {}, \
                  \"barriers\": {}, \"barriers_per_row\": {:.5}, \
-                 \"parallel_rows_pct\": {:.2}, \"gflops\": {:.3}, \
+                 \"parallel_rows_pct\": {:.2}, \"lockstep_rows_pct\": {:.2}, \
+                 \"gflops\": {:.3}, \
                  \"scaling_efficiency\": {:.3}}}",
                 g.granularity,
                 g.threads,
@@ -281,6 +285,7 @@ fn main() {
                 g.barriers,
                 g.barriers as f64 / r.m.max(1) as f64,
                 g.parallel_rows_pct,
+                g.lockstep_rows_pct,
                 g.gflops,
                 scaling_efficiency(g.threads, g.gflops, base),
             )

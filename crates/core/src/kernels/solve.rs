@@ -15,7 +15,9 @@
 //! The per-row arithmetic is *identical* to `spmv_sparse::sptrsv_seq`
 //! (subtract off-diagonal products in storage order, one divide at the
 //! end), so any dependency-respecting schedule reproduces the
-//! sequential reference bit for bit.
+//! sequential reference bit for bit. Rows of one level run as the lanes
+//! of SELL-C chunks ([`solve_chunks`]): each lane keeps its own chain,
+//! so lock-step execution is a change of loop shape, not of arithmetic.
 
 use spmv_sparse::{prefetch_read, CsrMatrix, Scalar};
 
@@ -106,30 +108,52 @@ pub(crate) fn prefetch_rows_ahead<T: Scalar>(a: &CsrMatrix<T>, order: &[u32], q:
 
 /// A solve plan's schedule-ordered snapshot, borrowed: position `p`
 /// (in the order the schedule's steps run) solves row `rows[p]`, whose
-/// off-diagonal entries are `cols[entry_ptr[p]..entry_ptr[p + 1]]` with
-/// values `vals[..]` in the same range, in the row's storage order, and
-/// whose diagonal value is `diag[p]`.
+/// diagonal value is `diag[p]` and whose off-diagonal count is `lens[p]`.
+/// Positions form lock-step chunks: chunk `k` runs positions
+/// `chunk_ptr[k]..chunk_ptr[k + 1]` as its lanes (1, 2, 4 or 8 of them,
+/// lengths non-increasing), and holds their entries in slots
+/// `slot_ptr[k]..slot_ptr[k + 1]` of `cols` / `vals`, column-major: the
+/// `j`-th off-diagonal entry (storage order) of lane `l` sits in slot
+/// `slot_ptr[k] + j * lanes + l`. A one-lane chunk is a plain row.
 #[derive(Clone, Copy)]
 pub(crate) struct SnapshotRef<'a, T> {
     pub(crate) rows: &'a [u32],
-    pub(crate) entry_ptr: &'a [usize],
+    pub(crate) chunk_ptr: &'a [usize],
+    pub(crate) slot_ptr: &'a [usize],
+    pub(crate) lens: &'a [u32],
     pub(crate) cols: &'a [u32],
     pub(crate) diag: &'a [T],
     pub(crate) vals: &'a [T],
 }
 
-/// Solve positions `[lo, hi)` of a schedule-ordered snapshot, streaming
-/// its arrays front to back: `x[r] = (b[r] - Σ a[r,c] * x[c]) / a[r,r]`
-/// with the products subtracted in the row's storage order — bit for bit
-/// the arithmetic of `sptrsv_seq`, which skips the diagonal in place
-/// where the snapshot has lifted it out.
+/// Every position of a chunked layout in order, as `(position, first
+/// slot, stride)`: the position's `j`-th off-diagonal entry sits in slot
+/// `first + j * stride` (the stride is its chunk's lane count).
+/// `chunk_ptr` must be non-decreasing and `slot_ptr` at least as long.
+pub(crate) fn lanes<'a>(
+    chunk_ptr: &'a [usize],
+    slot_ptr: &'a [usize],
+) -> impl Iterator<Item = (usize, usize, usize)> + 'a {
+    chunk_ptr.windows(2).zip(slot_ptr).flat_map(|(w, &s0)| {
+        let n = w[1] - w[0];
+        (0..n).map(move |l| (w[0] + l, s0 + l, n))
+    })
+}
+
+/// Solve chunks `[c0, c1)` of a schedule-ordered snapshot, streaming its
+/// arrays front to back. Each lane computes
+/// `x[i] = (b[i] - Σ a[i,c] * x[c]) / a[i,i]` with the products
+/// subtracted in the row's storage order — bit for bit the arithmetic of
+/// `sptrsv_seq`, which skips the diagonal in place where the snapshot
+/// has lifted it out. The lanes of a chunk run in lock-step (see
+/// [`solve_chunk`]), which changes no lane's operation order.
 ///
 /// With `EMIT` the call is the forward half of a SymGS sweep and `r` is
 /// live: on entry `r[i]` holds `(U·x_old)[i]` for each row `i` solved,
 /// the row's right-hand side is `b[i] - r[i]` (the composed reference's
 /// residual subtract), and beside the solve the same entries feed a
-/// second chain, a fused multiply-add from zero over the finalised
-/// `x[c]` in storage order, whose result leaves as
+/// second chain per lane, a fused multiply-add from zero over the
+/// finalised `x[c]` in storage order, whose result leaves as
 /// `r[i] = b[i] - Σ a[i,c] * x[c]` — `spmv_seq` of the strict lower
 /// triangle at the new iterate followed by the reference's subtract, so
 /// the backward half reads its residual without a second pass over `L`.
@@ -137,51 +161,153 @@ pub(crate) struct SnapshotRef<'a, T> {
 ///
 /// # Safety
 ///
-/// Every column of every position in `[lo, hi)` must be in bounds for
-/// `x` and already finalised there (earlier steps, or earlier positions
-/// of this worker's own serial chunk), and no other thread may touch
-/// those positions' rows during this call — all of which the
+/// Every column of every lane in `[c0, c1)` must be in bounds for `x`
+/// and already finalised there *before its chunk starts* (earlier
+/// steps, or earlier chunks of this worker's own serial run — lanes of
+/// one chunk read together and write together), and no other thread may
+/// touch those lanes' rows during this call — all of which the
 /// dependency-order prover establishes for certified schedules. `rows`
 /// must be in bounds for `x` and `b`, and with `EMIT` for `r`, whose
 /// slot `r[i]` belongs to the worker solving row `i` exactly as `x[i]`
 /// does.
-pub(crate) unsafe fn solve_positions<T: Scalar, const EMIT: bool>(
+pub(crate) unsafe fn solve_chunks<T: Scalar, const EMIT: bool>(
     snap: SnapshotRef<'_, T>,
     b: &[T],
     x: XVec<T>,
     r: XVec<T>,
-    lo: usize,
-    hi: usize,
+    c0: usize,
+    c1: usize,
 ) {
-    let rows = &snap.rows[lo..hi];
-    let diag = &snap.diag[lo..hi];
-    let ends = &snap.entry_ptr[lo + 1..=hi];
-    let mut k = snap.entry_ptr[lo];
-    for ((&row, &d), &end) in rows.iter().zip(diag).zip(ends) {
+    let mut c = c0;
+    while c < c1 {
+        // SAFETY: forwarded caller contract, run by run.
+        c = unsafe {
+            match snap.chunk_ptr[c + 1] - snap.chunk_ptr[c] {
+                1 => solve_run::<T, 1, EMIT>(snap, b, x, r, c, c1),
+                2 => solve_run::<T, 2, EMIT>(snap, b, x, r, c, c1),
+                4 => solve_run::<T, 4, EMIT>(snap, b, x, r, c, c1),
+                8 => solve_run::<T, 8, EMIT>(snap, b, x, r, c, c1),
+                lanes => unreachable!("chunk {c} has {lanes} lanes; the prover admits 1, 2, 4, 8"),
+            }
+        };
+    }
+}
+
+/// Solve chunks from `c` on while they have `L` lanes (at least chunk
+/// `c`, at most up to `c1`), and return where the run ended. One loop
+/// per height keeps a run of equal chunks — a chain of one-row levels,
+/// or a wide level — free of per-chunk dispatch.
+///
+/// # Safety
+///
+/// As [`solve_chunks`], for the chunks it runs.
+// Not inlined: each height's loop keeps the registers to itself. Inlined
+// into `solve_chunks` beside the other three, the one-lane loop spilled
+// and a banded matrix's chain of one-row levels ran about 10% slower.
+#[inline(never)]
+unsafe fn solve_run<T: Scalar, const L: usize, const EMIT: bool>(
+    snap: SnapshotRef<'_, T>,
+    b: &[T],
+    x: XVec<T>,
+    r: XVec<T>,
+    mut c: usize,
+    c1: usize,
+) -> usize {
+    // Chunks of a run are consecutive: each starts `L` positions and its
+    // predecessor's slots after the last.
+    let (mut p0, mut s0) = (snap.chunk_ptr[c], snap.slot_ptr[c]);
+    loop {
+        let s1 = s0 + snap.lens[p0] as usize * L;
+        // SAFETY: forwarded caller contract, for chunk `c`.
+        unsafe { solve_chunk::<T, L, EMIT>(snap, s0..s1, p0, b, x, r) };
+        (c, p0, s0) = (c + 1, p0 + L, s1);
+        if c == c1 || snap.chunk_ptr[c + 1] - p0 != L {
+            return c;
+        }
+    }
+}
+
+/// One chunk of `L` lanes at position `p0`, entries in `slots`. Every
+/// lane keeps its own chain (`sum = b[i]`, then `sum - v·x[c]` in
+/// storage order, one divide; with `EMIT` also its own multiply-add
+/// chain), so lock-step changes no result. While every lane is active
+/// (the first `lens[L - 1]` columns) a column is `L` contiguous slots:
+/// gather first, arithmetic second, which the compiler turns into packed
+/// operations. Lanes are length-sorted, so in the ragged tail the active
+/// lanes at column `j` are the prefix with `len > j` and no padding slot
+/// is ever read. With `L = 1` this is the plain row loop.
+///
+/// # Safety
+///
+/// As [`solve_chunks`], for this one chunk.
+#[inline(always)]
+unsafe fn solve_chunk<T: Scalar, const L: usize, const EMIT: bool>(
+    snap: SnapshotRef<'_, T>,
+    slots: std::ops::Range<usize>,
+    p0: usize,
+    b: &[T],
+    x: XVec<T>,
+    r: XVec<T>,
+) {
+    let rows = &snap.rows[p0..p0 + L];
+    let lens = &snap.lens[p0..p0 + L];
+    let diag = &snap.diag[p0..p0 + L];
+    let (cols, vals) = (&snap.cols[slots.clone()], &snap.vals[slots]);
+    let dense = lens[L - 1] as usize * L;
+    let mut sums = [T::ZERO; L];
+    for (s, &row) in sums.iter_mut().zip(rows) {
         let i = row as usize;
-        let mut sum = if EMIT {
+        *s = if EMIT {
             // SAFETY: row `i` is owned by this worker in this step.
             b[i] - unsafe { r.read(i) }
         } else {
             b[i]
         };
-        let mut emitted = T::ZERO;
-        for (&c, &v) in snap.cols[k..end].iter().zip(&snap.vals[k..end]) {
-            // SAFETY: `c` is a proven dependency of row `i`, finalised
-            // before this position runs (caller contract).
-            let xc = unsafe { x.read(c as usize) };
-            sum = sum - v * xc;
+    }
+    let mut emitted = [T::ZERO; L];
+    for (cw, vw) in cols[..dense]
+        .chunks_exact(L)
+        .zip(vals[..dense].chunks_exact(L))
+    {
+        let mut xs = [T::ZERO; L];
+        for (xl, &c) in xs.iter_mut().zip(cw) {
+            // SAFETY: `c` is a proven dependency of this lane's row,
+            // finalised before this chunk runs (caller contract).
+            *xl = unsafe { x.read(c as usize) };
+        }
+        for l in 0..L {
+            sums[l] = sums[l] - vw[l] * xs[l];
             if EMIT {
-                emitted = v.mul_add_(xc, emitted);
+                emitted[l] = vw[l].mul_add_(xs[l], emitted[l]);
             }
         }
-        k = end;
+    }
+    let mut active = L;
+    let tail = cols[dense..]
+        .chunks_exact(L)
+        .zip(vals[dense..].chunks_exact(L));
+    for (j, (cw, vw)) in (dense / L..).zip(tail) {
+        while active > 0 && lens[active - 1] as usize <= j {
+            active -= 1;
+        }
+        for l in 0..active {
+            // SAFETY: lane `l < active` has `len > j`, so this slot is
+            // its `j`-th entry, a proven dependency (caller contract).
+            let xc = unsafe { x.read(cw[l] as usize) };
+            sums[l] = sums[l] - vw[l] * xc;
+            if EMIT {
+                emitted[l] = vw[l].mul_add_(xc, emitted[l]);
+            }
+        }
+    }
+    for l in 0..L {
+        let i = rows[l] as usize;
         // SAFETY: row `i` is owned by this worker in this step, in `x`
         // and (with `EMIT`) in `r`.
         unsafe {
-            x.write(i, sum / d);
+            x.write(i, sums[l] / diag[l]);
             if EMIT {
-                r.write(i, b[i] - emitted);
+                r.write(i, b[i] - emitted[l]);
             }
         }
     }

@@ -93,7 +93,8 @@ pub mod prelude {
         PlanConfig, PlanConfigKey, PlanError, SpmvPlan, Tile, TrafficStats, VerifiedPlan,
     };
     pub use crate::solve::{
-        SolveConfig, SolveError, SolvePlan, SolveSnapshot, SolveStep, SymgsPlan, VerifiedSolvePlan,
+        LayoutTamper, SolveConfig, SolveError, SolvePlan, SolveSnapshot, SolveStep, SymgsPlan,
+        VerifiedSolvePlan,
     };
     pub use crate::strategy::Strategy;
     pub use crate::telemetry::{PlanTelemetry, TelemetrySnapshot};

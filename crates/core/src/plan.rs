@@ -1076,8 +1076,10 @@ fn csr_fallback<T: Scalar>(
 /// none does, the least-padded candidate still under `max_padding`.
 /// High-variance bins thus slide to narrower chunks — trading SIMD
 /// width for dead slots — instead of losing to CSR outright. Returns
-/// `None` when every candidate blows the padding gate.
-fn pick_auto_chunk(lens: &[usize], max_padding: f64) -> Option<usize> {
+/// `None` when every candidate blows the padding gate. The triangular
+/// solves pick each level's lock-step chunk height by the same rule
+/// (`solve::SolvePlan`).
+pub(crate) fn pick_auto_chunk(lens: &[usize], max_padding: f64) -> Option<usize> {
     /// Padding this tight is treated as free: take the widest such chunk.
     const TIGHT: f64 = 1.05;
     let candidates: &[usize] = if lens.len() < 8 { &[4, 2] } else { &[8, 4, 2] };

@@ -8,9 +8,13 @@
 //!
 //! 1. [`SolvePlan::build`] turns a triangular matrix into a barrier-
 //!    stepped schedule: the level sets of the dependency DAG, with runs
-//!    of tiny levels merged into barrier-free serial chunks (the
-//!    auto-tuned granularity knob, [`SolveConfig::min_parallel_rows`])
-//!    and wide levels split across workers by NNZ-balanced cuts.
+//!    of light levels merged into barrier-free serial chunks (by default
+//!    a level gets a parallel step only when its work — stored entries
+//!    plus rows — reaches [`PARALLEL_MIN_WORK`] and its rows fill a
+//!    lock-step chunk per worker;
+//!    [`SolveConfig::min_parallel_rows`] sets a row count instead) and
+//!    parallel levels split across workers by work-balanced cuts. Each
+//!    level's rows run as the lanes of SELL-C chunks (below).
 //! 2. [`SolvePlan::verify`] hands the schedule and the plan's snapshot
 //!    to the dependency-order prover ([`check_solve_snapshot`]), which
 //!    re-derives from the structure alone that every row is scheduled
@@ -40,14 +44,24 @@
 //!
 //! The copy is laid out the way the schedule runs, not the way the
 //! matrix is stored. Position `p` of the *schedule-ordered snapshot* is
-//! the `p`-th row the steps run: its row id, its diagonal value, and
-//! its off-diagonal columns and values, contiguous and in storage order
-//! ([`SolveSnapshot`] is the copied-out form). A step is a span of
-//! positions (a parallel step, one span per worker), so the kernel
-//! streams `[lo, hi)` front to back rather than chasing a natural-order
-//! CSR through row lists, where every row of a level would be a cache
-//! miss on `row_ptr`, `col_idx` and `values`. The row column is the
-//! schedule's only copy of its row order.
+//! the `p`-th row the steps run: its row id, its diagonal value and its
+//! off-diagonal count ([`SolveSnapshot`] is the copied-out form). The
+//! positions of each level form *lock-step chunks* of 1, 2, 4 or 8
+//! lanes, a SELL-C slab that never straddles a level: the level's rows
+//! are sorted by length, longest first, within windows of 256, and
+//! grouped `C` at a time, `C` picked per level by the packed SpMV gate's
+//! padding rule (`C = 1`, a plain row per chunk, when no height packs
+//! tightly; a level's remainder splits into narrower chunks). A chunk's
+//! off-diagonal columns and values are stored column-major, so its
+//! lanes' `j`-th entries sit side by side and the lanes run together:
+//! no per-row loop of 0–3 entries and its branch miss. Each lane keeps
+//! its own arithmetic chain, so results stay bit for bit those of
+//! `sptrsv_seq`. A step is a span of chunks (a parallel step, one span
+//! per worker), so the kernel streams its arrays front to back rather
+//! than chasing a natural-order CSR through row lists, where every row
+//! of a level would be a cache miss on `row_ptr`, `col_idx` and
+//! `values`. The row column is the schedule's only copy of its row
+//! order.
 //!
 //! Values enter the snapshot at build. They are re-gathered only when
 //! the matrix handed to a solve carries a different
@@ -57,14 +71,19 @@
 //! the write lock it refreshed under) from start to end, so a refresh
 //! never lands mid-solve.
 
-use crate::kernels::cpu::rows_nnz_cuts;
-use crate::kernels::solve::{prefetch_rows_ahead, solve_positions, SnapshotRef, XVec};
+use crate::kernels::solve::{lanes, prefetch_rows_ahead, solve_chunks, SnapshotRef, XVec};
 use crate::kernels::KernelId;
-use crate::plan::{PatternBinding, PatternFingerprint, PlanError, SpmvPlan, VerifiedPlan};
+use crate::plan::{
+    pick_auto_chunk, PatternBinding, PatternFingerprint, PlanConfig, PlanError, SpmvPlan,
+    VerifiedPlan,
+};
 use crate::strategy::Strategy;
 use crate::verify::{prove_solve, VerifyError};
 use spmv_parallel::{fused_for_each_with, num_threads, stepped_for_each};
-use spmv_sparse::solve::{level_order, split_triangular, SolveDirection, TriangularHalves};
+use spmv_sparse::packed::SORT_WINDOW_CHUNKS;
+use spmv_sparse::solve::{
+    level_order_with_offdiag, split_triangular, SolveDirection, TriangularHalves,
+};
 use spmv_sparse::{CsrMatrix, Scalar, SolveBuildError};
 use std::sync::{OnceLock, PoisonError, RwLock};
 
@@ -78,28 +97,48 @@ pub struct SolveConfig {
     /// [`spmv_parallel::num_threads`]. `1` builds an all-serial plan
     /// with zero barriers.
     pub workers: usize,
-    /// Levels with fewer rows than this are merged with their
-    /// neighbours into one serial, barrier-free chunk — below this
-    /// width a barrier costs more than the exposed parallelism buys.
-    /// `0` (the default) resolves to `4 * workers`. `usize::MAX`
-    /// serialises everything; `1` keeps every level parallel.
+    /// Which levels get a barrier-stepped parallel step of their own;
+    /// the others merge with their neighbours into serial, barrier-free
+    /// chunks. `0` (the default) is the auto merge: a level is parallel
+    /// when its work — stored entries plus rows — reaches
+    /// [`PARALLEL_MIN_WORK`], below which a barrier costs more than the
+    /// exposed parallelism buys, and it packs into at least one lock-step
+    /// chunk per worker. Any other value is a row count: levels
+    /// with at least this many rows are parallel, so `usize::MAX`
+    /// serialises everything and `1` keeps every level parallel.
     pub min_parallel_rows: usize,
 }
 
+/// Work (stored entries plus rows) a level needs before the auto merge
+/// (`min_parallel_rows = 0`) gives it a parallel step; lighter levels
+/// join the serial chunk around them. One constant for every matrix and
+/// team size: a team barrier costs about as much as streaming this much
+/// work (DESIGN §11 has the measured table).
+pub const PARALLEL_MIN_WORK: usize = 2048;
+
 impl SolveConfig {
-    /// Resolve the `0 = auto` sentinels to concrete values.
-    fn resolve(self) -> (usize, usize) {
-        let workers = if self.workers == 0 {
+    /// The worker-team size, `0 = auto` resolved.
+    fn team(self) -> usize {
+        if self.workers == 0 {
             num_threads()
         } else {
             self.workers
-        };
-        let min_parallel = if self.min_parallel_rows == 0 {
-            4 * workers
-        } else {
-            self.min_parallel_rows
-        };
-        (workers.max(1), min_parallel)
+        }
+        .max(1)
+    }
+
+    /// Whether a level of `rows` rows in `chunks` lock-step chunks, with
+    /// `work` stored entries plus rows, gets a parallel step of its own
+    /// on a `team`-worker plan. Cuts fall on chunk boundaries, so the
+    /// auto merge also needs a chunk per worker: a level of fewer chunks
+    /// (one row with thousands of entries, say) would leave a role idle
+    /// and pay two barriers for no parallelism.
+    fn parallel_level(self, team: usize, rows: usize, chunks: usize, work: usize) -> bool {
+        team > 1
+            && match self.min_parallel_rows {
+                0 => work >= PARALLEL_MIN_WORK && chunks >= team,
+                min => rows >= min,
+            }
     }
 }
 
@@ -141,16 +180,25 @@ impl SolveStep {
 /// A solve plan's schedule-ordered snapshot, copied out by
 /// [`SolvePlan::snapshot`] for inspection and for the public prover
 /// entry [`check_solve_snapshot`]. Position `p` is the `p`-th row the
-/// schedule runs.
+/// schedule runs; positions form the lock-step chunks the kernel runs
+/// (see the module docs).
 #[derive(Clone, Debug, PartialEq)]
 pub struct SolveSnapshot<T> {
     /// Row id at each position.
     pub rows: Vec<u32>,
-    /// Position `p`'s off-diagonal entries are
-    /// `entry_ptr[p]..entry_ptr[p + 1]` of `cols` and `vals`.
-    pub entry_ptr: Vec<usize>,
-    /// Off-diagonal columns, position by position, each row's in
-    /// storage order.
+    /// Chunk `k` runs positions `chunk_ptr[k]..chunk_ptr[k + 1]` as its
+    /// lanes: 1, 2, 4 or 8 of them, all rows of one level.
+    pub chunk_ptr: Vec<usize>,
+    /// Chunk `k`'s entries are slots `slot_ptr[k]..slot_ptr[k + 1]` of
+    /// `cols` and `vals`: its widest lane's length times its lane count.
+    pub slot_ptr: Vec<usize>,
+    /// Off-diagonal count at each position; non-increasing within a
+    /// chunk.
+    pub lens: Vec<u32>,
+    /// Off-diagonal columns, column-major per chunk: the `j`-th entry
+    /// (storage order) of lane `l` of chunk `k` is slot
+    /// `slot_ptr[k] + j * lanes + l`. Slots past a lane's length are
+    /// padding, never read.
     pub cols: Vec<u32>,
     /// The values of `cols`.
     pub vals: Vec<T>,
@@ -158,14 +206,195 @@ pub struct SolveSnapshot<T> {
     pub diag: Vec<T>,
 }
 
-impl<T> SolveSnapshot<T> {
+impl<T: Scalar> SolveSnapshot<T> {
     pub(crate) fn view(&self) -> SnapshotRef<'_, T> {
         SnapshotRef {
             rows: &self.rows,
-            entry_ptr: &self.entry_ptr,
+            chunk_ptr: &self.chunk_ptr,
+            slot_ptr: &self.slot_ptr,
+            lens: &self.lens,
             cols: &self.cols,
             diag: &self.diag,
             vals: &self.vals,
+        }
+    }
+
+    /// Position `p`'s off-diagonal `(column, value)` pairs as its lane's
+    /// slots hold them. Panics if `p` or the slots it names are out of
+    /// bounds.
+    pub fn entries(&self, p: usize) -> Vec<(u32, T)> {
+        let k = self.chunk_ptr.partition_point(|&q| q <= p) - 1;
+        let stride = self.chunk_ptr[k + 1] - self.chunk_ptr[k];
+        let first = self.slot_ptr[k] + p - self.chunk_ptr[k];
+        (0..self.lens[p] as usize)
+            .map(|j| first + j * stride)
+            .map(|s| (self.cols[s], self.vals[s]))
+            .collect()
+    }
+
+    /// The same positions laid out afresh: position `q` of the result is
+    /// position `order[q]` of this snapshot (row, diagonal and entries),
+    /// and the result's chunks take `heights[0]`, `heights[1]`, …
+    /// positions in turn, each with as many slots per lane as its first
+    /// lane's length (lengths are carried over, not re-sorted). Whether
+    /// the result is a valid layout is the prover's to say; this is for
+    /// building the layouts it must reject.
+    ///
+    /// # Panics
+    ///
+    /// If `heights` does not sum to `order.len()`, or an index is out of
+    /// bounds.
+    pub fn relaid(&self, order: &[usize], heights: &[usize]) -> Self {
+        assert_eq!(
+            heights.iter().sum::<usize>(),
+            order.len(),
+            "heights tile the order"
+        );
+        let mut out = SolveSnapshot {
+            rows: order.iter().map(|&p| self.rows[p]).collect(),
+            chunk_ptr: vec![0],
+            slot_ptr: vec![0],
+            lens: order.iter().map(|&p| self.lens[p]).collect(),
+            cols: Vec::new(),
+            vals: Vec::new(),
+            diag: order.iter().map(|&p| self.diag[p]).collect(),
+        };
+        let mut q0 = 0;
+        for &lanes in heights {
+            let chunk = &order[q0..q0 + lanes];
+            let width = self.lens[chunk[0]] as usize;
+            let base = out.cols.len();
+            out.cols.resize(base + width * lanes, 0);
+            out.vals.resize(base + width * lanes, T::ZERO);
+            for (l, &p) in chunk.iter().enumerate() {
+                for (j, (c, v)) in self.entries(p).into_iter().enumerate().take(width) {
+                    out.cols[base + j * lanes + l] = c;
+                    out.vals[base + j * lanes + l] = v;
+                }
+            }
+            q0 += lanes;
+            out.chunk_ptr.push(q0);
+            out.slot_ptr.push(out.cols.len());
+        }
+        out
+    }
+}
+
+/// The lock-step layouts the prover must reject, each built from an
+/// honest plan's schedule ([`SolvePlan::steps`]) and snapshot
+/// ([`SolvePlan::snapshot`]) by [`apply`](Self::apply). The tests of
+/// [`check_solve_snapshot`] and the spmv-lint tamper sweep share them.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum LayoutTamper {
+    /// Move a row to just after its latest dependency, one no shorter
+    /// (a legal order, in length order), and make the pair one two-lane
+    /// chunk under a single serial step, every other position a chunk
+    /// of its own. A chunk's lanes read together, so the moved row
+    /// reads its dependency before it is written: a
+    /// [`VerifyError::SolveDependencyViolated`].
+    LaneReadsLane,
+    /// Swap a chunk's lane behind a shorter one, entries and step rows
+    /// too: the active lanes at the longer lane's last column are no
+    /// longer a prefix.
+    LanesOutOfOrder,
+    /// Lengthen a lane shorter than the lane before it by one, so it
+    /// claims a padding slot as an entry.
+    PaddingClaimed,
+    /// Move a parallel step's role cut one position into a chunk of
+    /// several lanes.
+    RoleCutInChunk,
+}
+
+impl LayoutTamper {
+    /// Every tamper, in declaration order.
+    pub const ALL: [Self; 4] = [
+        Self::LaneReadsLane,
+        Self::LanesOutOfOrder,
+        Self::PaddingClaimed,
+        Self::RoleCutInChunk,
+    ];
+
+    /// Break `steps` and `snap` in place and return the position the
+    /// rejection must name (for [`LaneReadsLane`](Self::LaneReadsLane),
+    /// the reading lane's; its dependency is the position before).
+    /// `None`, with both left as they were, when the plan offers no site
+    /// for this tamper.
+    pub fn apply<T: Scalar>(
+        self,
+        steps: &mut Vec<SolveStep>,
+        snap: &mut SolveSnapshot<T>,
+    ) -> Option<usize> {
+        let n = snap.rows.len();
+        // The first lane of a chunk strictly shorter than the lane
+        // before it: one more slot of its column exists, as padding.
+        let ragged = |s: &SolveSnapshot<T>| {
+            s.chunk_ptr
+                .windows(2)
+                .find_map(|w| (w[0] + 1..w[1]).find(|&q| s.lens[q] < s.lens[q - 1]))
+        };
+        match self {
+            Self::LaneReadsLane => {
+                let mut pos = vec![0; n];
+                for (q, &r) in snap.rows.iter().enumerate() {
+                    pos[r as usize] = q;
+                }
+                let latest = |q: usize| snap.entries(q).iter().map(|&(c, _)| pos[c as usize]).max();
+                let (p, q) = (0..n).find_map(|q| {
+                    latest(q)
+                        .filter(|&p| snap.lens[p] >= snap.lens[q])
+                        .map(|p| (p, q))
+                })?;
+                let order: Vec<usize> = (0..=p)
+                    .chain([q])
+                    .chain((p + 1..n).filter(|&x| x != q))
+                    .collect();
+                let mut heights = vec![1; n - 1];
+                heights[p] = 2;
+                *snap = snap.relaid(&order, &heights);
+                *steps = vec![SolveStep::Serial {
+                    rows: snap.rows.clone(),
+                }];
+                Some(p + 1)
+            }
+            Self::LanesOutOfOrder => {
+                let l = ragged(snap)?;
+                let mut order: Vec<usize> = (0..n).collect();
+                order.swap(l - 1, l);
+                let heights: Vec<usize> = snap.chunk_ptr.windows(2).map(|w| w[1] - w[0]).collect();
+                *snap = snap.relaid(&order, &heights);
+                let mut q = 0;
+                for st in steps {
+                    let (SolveStep::Serial { rows } | SolveStep::Parallel { rows, .. }) = st;
+                    let len = rows.len();
+                    rows.copy_from_slice(&snap.rows[q..q + len]);
+                    q += len;
+                }
+                Some(l)
+            }
+            Self::PaddingClaimed => {
+                let l = ragged(snap)?;
+                snap.lens[l] += 1;
+                Some(l)
+            }
+            Self::RoleCutInChunk => {
+                let mut start = 0;
+                for st in steps {
+                    let len = st.rows().len();
+                    if let SolveStep::Parallel { cuts, .. } = st {
+                        for r in 1..cuts.len() - 1 {
+                            let at = start + cuts[r];
+                            let k = snap.chunk_ptr.partition_point(|&x| x <= at) - 1;
+                            let wide = snap.chunk_ptr[k + 1] - snap.chunk_ptr[k] >= 2;
+                            if cuts[r] < cuts[r + 1] && wide {
+                                cuts[r] += 1;
+                                return Some(at + 1);
+                            }
+                        }
+                    }
+                    start += len;
+                }
+                None
+            }
         }
     }
 }
@@ -186,15 +415,18 @@ struct ValueSlab<T> {
 pub struct SolvePlan<T: Scalar> {
     direction: SolveDirection,
     pattern: PatternBinding,
-    /// The snapshot's structure (see the module docs): the row at each
-    /// position, each position's entry range, and the off-diagonal
-    /// columns. The kernel reads structure only from here.
+    /// The snapshot's structure (see the module docs): the row and its
+    /// off-diagonal count at each position, each chunk's positions and
+    /// slots, and the off-diagonal columns. The kernel reads structure
+    /// only from here.
     rows: Vec<u32>,
-    entry_ptr: Vec<usize>,
+    lens: Vec<u32>,
+    chunk_ptr: Vec<usize>,
+    slot_ptr: Vec<usize>,
     cols: Vec<u32>,
     /// The snapshot's values.
     slab: RwLock<ValueSlab<T>>,
-    /// Per step, its position bounds: `[start, end]` for a serial step,
+    /// Per step, its chunk bounds: `[start, end]` for a serial step,
     /// one start per worker role plus the end for a parallel step.
     bounds: Vec<Vec<usize>>,
     /// Whether each step is parallel, for `stepped_for_each`.
@@ -215,6 +447,99 @@ const _: () = {
     assert_send_sync::<SymgsPlan<f64>>();
 };
 
+/// The lane counts a chunk may have, widest first: a level's trailing
+/// partial chunk splits into these, so every chunk runs a fixed-width
+/// kernel.
+const LANES: [usize; 4] = [8, 4, 2, 1];
+
+/// Per-level scratch of [`Layout::push_level`].
+#[derive(Default)]
+struct Scratch {
+    lens: Vec<usize>,
+    pairs: Vec<(usize, u32)>,
+}
+
+/// Sort a window's rows and their lengths together, longest first, ties
+/// in their given order. `pairs` is scratch.
+fn sort_longest_first(rows: &mut [u32], lens: &mut [usize], pairs: &mut Vec<(usize, u32)>) {
+    pairs.clear();
+    pairs.extend(lens.iter().copied().zip(rows.iter().copied()));
+    pairs.sort_by_key(|p| std::cmp::Reverse(p.0));
+    for ((r, l), &(pl, pr)) in rows.iter_mut().zip(lens.iter_mut()).zip(pairs.iter()) {
+        (*r, *l) = (pr, pl);
+    }
+}
+
+/// A snapshot's chunk structure under construction.
+struct Layout {
+    lens: Vec<u32>,
+    chunk_ptr: Vec<usize>,
+    slot_ptr: Vec<usize>,
+}
+
+impl Layout {
+    /// Pack one level (positions `level`) into lock-step chunks,
+    /// reordering `level` in place; rows of a level are independent, so
+    /// their order is free. Rows are sorted by off-diagonal count (`offd`,
+    /// aligned with `level`), longest first, ties in level order, within
+    /// windows of [`SORT_WINDOW_CHUNKS`] `· 8` rows — the `PackedSell`
+    /// σ-sort at the widest height, which leaves every narrower height's
+    /// windows sorted too. The chunk height `C` then comes from the
+    /// packed SpMV gate's rule ([`pick_auto_chunk`], default padding
+    /// bound), which so prices exactly this order; `C = 1` when it finds
+    /// none. Rows are grouped `C` at a time.
+    fn push_level(&mut self, level: &mut [u32], offd: &[u32], max_padding: f64, s: &mut Scratch) {
+        s.lens.clear();
+        s.lens.extend(offd.iter().map(|&l| l as usize));
+        let c = if level.len() < 2 {
+            1
+        } else {
+            let window = SORT_WINDOW_CHUNKS * LANES[0];
+            for (rows, lens) in level.chunks_mut(window).zip(s.lens.chunks_mut(window)) {
+                sort_longest_first(rows, lens, &mut s.pairs);
+            }
+            pick_auto_chunk(&s.lens, max_padding).unwrap_or(1)
+        };
+        for group in s.lens.chunks(c) {
+            let mut rest = group;
+            while let Some(&lanes) = LANES.iter().find(|&&l| l <= rest.len()) {
+                let (chunk, tail) = rest.split_at(lanes);
+                self.lens.extend(chunk.iter().map(|&l| l as u32));
+                self.chunk_ptr.push(self.lens.len());
+                let slots = self.slot_ptr[self.slot_ptr.len() - 1];
+                self.slot_ptr.push(slots + chunk[0] * lanes);
+                rest = tail;
+            }
+        }
+    }
+
+    /// Chunk indices splitting chunks `[k0, k1)` into `parts` spans of
+    /// roughly equal work (stored entries plus rows): monotone, first
+    /// `k0`, last `k1` — `rows_nnz_cuts` with chunks for rows.
+    fn work_cuts(&self, k0: usize, k1: usize, parts: usize) -> Vec<usize> {
+        let work = |k: usize| {
+            let lanes = &self.lens[self.chunk_ptr[k]..self.chunk_ptr[k + 1]];
+            lanes.len() + lanes.iter().map(|&l| l as usize).sum::<usize>()
+        };
+        let total: usize = (k0..k1).map(work).sum();
+        let mut cuts = Vec::with_capacity(parts + 1);
+        cuts.push(k0);
+        let mut acc = 0;
+        for k in k0..k1 {
+            if cuts.len() >= parts {
+                break;
+            }
+            acc += work(k);
+            while cuts.len() < parts && acc >= total * cuts.len() / parts {
+                cuts.push(k + 1);
+            }
+        }
+        cuts.resize(parts, k1);
+        cuts.push(k1);
+        cuts
+    }
+}
+
 impl<T: Scalar> SolvePlan<T> {
     /// Build a schedule for `a` with the default [`SolveConfig`].
     /// Rejects non-square, non-triangular, or diagonal-deficient
@@ -230,62 +555,82 @@ impl<T: Scalar> SolvePlan<T> {
         config: SolveConfig,
     ) -> Result<Self, SolveBuildError> {
         // Levels in order are the run order; a step is a span of it.
-        let (rows, starts) = level_order(a, direction)?;
+        let (mut rows, starts, offd) = level_order_with_offdiag(a, direction)?;
         let n_levels = starts.len() - 1;
-        let (workers, min_parallel) = config.resolve();
-        // Runs of levels narrower than `min_parallel` merge into serial
-        // chunks. With one worker everything is a single serial chunk,
+        let workers = config.team();
+        let max_padding = PlanConfig::default().max_padding;
+        let mut lay = Layout {
+            lens: Vec::with_capacity(rows.len()),
+            chunk_ptr: Vec::with_capacity(rows.len() + 1),
+            slot_ptr: Vec::with_capacity(rows.len() + 1),
+        };
+        lay.chunk_ptr.push(0);
+        lay.slot_ptr.push(0);
+        let mut scratch = Scratch::default();
+        // Levels become parallel steps or join the serial chunk around
+        // them. With one worker everything is a single serial chunk,
         // zero barriers — the deterministic reference schedule.
         let mut bounds: Vec<Vec<usize>> = Vec::new();
         let mut parallel_flags = Vec::new();
-        let mut chunk_start = 0;
+        let mut run_start = 0;
         for w in starts.windows(2) {
-            let (start, end) = (w[0], w[1]);
-            if workers == 1 || end - start < min_parallel {
+            let k0 = lay.chunk_ptr.len() - 1;
+            let level = w[0]..w[1];
+            lay.push_level(
+                &mut rows[level.clone()],
+                &offd[level],
+                max_padding,
+                &mut scratch,
+            );
+            let k1 = lay.chunk_ptr.len() - 1;
+            let entries: usize = lay.lens[w[0]..w[1]].iter().map(|&l| l as usize).sum();
+            let n = w[1] - w[0];
+            if !config.parallel_level(workers, n, k1 - k0, entries + n) {
                 continue;
             }
-            if start > chunk_start {
-                bounds.push(vec![chunk_start, start]);
+            if k0 > run_start {
+                bounds.push(vec![run_start, k0]);
                 parallel_flags.push(false);
             }
-            let cuts = rows_nnz_cuts(a, &rows[start..end], workers);
-            bounds.push(cuts.iter().map(|&c| start + c).collect());
+            bounds.push(lay.work_cuts(k0, k1, workers));
             parallel_flags.push(true);
-            chunk_start = end;
+            run_start = k1;
         }
-        if rows.len() > chunk_start {
-            bounds.push(vec![chunk_start, rows.len()]);
+        lay.chunk_ptr.shrink_to_fit();
+        lay.slot_ptr.shrink_to_fit();
+        let n_chunks = lay.chunk_ptr.len() - 1;
+        if n_chunks > run_start {
+            bounds.push(vec![run_start, n_chunks]);
             parallel_flags.push(false);
         }
         // Gather the snapshot in run order. `level_order` proved every
         // row has a diagonal; the last one wins, as in `sptrsv_seq`.
-        let n_off = a.nnz().saturating_sub(rows.len());
-        let mut entry_ptr = Vec::with_capacity(rows.len() + 1);
-        let mut cols = Vec::with_capacity(n_off);
-        let mut vals = Vec::with_capacity(n_off);
-        let mut diag = Vec::with_capacity(rows.len());
-        entry_ptr.push(0);
-        for (q, &r) in rows.iter().enumerate() {
+        let n_slots = lay.slot_ptr[n_chunks];
+        let mut cols = vec![0u32; n_slots];
+        let mut vals = vec![T::ZERO; n_slots];
+        let mut diag = vec![T::ONE; rows.len()];
+        for (q, first, stride) in lanes(&lay.chunk_ptr, &lay.slot_ptr) {
             prefetch_rows_ahead(a, &rows, q);
-            let i = r as usize;
+            let i = rows[q] as usize;
             let (rc, rv) = a.row(i);
-            let mut d = T::ONE;
+            let mut slot = first;
             for (&c, &v) in rc.iter().zip(rv) {
                 if c as usize == i {
-                    d = v;
+                    diag[q] = v;
                 } else {
-                    cols.push(c);
-                    vals.push(v);
+                    cols[slot] = c;
+                    vals[slot] = v;
+                    slot += stride;
                 }
             }
-            diag.push(d);
-            entry_ptr.push(cols.len());
         }
         Ok(Self {
             direction,
             pattern: PatternBinding::of(a),
             rows,
-            entry_ptr,
+            lens: lay.lens,
+            chunk_ptr: lay.chunk_ptr,
+            slot_ptr: lay.slot_ptr,
             cols,
             slab: RwLock::new(ValueSlab {
                 source: a.values_id(),
@@ -330,7 +675,12 @@ impl<T: Scalar> SolvePlan<T> {
     ///    step's cuts partition its span across the worker team, and
     ///    that the steps tile the snapshot's positions, each of which
     ///    holds exactly its row's off-diagonals in storage order and
-    ///    its row's diagonal.
+    ///    its row's diagonal;
+    /// 4. the lock-step chunks tile the positions with 1, 2, 4 or 8
+    ///    lanes, no step or role bound cuts a chunk, lane lengths do not
+    ///    increase within a chunk, slot `(j, lane)` holds the lane row's
+    ///    `j`-th off-diagonal, and every column a lane reads is
+    ///    finalised before its *chunk* starts (the lanes run together).
     ///
     /// The prover re-derives everything from the matrix in one row
     /// walk; it trusts nothing the builder wrote down.
@@ -349,7 +699,7 @@ impl<T: Scalar> SolvePlan<T> {
                 a,
                 self.direction,
                 &self.rows,
-                &self.bounds,
+                &self.position_bounds(),
                 &self.parallel_flags,
                 self.workers,
                 Some(self.view(&slab)),
@@ -371,7 +721,7 @@ impl<T: Scalar> SolvePlan<T> {
     /// The barrier-separated schedule, materialised from the snapshot's
     /// row order (a copy; the plan stores each step as a span).
     pub fn steps(&self) -> Vec<SolveStep> {
-        self.bounds
+        self.position_bounds()
             .iter()
             .zip(&self.parallel_flags)
             .map(|(b, &par)| {
@@ -393,11 +743,31 @@ impl<T: Scalar> SolvePlan<T> {
         let slab = self.slab.read().unwrap_or_else(PoisonError::into_inner);
         SolveSnapshot {
             rows: self.rows.clone(),
-            entry_ptr: self.entry_ptr.clone(),
+            chunk_ptr: self.chunk_ptr.clone(),
+            slot_ptr: self.slot_ptr.clone(),
+            lens: self.lens.clone(),
             cols: self.cols.clone(),
             vals: slab.vals.clone(),
             diag: slab.diag.clone(),
         }
+    }
+
+    /// Rows that run as lanes of a chunk of two or more lanes, that is,
+    /// in lock-step with other rows of their level.
+    pub fn lockstep_rows(&self) -> usize {
+        self.chunk_ptr
+            .windows(2)
+            .map(|w| w[1] - w[0])
+            .filter(|&lanes| lanes > 1)
+            .sum()
+    }
+
+    /// The steps' bounds as positions rather than chunks.
+    fn position_bounds(&self) -> Vec<Vec<usize>> {
+        self.bounds
+            .iter()
+            .map(|b| b.iter().map(|&k| self.chunk_ptr[k]).collect())
+            .collect()
     }
 
     /// Depth of the dependency DAG (number of level sets).
@@ -452,21 +822,22 @@ impl<T: Scalar> SolvePlan<T> {
     /// The order counts — the kernel subtracts in it — so a matrix whose
     /// rows [`CsrMatrix::sort_rows`] reordered is refused. O(nnz).
     fn mirrors(&self, a: &CsrMatrix<T>) -> bool {
-        self.rows
-            .iter()
-            .zip(self.entry_ptr.windows(2))
-            .all(|(&r, e)| {
-                let i = r as usize;
-                let (cols, _) = a.row(i);
-                let off = cols.iter().filter(|&&c| c as usize != i).copied();
-                cols.contains(&r) && off.eq(self.cols[e[0]..e[1]].iter().copied())
-            })
+        lanes(&self.chunk_ptr, &self.slot_ptr).all(|(q, first, stride)| {
+            let r = self.rows[q];
+            let i = r as usize;
+            let (cols, _) = a.row(i);
+            let off = cols.iter().filter(|&&c| c as usize != i).copied();
+            let held = (0..self.lens[q] as usize).map(|j| self.cols[first + j * stride]);
+            cols.contains(&r) && off.eq(held)
+        })
     }
 
     fn view<'a>(&'a self, slab: &'a ValueSlab<T>) -> SnapshotRef<'a, T> {
         SnapshotRef {
             rows: &self.rows,
-            entry_ptr: &self.entry_ptr,
+            chunk_ptr: &self.chunk_ptr,
+            slot_ptr: &self.slot_ptr,
+            lens: &self.lens,
             cols: &self.cols,
             diag: &slab.diag,
             vals: &slab.vals,
@@ -500,20 +871,20 @@ impl<T: Scalar> SolvePlan<T> {
     /// Re-gather the snapshot's values from `a`, walking its rows in
     /// schedule order and routing each entry as the build did: the
     /// diagonal to its position's slot, the off-diagonals in storage
-    /// order into its entry range (surplus entries of a mismatched row
+    /// order into its lane's slots (surplus entries of a mismatched row
     /// are dropped).
     fn gather_values(&self, slab: &mut ValueSlab<T>, a: &CsrMatrix<T>) {
         let ValueSlab { diag, vals, .. } = slab;
-        for (p, (&r, d)) in self.rows.iter().zip(diag.iter_mut()).enumerate() {
-            prefetch_rows_ahead(a, &self.rows, p);
-            let i = r as usize;
+        for (q, first, stride) in lanes(&self.chunk_ptr, &self.slot_ptr) {
+            prefetch_rows_ahead(a, &self.rows, q);
+            let i = self.rows[q] as usize;
             let (rc, rv) = a.row(i);
-            let mut slots = vals[self.entry_ptr[p]..self.entry_ptr[p + 1]].iter_mut();
+            let mut slots = (0..self.lens[q] as usize).map(|j| first + j * stride);
             for (&c, &v) in rc.iter().zip(rv) {
                 if c as usize == i {
-                    *d = v;
+                    diag[q] = v;
                 } else if let Some(slot) = slots.next() {
-                    *slot = v;
+                    vals[slot] = v;
                 }
             }
         }
@@ -532,7 +903,7 @@ impl<T: Scalar> SolvePlan<T> {
     }
 
     /// [`run`](Self::run), emitting the SymGS residual into `r` when
-    /// `EMIT` (see [`solve_positions`]); callers of the emitting form
+    /// `EMIT` (see [`solve_chunks`]); callers of the emitting form
     /// also guarantee `r.len() == m`.
     fn run_with<const EMIT: bool>(&self, a: &CsrMatrix<T>, b: &[T], x: &mut [T], r: &mut [T]) {
         let slab = self.values_for(a);
@@ -543,12 +914,13 @@ impl<T: Scalar> SolvePlan<T> {
             let bounds = &self.bounds[step];
             // SAFETY: a serial step runs on role 0 alone, after every
             // earlier step; a parallel step is one level, whose rows
-            // are mutually independent, and the roles' spans are
+            // are mutually independent, and the roles' chunk spans are
             // disjoint — so this span races with nobody, and its
             // dependencies sit in earlier, barrier-separated steps or
-            // earlier positions of this worker's own chunk. The span's
-            // `r` slots are its own rows, owned exactly as in `x`.
-            unsafe { solve_positions::<T, EMIT>(snap, b, xv, rv, bounds[role], bounds[role + 1]) }
+            // earlier chunks of this worker's own serial run (a chunk
+            // never straddles a level). The span's `r` slots are its
+            // own rows, owned exactly as in `x`.
+            unsafe { solve_chunks::<T, EMIT>(snap, b, xv, rv, bounds[role], bounds[role + 1]) }
         });
     }
 }
@@ -578,6 +950,7 @@ impl<T: Scalar> std::fmt::Debug for SolvePlan<T> {
             .field("nnz", &self.pattern.fingerprint.nnz)
             .field("n_levels", &self.n_levels)
             .field("steps", &self.bounds.len())
+            .field("lockstep_rows", &self.lockstep_rows())
             .field("workers", &self.workers)
             .finish()
     }
@@ -612,7 +985,7 @@ impl<T: Scalar> VerifiedSolvePlan<T> {
 
     /// The forward half of a SymGS sweep in one pass over `L + D`: with
     /// `r = U·x_old` on entry, solves `(L + D) x = b - r` and leaves
-    /// `r = b - L·x` for the backward half (see [`solve_positions`]).
+    /// `r = b - L·x` for the backward half (see [`solve_chunks`]).
     /// Validation as in [`solve_unchecked`](Self::solve_unchecked);
     /// `r` is the sweep's own scratch, sized at build.
     fn solve_emitting_unchecked(
@@ -754,7 +1127,7 @@ impl<T: Scalar> SymgsPlan<T> {
     /// forward, backward, upper — not in completion order.
     pub fn build_with(a: &CsrMatrix<T>, config: SolveConfig) -> Result<Self, SolveError> {
         let halves = split_triangular(a)?;
-        let (workers, _) = config.resolve();
+        let workers = config.team();
         let solve_for = |half: &CsrMatrix<T>, direction| -> Result<_, SolveError> {
             Ok(SolvePlan::build_with(half, direction, config)?.verify(half)?)
         };
@@ -1008,6 +1381,41 @@ mod tests {
             merged.n_barriers(),
             fine.n_barriers()
         );
+    }
+
+    #[test]
+    fn auto_merge_keeps_a_level_of_one_chunk_serial() {
+        // An arrowhead: 2599 independent rows, then one row reading them
+        // all. Both levels clear `PARALLEL_MIN_WORK`, but the last is one
+        // chunk, which a second worker could not share.
+        let m = 2600;
+        let (mut row_ptr, mut cols, mut vals) = (vec![0usize], Vec::new(), Vec::new());
+        for i in 0..m {
+            if i == m - 1 {
+                cols.extend(0..i as u32);
+                vals.extend((0..i).map(|c| (c % 7) as f64 * 0.001));
+            }
+            cols.push(i as u32);
+            vals.push(2.0);
+            row_ptr.push(cols.len());
+        }
+        let a = CsrMatrix::from_parts(m, m, row_ptr, cols, vals).unwrap();
+        let config = SolveConfig {
+            workers: 2,
+            min_parallel_rows: 0,
+        };
+        let plan = SolvePlan::build_with(&a, SolveDirection::Forward, config).unwrap();
+        let parallel: Vec<bool> = plan.steps().iter().map(SolveStep::is_parallel).collect();
+        assert_eq!(parallel, [true, false]);
+        let b: Vec<f64> = (0..m).map(|i| (i % 5) as f64 - 2.0).collect();
+        let mut want = vec![0.0; m];
+        sptrsv_seq(&a, SolveDirection::Forward, &b, &mut want).unwrap();
+        let mut x = vec![f64::NAN; m];
+        plan.verify(&a)
+            .unwrap()
+            .solve_unchecked(&a, &b, &mut x)
+            .unwrap();
+        assert!(x.iter().zip(&want).all(|(g, w)| g.to_bits() == w.to_bits()));
     }
 
     #[test]
@@ -1278,6 +1686,201 @@ mod tests {
                     assert_eq!(x[i].to_bits(), x_ref[i].to_bits(), "x, {at}");
                     assert_eq!(r[i].to_bits(), r_ref[i].to_bits(), "r, {at}");
                 }
+            }
+        }
+    }
+
+    /// A lower-triangular matrix whose level `l` has exactly `widths[l]`
+    /// rows, ids ascending level by level. Level 0's rows have no
+    /// off-diagonal entries; a row of level `l ≥ 1` reads one row of
+    /// level `l - 1` and more of earlier levels, `1 + l % 4` entries or
+    /// one fewer (near-uniform, so wide levels pack into full chunks with
+    /// a ragged tail). Odd rows are stored in reverse column order, and
+    /// the first row of level 3 carries a second diagonal entry.
+    fn leveled(widths: &[usize], seed: u64) -> CsrMatrix<f64> {
+        let mut h = seed;
+        let mut next = || {
+            h = h
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (h >> 33) as usize
+        };
+        let m: usize = widths.iter().sum();
+        let (mut row_ptr, mut cols, mut vals) = (vec![0usize], Vec::new(), Vec::new());
+        let mut start = 0;
+        for (l, &w) in widths.iter().enumerate() {
+            for i in start..start + w {
+                let mut deps: Vec<u32> = Vec::new();
+                if l > 0 {
+                    let prev = start - widths[l - 1];
+                    deps.push((prev + next() % widths[l - 1]) as u32);
+                    let want = (1 + l % 4 - usize::from(next() % 3 == 0)).min(start);
+                    while deps.len() < want {
+                        let c = (next() % start) as u32;
+                        if !deps.contains(&c) {
+                            deps.push(c);
+                        }
+                    }
+                }
+                deps.sort_unstable();
+                let mut entries: Vec<(u32, f64)> = deps
+                    .iter()
+                    .map(|&c| (c, ((next() % 17) as f64 - 8.0) * 0.125))
+                    .collect();
+                let dom = 1.0 + entries.iter().map(|e| e.1.abs()).sum::<f64>();
+                entries.push((i as u32, dom));
+                if i % 2 == 1 {
+                    entries.reverse();
+                }
+                if l == 3 && i == start {
+                    entries.insert(0, (i as u32, 0.5));
+                }
+                for (c, v) in entries {
+                    cols.push(c);
+                    vals.push(v);
+                }
+                row_ptr.push(cols.len());
+            }
+            start += w;
+        }
+        CsrMatrix::from_parts(m, m, row_ptr, cols, vals).unwrap()
+    }
+
+    /// `a` with rows and columns reversed (`i → m - 1 - i`), each row's
+    /// storage order kept: a lower triangle becomes an upper one whose
+    /// backward levels are the forward levels of `a`.
+    fn mirrored(a: &CsrMatrix<f64>) -> CsrMatrix<f64> {
+        let m = a.n_rows();
+        let (mut row_ptr, mut cols, mut vals) = (vec![0usize], Vec::new(), Vec::new());
+        for i in (0..m).rev() {
+            let (rc, rv) = a.row(i);
+            cols.extend(rc.iter().map(|&c| (m - 1 - c as usize) as u32));
+            vals.extend_from_slice(rv);
+            row_ptr.push(cols.len());
+        }
+        CsrMatrix::from_parts(m, m, row_ptr, cols, vals).unwrap()
+    }
+
+    #[test]
+    fn lockstep_layout_matches_the_references_bitwise() {
+        // Levels of exactly C and C ± 1 rows for C = 8, 4, 2, single-row
+        // levels, and one level heavy enough for the auto merge to run
+        // it in parallel.
+        let widths = [
+            9, 8, 7, 9, 16, 17, 15, 4, 3, 5, 2, 1, 1, 3, 24, 6, 40, 33, 1, 700,
+        ];
+        let lower = leveled(&widths, 17);
+        let upper = mirrored(&lower);
+        let m = lower.n_rows();
+        let auto = SolveConfig {
+            workers: 2,
+            min_parallel_rows: 0,
+        };
+        let plan = SolvePlan::build_with(&lower, SolveDirection::Forward, auto).unwrap();
+        assert_eq!(plan.n_levels(), widths.len());
+        let steps = plan.steps();
+        assert!(steps.iter().any(SolveStep::is_parallel) && !steps[0].is_parallel());
+        let snap = plan.snapshot();
+        let heights: Vec<usize> = snap.chunk_ptr.windows(2).map(|w| w[1] - w[0]).collect();
+        for c in [1, 2, 4, 8] {
+            assert!(heights.contains(&c), "no chunk of {c} lanes");
+        }
+        let ragged = snap
+            .chunk_ptr
+            .windows(2)
+            .any(|w| snap.lens[w[0]] > snap.lens[w[1] - 1]);
+        assert!(ragged, "no chunk with a ragged tail");
+        assert!(plan.lockstep_rows() * 2 > m);
+
+        let b: Vec<f64> = (0..m).map(|i| ((i % 11) as f64) - 5.0).collect();
+        let ux: Vec<f64> = (0..m)
+            .map(|i| ((i * 5 % 13) as f64) * 0.375 - 2.0)
+            .collect();
+        let rhs: Vec<f64> = b.iter().zip(&ux).map(|(&bi, &ui)| bi - ui).collect();
+        let reference = |a: &CsrMatrix<f64>, dir, b: &[f64]| {
+            let mut x = vec![0.0; m];
+            sptrsv_seq(a, dir, b, &mut x).unwrap();
+            x
+        };
+        let want_fwd = reference(&lower, SolveDirection::Forward, &b);
+        let want_bwd = reference(&upper, SolveDirection::Backward, &b);
+        // The emitting forward solve: `x` from `b - U·x_old`, and
+        // `r = b - L·x` by `spmv_seq`'s chain over the strict entries.
+        let want_x = reference(&lower, SolveDirection::Forward, &rhs);
+        let want_r: Vec<f64> = (0..m)
+            .map(|i| {
+                let (rc, rv) = lower.row(i);
+                let lx = rc
+                    .iter()
+                    .zip(rv)
+                    .filter(|(&c, _)| c as usize != i)
+                    .fold(0.0, |acc, (&c, &v)| v.mul_add(want_x[c as usize], acc));
+                b[i] - lx
+            })
+            .collect();
+        // A general matrix whose lower half is `lower`: each row's
+        // `L + D` entries, then its strict upper entries from `upper`.
+        let sym = {
+            let (mut row_ptr, mut cols, mut vals) = (vec![0usize], Vec::new(), Vec::new());
+            for i in 0..m {
+                for (a, keep) in [(&lower, true), (&upper, false)] {
+                    let (rc, rv) = a.row(i);
+                    for (&c, &v) in rc.iter().zip(rv) {
+                        if keep || c as usize != i {
+                            cols.push(c);
+                            vals.push(v);
+                        }
+                    }
+                }
+                row_ptr.push(cols.len());
+            }
+            CsrMatrix::from_parts(m, m, row_ptr, cols, vals).unwrap()
+        };
+        let mut want_sym = vec![0.25; m];
+        for _ in 0..2 {
+            spmv_sparse::solve::symgs_seq(&sym, &b, &mut want_sym).unwrap();
+        }
+        let same = |got: &[f64], want: &[f64], what: &str| {
+            let bad = got
+                .iter()
+                .zip(want)
+                .position(|(g, w)| g.to_bits() != w.to_bits());
+            assert_eq!(bad, None, "{what}");
+        };
+        for workers in [1usize, 2, 3, 4, 7] {
+            for min_parallel_rows in [1usize, 0, usize::MAX] {
+                let cfg = SolveConfig {
+                    workers,
+                    min_parallel_rows,
+                };
+                let at = format!("workers={workers} min_parallel_rows={min_parallel_rows}");
+                for (a, dir, want) in [
+                    (&lower, SolveDirection::Forward, &want_fwd),
+                    (&upper, SolveDirection::Backward, &want_bwd),
+                ] {
+                    let plan = SolvePlan::build_with(a, dir, cfg)
+                        .unwrap()
+                        .verify(a)
+                        .unwrap();
+                    let mut x = vec![f64::NAN; m];
+                    plan.solve_unchecked(a, &b, &mut x).unwrap();
+                    same(&x, want, &format!("{dir} {at}"));
+                }
+                let plan = SolvePlan::build_with(&lower, SolveDirection::Forward, cfg)
+                    .unwrap()
+                    .verify(&lower)
+                    .unwrap();
+                let (mut x, mut r) = (vec![f64::NAN; m], ux.clone());
+                plan.solve_emitting_unchecked(&lower, &b, &mut x, &mut r)
+                    .unwrap();
+                same(&x, &want_x, &format!("emitting x, {at}"));
+                same(&r, &want_r, &format!("emitting r, {at}"));
+                let mut sweep = SymgsPlan::build_with(&sym, cfg).unwrap();
+                let mut x = vec![0.25; m];
+                for _ in 0..2 {
+                    sweep.apply(&sym, &b, &mut x).unwrap();
+                }
+                same(&x, &want_sym, &format!("symgs, {at}"));
             }
         }
     }

@@ -222,8 +222,9 @@ pub enum VerifyError {
     },
     /// A row runs before a row it reads is finalised: its dependency
     /// sits in the same or a later step (same-step reads are only legal
-    /// at earlier positions of the *same serial chunk*). Executing this
-    /// schedule would race.
+    /// from earlier lock-step chunks of the *same serial step*; the
+    /// lanes of one chunk read together). Executing this schedule would
+    /// race or read a stale value.
     SolveDependencyViolated {
         /// The row that reads too early.
         row: usize,
@@ -377,8 +378,8 @@ impl std::fmt::Display for VerifyError {
                 col_step,
             } => write!(
                 f,
-                "row {row} (step {row_step}) reads row {col} which is not finalised \
-                 until step {col_step}"
+                "row {row} (step {row_step}) reads row {col} (step {col_step}) before \
+                 it is finalised"
             ),
             VerifyError::SolveCutsInvalid { step, detail } => {
                 write!(f, "step {step}: worker cuts are not a partition: {detail}")
@@ -741,9 +742,21 @@ pub fn check_solve_schedule<T: Scalar>(
 ///
 /// 6. the snapshot's positions are the steps' rows, in run order;
 /// 7. each position's entries are exactly its matrix row's off-diagonal
-///    `(column, value)` pairs in storage order;
+///    `(column, value)` pairs in storage order: slot `(j, lane)` of its
+///    chunk holds the row's `j`-th, for `j` below the lane's length, and
+///    the row has no more;
 /// 8. each position's diagonal is its row's diagonal value (the last
-///    one in storage order, as `sptrsv_seq` takes it).
+///    one in storage order, as `sptrsv_seq` takes it);
+/// 9. the chunks tile the positions in order, each with 1, 2, 4 or 8
+///    lanes, and no step or role bound falls inside a chunk (a role
+///    runs whole chunks);
+/// 10. lane lengths do not increase within a chunk, and each chunk's
+///     slot range is its first lane's length times its lane count, the
+///     ranges tiling the entry arrays — so the kernel's active lanes at
+///     column `j` are a prefix and it never reads a padding slot;
+/// 11. obligation 3 tightened for lock-step: inside a serial step, a
+///     dependency must sit in an earlier *chunk*, not merely at an
+///     earlier position, because the lanes of a chunk read together.
 ///
 /// The proof runs inside the row walk of obligations 3–4, so it costs
 /// no second pass over the matrix. [`SolvePlan::verify`] runs the same
@@ -828,9 +841,10 @@ fn positions_of(steps: &[SolveStep], workers: usize) -> Result<Positions, Verify
 
 /// The one solve prover behind [`check_solve_schedule`],
 /// [`check_solve_snapshot`] and `SolvePlan::verify`: obligations 1–5
-/// over the run order `order` split into steps by `bounds`, plus 7–8
-/// against `snap` when given (obligation 6 holds when `order` is the
-/// snapshot's own row column).
+/// over the run order `order` split into steps by `bounds` (positions),
+/// plus 7–11 against `snap` when given (obligation 6 holds when `order`
+/// is the snapshot's own row column). Without a snapshot every position
+/// is its own chunk.
 pub(crate) fn prove_solve<T: Scalar>(
     a: &CsrMatrix<T>,
     direction: SolveDirection,
@@ -908,42 +922,32 @@ pub(crate) fn prove_solve<T: Scalar>(
         return Err(VerifyError::SolveRowUnscheduled { row });
     }
     if let Some(sn) = &snap {
-        let n = order.len();
-        if sn.diag.len() != n
-            || sn.entry_ptr.len() != n + 1
-            || sn.entry_ptr[0] != 0
-            || sn.vals.len() != sn.cols.len()
-        {
-            return Err(mismatch(
-                0,
-                format!(
-                    "array lengths do not fit {n} positions: {} diagonals, {} entry \
-                     pointers, {} columns, {} values",
-                    sn.diag.len(),
-                    sn.entry_ptr.len(),
-                    sn.cols.len(),
-                    sn.vals.len()
-                ),
-            ));
-        }
+        check_chunks(sn, order.len(), bounds)?;
     }
-    // (3) + (4) + (7) + (8): per-row structure scan against the
-    // finalisation order, walking the snapshot's entries alongside.
+    // (3) + (4) + (7) + (8) + (11): per-row structure scan against the
+    // finalisation order, walking the snapshot's slots alongside. The
+    // steps tile the positions in order, so `q` only grows and the chunk
+    // cursor `k` follows it.
+    let mut k = 0;
     for (s, (b, &par)) in bounds.iter().zip(parallel).enumerate() {
         for q in b[0]..b[b.len() - 1] {
             prefetch_rows_ahead(a, order, q);
             let i = order[q] as usize;
             let (cols, vals) = a.row(i);
-            let (mut k, k_end) = match &snap {
-                Some(sn) => (sn.entry_ptr[q], sn.entry_ptr[q + 1]),
-                None => (0, 0),
+            // The position's chunk start, first slot, lane stride and
+            // length (a lone position without a snapshot).
+            let (chunk_start, first, stride, len) = match &snap {
+                Some(sn) => {
+                    while sn.chunk_ptr[k + 1] <= q {
+                        k += 1;
+                    }
+                    let p0 = sn.chunk_ptr[k];
+                    let lanes = sn.chunk_ptr[k + 1] - p0;
+                    (p0, sn.slot_ptr[k] + q - p0, lanes, sn.lens[q] as usize)
+                }
+                None => (q, 0, 0, 0),
             };
-            if snap.is_some_and(|sn| k > k_end || k_end > sn.cols.len()) {
-                return Err(mismatch(
-                    q,
-                    format!("entry range {k}..{k_end} is not inside the entry arrays"),
-                ));
-            }
+            let mut j = 0;
             let mut diag = None;
             for (&c, &v) in cols.iter().zip(vals) {
                 let ci = c as usize;
@@ -972,9 +976,10 @@ pub(crate) fn prove_solve<T: Scalar>(
                     // before this read.
                     cs < s
                 } else {
-                    // Serial chunks run on one worker in listed order:
-                    // an earlier position of the same step suffices.
-                    cs < s || (cs == s && (pos_of[ci] as usize) < q)
+                    // Serial steps run on one worker in listed order,
+                    // a chunk's lanes together: an earlier chunk of the
+                    // same step suffices.
+                    cs < s || (cs == s && (pos_of[ci] as usize) < chunk_start)
                 };
                 if !finalised {
                     return Err(VerifyError::SolveDependencyViolated {
@@ -985,28 +990,30 @@ pub(crate) fn prove_solve<T: Scalar>(
                     });
                 }
                 if let Some(sn) = &snap {
-                    if k == k_end || sn.cols[k] != c || !same_bits(sn.vals[k], v) {
-                        let held = (k < k_end).then(|| (sn.cols[k], sn.vals[k]));
+                    // In bounds: `j < len` ≤ the chunk's first lane,
+                    // whose slots end inside the arrays (obligation 10).
+                    let slot = first + j * stride;
+                    if j == len || sn.cols[slot] != c || !same_bits(sn.vals[slot], v) {
+                        let held = (j < len).then(|| (sn.cols[slot], sn.vals[slot]));
                         return Err(mismatch(
                             q,
                             format!(
-                                "row {i}: off-diagonal entry {} is ({c}, {v}) in the matrix \
-                                 but {held:?} in the snapshot",
-                                k - sn.entry_ptr[q]
+                                "row {i}: off-diagonal entry {j} is ({c}, {v}) in the matrix \
+                                 but {held:?} in the snapshot"
                             ),
                         ));
                     }
-                    k += 1;
+                    j += 1;
                 }
             }
             let Some(d) = diag else {
                 return Err(VerifyError::SolveMissingDiagonal { row: i });
             };
             if let Some(sn) = &snap {
-                if k != k_end {
+                if j != len {
                     return Err(mismatch(
                         q,
-                        format!("row {i}: the snapshot holds {} extra entries", k_end - k),
+                        format!("row {i}: the snapshot holds {} extra entries", len - j),
                     ));
                 }
                 if !same_bits(sn.diag[q], d) {
@@ -1019,6 +1026,94 @@ pub(crate) fn prove_solve<T: Scalar>(
                     ));
                 }
             }
+        }
+    }
+    Ok(())
+}
+
+/// Obligations 9–10 and the array shapes the row walk indexes by: the
+/// snapshot's chunks tile its `n` positions with 1, 2, 4 or 8 lanes,
+/// every bound in `bounds` is a chunk start, lane lengths do not
+/// increase within a chunk, and the chunks' slot ranges, each its first
+/// lane's length times its lane count, tile the entry arrays.
+fn check_chunks<T: Scalar>(
+    sn: &SnapshotRef<'_, T>,
+    n: usize,
+    bounds: &[Vec<usize>],
+) -> Result<(), VerifyError> {
+    let mismatch =
+        |position: usize, detail: String| VerifyError::SolveSnapshotMismatch { position, detail };
+    if sn.diag.len() != n
+        || sn.lens.len() != n
+        || sn.chunk_ptr.first() != Some(&0)
+        || sn.chunk_ptr.last() != Some(&n)
+        || sn.slot_ptr.len() != sn.chunk_ptr.len()
+        || sn.slot_ptr[0] != 0
+        || sn.slot_ptr.last() != Some(&sn.cols.len())
+        || sn.vals.len() != sn.cols.len()
+    {
+        return Err(mismatch(
+            0,
+            format!(
+                "array lengths do not fit {n} positions: {} diagonals, {} lengths, chunk \
+                 bounds {:?}…{:?}, {} slot bounds ending at {:?}, {} columns, {} values",
+                sn.diag.len(),
+                sn.lens.len(),
+                sn.chunk_ptr.first(),
+                sn.chunk_ptr.last(),
+                sn.slot_ptr.len(),
+                sn.slot_ptr.last(),
+                sn.cols.len(),
+                sn.vals.len()
+            ),
+        ));
+    }
+    for (k, (c, sl)) in sn
+        .chunk_ptr
+        .windows(2)
+        .zip(sn.slot_ptr.windows(2))
+        .enumerate()
+    {
+        let p0 = c[0];
+        let lanes = c[1].wrapping_sub(p0);
+        if !matches!(lanes, 1 | 2 | 4 | 8) || c[1] > n {
+            return Err(mismatch(
+                p0,
+                format!(
+                    "chunk {k} spans positions {p0}..{}, not 1, 2, 4 or 8 lanes of 0..{n}",
+                    c[1]
+                ),
+            ));
+        }
+        let lens = &sn.lens[p0..c[1]];
+        if let Some(l) = lens.windows(2).position(|w| w[0] < w[1]) {
+            return Err(mismatch(
+                p0 + l + 1,
+                format!(
+                    "chunk {k}: lane {} holds {} entries, more than lane {l}'s {}",
+                    l + 1,
+                    lens[l + 1],
+                    lens[l]
+                ),
+            ));
+        }
+        let width = lens[0] as usize * lanes;
+        if sl[1].checked_sub(sl[0]) != Some(width) {
+            return Err(mismatch(
+                p0,
+                format!(
+                    "chunk {k} spans slots {}..{}, not its first lane's length × lanes = {width}",
+                    sl[0], sl[1]
+                ),
+            ));
+        }
+    }
+    for (s, b) in bounds.iter().enumerate() {
+        if let Some(&q) = b.iter().find(|q| sn.chunk_ptr.binary_search(q).is_err()) {
+            return Err(mismatch(
+                q,
+                format!("step {s} has a bound at position {q}, inside a chunk"),
+            ));
         }
     }
     Ok(())

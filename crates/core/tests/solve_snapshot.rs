@@ -5,7 +5,11 @@
 //!
 //! The tamper tests copy a plan's schedule and snapshot out
 //! ([`SolvePlan::steps`], [`SolvePlan::snapshot`]), break one property,
-//! and require the exact typed rejection from [`check_solve_snapshot`].
+//! and require the exact typed rejection from [`check_solve_snapshot`]:
+//! positions, entries and diagonals that stop mirroring the matrix, and
+//! lock-step chunks that are unsound to run (the [`LayoutTamper`]s,
+//! which spmv-lint's tamper sweep runs too, and chunk bounds past the
+//! positions).
 
 use spmv_autotune::prelude::*;
 use spmv_sparse::solve::{sptrsv_seq, SolveDirection};
@@ -68,24 +72,17 @@ fn expect_mismatch(r: Result<(), VerifyError>, what: &str) -> usize {
     }
 }
 
-/// Move whole positions (row id, entries and diagonal) into `order`.
+/// Move whole positions (row id, entries and diagonal) into `order`,
+/// one lane per chunk — a layout every schedule's bounds fit.
 fn permuted(snap: &SolveSnapshot<f64>, order: &[usize]) -> SolveSnapshot<f64> {
-    let mut out = SolveSnapshot {
-        rows: Vec::new(),
-        entry_ptr: vec![0],
-        cols: Vec::new(),
-        vals: Vec::new(),
-        diag: Vec::new(),
-    };
-    for &p in order {
-        let (s, e) = (snap.entry_ptr[p], snap.entry_ptr[p + 1]);
-        out.rows.push(snap.rows[p]);
-        out.cols.extend_from_slice(&snap.cols[s..e]);
-        out.vals.extend_from_slice(&snap.vals[s..e]);
-        out.entry_ptr.push(out.cols.len());
-        out.diag.push(snap.diag[p]);
-    }
-    out
+    snap.relaid(order, &vec![1; order.len()])
+}
+
+/// The slot holding position `p`'s `j`-th off-diagonal entry.
+fn slot(snap: &SolveSnapshot<f64>, p: usize, j: usize) -> usize {
+    let k = snap.chunk_ptr.partition_point(|&q| q <= p) - 1;
+    let lanes = snap.chunk_ptr[k + 1] - snap.chunk_ptr[k];
+    snap.slot_ptr[k] + p - snap.chunk_ptr[k] + j * lanes
 }
 
 /// Positions `(p, q)` in steps 0 and 1 where the row at `q` reads the row
@@ -155,20 +152,20 @@ fn an_edited_slab_column_is_rejected() {
     // Find a position with two entries and point the second at the
     // first's column: still in bounds and on the triangle, wrong row.
     let p = (0..snap.rows.len())
-        .find(|&p| snap.entry_ptr[p + 1] - snap.entry_ptr[p] >= 2)
+        .find(|&p| snap.lens[p] >= 2)
         .expect("a row with two off-diagonals");
     let mut bad = snap.clone();
-    let k = bad.entry_ptr[p];
-    bad.cols[k + 1] = bad.cols[k];
+    let (k0, k1) = (slot(&snap, p, 0), slot(&snap, p, 1));
+    bad.cols[k1] = bad.cols[k0];
     assert_eq!(expect_mismatch(prove(&a, &steps, 4, &bad), "column"), p);
     // An edited value is just as wrong.
     let mut bad = snap.clone();
-    bad.vals[k] += 1.0;
+    bad.vals[k0] += 1.0;
     assert_eq!(expect_mismatch(prove(&a, &steps, 4, &bad), "value"), p);
-    // So is an entry range shifted by one.
+    // So is a lane that claims one entry fewer.
     let mut bad = snap;
-    bad.entry_ptr[p + 1] -= 1;
-    expect_mismatch(prove(&a, &steps, 4, &bad), "entry range");
+    bad.lens[p] -= 1;
+    expect_mismatch(prove(&a, &steps, 4, &bad), "lane length");
 }
 
 #[test]
@@ -208,7 +205,9 @@ fn positions_that_disagree_with_the_step_rows_are_rejected() {
     let mut extra = snap.clone();
     extra.rows.push(0);
     extra.diag.push(1.0);
-    extra.entry_ptr.push(*extra.entry_ptr.last().unwrap());
+    extra.lens.push(0);
+    extra.chunk_ptr.push(snap.rows.len() + 1);
+    extra.slot_ptr.push(snap.cols.len());
     assert_eq!(
         expect_mismatch(prove(&a, &steps, 2, &extra), "extra position"),
         snap.rows.len()
@@ -217,10 +216,6 @@ fn positions_that_disagree_with_the_step_rows_are_rejected() {
     let mut short = snap.clone();
     short.rows.pop();
     short.diag.pop();
-    short.entry_ptr.pop();
-    let last = *short.entry_ptr.last().unwrap();
-    short.cols.truncate(last);
-    short.vals.truncate(last);
     assert_eq!(
         expect_mismatch(prove(&a, &steps, 2, &short), "short snapshot"),
         short.rows.len()
@@ -363,4 +358,83 @@ fn unsorted_rows_and_repeated_diagonals_match_the_reference() {
             }
         }
     }
+}
+
+/// An honest `workers`-worker plan's schedule and snapshot broken by
+/// `tamper`, with the position the rejection must name.
+fn tampered(
+    workers: usize,
+    tamper: LayoutTamper,
+) -> (CsrMatrix<f64>, Vec<SolveStep>, SolveSnapshot<f64>, usize) {
+    let (a, mut steps, mut snap) = honest(workers);
+    let at = tamper
+        .apply(&mut steps, &mut snap)
+        .unwrap_or_else(|| panic!("{tamper:?}: the honest plan offers no site"));
+    (a, steps, snap, at)
+}
+
+#[test]
+fn a_lane_that_reads_another_lane_of_its_chunk_is_rejected() {
+    // The tamper moves a row to just after its latest dependency and
+    // makes the two one chunk under a single serial step.
+    let (a, steps, snap, q) = tampered(2, LayoutTamper::LaneReadsLane);
+    let n = snap.rows.len();
+    let k = snap.chunk_ptr.partition_point(|&x| x < q);
+    assert_eq!(
+        snap.chunk_ptr[k - 1..=k],
+        [q - 1, q + 1],
+        "the pair is one chunk"
+    );
+    // The moved order, one lane per chunk, is still legal…
+    let single = snap.relaid(&(0..n).collect::<Vec<_>>(), &vec![1; n]);
+    prove(&a, &steps, 2, &single).unwrap();
+    // …the pair as one chunk is not: the lanes of a chunk read together.
+    match prove(&a, &steps, 2, &snap) {
+        Err(VerifyError::SolveDependencyViolated { row, col, .. }) => {
+            assert_eq!(
+                (row, col),
+                (snap.rows[q] as usize, snap.rows[q - 1] as usize)
+            )
+        }
+        other => panic!("expected SolveDependencyViolated, got {other:?}"),
+    }
+}
+
+#[test]
+fn lanes_out_of_length_order_are_rejected() {
+    // The chunk is laid out consistently, steps and all, but its active
+    // lanes at the longer lane's last column are no longer a prefix.
+    let (a, steps, snap, l) = tampered(4, LayoutTamper::LanesOutOfOrder);
+    assert!(snap.lens[l] > snap.lens[l - 1]);
+    assert_eq!(
+        expect_mismatch(prove(&a, &steps, 4, &snap), "lane order"),
+        l
+    );
+}
+
+#[test]
+fn a_padding_slot_claimed_as_an_entry_is_rejected() {
+    // The lengths stay in order; the extra slot is the lane's padding.
+    let (a, steps, snap, l) = tampered(4, LayoutTamper::PaddingClaimed);
+    assert!(snap.lens[l] <= snap.lens[l - 1]);
+    assert_eq!(expect_mismatch(prove(&a, &steps, 4, &snap), "padding"), l);
+}
+
+#[test]
+fn a_chunk_cut_by_a_role_bound_is_rejected() {
+    let (a, steps, snap, at) = tampered(2, LayoutTamper::RoleCutInChunk);
+    assert_eq!(expect_mismatch(prove(&a, &steps, 2, &snap), "cut"), at);
+}
+
+#[test]
+fn chunk_bounds_past_the_positions_are_rejected() {
+    // A first chunk eight lanes wide over a four-position snapshot: the
+    // window's lane count is legal, its end is not.
+    let a = tril(4, 3, 7);
+    let plan = SolvePlan::build_with(&a, SolveDirection::Forward, config(1)).unwrap();
+    let (steps, mut snap) = (plan.steps(), plan.snapshot());
+    assert_eq!(snap.rows.len(), 4);
+    snap.chunk_ptr = vec![0, 8, 4];
+    snap.slot_ptr = vec![0, 0, snap.cols.len()];
+    expect_mismatch(prove(&a, &steps, 1, &snap), "chunk past the end");
 }

@@ -53,7 +53,7 @@ pub use histogram::RowHistogram;
 pub use packed::{prefetch_read, PackedSell, SlabView};
 pub use scalar::Scalar;
 pub use solve::{
-    level_order, split_triangular, sptrsv_seq, symgs_seq, SolveDirection, TriangularHalves,
-    Triangularity,
+    level_order, level_order_with_offdiag, split_triangular, sptrsv_seq, symgs_seq, SolveDirection,
+    TriangularHalves, Triangularity,
 };
 pub use special::{BandSet, DenseRuns, RowRuns};

@@ -20,7 +20,7 @@
 //!   rejecting non-triangular or diagonal-deficient inputs with a typed
 //!   [`SolveBuildError`];
 //! * [`split_triangular`] — extract the `L + D` / `D + U` halves (and
-//!   their strict counterparts) a SymGS sweep is composed from, with
+//!   the strict upper half `U`) a SymGS sweep is composed from, with
 //!   value refresh so one split serves many value updates;
 //! * [`sptrsv_seq`] / [`symgs_seq`] — the sequential references every
 //!   parallel execution is compared against **bit for bit**: the
@@ -182,6 +182,21 @@ pub fn level_order<T: Scalar>(
     a: &CsrMatrix<T>,
     dir: SolveDirection,
 ) -> Result<(Vec<u32>, Vec<usize>), SolveBuildError> {
+    level_order_with_offdiag(a, dir).map(|(rows, starts, _)| (rows, starts))
+}
+
+/// A level schedule as [`level_order_with_offdiag`] returns it: rows in
+/// level order, each level's start, and each listed row's off-diagonal
+/// count.
+pub type LevelOrder = (Vec<u32>, Vec<usize>, Vec<u32>);
+
+/// [`level_order`] plus the off-diagonal count of each row it lists —
+/// stored entries minus diagonal entries, aligned with the returned
+/// rows — which the level pass counts as it reads every entry anyway.
+pub fn level_order_with_offdiag<T: Scalar>(
+    a: &CsrMatrix<T>,
+    dir: SolveDirection,
+) -> Result<LevelOrder, SolveBuildError> {
     // The level pass below checks the `check_solvable` premises as it
     // goes; on a defect, `check_solvable` names the first one in row
     // order, whichever the traversal met first.
@@ -195,15 +210,17 @@ pub fn level_order<T: Scalar>(
         SolveDirection::Backward => m - 1 - t,
     };
     let mut level = vec![0u32; m];
+    let mut offdiag = vec![0u32; m];
     let mut counts: Vec<usize> = Vec::new();
     for t in 0..m {
         let i = row_at(t);
         let mut l = 0u32;
-        let mut has_diag = false;
-        for &c in a.row(i).0 {
+        let cols = a.row(i).0;
+        let mut n_diag = 0;
+        for &c in cols {
             let ci = c as usize;
             if ci == i {
-                has_diag = true;
+                n_diag += 1;
             } else if dir.is_dependency(i, ci) && ci < m {
                 // A same-direction dependency: level[ci] is final.
                 l = l.max(level[ci] + 1);
@@ -211,10 +228,11 @@ pub fn level_order<T: Scalar>(
                 return Err(defect());
             }
         }
-        if !has_diag {
+        if n_diag == 0 {
             return Err(defect());
         }
         level[i] = l;
+        offdiag[i] = (cols.len() - n_diag) as u32;
         // A level is at most one past the deepest seen so far.
         if l as usize == counts.len() {
             counts.push(0);
@@ -228,13 +246,15 @@ pub fn level_order<T: Scalar>(
     }
     let mut next = starts[..starts.len() - 1].to_vec();
     let mut rows = vec![0u32; m];
+    let mut row_offdiag = vec![0u32; m];
     for t in 0..m {
         let i = row_at(t);
         let slot = &mut next[level[i] as usize];
         rows[*slot] = i as u32;
+        row_offdiag[*slot] = offdiag[i];
         *slot += 1;
     }
-    Ok((rows, starts))
+    Ok((rows, starts, row_offdiag))
 }
 
 /// Sequential sparse triangular solve: `a * x = b` with `a` triangular
@@ -290,17 +310,18 @@ pub fn sptrsv_seq<T: Scalar>(
     Ok(())
 }
 
-/// The four triangular views of a square matrix `A = L + D + U` a SymGS
+/// The three triangular views of a square matrix `A = L + D + U` a SymGS
 /// sweep is composed from: the solvable halves `L + D` and `D + U`, and
-/// the strict halves `L` and `U` used for the residual SpMVs. The split
-/// is structural and done once; [`TriangularHalves::ensure_values`]
-/// refreshes the copied values in O(nnz) when the source matrix's
-/// values change (same pattern, new numbers).
+/// the strict upper half `U` its residual SpMV reads. (The strict lower
+/// half is not stored: the sweep's forward solve forms `L·x` from the
+/// `L + D` entries it already reads.) The split is structural and done
+/// once; [`TriangularHalves::ensure_values`] refreshes the copied values
+/// in O(nnz) when the source matrix's values change (same pattern, new
+/// numbers).
 #[derive(Debug)]
 pub struct TriangularHalves<T: Scalar> {
     lower: CsrMatrix<T>,
     upper: CsrMatrix<T>,
-    strict_lower: CsrMatrix<T>,
     strict_upper: CsrMatrix<T>,
     src_values_id: u64,
 }
@@ -316,11 +337,6 @@ impl<T: Scalar> TriangularHalves<T> {
         &self.upper
     }
 
-    /// The strictly-lower half `L` (no diagonal).
-    pub fn strict_lower(&self) -> &CsrMatrix<T> {
-        &self.strict_lower
-    }
-
     /// The strictly-upper half `U` (no diagonal).
     pub fn strict_upper(&self) -> &CsrMatrix<T> {
         &self.strict_upper
@@ -329,8 +345,8 @@ impl<T: Scalar> TriangularHalves<T> {
     /// Whether `a` has exactly the pattern these halves were split from:
     /// the same shape, and every row's entries on or below the diagonal
     /// are the `L + D` row, those on or above it the `D + U` row, column
-    /// for column in storage order (the strict halves are those rows
-    /// without the diagonal). O(nnz), exact — the column order counts,
+    /// for column in storage order (the strict upper half is the `D + U`
+    /// rows without the diagonal). O(nnz), exact — the column order counts,
     /// because the refresh routes values by it and the solves subtract
     /// in it.
     pub fn is_split_of(&self, a: &CsrMatrix<T>) -> bool {
@@ -358,8 +374,7 @@ impl<T: Scalar> TriangularHalves<T> {
     /// No per-entry position map is kept: the refresh walks `a`'s rows
     /// in storage order and routes each entry exactly as
     /// [`split_triangular`]'s fill pass did — a diagonal entry to `L + D`
-    /// and `D + U`, `c < i` to `L + D` and `L`, `c > i` to `D + U` and
-    /// `U` — so each half's cursor lands on the slot the split gave that
+    /// and `D + U`, `c < i` to `L + D`, `c > i` to `D + U` and `U` — so each half's cursor lands on the slot the split gave that
     /// entry. A matrix whose rows route differently (a different
     /// pattern) gets wrong values, never an out-of-bounds write: every
     /// write is to a slot that exists.
@@ -369,9 +384,8 @@ impl<T: Scalar> TriangularHalves<T> {
         }
         let ld = self.lower.values_mut();
         let du = self.upper.values_mut();
-        let l = self.strict_lower.values_mut();
         let u = self.strict_upper.values_mut();
-        let (mut kld, mut kdu, mut kl, mut ku) = (0usize, 0usize, 0usize, 0usize);
+        let (mut kld, mut kdu, mut ku) = (0usize, 0usize, 0usize);
         let put = |half: &mut [T], k: &mut usize, v: T| {
             if let Some(slot) = half.get_mut(*k) {
                 *slot = v;
@@ -387,7 +401,6 @@ impl<T: Scalar> TriangularHalves<T> {
                     put(du, &mut kdu, v);
                 } else if ci < i {
                     put(ld, &mut kld, v);
-                    put(l, &mut kl, v);
                 } else {
                     put(du, &mut kdu, v);
                     put(u, &mut ku, v);
@@ -399,7 +412,7 @@ impl<T: Scalar> TriangularHalves<T> {
     }
 }
 
-/// Split a square matrix with a full structural diagonal into its four
+/// Split a square matrix with a full structural diagonal into its three
 /// triangular views (see [`TriangularHalves`]). Rejects non-square
 /// inputs and rows without a diagonal entry — SymGS divides by the
 /// diagonal, so a missing entry is a build error, not a runtime NaN.
@@ -415,8 +428,8 @@ pub fn split_triangular<T: Scalar>(
     let m = a.n_rows();
     // Counting pass: each half's row pointers (and the missing-diagonal
     // check), so the fill pass below writes into exactly-sized buffers.
-    // Halves: 0 = L + D, 1 = D + U, 2 = L, 3 = U.
-    let mut row_ptrs: [Vec<usize>; 4] = std::array::from_fn(|_| {
+    // Halves: 0 = L + D, 1 = D + U, 2 = U.
+    let mut row_ptrs: [Vec<usize>; 3] = std::array::from_fn(|_| {
         let mut p = Vec::with_capacity(m + 1);
         p.push(0);
         p
@@ -437,10 +450,7 @@ pub fn split_triangular<T: Scalar>(
             return Err(SolveBuildError::MissingDiagonal { row: i });
         }
         let diag = a.row_ptr()[i + 1] - below - above;
-        for (p, end) in row_ptrs
-            .iter_mut()
-            .zip([below + diag, diag + above, below, above])
-        {
+        for (p, end) in row_ptrs.iter_mut().zip([below + diag, diag + above, above]) {
             p.push(end);
         }
     }
@@ -473,22 +483,20 @@ pub fn split_triangular<T: Scalar>(
                 halves[1].push(c, v);
             } else if ci < i {
                 halves[0].push(c, v);
-                halves[2].push(c, v);
             } else {
                 halves[1].push(c, v);
-                halves[3].push(c, v);
+                halves[2].push(c, v);
             }
         }
     }
     // Each half is a row-order subsequence of `a`'s entries with
     // exactly-counted row pointers, so `a`'s CSR invariants carry over
     // and need no second validation scan.
-    let [lower, upper, strict_lower, strict_upper] =
+    let [lower, upper, strict_upper] =
         halves.map(|h| CsrMatrix::from_parts_unchecked(m, m, h.row_ptr, h.cols, h.vals));
     Ok(TriangularHalves {
         lower,
         upper,
-        strict_lower,
         strict_upper,
         src_values_id: a.values_id(),
     })
@@ -531,9 +539,18 @@ pub fn symgs_seq_halves<T: Scalar>(
         *ri = bi - *ri;
     }
     sptrsv_seq(halves.lower(), SolveDirection::Forward, &r, x)?;
-    halves.strict_lower().spmv_seq(x, &mut r)?;
-    for (ri, &bi) in r.iter_mut().zip(b) {
-        *ri = bi - *ri;
+    // `L·x` from the `L + D` rows with the diagonal skipped: the same
+    // storage-order multiply-add chain as `spmv_seq` of the strict half.
+    let lower = halves.lower();
+    for (i, (ri, &bi)) in r.iter_mut().zip(b).enumerate() {
+        let (cols, vals) = lower.row(i);
+        let mut lx = T::ZERO;
+        for (&c, &v) in cols.iter().zip(vals) {
+            if c as usize != i {
+                lx = v.mul_add_(x[c as usize], lx);
+            }
+        }
+        *ri = bi - lx;
     }
     sptrsv_seq(halves.upper(), SolveDirection::Backward, &r, x)?;
     Ok(())
@@ -741,9 +758,9 @@ mod tests {
         let mut a = gen::banded::<f64>(80, 3, 11);
         let mut halves = split_triangular(&a).unwrap();
         assert_eq!(
-            halves.strict_lower().nnz() + halves.upper().nnz(),
-            a.nnz(),
-            "L plus (D + U) must cover every entry once"
+            halves.lower().nnz() + halves.upper().nnz(),
+            a.nnz() + a.n_rows(),
+            "(L + D) plus (D + U) must cover every entry once, the diagonal twice"
         );
         assert_eq!(halves.lower().nnz() + halves.strict_upper().nnz(), a.nnz());
         assert!(!halves.ensure_values(&a), "fresh split must be in sync");
@@ -783,7 +800,6 @@ mod tests {
         for (got, want) in [
             (halves.lower(), fresh.lower()),
             (halves.upper(), fresh.upper()),
-            (halves.strict_lower(), fresh.strict_lower()),
             (halves.strict_upper(), fresh.strict_upper()),
         ] {
             assert_eq!(got, want, "a refresh must equal a fresh split");
