@@ -380,7 +380,7 @@ pub fn shrink_guard_lint() -> Result<(), String> {
 ///    generated must carry a family some [`BinFormat`] maps to and a
 ///    width the RHS blocker can choose — a registered-but-unreachable
 ///    micro-kernel is dead code the type system cannot flag.
-/// 3. **Uniqueness**: no two entries share a [`KernelKey`], so table
+/// 3. **Uniqueness**: no two entries share a `KernelKey`, so table
 ///    lookup is unambiguous.
 pub fn kernel_table_lint() -> Result<(), String> {
     use spmv_autotune::kernels::table::{kernel_table, lookup, KernelKey, RHS_WIDTHS};
@@ -444,7 +444,8 @@ pub fn kernel_table_lint() -> Result<(), String> {
 /// `run_len` rows sharing one scattered column list (values still
 /// differ per row), the shape the [`BinFormat::RowRunReuse`] gate
 /// exists for. Columns are scattered over 4000 columns, and the
-/// row-run index stream demonstrably beats the packed `u32` slab.
+/// row-run index stream demonstrably beats the packed slab's (16-bit)
+/// column stream.
 pub fn row_run_matrix(n_runs: usize, run_len: usize, nnz_per_row: usize) -> CsrMatrix<f64> {
     let n_rows = n_runs * run_len;
     let n_cols = 4_000;

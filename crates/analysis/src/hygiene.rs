@@ -57,7 +57,7 @@ const LOOKBACK: usize = 12;
 
 /// Scan one file's source text. Returns a finding for every line using
 /// the `unsafe` keyword with no `SAFETY`/`# Safety` comment within
-/// [`LOOKBACK`] preceding lines (or on the line itself) — and, for
+/// `LOOKBACK` preceding lines (or on the line itself) — and, for
 /// `unsafe fn` declarations, a finding whenever the lookback window has
 /// no `# Safety` doc section, even if a `// SAFETY:` comment is present
 /// (the contract must be caller-visible in the docs).

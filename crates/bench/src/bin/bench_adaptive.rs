@@ -37,9 +37,10 @@ use std::time::Instant;
 /// a classifier that keeps suggesting.
 const MAX_ROUNDS: usize = 4;
 
-/// The oracle grid: plain CSR, packed `u32` slabs with and without
-/// cache blocking, and the full planner. The forced fast paths are left
-/// out (subsumed by `auto` on a banded input).
+/// The oracle grid: plain CSR, packed slabs (the `u32` tiers, named
+/// for their old column width) with and without cache blocking, and
+/// the full planner. The forced fast paths are left out (subsumed by
+/// `auto` on a banded input).
 fn oracle_tiers() -> Vec<(&'static str, PlanConfig)> {
     vec![
         (

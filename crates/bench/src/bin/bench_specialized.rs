@@ -1,7 +1,7 @@
 //! Specialized-kernel throughput report: times the structured subset of
 //! the Table II suite (the banded and block-coupled matrices, plus a
 //! power-law control the gate must decline) over every kernel-table
-//! tier — plain CSR, the packed `u32` slab with specialization off, the
+//! tier — plain CSR, the packed slab with specialization off, the
 //! forced dense-run and row-run fast paths, and the shipped gate with
 //! the full table — and emits `BENCH_specialized.json` with GFLOP/s
 //! (the median of interleaved trials, each trial listed), modelled
@@ -26,7 +26,8 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 /// The kernel-table tiers compared. `csr` is the pre-packing layout;
-/// `u32` is the packed slab with the structure fast paths and cache
+/// `packed` is the packed slab (16-bit columns up to 65 536 matrix
+/// columns, else 32-bit) with the structure fast paths and cache
 /// blocking switched off (the baseline the fast paths must beat);
 /// `dense-run` and `row-run` force one fast path each (banded tier
 /// disabled, thresholds lowered to the suite's run lengths, and for
@@ -44,7 +45,7 @@ fn tiers() -> Vec<(&'static str, PlanConfig)> {
             },
         ),
         (
-            "u32",
+            "packed",
             PlanConfig {
                 cache_block: false,
                 specialize: false,

@@ -187,12 +187,12 @@ impl<T: Scalar> ExecBackend<T> for SimGpuBackend {
 
     /// Per-bin launches priced with the index-stream discount: a bin
     /// whose payload moves fewer index bytes than the `nnz × 4` the
-    /// functional CSR pricing charged — a structure-specialized tier
-    /// whose metadata (run descriptors, diagonal offsets, one column
-    /// pattern per row run) replaces per-element indices — has the
-    /// saved bytes subtracted from its modelled traffic (bandwidth-bound
-    /// kernel times scale down with the bytes; compute-bound times are
-    /// left alone).
+    /// functional CSR pricing charged — a packed slab of 16-bit columns,
+    /// or a structure-specialized tier whose metadata (run descriptors,
+    /// diagonal offsets, one column pattern per row run) replaces
+    /// per-element indices — has the saved bytes subtracted from its
+    /// modelled traffic (bandwidth-bound kernel times scale down with the
+    /// bytes; compute-bound times are left alone).
     /// Execution stays per-bin and functional — only the price changes.
     fn launch_plan(
         &self,
@@ -208,9 +208,11 @@ impl<T: Scalar> ExecBackend<T> for SimGpuBackend {
                 BinPayload::DenseRun(runs) => Some(runs.index_stream_bytes()),
                 BinPayload::Banded(band) => Some(band.index_stream_bytes()),
                 BinPayload::RowRun(rr) => Some(rr.index_stream_bytes()),
-                // A packed slab streams one u32 per slot, never fewer
-                // than the nnz × 4 already charged.
-                BinPayload::Packed(_) | BinPayload::Csr | BinPayload::Blocked { .. } => None,
+                // One column per slot at the slab's width: padding can
+                // outweigh the 16-bit saving, and a 32-bit slab never
+                // streams fewer than the nnz × 4 already charged.
+                BinPayload::Packed(packed) => Some(packed.index_stream_bytes()),
+                BinPayload::Csr | BinPayload::Blocked { .. } => None,
             };
             if let Some(bytes) = streamed {
                 let saved = (d.nnz * std::mem::size_of::<u32>()).saturating_sub(bytes);

@@ -623,13 +623,14 @@ impl<T> SliceWriter<T> {
 }
 
 /// Raw shared-write window over a row-major output block: the batched
-/// counterpart of [`SliceWriter`]. Writes land at `row * stride + col`;
-/// soundness comes from the (tile × RHS-block) disjointness proof — each
-/// work item owns a disjoint (row set × column range) rectangle.
+/// counterpart of the crate-private `SliceWriter`. Writes land at
+/// `row * stride + col`; soundness comes from the (tile × RHS-block)
+/// disjointness proof — each work item owns a disjoint (row set ×
+/// column range) rectangle.
 ///
 /// Public only because it appears in [`crate::kernels::table::BatchArgs`]
 /// (so the registry's fn-pointer type is nameable outside the crate);
-/// the fields and both constructors ([`BlockWriter::new`] /
+/// the fields and both constructors (`BlockWriter::new` /
 /// `SliceWriter::as_block`) stay crate-private, so every instance is
 /// born inside an executor that owns the disjointness argument —
 /// external code can inspect the registry but never invoke a kernel.

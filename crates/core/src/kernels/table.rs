@@ -3,7 +3,7 @@
 //! width/KB `match` ladders that used to live in [`cpu`].
 //!
 //! One kernel *family* per payload shape, instantiated at every
-//! register-blocked RHS width in [`RHS_WIDTHS`] by [`kernel_table!`]'s
+//! register-blocked RHS width in [`RHS_WIDTHS`] by `kernel_table!`'s
 //! nested expansion — adding a family or a width is one token in the
 //! macro invocation, never a new `match` arm. Plan compilation asserts
 //! registry coverage for every format it emits

@@ -374,9 +374,6 @@ pub struct PlanConfig {
     /// Maximum `slots / nnz` storage blow-up a packed bin may have;
     /// above it the bin falls back to CSR (the padding-overflow gate).
     pub max_padding: f64,
-    /// Bins containing a row longer than this stay CSR — long rows
-    /// neither suffer per-row overhead nor pack well.
-    pub max_row_nnz: usize,
     /// Target non-zeros per tile; `0` sizes tiles so each worker sees
     /// several per launch (min 4096 so tiny matrices stay one tile).
     pub tile_nnz: usize,
@@ -423,7 +420,6 @@ impl Default for PlanConfig {
             pack: true,
             chunk: 0,
             max_padding: 1.25,
-            max_row_nnz: 512,
             tile_nnz: 0,
             cache_block: true,
             l2_bytes: 256 * 1024,
@@ -446,7 +442,7 @@ impl Default for PlanConfig {
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct PlanConfigKey {
     flags: [bool; 3],
-    sizes: [usize; 8],
+    sizes: [usize; 7],
     floats: [u64; 2],
 }
 
@@ -457,7 +453,6 @@ impl PlanConfig {
             flags: [self.pack, self.cache_block, self.specialize],
             sizes: [
                 self.chunk,
-                self.max_row_nnz,
                 self.tile_nnz,
                 self.l2_bytes,
                 self.llc_bytes,
@@ -475,17 +470,20 @@ impl PlanConfig {
 
 /// Bytes one execution of a plan must move from memory, broken down by
 /// payload stream — the observability counterpart of the format gate.
-/// Packed bins charge one `u32` column per slot (padding included); CSR
-/// and blocked bins charge `nnz × 4` index bytes. `x_gather_bytes` is the
-/// cache-line-granular estimate of gather traffic derived from the
-/// matrix's measured distinct-lines-per-row feature — an estimate of
-/// compulsory misses, not a bound (reuse across rows may reduce it,
-/// capacity misses may raise it).
+/// Packed bins charge one column per slot at the slab's width — 2 bytes
+/// up to [`spmv_sparse::packed::NARROW_MAX_COLS`] matrix columns, else 4
+/// — padding included; CSR and blocked bins charge `nnz × 4` index
+/// bytes. `x_gather_bytes` is the cache-line-granular estimate of
+/// gather traffic derived from the matrix's measured
+/// distinct-lines-per-row feature — an estimate of compulsory misses,
+/// not a bound (reuse across rows may reduce it, capacity misses may
+/// raise it).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TrafficStats {
     /// Matrix value bytes (packed slabs charge padding slots too).
     pub value_bytes: usize,
-    /// Column-index bytes (one `u32` per slot for packed bins).
+    /// Column-index bytes (one column per slot, at the slab's width, for
+    /// packed bins).
     pub index_bytes: usize,
     /// Estimated `x` gather traffic at cache-line granularity.
     pub x_gather_bytes: usize,
@@ -946,17 +944,18 @@ fn traffic_of<T: Scalar>(
 ///    average length ≥ [`PlanConfig::min_dense_run`]: near-zero index
 ///    traffic (two words per run).
 /// 3. The SELL gate: packing must be enabled, the bin must have enough
-///    rows to fill lanes, no row may exceed the dense-row bound, the
-///    `u32` source map must suffice, and the realised padding must stay
-///    under [`PlanConfig::max_padding`] — otherwise the bin falls back to
-///    CSR.
+///    rows to fill lanes, its row lengths must fit `u32`, and the
+///    realised padding must stay under [`PlanConfig::max_padding`] —
+///    otherwise the bin falls back to CSR. A long row alone does not
+///    keep a bin CSR: it is one lane of its chunk, and the padding gate
+///    already charges whatever its chunk wastes.
 /// 4. [`BinFormat::RowRunReuse`] — probed only in the row-run regime
 ///    (the matrix's streamed operand set outgrows
 ///    [`PlanConfig::llc_bytes`], so index bandwidth is the bottleneck)
 ///    against the packed candidate the SELL gate just built: it wins
 ///    exactly when its modelled index stream is *strictly* smaller than
-///    the packed `u32` stream; ties keep [`BinFormat::PackedSell`] (the
-///    SIMD-friendlier layout).
+///    the packed column stream (at the slab's width); ties keep
+///    [`BinFormat::PackedSell`] (the SIMD-friendlier layout).
 /// 5. CSR-fallback bins pass through the scatter axis: when cache
 ///    blocking is enabled, the rows are column-sorted, `x` outgrows the
 ///    [`PlanConfig::l2_bytes`] budget, and the bin's measured column
@@ -966,8 +965,8 @@ fn traffic_of<T: Scalar>(
 ///
 /// The structure probes (1, 2, 4) run only with
 /// [`PlanConfig::specialize`] on; they deliberately sit *outside* the
-/// `pack`/`max_row_nnz` gates — a long-row banded bin is still banded —
-/// but share the ≥ 4 row floor and `u32` source-map bound.
+/// `pack` gate — a banded bin stays banded with packing off — but share
+/// the ≥ 4 row floor and the `u32` bound on the non-zero count.
 fn choose_format<T: Scalar>(
     a: &CsrMatrix<T>,
     rows: &[u32],
@@ -988,14 +987,6 @@ fn choose_format<T: Scalar>(
         }
     }
     if !config.pack || rows.len() < 4 || a.nnz() >= u32::MAX as usize {
-        return csr_fallback(a, rows, config);
-    }
-    let max_nnz = rows
-        .iter()
-        .map(|&r| a.row_nnz(r as usize))
-        .max()
-        .unwrap_or(0);
-    if max_nnz > config.max_row_nnz {
         return csr_fallback(a, rows, config);
     }
     let chunk = match config.chunk {
@@ -1364,6 +1355,42 @@ mod tests {
             strategy,
             Box::new(SimGpuBackend::new(GpuDevice::kaveri())),
         )
+    }
+
+    #[test]
+    fn a_bin_with_a_row_over_512_entries_packs() {
+        // 96 rows of 600–700 entries and one of 1 400 in one bin: the
+        // long row is one lane of a chunk, and the padding gate, not
+        // its length, decides.
+        let mut coo = spmv_sparse::CooMatrix::<f64>::new(97, 2_000);
+        for r in 0..97usize {
+            let len = if r == 40 { 1_400 } else { 600 + (r * 37) % 101 };
+            for j in 0..len {
+                coo.push(r, (r * 13 + j * 7) % 2_000, ((r + j) % 11) as f64 - 5.0);
+            }
+        }
+        let a = coo.to_csr();
+        assert!(a.row_nnz(40) > 512);
+        let plan = SpmvPlan::compile(
+            &a,
+            Strategy {
+                binning: BinningScheme::Single,
+                kernels: vec![KernelId::Serial],
+            },
+            Box::new(NativeCpuBackend::new()),
+        );
+        assert_eq!(plan.dispatch().len(), 1);
+        assert!(
+            matches!(plan.dispatch()[0].format, BinFormat::PackedSell { .. }),
+            "long-row bin stayed {:?}",
+            plan.dispatch()[0].format
+        );
+        let v: Vec<f64> = (0..a.n_cols()).map(|i| (i % 9) as f64 - 4.0).collect();
+        let reference = a.spmv_seq_alloc(&v).unwrap();
+        let verified = plan.verify(&a).expect("long-row packed plan verifies");
+        let mut u = vec![f64::NAN; a.n_rows()];
+        verified.execute_unchecked(&a, &v, &mut u).unwrap();
+        assert_eq!(u, reference);
     }
 
     #[test]

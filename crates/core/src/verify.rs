@@ -107,6 +107,12 @@ pub enum VerifyError {
         kernel: KernelId,
         /// What property failed.
         detail: String,
+        /// The slab proof's defect class when the packed layout itself
+        /// failed ([`PackedSell::check_against`]); `None` when the
+        /// payload table or the recorded format disagrees.
+        ///
+        /// [`PackedSell::check_against`]: spmv_sparse::PackedSell::check_against
+        defect: Option<spmv_sparse::DefectKind>,
     },
     /// A bin's cache-blocked execution premise is broken: the recorded
     /// strip width disagrees with the payload, the strip width is zero
@@ -307,6 +313,7 @@ impl std::fmt::Display for VerifyError {
                 bin_id,
                 kernel,
                 detail,
+                ..
             } => write!(
                 f,
                 "bin {bin_id} ({kernel}): packed payload invalid: {detail}"
@@ -467,12 +474,13 @@ pub fn check_dispatch<T: Scalar>(
 ///    entry's materialised payload matches the recorded [`BinFormat`]
 ///    (a `PackedSell` format with a CSR payload — or vice versa — means
 ///    the plan would execute a different format than it reports);
-/// 2. every packed payload mirrors its bin exactly: same row set (each
-///    row once, in its sort window), lengths non-increasing within each
-///    window, consistent chunk offsets, every
-///    non-padding slot pointing at the CSR entry it claims, every
-///    padding slot marked
-///    ([`spmv_sparse::packed::PackedSell::check_against`]);
+/// 2. every packed payload mirrors its bin exactly: the slab's column
+///    width is the one `n_cols` selects, same row set (each row once, in
+///    its sort window), chunk offsets that tile the slab with no lane
+///    running past its chunk, lane lengths equal to the CSR row lengths
+///    (so no lane reads padding) and non-increasing within each window,
+///    and every lane's slots holding its CSR row's columns in storage
+///    order ([`spmv_sparse::packed::PackedSell::check_against`]);
 /// 3. the fused tile queue partitions each bin's work — chunk ranges
 ///    for packed bins, row-list spans for CSR bins — with no overlap, no
 ///    gap, and no overrun. An empty queue passes only for an empty
@@ -498,6 +506,7 @@ pub fn check_payloads<T: Scalar>(
                 payloads.len(),
                 dispatch.len()
             ),
+            defect: None,
         });
     }
     for (d, p) in dispatch.iter().zip(payloads) {
@@ -512,16 +521,18 @@ pub fn check_payloads<T: Scalar>(
                             "recorded chunk {chunk} != payload chunk {}",
                             packed.chunk()
                         ),
+                        defect: None,
                     });
                 }
                 // check_against re-proves the gather bound: every slab
                 // column equals its CSR column and stays inside
                 // [0, n_cols).
-                packed.check_against(a, &d.rows).map_err(|detail| {
+                packed.check_against(a, &d.rows).map_err(|defect| {
                     VerifyError::PackedPayloadInvalid {
                         bin_id: d.bin_id,
                         kernel: d.kernel,
-                        detail,
+                        defect: Some(defect.kind),
+                        detail: defect.detail,
                     }
                 })?;
             }
@@ -609,6 +620,7 @@ pub fn check_payloads<T: Scalar>(
                     bin_id: d.bin_id,
                     kernel: d.kernel,
                     detail: format!("recorded format {format} but payload is {have}"),
+                    defect: None,
                 });
             }
         }

@@ -1,4 +1,5 @@
-//! Bandwidth-tier execution suite: the packed `u32` column slab and
+//! Bandwidth-tier execution suite: the packed column slab (16- or
+//! 32-bit by the matrix's column count) and
 //! cache-blocked scatter execution must be **bit-for-bit** identical to
 //! the sequential CSR reference across value-only refreshes after
 //! `sort_rows` and scatter-heavy generators, the traffic model must
@@ -8,7 +9,8 @@
 use spmv_autotune::prelude::*;
 use spmv_sparse::gen;
 use spmv_sparse::gen::mixture::RowRegime;
-use spmv_sparse::{CsrMatrix, PackedSell};
+use spmv_sparse::packed::NARROW_MAX_COLS;
+use spmv_sparse::{CsrMatrix, PackedSell, SlabTamper};
 
 fn native_plan(a: &CsrMatrix<f64>, strategy: Strategy, config: PlanConfig) -> SpmvPlan<f64> {
     SpmvPlan::compile_with(a, strategy, Box::new(NativeCpuBackend::new()), config)
@@ -251,54 +253,191 @@ fn column_shrink_invalidates_the_plan() {
     );
 }
 
-/// Every packed slab streams exactly one `u32` column per slot — no
-/// per-chunk base word — at each auto chunk height, and the plan's
-/// traffic model charges exactly that for each packed bin (CSR bins
-/// `nnz × 4`).
+/// Every packed slab streams exactly one column per slot at the slab's
+/// width — 2 bytes when the matrix has at most `NARROW_MAX_COLS`
+/// columns, else 4, with no per-chunk base word — at each chunk height,
+/// and the plan's traffic model charges exactly that for each packed
+/// bin (CSR bins `nnz × 4`).
 #[test]
-fn packed_index_stream_is_one_u32_per_slot() {
-    let a = gen::mixture::<f64>(
-        3_000,
-        3_200,
-        &[RowRegime::new(1, 4, 0.5), RowRegime::new(6, 20, 0.5)],
-        true,
-        21,
-    );
-    let rows: Vec<u32> = (0..a.n_rows() as u32).collect();
-    for chunk in [2, 4, 8] {
-        let packed = PackedSell::from_rows(&a, &rows, chunk);
-        assert!(
-            packed.n_chunks() > 1,
-            "chunk {chunk}: one chunk proves nothing"
+fn packed_index_stream_is_one_column_per_slot_at_the_slab_width() {
+    for (n_cols, col_bytes) in [(3_200, 2), (NARROW_MAX_COLS + 4_000, 4)] {
+        let a = gen::mixture::<f64>(
+            3_000,
+            n_cols,
+            &[RowRegime::new(1, 4, 0.5), RowRegime::new(6, 20, 0.5)],
+            true,
+            21,
         );
-        assert_eq!(
-            packed.index_stream_bytes(),
-            4 * packed.slots(),
-            "chunk {chunk}"
-        );
+        let rows: Vec<u32> = (0..a.n_rows() as u32).collect();
+        for chunk in [2, 4, 8] {
+            let packed = PackedSell::from_rows(&a, &rows, chunk);
+            assert!(
+                packed.n_chunks() > 1,
+                "chunk {chunk}: one chunk proves nothing"
+            );
+            assert_eq!(packed.col_bytes(), col_bytes, "n_cols {n_cols}");
+            assert_eq!(
+                packed.index_stream_bytes(),
+                col_bytes * packed.slots(),
+                "n_cols {n_cols} chunk {chunk}"
+            );
 
-        let plan = native_plan(
-            &a,
-            coarse(KernelId::Serial),
-            PlanConfig {
-                chunk,
-                max_padding: 8.0,
-                cache_block: false,
-                specialize: false,
-                ..PlanConfig::default()
-            },
-        );
-        let mut expected = 0usize;
-        for (d, p) in plan.dispatch().iter().zip(plan.payloads()) {
-            expected += match p {
-                BinPayload::Packed(packed) => {
-                    assert_eq!(d.format, BinFormat::PackedSell { chunk });
-                    4 * packed.slots()
-                }
-                _ => 4 * d.nnz,
-            };
+            let plan = native_plan(
+                &a,
+                coarse(KernelId::Serial),
+                PlanConfig {
+                    chunk,
+                    max_padding: 8.0,
+                    cache_block: false,
+                    specialize: false,
+                    ..PlanConfig::default()
+                },
+            );
+            let mut expected = 0usize;
+            for (d, p) in plan.dispatch().iter().zip(plan.payloads()) {
+                expected += match p {
+                    BinPayload::Packed(packed) => {
+                        assert_eq!(d.format, BinFormat::PackedSell { chunk });
+                        col_bytes * packed.slots()
+                    }
+                    _ => 4 * d.nnz,
+                };
+            }
+            assert!(plan.packed_bins() >= 1, "chunk {chunk}: nothing packed");
+            assert_eq!(
+                plan.traffic().index_bytes,
+                expected,
+                "n_cols {n_cols} chunk {chunk}"
+            );
         }
-        assert!(plan.packed_bins() >= 1, "chunk {chunk}: nothing packed");
-        assert_eq!(plan.traffic().index_bytes, expected, "chunk {chunk}");
+    }
+}
+
+/// `m` rows over `n_cols` columns, 2–12 entries per row spread over the
+/// whole column range, stored unsorted, with the last column present in
+/// every seventh row.
+fn spread(m: usize, n_cols: usize, seed: u64) -> CsrMatrix<f64> {
+    let mut coo = spmv_sparse::CooMatrix::<f64>::new(m, n_cols);
+    let mut s = seed;
+    for r in 0..m {
+        for j in 0..2 + (r * 5 + seed as usize) % 11 {
+            s = s
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let c = if r % 7 == 0 && j == 1 {
+                n_cols - 1
+            } else {
+                ((s >> 33) % n_cols as u64) as usize
+            };
+            coo.push(r, c, ((r * 3 + j) % 19) as f64 * 0.5 - 4.5);
+        }
+    }
+    coo.to_csr()
+}
+
+/// The 16/32-bit boundary, bit for bit: `n_cols` = 65 536 with column
+/// 65 535 present packs 16-bit, 65 537 packs 32-bit. At chunk heights
+/// 2, 4 and 8 the plan's SpMV and its SpMM at every K in `1..=8` match
+/// `spmv_seq` per column on NaN-filled outputs, through the checked
+/// path and through `VerifiedPlan`'s unchecked one.
+#[test]
+fn width_boundary_is_bit_identical_at_both_slab_widths() {
+    for (n_cols, col_bytes) in [(NARROW_MAX_COLS, 2), (NARROW_MAX_COLS + 1, 4)] {
+        let a = spread(700, n_cols, 17);
+        assert!(a.col_idx().contains(&((n_cols - 1) as u32)));
+        let v: Vec<f64> = (0..n_cols).map(|i| ((i % 23) as f64) - 11.0).collect();
+        let reference = a.spmv_seq_alloc(&v).unwrap();
+        for chunk in [2, 4, 8] {
+            let label = format!("n_cols {n_cols} chunk {chunk}");
+            let plan = native_plan(
+                &a,
+                coarse(KernelId::Serial),
+                PlanConfig {
+                    chunk,
+                    max_padding: 8.0,
+                    specialize: false,
+                    ..PlanConfig::default()
+                },
+            );
+            let widths: Vec<usize> = plan
+                .payloads()
+                .iter()
+                .filter_map(|p| match p {
+                    BinPayload::Packed(packed) => Some(packed.col_bytes()),
+                    _ => None,
+                })
+                .collect();
+            assert!(!widths.is_empty(), "{label}: nothing packed");
+            assert!(
+                widths.iter().all(|&w| w == col_bytes),
+                "{label}: {widths:?}"
+            );
+
+            let mut u = vec![f64::NAN; a.n_rows()];
+            plan.execute(&a, &v, &mut u).unwrap();
+            assert_eq!(u, reference, "{label}: checked SpMV");
+            let verified = plan.verify(&a).expect("plan must verify");
+            let mut u = vec![f64::NAN; a.n_rows()];
+            verified.execute_unchecked(&a, &v, &mut u).unwrap();
+            assert_eq!(u, reference, "{label}: verified SpMV");
+            for k in 1..=8usize {
+                let mut x = spmv_autotune::DenseBlock::<f64>::zeros(n_cols, k);
+                x.fill_with(|i, j| (((i * 7 + j * 13) % 29) as f64) - 14.0);
+                let mut y = spmv_autotune::DenseBlock::<f64>::zeros(a.n_rows(), k);
+                y.fill_with(|_, _| f64::NAN);
+                verified.plan().execute_batch(&a, &x, &mut y).unwrap();
+                let mut yu = spmv_autotune::DenseBlock::<f64>::zeros(a.n_rows(), k);
+                yu.fill_with(|_, _| f64::NAN);
+                verified.execute_batch_unchecked(&a, &x, &mut yu).unwrap();
+                for j in 0..k {
+                    let rj = a.spmv_seq_alloc(&x.column(j)).unwrap();
+                    assert_eq!(y.column(j), rj, "{label}: checked SpMM K = {k} column {j}");
+                    assert_eq!(
+                        yu.column(j),
+                        rj,
+                        "{label}: verified SpMM K = {k} column {j}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// `check_payloads` rejects each unsound slab layout with the packed
+/// proof's typed defect, at both column widths.
+#[test]
+fn verify_names_the_defect_of_each_tampered_slab() {
+    for n_cols in [300, NARROW_MAX_COLS + 1] {
+        let a = spread(200, n_cols, 29);
+        let rows: Vec<u32> = (0..a.n_rows() as u32).collect();
+        let packed = PackedSell::from_rows(&a, &rows, 4);
+        let dispatch = vec![BinDispatch {
+            bin_id: 0,
+            kernel: KernelId::Serial,
+            rows,
+            nnz: a.nnz(),
+            format: BinFormat::PackedSell { chunk: 4 },
+        }];
+        let tiles = vec![Tile {
+            bin: 0,
+            start: 0,
+            end: packed.n_chunks(),
+        }];
+        for tamper in SlabTamper::ALL {
+            let bad = tamper
+                .apply(&packed)
+                .expect("a ragged payload has every site");
+            match check_payloads(&a, &dispatch, &[BinPayload::Packed(bad)], &tiles) {
+                Err(VerifyError::PackedPayloadInvalid { defect, .. }) => {
+                    assert_eq!(
+                        defect,
+                        Some(tamper.defect()),
+                        "{tamper:?} at n_cols {n_cols}"
+                    )
+                }
+                other => panic!("{tamper:?} at n_cols {n_cols} accepted: {other:?}"),
+            }
+        }
+        check_payloads(&a, &dispatch, &[BinPayload::Packed(packed)], &tiles).unwrap();
     }
 }

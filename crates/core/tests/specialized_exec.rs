@@ -442,7 +442,7 @@ fn gate_precedence_is_deterministic_and_knob_gated() {
 
 /// The specialized tiers' traffic accounting: a banded plan's modelled
 /// index stream is the offset list alone (bytes ≈ 8 × offsets), far
-/// below the packed `u32` slab, and the SimGpu pricing charges the
+/// below the packed slab's column stream, and the SimGpu pricing charges the
 /// reduction.
 #[test]
 fn specialized_traffic_is_modelled_and_priced() {

@@ -22,7 +22,7 @@
 //!   stamp; concurrent hits on one shard proceed in parallel, and hits
 //!   on different shards share nothing at all.
 //! * **Concurrent misses build once.** The first miss installs a
-//!   [`Flight`] slot and compiles outside every map lock; later misses
+//!   `Flight` slot and compiles outside every map lock; later misses
 //!   for the same key block on the flight's condvar and receive the
 //!   same `Arc`'d plan (or the same build error). N tenants cold-hitting
 //!   one matrix cost one compile, not N.

@@ -4,7 +4,7 @@
 //! bin can run a kernel shaped for its workload — but a bin stored as a
 //! CSR row list still pays one `row_ptr` lookup, one loop setup, and an
 //! irregular short inner loop per row. [`PackedSell`] removes that
-//! overhead for the low/mid-NNZ bins where it dominates:
+//! overhead for the bins where it dominates:
 //!
 //! * the bin's rows are sorted by NNZ descending — the "σ" sort — but
 //!   only within *windows* of [`SORT_WINDOW_CHUNKS`] chunks (`32·C`
@@ -27,23 +27,25 @@
 //!   per-row `mul_add_` order, no `0 · v[0]` terms that would break
 //!   `-0.0` sums or NaN-propagate from an infinite `v` entry).
 //!
-//! Every slot stores its absolute `u32` column beside its value. The
-//! column bound `col < n_cols` is proven at pack time and **re-proven at
-//! every slab refresh**, which is what licenses the unchecked `v[col]`
-//! gathers in the kernels. The dense phase also issues software
-//! prefetches for the gathered `x` elements a few unroll windows ahead
-//! when `x` is too large for L1 — the gather is the only irregular
-//! access left, so hiding its latency is where the remaining memory time
-//! goes.
+//! The slab holds two per-slot arrays: one column and one value per
+//! slot. Columns are `u16` when the source matrix has at most
+//! [`NARROW_MAX_COLS`] columns and `u32` otherwise — one width per slab,
+//! fixed by `n_cols`. A packed SpMV is bandwidth-bound (it streams the
+//! slab, while `x` usually stays cache-resident), so the narrower column
+//! stream is two bytes per slot the kernels do not move. The column
+//! bound `col < n_cols` is proven at pack time and **re-proven at every
+//! slab refresh**, which is what licenses the unchecked `v[col]` gathers
+//! in the kernels.
 //!
 //! Columns and values are cached in a slab keyed by
 //! [`CsrMatrix::values_id`], so a compiled plan executes with zero
-//! indirection in the steady state and transparently re-gathers the slab
-//! after a value update. Columns travel with the values because an
-//! in-place mutation such as [`CsrMatrix::sort_rows`] permutes the
-//! `(col, val)` pairs *within* each row without touching `row_ptr`: the
-//! positional `src` map stays valid, but both halves of each slot must
-//! be re-read or the slab would pair stale columns with fresh values.
+//! indirection in the steady state and re-gathers the slab after a value
+//! update. A refresh walks each packed row's CSR entries, in storage
+//! order, into its lane's slots. Columns travel with the values because
+//! an in-place mutation such as [`CsrMatrix::sort_rows`] permutes the
+//! `(col, val)` pairs *within* each row without touching `row_ptr`: both
+//! halves of each slot must be re-read or the slab would pair stale
+//! columns with fresh values.
 //!
 //! Storage padding is bounded: [`PackedSell::padding_ratio`] reports
 //! `slots / nnz`, and plan compilation falls back to the CSR row list
@@ -62,10 +64,73 @@ use std::sync::{PoisonError, RwLock};
 /// on L2-resident bins is lost again (DESIGN §7).
 pub const SORT_WINDOW_CHUNKS: usize = 32;
 
-/// Sentinel in the `src` map marking a padding slot (never read by the
-/// kernels; kept so [`refresh`](PackedSell::ensure_values) is branch-light
-/// and [`check_against`](PackedSell::check_against) can prove slab shape).
-pub const SRC_PAD: u32 = u32::MAX;
+/// The widest matrix whose slab stores `u16` columns: every column id
+/// of a matrix with at most this many columns fits 16 bits.
+pub const NARROW_MAX_COLS: usize = 1 << 16;
+
+/// A slab column id: `u16` or `u32`. Kernels and the refresh walk are
+/// generic over it and dispatched once per call.
+trait SlabCol: Copy {
+    /// Narrow a column the caller has proven `< n_cols`, where `n_cols`
+    /// selected this width.
+    fn from_col(c: u32) -> Self;
+    /// The column as an index.
+    fn idx(self) -> usize;
+}
+
+impl SlabCol for u16 {
+    #[inline(always)]
+    fn from_col(c: u32) -> Self {
+        c as u16
+    }
+    #[inline(always)]
+    fn idx(self) -> usize {
+        self as usize
+    }
+}
+
+impl SlabCol for u32 {
+    #[inline(always)]
+    fn from_col(c: u32) -> Self {
+        c
+    }
+    #[inline(always)]
+    fn idx(self) -> usize {
+        self as usize
+    }
+}
+
+/// The slab's column array at its one width.
+#[derive(Clone)]
+enum Cols {
+    Narrow(Vec<u16>),
+    Wide(Vec<u32>),
+}
+
+impl Cols {
+    /// `slots` zeroed columns at the width `n_cols` selects.
+    fn zeroed(n_cols: usize, slots: usize) -> Self {
+        if n_cols <= NARROW_MAX_COLS {
+            Cols::Narrow(vec![0; slots])
+        } else {
+            Cols::Wide(vec![0; slots])
+        }
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            Cols::Narrow(c) => c.len(),
+            Cols::Wide(c) => c.len(),
+        }
+    }
+
+    fn bytes(&self) -> usize {
+        match self {
+            Cols::Narrow(_) => 2,
+            Cols::Wide(_) => 4,
+        }
+    }
+}
 
 /// The cached (columns, values) slab and the generation it mirrors.
 /// Both halves live under one lock so readers always observe a coherent
@@ -77,7 +142,7 @@ struct ValueSlab<T> {
     /// slots hold `0`. Every non-padding column was asserted `< n_cols`
     /// when gathered, which is what licenses the unchecked `v[col]`
     /// gathers.
-    cols: Vec<u32>,
+    cols: Cols,
     /// One entry per storage slot; padding slots hold `T::ZERO`.
     vals: Vec<T>,
 }
@@ -89,18 +154,9 @@ struct ValueSlab<T> {
 /// fields private makes that unforgeable from safe code.
 #[derive(Clone, Copy)]
 pub struct SlabView<'a, T> {
-    cols: &'a [u32],
+    cols: &'a Cols,
     vals: &'a [T],
 }
-
-/// Threshold on `n_cols · sizeof(T)` above which the dense phase issues
-/// software prefetches for the gathered `x` elements: when `x` fits L1
-/// the hint is pure overhead, beyond it the gather is the dominant
-/// latency.
-const PF_MIN_X_BYTES: usize = 32 * 1024;
-
-/// How many dense unroll windows ahead the prefetch runs.
-const PF_DIST: usize = 4;
 
 /// Hint the CPU to pull `v[idx]` toward L1. Never reads memory, so any
 /// `idx` is fine (an out-of-range one is a wasted hint).
@@ -119,17 +175,132 @@ pub fn prefetch_read<T>(v: &[T], idx: usize) {
     let _ = (v, idx);
 }
 
+/// Which property of a [`PackedSell`] layout [`PackedSell::check_against`]
+/// found broken.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum DefectKind {
+    /// The payload's column count, or its slab's column width, disagrees
+    /// with the matrix: the gather bound proof would be about another
+    /// matrix, or columns would not fit their slots.
+    WidthMismatch,
+    /// The packed rows are not the bin's rows, each once and in the sort
+    /// window it was listed in.
+    RowSet,
+    /// A lane's length runs past its chunk's slots, so the lane would
+    /// read another chunk's slots as its own.
+    LaneOverrun,
+    /// A lane is longer than the CSR row it mirrors, so it claims a
+    /// padding slot as an entry.
+    PaddingClaimed,
+    /// Any other broken layout property: chunk offsets that do not tile
+    /// the slab, a lane shorter than its row, lanes out of length order
+    /// within a window, or a wrong cached non-zero count.
+    Layout,
+    /// A slab column differs from the CSR column it mirrors, or falls
+    /// outside `[0, n_cols)`.
+    ColumnMismatch,
+}
+
+/// A [`PackedSell`] defect: its kind and a description naming the chunk,
+/// lane or row. It reads as its description (`Deref<Target = str>`), so
+/// a report can print or search it like a message.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct PackedDefect {
+    /// What broke.
+    pub kind: DefectKind,
+    /// Where, in words.
+    pub detail: String,
+}
+
+/// `Err` with a [`PackedDefect`].
+fn fail<R>(kind: DefectKind, detail: impl Into<String>) -> Result<R, PackedDefect> {
+    Err(PackedDefect {
+        kind,
+        detail: detail.into(),
+    })
+}
+
+impl std::ops::Deref for PackedDefect {
+    type Target = str;
+    fn deref(&self) -> &str {
+        &self.detail
+    }
+}
+
+impl std::fmt::Display for PackedDefect {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(&self.detail)
+    }
+}
+
+impl std::error::Error for PackedDefect {}
+
+/// The unsound layouts [`PackedSell::check_against`] must reject, each
+/// built from an honest payload by [`apply`](Self::apply) for the tests
+/// of the prover and of plan verification.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum SlabTamper {
+    /// Lengthen the first lane of the first chunk by one: it runs past
+    /// the chunk's slots ([`DefectKind::LaneOverrun`]).
+    LaneOverrun,
+    /// Lengthen a lane shorter than the lane before it in its chunk by
+    /// one, so it claims a padding slot as an entry
+    /// ([`DefectKind::PaddingClaimed`]).
+    PaddingClaimed,
+    /// Store the slab's columns at the other width
+    /// ([`DefectKind::WidthMismatch`]).
+    WidthMismatch,
+}
+
+impl SlabTamper {
+    /// Every tamper, in declaration order.
+    pub const ALL: [Self; 3] = [Self::LaneOverrun, Self::PaddingClaimed, Self::WidthMismatch];
+
+    /// The defect [`PackedSell::check_against`] must report for this
+    /// tamper.
+    pub fn defect(self) -> DefectKind {
+        match self {
+            Self::LaneOverrun => DefectKind::LaneOverrun,
+            Self::PaddingClaimed => DefectKind::PaddingClaimed,
+            Self::WidthMismatch => DefectKind::WidthMismatch,
+        }
+    }
+
+    /// A copy of `packed` broken this way, or `None` when the payload
+    /// offers no site for it (no rows, or no ragged chunk).
+    pub fn apply<T: Scalar>(self, packed: &PackedSell<T>) -> Option<PackedSell<T>> {
+        let mut p = packed.clone();
+        match self {
+            Self::LaneOverrun => *p.lens.first_mut()? += 1,
+            Self::PaddingClaimed => {
+                let q =
+                    (1..p.lens.len()).find(|&q| q % p.chunk != 0 && p.lens[q] < p.lens[q - 1])?;
+                p.lens[q] += 1;
+            }
+            Self::WidthMismatch => {
+                let slab = p.vals.get_mut().unwrap_or_else(PoisonError::into_inner);
+                slab.cols = match &slab.cols {
+                    Cols::Narrow(c) => Cols::Wide(c.iter().map(|&c| u32::from(c)).collect()),
+                    Cols::Wide(c) => Cols::Narrow(c.iter().map(|&c| c as u16).collect()),
+                };
+            }
+        }
+        Some(p)
+    }
+}
+
 /// A row subset packed into length-sorted, column-major chunks of `C`
-/// lanes (SELL-C-σ with σ = [`SORT_WINDOW_CHUNKS`]` · C`), one `u32`
-/// column and one value per slot (see the module docs). Built once per
-/// sparsity pattern by plan compilation; executes many times.
+/// lanes (SELL-C-σ with σ = [`SORT_WINDOW_CHUNKS`]` · C`), one column —
+/// `u16` up to [`NARROW_MAX_COLS`] matrix columns, else `u32` — and one
+/// value per slot (see the module docs). Built once per sparsity pattern
+/// by plan compilation; executes many times.
 pub struct PackedSell<T: Scalar> {
     /// Lanes per chunk (`C`).
     chunk: usize,
     /// Column count of the source matrix. Every non-padding slot's
     /// column is validated against this bound each time the slab is
     /// gathered, which is what licenses the unchecked gathers in the
-    /// kernels.
+    /// kernels; it also fixes the slab's column width.
     n_cols: usize,
     /// Row ids in packed (window-sorted) order.
     rows: Vec<u32>,
@@ -137,8 +308,6 @@ pub struct PackedSell<T: Scalar> {
     lens: Vec<u32>,
     /// Slot offset of each chunk's slab; length `n_chunks + 1`.
     chunk_off: Vec<usize>,
-    /// CSR value positions per slot ([`SRC_PAD`] for padding slots).
-    src: Vec<u32>,
     /// Non-zeros actually stored (excluding padding slots).
     nnz: usize,
     /// Cached columns + values, refreshed together when the source
@@ -158,14 +327,13 @@ impl<T: Scalar> PackedSell<T> {
     /// # Panics
     ///
     /// Panics if `chunk == 0`, a row id is out of bounds, or `a.nnz()`
-    /// overflows the `u32` source map.
+    /// overflows the `u32` row lengths.
     pub fn from_rows(a: &CsrMatrix<T>, rows: &[u32], chunk: usize) -> Self {
         assert!(chunk > 0, "chunk size must be positive");
         assert!(
-            a.nnz() < SRC_PAD as usize,
-            "matrix too large for the u32 source map"
+            a.nnz() < u32::MAX as usize,
+            "matrix too large for u32 row lengths"
         );
-        let row_ptr = a.row_ptr();
         // Within each window of SORT_WINDOW_CHUNKS chunks — consecutive,
         // chunk-aligned runs of the input list — primary: NNZ descending
         // (the SELL length sort). Tie-break: minimum column, so
@@ -183,7 +351,7 @@ impl<T: Scalar> PackedSell<T> {
                 let (rcols, _) = a.row(r as usize);
                 let min_col = rcols.iter().copied().min().unwrap_or(u32::MAX);
                 // `!len` in the high word puts longer rows first; row
-                // lengths fit u32 (nnz < SRC_PAD is asserted above).
+                // lengths fit u32 (asserted above).
                 let len = rcols.len() as u32;
                 ((u64::from(!len) << 32) | u64::from(min_col), pos)
             })
@@ -207,27 +375,8 @@ impl<T: Scalar> PackedSell<T> {
             let lanes = (order.len() - lane0).min(chunk);
             // Widest lane first: windows are chunk-aligned and sorted
             // by length descending.
-            let width = lens[lane0] as usize;
-            slots += width * lanes;
+            slots += lens[lane0] as usize * lanes;
             chunk_off.push(slots);
-        }
-
-        let mut src = vec![SRC_PAD; slots];
-        for (c, &off) in chunk_off.iter().take(n_chunks).enumerate() {
-            let lane0 = c * chunk;
-            let lanes = (order.len() - lane0).min(chunk);
-            let width = lens[lane0] as usize;
-            for (lane, (&r, &len)) in order[lane0..lane0 + lanes]
-                .iter()
-                .zip(&lens[lane0..lane0 + lanes])
-                .enumerate()
-            {
-                let base = row_ptr[r as usize];
-                for j in 0..len as usize {
-                    src[off + j * lanes + lane] = (base + j) as u32;
-                }
-                debug_assert!(len as usize <= width);
-            }
         }
 
         let nnz: usize = lens.iter().map(|&l| l as usize).sum();
@@ -237,13 +386,12 @@ impl<T: Scalar> PackedSell<T> {
             rows: order,
             lens,
             chunk_off,
-            src,
             nnz,
             vals: RwLock::new(ValueSlab {
                 // `values_id` generations start at 1, so 0 always forces
                 // the gather below to populate cols + vals.
                 source: 0,
-                cols: vec![0; slots],
+                cols: Cols::zeroed(a.n_cols(), slots),
                 vals: vec![T::ZERO; slots],
             }),
         };
@@ -275,7 +423,7 @@ impl<T: Scalar> PackedSell<T> {
 
     /// Total storage slots including padding.
     pub fn slots(&self) -> usize {
-        self.src.len()
+        self.chunk_off[self.n_chunks()]
     }
 
     /// Storage blow-up of the packed layout: `slots / nnz` (`1.0` when
@@ -289,28 +437,38 @@ impl<T: Scalar> PackedSell<T> {
         }
     }
 
+    /// First lane and lane count of chunk `c`.
+    fn lanes_of(&self, c: usize) -> (usize, usize) {
+        let lane0 = c * self.chunk;
+        (lane0, (self.rows.len() - lane0).min(self.chunk))
+    }
+
     /// Non-zeros stored in chunk `c` (excluding padding) — the work
     /// estimate tile generation balances on.
     pub fn chunk_nnz(&self, c: usize) -> usize {
-        let lane0 = c * self.chunk;
-        let lanes = (self.rows.len() - lane0).min(self.chunk);
+        let (lane0, lanes) = self.lanes_of(c);
         self.lens[lane0..lane0 + lanes]
             .iter()
             .map(|&l| l as usize)
             .sum()
     }
 
-    /// Bytes of the column-index stream the kernels traverse: one `u32`
-    /// per slot, padding included.
-    pub fn index_stream_bytes(&self) -> usize {
-        self.slots() * std::mem::size_of::<u32>()
+    /// Bytes per slab column: 2 when the source matrix has at most
+    /// [`NARROW_MAX_COLS`] columns, else 4.
+    pub fn col_bytes(&self) -> usize {
+        self.slab_read().cols.bytes()
     }
 
-    /// Heap bytes of the packed arrays (src + slab cols + slab values +
+    /// Bytes of the column-index stream the kernels traverse: one column
+    /// of [`col_bytes`](Self::col_bytes) per slot, padding included.
+    pub fn index_stream_bytes(&self) -> usize {
+        self.slots() * self.col_bytes()
+    }
+
+    /// Heap bytes of the packed arrays (slab columns + slab values +
     /// index vectors).
     pub fn storage_bytes(&self) -> usize {
-        self.src.len() * std::mem::size_of::<u32>()
-            + self.index_stream_bytes()
+        self.index_stream_bytes()
             + self.slots() * T::BYTES
             + self.rows.len() * std::mem::size_of::<u32>()
             + self.lens.len() * std::mem::size_of::<u32>()
@@ -319,14 +477,14 @@ impl<T: Scalar> PackedSell<T> {
 
     /// Bring the cached slab up to date with `a`. O(1) when
     /// [`CsrMatrix::values_id`] matches the slab's source (the steady
-    /// state of an iterative solver); one O(slots) gather of columns and
-    /// values after a value update. Gathering both halves is what keeps
-    /// the slab correct across in-place mutations like
+    /// state of an iterative solver); one O(slots) walk after a value
+    /// update, which copies each packed row's CSR entries, in storage
+    /// order, into its lane's slots. Re-reading columns with the values
+    /// is what keeps the slab correct across in-place mutations like
     /// [`CsrMatrix::sort_rows`] that permute `(col, val)` pairs within a
-    /// row: the positional `src` map still points at the row's entries,
-    /// just in their new order. Callers must hand the same pattern
-    /// (`row_ptr`) the payload was packed from — plan validation
-    /// guarantees that.
+    /// row. Callers must hand the same pattern (`row_ptr`) the payload
+    /// was packed from — plan validation guarantees that; a row longer
+    /// than its lane has its surplus entries dropped.
     ///
     /// # Panics
     ///
@@ -346,21 +504,39 @@ impl<T: Scalar> PackedSell<T> {
         // Stale until the walk completes, should it panic midway (every
         // column it did write passed the bound check first).
         *source = 0;
-        let (a_cols, av) = (a.col_idx(), a.values());
-        for ((&s, col), val) in self.src.iter().zip(cols.iter_mut()).zip(vals.iter_mut()) {
-            if s == SRC_PAD {
-                *col = 0;
-                *val = T::ZERO;
-            } else {
-                let c = a_cols[s as usize];
-                // Refresh-time bound proof: the kernels gather `v[col]`
-                // without a per-element check.
-                assert!((c as usize) < self.n_cols, "CSR column {c} out of bounds");
-                *col = c;
-                *val = av[s as usize];
-            }
+        match cols {
+            Cols::Narrow(cols) => self.gather(cols, vals, a),
+            Cols::Wide(cols) => self.gather(cols, vals, a),
         }
         *source = want;
+    }
+
+    /// The refresh walk of [`ensure_values`](Self::ensure_values) at one
+    /// column width.
+    fn gather<C: SlabCol>(&self, cols: &mut [C], vals: &mut [T], a: &CsrMatrix<T>) {
+        for (c, &off) in self.chunk_off[..self.n_chunks()].iter().enumerate() {
+            let (lane0, lanes) = self.lanes_of(c);
+            for (lane, (&r, &len)) in self.rows[lane0..lane0 + lanes]
+                .iter()
+                .zip(&self.lens[lane0..lane0 + lanes])
+                .enumerate()
+            {
+                let (rc, rv) = a.row(r as usize);
+                for (j, (&col, &val)) in rc.iter().zip(rv).take(len as usize).enumerate() {
+                    // Refresh-time bound proof: the kernels gather
+                    // `v[col]` without a per-element check. It also
+                    // makes the narrowing exact: `n_cols` chose the
+                    // width, so every column below it fits.
+                    assert!(
+                        (col as usize) < self.n_cols,
+                        "CSR column {col} out of bounds"
+                    );
+                    let slot = off + j * lanes + lane;
+                    cols[slot] = C::from_col(col);
+                    vals[slot] = val;
+                }
+            }
+        }
     }
 
     /// Run `f` against the current slab under the read lock. The lock is
@@ -405,21 +581,36 @@ impl<T: Scalar> PackedSell<T> {
         c0: usize,
         c1: usize,
         v: &[T],
-        mut sink: S,
+        sink: S,
     ) {
         assert!(
             v.len() >= self.n_cols,
             "input vector shorter than the matrix column count"
         );
+        match slab.cols {
+            Cols::Narrow(cols) => self.spmv_range(cols.as_slice(), slab.vals, c0, c1, v, sink),
+            Cols::Wide(cols) => self.spmv_range(cols.as_slice(), slab.vals, c0, c1, v, sink),
+        }
+    }
+
+    /// [`spmv_chunks`](Self::spmv_chunks) at one column width.
+    fn spmv_range<C: SlabCol, S: FnMut(usize, T)>(
+        &self,
+        cols: &[C],
+        vals: &[T],
+        c0: usize,
+        c1: usize,
+        v: &[T],
+        mut sink: S,
+    ) {
         for c in c0..c1 {
             let span = self.chunk_off[c]..self.chunk_off[c + 1];
-            let (cols, vals) = (&slab.cols[span.clone()], &slab.vals[span]);
-            let lane0 = c * self.chunk;
-            let lanes = (self.rows.len() - lane0).min(self.chunk);
+            let (cols, vals) = (&cols[span.clone()], &vals[span]);
+            let (lane0, lanes) = self.lanes_of(c);
             match lanes {
-                8 => self.chunk_fixed::<8, S>(cols, vals, lane0, v, &mut sink),
-                4 => self.chunk_fixed::<4, S>(cols, vals, lane0, v, &mut sink),
-                2 => self.chunk_fixed::<2, S>(cols, vals, lane0, v, &mut sink),
+                8 => self.chunk_fixed::<C, 8, S>(cols, vals, lane0, v, &mut sink),
+                4 => self.chunk_fixed::<C, 4, S>(cols, vals, lane0, v, &mut sink),
+                2 => self.chunk_fixed::<C, 2, S>(cols, vals, lane0, v, &mut sink),
                 _ => self.chunk_dyn(cols, vals, lane0, lanes, v, &mut sink),
             }
         }
@@ -430,9 +621,9 @@ impl<T: Scalar> PackedSell<T> {
     /// the accumulator array lives in registers and the inner lane loop
     /// disappears. `cols`/`vals` are the chunk's own slices.
     #[inline]
-    fn chunk_fixed<const L: usize, S: FnMut(usize, T)>(
+    fn chunk_fixed<C: SlabCol, const L: usize, S: FnMut(usize, T)>(
         &self,
-        cols: &[u32],
+        cols: &[C],
         vals: &[T],
         lane0: usize,
         v: &[T],
@@ -448,21 +639,9 @@ impl<T: Scalar> PackedSell<T> {
         // non-padding column was proven `< n_cols` when the slab was
         // gathered and `spmv_chunks` checked `v.len() >= n_cols` once up
         // front.
-        let dense_cols = &cols[..min_len * L];
-        let dense = dense_cols.chunks_exact(L);
+        let dense = cols[..min_len * L].chunks_exact(L);
         let dense_vals = vals[..min_len * L].chunks_exact(L);
-        // The gather is the only irregular access left; hint the windows
-        // a few iterations ahead unless `x` plausibly lives in L1.
-        let prefetch = self.n_cols * T::BYTES > PF_MIN_X_BYTES;
-        for (jj, (cw, vw)) in dense.zip(dense_vals).enumerate() {
-            if prefetch {
-                let pf = jj + PF_DIST;
-                if pf < min_len {
-                    for &col in &dense_cols[pf * L..(pf + 1) * L] {
-                        prefetch_read(v, col as usize);
-                    }
-                }
-            }
+        for (cw, vw) in dense.zip(dense_vals) {
             // Gather first, FMA second: the gather loop is scalar loads,
             // but the FMA loop is contiguous-on-contiguous and the
             // compiler can turn it into one packed `vfmadd`.
@@ -472,7 +651,7 @@ impl<T: Scalar> PackedSell<T> {
                 // dense phase; `ensure_values` asserted its column
                 // `< n_cols` and `spmv_chunks` asserted
                 // `v.len() >= n_cols`.
-                xs[l] = unsafe { *v.get_unchecked(cw[l] as usize) };
+                xs[l] = unsafe { *v.get_unchecked(cw[l].idx()) };
             }
             for l in 0..L {
                 sums[l] = vw[l].mul_add_(xs[l], sums[l]);
@@ -490,7 +669,7 @@ impl<T: Scalar> PackedSell<T> {
                 // SAFETY: `l < active` means lane `l` has `len > j`, so
                 // this slot is non-padding; same refresh-time bound
                 // proof on its column.
-                let x = unsafe { *v.get_unchecked(cols[o + l] as usize) };
+                let x = unsafe { *v.get_unchecked(cols[o + l].idx()) };
                 *s = vals[o + l].mul_add_(x, *s);
             }
         }
@@ -502,9 +681,9 @@ impl<T: Scalar> PackedSell<T> {
     /// A partial (or oddly sized) chunk of `lanes` lanes — the same
     /// phase structure without the compile-time unroll. Accumulators
     /// live in a fixed stack buffer unless the chunk size is enormous.
-    fn chunk_dyn<S: FnMut(usize, T)>(
+    fn chunk_dyn<C: SlabCol, S: FnMut(usize, T)>(
         &self,
-        cols: &[u32],
+        cols: &[C],
         vals: &[T],
         lane0: usize,
         lanes: usize,
@@ -530,7 +709,7 @@ impl<T: Scalar> PackedSell<T> {
             for (l, s) in sums.iter_mut().enumerate().take(active) {
                 // SAFETY: `l < active` means this slot is non-padding;
                 // same refresh-time bound proof as `chunk_fixed`.
-                let x = unsafe { *v.get_unchecked(cols[o + l] as usize) };
+                let x = unsafe { *v.get_unchecked(cols[o + l].idx()) };
                 *s = vals[o + l].mul_add_(x, *s);
             }
         }
@@ -577,7 +756,7 @@ impl<T: Scalar> PackedSell<T> {
         x: &[T],
         x_stride: usize,
         x_col0: usize,
-        mut sink: S,
+        sink: S,
     ) {
         assert!(KB > 0, "RHS block width must be positive");
         if self.n_cols > 0 {
@@ -591,24 +770,41 @@ impl<T: Scalar> PackedSell<T> {
                 "input block shorter than the matrix column count"
             );
         }
+        let block = (x, x_stride, x_col0);
+        match slab.cols {
+            Cols::Narrow(cols) => self.spmm_range(cols.as_slice(), slab.vals, c0, c1, block, sink),
+            Cols::Wide(cols) => self.spmm_range(cols.as_slice(), slab.vals, c0, c1, block, sink),
+        }
+    }
+
+    /// [`spmm_chunks`](Self::spmm_chunks) at one column width; `block`
+    /// is `(x, x_stride, x_col0)`, already checked.
+    fn spmm_range<C: SlabCol, const KB: usize, S: FnMut(usize, [T; KB])>(
+        &self,
+        cols: &[C],
+        vals: &[T],
+        c0: usize,
+        c1: usize,
+        (x, x_stride, x_col0): (&[T], usize, usize),
+        mut sink: S,
+    ) {
         for c in c0..c1 {
             let span = self.chunk_off[c]..self.chunk_off[c + 1];
-            let (cols, vals) = (&slab.cols[span.clone()], &slab.vals[span]);
-            let lane0 = c * self.chunk;
-            let lanes = (self.rows.len() - lane0).min(self.chunk);
+            let (cols, vals) = (&cols[span.clone()], &vals[span]);
+            let (lane0, lanes) = self.lanes_of(c);
             for l in 0..lanes {
                 let len = self.lens[lane0 + l] as usize;
                 let mut sums = [T::ZERO; KB];
                 let mut slot = l;
                 for _ in 0..len {
                     let av = vals[slot];
-                    let xbase = cols[slot] as usize * x_stride + x_col0;
+                    let xbase = cols[slot].idx() * x_stride + x_col0;
                     for (kk, s) in sums.iter_mut().enumerate() {
                         // SAFETY: `cols[slot] < n_cols` was asserted
                         // when the slab was gathered, for every
                         // non-padding slot (lane `l` stops at its own
-                        // length, so `slot` is never padding), and the
-                        // up-front assert proved
+                        // length, so `slot` is never padding), and
+                        // `spmm_chunks` proved
                         // `(n_cols - 1) * x_stride + x_col0 + KB <=
                         // x.len()`, so `xbase + kk` is in bounds.
                         let xv = unsafe { *x.get_unchecked(xbase + kk) };
@@ -633,31 +829,56 @@ impl<T: Scalar> PackedSell<T> {
     }
 
     /// Re-derive the packed layout from `a` and `expected_rows` and prove
-    /// this payload matches it exactly: same row set (each row once, in
-    /// bounds) with every packed row in the same sort window of
-    /// `expected_rows` it was listed in, lengths equal to the CSR row
-    /// lengths and non-increasing within each window (so every chunk's
-    /// widest lane comes first), correct chunk offsets, every
-    /// non-padding slot's `(col, src)` equal to the CSR entry it claims
-    /// to mirror with the column in bounds, and every padding slot
-    /// marked. The slab is refreshed from `a` first, so the proof covers
-    /// the state execution will read. Returns a description of the first
-    /// defect. O(slots + |rows| + m).
-    pub fn check_against(&self, a: &CsrMatrix<T>, expected_rows: &[u32]) -> Result<(), String> {
-        self.ensure_values(a);
+    /// this payload matches it exactly, in this order:
+    ///
+    /// 1. the column count equals `a`'s and the slab's column width is
+    ///    the one it selects;
+    /// 2. the same row set (each row once, in bounds), every packed row
+    ///    in the sort window of `expected_rows` it was listed in;
+    /// 3. chunk offsets that tile the slab, no lane longer than its
+    ///    chunk's slots allow, and each chunk exactly as wide as its
+    ///    first lane;
+    /// 4. lane lengths equal to the CSR row lengths (a longer lane would
+    ///    read padding as an entry) and non-increasing within each
+    ///    window;
+    /// 5. every lane's slots, walked like a refresh, holding the columns
+    ///    of its CSR row's entries in storage order, each `< n_cols`.
+    ///
+    /// The slab is refreshed from `a` before step 5, so the proof covers
+    /// the state execution will read. Returns the first defect.
+    /// O(slots + |rows| + m).
+    pub fn check_against(
+        &self,
+        a: &CsrMatrix<T>,
+        expected_rows: &[u32],
+    ) -> Result<(), PackedDefect> {
+        use DefectKind::*;
         if self.n_cols != a.n_cols() {
-            return Err(format!(
-                "packed n_cols {} != matrix n_cols {} (gather bound proof void)",
-                self.n_cols,
-                a.n_cols()
-            ));
+            return fail(
+                WidthMismatch,
+                format!(
+                    "packed n_cols {} != matrix n_cols {} (gather bound proof void)",
+                    self.n_cols,
+                    a.n_cols()
+                ),
+            );
+        }
+        let col_bytes = self.col_bytes();
+        if (col_bytes == 2) != (self.n_cols <= NARROW_MAX_COLS) {
+            return fail(
+                WidthMismatch,
+                format!("{col_bytes}-byte slab columns for n_cols {}", self.n_cols),
+            );
         }
         if self.rows.len() != expected_rows.len() {
-            return Err(format!(
-                "packed row count {} != bin row count {}",
-                self.rows.len(),
-                expected_rows.len()
-            ));
+            return fail(
+                RowSet,
+                format!(
+                    "packed row count {} != bin row count {}",
+                    self.rows.len(),
+                    expected_rows.len()
+                ),
+            );
         }
         // Row-set and window proof with a window-tag array: every
         // expected row in bounds and listed once, tagged with its sort
@@ -671,94 +892,120 @@ impl<T: Scalar> PackedSell<T> {
         let mut tag = vec![UNTAGGED; m];
         for (pos, &r) in expected_rows.iter().enumerate() {
             match tag.get_mut(r as usize) {
-                None => return Err(format!("bin row {r} out of bounds (m = {m})")),
-                Some(t) if *t != UNTAGGED => return Err(format!("bin lists row {r} twice")),
+                None => return fail(RowSet, format!("bin row {r} out of bounds (m = {m})")),
+                Some(t) if *t != UNTAGGED => {
+                    return fail(RowSet, format!("bin lists row {r} twice"))
+                }
                 Some(t) => *t = (pos / window) as u32,
             }
         }
         for (pos, &r) in self.rows.iter().enumerate() {
             match tag.get_mut(r as usize) {
-                None => return Err(format!("packed row {r} out of bounds (m = {m})")),
+                None => return fail(RowSet, format!("packed row {r} out of bounds (m = {m})")),
                 Some(t) if *t == UNTAGGED => {
-                    return Err("packed rows are not the bin's row set".into())
+                    return fail(RowSet, "packed rows are not the bin's row set")
                 }
                 Some(t) if *t as usize != pos / window => {
-                    return Err(format!(
-                        "packed row {r} at index {pos} left its sort window {t}"
-                    ))
+                    return fail(
+                        RowSet,
+                        format!("packed row {r} at index {pos} left its sort window {t}"),
+                    )
                 }
                 Some(t) => *t = UNTAGGED,
             }
         }
-        let row_ptr = a.row_ptr();
-        let a_cols = a.col_idx();
+        let slab_len = {
+            let slab = self.slab_read();
+            if slab.vals.len() != slab.cols.len() {
+                return fail(Layout, "slab length mismatch");
+            }
+            slab.cols.len()
+        };
+        if self.lens.len() != self.rows.len()
+            || self.n_chunks() != self.rows.len().div_ceil(self.chunk)
+            || self.chunk_off[0] != 0
+            || self.slots() != slab_len
+        {
+            return fail(Layout, "chunk offsets do not span the slab");
+        }
+        for c in 0..self.n_chunks() {
+            let (lane0, lanes) = self.lanes_of(c);
+            let Some(span) = self.chunk_off[c + 1].checked_sub(self.chunk_off[c]) else {
+                return fail(Layout, format!("chunk {c}: offsets decrease"));
+            };
+            for lane in 0..lanes {
+                let len = self.lens[lane0 + lane] as usize;
+                if len * lanes > span {
+                    return fail(
+                        LaneOverrun,
+                        format!(
+                            "chunk {c} lane {lane}: length {len} runs past the chunk's {} columns",
+                            span / lanes
+                        ),
+                    );
+                }
+            }
+            if span != self.lens[lane0] as usize * lanes {
+                return fail(Layout, format!("chunk {c}: slab size != width × lanes"));
+            }
+        }
+        let mut nnz = 0usize;
         for (i, (&r, &len)) in self.rows.iter().zip(&self.lens).enumerate() {
-            if a.row_nnz(r as usize) != len as usize {
-                return Err(format!(
-                    "packed row {r}: cached len {len} != CSR len {}",
-                    a.row_nnz(r as usize)
-                ));
+            let csr = a.row_nnz(r as usize);
+            nnz += csr;
+            if len as usize != csr {
+                let (kind, what) = if len as usize > csr {
+                    (PaddingClaimed, "claims a padding slot")
+                } else {
+                    (Layout, "drops entries")
+                };
+                return fail(
+                    kind,
+                    format!("packed row {r}: cached len {len} != CSR len {csr} ({what})"),
+                );
             }
             if (i + 1) % window != 0 && i + 1 < self.lens.len() && self.lens[i + 1] > len {
-                return Err(format!(
-                    "packed rows not length-sorted within their window at index {i}"
-                ));
+                return fail(
+                    Layout,
+                    format!("packed rows not length-sorted within their window at index {i}"),
+                );
             }
         }
-        if self.chunk_off.first() != Some(&0) || self.chunk_off.last() != Some(&self.src.len()) {
-            return Err("chunk offsets do not span the slab".into());
+        if nnz != self.nnz {
+            return fail(
+                Layout,
+                format!("cached nnz {} != lane total {nnz}", self.nnz),
+            );
         }
+        self.ensure_values(a);
         let slab = self.slab_read();
-        if slab.cols.len() != self.src.len() || slab.vals.len() != self.src.len() {
-            return Err("slab length mismatch".into());
+        match &slab.cols {
+            Cols::Narrow(cols) => self.check_columns(cols.as_slice(), a),
+            Cols::Wide(cols) => self.check_columns(cols.as_slice(), a),
         }
-        let mut seen_nnz = 0usize;
-        for c in 0..self.n_chunks() {
-            let lane0 = c * self.chunk;
-            let lanes = (self.rows.len() - lane0).min(self.chunk);
-            let width = self.lens[lane0] as usize;
-            if self.chunk_off[c + 1] - self.chunk_off[c] != width * lanes {
-                return Err(format!("chunk {c}: slab size != width × lanes"));
-            }
-            let off = self.chunk_off[c];
+    }
+
+    /// Step 5 of [`check_against`](Self::check_against) at one column
+    /// width.
+    fn check_columns<C: SlabCol>(&self, cols: &[C], a: &CsrMatrix<T>) -> Result<(), PackedDefect> {
+        for (c, &off) in self.chunk_off[..self.n_chunks()].iter().enumerate() {
+            let (lane0, lanes) = self.lanes_of(c);
             for lane in 0..lanes {
-                let r = self.rows[lane0 + lane] as usize;
-                let len = self.lens[lane0 + lane] as usize;
-                let base = row_ptr[r];
-                for j in 0..width {
-                    let slot = off + j * lanes + lane;
-                    if j < len {
-                        if self.src[slot] as usize != base + j {
-                            return Err(format!(
-                                "chunk {c} lane {lane} col {j}: src {} != CSR position {}",
-                                self.src[slot],
-                                base + j
-                            ));
-                        }
-                        let col = slab.cols[slot];
-                        if col != a_cols[base + j] {
-                            return Err(format!(
-                                "chunk {c} lane {lane} col {j}: slab col {col} != CSR col {}",
-                                a_cols[base + j]
-                            ));
-                        }
-                        if (col as usize) >= self.n_cols {
-                            return Err(format!(
-                                "chunk {c} lane {lane} col {j}: col {col} out of bounds"
-                            ));
-                        }
-                        seen_nnz += 1;
-                    } else if self.src[slot] != SRC_PAD {
-                        return Err(format!(
-                            "chunk {c} lane {lane} col {j}: padding slot has src {}",
-                            self.src[slot]
-                        ));
+                let (rc, _) = a.row(self.rows[lane0 + lane] as usize);
+                for (j, &want) in rc.iter().enumerate() {
+                    let col = cols[off + j * lanes + lane].idx();
+                    if col != want as usize || col >= self.n_cols {
+                        return fail(
+                            DefectKind::ColumnMismatch,
+                            format!(
+                                "chunk {c} lane {lane} col {j}: slab col {col} != CSR col {want} \
+                                 (n_cols {})",
+                                self.n_cols
+                            ),
+                        );
                     }
                 }
             }
-        }
-        if seen_nnz != self.nnz {
-            return Err(format!("cached nnz {} != slab nnz {seen_nnz}", self.nnz));
         }
         Ok(())
     }
@@ -773,7 +1020,6 @@ impl<T: Scalar> Clone for PackedSell<T> {
             rows: self.rows.clone(),
             lens: self.lens.clone(),
             chunk_off: self.chunk_off.clone(),
-            src: self.src.clone(),
             nnz: self.nnz,
             vals: RwLock::new(ValueSlab {
                 source: slab.source,
@@ -792,6 +1038,7 @@ impl<T: Scalar> std::fmt::Debug for PackedSell<T> {
             .field("chunks", &self.n_chunks())
             .field("nnz", &self.nnz)
             .field("slots", &self.slots())
+            .field("col_bytes", &self.col_bytes())
             .finish()
     }
 }
@@ -903,18 +1150,18 @@ mod tests {
         let rows = all_rows(&a);
         let p = PackedSell::from_rows(&a, &rows, 8);
         p.check_against(&a, &rows).unwrap();
-        // A wrong source index must be named.
-        let slot = p.src.iter().position(|&s| s != SRC_PAD).unwrap();
-        let mut shifted = p.clone();
-        shifted.src[slot] = shifted.src[slot].wrapping_add(1);
-        assert!(shifted.check_against(&a, &rows).is_err());
-        // So must a slab column that no longer mirrors its CSR entry
-        // (the refresh is a no-op: the values generation still matches).
+        // A slab column that no longer mirrors its CSR entry must be
+        // named (the refresh is a no-op: the values generation still
+        // matches). Slot 0 is lane 0's first entry.
         let mut slab = p.vals.write().unwrap_or_else(PoisonError::into_inner);
-        slab.cols[slot] = (slab.cols[slot] + 1) % 40;
+        let Cols::Narrow(cols) = &mut slab.cols else {
+            panic!("40 columns pack 16-bit")
+        };
+        cols[0] = (cols[0] + 1) % 40;
         drop(slab);
         let err = p.check_against(&a, &rows).unwrap_err();
         assert!(err.contains("slab col"), "unexpected defect: {err}");
+        assert_eq!(err.kind, DefectKind::ColumnMismatch);
     }
 
     /// The packed row order by definition: a stable
@@ -1156,5 +1403,125 @@ mod tests {
             assert_eq!(u, a.spmv_seq_alloc(&v).unwrap(), "version {version}");
             p.check_against(&a, &rows).unwrap();
         }
+    }
+
+    /// A matrix of `m` rows over `n_cols` columns whose rows have 1–9
+    /// unsorted entries spread over the whole column range, with the
+    /// last column present: the width boundary's worst case.
+    fn spread(m: usize, n_cols: usize, seed: u64) -> CsrMatrix<f64> {
+        let mut row_ptr = vec![0usize];
+        let mut cols = Vec::new();
+        let mut s = seed;
+        for r in 0..m {
+            let len = 1 + (r * 7 + seed as usize) % 9;
+            let mut row: Vec<u32> = (0..len)
+                .map(|_| {
+                    s = s
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    ((s >> 33) % n_cols as u64) as u32
+                })
+                .collect();
+            if r % 5 == 0 {
+                row[len / 2] = (n_cols - 1) as u32;
+            }
+            row.sort_unstable();
+            row.dedup();
+            row.reverse();
+            cols.extend(row);
+            row_ptr.push(cols.len());
+        }
+        let vals: Vec<f64> = (0..cols.len())
+            .map(|k| (k % 13) as f64 * 0.5 - 3.0)
+            .collect();
+        CsrMatrix::from_parts(m, n_cols, row_ptr, cols, vals).unwrap()
+    }
+
+    #[test]
+    fn column_width_follows_n_cols_and_stays_bitwise() {
+        for (n_cols, bytes) in [(NARROW_MAX_COLS, 2), (NARROW_MAX_COLS + 1, 4)] {
+            let a = spread(300, n_cols, 3);
+            assert!(a.col_idx().contains(&((n_cols - 1) as u32)));
+            let rows = all_rows(&a);
+            let v: Vec<f64> = (0..n_cols).map(|i| (i % 11) as f64 - 5.0).collect();
+            let reference = a.spmv_seq_alloc(&v).unwrap();
+            for chunk in [2, 3, 4, 8] {
+                let p = PackedSell::from_rows(&a, &rows, chunk);
+                assert_eq!(p.col_bytes(), bytes, "n_cols {n_cols}");
+                assert_eq!(p.index_stream_bytes(), bytes * p.slots());
+                p.check_against(&a, &rows).unwrap();
+                let mut u = vec![f64::NAN; a.n_rows()];
+                p.spmv_into(&a, &v, &mut u);
+                assert_eq!(u, reference, "n_cols {n_cols} chunk {chunk}");
+                // One RHS block of width 3 inside stride 4.
+                let x: Vec<f64> = (0..n_cols * 4).map(|i| (i % 7) as f64 - 3.0).collect();
+                let mut y = vec![[f64::NAN; 3]; a.n_rows()];
+                p.with_slab(|slab| {
+                    p.spmm_chunks::<3, _>(slab, 0, p.n_chunks(), &x, 4, 1, |r, s| y[r] = s);
+                });
+                for kk in 0..3 {
+                    let vk: Vec<f64> = (0..n_cols).map(|c| x[c * 4 + 1 + kk]).collect();
+                    let rk = a.spmv_seq_alloc(&vk).unwrap();
+                    for (r, want) in rk.iter().enumerate() {
+                        assert_eq!(y[r][kk], *want, "n_cols {n_cols} chunk {chunk} column {kk}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn narrow_slab_refreshes_follow_sort_rows_and_values_mut() {
+        // `spread` stores every row's columns descending, so `sort_rows`
+        // reverses each row in place.
+        let mut a = spread(200, NARROW_MAX_COLS, 8);
+        assert!(!a.rows_sorted());
+        let rows = all_rows(&a);
+        let p = PackedSell::from_rows(&a, &rows, 4);
+        assert_eq!(p.col_bytes(), 2);
+        let v: Vec<f64> = (0..a.n_cols()).map(|i| (i % 9) as f64 - 4.0).collect();
+        a.sort_rows();
+        let mut u = vec![f64::NAN; a.n_rows()];
+        p.spmv_into(&a, &v, &mut u);
+        assert_eq!(
+            u,
+            a.spmv_seq_alloc(&v).unwrap(),
+            "slab went stale after sort_rows"
+        );
+        p.check_against(&a, &rows).unwrap();
+        for x in a.values_mut() {
+            *x = -*x * 1.5 + 0.25;
+        }
+        let mut u = vec![f64::NAN; a.n_rows()];
+        p.spmv_into(&a, &v, &mut u);
+        assert_eq!(
+            u,
+            a.spmv_seq_alloc(&v).unwrap(),
+            "slab went stale after values_mut"
+        );
+        p.check_against(&a, &rows).unwrap();
+    }
+
+    #[test]
+    fn slab_tampers_are_rejected_with_their_defect() {
+        for n_cols in [40, NARROW_MAX_COLS + 1] {
+            let a = spread(120, n_cols, 5);
+            let rows = all_rows(&a);
+            let p = PackedSell::from_rows(&a, &rows, 4);
+            p.check_against(&a, &rows).unwrap();
+            for tamper in SlabTamper::ALL {
+                let bad = tamper.apply(&p).expect("the payload has a site");
+                let err = bad.check_against(&a, &rows).unwrap_err();
+                assert_eq!(
+                    err.kind,
+                    tamper.defect(),
+                    "{tamper:?} at n_cols {n_cols}: {err}"
+                );
+            }
+        }
+        // A payload with no ragged chunk offers no padding to claim.
+        let b = gen::random_uniform::<f64>(16, 16, 3, 3, 2);
+        let q = PackedSell::from_rows(&b, &all_rows(&b), 4);
+        assert!(SlabTamper::PaddingClaimed.apply(&q).is_none());
     }
 }

@@ -1,7 +1,7 @@
 //! Structure-exploiting bin specializations: the pack-time *detectors*
 //! and *structural proofs* behind the pattern-specialized kernel table.
 //!
-//! Where [`crate::packed`] streams one `u32` column per slot, the
+//! Where [`crate::packed`] streams one 16- or 32-bit column per slot, the
 //! three shapes here eliminate that stream for bins whose sparsity has exploitable
 //! structure:
 //!
