@@ -43,11 +43,6 @@
 //!    dependency-order prover and executes bit-for-bit against the
 //!    sequential references, and the sweep demonstrably reaches both
 //!    parallel steps and merged levels.
-//! 9. **Online retrain gate** — an `IncrementalLearner` fed measured
-//!    (features, winner) pairs over the serving layer's Table I schema
-//!    produces, via `retrain_incremental`, a rule-set the rule linter
-//!    accepts with zero `Error` findings — and the gate demonstrably
-//!    *rejects* a refit lint would refuse, keeping the previous model.
 //!
 //! `spmv-lint --gen-model <path>` instead trains a small deterministic
 //! model and writes it to `<path>` (used to produce `models/tiny.txt`).
@@ -90,7 +85,6 @@ fn main() {
     failures += check_bandwidth();
     failures += check_kernel_table();
     failures += check_solve();
-    failures += check_online_retrain();
 
     if failures > 0 {
         eprintln!("\nspmv-lint: {failures} check(s) FAILED");
@@ -393,106 +387,6 @@ fn check_solve() -> usize {
     } else {
         1
     }
-}
-
-/// The online-retrain lint gate: the serving layer's incremental
-/// learner must only ever install rule-sets the static rule linter
-/// accepts. Feed a measured-feedback history over the same Table I
-/// schema the refinement loop uses, retrain, and re-lint the installed
-/// model from the outside; then prove the gate fires by forcing a refit
-/// the linter must refuse.
-fn check_online_retrain() -> usize {
-    println!("\n== online retrain gate (incremental refit x rule linter) ==");
-    use spmv_ml::{lint_ruleset, IncrementalLearner, LintOptions, OnlineConfig, RetrainOutcome};
-    use spmv_sparse::{FeatureSet, MatrixFeatures};
-
-    let attrs: Vec<spmv_ml::AttrSpec> = MatrixFeatures::attr_names(FeatureSet::TableI)
-        .into_iter()
-        .map(spmv_ml::AttrSpec::numeric)
-        .collect();
-    let classes = vec!["incumbent".to_string(), "refined".to_string()];
-    let mut bad = 0;
-
-    // A separable measured history: small matrices keep their incumbent,
-    // large ones measured faster refined (the deterministic stand-in for
-    // live A/B outcomes).
-    let row = |scale: f64| {
-        vec![
-            1_000.0 * scale,
-            1_000.0 * scale,
-            8_000.0 * scale,
-            4.0,
-            8.0,
-            2.0,
-            64.0 * scale,
-        ]
-    };
-    let mut learner =
-        IncrementalLearner::new(attrs.clone(), classes.clone(), OnlineConfig::default());
-    for i in 0..12 {
-        learner.observe(&row(1.0 + 0.01 * i as f64), 0);
-        learner.observe(&row(50.0 + 0.01 * i as f64), 1);
-    }
-    match learner.retrain_incremental() {
-        RetrainOutcome::Accepted { rules, warnings } => {
-            // The gate already linted; re-lint from the outside so this
-            // check does not trust the learner's own bookkeeping.
-            let model = learner.model().expect("accepted refit installs a model");
-            let errors = lint_ruleset(
-                model,
-                &LintOptions {
-                    class_limit: Some(classes.len()),
-                    ..LintOptions::default()
-                },
-            )
-            .into_iter()
-            .filter(|f| f.severity() == Severity::Error)
-            .count();
-            if errors == 0 {
-                println!(
-                    "ok: accepted refit ({rules} rules, {warnings} warning(s)) re-lints clean"
-                );
-            } else {
-                eprintln!("FAIL: accepted refit carries {errors} Error finding(s)");
-                bad += 1;
-            }
-        }
-        other => {
-            eprintln!("FAIL: separable measured history not accepted: {other:?}");
-            bad += 1;
-        }
-    }
-
-    // The gate must also *fire*: a gate sized for a one-class universe
-    // rejects any refit that dispatches to class 1, exactly as the
-    // model loader would refuse it from disk.
-    let mut gated = IncrementalLearner::new(
-        attrs,
-        classes,
-        OnlineConfig {
-            lint: LintOptions {
-                class_limit: Some(1),
-                ..LintOptions::default()
-            },
-            ..OnlineConfig::default()
-        },
-    );
-    for i in 0..12 {
-        gated.observe(&row(1.0 + 0.01 * i as f64), 0);
-        gated.observe(&row(50.0 + 0.01 * i as f64), 1);
-    }
-    match gated.retrain_incremental() {
-        RetrainOutcome::RejectedByLinter { errors } if gated.model().is_none() => {
-            println!(
-                "ok: degenerate refit rejected ({errors} Error finding(s)), no model installed"
-            );
-        }
-        other => {
-            eprintln!("FAIL: lint gate did not reject the degenerate refit: {other:?}");
-            bad += 1;
-        }
-    }
-    usize::from(bad > 0)
 }
 
 /// Train the small deterministic model committed as `models/tiny.txt`:

@@ -124,7 +124,6 @@ fn gflops(nnz: usize, secs_per_iter: f64) -> f64 {
 fn bottleneck_name(b: Bottleneck) -> &'static str {
     match b {
         Bottleneck::MemoryBound => "memory-bound",
-        Bottleneck::LatencyBound => "latency-bound",
         Bottleneck::OnModel => "on-model",
     }
 }

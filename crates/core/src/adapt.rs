@@ -10,22 +10,19 @@
 //!
 //! | class | evidence | suggested move |
 //! |---|---|---|
-//! | [`LatencyBound`](Bottleneck::LatencyBound) | scatter-heavy rows with cache blocking off | enable column blocking |
 //! | [`MemoryBound`](Bottleneck::MemoryBound) | full-width index stream with the pack or specialize gate closed, or measured time far above the traffic-model roofline | re-open the pack/specialize gates |
 //! | [`OnModel`](Bottleneck::OnModel) | none of the above | leave the plan alone |
 //!
-//! The checks run in that order and the *structural* signals come first,
-//! deliberately: they are computed from the compiled plan, so a CI gate
-//! exercising the refinement loop classifies deterministically — timing
-//! noise on a loaded runner cannot flip a forced-CSR plan's verdict.
+//! The *structural* check runs first, deliberately: it is computed from
+//! the compiled plan, so a CI gate exercising the refinement loop
+//! classifies deterministically — timing noise on a loaded runner
+//! cannot flip a forced-CSR plan's verdict.
 //! The measured-divergence check is the catch-all for plans whose
 //! structure looks fine but whose observed rate says otherwise.
 //!
-//! Thresholds default to the same gate priors plan compilation uses
-//! ([`PlanConfig::scatter_lines_per_row`] for scatter, the 4-bytes-per-
-//! non-zero `u32` index stream the CSR fallback is charged) — the
-//! classifier and the compiler must agree on what "scatter-heavy" or
-//! "full-width" mean, or refinement would oscillate.
+//! The index threshold defaults to the 4-bytes-per-non-zero `u32` stream
+//! the CSR fallback is charged — the classifier and the compiler must
+//! agree on what "full-width" means, or refinement would oscillate.
 
 use crate::plan::{PlanConfig, TrafficStats};
 use crate::telemetry::TelemetrySnapshot;
@@ -38,9 +35,6 @@ pub enum Bottleneck {
     /// with the pack or specialize gate closed, or measured time far
     /// above the traffic-model roofline.
     MemoryBound,
-    /// Scatter-heavy gathers of `x` with column blocking disabled —
-    /// rows stall on cache-line latency, not bandwidth.
-    LatencyBound,
     /// Performing as the traffic model predicts (or too few samples to
     /// say otherwise); no refinement warranted.
     OnModel,
@@ -51,7 +45,6 @@ impl Bottleneck {
     pub fn as_str(self) -> &'static str {
         match self {
             Bottleneck::MemoryBound => "memory_bound",
-            Bottleneck::LatencyBound => "latency_bound",
             Bottleneck::OnModel => "on_model",
         }
     }
@@ -129,14 +122,10 @@ pub fn classify(
     snapshot: &TelemetrySnapshot,
     traffic: &TrafficStats,
     config: &PlanConfig,
-    avg_lines_per_row: f64,
     cfg: &AdaptConfig,
 ) -> Bottleneck {
     if snapshot.executes < cfg.min_executes {
         return Bottleneck::OnModel;
-    }
-    if avg_lines_per_row >= config.scatter_lines_per_row && !config.cache_block {
-        return Bottleneck::LatencyBound;
     }
     if traffic.index_bytes_per_nnz() >= cfg.index_bytes_per_nnz && structure_gates_closed(config) {
         return Bottleneck::MemoryBound;
@@ -167,15 +156,6 @@ pub fn suggest(bottleneck: Bottleneck, incumbent: &PlanConfig) -> Option<PlanCon
             Some(PlanConfig {
                 pack: true,
                 specialize: true,
-                cache_block: true,
-                ..*incumbent
-            })
-        }
-        Bottleneck::LatencyBound => {
-            if incumbent.cache_block {
-                return None;
-            }
-            Some(PlanConfig {
                 cache_block: true,
                 ..*incumbent
             })
@@ -220,15 +200,22 @@ mod tests {
     #[test]
     fn too_few_samples_is_on_model() {
         let cfg = AdaptConfig::default();
-        let b = classify(&snap(3, 1e9), &traffic(4_000), &forced_csr(), 1.0, &cfg);
+        let b = classify(&snap(3, 1e9), &traffic(4_000), &forced_csr(), &cfg);
         assert_eq!(b, Bottleneck::OnModel);
     }
 
     #[test]
-    fn scatter_without_blocking_is_latency_bound() {
+    fn scatter_heavy_forced_csr_is_memory_bound() {
+        // Scatter-heavy rows (≥ 4 lines per row) with every gate closed,
+        // cache blocking included, and a full-width index stream: the
+        // fat stream decides the verdict, and its move re-opens the
+        // closed gates.
         let cfg = AdaptConfig::default();
-        let b = classify(&snap(100, 100.0), &traffic(4_000), &forced_csr(), 6.0, &cfg);
-        assert_eq!(b, Bottleneck::LatencyBound);
+        let csr = forced_csr();
+        let b = classify(&snap(100, 100.0), &traffic(4_000), &csr, &cfg);
+        assert_eq!(b, Bottleneck::MemoryBound);
+        let s = suggest(b, &csr).expect("pack and specialize are closed");
+        assert!(s.pack && s.specialize);
     }
 
     #[test]
@@ -236,7 +223,7 @@ mod tests {
         // 4 index bytes per nnz with pack/specialize off: structural
         // verdict, independent of the measured time.
         let cfg = AdaptConfig::default();
-        let b = classify(&snap(100, 1.0), &traffic(4_000), &forced_csr(), 1.0, &cfg);
+        let b = classify(&snap(100, 1.0), &traffic(4_000), &forced_csr(), &cfg);
         assert_eq!(b, Bottleneck::MemoryBound);
     }
 
@@ -246,7 +233,7 @@ mod tests {
         // nature, and a fast plan stays on-model.
         let cfg = AdaptConfig::default();
         let open = PlanConfig::default();
-        let b = classify(&snap(100, 1.0), &traffic(4_000), &open, 1.0, &cfg);
+        let b = classify(&snap(100, 1.0), &traffic(4_000), &open, &cfg);
         assert_eq!(b, Bottleneck::OnModel);
     }
 
@@ -257,12 +244,9 @@ mod tests {
         let t = traffic(1_000); // below the index prior
         let predicted = cfg.predicted_ns(&t);
         let slow = snap(100, predicted * 2.0);
-        assert_eq!(
-            classify(&slow, &t, &open, 1.0, &cfg),
-            Bottleneck::MemoryBound
-        );
+        assert_eq!(classify(&slow, &t, &open, &cfg), Bottleneck::MemoryBound);
         let fine = snap(100, predicted * 1.2);
-        assert_eq!(classify(&fine, &t, &open, 1.0, &cfg), Bottleneck::OnModel);
+        assert_eq!(classify(&fine, &t, &open, &cfg), Bottleneck::OnModel);
     }
 
     #[test]
@@ -270,17 +254,12 @@ mod tests {
         let csr = forced_csr();
         let s = suggest(Bottleneck::MemoryBound, &csr).expect("headroom exists");
         assert!(s.pack && s.specialize && s.cache_block);
-
-        let s = suggest(Bottleneck::LatencyBound, &csr).expect("blocking off");
-        assert!(s.cache_block);
-        assert!(!s.pack, "latency move must not touch unrelated knobs");
     }
 
     #[test]
     fn exhausted_knobs_suggest_nothing() {
         assert!(suggest(Bottleneck::OnModel, &PlanConfig::default()).is_none());
         assert!(suggest(Bottleneck::MemoryBound, &PlanConfig::default()).is_none());
-        assert!(suggest(Bottleneck::LatencyBound, &PlanConfig::default()).is_none());
     }
 
     #[test]

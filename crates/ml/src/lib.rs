@@ -30,7 +30,6 @@ pub mod entropy;
 pub mod io;
 pub mod lint;
 pub mod metrics;
-pub mod online;
 pub mod prune;
 pub mod rules;
 pub mod tree;
@@ -39,6 +38,5 @@ pub use boost::BoostedTrees;
 pub use dataset::{AttrKind, AttrSpec, Dataset};
 pub use lint::{lint_ruleset, lint_tree, Finding, LintOptions, Severity};
 pub use metrics::ConfusionMatrix;
-pub use online::{IncrementalLearner, OnlineConfig, RetrainOutcome};
 pub use rules::{Rule, RuleSet};
 pub use tree::{DecisionTree, TreeConfig};

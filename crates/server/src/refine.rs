@@ -7,9 +7,9 @@
 //!
 //! 1. **Classify** — [`classify_plan`] maps the plan's telemetry +
 //!    compile-time traffic model onto a bottleneck class
-//!    ([`Bottleneck`]) and the compile-time move that addresses it
-//!    (re-open the format/specialization gates, cut finer tiles,
-//!    enable cache blocking).
+//!    ([`Bottleneck`]) and the compile-time move that addresses it: a
+//!    memory-bound plan with the pack or specialize gate closed gets a
+//!    candidate with both gates open.
 //! 2. **Probe** — [`probe_candidate`] compiles and **verifies** the
 //!    suggested configuration, then A/B-times candidate vs incumbent
 //!    on the live matrix, best-of-N, asserting bit-for-bit equal
@@ -30,19 +30,14 @@
 //! plan by [`RefineConfig::hysteresis_ns`] on an injected monotonic
 //! clock ([`spmv_parallel::Clock`]), so a plan that keeps measuring
 //! slow is retried at a bounded rate and tests can drive the schedule
-//! with a [`FakeClock`](spmv_parallel::FakeClock).
-//!
-//! Every completed A/B also feeds the incremental learner
-//! ([`spmv_ml::IncrementalLearner`]): the pair `(Table I features,
-//! measured winner)` accumulates, and periodic
-//! [`retrain_incremental`](spmv_ml::IncrementalLearner::retrain_incremental)
-//! refits the offline rule-set family over measured evidence — gated
-//! by the rule-set linter, so a degenerate refit can never replace a
-//! serving model.
+//! with a [`FakeClock`](spmv_parallel::FakeClock). Each scan prunes the
+//! schedule to the plans the cache still holds, so it never outgrows
+//! the cache.
 //!
 //! The mode knob is the `SPMV_REFINE` environment variable:
 //! `off` (default) does nothing, `observe` classifies and counts but
-//! never builds, `auto` runs the full loop.
+//! never builds, `auto` runs the full loop. A malformed value of any
+//! `SPMV_REFINE*` variable warns on stderr and reads as unset.
 
 use crate::cache::CacheError;
 use spmv_autotune::{
@@ -68,15 +63,62 @@ pub enum RefineMode {
 }
 
 impl RefineMode {
-    /// Parse `SPMV_REFINE` (`off` | `observe` | `auto`; unset or
-    /// unrecognised → `Off`).
+    /// Read `SPMV_REFINE` (`off` | `observe` | `auto`); unset, blank or
+    /// malformed → `Off`, and a malformed value warns on stderr.
     pub fn from_env() -> Self {
-        match std::env::var("SPMV_REFINE").as_deref() {
-            Ok("observe") => RefineMode::Observe,
-            Ok("auto") => RefineMode::Auto,
-            _ => RefineMode::Off,
-        }
+        refine_env("SPMV_REFINE", parse_mode).unwrap_or_default()
     }
+}
+
+/// Parse an `SPMV_REFINE` value: `off` | `observe` | `auto`. Blank is
+/// unset (`Ok(None)`); anything else is an `Err` carrying the warning.
+fn parse_mode(var: &str, raw: &str) -> Result<Option<RefineMode>, String> {
+    match raw.trim() {
+        "" => Ok(None),
+        "off" => Ok(Some(RefineMode::Off)),
+        "observe" => Ok(Some(RefineMode::Observe)),
+        "auto" => Ok(Some(RefineMode::Auto)),
+        _ => Err(format!(
+            "{var}={raw:?} is not one of off, observe, auto; ignoring it"
+        )),
+    }
+}
+
+/// Parse an `SPMV_REFINE_DIVERGENCE` value: a finite ratio > 0 (`nan`
+/// would never arm refinement, a negative ratio would arm every plan).
+fn parse_divergence(var: &str, raw: &str) -> Result<Option<f64>, String> {
+    let s = raw.trim();
+    if s.is_empty() {
+        return Ok(None);
+    }
+    match s.parse::<f64>() {
+        Ok(x) if x.is_finite() && x > 0.0 => Ok(Some(x)),
+        _ => Err(format!(
+            "{var}={raw:?} is not a finite ratio > 0; ignoring it"
+        )),
+    }
+}
+
+/// Parse an `SPMV_REFINE_HYSTERESIS_MS` value: a non-negative integer
+/// number of milliseconds.
+fn parse_hysteresis_ms(var: &str, raw: &str) -> Result<Option<u64>, String> {
+    let s = raw.trim();
+    if s.is_empty() {
+        return Ok(None);
+    }
+    s.parse::<u64>().map(Some).map_err(|_| {
+        format!("{var}={raw:?} is not a non-negative integer of milliseconds; ignoring it")
+    })
+}
+
+/// Read `var` through `parse`. A malformed value warns on stderr and
+/// reads as unset, so a typo is never silently identical to unset.
+fn refine_env<V>(var: &str, parse: fn(&str, &str) -> Result<Option<V>, String>) -> Option<V> {
+    let raw = std::env::var(var).ok()?;
+    parse(var, &raw).unwrap_or_else(|warning| {
+        eprintln!("warning: {warning}");
+        None
+    })
 }
 
 /// Refinement knobs. `Default` is fully off; [`RefineConfig::from_env`]
@@ -100,9 +142,6 @@ pub struct RefineConfig {
     pub hysteresis_ns: u64,
     /// Background worker pass period.
     pub scan_interval: Duration,
-    /// Run one incremental retrain after this many new measured
-    /// `(features, winner)` observations.
-    pub retrain_every: usize,
 }
 
 impl Default for RefineConfig {
@@ -114,29 +153,25 @@ impl Default for RefineConfig {
             min_speedup: 1.05,
             hysteresis_ns: 1_000_000_000,
             scan_interval: Duration::from_millis(20),
-            retrain_every: 8,
         }
     }
 }
 
 impl RefineConfig {
     /// Defaults overridden by environment: `SPMV_REFINE` (mode),
-    /// `SPMV_REFINE_DIVERGENCE` (observed/predicted ratio, f64),
-    /// `SPMV_REFINE_HYSTERESIS_MS` (attempt spacing, integer ms).
+    /// `SPMV_REFINE_DIVERGENCE` (observed/predicted ratio, finite > 0),
+    /// `SPMV_REFINE_HYSTERESIS_MS` (attempt spacing, integer ms). A
+    /// malformed value warns on stderr and keeps the default.
     pub fn from_env() -> Self {
         let mut cfg = Self {
             mode: RefineMode::from_env(),
             ..Self::default()
         };
-        if let Ok(v) = std::env::var("SPMV_REFINE_DIVERGENCE") {
-            if let Ok(x) = v.parse::<f64>() {
-                cfg.adapt.divergence_ratio = x;
-            }
+        if let Some(x) = refine_env("SPMV_REFINE_DIVERGENCE", parse_divergence) {
+            cfg.adapt.divergence_ratio = x;
         }
-        if let Ok(v) = std::env::var("SPMV_REFINE_HYSTERESIS_MS") {
-            if let Ok(ms) = v.parse::<u64>() {
-                cfg.hysteresis_ns = ms.saturating_mul(1_000_000);
-            }
+        if let Some(ms) = refine_env("SPMV_REFINE_HYSTERESIS_MS", parse_hysteresis_ms) {
+            cfg.hysteresis_ns = ms.saturating_mul(1_000_000);
         }
         cfg
     }
@@ -174,9 +209,10 @@ impl<K: std::hash::Hash + Eq + Clone> RefineScheduler<K> {
         self.last_attempt.insert(key.clone(), now_ns);
     }
 
-    /// Forget a key (its slot was evicted).
-    pub fn forget(&mut self, key: &K) {
-        self.last_attempt.remove(key);
+    /// Keep only the keys `live` accepts (the rest were evicted); a
+    /// dropped key's next attempt is immediately ready.
+    pub fn retain(&mut self, mut live: impl FnMut(&K) -> bool) {
+        self.last_attempt.retain(|k, _| live(k));
     }
 }
 
@@ -190,13 +226,7 @@ pub fn classify_plan<T: Scalar>(
     let snapshot = plan.telemetry().snapshot();
     let traffic = plan.plan().traffic();
     let config = plan.config();
-    let bottleneck = classify(
-        &snapshot,
-        &traffic,
-        config,
-        plan.plan().features().avg_lines_per_row,
-        adapt,
-    );
+    let bottleneck = classify(&snapshot, &traffic, config, adapt);
     let suggestion = suggest(bottleneck, config);
     (bottleneck, suggestion)
 }
@@ -300,38 +330,6 @@ pub fn probe_candidate<T: Scalar>(
     })
 }
 
-/// The learner schema the refinement loop feeds: the frozen Table I
-/// attribute vector against the two-class "which side measured faster"
-/// outcome. Keeping the schema here (not in the worker) lets benches
-/// and tests build a compatible [`spmv_ml::IncrementalLearner`].
-pub fn learner_schema() -> (Vec<spmv_ml::AttrSpec>, Vec<String>) {
-    let attrs = spmv_sparse::MatrixFeatures::attr_names(spmv_sparse::FeatureSet::TableI)
-        .into_iter()
-        .map(spmv_ml::AttrSpec::numeric)
-        .collect();
-    (attrs, vec!["incumbent".into(), "refined".into()])
-}
-
-/// Class index for [`learner_schema`]: the incumbent measured best.
-pub const CLASS_INCUMBENT: usize = 0;
-/// Class index for [`learner_schema`]: the refined candidate won.
-pub const CLASS_REFINED: usize = 1;
-
-/// Project a plan's features onto the frozen Table I row that matches
-/// [`learner_schema`] regardless of which feature set the plan was
-/// compiled with (extended features would widen `to_vec()`).
-pub fn feature_row(f: &spmv_sparse::MatrixFeatures) -> Vec<f64> {
-    vec![
-        f.m as f64,
-        f.n as f64,
-        f.nnz as f64,
-        f.var_nnz,
-        f.avg_nnz,
-        f.min_nnz as f64,
-        f.max_nnz as f64,
-    ]
-}
-
 /// Monotone counters for the background pass (lives in the server's
 /// shared state; the worker thread increments, `stats()` snapshots).
 #[derive(Debug, Default)]
@@ -352,12 +350,6 @@ pub struct RefineCounters {
     pub kept: AtomicU64,
     /// Candidate builds or probes that failed.
     pub failures: AtomicU64,
-    /// Measured `(features, winner)` pairs fed to the learner.
-    pub learner_observations: AtomicU64,
-    /// Incremental retrains accepted by the lint gate.
-    pub learner_retrains: AtomicU64,
-    /// Incremental retrains rejected by the lint gate.
-    pub learner_rejections: AtomicU64,
 }
 
 /// Snapshot of [`RefineCounters`] (see the field docs there).
@@ -379,12 +371,6 @@ pub struct RefineStats {
     pub kept: u64,
     /// Candidate builds or probes that failed.
     pub failures: u64,
-    /// Measured `(features, winner)` pairs fed to the learner.
-    pub learner_observations: u64,
-    /// Incremental retrains accepted by the lint gate.
-    pub learner_retrains: u64,
-    /// Incremental retrains rejected by the lint gate.
-    pub learner_rejections: u64,
 }
 
 impl RefineCounters {
@@ -399,9 +385,6 @@ impl RefineCounters {
             swapped: self.swapped.load(Ordering::Relaxed),
             kept: self.kept.load(Ordering::Relaxed),
             failures: self.failures.load(Ordering::Relaxed),
-            learner_observations: self.learner_observations.load(Ordering::Relaxed),
-            learner_retrains: self.learner_retrains.load(Ordering::Relaxed),
-            learner_rejections: self.learner_rejections.load(Ordering::Relaxed),
         }
     }
 }
@@ -441,10 +424,37 @@ mod tests {
     }
 
     #[test]
-    fn mode_parsing_matches_the_knob() {
-        // (Reads the real environment, so only the unset default is
-        // asserted here; the string mapping is covered by construction.)
+    fn refine_env_parsers_accept_valid_values_and_flag_the_rest() {
+        // The pure parsers behind `from_env`; blank means unset, and
+        // every malformed value is an `Err` naming the variable.
+        let v = "SPMV_REFINE";
         assert_eq!(RefineMode::default(), RefineMode::Off);
+        assert_eq!(parse_mode(v, ""), Ok(None));
+        assert_eq!(parse_mode(v, "off"), Ok(Some(RefineMode::Off)));
+        assert_eq!(parse_mode(v, "observe"), Ok(Some(RefineMode::Observe)));
+        assert_eq!(parse_mode(v, " auto "), Ok(Some(RefineMode::Auto)));
+        for bad in ["atuo", "AUTO", "on", "1"] {
+            let warning = parse_mode(v, bad).unwrap_err();
+            assert!(warning.starts_with(&format!("{v}={bad:?}")), "{warning}");
+        }
+
+        let v = "SPMV_REFINE_DIVERGENCE";
+        assert_eq!(parse_divergence(v, " "), Ok(None));
+        assert_eq!(parse_divergence(v, "1.5"), Ok(Some(1.5)));
+        assert_eq!(parse_divergence(v, "3"), Ok(Some(3.0)));
+        for bad in ["nan", "inf", "-1", "0", "fast"] {
+            let warning = parse_divergence(v, bad).unwrap_err();
+            assert!(warning.starts_with(&format!("{v}={bad:?}")), "{warning}");
+        }
+
+        let v = "SPMV_REFINE_HYSTERESIS_MS";
+        assert_eq!(parse_hysteresis_ms(v, ""), Ok(None));
+        assert_eq!(parse_hysteresis_ms(v, "0"), Ok(Some(0)));
+        assert_eq!(parse_hysteresis_ms(v, "250"), Ok(Some(250)));
+        for bad in ["-5", "1.5", "1s"] {
+            let warning = parse_hysteresis_ms(v, bad).unwrap_err();
+            assert!(warning.starts_with(&format!("{v}={bad:?}")), "{warning}");
+        }
     }
 
     #[test]
@@ -463,8 +473,19 @@ mod tests {
         sched.record(&key, clock.now_ns());
         clock.advance_ns(10);
         assert!(!sched.ready(&key, clock.now_ns(), h));
-        sched.forget(&key);
-        assert!(sched.ready(&key, clock.now_ns(), h), "forgotten = fresh");
+
+        // Pruning drops only the keys the predicate rejects: a pruned
+        // key is fresh again, a live one keeps its window.
+        let live = 8u32;
+        sched.record(&live, clock.now_ns());
+        sched.retain(|k| *k == live);
+        assert!(sched.ready(&key, clock.now_ns(), h), "pruned = fresh");
+        assert!(
+            !sched.ready(&live, clock.now_ns(), h),
+            "live keeps its window"
+        );
+        clock.advance_ns(h);
+        assert!(sched.ready(&live, clock.now_ns(), h));
     }
 
     #[test]

@@ -63,14 +63,13 @@
 
 use crate::cache::{CacheConfig, CacheError, CacheStats, PatternIdentity, PlanCache, PlanKey};
 use crate::refine::{
-    classify_plan, feature_row, learner_schema, probe_candidate, RefineConfig, RefineCounters,
-    RefineMode, RefineScheduler, RefineStats, CLASS_INCUMBENT, CLASS_REFINED,
+    classify_plan, probe_candidate, RefineConfig, RefineCounters, RefineMode, RefineScheduler,
+    RefineStats,
 };
 use spmv_autotune::{NativeCpuBackend, PlanConfig, SpmvPlan, Strategy};
-use spmv_ml::{IncrementalLearner, OnlineConfig, RetrainOutcome};
 use spmv_parallel::{Clock, MonotonicClock};
 use spmv_sparse::{CsrMatrix, DenseBlock, Scalar};
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock};
 use std::thread::JoinHandle;
@@ -759,18 +758,12 @@ fn serve_batch<T: Scalar>(
 /// configuration when it measures faster. Runs at the cadence of
 /// [`RefineConfig::scan_interval`] with hysteresis per plan, entirely
 /// off the request path: the only shared state it writes is the cache
-/// slot (via [`PlanCache::swap`]) and its own counters.
-///
-/// Every completed A/B also feeds the incremental learner; after
-/// [`RefineConfig::retrain_every`] observations it refits the rule-set
-/// behind the lint gate (see [`crate::refine`] module docs).
+/// slot (via [`PlanCache::swap`]) and its own counters. Each scan also
+/// drops the hysteresis entries of plans the cache no longer holds.
 fn refiner_loop<T: Scalar>(inner: Arc<Inner<T>>) {
     let cfg = inner.config.refine;
     let clock = MonotonicClock;
     let mut sched: RefineScheduler<PlanKey> = RefineScheduler::new();
-    let (attrs, classes) = learner_schema();
-    let mut learner = IncrementalLearner::new(attrs, classes, OnlineConfig::default());
-    let mut since_retrain = 0usize;
     loop {
         {
             let stop = inner.refine_stop.lock().unwrap();
@@ -793,6 +786,8 @@ fn refiner_loop<T: Scalar>(inner: Arc<Inner<T>>) {
         inner
             .cache
             .for_each_ready(|identity, plan| ready.push((identity, Arc::clone(plan))));
+        let live: HashSet<PlanKey> = ready.iter().map(|(identity, _)| identity.key).collect();
+        sched.retain(|key| live.contains(key));
 
         for (identity, plan) in ready {
             let key = identity.key;
@@ -830,35 +825,6 @@ fn refiner_loop<T: Scalar>(inner: Arc<Inner<T>>) {
             match probe_candidate(&a, &plan, suggestion, inner.config.workers, &cfg) {
                 Ok(report) => {
                     inner.refine.built.fetch_add(1, Ordering::Relaxed);
-                    let label = if report.improved {
-                        CLASS_REFINED
-                    } else {
-                        CLASS_INCUMBENT
-                    };
-                    learner.observe(&feature_row(plan.plan().features()), label);
-                    inner
-                        .refine
-                        .learner_observations
-                        .fetch_add(1, Ordering::Relaxed);
-                    since_retrain += 1;
-                    if since_retrain >= cfg.retrain_every.max(1) {
-                        since_retrain = 0;
-                        match learner.retrain_incremental() {
-                            RetrainOutcome::Accepted { .. } => {
-                                inner
-                                    .refine
-                                    .learner_retrains
-                                    .fetch_add(1, Ordering::Relaxed);
-                            }
-                            RetrainOutcome::RejectedByLinter { .. } => {
-                                inner
-                                    .refine
-                                    .learner_rejections
-                                    .fetch_add(1, Ordering::Relaxed);
-                            }
-                            RetrainOutcome::TooFewExamples { .. } => {}
-                        }
-                    }
                     let published = report.improved
                         && inner
                             .cache
