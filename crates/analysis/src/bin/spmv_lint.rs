@@ -16,14 +16,12 @@
 //!    executes at RHS widths covering lone-column, remainder, and full
 //!    register-block decompositions.
 //! 5. **Concurrency protocols** — the queue-claim/level-barrier,
-//!    worker-team park/wake, serving admission-queue, and refinement
-//!    publish state machines pass exhaustive interleaving (the team
-//!    model proves a parked helper never misses a published job; the
-//!    admission model proves the
-//!    coalescing-window protocol loses no request; the refine model
-//!    proves a candidate plan is always verified before it is published
-//!    over a serving incumbent); the deliberately buggy variants are
-//!    *detected* (a checker that flags nothing proves nothing).
+//!    worker-team park/wake and serving admission-queue state machines
+//!    pass exhaustive interleaving (the team model proves a parked
+//!    helper never misses a published job; the admission model proves
+//!    the coalescing-window protocol loses no request); the deliberately
+//!    buggy variants are *detected* (a checker that flags nothing proves
+//!    nothing).
 //! 6. **Bandwidth tiers** — every (strategy × backend × default/blocked
 //!    tier) plan verifies and executes bit-for-bit against the
 //!    sequential CSR reference, the sweep demonstrably reaches
@@ -54,9 +52,7 @@ use spmv_gpusim::GpuDevice;
 use spmv_ml::lint::Severity;
 use spmv_sparse::corpus::CorpusConfig;
 use spmv_verify::interleave::{explore, Verdict};
-use spmv_verify::models::{
-    AdmissionModel, CursorModel, LevelModel, RefineModel, TeamModel, TwoLockModel,
-};
+use spmv_verify::models::{AdmissionModel, CursorModel, LevelModel, TeamModel, TwoLockModel};
 use spmv_verify::{driver, hygiene};
 use std::path::{Path, PathBuf};
 
@@ -226,7 +222,7 @@ fn check_concurrency() -> usize {
     let mut bad = 0;
 
     // The shipped protocols must pass…
-    let sound: [(&str, Verdict); 6] = [
+    let sound: [(&str, Verdict); 5] = [
         (
             "flat queue cursor claim (2 threads, 3 items)",
             explore(CursorModel::atomic_claim(2, 3), BUDGET),
@@ -247,10 +243,6 @@ fn check_concurrency() -> usize {
             "serving admission queue (3 producers, batches of 2)",
             explore(AdmissionModel::correct(3, 2), BUDGET),
         ),
-        (
-            "refinement publish protocol (3 executors)",
-            explore(RefineModel::correct(3), BUDGET),
-        ),
     ];
     for (name, v) in sound {
         if v.passed() {
@@ -263,7 +255,7 @@ fn check_concurrency() -> usize {
 
     // …and the injected bugs must be *caught* (checker self-test).
     type Expect = fn(&Verdict) -> bool;
-    let buggy: [(&str, Verdict, Expect); 6] = [
+    let buggy: [(&str, Verdict, Expect); 5] = [
         (
             "racy cursor claim is detected as double write",
             explore(CursorModel::racy_claim(2, 2), BUDGET),
@@ -288,11 +280,6 @@ fn check_concurrency() -> usize {
             "non-atomic admission wait is detected as a stranded request",
             explore(AdmissionModel::sleep_after_unlock(2, 2), BUDGET),
             |v| matches!(v, Verdict::Deadlock { .. }),
-        ),
-        (
-            "publish-before-verify is detected as an unverified execute",
-            explore(RefineModel::publish_before_verify(2), BUDGET),
-            |v| matches!(v, Verdict::Violation { .. }),
         ),
     ];
     for (name, v, expected) in buggy {

@@ -24,15 +24,6 @@
 //!   unlock *then* sleep: a producer's notify can land in the window
 //!   between them and be lost, stranding the enqueued request with the
 //!   dispatcher asleep forever (detected as a deadlock).
-//! * [`RefineModel`] — the online-refinement publish protocol
-//!   (`refiner_loop` + `PlanCache::swap` in `crates/server`): a
-//!   background refiner builds a candidate plan, **verifies** it, and
-//!   only then publishes it into the shared cache slot; executors load
-//!   whatever the slot holds and run it. Verification happening-before
-//!   publication is exactly what makes the swap response-invariant. The
-//!   buggy variant publishes first and verifies after — an executor can
-//!   load the candidate in the gap and run an unverified plan (detected
-//!   as a violation).
 //! * [`LevelModel`] — the barrier-stepped level-solve protocol
 //!   (`stepped_for_each` in `crates/parallel/src/step.rs`, driving the
 //!   `SolvePlan` kernels): workers execute their slice of a level, meet
@@ -448,127 +439,6 @@ impl Model for AdmissionModel {
                     self.producers_done, self.served
                 ));
             }
-        }
-        None
-    }
-}
-
-/// Online-refinement publish protocol (`refiner_loop` feeding
-/// `PlanCache::swap`): version 0 is the incumbent plan (verified before
-/// it was ever cached), version 1 the refiner's candidate. The refiner
-/// builds the candidate, verifies it, then publishes it by swapping the
-/// shared slot; each executor performs two lookup-execute rounds — load
-/// the slot's current version (one atomic step, the cache's read-locked
-/// hit), then execute what it loaded (so a round that straddles the
-/// swap keeps running its own version, like an execute holding its
-/// `Arc`). The safety property: **no executor ever runs an unverified
-/// version**. The buggy variant swaps publish and verify.
-#[derive(Clone, PartialEq, Eq, Hash, Debug)]
-pub struct RefineModel {
-    /// The published slot: the version a fresh lookup receives.
-    slot: u8,
-    /// Has version `v` passed verification? Index 0 = incumbent
-    /// (verified from the start), 1 = candidate.
-    verified: [bool; 2],
-    /// Per-executor pc: even = load the slot, odd = execute the loaded
-    /// version; `2 * ROUNDS` = done.
-    exec_pc: Vec<u8>,
-    /// Per-executor loaded version.
-    loaded: Vec<u8>,
-    /// Refiner pc: 0 = build, 1..=2 = verify/publish (order is the bug
-    /// toggle), 3 = done.
-    ref_pc: u8,
-    /// First unverified execution observed, as `(executor, version)`.
-    bad_exec: Option<(u8, u8)>,
-    /// Re-introduce the publish-before-verify bug.
-    buggy: bool,
-}
-
-/// Lookup-execute rounds per executor: two, so one executor can run the
-/// incumbent while another runs the freshly published candidate.
-const REFINE_ROUNDS: u8 = 2;
-
-impl RefineModel {
-    /// Correct protocol: the candidate is verified before it is
-    /// published.
-    pub fn correct(executors: u8) -> Self {
-        Self::new(executors, false)
-    }
-
-    /// Buggy protocol: the candidate is published first and verified
-    /// after — executors can run it unverified.
-    pub fn publish_before_verify(executors: u8) -> Self {
-        Self::new(executors, true)
-    }
-
-    fn new(executors: u8, buggy: bool) -> Self {
-        assert!((1..=4).contains(&executors), "1..=4 executors");
-        Self {
-            slot: 0,
-            verified: [true, false],
-            exec_pc: vec![0; executors as usize],
-            loaded: vec![0; executors as usize],
-            ref_pc: 0,
-            bad_exec: None,
-            buggy,
-        }
-    }
-}
-
-impl Model for RefineModel {
-    fn n_threads(&self) -> usize {
-        self.exec_pc.len() + 1
-    }
-
-    fn runnable(&self, t: usize) -> bool {
-        if t < self.exec_pc.len() {
-            self.exec_pc[t] < 2 * REFINE_ROUNDS
-        } else {
-            self.ref_pc < 3
-        }
-    }
-
-    fn step(&mut self, t: usize) {
-        if t < self.exec_pc.len() {
-            if self.exec_pc[t].is_multiple_of(2) {
-                // Lookup: load whatever the slot currently publishes.
-                self.loaded[t] = self.slot;
-            } else {
-                // Execute the version this round loaded.
-                let v = self.loaded[t];
-                if !self.verified[v as usize] && self.bad_exec.is_none() {
-                    self.bad_exec = Some((t as u8, v));
-                }
-            }
-            self.exec_pc[t] += 1;
-        } else {
-            match (self.ref_pc, self.buggy) {
-                // Build the candidate (exists, unverified, unpublished).
-                (0, _) => {}
-                // Correct: verify, then publish.
-                (1, false) => self.verified[1] = true,
-                (2, false) => self.slot = 1,
-                // BUG: publish first, verify after.
-                (1, true) => self.slot = 1,
-                (2, true) => self.verified[1] = true,
-                _ => unreachable!(),
-            }
-            self.ref_pc += 1;
-        }
-    }
-
-    fn done(&self) -> bool {
-        self.ref_pc == 3 && self.exec_pc.iter().all(|&pc| pc == 2 * REFINE_ROUNDS)
-    }
-
-    fn violation(&self) -> Option<String> {
-        if let Some((e, v)) = self.bad_exec {
-            return Some(format!(
-                "executor {e} ran plan version {v} before it was verified"
-            ));
-        }
-        if self.done() && self.slot == 1 && !self.verified[1] {
-            return Some("unverified candidate left published".into());
         }
         None
     }
@@ -992,34 +862,6 @@ mod tests {
         // forever on a request that is already there.
         let v = explore(AdmissionModel::sleep_after_unlock(1, 1), BUDGET);
         assert!(matches!(v, Verdict::Deadlock { .. }), "got {v}");
-    }
-
-    #[test]
-    fn refine_publish_protocol_is_sound() {
-        for executors in 1..=3 {
-            let v = explore(RefineModel::correct(executors), BUDGET);
-            assert!(v.passed(), "executors={executors}: {v}");
-        }
-    }
-
-    #[test]
-    fn publishing_before_verifying_runs_an_unverified_plan() {
-        let v = explore(RefineModel::publish_before_verify(2), BUDGET);
-        match v {
-            Verdict::Violation { message, .. } => {
-                assert!(
-                    message.contains("before it was verified"),
-                    "unexpected message {message}"
-                );
-            }
-            other => panic!("expected Violation, got {other}"),
-        }
-    }
-
-    #[test]
-    fn even_one_executor_can_catch_the_unverified_publish() {
-        let v = explore(RefineModel::publish_before_verify(1), BUDGET);
-        assert!(matches!(v, Verdict::Violation { .. }), "got {v}");
     }
 
     #[test]

@@ -12,7 +12,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use spmv_autotune::prelude::*;
-use spmv_serve::{RefineConfig, ServeConfig, SpmvServer};
+use spmv_serve::{ServeConfig, SpmvServer};
 use spmv_sparse::gen;
 use std::time::{Duration, Instant};
 
@@ -36,7 +36,6 @@ fn bench_serve_batch(c: &mut Criterion) {
     let config = ServeConfig {
         workers: 1,
         coalesce_window: Duration::from_millis(5),
-        refine: RefineConfig::default(),
         ..ServeConfig::default()
     };
     let mut group = c.benchmark_group("serve_batch");

@@ -5,19 +5,6 @@
 //! Matrices come from the paper's evaluation suite (the Figure 5/6
 //! inputs); both paths run on the native CPU backend so the measured
 //! difference is exactly the validation cost the proof removes.
-//!
-//! The `telemetry_*` arms bound the cost of the PR 10 execute
-//! telemetry, which both paths above already include (every execute
-//! folds its wall time into the plan's EWMA — a handful of relaxed
-//! atomics reusing the `LaunchCost` clock read, no extra timing call):
-//!
-//! * `telemetry_record` times `PlanTelemetry::record` in isolation
-//!   (nanoseconds per call, against multi-microsecond executes);
-//! * `telemetry_x10` runs `execute_unchecked` plus nine redundant
-//!   `record` calls — its delta over the plain `execute_unchecked` arm
-//!   is nine extra telemetry hits, so even that amplified arm staying
-//!   within a few percent pins the single built-in hit well under the
-//!   ≤ 2% overhead budget.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use spmv_autotune::prelude::*;
@@ -59,22 +46,6 @@ fn bench_verified_exec(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("execute_unchecked", name), &a, |b, a| {
             let mut u = vec![0.0f32; a.n_rows()];
             b.iter(|| verified.execute_unchecked(a, &v, &mut u).unwrap())
-        });
-
-        group.bench_with_input(BenchmarkId::new("telemetry_record", name), &a, |b, _a| {
-            let telemetry = verified.telemetry();
-            b.iter(|| telemetry.record(std::hint::black_box(1_000), 1))
-        });
-
-        group.bench_with_input(BenchmarkId::new("telemetry_x10", name), &a, |b, a| {
-            let mut u = vec![0.0f32; a.n_rows()];
-            b.iter(|| {
-                let cost = verified.execute_unchecked(a, &v, &mut u).unwrap();
-                let wall = cost.wall.as_nanos() as u64;
-                for _ in 0..9 {
-                    verified.telemetry().record(wall, 1);
-                }
-            })
         });
     }
     group.finish();

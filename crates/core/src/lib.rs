@@ -64,7 +64,6 @@
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
-pub mod adapt;
 pub mod baseline;
 pub mod binning;
 pub mod exec;
@@ -74,14 +73,12 @@ pub mod model_io;
 pub mod plan;
 pub mod solve;
 pub mod strategy;
-pub mod telemetry;
 pub mod training;
 pub mod tuner;
 pub mod verify;
 
 /// Convenience re-exports for downstream code and examples.
 pub mod prelude {
-    pub use crate::adapt::{classify, suggest, AdaptConfig, Bottleneck};
     pub use crate::baseline::CsrAdaptive;
     pub use crate::binning::{BinningScheme, Bins};
     pub use crate::exec::{ExecBackend, LaunchCost, NativeCpuBackend, PlanParts, SimGpuBackend};
@@ -97,7 +94,6 @@ pub mod prelude {
         VerifiedSolvePlan,
     };
     pub use crate::strategy::Strategy;
-    pub use crate::telemetry::{PlanTelemetry, TelemetrySnapshot};
     pub use crate::training::{TrainedModel, Trainer, TrainingReport};
     pub use crate::tuner::{TunedStrategy, Tuner, TunerConfig};
     pub use crate::verify::{

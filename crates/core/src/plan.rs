@@ -21,7 +21,6 @@ use crate::kernels::cpu::rows_nnz_cuts;
 use crate::kernels::table::{self, KernelFamily, KernelKey};
 use crate::kernels::KernelId;
 use crate::strategy::Strategy;
-use crate::telemetry::PlanTelemetry;
 use crate::verify::{check_dispatch, check_payloads, VerifyError};
 use spmv_sparse::packed::SORT_WINDOW_CHUNKS;
 use spmv_sparse::{
@@ -384,7 +383,7 @@ pub struct PlanConfig {
     /// when `x` outgrows this, and the strip width is sized so one strip
     /// of `x` fits within it (an L2-capacity stand-in).
     pub l2_bytes: usize,
-    /// Bottleneck-classifier threshold: a CSR-fallback bin is treated as
+    /// Format-gate threshold: a CSR-fallback bin is treated as
     /// scatter-heavy (latency-bound) when its rows touch at least this
     /// many distinct cache lines of `x` on average.
     pub scatter_lines_per_row: f64,
@@ -558,10 +557,6 @@ pub struct SpmvPlan<T: Scalar> {
     tile_weights: Vec<usize>,
     config: PlanConfig,
     backend: Box<dyn ExecBackend<T>>,
-    /// Lock-free measured-feedback counters (EWMA ns/column, effective
-    /// rate) updated by every execute path —
-    /// the observation side of the online bottleneck classifier.
-    telemetry: PlanTelemetry,
 }
 
 // Compile-time `Send + Sync` proofs: plans and proof tokens cross
@@ -622,16 +617,6 @@ impl<T: Scalar> SpmvPlan<T> {
             payloads.push(payload);
         }
         let (tiles, tile_weights) = build_tiles(a, &dispatch, &payloads, &config);
-        // Freeze the telemetry constants now: the modelled traffic never
-        // changes after compilation, so the execute paths only ever touch
-        // the atomic counters.
-        let traffic = traffic_of(
-            &dispatch,
-            &payloads,
-            features.avg_lines_per_row,
-            pattern.fingerprint.m,
-        );
-        let telemetry = PlanTelemetry::new(a.nnz(), &traffic);
         Self {
             strategy,
             features,
@@ -643,7 +628,6 @@ impl<T: Scalar> SpmvPlan<T> {
             tile_weights,
             config,
             backend,
-            telemetry,
         }
     }
 
@@ -696,11 +680,7 @@ impl<T: Scalar> SpmvPlan<T> {
     /// to the backend. All validation happens in the
     /// callers.
     fn launch_all(&self, a: &CsrMatrix<T>, v: &[T], u: &mut [T]) -> LaunchCost {
-        let cost = self.backend.launch_plan(a, &self.parts(), v, u);
-        // Feed the wall time the backend already measured into the
-        // telemetry EWMA: no extra clock read on the hot path.
-        self.telemetry.record(cost.wall.as_nanos() as u64, 1);
-        cost
+        self.backend.launch_plan(a, &self.parts(), v, u)
     }
 
     /// Batched execute: `y = A · x` for every column of `x` in one
@@ -754,9 +734,7 @@ impl<T: Scalar> SpmvPlan<T> {
         x: &DenseBlock<T>,
         y: &mut DenseBlock<T>,
     ) -> LaunchCost {
-        let cost = self.backend.launch_plan_batch(a, &self.parts(), x, y);
-        self.telemetry.record(cost.wall.as_nanos() as u64, x.k());
-        cost
+        self.backend.launch_plan_batch(a, &self.parts(), x, y)
     }
 
     /// Prove this plan's write sets against `a` and, on success, wrap it
@@ -862,12 +840,39 @@ impl<T: Scalar> SpmvPlan<T> {
     /// Memory-traffic accounting for one execution of this plan, summed
     /// over the materialised payloads (see [`TrafficStats`]).
     pub fn traffic(&self) -> TrafficStats {
-        traffic_of(
-            &self.dispatch,
-            &self.payloads,
-            self.features.avg_lines_per_row,
-            self.pattern.fingerprint.m,
-        )
+        let mut t = TrafficStats::default();
+        for (d, p) in self.dispatch.iter().zip(&self.payloads) {
+            match p {
+                BinPayload::Packed(packed) => {
+                    t.value_bytes += packed.slots() * T::BYTES;
+                    t.index_bytes += packed.index_stream_bytes();
+                }
+                BinPayload::Csr | BinPayload::Blocked { .. } => {
+                    t.value_bytes += d.nnz * T::BYTES;
+                    t.index_bytes += d.nnz * 4;
+                }
+                // The structure fast paths stream values in full but
+                // replace the per-non-zero index stream with their proven
+                // structural metadata: run descriptors, the offset list,
+                // or one pattern load per identical-row run.
+                BinPayload::DenseRun(runs) => {
+                    t.value_bytes += d.nnz * T::BYTES;
+                    t.index_bytes += runs.index_stream_bytes();
+                }
+                BinPayload::Banded(band) => {
+                    t.value_bytes += d.nnz * T::BYTES;
+                    t.index_bytes += band.index_stream_bytes();
+                }
+                BinPayload::RowRun(rr) => {
+                    t.value_bytes += d.nnz * T::BYTES;
+                    t.index_bytes += rr.index_stream_bytes();
+                }
+            }
+            t.nnz += d.nnz;
+        }
+        let m = self.pattern.fingerprint.m;
+        t.x_gather_bytes = (self.features.avg_lines_per_row * 64.0 * m as f64).round() as usize;
+        t
     }
 
     /// Name of the backend launches run on.
@@ -879,55 +884,6 @@ impl<T: Scalar> SpmvPlan<T> {
     pub fn launches(&self) -> usize {
         self.dispatch.len()
     }
-
-    /// The plan's execution telemetry (live counters; take a
-    /// [`snapshot`](PlanTelemetry::snapshot) to classify or report).
-    pub fn telemetry(&self) -> &PlanTelemetry {
-        &self.telemetry
-    }
-}
-
-/// [`SpmvPlan::traffic`] over borrowed tables, so compilation can price
-/// a plan's traffic before the plan value exists (telemetry freezes the
-/// modelled byte count at compile time).
-fn traffic_of<T: Scalar>(
-    dispatch: &[BinDispatch],
-    payloads: &[BinPayload<T>],
-    avg_lines_per_row: f64,
-    m: usize,
-) -> TrafficStats {
-    let mut t = TrafficStats::default();
-    for (d, p) in dispatch.iter().zip(payloads) {
-        match p {
-            BinPayload::Packed(packed) => {
-                t.value_bytes += packed.slots() * T::BYTES;
-                t.index_bytes += packed.index_stream_bytes();
-            }
-            BinPayload::Csr | BinPayload::Blocked { .. } => {
-                t.value_bytes += d.nnz * T::BYTES;
-                t.index_bytes += d.nnz * 4;
-            }
-            // The structure fast paths stream values in full but
-            // replace the per-non-zero index stream with their proven
-            // structural metadata: run descriptors, the offset list,
-            // or one pattern load per identical-row run.
-            BinPayload::DenseRun(runs) => {
-                t.value_bytes += d.nnz * T::BYTES;
-                t.index_bytes += runs.index_stream_bytes();
-            }
-            BinPayload::Banded(band) => {
-                t.value_bytes += d.nnz * T::BYTES;
-                t.index_bytes += band.index_stream_bytes();
-            }
-            BinPayload::RowRun(rr) => {
-                t.value_bytes += d.nnz * T::BYTES;
-                t.index_bytes += rr.index_stream_bytes();
-            }
-        }
-        t.nnz += d.nnz;
-    }
-    t.x_gather_bytes = (avg_lines_per_row * 64.0 * m as f64).round() as usize;
-    t
 }
 
 /// Decide a bin's storage format and materialise its payload.
@@ -1303,12 +1259,6 @@ impl<T: Scalar> VerifiedPlan<T> {
     /// convenience; same as `plan().config()`).
     pub fn config(&self) -> &PlanConfig {
         &self.plan.config
-    }
-
-    /// The plan's execution telemetry (live counters; take a
-    /// [`snapshot`](crate::telemetry::PlanTelemetry::snapshot) to read).
-    pub fn telemetry(&self) -> &crate::telemetry::PlanTelemetry {
-        self.plan.telemetry()
     }
 
     /// Unwrap, dropping the proof token.

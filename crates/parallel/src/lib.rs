@@ -34,12 +34,10 @@
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
-pub mod clock;
 pub mod drain;
 pub mod scope;
 pub mod step;
 
-pub use clock::{Clock, FakeClock, MonotonicClock};
 pub use drain::{drain_for_each, fused_for_each_with};
 pub use scope::{
     hardware_threads, machine_threads, num_threads, parallel_for, parallel_map_collect,

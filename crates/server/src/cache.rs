@@ -44,16 +44,6 @@
 //! (a large matrix's multi-second compile-and-verify) survives a scan
 //! of cheap one-shot plans that would have flushed it under pure
 //! recency. In-flight builds are never evicted.
-//!
-//! The cache is also the **publication point for online refinement**:
-//! [`PlanCache::swap`] atomically replaces a Ready entry with a faster
-//! plan compiled for the *same pattern and confirm checksum* under the
-//! *same key*, so tenants that keep requesting the original
-//! configuration transparently receive the refined plan. Readers are
-//! never disturbed: in-flight executes hold their own `Arc` to the old
-//! plan and finish on it; the swap only redirects future lookups. Both
-//! sides of a swap are [`VerifiedPlan`]s for one structure, so results
-//! stay bit-for-bit identical across the transition.
 
 use spmv_autotune::{PatternFingerprint, PlanConfig, PlanConfigKey, VerifiedPlan};
 use spmv_sparse::{CsrMatrix, Scalar};
@@ -165,9 +155,6 @@ pub struct CacheStats {
     /// Fingerprint matches rejected by the confirm checksum — each one
     /// is a would-have-been wrong-plan reuse the secondary hash caught.
     pub collisions: u64,
-    /// Refined plans published over an incumbent via
-    /// [`PlanCache::swap`].
-    pub swaps: u64,
 }
 
 impl CacheStats {
@@ -247,7 +234,6 @@ pub struct PlanCache<T: Scalar> {
     joined_builds: AtomicU64,
     evictions: AtomicU64,
     collisions: AtomicU64,
-    swaps: AtomicU64,
 }
 
 impl<T: Scalar> PlanCache<T> {
@@ -265,7 +251,6 @@ impl<T: Scalar> PlanCache<T> {
             joined_builds: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             collisions: AtomicU64::new(0),
-            swaps: AtomicU64::new(0),
         }
     }
 
@@ -387,69 +372,6 @@ impl<T: Scalar> PlanCache<T> {
         }
     }
 
-    /// Atomically publish a refined `plan` over the slot `id` names: the
-    /// refinement layer's swap point. Future lookups with the same
-    /// identity receive `plan`; executes already running on the
-    /// incumbent hold their own `Arc` and finish undisturbed.
-    ///
-    /// The caller must guarantee `plan` is verified **for the same
-    /// matrix structure** the slot serves — the pattern `id` covers —
-    /// which is what makes the swap response-invariant: both sides write
-    /// bit-identical outputs for every input. `build_ns` is the measured
-    /// cost of producing the replacement (it becomes the entry's rebuild
-    /// cost for eviction scoring). The plan's telemetry is reset so the
-    /// replacement earns its own execute history.
-    ///
-    /// Returns `false` without publishing when the slot currently holds
-    /// an in-flight build (never race a builder; the refiner retries on
-    /// its next pass). Publishes and returns `true` when the slot is
-    /// Ready or empty.
-    pub fn swap(&self, id: PatternIdentity, build_ns: u64, plan: Arc<VerifiedPlan<T>>) -> bool {
-        let PatternIdentity { key, confirm } = id;
-        debug_assert_eq!(
-            plan.fingerprint(),
-            &key.pattern,
-            "swapped plan must match the slot's pattern"
-        );
-        let shard = &self.shards[self.shard_index(&key)];
-        let mut map = shard.write().unwrap();
-        if let Some(SlotState::Building(_)) = map.get(&key) {
-            return false;
-        }
-        plan.telemetry().reset_measurements();
-        let entry = Arc::new(Entry {
-            plan,
-            confirm,
-            last_used: AtomicU64::new(self.next_tick()),
-            build_ns,
-        });
-        map.insert(key, SlotState::Ready(entry));
-        self.evict_over_capacity(&mut map, &key);
-        self.swaps.fetch_add(1, Ordering::Relaxed);
-        true
-    }
-
-    /// Visit every Ready entry as `(identity, plan)` — the refinement
-    /// layer's scan surface. Shards are visited under their read lock,
-    /// so `f` must not call back into the cache (collect candidates, drop
-    /// out of the scan, then act).
-    pub fn for_each_ready(&self, mut f: impl FnMut(PatternIdentity, &Arc<VerifiedPlan<T>>)) {
-        for shard in &self.shards {
-            let map = shard.read().unwrap();
-            for (&key, v) in map.iter() {
-                if let SlotState::Ready(e) = v {
-                    f(
-                        PatternIdentity {
-                            key,
-                            confirm: e.confirm,
-                        },
-                        &e.plan,
-                    );
-                }
-            }
-        }
-    }
-
     /// Counter snapshot (relaxed loads; exact once concurrent lookups
     /// quiesce).
     pub fn stats(&self) -> CacheStats {
@@ -460,7 +382,6 @@ impl<T: Scalar> PlanCache<T> {
             joined_builds: self.joined_builds.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
             collisions: self.collisions.load(Ordering::Relaxed),
-            swaps: self.swaps.load(Ordering::Relaxed),
         }
     }
 
@@ -850,104 +771,5 @@ mod tests {
             before,
             "expensive plan was evicted by the cheap scan"
         );
-    }
-
-    #[test]
-    fn swap_replaces_the_served_plan_without_a_rebuild() {
-        let cache = PlanCache::new(CacheConfig::default());
-        let a = gen::random_uniform::<f64>(300, 300, 1, 5, 7);
-        let incumbent_cfg = PlanConfig {
-            pack: false,
-            cache_block: false,
-            specialize: false,
-            ..PlanConfig::default()
-        };
-        let p1 = cache
-            .get_or_build(&a, &incumbent_cfg, || {
-                let strategy = Strategy {
-                    binning: BinningScheme::Coarse { u: 10 },
-                    kernels: vec![KernelId::Serial; 8],
-                };
-                SpmvPlan::compile_with(
-                    &a,
-                    strategy,
-                    Box::new(NativeCpuBackend::new()),
-                    incumbent_cfg,
-                )
-                .verify(&a)
-                .map_err(|e| CacheError::Build(e.to_string()))
-            })
-            .unwrap();
-        // Refine: a plan compiled with the gates open, published under
-        // the incumbent's key.
-        let refined = Arc::new(compile(&a).unwrap());
-        refined.telemetry().record(1_000, 1);
-        let id = PatternIdentity::of(&a, &incumbent_cfg);
-        assert!(cache.swap(id, 5_000, Arc::clone(&refined)));
-        // Future lookups for the *original* config now get the refined
-        // plan, from cache, with its telemetry freshly zeroed.
-        let before = cache.stats().builds;
-        let p2 = cache
-            .get_or_build(&a, &incumbent_cfg, || unreachable!("must be a hit"))
-            .unwrap();
-        assert!(Arc::ptr_eq(&p2, &refined));
-        assert!(!Arc::ptr_eq(&p2, &p1));
-        assert_eq!(cache.stats().builds, before);
-        assert_eq!(cache.stats().swaps, 1);
-        assert_eq!(p2.telemetry().snapshot().executes, 0);
-    }
-
-    #[test]
-    fn swap_refuses_to_race_an_in_flight_build() {
-        let cache = PlanCache::<f64>::new(CacheConfig::default());
-        let a = gen::random_uniform::<f64>(200, 200, 1, 4, 11);
-        let cfg = PlanConfig::default();
-        let id = PatternIdentity::of(&a, &cfg);
-        let refined = Arc::new(compile(&a).unwrap());
-        // While a build is in flight for the key, swap must decline.
-        let swapped = std::thread::scope(|s| {
-            let cache = &cache;
-            let in_builder = Arc::new(std::sync::Barrier::new(2));
-            let release = Arc::new(std::sync::Barrier::new(2));
-            let b1 = Arc::clone(&in_builder);
-            let r1 = Arc::clone(&release);
-            let a_ref = &a;
-            s.spawn(move || {
-                cache
-                    .get_or_build(a_ref, &cfg, || {
-                        b1.wait();
-                        r1.wait();
-                        compile(a_ref)
-                    })
-                    .unwrap();
-            });
-            in_builder.wait();
-            let swapped = cache.swap(id, 1, Arc::clone(&refined));
-            release.wait();
-            swapped
-        });
-        assert!(!swapped, "swap must not stomp an in-flight build");
-        assert_eq!(cache.stats().swaps, 0);
-    }
-
-    #[test]
-    fn for_each_ready_scans_every_ready_entry() {
-        let cache = PlanCache::new(CacheConfig::default());
-        let cfg = PlanConfig::default();
-        let mats: Vec<_> = (1..=3)
-            .map(|seed| gen::random_uniform::<f64>(150 + seed, 150, 1, 4, seed as u64))
-            .collect();
-        for m in &mats {
-            cache.get_or_build(m, &cfg, || compile(m)).unwrap();
-        }
-        let mut seen = Vec::new();
-        cache.for_each_ready(|id, plan| {
-            assert_eq!(plan.fingerprint(), &id.key.pattern);
-            seen.push(id);
-        });
-        assert_eq!(seen.len(), 3);
-        for m in &mats {
-            assert!(seen.contains(&PatternIdentity::of(m, &cfg)));
-        }
     }
 }

@@ -23,29 +23,14 @@
 //!   earliest-deadline tie-breaks keeps tenants fair. Batched responses
 //!   are bit-for-bit identical to standalone single-vector executes.
 //!
-//! * **Measured-feedback refinement.** Compile-time plan selection is
-//!   a prediction; the serving process can check it. The
-//!   [`refine`] module watches each cached plan's execute telemetry,
-//!   classifies divergence from the traffic model into a bottleneck,
-//!   and (under `SPMV_REFINE=auto`) compiles the suggested fix in the
-//!   background, A/B-times it against the incumbent, and publishes it
-//!   via [`cache::PlanCache::swap`] only when it measures faster —
-//!   with bit-for-bit identical responses across the swap.
-//!
 //! The dispatcher's lost-wakeup-free sleep protocol is exhaustively
-//! model-checked by `AdmissionModel` in the analysis crate; the
-//! refiner's publish protocol (verify *before* swap, never racing a
-//! builder) is checked the same way by `RefineModel`.
+//! model-checked by `AdmissionModel` in the analysis crate.
 
 pub mod cache;
-pub mod refine;
 pub mod serve;
 
 pub use cache::{CacheConfig, CacheError, CacheStats, PatternIdentity, PlanCache, PlanKey};
-pub use refine::{
-    classify_plan, probe_candidate, ProbeReport, RefineConfig, RefineError, RefineMode,
-    RefineScheduler, RefineStats,
-};
 pub use serve::{
-    MatrixId, Response, ServeConfig, ServeError, ServeStats, SpmvServer, TenantId, Ticket,
+    MatrixId, RefineConfig, Response, ServeConfig, ServeError, ServeStats, SpmvServer, TenantId,
+    Ticket,
 };

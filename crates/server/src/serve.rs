@@ -43,8 +43,7 @@
 //! * [`SpmvServer::register_matrix`] computes the matrix's
 //!   [`PatternIdentity`] — cache key and confirm checksum, both covering
 //!   `row_ptr` and `col_idx` — once, outside the registry lock. Every
-//!   batch looks its plan up with that stored identity (an O(1) hit),
-//!   and the refiner matches registered matrices by it.
+//!   batch looks its plan up with that stored identity (an O(1) hit).
 //! * The dispatcher owns one `x` and one `y` [`DenseBlock`] and reshapes
 //!   them for each batch, reusing their storage. Request vectors are
 //!   gathered straight into `x` by a width-specialised transpose. `y` is
@@ -61,15 +60,10 @@
 //! rebuild, no cache invalidation. The clone is built outside the
 //! registry lock, which is held only for the pointer swap.
 
-use crate::cache::{CacheConfig, CacheError, CacheStats, PatternIdentity, PlanCache, PlanKey};
-use crate::refine::{
-    classify_plan, probe_candidate, RefineConfig, RefineCounters, RefineMode, RefineScheduler,
-    RefineStats,
-};
+use crate::cache::{CacheConfig, CacheError, CacheStats, PatternIdentity, PlanCache};
 use spmv_autotune::{NativeCpuBackend, PlanConfig, SpmvPlan, Strategy};
-use spmv_parallel::{Clock, MonotonicClock};
 use spmv_sparse::{CsrMatrix, DenseBlock, Scalar};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock};
 use std::thread::JoinHandle;
@@ -142,11 +136,15 @@ pub struct ServeConfig {
     /// Configuration every served plan is compiled with (part of the
     /// cache key).
     pub plan: PlanConfig,
-    /// Online refinement knobs; defaults come from the environment
-    /// (`SPMV_REFINE` and friends, off when unset), so a deployment
-    /// can turn the loop on without touching code.
+    /// Configures nothing; kept for callers that still set it.
     pub refine: RefineConfig,
 }
+
+/// Configures nothing: the server chooses every plan at compile time.
+/// The name stays only until a benchmark change drops perfbench's use
+/// of it.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct RefineConfig;
 
 impl Default for ServeConfig {
     fn default() -> Self {
@@ -157,7 +155,7 @@ impl Default for ServeConfig {
             workers: 0,
             cache: CacheConfig::default(),
             plan: PlanConfig::default(),
-            refine: RefineConfig::from_env(),
+            refine: Default::default(),
         }
     }
 }
@@ -223,7 +221,7 @@ struct Pending<T> {
 }
 
 struct QueueState<T> {
-    queues: HashMap<TenantId, VecDeque<Pending<T>>>,
+    queues: BTreeMap<TenantId, VecDeque<Pending<T>>>,
     deficits: HashMap<TenantId, i64>,
     shutdown: bool,
 }
@@ -263,32 +261,16 @@ impl<T> QueueState<T> {
     /// Each rider is charged one deficit unit; the counter may go
     /// negative and is repaid by future quanta.
     ///
-    /// Backlogged tenants are visited in ascending id order and each
-    /// queue front to back, so when more riders wait than the batch has
-    /// room for, the lowest tenant ids' oldest requests ride. The id order
-    /// is sorted into `order`, a scratch the caller keeps across calls, so
-    /// a warm pull allocates nothing; each queue gives up its riders in
-    /// one rotation pass.
-    fn pull_riders_with(
-        &mut self,
-        matrix: MatrixId,
-        batch: &mut Vec<Pending<T>>,
-        max_batch: usize,
-        order: &mut Vec<TenantId>,
-    ) {
-        order.clear();
-        order.extend(
-            self.queues
-                .iter()
-                .filter(|(_, q)| !q.is_empty())
-                .map(|(&t, _)| t),
-        );
-        order.sort_unstable();
-        for &t in order.iter() {
+    /// Tenants are visited in ascending id order (the map's order) and
+    /// each queue front to back, so when more riders wait than the batch
+    /// has room for, the lowest tenant ids' oldest requests ride. A pull
+    /// allocates nothing; each queue gives up its riders in one rotation
+    /// pass.
+    fn pull_riders(&mut self, matrix: MatrixId, batch: &mut Vec<Pending<T>>, max_batch: usize) {
+        for (&t, queue) in self.queues.iter_mut() {
             if batch.len() >= max_batch {
                 return;
             }
-            let queue = self.queues.get_mut(&t).expect("tenant key just seen");
             let Some(first) = queue.iter().position(|p| p.matrix == matrix) else {
                 continue;
             };
@@ -307,11 +289,6 @@ impl<T> QueueState<T> {
             }
             *self.deficits.entry(t).or_insert(0) -= (batch.len() - before) as i64;
         }
-    }
-
-    #[cfg(test)]
-    fn pull_riders(&mut self, matrix: MatrixId, batch: &mut Vec<Pending<T>>, max_batch: usize) {
-        self.pull_riders_with(matrix, batch, max_batch, &mut Vec::new());
     }
 }
 
@@ -341,13 +318,6 @@ struct Inner<T: Scalar> {
     batches: AtomicU64,
     /// `occupancy[k-1]` counts batches dispatched with width `k`.
     occupancy: Vec<AtomicU64>,
-    /// Background-refinement counters (worker increments).
-    refine: RefineCounters,
-    /// Stop flag + wakeup for the refinement worker. Separate from the
-    /// dispatcher's queue condvar: refinement paces itself on
-    /// `scan_interval`, not on arrivals.
-    refine_stop: Mutex<bool>,
-    refine_halt: Condvar,
 }
 
 impl<T: Scalar> Inner<T> {
@@ -379,8 +349,6 @@ pub struct ServeStats {
     pub occupancy: Vec<u64>,
     /// Plan-cache counters.
     pub cache: CacheStats,
-    /// Online-refinement counters (zero when `SPMV_REFINE` is off).
-    pub refine: RefineStats,
 }
 
 impl ServeStats {
@@ -405,12 +373,10 @@ impl ServeStats {
 pub struct SpmvServer<T: Scalar> {
     inner: Arc<Inner<T>>,
     dispatcher: Option<JoinHandle<()>>,
-    refiner: Option<JoinHandle<()>>,
 }
 
 impl<T: Scalar> SpmvServer<T> {
-    /// Start a server (spawns the dispatcher thread, plus the
-    /// refinement worker when [`RefineConfig::mode`] is not `Off`).
+    /// Start a server (spawns the dispatcher thread).
     pub fn start(config: ServeConfig) -> Self {
         let max_batch = config.max_batch.max(1);
         let config = ServeConfig {
@@ -426,7 +392,7 @@ impl<T: Scalar> SpmvServer<T> {
             replace: Mutex::new(()),
             cache,
             queue: Mutex::new(QueueState {
-                queues: HashMap::new(),
+                queues: BTreeMap::new(),
                 deficits: HashMap::new(),
                 shutdown: false,
             }),
@@ -434,26 +400,15 @@ impl<T: Scalar> SpmvServer<T> {
             submitted: AtomicU64::new(0),
             completed: AtomicU64::new(0),
             batches: AtomicU64::new(0),
-            refine: RefineCounters::default(),
-            refine_stop: Mutex::new(false),
-            refine_halt: Condvar::new(),
         });
         let worker = Arc::clone(&inner);
         let dispatcher = std::thread::Builder::new()
             .name("spmv-serve-dispatch".into())
             .spawn(move || dispatcher_loop(worker))
             .expect("spawn dispatcher");
-        let refiner = (inner.config.refine.mode != RefineMode::Off).then(|| {
-            let worker = Arc::clone(&inner);
-            std::thread::Builder::new()
-                .name("spmv-serve-refine".into())
-                .spawn(move || refiner_loop(worker))
-                .expect("spawn refiner")
-        });
         Self {
             inner,
             dispatcher: Some(dispatcher),
-            refiner,
         }
     }
 
@@ -553,33 +508,24 @@ impl<T: Scalar> SpmvServer<T> {
                 .map(|c| c.load(Ordering::Relaxed))
                 .collect(),
             cache: self.inner.cache.stats(),
-            refine: self.inner.refine.snapshot(),
         }
     }
 
-    /// Stop admitting, drain every queued request, and join the worker
-    /// threads. Tickets submitted before the call all resolve.
+    /// Stop admitting, drain every queued request, and join the
+    /// dispatcher thread. Tickets submitted before the call all resolve.
     pub fn shutdown(mut self) {
         self.begin_shutdown();
-        self.join_workers();
+        self.join_dispatcher();
     }
 
     fn begin_shutdown(&self) {
-        {
-            let mut q = self.inner.queue.lock().unwrap();
-            q.shutdown = true;
-            self.inner.arrivals.notify_all();
-        }
-        let mut stop = self.inner.refine_stop.lock().unwrap();
-        *stop = true;
-        self.inner.refine_halt.notify_all();
+        let mut q = self.inner.queue.lock().unwrap();
+        q.shutdown = true;
+        self.inner.arrivals.notify_all();
     }
 
-    fn join_workers(&mut self) {
+    fn join_dispatcher(&mut self) {
         if let Some(h) = self.dispatcher.take() {
-            let _ = h.join();
-        }
-        if let Some(h) = self.refiner.take() {
             let _ = h.join();
         }
     }
@@ -587,9 +533,9 @@ impl<T: Scalar> SpmvServer<T> {
 
 impl<T: Scalar> Drop for SpmvServer<T> {
     fn drop(&mut self) {
-        if self.dispatcher.is_some() || self.refiner.is_some() {
+        if self.dispatcher.is_some() {
             self.begin_shutdown();
-            self.join_workers();
+            self.join_dispatcher();
         }
     }
 }
@@ -600,10 +546,8 @@ impl<T: Scalar> Drop for SpmvServer<T> {
 /// that arrived during the execute is picked up immediately).
 fn dispatcher_loop<T: Scalar>(inner: Arc<Inner<T>>) {
     // The batch blocks, reshaped per batch: their storage grows to the
-    // largest batch served and is then reused. Likewise the tenant order
-    // of the rider pull.
+    // largest batch served and is then reused.
     let mut blocks = (DenseBlock::zeros(0, 0), DenseBlock::zeros(0, 0));
-    let mut tenant_order = Vec::new();
     loop {
         let (matrix, batch) = {
             let mut q = inner.queue.lock().unwrap();
@@ -627,12 +571,7 @@ fn dispatcher_loop<T: Scalar>(inner: Arc<Inner<T>>) {
             let window_ends = anchor.enqueued + inner.config.coalesce_window;
             let mut batch = vec![anchor];
             loop {
-                q.pull_riders_with(
-                    matrix,
-                    &mut batch,
-                    inner.config.max_batch,
-                    &mut tenant_order,
-                );
+                q.pull_riders(matrix, &mut batch, inner.config.max_batch);
                 if batch.len() >= inner.config.max_batch || q.shutdown {
                     break;
                 }
@@ -749,97 +688,6 @@ fn serve_batch<T: Scalar>(
             }
         }
         Err(e) => fail_all(&tickets, ServeError::Exec(e.to_string())),
-    }
-}
-
-/// The background refinement worker: every `scan_interval`, scan the
-/// cache's Ready plans, classify each against its telemetry, and — in
-/// `auto` mode — build, A/B-probe, and publish the suggested
-/// configuration when it measures faster. Runs at the cadence of
-/// [`RefineConfig::scan_interval`] with hysteresis per plan, entirely
-/// off the request path: the only shared state it writes is the cache
-/// slot (via [`PlanCache::swap`]) and its own counters. Each scan also
-/// drops the hysteresis entries of plans the cache no longer holds.
-fn refiner_loop<T: Scalar>(inner: Arc<Inner<T>>) {
-    let cfg = inner.config.refine;
-    let clock = MonotonicClock;
-    let mut sched: RefineScheduler<PlanKey> = RefineScheduler::new();
-    loop {
-        {
-            let stop = inner.refine_stop.lock().unwrap();
-            if *stop {
-                return;
-            }
-            let (stop, _timeout) = inner
-                .refine_halt
-                .wait_timeout(stop, cfg.scan_interval)
-                .unwrap();
-            if *stop {
-                return;
-            }
-        }
-        inner.refine.scans.fetch_add(1, Ordering::Relaxed);
-
-        // Collect outside the scan: for_each_ready holds shard read
-        // locks, and acting on a plan re-enters the cache.
-        let mut ready: Vec<(PatternIdentity, Arc<spmv_autotune::VerifiedPlan<T>>)> = Vec::new();
-        inner
-            .cache
-            .for_each_ready(|identity, plan| ready.push((identity, Arc::clone(plan))));
-        let live: HashSet<PlanKey> = ready.iter().map(|(identity, _)| identity.key).collect();
-        sched.retain(|key| live.contains(key));
-
-        for (identity, plan) in ready {
-            let key = identity.key;
-            let (_bottleneck, Some(suggestion)) = classify_plan(&plan, &cfg.adapt) else {
-                continue;
-            };
-            inner.refine.eligible.fetch_add(1, Ordering::Relaxed);
-            let now = clock.now_ns();
-            if !sched.ready(&key, now, cfg.hysteresis_ns) {
-                inner
-                    .refine
-                    .hysteresis_skips
-                    .fetch_add(1, Ordering::Relaxed);
-                continue;
-            }
-            if cfg.mode == RefineMode::Observe {
-                sched.record(&key, now);
-                inner.refine.observed.fetch_add(1, Ordering::Relaxed);
-                continue;
-            }
-            // Find the live matrix this plan serves: the registered
-            // identity equal to the entry's key *and* confirm checksum,
-            // the exact pair the cache itself trusts.
-            let matched = {
-                let reg = inner.registry.read().unwrap();
-                reg.values()
-                    .find(|r| r.identity == identity)
-                    .map(|r| Arc::clone(&r.matrix))
-            };
-            let Some(a) = matched else {
-                // Unregistered since caching; the entry will age out.
-                continue;
-            };
-            sched.record(&key, now);
-            match probe_candidate(&a, &plan, suggestion, inner.config.workers, &cfg) {
-                Ok(report) => {
-                    inner.refine.built.fetch_add(1, Ordering::Relaxed);
-                    let published = report.improved
-                        && inner
-                            .cache
-                            .swap(identity, report.build_ns, report.candidate);
-                    if published {
-                        inner.refine.swapped.fetch_add(1, Ordering::Relaxed);
-                    } else {
-                        inner.refine.kept.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                Err(_) => {
-                    inner.refine.failures.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        }
     }
 }
 
@@ -963,7 +811,7 @@ mod tests {
             ticket: Arc::new(TicketInner::new()),
         };
         let mut q = QueueState {
-            queues: HashMap::new(),
+            queues: BTreeMap::new(),
             deficits: HashMap::new(),
             shutdown: false,
         };
@@ -992,7 +840,7 @@ mod tests {
     fn riders_are_charged_deficit_and_capped_at_max_batch() {
         let now = Instant::now();
         let mut q = QueueState {
-            queues: HashMap::new(),
+            queues: BTreeMap::new(),
             deficits: HashMap::new(),
             shutdown: false,
         };
@@ -1038,127 +886,6 @@ mod tests {
         for t in tickets {
             t.wait().expect("shutdown must drain, not drop, requests");
         }
-    }
-
-    /// The online-refinement satellite: with the loop forced hot
-    /// (`min_speedup: 0.0` publishes any verified candidate, zero
-    /// hysteresis, 1 ms scans), a mispredicted forced-CSR plan on a
-    /// banded matrix must get refined *while requests are in flight*,
-    /// and every response before, across, and after the swap must be
-    /// bit-for-bit the forced-CSR reference.
-    #[test]
-    fn live_refinement_swap_keeps_responses_bit_for_bit() {
-        let plan_cfg = PlanConfig {
-            pack: false,
-            cache_block: false,
-            specialize: false,
-            ..PlanConfig::default()
-        };
-        let server = SpmvServer::start(ServeConfig {
-            plan: plan_cfg,
-            refine: RefineConfig {
-                mode: RefineMode::Auto,
-                min_speedup: 0.0,
-                hysteresis_ns: 0,
-                scan_interval: Duration::from_millis(1),
-                ..RefineConfig::default()
-            },
-            ..ServeConfig::default()
-        });
-        let a = gen::banded::<f64>(2_000, 3, 2);
-        let x: Vec<f64> = (0..a.n_cols())
-            .map(|i| (i % 17) as f64 * 0.5 - 4.0)
-            .collect();
-        let mut expect = vec![0.0; a.n_rows()];
-        SpmvPlan::compile_with(&a, strategy(), Box::new(NativeCpuBackend::new()), plan_cfg)
-            .verify(&a)
-            .unwrap()
-            .execute(&a, &x, &mut expect)
-            .unwrap();
-        server.register_matrix(1, a, strategy());
-
-        let deadline = Instant::now() + Duration::from_secs(60);
-        loop {
-            // A few tenants at once, so executes overlap the refiner's
-            // probe/swap window.
-            let tickets: Vec<_> = (0..4)
-                .map(|t| server.submit(t, 1, x.clone(), far_deadline()).unwrap())
-                .collect();
-            for t in tickets {
-                let r = t.wait().unwrap();
-                assert_eq!(r.y, expect, "response changed across refinement");
-            }
-            let s = server.stats();
-            if s.refine.swapped >= 1 {
-                break;
-            }
-            assert!(
-                Instant::now() < deadline,
-                "refiner never published: {:?}",
-                s.refine
-            );
-        }
-        // Served from the refined plan now; still bit-for-bit.
-        for _ in 0..4 {
-            let r = server
-                .submit(0, 1, x.clone(), far_deadline())
-                .unwrap()
-                .wait()
-                .unwrap();
-            assert_eq!(r.y, expect);
-        }
-        let s = server.stats();
-        assert!(s.refine.built >= 1, "no candidate was ever built");
-        assert_eq!(
-            s.cache.swaps, s.refine.swapped,
-            "every publish must go through the cache swap point"
-        );
-        server.shutdown();
-    }
-
-    #[test]
-    fn observe_mode_counts_divergence_but_never_builds() {
-        let plan_cfg = PlanConfig {
-            pack: false,
-            cache_block: false,
-            specialize: false,
-            ..PlanConfig::default()
-        };
-        let server = SpmvServer::start(ServeConfig {
-            plan: plan_cfg,
-            refine: RefineConfig {
-                mode: RefineMode::Observe,
-                hysteresis_ns: 0,
-                scan_interval: Duration::from_millis(1),
-                ..RefineConfig::default()
-            },
-            ..ServeConfig::default()
-        });
-        let a = gen::banded::<f64>(2_000, 3, 2);
-        let x = vec![1.0; a.n_cols()];
-        server.register_matrix(1, a, strategy());
-        let deadline = Instant::now() + Duration::from_secs(60);
-        loop {
-            server
-                .submit(0, 1, x.clone(), far_deadline())
-                .unwrap()
-                .wait()
-                .unwrap();
-            let s = server.stats();
-            if s.refine.observed >= 1 {
-                break;
-            }
-            assert!(
-                Instant::now() < deadline,
-                "observe mode never classified: {:?}",
-                s.refine
-            );
-        }
-        let s = server.stats();
-        assert_eq!(s.refine.built, 0, "observe mode must not compile");
-        assert_eq!(s.refine.swapped, 0);
-        assert_eq!(s.cache.swaps, 0);
-        server.shutdown();
     }
 
     /// Two threads refresh one id at once while requests flow: every
