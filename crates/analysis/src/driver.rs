@@ -661,9 +661,9 @@ pub struct SolveCheck {
 /// every (worker count × level granularity), run each through the
 /// dependency-order prover, and compare the certified execution
 /// bit-for-bit against [`spmv_sparse::solve::sptrsv_seq`] /
-/// [`spmv_sparse::solve::symgs_seq`]. Each suite matrix also gets nine
-/// rows showing that a tampered schedule-ordered snapshot is rejected
-/// (`snapshot_tamper_checks`).
+/// [`spmv_sparse::solve::symgs_seq`]. Each suite matrix also gets
+/// eleven rows showing that a tampered schedule-ordered snapshot is
+/// rejected (`snapshot_tamper_checks`).
 ///
 /// Like the bandwidth sweep, coverage is asserted: at least one plan
 /// must carry a parallel (barrier-stepped) step and at least one must
@@ -747,14 +747,17 @@ pub fn solve_sweep() -> Vec<SolveCheck> {
 /// The snapshot prover's negative cases: copy the schedule and the
 /// schedule-ordered snapshot out of an honest forward plan (4 workers,
 /// every level parallel), break one property each — five edits of what
-/// the snapshot mirrors, then every [`LayoutTamper`] — and require
-/// `check_solve_snapshot` to reject it: as a snapshot mismatch, or for
-/// the lane that reads another lane of its chunk, as a dependency
-/// violation. Each row is `Ok` when the tamper is caught.
+/// the snapshot mirrors, every [`LayoutTamper`], then every shared slab
+/// tamper ([`SlabTamper`], applied to a copy of the plan) — and require
+/// `check_solve_snapshot` to reject it: as a snapshot mismatch (naming
+/// the slab tamper's defect), or for the lane that reads another lane
+/// of its chunk, as a dependency violation. Each row is `Ok` when the
+/// tamper is caught.
 fn snapshot_tamper_checks(tri: &CsrMatrix<f64>) -> Vec<(&'static str, Result<(), String>)> {
     use spmv_autotune::solve::{LayoutTamper, SolveConfig, SolvePlan, SolveSnapshot};
     use spmv_autotune::verify::{check_solve_snapshot, VerifyError};
     use spmv_sparse::solve::SolveDirection;
+    use spmv_sparse::SlabTamper;
     type Tamper = fn(&mut SolveSnapshot<f64>) -> bool;
     let edits: [(&str, Tamper); 5] = [
         ("tamper: row ids swapped across steps", |s| {
@@ -768,7 +771,7 @@ fn snapshot_tamper_checks(tri: &CsrMatrix<f64>) -> Vec<(&'static str, Result<(),
             };
             let k = s.chunk_ptr.partition_point(|&q| q <= p) - 1;
             let slot = s.slot_ptr[k] + p - s.chunk_ptr[k];
-            s.cols[slot] = s.cols[slot].wrapping_add(1);
+            s.cols.set(slot, s.cols.get(slot).wrapping_add(1));
             true
         }),
         ("tamper: diagonal edited", |s| {
@@ -795,34 +798,52 @@ fn snapshot_tamper_checks(tri: &CsrMatrix<f64>) -> Vec<(&'static str, Result<(),
     };
     let (honest_steps, honest) = (plan.steps(), plan.snapshot());
     let mut out = Vec::new();
-    let mut check = |op, dependency: bool, broken: bool, steps: &[_], snap: &SolveSnapshot<f64>| {
+    // `dependency`: the rejection must be a dependency violation;
+    // otherwise a snapshot mismatch, naming `defect` when one is given.
+    type Want = (bool, Option<spmv_sparse::DefectKind>);
+    let mut check = |op, (dependency, defect): Want, broken: bool, steps: &[_], snap: &_| {
         let result = if !broken {
             Err("the honest plan offers no site for this tamper".into())
         } else {
             match check_solve_snapshot(tri, SolveDirection::Forward, steps, 4, snap) {
                 Err(VerifyError::SolveDependencyViolated { .. }) if dependency => Ok(()),
-                Err(VerifyError::SolveSnapshotMismatch { .. }) if !dependency => Ok(()),
+                Err(VerifyError::SolveSnapshotMismatch { defect: got, .. })
+                    if !dependency && (defect.is_none() || got == defect) =>
+                {
+                    Ok(())
+                }
                 other => Err(format!("caught wrongly or not at all: {other:?}")),
             }
         };
         out.push((op, result));
     };
     for (op, edit) in edits {
-        let mut snap = honest.clone();
+        let mut snap: SolveSnapshot<f64> = honest.clone();
         let broken = edit(&mut snap);
-        check(op, false, broken, &honest_steps, &snap);
+        check(op, (false, None), broken, &honest_steps, &snap);
     }
     for tamper in LayoutTamper::ALL {
         let (mut steps, mut snap) = (honest_steps.clone(), honest.clone());
         let broken = tamper.apply(&mut steps, &mut snap).is_some();
         let op = match tamper {
             LayoutTamper::LaneReadsLane => "tamper: lane reads another lane of its chunk",
-            LayoutTamper::LanesOutOfOrder => "tamper: lanes out of length order",
-            LayoutTamper::PaddingClaimed => "tamper: padding slot claimed as an entry",
             LayoutTamper::RoleCutInChunk => "tamper: chunk straddles a role cut",
         };
         let dependency = tamper == LayoutTamper::LaneReadsLane;
-        check(op, dependency, broken, &steps, &snap);
+        check(op, (dependency, None), broken, &steps, &snap);
+    }
+    for tamper in SlabTamper::ALL {
+        let op = match tamper {
+            SlabTamper::LaneOverrun => "tamper: lane runs past its chunk",
+            SlabTamper::LanesOutOfOrder => "tamper: lanes out of length order",
+            SlabTamper::PaddingClaimed => "tamper: padding slot claimed as an entry",
+            SlabTamper::WidthMismatch => "tamper: columns at the wrong width",
+        };
+        let want = (false, Some(tamper.defect()));
+        match plan.tampered(tamper) {
+            Some((steps, snap, _)) => check(op, want, true, &steps, &snap),
+            None => check(op, want, false, &honest_steps, &honest),
+        }
     }
     out
 }
@@ -924,8 +945,12 @@ mod tests {
     fn solve_sweep_is_certified_and_bit_identical_everywhere() {
         let checks = solve_sweep();
         // Per suite matrix: 2 worker counts × 3 granularities × 3 ops,
-        // plus 9 snapshot tamper cases; then 2 sweep-wide coverage rows.
-        assert_eq!(checks.len(), 3 * (2 * 3 * 3 + 9) + 2, "solve grid changed?");
+        // plus 11 snapshot tamper cases; then 2 sweep-wide coverage rows.
+        assert_eq!(
+            checks.len(),
+            3 * (2 * 3 * 3 + 11) + 2,
+            "solve grid changed?"
+        );
         for c in &checks {
             assert!(
                 c.result.is_ok(),

@@ -203,7 +203,7 @@ fn exec_tile<T: Scalar>(
         }
         BinPayload::Packed(packed) => {
             packed.with_slab(|slab| {
-                packed.spmv_chunks(slab, tile.start, tile.end, v, |r, sum| {
+                slab.spmv_chunks(tile.start, tile.end, v, |r, sum| {
                     // SAFETY: chunk ranges of one bin are disjoint and
                     // each packed row belongs to exactly one chunk;
                     // same join argument as above.

@@ -19,7 +19,8 @@
 //! of SELL-C chunks ([`solve_chunks`]): each lane keeps its own chain,
 //! so lock-step execution is a change of loop shape, not of arithmetic.
 
-use spmv_sparse::{prefetch_read, CsrMatrix, Scalar};
+use spmv_sparse::packed::SlabCol;
+use spmv_sparse::{Scalar, SlabRef};
 
 /// Shared read/write window over the solution vector `x`, passable to
 /// a barrier-stepped scope. `Copy`, so each worker keeps its own
@@ -81,71 +82,14 @@ impl<T: Scalar> XVec<T> {
     }
 }
 
-/// Rows ahead of a schedule-order walk whose columns and values are
-/// hinted toward cache; twice as far ahead, the row's `row_ptr` pair.
-const ROW_AHEAD: usize = 8;
-
-/// Hint the CPU toward the rows a walk over `a` in `order` visits next:
-/// `row_ptr` of `order[q + 2 * ROW_AHEAD]`, and the columns and values of
-/// `order[q + ROW_AHEAD]`. Level order scatters consecutive rows over
-/// the whole matrix, so without the hints every row of the build's
-/// gather, the prover's walk and a value refresh is a chain of cache
-/// misses (about a third of the gather's time on a 0.5M-row road
-/// network). Hints only: nothing is read that the walk would not.
-#[inline(always)]
-pub(crate) fn prefetch_rows_ahead<T: Scalar>(a: &CsrMatrix<T>, order: &[u32], q: usize) {
-    let row_ptr = a.row_ptr();
-    if let Some(&r) = order.get(q + 2 * ROW_AHEAD) {
-        prefetch_read(row_ptr, r as usize);
-    }
-    if let Some(&r) = order.get(q + ROW_AHEAD) {
-        if let Some(&start) = row_ptr.get(r as usize) {
-            prefetch_read(a.col_idx(), start);
-            prefetch_read(a.values(), start);
-        }
-    }
-}
-
-/// A solve plan's schedule-ordered snapshot, borrowed: position `p`
-/// (in the order the schedule's steps run) solves row `rows[p]`, whose
-/// diagonal value is `diag[p]` and whose off-diagonal count is `lens[p]`.
-/// Positions form lock-step chunks: chunk `k` runs positions
-/// `chunk_ptr[k]..chunk_ptr[k + 1]` as its lanes (1, 2, 4 or 8 of them,
-/// lengths non-increasing), and holds their entries in slots
-/// `slot_ptr[k]..slot_ptr[k + 1]` of `cols` / `vals`, column-major: the
-/// `j`-th off-diagonal entry (storage order) of lane `l` sits in slot
-/// `slot_ptr[k] + j * lanes + l`. A one-lane chunk is a plain row.
-#[derive(Clone, Copy)]
-pub(crate) struct SnapshotRef<'a, T> {
-    pub(crate) rows: &'a [u32],
-    pub(crate) chunk_ptr: &'a [usize],
-    pub(crate) slot_ptr: &'a [usize],
-    pub(crate) lens: &'a [u32],
-    pub(crate) cols: &'a [u32],
-    pub(crate) diag: &'a [T],
-    pub(crate) vals: &'a [T],
-}
-
-/// Every position of a chunked layout in order, as `(position, first
-/// slot, stride)`: the position's `j`-th off-diagonal entry sits in slot
-/// `first + j * stride` (the stride is its chunk's lane count).
-/// `chunk_ptr` must be non-decreasing and `slot_ptr` at least as long.
-pub(crate) fn lanes<'a>(
-    chunk_ptr: &'a [usize],
-    slot_ptr: &'a [usize],
-) -> impl Iterator<Item = (usize, usize, usize)> + 'a {
-    chunk_ptr.windows(2).zip(slot_ptr).flat_map(|(w, &s0)| {
-        let n = w[1] - w[0];
-        (0..n).map(move |l| (w[0] + l, s0 + l, n))
-    })
-}
-
-/// Solve chunks `[c0, c1)` of a schedule-ordered snapshot, streaming its
-/// arrays front to back. Each lane computes
+/// Solve chunks `[c0, c1)` of a solve plan's slab — positions in
+/// schedule order, each lane a row's off-diagonals, the diagonals kept
+/// apart — streaming its arrays front to back; `cols` is the slab's
+/// column array at its width. Each lane computes
 /// `x[i] = (b[i] - Σ a[i,c] * x[c]) / a[i,i]` with the products
 /// subtracted in the row's storage order — bit for bit the arithmetic of
-/// `sptrsv_seq`, which skips the diagonal in place where the snapshot
-/// has lifted it out. The lanes of a chunk run in lock-step (see
+/// `sptrsv_seq`, which skips the diagonal in place where the slab keeps
+/// it apart. The lanes of a chunk run in lock-step (see
 /// [`solve_chunk`]), which changes no lane's operation order.
 ///
 /// With `EMIT` the call is the forward half of a SymGS sweep and `r` is
@@ -170,8 +114,9 @@ pub(crate) fn lanes<'a>(
 /// must be in bounds for `x` and `b`, and with `EMIT` for `r`, whose
 /// slot `r[i]` belongs to the worker solving row `i` exactly as `x[i]`
 /// does.
-pub(crate) unsafe fn solve_chunks<T: Scalar, const EMIT: bool>(
-    snap: SnapshotRef<'_, T>,
+pub(crate) unsafe fn solve_chunks<T: Scalar, C: SlabCol, const EMIT: bool>(
+    snap: SlabRef<'_, T>,
+    cols: &[C],
     b: &[T],
     x: XVec<T>,
     r: XVec<T>,
@@ -183,10 +128,10 @@ pub(crate) unsafe fn solve_chunks<T: Scalar, const EMIT: bool>(
         // SAFETY: forwarded caller contract, run by run.
         c = unsafe {
             match snap.chunk_ptr[c + 1] - snap.chunk_ptr[c] {
-                1 => solve_run::<T, 1, EMIT>(snap, b, x, r, c, c1),
-                2 => solve_run::<T, 2, EMIT>(snap, b, x, r, c, c1),
-                4 => solve_run::<T, 4, EMIT>(snap, b, x, r, c, c1),
-                8 => solve_run::<T, 8, EMIT>(snap, b, x, r, c, c1),
+                1 => solve_run::<T, C, 1, EMIT>(snap, cols, b, x, r, c, c1),
+                2 => solve_run::<T, C, 2, EMIT>(snap, cols, b, x, r, c, c1),
+                4 => solve_run::<T, C, 4, EMIT>(snap, cols, b, x, r, c, c1),
+                8 => solve_run::<T, C, 8, EMIT>(snap, cols, b, x, r, c, c1),
                 lanes => unreachable!("chunk {c} has {lanes} lanes; the prover admits 1, 2, 4, 8"),
             }
         };
@@ -205,8 +150,9 @@ pub(crate) unsafe fn solve_chunks<T: Scalar, const EMIT: bool>(
 // into `solve_chunks` beside the other three, the one-lane loop spilled
 // and a banded matrix's chain of one-row levels ran about 10% slower.
 #[inline(never)]
-unsafe fn solve_run<T: Scalar, const L: usize, const EMIT: bool>(
-    snap: SnapshotRef<'_, T>,
+unsafe fn solve_run<T: Scalar, C: SlabCol, const L: usize, const EMIT: bool>(
+    snap: SlabRef<'_, T>,
+    cols: &[C],
     b: &[T],
     x: XVec<T>,
     r: XVec<T>,
@@ -219,7 +165,7 @@ unsafe fn solve_run<T: Scalar, const L: usize, const EMIT: bool>(
     loop {
         let s1 = s0 + snap.lens[p0] as usize * L;
         // SAFETY: forwarded caller contract, for chunk `c`.
-        unsafe { solve_chunk::<T, L, EMIT>(snap, s0..s1, p0, b, x, r) };
+        unsafe { solve_chunk::<T, C, L, EMIT>(snap, cols, s0..s1, p0, b, x, r) };
         (c, p0, s0) = (c + 1, p0 + L, s1);
         if c == c1 || snap.chunk_ptr[c + 1] - p0 != L {
             return c;
@@ -227,7 +173,8 @@ unsafe fn solve_run<T: Scalar, const L: usize, const EMIT: bool>(
     }
 }
 
-/// One chunk of `L` lanes at position `p0`, entries in `slots`. Every
+/// One chunk of `L` lanes at position `p0`, entries in `slots` of
+/// `cols` and the slab's values. Every
 /// lane keeps its own chain (`sum = b[i]`, then `sum - v·x[c]` in
 /// storage order, one divide; with `EMIT` also its own multiply-add
 /// chain), so lock-step changes no result. While every lane is active
@@ -241,8 +188,9 @@ unsafe fn solve_run<T: Scalar, const L: usize, const EMIT: bool>(
 ///
 /// As [`solve_chunks`], for this one chunk.
 #[inline(always)]
-unsafe fn solve_chunk<T: Scalar, const L: usize, const EMIT: bool>(
-    snap: SnapshotRef<'_, T>,
+unsafe fn solve_chunk<T: Scalar, C: SlabCol, const L: usize, const EMIT: bool>(
+    snap: SlabRef<'_, T>,
+    cols: &[C],
     slots: std::ops::Range<usize>,
     p0: usize,
     b: &[T],
@@ -252,7 +200,7 @@ unsafe fn solve_chunk<T: Scalar, const L: usize, const EMIT: bool>(
     let rows = &snap.rows[p0..p0 + L];
     let lens = &snap.lens[p0..p0 + L];
     let diag = &snap.diag[p0..p0 + L];
-    let (cols, vals) = (&snap.cols[slots.clone()], &snap.vals[slots]);
+    let (cols, vals) = (&cols[slots.clone()], &snap.vals[slots]);
     let dense = lens[L - 1] as usize * L;
     let mut sums = [T::ZERO; L];
     for (s, &row) in sums.iter_mut().zip(rows) {
@@ -273,7 +221,7 @@ unsafe fn solve_chunk<T: Scalar, const L: usize, const EMIT: bool>(
         for (xl, &c) in xs.iter_mut().zip(cw) {
             // SAFETY: `c` is a proven dependency of this lane's row,
             // finalised before this chunk runs (caller contract).
-            *xl = unsafe { x.read(c as usize) };
+            *xl = unsafe { x.read(c.idx()) };
         }
         for l in 0..L {
             sums[l] = sums[l] - vw[l] * xs[l];
@@ -293,7 +241,7 @@ unsafe fn solve_chunk<T: Scalar, const L: usize, const EMIT: bool>(
         for l in 0..active {
             // SAFETY: lane `l < active` has `len > j`, so this slot is
             // its `j`-th entry, a proven dependency (caller contract).
-            let xc = unsafe { x.read(cw[l] as usize) };
+            let xc = unsafe { x.read(cw[l].idx()) };
             sums[l] = sums[l] - vw[l] * xc;
             if EMIT {
                 emitted[l] = vw[l].mul_add_(xc, emitted[l]);

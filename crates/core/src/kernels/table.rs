@@ -224,8 +224,7 @@ fn batch_packed<T: Scalar, const KB: usize>(args: &BatchArgs<'_, T>) {
         panic!("packed kernel resolved for a non-packed payload");
     };
     packed.with_slab(|slab| {
-        packed.spmm_chunks::<KB, _>(
-            slab,
+        slab.spmm_chunks::<KB, _>(
             args.start,
             args.end,
             args.xs,

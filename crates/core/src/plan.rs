@@ -555,7 +555,6 @@ pub struct SpmvPlan<T: Scalar> {
     payloads: Vec<BinPayload<T>>,
     tiles: Vec<Tile>,
     tile_weights: Vec<usize>,
-    config: PlanConfig,
     backend: Box<dyn ExecBackend<T>>,
 }
 
@@ -626,7 +625,6 @@ impl<T: Scalar> SpmvPlan<T> {
             payloads,
             tiles,
             tile_weights,
-            config,
             backend,
         }
     }
@@ -800,11 +798,6 @@ impl<T: Scalar> SpmvPlan<T> {
     /// LPT cost the batched executor scales by RHS-block width.
     pub fn tile_weights(&self) -> &[usize] {
         &self.tile_weights
-    }
-
-    /// The configuration the plan was compiled with.
-    pub fn config(&self) -> &PlanConfig {
-        &self.config
     }
 
     /// How many bins were materialised as packed SELL slabs.
@@ -1253,12 +1246,6 @@ impl<T: Scalar> VerifiedPlan<T> {
     /// `plan().fingerprint()`).
     pub fn fingerprint(&self) -> &PatternFingerprint {
         &self.plan.pattern.fingerprint
-    }
-
-    /// The configuration the plan was compiled with (cache-key
-    /// convenience; same as `plan().config()`).
-    pub fn config(&self) -> &PlanConfig {
-        &self.plan.config
     }
 
     /// Unwrap, dropping the proof token.

@@ -42,36 +42,35 @@
 //! mismatched matrix yields wrong numbers, never a data race — and
 //! `solve_unchecked` stays a safe fn.
 //!
-//! The copy is laid out the way the schedule runs, not the way the
-//! matrix is stored. Position `p` of the *schedule-ordered snapshot* is
-//! the `p`-th row the steps run: its row id, its diagonal value and its
-//! off-diagonal count ([`SolveSnapshot`] is the copied-out form). The
-//! positions of each level form *lock-step chunks* of 1, 2, 4 or 8
-//! lanes, a SELL-C slab that never straddles a level: the level's rows
-//! are sorted by length, longest first, within windows of 256, and
-//! grouped `C` at a time, `C` picked per level by the packed SpMV gate's
-//! padding rule (`C = 1`, a plain row per chunk, when no height packs
-//! tightly; a level's remainder splits into narrower chunks). A chunk's
-//! off-diagonal columns and values are stored column-major, so its
-//! lanes' `j`-th entries sit side by side and the lanes run together:
-//! no per-row loop of 0–3 entries and its branch miss. Each lane keeps
-//! its own arithmetic chain, so results stay bit for bit those of
-//! `sptrsv_seq`. A step is a span of chunks (a parallel step, one span
-//! per worker), so the kernel streams its arrays front to back rather
-//! than chasing a natural-order CSR through row lists, where every row
-//! of a level would be a cache miss on `row_ptr`, `col_idx` and
-//! `values`. The row column is the schedule's only copy of its row
+//! The copy is a [`SellSlab`] (the SELL-C layout packed SpMV bins use,
+//! with each row's off-diagonals in its lane and its diagonal kept
+//! apart), laid out the way the schedule runs: position `p` is the
+//! `p`-th row the steps run ([`SolveSnapshot`] is the copied-out form).
+//! The positions of each level form *lock-step chunks* of 1, 2, 4 or 8
+//! lanes that never straddle a level: the level's rows are sorted by
+//! length, longest first, within windows of 256, and grouped `C` at a
+//! time, `C` picked per level by the packed SpMV gate's padding rule
+//! (`C = 1`, a plain row per chunk, when no height packs tightly; a
+//! level's remainder splits into narrower chunks). A chunk's lanes run
+//! together — no per-row loop of 0–3 entries and its branch miss — and
+//! each keeps its own arithmetic chain, so results stay bit for bit
+//! those of `sptrsv_seq`. Columns are `u16` when the system has at most
+//! 65 536 rows, else `u32`. A step is a span of chunks (a parallel step,
+//! one span per worker), so the kernel streams the slab front to back
+//! rather than chasing a natural-order CSR through row lists, where
+//! every row of a level would be a cache miss on `row_ptr`, `col_idx`
+//! and `values`. The row column is the schedule's only copy of its row
 //! order.
 //!
-//! Values enter the snapshot at build. They are re-gathered only when
-//! the matrix handed to a solve carries a different
+//! Columns are frozen at build; values and diagonals are re-gathered
+//! only when the matrix handed to a solve carries a different
 //! [`CsrMatrix::values_id`]: the refresh walks that matrix's rows in
 //! schedule order under the slab's write lock, so it keeps no
 //! per-entry source map, and a solve holds the slab's lock (read, or
 //! the write lock it refreshed under) from start to end, so a refresh
 //! never lands mid-solve.
 
-use crate::kernels::solve::{lanes, prefetch_rows_ahead, solve_chunks, SnapshotRef, XVec};
+use crate::kernels::solve::{solve_chunks, XVec};
 use crate::kernels::KernelId;
 use crate::plan::{
     pick_auto_chunk, PatternBinding, PatternFingerprint, PlanConfig, PlanError, SpmvPlan,
@@ -80,12 +79,12 @@ use crate::plan::{
 use crate::strategy::Strategy;
 use crate::verify::{prove_solve, VerifyError};
 use spmv_parallel::{fused_for_each_with, num_threads, stepped_for_each};
-use spmv_sparse::packed::SORT_WINDOW_CHUNKS;
+use spmv_sparse::packed::{Cols, Entries, SlabCol, SORT_WINDOW_CHUNKS};
 use spmv_sparse::solve::{
     level_order_with_offdiag, split_triangular, SolveDirection, TriangularHalves,
 };
-use spmv_sparse::{CsrMatrix, Scalar, SolveBuildError};
-use std::sync::{OnceLock, PoisonError, RwLock};
+use spmv_sparse::{CsrMatrix, Scalar, SellSlab, SlabRef, SlabTamper, SolveBuildError};
+use std::sync::OnceLock;
 
 #[cfg(doc)]
 use crate::verify::check_solve_snapshot;
@@ -177,7 +176,7 @@ impl SolveStep {
     }
 }
 
-/// A solve plan's schedule-ordered snapshot, copied out by
+/// A solve plan's schedule-ordered slab, copied out by
 /// [`SolvePlan::snapshot`] for inspection and for the public prover
 /// entry [`check_solve_snapshot`]. Position `p` is the `p`-th row the
 /// schedule runs; positions form the lock-step chunks the kernel runs
@@ -189,17 +188,12 @@ pub struct SolveSnapshot<T> {
     /// Chunk `k` runs positions `chunk_ptr[k]..chunk_ptr[k + 1]` as its
     /// lanes: 1, 2, 4 or 8 of them, all rows of one level.
     pub chunk_ptr: Vec<usize>,
-    /// Chunk `k`'s entries are slots `slot_ptr[k]..slot_ptr[k + 1]` of
-    /// `cols` and `vals`: its widest lane's length times its lane count.
+    /// Chunk `k`'s entries are slots `slot_ptr[k]..slot_ptr[k + 1]`.
     pub slot_ptr: Vec<usize>,
-    /// Off-diagonal count at each position; non-increasing within a
-    /// chunk.
+    /// Off-diagonal count at each position.
     pub lens: Vec<u32>,
-    /// Off-diagonal columns, column-major per chunk: the `j`-th entry
-    /// (storage order) of lane `l` of chunk `k` is slot
-    /// `slot_ptr[k] + j * lanes + l`. Slots past a lane's length are
-    /// padding, never read.
-    pub cols: Vec<u32>,
+    /// Off-diagonal columns, column-major per chunk ([`SlabRef`]).
+    pub cols: Cols,
     /// The values of `cols`.
     pub vals: Vec<T>,
     /// Diagonal value at each position.
@@ -207,29 +201,31 @@ pub struct SolveSnapshot<T> {
 }
 
 impl<T: Scalar> SolveSnapshot<T> {
-    pub(crate) fn view(&self) -> SnapshotRef<'_, T> {
-        SnapshotRef {
-            rows: &self.rows,
-            chunk_ptr: &self.chunk_ptr,
-            slot_ptr: &self.slot_ptr,
-            lens: &self.lens,
-            cols: &self.cols,
-            diag: &self.diag,
-            vals: &self.vals,
+    /// A copy of a held slab.
+    fn of(slab: SlabRef<'_, T>) -> Self {
+        SolveSnapshot {
+            rows: slab.rows.to_vec(),
+            chunk_ptr: slab.chunk_ptr.to_vec(),
+            slot_ptr: slab.slot_ptr.to_vec(),
+            lens: slab.lens.to_vec(),
+            cols: slab.cols.clone(),
+            vals: slab.vals.to_vec(),
+            diag: slab.diag.to_vec(),
         }
     }
 
-    /// Position `p`'s off-diagonal `(column, value)` pairs as its lane's
-    /// slots hold them. Panics if `p` or the slots it names are out of
-    /// bounds.
-    pub fn entries(&self, p: usize) -> Vec<(u32, T)> {
-        let k = self.chunk_ptr.partition_point(|&q| q <= p) - 1;
-        let stride = self.chunk_ptr[k + 1] - self.chunk_ptr[k];
-        let first = self.slot_ptr[k] + p - self.chunk_ptr[k];
-        (0..self.lens[p] as usize)
-            .map(|j| first + j * stride)
-            .map(|s| (self.cols[s], self.vals[s]))
-            .collect()
+    /// The snapshot as a slab over a system of `n` columns.
+    pub(crate) fn view(&self, n: usize) -> SlabRef<'_, T> {
+        SlabRef {
+            n_cols: n,
+            rows: &self.rows,
+            lens: &self.lens,
+            chunk_ptr: &self.chunk_ptr,
+            slot_ptr: &self.slot_ptr,
+            cols: &self.cols,
+            vals: &self.vals,
+            diag: &self.diag,
+        }
     }
 
     /// The same positions laid out afresh: position `q` of the result is
@@ -250,38 +246,39 @@ impl<T: Scalar> SolveSnapshot<T> {
             order.len(),
             "heights tile the order"
         );
-        let mut out = SolveSnapshot {
-            rows: order.iter().map(|&p| self.rows[p]).collect(),
-            chunk_ptr: vec![0],
-            slot_ptr: vec![0],
-            lens: order.iter().map(|&p| self.lens[p]).collect(),
-            cols: Vec::new(),
-            vals: Vec::new(),
-            diag: order.iter().map(|&p| self.diag[p]).collect(),
-        };
-        let mut q0 = 0;
+        let (mut chunk_ptr, mut slot_ptr) = (vec![0], vec![0]);
+        let mut entries = Vec::new();
         for &lanes in heights {
-            let chunk = &order[q0..q0 + lanes];
-            let width = self.lens[chunk[0]] as usize;
-            let base = out.cols.len();
-            out.cols.resize(base + width * lanes, 0);
-            out.vals.resize(base + width * lanes, T::ZERO);
-            for (l, &p) in chunk.iter().enumerate() {
-                for (j, (c, v)) in self.entries(p).into_iter().enumerate().take(width) {
-                    out.cols[base + j * lanes + l] = c;
-                    out.vals[base + j * lanes + l] = v;
-                }
+            let (q0, s0) = (chunk_ptr[chunk_ptr.len() - 1], slot_ptr[slot_ptr.len() - 1]);
+            let width = self.lens[order[q0]] as usize;
+            for (l, &p) in order[q0..q0 + lanes].iter().enumerate() {
+                let lane = self.view(0).entries(p).take(width).enumerate();
+                entries.extend(lane.map(|(j, e)| (s0 + j * lanes + l, e)));
             }
-            q0 += lanes;
-            out.chunk_ptr.push(q0);
-            out.slot_ptr.push(out.cols.len());
+            chunk_ptr.push(q0 + lanes);
+            slot_ptr.push(s0 + width * lanes);
         }
-        out
+        let slots = slot_ptr[slot_ptr.len() - 1];
+        let (mut cols, mut vals) = (self.cols.zeroed_like(slots), vec![T::ZERO; slots]);
+        for (slot, (c, v)) in entries {
+            cols.set(slot, c);
+            vals[slot] = v;
+        }
+        SolveSnapshot {
+            rows: order.iter().map(|&p| self.rows[p]).collect(),
+            chunk_ptr,
+            slot_ptr,
+            lens: order.iter().map(|&p| self.lens[p]).collect(),
+            cols,
+            vals,
+            diag: order.iter().map(|&p| self.diag[p]).collect(),
+        }
     }
 }
 
-/// The lock-step layouts the prover must reject, each built from an
-/// honest plan's schedule ([`SolvePlan::steps`]) and snapshot
+/// The lock-step layouts the dependency-order prover must reject on top
+/// of the shared chunk shape ([`SlabTamper`]), each built from an honest
+/// plan's schedule ([`SolvePlan::steps`]) and snapshot
 /// ([`SolvePlan::snapshot`]) by [`apply`](Self::apply). The tests of
 /// [`check_solve_snapshot`] and the spmv-lint tamper sweep share them.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -293,13 +290,6 @@ pub enum LayoutTamper {
     /// reads its dependency before it is written: a
     /// [`VerifyError::SolveDependencyViolated`].
     LaneReadsLane,
-    /// Swap a chunk's lane behind a shorter one, entries and step rows
-    /// too: the active lanes at the longer lane's last column are no
-    /// longer a prefix.
-    LanesOutOfOrder,
-    /// Lengthen a lane shorter than the lane before it by one, so it
-    /// claims a padding slot as an entry.
-    PaddingClaimed,
     /// Move a parallel step's role cut one position into a chunk of
     /// several lanes.
     RoleCutInChunk,
@@ -307,12 +297,7 @@ pub enum LayoutTamper {
 
 impl LayoutTamper {
     /// Every tamper, in declaration order.
-    pub const ALL: [Self; 4] = [
-        Self::LaneReadsLane,
-        Self::LanesOutOfOrder,
-        Self::PaddingClaimed,
-        Self::RoleCutInChunk,
-    ];
+    pub const ALL: [Self; 2] = [Self::LaneReadsLane, Self::RoleCutInChunk];
 
     /// Break `steps` and `snap` in place and return the position the
     /// rejection must name (for [`LaneReadsLane`](Self::LaneReadsLane),
@@ -325,20 +310,13 @@ impl LayoutTamper {
         snap: &mut SolveSnapshot<T>,
     ) -> Option<usize> {
         let n = snap.rows.len();
-        // The first lane of a chunk strictly shorter than the lane
-        // before it: one more slot of its column exists, as padding.
-        let ragged = |s: &SolveSnapshot<T>| {
-            s.chunk_ptr
-                .windows(2)
-                .find_map(|w| (w[0] + 1..w[1]).find(|&q| s.lens[q] < s.lens[q - 1]))
-        };
         match self {
             Self::LaneReadsLane => {
                 let mut pos = vec![0; n];
                 for (q, &r) in snap.rows.iter().enumerate() {
                     pos[r as usize] = q;
                 }
-                let latest = |q: usize| snap.entries(q).iter().map(|&(c, _)| pos[c as usize]).max();
+                let latest = |q: usize| snap.view(0).entries(q).map(|(c, _)| pos[c as usize]).max();
                 let (p, q) = (0..n).find_map(|q| {
                     latest(q)
                         .filter(|&p| snap.lens[p] >= snap.lens[q])
@@ -355,26 +333,6 @@ impl LayoutTamper {
                     rows: snap.rows.clone(),
                 }];
                 Some(p + 1)
-            }
-            Self::LanesOutOfOrder => {
-                let l = ragged(snap)?;
-                let mut order: Vec<usize> = (0..n).collect();
-                order.swap(l - 1, l);
-                let heights: Vec<usize> = snap.chunk_ptr.windows(2).map(|w| w[1] - w[0]).collect();
-                *snap = snap.relaid(&order, &heights);
-                let mut q = 0;
-                for st in steps {
-                    let (SolveStep::Serial { rows } | SolveStep::Parallel { rows, .. }) = st;
-                    let len = rows.len();
-                    rows.copy_from_slice(&snap.rows[q..q + len]);
-                    q += len;
-                }
-                Some(l)
-            }
-            Self::PaddingClaimed => {
-                let l = ragged(snap)?;
-                snap.lens[l] += 1;
-                Some(l)
             }
             Self::RoleCutInChunk => {
                 let mut start = 0;
@@ -399,14 +357,6 @@ impl LayoutTamper {
     }
 }
 
-/// The snapshot's values and the [`CsrMatrix::values_id`] they were
-/// gathered from, under one lock so a solve never mixes two versions.
-struct ValueSlab<T> {
-    source: u64,
-    diag: Vec<T>,
-    vals: Vec<T>,
-}
-
 /// A compiled level-set schedule for one triangular solve, bound to the
 /// sparsity pattern it was built from. Build once per structure with
 /// [`SolvePlan::build`], then [`solve`](SolvePlan::solve) repeatedly as
@@ -415,17 +365,9 @@ struct ValueSlab<T> {
 pub struct SolvePlan<T: Scalar> {
     direction: SolveDirection,
     pattern: PatternBinding,
-    /// The snapshot's structure (see the module docs): the row and its
-    /// off-diagonal count at each position, each chunk's positions and
-    /// slots, and the off-diagonal columns. The kernel reads structure
-    /// only from here.
-    rows: Vec<u32>,
-    lens: Vec<u32>,
-    chunk_ptr: Vec<usize>,
-    slot_ptr: Vec<usize>,
-    cols: Vec<u32>,
-    /// The snapshot's values.
-    slab: RwLock<ValueSlab<T>>,
+    /// The schedule-ordered slab (see the module docs): the kernel
+    /// reads structure only from here.
+    slab: SellSlab<T>,
     /// Per step, its chunk bounds: `[start, end]` for a serial step,
     /// one start per worker role plus the end for a parallel step.
     bounds: Vec<Vec<usize>>,
@@ -433,7 +375,6 @@ pub struct SolvePlan<T: Scalar> {
     parallel_flags: Vec<bool>,
     n_levels: usize,
     workers: usize,
-    config: SolveConfig,
 }
 
 // Plans and their proof tokens cross threads in a multi-tenant runtime;
@@ -470,11 +411,10 @@ fn sort_longest_first(rows: &mut [u32], lens: &mut [usize], pairs: &mut Vec<(usi
     }
 }
 
-/// A snapshot's chunk structure under construction.
+/// A slab's chunk structure under construction.
 struct Layout {
     lens: Vec<u32>,
     chunk_ptr: Vec<usize>,
-    slot_ptr: Vec<usize>,
 }
 
 impl Layout {
@@ -506,8 +446,6 @@ impl Layout {
                 let (chunk, tail) = rest.split_at(lanes);
                 self.lens.extend(chunk.iter().map(|&l| l as u32));
                 self.chunk_ptr.push(self.lens.len());
-                let slots = self.slot_ptr[self.slot_ptr.len() - 1];
-                self.slot_ptr.push(slots + chunk[0] * lanes);
                 rest = tail;
             }
         }
@@ -562,10 +500,8 @@ impl<T: Scalar> SolvePlan<T> {
         let mut lay = Layout {
             lens: Vec::with_capacity(rows.len()),
             chunk_ptr: Vec::with_capacity(rows.len() + 1),
-            slot_ptr: Vec::with_capacity(rows.len() + 1),
         };
         lay.chunk_ptr.push(0);
-        lay.slot_ptr.push(0);
         let mut scratch = Scratch::default();
         // Levels become parallel steps or join the serial chunk around
         // them. With one worker everything is a single serial chunk,
@@ -597,51 +533,22 @@ impl<T: Scalar> SolvePlan<T> {
             run_start = k1;
         }
         lay.chunk_ptr.shrink_to_fit();
-        lay.slot_ptr.shrink_to_fit();
         let n_chunks = lay.chunk_ptr.len() - 1;
         if n_chunks > run_start {
             bounds.push(vec![run_start, n_chunks]);
             parallel_flags.push(false);
         }
-        // Gather the snapshot in run order. `level_order` proved every
-        // row has a diagonal; the last one wins, as in `sptrsv_seq`.
-        let n_slots = lay.slot_ptr[n_chunks];
-        let mut cols = vec![0u32; n_slots];
-        let mut vals = vec![T::ZERO; n_slots];
-        let mut diag = vec![T::ONE; rows.len()];
-        for (q, first, stride) in lanes(&lay.chunk_ptr, &lay.slot_ptr) {
-            prefetch_rows_ahead(a, &rows, q);
-            let i = rows[q] as usize;
-            let (rc, rv) = a.row(i);
-            let mut slot = first;
-            for (&c, &v) in rc.iter().zip(rv) {
-                if c as usize == i {
-                    diag[q] = v;
-                } else {
-                    cols[slot] = c;
-                    vals[slot] = v;
-                    slot += stride;
-                }
-            }
-        }
+        // `level_order` proved every row has a diagonal; the last one
+        // wins, as in `sptrsv_seq`.
+        let slab = SellSlab::build(a, rows, lay.lens, lay.chunk_ptr, Entries::OffDiagonal);
         Ok(Self {
             direction,
             pattern: PatternBinding::of(a),
-            rows,
-            lens: lay.lens,
-            chunk_ptr: lay.chunk_ptr,
-            slot_ptr: lay.slot_ptr,
-            cols,
-            slab: RwLock::new(ValueSlab {
-                source: a.values_id(),
-                diag,
-                vals,
-            }),
+            slab,
             bounds,
             parallel_flags,
             n_levels,
             workers,
-            config,
         })
     }
 
@@ -663,24 +570,16 @@ impl<T: Scalar> SolvePlan<T> {
     /// dependency-order prover against `a`:
     ///
     /// 1. `a` must have the build matrix's pattern (generation, or
-    ///    fingerprint plus the snapshot's columns) — the proof must be
-    ///    about the matrix the caller will solve with;
-    /// 2. the snapshot's values are brought up to date with `a`;
-    /// 3. [`check_solve_snapshot`]'s obligations then prove, from the
-    ///    structure alone, that every row is scheduled exactly once,
-    ///    every off-diagonal column is a same-direction dependency
-    ///    finalised before the row runs (strictly earlier step for
-    ///    parallel steps; earlier position suffices inside a serial
-    ///    chunk), every row has a structural diagonal, every parallel
-    ///    step's cuts partition its span across the worker team, and
-    ///    that the steps tile the snapshot's positions, each of which
-    ///    holds exactly its row's off-diagonals in storage order and
-    ///    its row's diagonal;
-    /// 4. the lock-step chunks tile the positions with 1, 2, 4 or 8
-    ///    lanes, no step or role bound cuts a chunk, lane lengths do not
-    ///    increase within a chunk, slot `(j, lane)` holds the lane row's
-    ///    `j`-th off-diagonal, and every column a lane reads is
-    ///    finalised before its *chunk* starts (the lanes run together).
+    ///    fingerprint plus the slab's columns) — the proof must be about
+    ///    the matrix the caller will solve with;
+    /// 2. the slab's values are brought up to date with `a`;
+    /// 3. every obligation of [`check_solve_snapshot`] is proven on the
+    ///    plan's own schedule and slab: rows scheduled exactly once and
+    ///    finalised before any lane reads them (before its *chunk*
+    ///    starts, as the lanes run together), structural diagonals, cuts
+    ///    that partition each parallel step, the shared chunk shape
+    ///    ([`SlabRef::check_shape`]) in chunks of 1, 2, 4 or 8 lanes that
+    ///    no bound cuts, and slots holding each row's off-diagonals.
     ///
     /// The prover re-derives everything from the matrix in one row
     /// walk; it trusts nothing the builder wrote down.
@@ -694,23 +593,18 @@ impl<T: Scalar> SolvePlan<T> {
         // The dimensions match (the pattern does), so the refresh may
         // read `a`'s rows.
         {
-            let slab = self.values_for(a);
+            let slab = self.slab.fresh(a);
             prove_solve(
                 a,
                 self.direction,
-                &self.rows,
+                self.slab.rows(),
                 &self.position_bounds(),
                 &self.parallel_flags,
                 self.workers,
-                Some(self.view(&slab)),
+                Some(slab.view()),
             )?;
         }
         Ok(VerifiedSolvePlan { plan: self })
-    }
-
-    /// Which triangle this plan solves.
-    pub fn direction(&self) -> SolveDirection {
-        self.direction
     }
 
     /// The pattern this plan is bound to.
@@ -718,15 +612,20 @@ impl<T: Scalar> SolvePlan<T> {
         &self.pattern.fingerprint
     }
 
-    /// The barrier-separated schedule, materialised from the snapshot's
-    /// row order (a copy; the plan stores each step as a span).
+    /// The barrier-separated schedule, materialised from the slab's row
+    /// order (a copy; the plan stores each step as a span).
     pub fn steps(&self) -> Vec<SolveStep> {
+        self.steps_of(self.slab.rows())
+    }
+
+    /// The schedule over the row order `rows`.
+    fn steps_of(&self, rows: &[u32]) -> Vec<SolveStep> {
         self.position_bounds()
             .iter()
             .zip(&self.parallel_flags)
             .map(|(b, &par)| {
                 let (start, end) = (b[0], b[b.len() - 1]);
-                let rows = self.rows[start..end].to_vec();
+                let rows = rows[start..end].to_vec();
                 if par {
                     let cuts = b.iter().map(|&c| c - start).collect();
                     SolveStep::Parallel { rows, cuts }
@@ -737,25 +636,31 @@ impl<T: Scalar> SolvePlan<T> {
             .collect()
     }
 
-    /// A copy of the schedule-ordered snapshot, values as of the last
-    /// solve, refresh or build.
+    /// A copy of the schedule-ordered slab, values as of the last solve,
+    /// refresh or build.
     pub fn snapshot(&self) -> SolveSnapshot<T> {
-        let slab = self.slab.read().unwrap_or_else(PoisonError::into_inner);
-        SolveSnapshot {
-            rows: self.rows.clone(),
-            chunk_ptr: self.chunk_ptr.clone(),
-            slot_ptr: self.slot_ptr.clone(),
-            lens: self.lens.clone(),
-            cols: self.cols.clone(),
-            vals: slab.vals.clone(),
-            diag: slab.diag.clone(),
-        }
+        SolveSnapshot::of(self.slab.read().view())
+    }
+
+    /// The schedule and snapshot of a copy of this plan whose slab
+    /// `tamper` broke, and the position the prover's rejection must
+    /// name; `None` when the slab offers no site for it. Copies only:
+    /// no plan is left to run the broken layout.
+    pub fn tampered(
+        &self,
+        tamper: SlabTamper,
+    ) -> Option<(Vec<SolveStep>, SolveSnapshot<T>, usize)> {
+        let mut slab = self.slab.clone();
+        let at = tamper.apply(&mut slab)?;
+        let snap = SolveSnapshot::of(slab.read().view());
+        Some((self.steps_of(slab.rows()), snap, at))
     }
 
     /// Rows that run as lanes of a chunk of two or more lanes, that is,
     /// in lock-step with other rows of their level.
     pub fn lockstep_rows(&self) -> usize {
-        self.chunk_ptr
+        self.slab
+            .chunk_ptr()
             .windows(2)
             .map(|w| w[1] - w[0])
             .filter(|&lanes| lanes > 1)
@@ -764,9 +669,10 @@ impl<T: Scalar> SolvePlan<T> {
 
     /// The steps' bounds as positions rather than chunks.
     fn position_bounds(&self) -> Vec<Vec<usize>> {
+        let chunk_ptr = self.slab.chunk_ptr();
         self.bounds
             .iter()
-            .map(|b| b.iter().map(|&k| self.chunk_ptr[k]).collect())
+            .map(|b| b.iter().map(|&k| chunk_ptr[k]).collect())
             .collect()
     }
 
@@ -784,16 +690,6 @@ impl<T: Scalar> SolvePlan<T> {
         } else {
             0
         }
-    }
-
-    /// Resolved worker-team size.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// The knobs this plan was built with (as given, sentinels intact).
-    pub fn config(&self) -> SolveConfig {
-        self.config
     }
 
     fn check_dims(&self, b: &[T], x: &[T]) -> Result<(), PlanError> {
@@ -815,85 +711,20 @@ impl<T: Scalar> SolvePlan<T> {
         Ok(())
     }
 
-    /// Whether `a`'s off-diagonal columns are the snapshot's, row for
-    /// row in storage order, every row keeping a diagonal: the checked
-    /// paths' exact column check for a matrix of another generation
-    /// (the fingerprint has matched, so the shape and row lengths do).
-    /// The order counts — the kernel subtracts in it — so a matrix whose
+    /// Whether `a`'s off-diagonal columns are the slab's, row for row in
+    /// storage order, every row keeping a diagonal: the checked paths'
+    /// exact column check for a matrix of another generation (the
+    /// fingerprint has matched, so the shape and row lengths do). The
+    /// order counts — the kernel subtracts in it — so a matrix whose
     /// rows [`CsrMatrix::sort_rows`] reordered is refused. O(nnz).
     fn mirrors(&self, a: &CsrMatrix<T>) -> bool {
-        lanes(&self.chunk_ptr, &self.slot_ptr).all(|(q, first, stride)| {
-            let r = self.rows[q];
-            let i = r as usize;
-            let (cols, _) = a.row(i);
-            let off = cols.iter().filter(|&&c| c as usize != i).copied();
-            let held = (0..self.lens[q] as usize).map(|j| self.cols[first + j * stride]);
-            cols.contains(&r) && off.eq(held)
-        })
-    }
-
-    fn view<'a>(&'a self, slab: &'a ValueSlab<T>) -> SnapshotRef<'a, T> {
-        SnapshotRef {
-            rows: &self.rows,
-            chunk_ptr: &self.chunk_ptr,
-            slot_ptr: &self.slot_ptr,
-            lens: &self.lens,
-            cols: &self.cols,
-            diag: &slab.diag,
-            vals: &slab.vals,
-        }
-    }
-
-    /// The value slab, gathered from `a` if it holds another value
-    /// generation, behind a guard held for as long as the caller reads
-    /// it. A refresh takes the write lock and the caller keeps it
-    /// (readers of the old values are done; readers of the new ones
-    /// wait), so a caller always reads the values of the `a` it passed.
-    /// `a` must have `m` rows; any other difference in pattern yields
-    /// wrong values, never an out-of-bounds write.
-    fn values_for(&self, a: &CsrMatrix<T>) -> SlabGuard<'_, T> {
-        let want = a.values_id();
-        let slab = self.slab.read().unwrap_or_else(PoisonError::into_inner);
-        if slab.source == want {
-            return SlabGuard::Read(slab);
-        }
-        drop(slab);
-        let mut slab = self.slab.write().unwrap_or_else(PoisonError::into_inner);
-        if slab.source != want {
-            // Stale until the walk completes, should it panic midway.
-            slab.source = 0;
-            self.gather_values(&mut slab, a);
-            slab.source = want;
-        }
-        SlabGuard::Write(slab)
-    }
-
-    /// Re-gather the snapshot's values from `a`, walking its rows in
-    /// schedule order and routing each entry as the build did: the
-    /// diagonal to its position's slot, the off-diagonals in storage
-    /// order into its lane's slots (surplus entries of a mismatched row
-    /// are dropped).
-    fn gather_values(&self, slab: &mut ValueSlab<T>, a: &CsrMatrix<T>) {
-        let ValueSlab { diag, vals, .. } = slab;
-        for (q, first, stride) in lanes(&self.chunk_ptr, &self.slot_ptr) {
-            prefetch_rows_ahead(a, &self.rows, q);
-            let i = self.rows[q] as usize;
-            let (rc, rv) = a.row(i);
-            let mut slots = (0..self.lens[q] as usize).map(|j| first + j * stride);
-            for (&c, &v) in rc.iter().zip(rv) {
-                if c as usize == i {
-                    diag[q] = v;
-                } else if let Some(slot) = slots.next() {
-                    vals[slot] = v;
-                }
-            }
-        }
+        self.slab.read().view().first_mismatch(a).is_none()
     }
 
     /// March the worker team through the schedule with `a`'s values.
     /// Callers guarantee `a.n_rows() == m`, `b.len() == m`,
     /// `x.len() == n`; everything else the kernel needs holds by
-    /// construction: the snapshot's structure came from a matrix
+    /// construction: the slab's structure came from a matrix
     /// `level_order` validated (square, on-triangle, in-bounds columns,
     /// full diagonal), the steps run its levels in dependency order,
     /// and the fields are private so no safe code can change that
@@ -904,10 +735,26 @@ impl<T: Scalar> SolvePlan<T> {
 
     /// [`run`](Self::run), emitting the SymGS residual into `r` when
     /// `EMIT` (see [`solve_chunks`]); callers of the emitting form
-    /// also guarantee `r.len() == m`.
+    /// also guarantee `r.len() == m`. The slab stays held, refreshed
+    /// from `a` if stale, for the whole solve.
     fn run_with<const EMIT: bool>(&self, a: &CsrMatrix<T>, b: &[T], x: &mut [T], r: &mut [T]) {
-        let slab = self.values_for(a);
-        let snap = self.view(&slab);
+        let guard = self.slab.fresh(a);
+        let slab = guard.view();
+        match slab.cols {
+            Cols::Narrow(cols) => self.march::<_, EMIT>(slab, cols, b, x, r),
+            Cols::Wide(cols) => self.march::<_, EMIT>(slab, cols, b, x, r),
+        }
+    }
+
+    /// [`run_with`](Self::run_with) at one column width.
+    fn march<C: SlabCol, const EMIT: bool>(
+        &self,
+        slab: SlabRef<'_, T>,
+        cols: &[C],
+        b: &[T],
+        x: &mut [T],
+        r: &mut [T],
+    ) {
         let xv = XVec::new(x);
         let rv = XVec::new(r);
         stepped_for_each(self.workers, &self.parallel_flags, |step, role, _w| {
@@ -920,25 +767,10 @@ impl<T: Scalar> SolvePlan<T> {
             // earlier chunks of this worker's own serial run (a chunk
             // never straddles a level). The span's `r` slots are its
             // own rows, owned exactly as in `x`.
-            unsafe { solve_chunks::<T, EMIT>(snap, b, xv, rv, bounds[role], bounds[role + 1]) }
+            unsafe {
+                solve_chunks::<T, C, EMIT>(slab, cols, b, xv, rv, bounds[role], bounds[role + 1])
+            }
         });
-    }
-}
-
-/// A read or write guard on a plan's value slab.
-enum SlabGuard<'a, T> {
-    Read(std::sync::RwLockReadGuard<'a, ValueSlab<T>>),
-    Write(std::sync::RwLockWriteGuard<'a, ValueSlab<T>>),
-}
-
-impl<T> std::ops::Deref for SlabGuard<'_, T> {
-    type Target = ValueSlab<T>;
-
-    fn deref(&self) -> &ValueSlab<T> {
-        match self {
-            SlabGuard::Read(g) => g,
-            SlabGuard::Write(g) => g,
-        }
     }
 }
 
@@ -1023,11 +855,6 @@ impl<T: Scalar> VerifiedSolvePlan<T> {
     /// The underlying plan.
     pub fn plan(&self) -> &SolvePlan<T> {
         &self.plan
-    }
-
-    /// Unwrap, dropping the proof token.
-    pub fn into_inner(self) -> SolvePlan<T> {
-        self.plan
     }
 }
 
@@ -1244,6 +1071,7 @@ impl<T: Scalar> std::fmt::Debug for SymgsPlan<T> {
 mod tests {
     use super::*;
     use spmv_sparse::gen;
+    use spmv_sparse::packed::NARROW_MAX_COLS;
     use spmv_sparse::solve::sptrsv_seq;
 
     fn tril(m: usize, seed: u64) -> CsrMatrix<f64> {
@@ -1881,6 +1709,127 @@ mod tests {
                     sweep.apply(&sym, &b, &mut x).unwrap();
                 }
                 same(&x, &want_sym, &format!("symgs, {at}"));
+            }
+        }
+    }
+
+    #[test]
+    fn every_slab_tamper_is_rejected_by_verify_naming_its_defect() {
+        let a = leveled(&[9, 8, 7, 9, 16, 17, 15, 4, 3, 5, 2, 1, 40, 33, 700], 5);
+        let cfg = SolveConfig {
+            workers: 2,
+            min_parallel_rows: 0,
+        };
+        for tamper in SlabTamper::ALL {
+            let mut plan = SolvePlan::build_with(&a, SolveDirection::Forward, cfg).unwrap();
+            let at = tamper
+                .apply(&mut plan.slab)
+                .unwrap_or_else(|| panic!("{tamper:?}: the plan offers no site"));
+            match plan.verify(&a) {
+                Err(VerifyError::SolveSnapshotMismatch {
+                    position, defect, ..
+                }) => assert_eq!(
+                    (position, defect),
+                    (at, Some(tamper.defect())),
+                    "{tamper:?}"
+                ),
+                other => panic!("{tamper:?} accepted or misnamed: {other:?}"),
+            }
+        }
+    }
+
+    /// A symmetric `n × n` pattern whose row `i` reads rows `i / 2`,
+    /// `i - 1000` and `7i mod i`-style neighbours below it (about a
+    /// hundred wide levels), so the upper triangle reaches column
+    /// `n - 1`; the diagonal dominates.
+    fn spread_sym(n: usize) -> CsrMatrix<f64> {
+        let mut coo = spmv_sparse::CooMatrix::<f64>::new(n, n);
+        for i in 0..n {
+            let mut deps = vec![i / 2, i.saturating_sub(1000), (i * 7 + 3) % i.max(1)];
+            deps.retain(|&c| c < i);
+            deps.sort_unstable();
+            deps.dedup();
+            for &c in &deps {
+                let v = ((i + 3 * c) % 13) as f64 * 0.125 - 0.75;
+                coo.push(i, c, v);
+                coo.push(c, i, v);
+            }
+            coo.push(i, i, 8.0 + (i % 5) as f64);
+        }
+        coo.to_csr()
+    }
+
+    /// `a`'s triangle on and below (`lower`) or above the diagonal.
+    fn triangle(a: &CsrMatrix<f64>, lower: bool) -> CsrMatrix<f64> {
+        let mut coo = spmv_sparse::CooMatrix::<f64>::new(a.n_rows(), a.n_cols());
+        for i in 0..a.n_rows() {
+            let (rc, rv) = a.row(i);
+            for (&c, &v) in rc.iter().zip(rv) {
+                if (c as usize <= i) == lower || c as usize == i {
+                    coo.push(i, c as usize, v);
+                }
+            }
+        }
+        coo.to_csr()
+    }
+
+    #[test]
+    fn solve_column_width_follows_n_cols_and_stays_bitwise() {
+        for (n, bytes) in [(NARROW_MAX_COLS, 2), (NARROW_MAX_COLS + 1, 4)] {
+            let mut sym = spread_sym(n);
+            let mut lower = triangle(&sym, true);
+            let mut upper = triangle(&sym, false);
+            assert!(upper.col_idx().contains(&((n - 1) as u32)));
+            let b: Vec<f64> = (0..n).map(|i| (i % 9) as f64 - 4.0).collect();
+            for workers in [1usize, 2, 4, 7] {
+                let cfg = SolveConfig {
+                    workers,
+                    min_parallel_rows: 0,
+                };
+                let at = |what: &str| format!("n {n} workers {workers}: {what}");
+                let fwd = SolvePlan::build_with(&lower, SolveDirection::Forward, cfg)
+                    .unwrap()
+                    .verify(&lower)
+                    .unwrap();
+                let bwd = SolvePlan::build_with(&upper, SolveDirection::Backward, cfg)
+                    .unwrap()
+                    .verify(&upper)
+                    .unwrap();
+                let mut sweep = SymgsPlan::build_with(&sym, cfg).unwrap();
+                for plan in [fwd.plan(), bwd.plan(), sweep.forward().plan()] {
+                    assert_eq!(plan.slab.col_bytes(), bytes, "{}", at("column width"));
+                }
+                for version in 0..2 {
+                    if version > 0 {
+                        for m in [&mut sym, &mut lower, &mut upper] {
+                            for v in m.values_mut() {
+                                *v = *v * 1.5 - 0.25;
+                            }
+                        }
+                    }
+                    for (plan, a, dir) in [
+                        (&fwd, &lower, SolveDirection::Forward),
+                        (&bwd, &upper, SolveDirection::Backward),
+                    ] {
+                        let mut want = vec![0.0; n];
+                        sptrsv_seq(a, dir, &b, &mut want).unwrap();
+                        let mut x = vec![f64::NAN; n];
+                        plan.solve_unchecked(a, &b, &mut x).unwrap();
+                        let bad = x
+                            .iter()
+                            .zip(&want)
+                            .position(|(g, w)| g.to_bits() != w.to_bits());
+                        assert_eq!(bad, None, "{}", at(&format!("{dir} v{version}")));
+                    }
+                    let (mut x, mut want) = (vec![0.5; n], vec![0.5; n]);
+                    sweep.apply(&sym, &b, &mut x).unwrap();
+                    spmv_sparse::solve::symgs_seq(&sym, &b, &mut want).unwrap();
+                    let bad = x
+                        .iter()
+                        .zip(&want)
+                        .position(|(g, w)| g.to_bits() != w.to_bits());
+                    assert_eq!(bad, None, "{}", at(&format!("symgs v{version}")));
+                }
             }
         }
     }

@@ -151,11 +151,6 @@ impl Tuner {
         Self { device, config }
     }
 
-    /// The search space.
-    pub fn config(&self) -> &TunerConfig {
-        &self.config
-    }
-
     /// The device strategies are priced on.
     pub fn device(&self) -> &GpuDevice {
         &self.device

@@ -22,12 +22,11 @@
 //! [`VerifiedPlan::execute_unchecked`]: crate::plan::VerifiedPlan::execute_unchecked
 
 use crate::kernels::cpu::rows_nnz_cuts;
-use crate::kernels::solve::{prefetch_rows_ahead, SnapshotRef};
 use crate::kernels::KernelId;
 use crate::plan::{BinDispatch, BinFormat, BinPayload, Tile};
 use crate::solve::{SolveSnapshot, SolveStep};
 use spmv_sparse::solve::SolveDirection;
-use spmv_sparse::{CsrMatrix, Scalar};
+use spmv_sparse::{prefetch_rows_ahead, CsrMatrix, DefectKind, Scalar, SlabRef};
 
 /// Why a dispatch table failed write-set verification.
 #[derive(Clone, Debug, PartialEq)]
@@ -112,7 +111,7 @@ pub enum VerifyError {
         /// payload table or the recorded format disagrees.
         ///
         /// [`PackedSell::check_against`]: spmv_sparse::PackedSell::check_against
-        defect: Option<spmv_sparse::DefectKind>,
+        defect: Option<DefectKind>,
     },
     /// A bin's cache-blocked execution premise is broken: the recorded
     /// strip width disagrees with the payload, the strip width is zero
@@ -159,17 +158,22 @@ pub enum VerifyError {
         /// What property failed.
         detail: String,
     },
-    /// A solve plan's schedule-ordered snapshot does not mirror the
-    /// matrix it is proven against: a position holds a row its step
-    /// does not run, the steps do not tile the positions, a position's
-    /// entries are not exactly its row's off-diagonals in storage order,
-    /// or its diagonal is not the row's. The kernel reads structure
-    /// only from the snapshot, so the proof must be about the snapshot.
+    /// A solve plan's schedule-ordered slab does not mirror the matrix
+    /// it is proven against: a position holds a row its step does not
+    /// run, the steps do not tile the positions, the slab breaks the
+    /// shared chunk shape, a position's entries are not exactly its
+    /// row's off-diagonals in storage order, or its diagonal is not the
+    /// row's. The kernel reads structure only from the slab, so the
+    /// proof must be about the slab.
     SolveSnapshotMismatch {
         /// First position (index into the run order) that disagrees.
         position: usize,
         /// What property failed.
         detail: String,
+        /// The slab defect class when the chunk shape failed
+        /// ([`SlabRef::check_shape`]) or a lane claims a padding slot;
+        /// `None` for the other mismatches.
+        defect: Option<DefectKind>,
     },
     /// A triangular solve needs a square system; this matrix is not.
     SolveNotSquare {
@@ -341,7 +345,9 @@ impl std::fmt::Display for VerifyError {
                 f,
                 "RHS blocks for batch width {k} are not a partition: {detail}"
             ),
-            VerifyError::SolveSnapshotMismatch { position, detail } => write!(
+            VerifyError::SolveSnapshotMismatch {
+                position, detail, ..
+            } => write!(
                 f,
                 "solve snapshot position {position} does not mirror the matrix: {detail}"
             ),
@@ -474,13 +480,10 @@ pub fn check_dispatch<T: Scalar>(
 ///    entry's materialised payload matches the recorded [`BinFormat`]
 ///    (a `PackedSell` format with a CSR payload — or vice versa — means
 ///    the plan would execute a different format than it reports);
-/// 2. every packed payload mirrors its bin exactly: the slab's column
-///    width is the one `n_cols` selects, same row set (each row once, in
-///    its sort window), chunk offsets that tile the slab with no lane
-///    running past its chunk, lane lengths equal to the CSR row lengths
-///    (so no lane reads padding) and non-increasing within each window,
-///    and every lane's slots holding its CSR row's columns in storage
-///    order ([`spmv_sparse::packed::PackedSell::check_against`]);
+/// 2. every packed payload mirrors its bin exactly: the shared chunk
+///    shape, the bin's row set in its sort windows, lane lengths equal to
+///    the CSR row lengths and the CSR columns in every lane
+///    ([`spmv_sparse::packed::PackedSell::check_against`]);
 /// 3. the fused tile queue partitions each bin's work — chunk ranges
 ///    for packed bins, row-list spans for CSR bins — with no overlap, no
 ///    gap, and no overrun. An empty queue passes only for an empty
@@ -759,13 +762,13 @@ pub fn check_solve_schedule<T: Scalar>(
 ///    the row has no more;
 /// 8. each position's diagonal is its row's diagonal value (the last
 ///    one in storage order, as `sptrsv_seq` takes it);
-/// 9. the chunks tile the positions in order, each with 1, 2, 4 or 8
-///    lanes, and no step or role bound falls inside a chunk (a role
-///    runs whole chunks);
-/// 10. lane lengths do not increase within a chunk, and each chunk's
-///     slot range is its first lane's length times its lane count, the
-///     ranges tiling the entry arrays — so the kernel's active lanes at
-///     column `j` are a prefix and it never reads a padding slot;
+/// 9. the snapshot has the shared chunk shape ([`SlabRef::check_shape`]:
+///    the column width the system's size selects, chunks and slots
+///    tiled, no lane past its chunk, lane lengths non-increasing within
+///    a chunk), so the kernel's active lanes at column `j` are a prefix
+///    and it never reads a padding slot;
+/// 10. every chunk has 1, 2, 4 or 8 lanes, and no step or role bound
+///     falls inside a chunk (a role runs whole chunks);
 /// 11. obligation 3 tightened for lock-step: inside a serial step, a
 ///     dependency must sit in an earlier *chunk*, not merely at an
 ///     earlier position, because the lanes of a chunk read together.
@@ -787,14 +790,14 @@ pub fn check_solve_snapshot<T: Scalar>(
     let (order, bounds, parallel) = positions_of(steps, workers)?;
     let n = order.len().max(snapshot.rows.len());
     if let Some(q) = (0..n).find(|&q| order.get(q) != snapshot.rows.get(q)) {
-        return Err(VerifyError::SolveSnapshotMismatch {
-            position: q,
-            detail: format!(
+        return Err(mismatch(
+            q,
+            format!(
                 "the snapshot holds row {:?} where the steps run row {:?}",
                 snapshot.rows.get(q),
                 order.get(q)
             ),
-        });
+        ));
     }
     prove_solve(
         a,
@@ -803,7 +806,7 @@ pub fn check_solve_snapshot<T: Scalar>(
         &bounds,
         &parallel,
         workers,
-        Some(snapshot.view()),
+        Some(snapshot.view(a.n_cols())),
     )
 }
 
@@ -864,7 +867,7 @@ pub(crate) fn prove_solve<T: Scalar>(
     bounds: &[Vec<usize>],
     parallel: &[bool],
     workers: usize,
-    snap: Option<SnapshotRef<'_, T>>,
+    snap: Option<SlabRef<'_, T>>,
 ) -> Result<(), VerifyError> {
     let m = a.n_rows();
     if a.n_cols() != m {
@@ -873,8 +876,6 @@ pub(crate) fn prove_solve<T: Scalar>(
             n_cols: a.n_cols(),
         });
     }
-    let mismatch =
-        |position: usize, detail: String| VerifyError::SolveSnapshotMismatch { position, detail };
     // (5) + (6): every step's bounds are well-formed and the steps tile
     // the positions in order, so role spans are disjoint and complete
     // (a step the flags do not reach leaves its positions uncovered).
@@ -1003,10 +1004,10 @@ pub(crate) fn prove_solve<T: Scalar>(
                 }
                 if let Some(sn) = &snap {
                     // In bounds: `j < len` ≤ the chunk's first lane,
-                    // whose slots end inside the arrays (obligation 10).
+                    // whose slots end inside the arrays (obligation 9).
                     let slot = first + j * stride;
-                    if j == len || sn.cols[slot] != c || !same_bits(sn.vals[slot], v) {
-                        let held = (j < len).then(|| (sn.cols[slot], sn.vals[slot]));
+                    if j == len || sn.cols.get(slot) != c || !same_bits(sn.vals[slot], v) {
+                        let held = (j < len).then(|| (sn.cols.get(slot), sn.vals[slot]));
                         return Err(mismatch(
                             q,
                             format!(
@@ -1023,10 +1024,11 @@ pub(crate) fn prove_solve<T: Scalar>(
             };
             if let Some(sn) = &snap {
                 if j != len {
-                    return Err(mismatch(
-                        q,
-                        format!("row {i}: the snapshot holds {} extra entries", len - j),
-                    ));
+                    return Err(VerifyError::SolveSnapshotMismatch {
+                        position: q,
+                        detail: format!("row {i}: the snapshot holds {} extra entries", len - j),
+                        defect: Some(DefectKind::PaddingClaimed),
+                    });
                 }
                 if !same_bits(sn.diag[q], d) {
                     return Err(mismatch(
@@ -1044,81 +1046,34 @@ pub(crate) fn prove_solve<T: Scalar>(
 }
 
 /// Obligations 9–10 and the array shapes the row walk indexes by: the
-/// snapshot's chunks tile its `n` positions with 1, 2, 4 or 8 lanes,
-/// every bound in `bounds` is a chunk start, lane lengths do not
-/// increase within a chunk, and the chunks' slot ranges, each its first
-/// lane's length times its lane count, tile the entry arrays.
+/// shared chunk shape over the slab's `n` positions, one diagonal per
+/// position, chunks of 1, 2, 4 or 8 lanes, and every bound in `bounds`
+/// a chunk start.
 fn check_chunks<T: Scalar>(
-    sn: &SnapshotRef<'_, T>,
+    sn: &SlabRef<'_, T>,
     n: usize,
     bounds: &[Vec<usize>],
 ) -> Result<(), VerifyError> {
-    let mismatch =
-        |position: usize, detail: String| VerifyError::SolveSnapshotMismatch { position, detail };
-    if sn.diag.len() != n
-        || sn.lens.len() != n
-        || sn.chunk_ptr.first() != Some(&0)
-        || sn.chunk_ptr.last() != Some(&n)
-        || sn.slot_ptr.len() != sn.chunk_ptr.len()
-        || sn.slot_ptr[0] != 0
-        || sn.slot_ptr.last() != Some(&sn.cols.len())
-        || sn.vals.len() != sn.cols.len()
-    {
-        return Err(mismatch(
-            0,
-            format!(
-                "array lengths do not fit {n} positions: {} diagonals, {} lengths, chunk \
-                 bounds {:?}…{:?}, {} slot bounds ending at {:?}, {} columns, {} values",
-                sn.diag.len(),
-                sn.lens.len(),
-                sn.chunk_ptr.first(),
-                sn.chunk_ptr.last(),
-                sn.slot_ptr.len(),
-                sn.slot_ptr.last(),
-                sn.cols.len(),
-                sn.vals.len()
-            ),
-        ));
+    sn.check_shape()
+        .map_err(|d| VerifyError::SolveSnapshotMismatch {
+            position: d.position,
+            detail: d.detail,
+            defect: Some(d.kind),
+        })?;
+    if sn.diag.len() != n {
+        let detail = format!("{} diagonals for {n} positions", sn.diag.len());
+        return Err(mismatch(sn.diag.len().min(n), detail));
     }
-    for (k, (c, sl)) in sn
+    if let Some(c) = sn
         .chunk_ptr
         .windows(2)
-        .zip(sn.slot_ptr.windows(2))
-        .enumerate()
+        .find(|c| !matches!(c[1] - c[0], 1 | 2 | 4 | 8))
     {
-        let p0 = c[0];
-        let lanes = c[1].wrapping_sub(p0);
-        if !matches!(lanes, 1 | 2 | 4 | 8) || c[1] > n {
-            return Err(mismatch(
-                p0,
-                format!(
-                    "chunk {k} spans positions {p0}..{}, not 1, 2, 4 or 8 lanes of 0..{n}",
-                    c[1]
-                ),
-            ));
-        }
-        let lens = &sn.lens[p0..c[1]];
-        if let Some(l) = lens.windows(2).position(|w| w[0] < w[1]) {
-            return Err(mismatch(
-                p0 + l + 1,
-                format!(
-                    "chunk {k}: lane {} holds {} entries, more than lane {l}'s {}",
-                    l + 1,
-                    lens[l + 1],
-                    lens[l]
-                ),
-            ));
-        }
-        let width = lens[0] as usize * lanes;
-        if sl[1].checked_sub(sl[0]) != Some(width) {
-            return Err(mismatch(
-                p0,
-                format!(
-                    "chunk {k} spans slots {}..{}, not its first lane's length × lanes = {width}",
-                    sl[0], sl[1]
-                ),
-            ));
-        }
+        let detail = format!(
+            "chunk at positions {}..{}, not 1, 2, 4 or 8 lanes",
+            c[0], c[1]
+        );
+        return Err(mismatch(c[0], detail));
     }
     for (s, b) in bounds.iter().enumerate() {
         if let Some(&q) = b.iter().find(|q| sn.chunk_ptr.binary_search(q).is_err()) {
@@ -1129,6 +1084,15 @@ fn check_chunks<T: Scalar>(
         }
     }
     Ok(())
+}
+
+/// A [`VerifyError::SolveSnapshotMismatch`] with no slab defect class.
+fn mismatch(position: usize, detail: String) -> VerifyError {
+    VerifyError::SolveSnapshotMismatch {
+        position,
+        detail,
+        defect: None,
+    }
 }
 
 /// Bitwise equality of two scalars (`NaN` equals itself, `-0` does not

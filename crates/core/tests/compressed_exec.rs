@@ -424,8 +424,8 @@ fn verify_names_the_defect_of_each_tampered_slab() {
             end: packed.n_chunks(),
         }];
         for tamper in SlabTamper::ALL {
-            let bad = tamper
-                .apply(&packed)
+            let bad = packed
+                .tampered(tamper)
                 .expect("a ragged payload has every site");
             match check_payloads(&a, &dispatch, &[BinPayload::Packed(bad)], &tiles) {
                 Err(VerifyError::PackedPayloadInvalid { defect, .. }) => {

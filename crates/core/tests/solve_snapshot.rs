@@ -7,13 +7,13 @@
 //! ([`SolvePlan::steps`], [`SolvePlan::snapshot`]), break one property,
 //! and require the exact typed rejection from [`check_solve_snapshot`]:
 //! positions, entries and diagonals that stop mirroring the matrix, and
-//! lock-step chunks that are unsound to run (the [`LayoutTamper`]s,
-//! which spmv-lint's tamper sweep runs too, and chunk bounds past the
-//! positions).
+//! lock-step chunks that are unsound to run (the [`LayoutTamper`]s and
+//! the shared [`SlabTamper`]s, which spmv-lint's tamper sweep runs too,
+//! and chunk bounds past the positions).
 
 use spmv_autotune::prelude::*;
 use spmv_sparse::solve::{sptrsv_seq, SolveDirection};
-use spmv_sparse::{gen, CsrMatrix};
+use spmv_sparse::{gen, CsrMatrix, SlabTamper};
 
 /// Lower-triangular matrix with a dominant diagonal, from a random
 /// pattern.
@@ -156,7 +156,7 @@ fn an_edited_slab_column_is_rejected() {
         .expect("a row with two off-diagonals");
     let mut bad = snap.clone();
     let (k0, k1) = (slot(&snap, p, 0), slot(&snap, p, 1));
-    bad.cols[k1] = bad.cols[k0];
+    bad.cols.set(k1, bad.cols.get(k0));
     assert_eq!(expect_mismatch(prove(&a, &steps, 4, &bad), "column"), p);
     // An edited value is just as wrong.
     let mut bad = snap.clone();
@@ -373,6 +373,20 @@ fn tampered(
     (a, steps, snap, at)
 }
 
+/// An honest `workers`-worker plan's schedule and snapshot with its slab
+/// broken by `tamper`, with the position the rejection must name.
+fn slab_tampered(
+    workers: usize,
+    tamper: SlabTamper,
+) -> (CsrMatrix<f64>, Vec<SolveStep>, SolveSnapshot<f64>, usize) {
+    let a = tril(300, 7, 5);
+    let plan = SolvePlan::build_with(&a, SolveDirection::Forward, config(workers)).unwrap();
+    let (steps, snap, at) = plan
+        .tampered(tamper)
+        .unwrap_or_else(|| panic!("{tamper:?}: the honest plan offers no site"));
+    (a, steps, snap, at)
+}
+
 #[test]
 fn a_lane_that_reads_another_lane_of_its_chunk_is_rejected() {
     // The tamper moves a row to just after its latest dependency and
@@ -404,7 +418,7 @@ fn a_lane_that_reads_another_lane_of_its_chunk_is_rejected() {
 fn lanes_out_of_length_order_are_rejected() {
     // The chunk is laid out consistently, steps and all, but its active
     // lanes at the longer lane's last column are no longer a prefix.
-    let (a, steps, snap, l) = tampered(4, LayoutTamper::LanesOutOfOrder);
+    let (a, steps, snap, l) = slab_tampered(4, SlabTamper::LanesOutOfOrder);
     assert!(snap.lens[l] > snap.lens[l - 1]);
     assert_eq!(
         expect_mismatch(prove(&a, &steps, 4, &snap), "lane order"),
@@ -415,7 +429,7 @@ fn lanes_out_of_length_order_are_rejected() {
 #[test]
 fn a_padding_slot_claimed_as_an_entry_is_rejected() {
     // The lengths stay in order; the extra slot is the lane's padding.
-    let (a, steps, snap, l) = tampered(4, LayoutTamper::PaddingClaimed);
+    let (a, steps, snap, l) = slab_tampered(4, SlabTamper::PaddingClaimed);
     assert!(snap.lens[l] <= snap.lens[l - 1]);
     assert_eq!(expect_mismatch(prove(&a, &steps, 4, &snap), "padding"), l);
 }

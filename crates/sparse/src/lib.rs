@@ -50,7 +50,10 @@ pub use dense_block::DenseBlock;
 pub use error::{CsrBuildError, SolveBuildError, SparseError};
 pub use features::{ColumnLocality, FeatureSet, MatrixFeatures};
 pub use histogram::RowHistogram;
-pub use packed::{prefetch_read, DefectKind, PackedDefect, PackedSell, SlabTamper, SlabView};
+pub use packed::{
+    prefetch_read, prefetch_rows_ahead, DefectKind, PackedSell, SellSlab, SlabDefect, SlabRef,
+    SlabTamper, SlabView,
+};
 pub use scalar::Scalar;
 pub use solve::{
     level_order, level_order_with_offdiag, split_triangular, sptrsv_seq, symgs_seq, SolveDirection,

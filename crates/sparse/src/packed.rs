@@ -1,51 +1,58 @@
-//! SELL-C-σ-style packed storage for a row *subset*.
+//! SELL-C slabs: the one packed layout behind packed SpMV/SpMM bins and
+//! the level-scheduled triangular solves.
 //!
-//! The auto-tuner's binning groups rows of similar workload precisely so each
-//! bin can run a kernel shaped for its workload — but a bin stored as a
-//! CSR row list still pays one `row_ptr` lookup, one loop setup, and an
-//! irregular short inner loop per row. [`PackedSell`] removes that
-//! overhead for the bins where it dominates:
+//! A [`SellSlab`] lays an ordered row list out as *chunks* of
+//! consecutive positions. Position `p` holds row `rows[p]` as a *lane* of
+//! `lens[p]` entries. Chunk `k` runs positions from `chunk_ptr[k]` up to
+//! the next chunk's and stores its lanes' entries column-major (`lane`
+//! fastest) from slot `slot_ptr[k]` on, lane `l`'s `j`-th entry at
+//! `slot_ptr[k] + j * lanes + l`. One pass over a chunk streams its lanes
+//! in lock-step with unit-stride loads — the shape a compiler
+//! auto-vectorises and the paper's SELL/ELL-family references exploit.
+//! Lane lengths do not increase within a chunk, so the active lanes at
+//! column `j` are a prefix: no kernel reads a padding slot, and results
+//! stay **bit-for-bit identical** to the sequential CSR references (same
+//! per-row operation order, no `0 · v[0]` terms that would break `-0.0`
+//! sums or NaN-propagate from an infinite `v` entry). The owner picks the
+//! row order and the chunk heights:
 //!
-//! * the bin's rows are sorted by NNZ descending — the "σ" sort — but
-//!   only within *windows* of [`SORT_WINDOW_CHUNKS`] chunks (`32·C`
-//!   consecutive positions of the bin's row list), with equal-length
-//!   rows ordered by minimum column so structurally similar rows share
-//!   a chunk. Bounding σ keeps most of the padding benefit (bins are
-//!   already workload-homogeneous) while the slab still walks `x` and
-//!   `y` roughly in row order; a whole-bin sort turns each length class
-//!   into its own sweep over both vectors, which on a large
-//!   scatter-heavy bin costs more than the padding it saves;
-//! * consecutive groups of `C` rows form a *chunk* whose columns are laid
-//!   out column-major (`lane` fastest), so one pass over a chunk streams
-//!   `C` rows in lock-step with unit-stride loads — the shape a compiler
-//!   auto-vectorises and the paper's SELL/ELL-family references exploit;
-//! * within a chunk, lanes longer than the shortest row form a *ragged
-//!   tail*: because lanes are length-sorted, the active lanes at column
-//!   `j` are always a prefix, so the kernel never multiplies padding.
-//!   Padding exists only as unread storage slots, which keeps results
-//!   **bit-for-bit identical** to the sequential CSR reference (same
-//!   per-row `mul_add_` order, no `0 · v[0]` terms that would break
-//!   `-0.0` sums or NaN-propagate from an infinite `v` entry).
+//! * [`PackedSell`] (an SpMV bin) uses a fixed `C` lanes per chunk and
+//!   sorts the bin's rows by NNZ descending — the "σ" sort — only within
+//!   *windows* of [`SORT_WINDOW_CHUNKS`] chunks, equal lengths by minimum
+//!   column so similar rows share a chunk. Bounding σ keeps most of the
+//!   padding benefit (bins are already workload-homogeneous) while the
+//!   slab still walks `x` and `y` roughly in row order; a whole-bin sort
+//!   turns each length class into its own sweep over both vectors. Its
+//!   lanes hold every entry ([`Entries::All`]).
+//! * A triangular solve plan (`spmv_autotune::solve`) cuts its chunks at
+//!   level boundaries, 1, 2, 4 or 8 lanes each; its lanes hold each
+//!   row's off-diagonals, the diagonals kept apart
+//!   ([`Entries::OffDiagonal`]).
 //!
-//! The slab holds two per-slot arrays: one column and one value per
-//! slot. Columns are `u16` when the source matrix has at most
-//! [`NARROW_MAX_COLS`] columns and `u32` otherwise — one width per slab,
-//! fixed by `n_cols`. A packed SpMV is bandwidth-bound (it streams the
-//! slab, while `x` usually stays cache-resident), so the narrower column
-//! stream is two bytes per slot the kernels do not move. The column
-//! bound `col < n_cols` is proven at pack time and **re-proven at every
-//! slab refresh**, which is what licenses the unchecked `v[col]` gathers
-//! in the kernels.
+//! **One column width per slab**, fixed by `n_cols`: `u16` when the
+//! source matrix has at most [`NARROW_MAX_COLS`] columns, else `u32`
+//! ([`Cols`]). The kernels are bandwidth-bound, so the narrow stream is
+//! two bytes per slot they do not move. `col < n_cols` is asserted
+//! whenever a column is written, which licenses the unchecked `v[col]`
+//! gathers of the SpMV kernels.
 //!
-//! Columns and values are cached in a slab keyed by
-//! [`CsrMatrix::values_id`], so a compiled plan executes with zero
-//! indirection in the steady state and re-gathers the slab after a value
-//! update. A refresh walks each packed row's CSR entries, in storage
-//! order, into its lane's slots. Columns travel with the values because
-//! an in-place mutation such as [`CsrMatrix::sort_rows`] permutes the
-//! `(col, val)` pairs *within* each row without touching `row_ptr`: both
-//! halves of each slot must be re-read or the slab would pair stale
-//! columns with fresh values.
+//! **One value slab**: columns, values and diagonals live under one
+//! lock, keyed by [`CsrMatrix::values_id`], and a refresh walks each
+//! position's CSR row, in storage order, into its lane's slots
+//! ([`SellSlab::fresh`]). An SpMV slab re-reads its columns with the
+//! values, because an in-place mutation such as [`CsrMatrix::sort_rows`]
+//! permutes the `(col, val)` pairs *within* rows without touching
+//! `row_ptr`: stale columns would pair with fresh values. A solve slab's
+//! columns are frozen at build: its race-freedom rests on the dependency
+//! order its prover established over exactly those columns, and its
+//! unchecked path validates a call in O(1), so a refresh rewrites values
+//! and diagonals only.
+//!
+//! **One shape proof**: [`SlabRef::check_shape`] proves what every kernel
+//! over a slab relies on, and [`SlabTamper`] builds the layouts it must
+//! reject. Each owner proves its own premises on top:
+//! [`PackedSell::check_against`] the bin's row set, sort windows and
+//! columns, the solve prover the dependency order.
 //!
 //! Storage padding is bounded: [`PackedSell::padding_ratio`] reports
 //! `slots / nnz`, and plan compilation falls back to the CSR row list
@@ -54,7 +61,7 @@
 
 use crate::csr::CsrMatrix;
 use crate::scalar::Scalar;
-use std::sync::{PoisonError, RwLock};
+use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Chunks per row-sort window: [`PackedSell`] sorts the bin's row list
 /// only within consecutive, chunk-aligned windows of
@@ -70,7 +77,7 @@ pub const NARROW_MAX_COLS: usize = 1 << 16;
 
 /// A slab column id: `u16` or `u32`. Kernels and the refresh walk are
 /// generic over it and dispatched once per call.
-trait SlabCol: Copy {
+pub trait SlabCol: Copy + Send + Sync {
     /// Narrow a column the caller has proven `< n_cols`, where `n_cols`
     /// selected this width.
     fn from_col(c: u32) -> Self;
@@ -100,10 +107,13 @@ impl SlabCol for u32 {
     }
 }
 
-/// The slab's column array at its one width.
-#[derive(Clone)]
-enum Cols {
+/// A slab's column array at its one width: `u16` up to
+/// [`NARROW_MAX_COLS`] matrix columns, else `u32`. Padding slots hold `0`.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Cols {
+    /// Two bytes per slot.
     Narrow(Vec<u16>),
+    /// Four bytes per slot.
     Wide(Vec<u32>),
 }
 
@@ -117,45 +127,76 @@ impl Cols {
         }
     }
 
-    fn len(&self) -> usize {
+    /// `slots` zeroed columns at this array's width.
+    pub fn zeroed_like(&self, slots: usize) -> Self {
+        match self {
+            Cols::Narrow(_) => Cols::Narrow(vec![0; slots]),
+            Cols::Wide(_) => Cols::Wide(vec![0; slots]),
+        }
+    }
+
+    /// Slots held.
+    pub fn len(&self) -> usize {
         match self {
             Cols::Narrow(c) => c.len(),
             Cols::Wide(c) => c.len(),
         }
     }
 
-    fn bytes(&self) -> usize {
+    /// Whether no slot is held.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Bytes per column: 2 or 4.
+    pub fn bytes(&self) -> usize {
         match self {
             Cols::Narrow(_) => 2,
             Cols::Wide(_) => 4,
         }
     }
+
+    /// The column at `slot`. Panics if out of bounds.
+    pub fn get(&self, slot: usize) -> u32 {
+        match self {
+            Cols::Narrow(c) => u32::from(c[slot]),
+            Cols::Wide(c) => c[slot],
+        }
+    }
+
+    /// Store `col` at `slot`, truncated to this array's width. Panics if
+    /// out of bounds.
+    pub fn set(&mut self, slot: usize, col: u32) {
+        match self {
+            Cols::Narrow(c) => c[slot] = col as u16,
+            Cols::Wide(c) => c[slot] = col,
+        }
+    }
 }
 
-/// The cached (columns, values) slab and the generation it mirrors.
-/// Both halves live under one lock so readers always observe a coherent
-/// pairing, even if a refresh races a concurrent execute.
+/// Which of its row's entries a lane holds.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Entries {
+    /// Every entry, in storage order (SpMV); columns are re-read with
+    /// the values at every refresh.
+    All,
+    /// Every entry but the diagonal, in storage order, the diagonal kept
+    /// apart (the last one, as `sptrsv_seq` takes it); columns are frozen
+    /// at build (triangular solves).
+    OffDiagonal,
+}
+
+/// The cached columns, values and diagonals (empty for [`Entries::All`])
+/// and the value generation they mirror, under one lock so readers
+/// always observe a coherent state.
+#[derive(Clone)]
 struct ValueSlab<T> {
-    /// `CsrMatrix::values_id` of the matrix state the slab mirrors.
+    /// `CsrMatrix::values_id` of the matrix state mirrored; `0` while a
+    /// walk is under way or after one panicked.
     source: u64,
-    /// One column per storage slot, column-major per chunk; padding
-    /// slots hold `0`. Every non-padding column was asserted `< n_cols`
-    /// when gathered, which is what licenses the unchecked `v[col]`
-    /// gathers.
     cols: Cols,
-    /// One entry per storage slot; padding slots hold `T::ZERO`.
     vals: Vec<T>,
-}
-
-/// A borrowed, coherent view of a [`PackedSell`] slab — obtained only
-/// through [`PackedSell::with_slab`], never constructed by callers. The
-/// kernels gather `v[col]` without per-element bound checks, so the
-/// column stream must be the validated slab contents; keeping the
-/// fields private makes that unforgeable from safe code.
-#[derive(Clone, Copy)]
-pub struct SlabView<'a, T> {
-    cols: &'a Cols,
-    vals: &'a [T],
+    diag: Vec<T>,
 }
 
 /// Hint the CPU to pull `v[idx]` toward L1. Never reads memory, so any
@@ -175,8 +216,46 @@ pub fn prefetch_read<T>(v: &[T], idx: usize) {
     let _ = (v, idx);
 }
 
-/// Which property of a [`PackedSell`] layout [`PackedSell::check_against`]
-/// found broken.
+/// Rows ahead of a walk whose columns and values are hinted toward
+/// cache; twice as far ahead, the row's `row_ptr` pair.
+const ROW_AHEAD: usize = 8;
+
+/// Hint the CPU toward the rows a walk over `a` in `order` visits next:
+/// `row_ptr` of `order[q + 2 * ROW_AHEAD]`, and the columns and values of
+/// `order[q + ROW_AHEAD]`. Level order scatters consecutive rows over the
+/// matrix; without the hints a solve slab's gather, refresh and proof
+/// walk stall on every row (about a third of the gather's time on a
+/// 0.5M-row road network). Hints only: nothing is read.
+#[inline(always)]
+pub fn prefetch_rows_ahead<T: Scalar>(a: &CsrMatrix<T>, order: &[u32], q: usize) {
+    let row_ptr = a.row_ptr();
+    if let Some(&r) = order.get(q + 2 * ROW_AHEAD) {
+        prefetch_read(row_ptr, r as usize);
+    }
+    if let Some(&r) = order.get(q + ROW_AHEAD) {
+        if let Some(&start) = row_ptr.get(r as usize) {
+            prefetch_read(a.col_idx(), start);
+            prefetch_read(a.values(), start);
+        }
+    }
+}
+
+/// Every position of a chunked layout in order, as `(position, first
+/// slot, stride)`: the position's `j`-th entry sits in slot `first + j *
+/// stride` (the stride is its chunk's lane count). `chunk_ptr` must be
+/// non-decreasing and `slot_ptr` at least as long.
+fn lanes<'a>(
+    chunk_ptr: &'a [usize],
+    slot_ptr: &'a [usize],
+) -> impl Iterator<Item = (usize, usize, usize)> + 'a {
+    chunk_ptr.windows(2).zip(slot_ptr).flat_map(|(w, &s0)| {
+        let n = w[1] - w[0];
+        (0..n).map(move |l| (w[0] + l, s0 + l, n))
+    })
+}
+
+/// Which property of a slab [`SlabRef::check_shape`] or
+/// [`PackedSell::check_against`] found broken.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DefectKind {
     /// The payload's column count, or its slab's column width, disagrees
@@ -189,60 +268,71 @@ pub enum DefectKind {
     /// A lane's length runs past its chunk's slots, so the lane would
     /// read another chunk's slots as its own.
     LaneOverrun,
-    /// A lane is longer than the CSR row it mirrors, so it claims a
-    /// padding slot as an entry.
+    /// A lane is longer than the row it mirrors, so it claims a padding
+    /// slot as an entry.
     PaddingClaimed,
-    /// Any other broken layout property: chunk offsets that do not tile
-    /// the slab, a lane shorter than its row, lanes out of length order
-    /// within a window, or a wrong cached non-zero count.
+    /// A lane is longer than the lane before it in its chunk (or, in a
+    /// packed bin, its sort window): the active lanes at a column are no
+    /// longer a prefix.
+    LanesOutOfOrder,
+    /// Any other broken layout property: array lengths or chunk offsets
+    /// that do not tile the positions and slots, chunks of the wrong
+    /// height, or a lane shorter than its row.
     Layout,
     /// A slab column differs from the CSR column it mirrors, or falls
     /// outside `[0, n_cols)`.
     ColumnMismatch,
 }
 
-/// A [`PackedSell`] defect: its kind and a description naming the chunk,
-/// lane or row. It reads as its description (`Deref<Target = str>`), so
-/// a report can print or search it like a message.
+/// A slab defect: its kind, the first position it concerns (`0` for a
+/// slab-wide one) and a description. It reads as its description
+/// (`Deref<Target = str>`), so a report can print or search it like a
+/// message.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PackedDefect {
+pub struct SlabDefect {
     /// What broke.
     pub kind: DefectKind,
-    /// Where, in words.
+    /// Where: an index into the slab's positions.
+    pub position: usize,
+    /// Where and how, in words.
     pub detail: String,
 }
 
-/// `Err` with a [`PackedDefect`].
-fn fail<R>(kind: DefectKind, detail: impl Into<String>) -> Result<R, PackedDefect> {
-    Err(PackedDefect {
+/// `Err` with a [`SlabDefect`].
+fn fail<R>(kind: DefectKind, position: usize, detail: impl Into<String>) -> Result<R, SlabDefect> {
+    Err(SlabDefect {
         kind,
+        position,
         detail: detail.into(),
     })
 }
 
-impl std::ops::Deref for PackedDefect {
+impl std::ops::Deref for SlabDefect {
     type Target = str;
     fn deref(&self) -> &str {
         &self.detail
     }
 }
 
-impl std::fmt::Display for PackedDefect {
+impl std::fmt::Display for SlabDefect {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(&self.detail)
     }
 }
 
-impl std::error::Error for PackedDefect {}
+impl std::error::Error for SlabDefect {}
 
-/// The unsound layouts [`PackedSell::check_against`] must reject, each
-/// built from an honest payload by [`apply`](Self::apply) for the tests
-/// of the prover and of plan verification.
+/// The unsound layouts the slab's owners must reject, each built from an
+/// honest slab by [`apply`](Self::apply): a packed payload through
+/// [`PackedSell::tampered`], a solve plan through its own tamper hook.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SlabTamper {
     /// Lengthen the first lane of the first chunk by one: it runs past
     /// the chunk's slots ([`DefectKind::LaneOverrun`]).
     LaneOverrun,
+    /// Swap a lane, slots and all, behind a shorter lane of its chunk
+    /// ([`DefectKind::LanesOutOfOrder`]).
+    LanesOutOfOrder,
     /// Lengthen a lane shorter than the lane before it in its chunk by
     /// one, so it claims a padding slot as an entry
     /// ([`DefectKind::PaddingClaimed`]).
@@ -254,65 +344,447 @@ pub enum SlabTamper {
 
 impl SlabTamper {
     /// Every tamper, in declaration order.
-    pub const ALL: [Self; 3] = [Self::LaneOverrun, Self::PaddingClaimed, Self::WidthMismatch];
+    pub const ALL: [Self; 4] = [
+        Self::LaneOverrun,
+        Self::LanesOutOfOrder,
+        Self::PaddingClaimed,
+        Self::WidthMismatch,
+    ];
 
-    /// The defect [`PackedSell::check_against`] must report for this
-    /// tamper.
+    /// The defect the slab's owners must report for this tamper.
     pub fn defect(self) -> DefectKind {
         match self {
             Self::LaneOverrun => DefectKind::LaneOverrun,
+            Self::LanesOutOfOrder => DefectKind::LanesOutOfOrder,
             Self::PaddingClaimed => DefectKind::PaddingClaimed,
             Self::WidthMismatch => DefectKind::WidthMismatch,
         }
     }
 
-    /// A copy of `packed` broken this way, or `None` when the payload
-    /// offers no site for it (no rows, or no ragged chunk).
-    pub fn apply<T: Scalar>(self, packed: &PackedSell<T>) -> Option<PackedSell<T>> {
-        let mut p = packed.clone();
+    /// Break `slab` this way and return the position the rejection must
+    /// name. `None`, with the slab left as it was, when it offers no site
+    /// (no rows, or no chunk with a lane shorter than the one before it).
+    pub fn apply<T: Scalar>(self, slab: &mut SellSlab<T>) -> Option<usize> {
+        let ragged = slab
+            .chunk_ptr
+            .windows(2)
+            .find_map(|w| (w[0] + 1..w[1]).find(|&q| slab.lens[q] < slab.lens[q - 1]));
+        let data = slab.data.get_mut().unwrap_or_else(PoisonError::into_inner);
         match self {
-            Self::LaneOverrun => *p.lens.first_mut()? += 1,
+            Self::LaneOverrun => {
+                *slab.lens.first_mut()? += 1;
+                Some(0)
+            }
+            Self::LanesOutOfOrder => {
+                let q = ragged?;
+                let k = slab.chunk_ptr.partition_point(|&p| p <= q) - 1;
+                let (p0, lanes) = (slab.chunk_ptr[k], slab.chunk_ptr[k + 1] - slab.chunk_ptr[k]);
+                for s in (slab.slot_ptr[k]..slab.slot_ptr[k + 1]).step_by(lanes) {
+                    let (x, y) = (s + q - 1 - p0, s + q - p0);
+                    let (cx, cy) = (data.cols.get(x), data.cols.get(y));
+                    data.cols.set(x, cy);
+                    data.cols.set(y, cx);
+                    data.vals.swap(x, y);
+                }
+                slab.rows.swap(q - 1, q);
+                slab.lens.swap(q - 1, q);
+                if !data.diag.is_empty() {
+                    data.diag.swap(q - 1, q);
+                }
+                Some(q)
+            }
             Self::PaddingClaimed => {
-                let q =
-                    (1..p.lens.len()).find(|&q| q % p.chunk != 0 && p.lens[q] < p.lens[q - 1])?;
-                p.lens[q] += 1;
+                let q = ragged?;
+                slab.lens[q] += 1;
+                Some(q)
             }
             Self::WidthMismatch => {
-                let slab = p.vals.get_mut().unwrap_or_else(PoisonError::into_inner);
-                slab.cols = match &slab.cols {
+                data.cols = match &data.cols {
                     Cols::Narrow(c) => Cols::Wide(c.iter().map(|&c| u32::from(c)).collect()),
                     Cols::Wide(c) => Cols::Narrow(c.iter().map(|&c| c as u16).collect()),
                 };
+                Some(0)
             }
         }
-        Some(p)
     }
 }
 
+/// Rows of a matrix laid out as SELL-C chunks of any heights, with one
+/// column width and one value slab (see the module docs). Built once per
+/// sparsity pattern by its owner — [`PackedSell`] or a solve plan — and
+/// read through a [`SlabGuard`].
+pub struct SellSlab<T: Scalar> {
+    /// Column count of the source matrix: the bound every column written
+    /// was checked against, and what fixes the column width.
+    n_cols: usize,
+    /// Row id at each position.
+    rows: Vec<u32>,
+    /// Lane length (entries held) at each position.
+    lens: Vec<u32>,
+    /// First position of each chunk, then the position count.
+    chunk_ptr: Vec<usize>,
+    /// First slot of each chunk, then the slot count.
+    slot_ptr: Vec<usize>,
+    data: RwLock<ValueSlab<T>>,
+}
+
+impl<T: Scalar> SellSlab<T> {
+    /// Lay `rows` of `a` out with `lens[p]` entries of `entries`' kind
+    /// at position `p`, chunk `k` running positions `chunk_ptr[k]..
+    /// chunk_ptr[k + 1]` (so `chunk_ptr` starts at 0 and ends at
+    /// `rows.len()`), and gather columns, values and diagonals from `a`.
+    /// Each chunk takes as many slots per lane as its first lane's length:
+    /// the caller sorts each chunk's lanes longest first.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lens` or `chunk_ptr` does not fit `rows`, a row id is
+    /// out of bounds, or a gathered column is not below `a.n_cols()`.
+    pub fn build(
+        a: &CsrMatrix<T>,
+        rows: Vec<u32>,
+        lens: Vec<u32>,
+        chunk_ptr: Vec<usize>,
+        entries: Entries,
+    ) -> Self {
+        assert_eq!(lens.len(), rows.len(), "one lane length per row");
+        assert_eq!(chunk_ptr.last(), Some(&rows.len()), "chunks tile the rows");
+        let mut slot_ptr = Vec::with_capacity(chunk_ptr.len());
+        slot_ptr.push(0);
+        for w in chunk_ptr.windows(2) {
+            let slots = slot_ptr[slot_ptr.len() - 1];
+            slot_ptr.push(slots + lens[w[0]] as usize * (w[1] - w[0]));
+        }
+        let slots = slot_ptr[slot_ptr.len() - 1];
+        let diag = match entries {
+            Entries::All => Vec::new(),
+            Entries::OffDiagonal => vec![T::ONE; rows.len()],
+        };
+        let slab = Self {
+            n_cols: a.n_cols(),
+            rows,
+            lens,
+            chunk_ptr,
+            slot_ptr,
+            data: RwLock::new(ValueSlab {
+                source: 0,
+                cols: Cols::zeroed(a.n_cols(), slots),
+                vals: vec![T::ZERO; slots],
+                diag,
+            }),
+        };
+        {
+            let mut data = slab.data.write().unwrap_or_else(PoisonError::into_inner);
+            slab.refill(&mut data, a, true);
+            data.source = a.values_id();
+        }
+        slab
+    }
+
+    /// Row id at each position.
+    pub fn rows(&self) -> &[u32] {
+        &self.rows
+    }
+
+    /// First position of each chunk, then the position count.
+    pub fn chunk_ptr(&self) -> &[usize] {
+        &self.chunk_ptr
+    }
+
+    /// Number of chunks.
+    pub fn n_chunks(&self) -> usize {
+        self.chunk_ptr.len() - 1
+    }
+
+    /// Storage slots, padding included.
+    pub fn slots(&self) -> usize {
+        self.slot_ptr[self.n_chunks()]
+    }
+
+    /// Entries held (excluding padding and diagonals).
+    pub fn nnz(&self) -> usize {
+        self.lens.iter().map(|&l| l as usize).sum()
+    }
+
+    /// Bytes per slab column: 2 when the source matrix has at most
+    /// [`NARROW_MAX_COLS`] columns, else 4.
+    pub fn col_bytes(&self) -> usize {
+        self.read().lock().cols.bytes()
+    }
+
+    /// The slab as it stands, held under its read lock. A refresh that
+    /// panicked (its column bound check) poisons the lock but leaves the
+    /// slab tagged stale with in-bounds columns, so the guard is
+    /// recovered: the next [`fresh`](Self::fresh) re-gathers.
+    pub fn read(&self) -> SlabGuard<'_, T> {
+        SlabGuard {
+            slab: self,
+            lock: Lock::Read(self.data.read().unwrap_or_else(PoisonError::into_inner)),
+        }
+    }
+
+    /// The slab brought up to date with `a` and held. O(1) when
+    /// [`CsrMatrix::values_id`] matches the slab's source. Otherwise one
+    /// walk, under the write lock the guard then keeps, copies each
+    /// position's CSR entries, in storage order, into its lane's slots
+    /// (see the module docs). Callers hand the pattern the slab was built
+    /// from; a row longer than its lane has its surplus entries dropped.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a re-read column is out of bounds — the per-refresh
+    /// proof that licenses the unchecked `v[col]` gathers of SpMV.
+    pub fn fresh(&self, a: &CsrMatrix<T>) -> SlabGuard<'_, T> {
+        let want = a.values_id();
+        let guard = self.read();
+        if guard.lock().source == want {
+            return guard;
+        }
+        drop(guard);
+        let mut data = self.data.write().unwrap_or_else(PoisonError::into_inner);
+        if data.source != want {
+            // Stale until the walk completes, should it panic midway
+            // (every column it did write passed the bound check first).
+            data.source = 0;
+            self.refill(&mut data, a, false);
+            data.source = want;
+        }
+        SlabGuard {
+            slab: self,
+            lock: Lock::Write(data),
+        }
+    }
+
+    /// The gather walk of [`build`](Self::build) (`build`, columns
+    /// written whatever the entry kind) and [`fresh`](Self::fresh).
+    fn refill(&self, data: &mut ValueSlab<T>, a: &CsrMatrix<T>, build: bool) {
+        let ValueSlab {
+            cols, vals, diag, ..
+        } = data;
+        // Diagonals kept apart: a solve slab, whose columns are frozen.
+        let with_cols = build || diag.is_empty();
+        match cols {
+            Cols::Narrow(cols) => self.walk(cols, vals, diag, a, with_cols),
+            Cols::Wide(cols) => self.walk(cols, vals, diag, a, with_cols),
+        }
+    }
+
+    /// [`refill`](Self::refill) at one column width.
+    fn walk<C: SlabCol>(
+        &self,
+        cols: &mut [C],
+        vals: &mut [T],
+        diag: &mut [T],
+        a: &CsrMatrix<T>,
+        with_cols: bool,
+    ) {
+        let apart = !diag.is_empty();
+        for (q, first, stride) in lanes(&self.chunk_ptr, &self.slot_ptr) {
+            prefetch_rows_ahead(a, &self.rows, q);
+            let i = self.rows[q] as usize;
+            let (rc, rv) = a.row(i);
+            let mut slots = (0..self.lens[q] as usize).map(|j| first + j * stride);
+            for (&c, &v) in rc.iter().zip(rv) {
+                if apart && c as usize == i {
+                    diag[q] = v;
+                } else if let Some(slot) = slots.next() {
+                    if with_cols {
+                        // The gather bound proof; it also makes the
+                        // narrowing exact: `n_cols` chose the width, so
+                        // every column below it fits.
+                        assert!((c as usize) < self.n_cols, "CSR column {c} out of bounds");
+                        cols[slot] = C::from_col(c);
+                    }
+                    vals[slot] = v;
+                }
+            }
+        }
+    }
+}
+
+impl<T: Scalar> Clone for SellSlab<T> {
+    fn clone(&self) -> Self {
+        Self {
+            rows: self.rows.clone(),
+            lens: self.lens.clone(),
+            chunk_ptr: self.chunk_ptr.clone(),
+            slot_ptr: self.slot_ptr.clone(),
+            data: RwLock::new(self.read().lock().clone()),
+            ..*self
+        }
+    }
+}
+
+/// A slab's value lock, held: read, or the write lock a refresh took.
+enum Lock<'a, T> {
+    Read(RwLockReadGuard<'a, ValueSlab<T>>),
+    Write(RwLockWriteGuard<'a, ValueSlab<T>>),
+}
+
+/// A [`SellSlab`] held for reading: its structure and one coherent value
+/// state, viewed through [`view`](Self::view).
+pub struct SlabGuard<'a, T: Scalar> {
+    slab: &'a SellSlab<T>,
+    lock: Lock<'a, T>,
+}
+
+impl<T: Scalar> SlabGuard<'_, T> {
+    fn lock(&self) -> &ValueSlab<T> {
+        match &self.lock {
+            Lock::Read(g) => g,
+            Lock::Write(g) => g,
+        }
+    }
+
+    /// The held slab, borrowed whole.
+    pub fn view(&self) -> SlabRef<'_, T> {
+        let (s, d) = (self.slab, self.lock());
+        SlabRef {
+            n_cols: s.n_cols,
+            rows: &s.rows,
+            lens: &s.lens,
+            chunk_ptr: &s.chunk_ptr,
+            slot_ptr: &s.slot_ptr,
+            cols: &d.cols,
+            vals: &d.vals,
+            diag: &d.diag,
+        }
+    }
+}
+
+/// A slab borrowed whole — from a [`SlabGuard`], or from a copy of a
+/// slab's arrays a prover is asked about (see the module docs); `diag`
+/// is empty unless the lanes hold off-diagonals.
+#[derive(Clone, Copy, Debug)]
+pub struct SlabRef<'a, T> {
+    /// The column bound, which also fixes the width `cols` must have.
+    pub n_cols: usize,
+    /// Row id at each position.
+    pub rows: &'a [u32],
+    /// Lane length at each position.
+    pub lens: &'a [u32],
+    /// First position of each chunk, then the position count.
+    pub chunk_ptr: &'a [usize],
+    /// First slot of each chunk, then the slot count.
+    pub slot_ptr: &'a [usize],
+    /// One column per slot.
+    pub cols: &'a Cols,
+    /// One value per slot.
+    pub vals: &'a [T],
+    /// Diagonal value at each position.
+    pub diag: &'a [T],
+}
+
+impl<'a, T: Scalar> SlabRef<'a, T> {
+    /// The chunk shape every kernel over a slab relies on, proven from
+    /// the arrays alone: the column width is the one `n_cols` selects;
+    /// the chunks tile the positions in order, each with at least one
+    /// lane; no lane is longer than its chunk's slots allow; lane lengths
+    /// do not increase within a chunk (so the active lanes at a column
+    /// are a prefix); and each chunk's slots, its first lane's length
+    /// times its lane count, tile the column and value arrays. Returns
+    /// the first defect. O(positions + chunks).
+    pub fn check_shape(&self) -> Result<(), SlabDefect> {
+        use DefectKind::*;
+        let n = self.rows.len();
+        let bytes = self.cols.bytes();
+        if (bytes == 2) != (self.n_cols <= NARROW_MAX_COLS) {
+            let detail = format!("{bytes}-byte slab columns for n_cols {}", self.n_cols);
+            return fail(WidthMismatch, 0, detail);
+        }
+        if self.lens.len() != n
+            || self.chunk_ptr.first() != Some(&0)
+            || self.chunk_ptr.last() != Some(&n)
+            || self.slot_ptr.len() != self.chunk_ptr.len()
+            || self.slot_ptr[0] != 0
+            || self.slot_ptr.last() != Some(&self.cols.len())
+            || self.vals.len() != self.cols.len()
+        {
+            let what = "lane lengths, chunk or slot bounds, or entry arrays";
+            let detail = format!("the {what} do not fit {n} positions");
+            return fail(Layout, self.lens.len().min(n), detail);
+        }
+        for (k, (c, s)) in self
+            .chunk_ptr
+            .windows(2)
+            .zip(self.slot_ptr.windows(2))
+            .enumerate()
+        {
+            let p0 = c[0];
+            if c[1] <= p0 || c[1] > n {
+                let detail = format!("chunk {k} spans positions {p0}..{} of 0..{n}", c[1]);
+                return fail(Layout, p0.min(n), detail);
+            }
+            let lanes = c[1] - p0;
+            let Some(span) = s[1].checked_sub(s[0]) else {
+                return fail(Layout, p0, format!("chunk {k}: slot offsets decrease"));
+            };
+            let lens = &self.lens[p0..c[1]];
+            for (l, &len) in lens.iter().enumerate() {
+                if len as usize * lanes > span {
+                    let width = span / lanes;
+                    let detail = format!("chunk {k} lane {l}: length {len} runs past {width}");
+                    return fail(LaneOverrun, p0 + l, detail);
+                }
+                if l > 0 && len > lens[l - 1] {
+                    let detail = format!("chunk {k}: lane {l} is longer than the lane before");
+                    return fail(LanesOutOfOrder, p0 + l, detail);
+                }
+            }
+            if span != lens[0] as usize * lanes {
+                let detail = format!("chunk {k}: {span} slots, not first lane × {lanes} lanes");
+                return fail(Layout, p0, detail);
+            }
+        }
+        Ok(())
+    }
+
+    /// The first position whose lane does not hold its CSR row's columns
+    /// in storage order, each below `n_cols`: every entry, or when the
+    /// slab keeps diagonals apart (`diag` non-empty) every off-diagonal,
+    /// the row keeping a diagonal. O(slots).
+    pub fn first_mismatch(&self, a: &CsrMatrix<T>) -> Option<usize> {
+        let apart = !self.diag.is_empty();
+        lanes(self.chunk_ptr, self.slot_ptr).position(|(q, first, stride)| {
+            let i = self.rows[q];
+            let (rc, _) = a.row(i as usize);
+            let want = rc.iter().filter(|&&c| !apart || c != i).copied();
+            let held = (0..self.lens[q] as usize).map(|j| self.cols.get(first + j * stride));
+            let out = rc.iter().any(|&c| c as usize >= self.n_cols);
+            out || (apart && !rc.contains(&i)) || !want.eq(held)
+        })
+    }
+
+    /// Position `p`'s `(column, value)` pairs as its lane's slots hold
+    /// them. Panics if `p` or the slots it names are out of bounds.
+    pub fn entries(self, p: usize) -> impl Iterator<Item = (u32, T)> + 'a {
+        let k = self.chunk_ptr.partition_point(|&q| q <= p) - 1;
+        let stride = self.chunk_ptr[k + 1] - self.chunk_ptr[k];
+        let first = self.slot_ptr[k] + p - self.chunk_ptr[k];
+        (0..self.lens[p] as usize)
+            .map(move |j| first + j * stride)
+            .map(move |s| (self.cols.get(s), self.vals[s]))
+    }
+}
+
+/// A borrowed, coherent view of a [`PackedSell`] slab — obtained only
+/// through [`PackedSell::with_slab`], never constructed by callers. The
+/// kernels gather `v[col]` without per-element bound checks, so the
+/// column stream must be the validated slab contents; keeping the field
+/// private makes that unforgeable from safe code.
+#[derive(Clone, Copy)]
+pub struct SlabView<'a, T>(SlabRef<'a, T>);
+
 /// A row subset packed into length-sorted, column-major chunks of `C`
-/// lanes (SELL-C-σ with σ = [`SORT_WINDOW_CHUNKS`]` · C`), one column —
-/// `u16` up to [`NARROW_MAX_COLS`] matrix columns, else `u32` — and one
-/// value per slot (see the module docs). Built once per sparsity pattern
-/// by plan compilation; executes many times.
+/// lanes (SELL-C-σ with σ = [`SORT_WINDOW_CHUNKS`]` · C`): a
+/// [`SellSlab`] whose lanes hold every entry (see the module docs).
+/// Built once per sparsity pattern by plan compilation; executes many
+/// times.
+#[derive(Clone)]
 pub struct PackedSell<T: Scalar> {
     /// Lanes per chunk (`C`).
     chunk: usize,
-    /// Column count of the source matrix. Every non-padding slot's
-    /// column is validated against this bound each time the slab is
-    /// gathered, which is what licenses the unchecked gathers in the
-    /// kernels; it also fixes the slab's column width.
-    n_cols: usize,
-    /// Row ids in packed (window-sorted) order.
-    rows: Vec<u32>,
-    /// NNZ of each packed row (same order as `rows`).
-    lens: Vec<u32>,
-    /// Slot offset of each chunk's slab; length `n_chunks + 1`.
-    chunk_off: Vec<usize>,
-    /// Non-zeros actually stored (excluding padding slots).
-    nnz: usize,
-    /// Cached columns + values, refreshed together when the source
-    /// matrix's value generation changes.
-    vals: RwLock<ValueSlab<T>>,
+    slab: SellSlab<T>,
 }
 
 impl<T: Scalar> PackedSell<T> {
@@ -365,38 +837,12 @@ impl<T: Scalar> PackedSell<T> {
             .map(|&(key, _)| !((key >> 32) as u32))
             .collect();
         drop(keyed); // freed before the slabs are allocated
-
-        let n_chunks = order.len().div_ceil(chunk);
-        let mut chunk_off = Vec::with_capacity(n_chunks + 1);
-        chunk_off.push(0usize);
-        let mut slots = 0usize;
-        for c in 0..n_chunks {
-            let lane0 = c * chunk;
-            let lanes = (order.len() - lane0).min(chunk);
-            // Widest lane first: windows are chunk-aligned and sorted
-            // by length descending.
-            slots += lens[lane0] as usize * lanes;
-            chunk_off.push(slots);
-        }
-
-        let nnz: usize = lens.iter().map(|&l| l as usize).sum();
-        let packed = Self {
+        let n = order.len();
+        let chunk_ptr = (0..n).step_by(chunk).chain([n]).collect();
+        Self {
             chunk,
-            n_cols: a.n_cols(),
-            rows: order,
-            lens,
-            chunk_off,
-            nnz,
-            vals: RwLock::new(ValueSlab {
-                // `values_id` generations start at 1, so 0 always forces
-                // the gather below to populate cols + vals.
-                source: 0,
-                cols: Cols::zeroed(a.n_cols(), slots),
-                vals: vec![T::ZERO; slots],
-            }),
-        };
-        packed.ensure_values(a);
-        packed
+            slab: SellSlab::build(a, order, lens, chunk_ptr, Entries::All),
+        }
     }
 
     /// Lanes per chunk (`C`).
@@ -404,139 +850,38 @@ impl<T: Scalar> PackedSell<T> {
         self.chunk
     }
 
-    /// Rows covered, in packed order: the caller's list with each window
-    /// of [`SORT_WINDOW_CHUNKS`]` · C` positions sorted by length
-    /// descending, then minimum column.
-    pub fn rows(&self) -> &[u32] {
-        &self.rows
-    }
-
-    /// Number of chunks.
-    pub fn n_chunks(&self) -> usize {
-        self.chunk_off.len() - 1
-    }
-
-    /// Stored non-zeros (excluding padding).
-    pub fn nnz(&self) -> usize {
-        self.nnz
-    }
-
-    /// Total storage slots including padding.
-    pub fn slots(&self) -> usize {
-        self.chunk_off[self.n_chunks()]
-    }
-
     /// Storage blow-up of the packed layout: `slots / nnz` (`1.0` when
     /// the subset is all padding-free or empty). Plan compilation gates
     /// SELL selection on this bound.
     pub fn padding_ratio(&self) -> f64 {
-        if self.nnz == 0 {
-            1.0
-        } else {
-            self.slots() as f64 / self.nnz as f64
+        match self.nnz() {
+            0 => 1.0,
+            nnz => self.slots() as f64 / nnz as f64,
         }
-    }
-
-    /// First lane and lane count of chunk `c`.
-    fn lanes_of(&self, c: usize) -> (usize, usize) {
-        let lane0 = c * self.chunk;
-        (lane0, (self.rows.len() - lane0).min(self.chunk))
     }
 
     /// Non-zeros stored in chunk `c` (excluding padding) — the work
     /// estimate tile generation balances on.
     pub fn chunk_nnz(&self, c: usize) -> usize {
-        let (lane0, lanes) = self.lanes_of(c);
-        self.lens[lane0..lane0 + lanes]
-            .iter()
-            .map(|&l| l as usize)
-            .sum()
-    }
-
-    /// Bytes per slab column: 2 when the source matrix has at most
-    /// [`NARROW_MAX_COLS`] columns, else 4.
-    pub fn col_bytes(&self) -> usize {
-        self.slab_read().cols.bytes()
+        let lanes = self.slab.chunk_ptr[c]..self.slab.chunk_ptr[c + 1];
+        self.slab.lens[lanes].iter().map(|&l| l as usize).sum()
     }
 
     /// Bytes of the column-index stream the kernels traverse: one column
-    /// of [`col_bytes`](Self::col_bytes) per slot, padding included.
+    /// of [`SellSlab::col_bytes`] per slot, padding included.
     pub fn index_stream_bytes(&self) -> usize {
         self.slots() * self.col_bytes()
     }
 
-    /// Heap bytes of the packed arrays (slab columns + slab values +
-    /// index vectors).
-    pub fn storage_bytes(&self) -> usize {
-        self.index_stream_bytes()
-            + self.slots() * T::BYTES
-            + self.rows.len() * std::mem::size_of::<u32>()
-            + self.lens.len() * std::mem::size_of::<u32>()
-            + self.chunk_off.len() * std::mem::size_of::<usize>()
-    }
-
-    /// Bring the cached slab up to date with `a`. O(1) when
-    /// [`CsrMatrix::values_id`] matches the slab's source (the steady
-    /// state of an iterative solver); one O(slots) walk after a value
-    /// update, which copies each packed row's CSR entries, in storage
-    /// order, into its lane's slots. Re-reading columns with the values
-    /// is what keeps the slab correct across in-place mutations like
-    /// [`CsrMatrix::sort_rows`] that permute `(col, val)` pairs within a
-    /// row. Callers must hand the same pattern (`row_ptr`) the payload
-    /// was packed from — plan validation guarantees that; a row longer
-    /// than its lane has its surplus entries dropped.
+    /// Bring the cached slab up to date with `a` ([`SellSlab::fresh`]):
+    /// columns and values are re-read together, which keeps the slab
+    /// correct across in-place mutations like [`CsrMatrix::sort_rows`].
     ///
     /// # Panics
     ///
-    /// Panics if a refreshed column index is out of bounds — the
-    /// per-refresh proof that licenses the unchecked `v[col]` gathers in
-    /// the kernels.
+    /// Panics if a refreshed column index is out of bounds.
     pub fn ensure_values(&self, a: &CsrMatrix<T>) {
-        let want = a.values_id();
-        if self.slab_read().source == want {
-            return;
-        }
-        let mut slab = self.vals.write().unwrap_or_else(PoisonError::into_inner);
-        if slab.source == want {
-            return; // another thread refreshed while we waited
-        }
-        let ValueSlab { cols, vals, source } = &mut *slab;
-        // Stale until the walk completes, should it panic midway (every
-        // column it did write passed the bound check first).
-        *source = 0;
-        match cols {
-            Cols::Narrow(cols) => self.gather(cols, vals, a),
-            Cols::Wide(cols) => self.gather(cols, vals, a),
-        }
-        *source = want;
-    }
-
-    /// The refresh walk of [`ensure_values`](Self::ensure_values) at one
-    /// column width.
-    fn gather<C: SlabCol>(&self, cols: &mut [C], vals: &mut [T], a: &CsrMatrix<T>) {
-        for (c, &off) in self.chunk_off[..self.n_chunks()].iter().enumerate() {
-            let (lane0, lanes) = self.lanes_of(c);
-            for (lane, (&r, &len)) in self.rows[lane0..lane0 + lanes]
-                .iter()
-                .zip(&self.lens[lane0..lane0 + lanes])
-                .enumerate()
-            {
-                let (rc, rv) = a.row(r as usize);
-                for (j, (&col, &val)) in rc.iter().zip(rv).take(len as usize).enumerate() {
-                    // Refresh-time bound proof: the kernels gather
-                    // `v[col]` without a per-element check. It also
-                    // makes the narrowing exact: `n_cols` chose the
-                    // width, so every column below it fits.
-                    assert!(
-                        (col as usize) < self.n_cols,
-                        "CSR column {col} out of bounds"
-                    );
-                    let slot = off + j * lanes + lane;
-                    cols[slot] = C::from_col(col);
-                    vals[slot] = val;
-                }
-            }
-        }
+        drop(self.slab.fresh(a));
     }
 
     /// Run `f` against the current slab under the read lock. The lock is
@@ -544,92 +889,175 @@ impl<T: Scalar> PackedSell<T> {
     /// launch), so this costs one atomic acquire per call — take it once
     /// per tile, not per chunk.
     pub fn with_slab<R>(&self, f: impl FnOnce(SlabView<'_, T>) -> R) -> R {
-        let guard = self.slab_read();
-        f(SlabView {
-            cols: &guard.cols,
-            vals: &guard.vals,
-        })
+        let guard = self.slab.read();
+        f(SlabView(guard.view()))
     }
 
-    /// The slab's read guard. A refresh that panicked (its column bound
-    /// check) poisons the lock but leaves the slab tagged stale with
-    /// in-bounds columns, so the guard is recovered: the next
-    /// [`ensure_values`](Self::ensure_values) re-gathers, and a later
-    /// refresh from the right matrix succeeds.
-    fn slab_read(&self) -> std::sync::RwLockReadGuard<'_, ValueSlab<T>> {
-        self.vals.read().unwrap_or_else(PoisonError::into_inner)
+    /// A copy of this payload with its slab broken by `tamper`, or `None`
+    /// when the slab offers no site for it.
+    pub fn tampered(&self, tamper: SlabTamper) -> Option<Self> {
+        let mut bad = self.clone();
+        tamper.apply(&mut bad.slab)?;
+        Some(bad)
     }
 
-    /// SpMV over chunks `[c0, c1)`: for every row `r` of those chunks,
-    /// computes `Σ_j A[r,·]·v` in ascending-`j` order (bit-identical to
-    /// the CSR reference) and hands `(row, sum)` to `sink`. Rows with no
-    /// entries still reach the sink with `T::ZERO`, matching CSR
-    /// semantics. `slab` must come from [`with_slab`]. Full chunks of
-    /// 8, 4 or 2 lanes (the heights `pick_auto_chunk` tries) run the
-    /// `L`-unrolled kernel; other heights and partial chunks the dynamic
-    /// one.
+    /// Sequential SpMV over the whole packed subset into `u` (only the
+    /// packed rows are written). Refreshes the value slab from `a` first.
+    /// Reference/diagnostic path; the parallel tiled path lives in the
+    /// execution layer.
+    pub fn spmv_into(&self, a: &CsrMatrix<T>, v: &[T], u: &mut [T]) {
+        self.ensure_values(a);
+        self.with_slab(|slab| {
+            slab.spmv_chunks(0, self.n_chunks(), v, |r, s| u[r] = s);
+        });
+    }
+
+    /// Re-derive the packed layout from `a` and `expected_rows` and prove
+    /// this payload matches it exactly, in this order:
     ///
-    /// # Panics
+    /// 1. the column count equals `a`'s, and the slab has the shared
+    ///    chunk shape ([`SlabRef::check_shape`]: the column width `n_cols`
+    ///    selects, chunks tiling positions and slots, no lane past its
+    ///    chunk, lane lengths non-increasing within a chunk), in chunks
+    ///    of exactly `C` lanes but the last;
+    /// 2. the same row set (each row once, in bounds), every packed row
+    ///    in the sort window of `expected_rows` it was listed in;
+    /// 3. lane lengths equal to the CSR row lengths (a longer lane would
+    ///    read padding as an entry) and non-increasing within each
+    ///    window;
+    /// 4. every lane's slots holding the columns of its CSR row's entries
+    ///    in storage order, each `< n_cols` ([`SlabRef::first_mismatch`]).
     ///
-    /// Panics if `v` is shorter than the source matrix's column count —
-    /// the single bound check that covers every gather below.
-    ///
-    /// [`with_slab`]: Self::with_slab
-    pub fn spmv_chunks<S: FnMut(usize, T)>(
-        &self,
-        slab: SlabView<'_, T>,
-        c0: usize,
-        c1: usize,
-        v: &[T],
-        sink: S,
-    ) {
-        assert!(
-            v.len() >= self.n_cols,
-            "input vector shorter than the matrix column count"
-        );
-        match slab.cols {
-            Cols::Narrow(cols) => self.spmv_range(cols.as_slice(), slab.vals, c0, c1, v, sink),
-            Cols::Wide(cols) => self.spmv_range(cols.as_slice(), slab.vals, c0, c1, v, sink),
+    /// The slab is refreshed from `a` before step 4, so the proof covers
+    /// the state execution will read. Returns the first defect.
+    /// O(slots + |rows| + m).
+    pub fn check_against(&self, a: &CsrMatrix<T>, expected_rows: &[u32]) -> Result<(), SlabDefect> {
+        use DefectKind::*;
+        let s = &self.slab;
+        if s.n_cols != a.n_cols() {
+            let (got, want) = (s.n_cols, a.n_cols());
+            let detail = format!("packed n_cols {got} != matrix n_cols {want} (bound proof void)");
+            return fail(WidthMismatch, 0, detail);
+        }
+        s.read().view().check_shape()?;
+        let n = s.rows.len();
+        if s.n_chunks() != n.div_ceil(self.chunk)
+            || (0..s.n_chunks()).any(|c| s.chunk_ptr[c] != c * self.chunk)
+        {
+            return fail(
+                Layout,
+                0,
+                format!("chunks are not {} lanes high", self.chunk),
+            );
+        }
+        if n != expected_rows.len() {
+            let detail = format!(
+                "packed row count {n} != bin row count {}",
+                expected_rows.len()
+            );
+            return fail(RowSet, 0, detail);
+        }
+        // Row-set and window proof with a window-tag array: every
+        // expected row in bounds and listed once, tagged with its sort
+        // window; then every packed row in bounds, tagged with the
+        // window of its packed position (clearing the tag, so a repeat
+        // fails). Equal counts make that a bijection that keeps every
+        // row in its window.
+        const UNTAGGED: u32 = u32::MAX;
+        let window = SORT_WINDOW_CHUNKS * self.chunk;
+        let m = a.n_rows();
+        let mut tag = vec![UNTAGGED; m];
+        for (pos, &r) in expected_rows.iter().enumerate() {
+            match tag.get_mut(r as usize) {
+                None => return fail(RowSet, 0, format!("bin row {r} out of bounds (m = {m})")),
+                Some(t) if *t != UNTAGGED => {
+                    return fail(RowSet, 0, format!("bin lists row {r} twice"))
+                }
+                Some(t) => *t = (pos / window) as u32,
+            }
+        }
+        for (pos, &r) in s.rows.iter().enumerate() {
+            match tag.get_mut(r as usize) {
+                None => return fail(RowSet, pos, format!("packed row {r} out of bounds")),
+                Some(t) if *t == UNTAGGED => {
+                    return fail(RowSet, pos, "packed rows are not the bin's row set")
+                }
+                Some(t) if *t as usize != pos / window => {
+                    let detail = format!("packed row {r} at index {pos} left its sort window {t}");
+                    return fail(RowSet, pos, detail);
+                }
+                Some(t) => *t = UNTAGGED,
+            }
+        }
+        for (i, (&r, &len)) in s.rows.iter().zip(&s.lens).enumerate() {
+            let csr = a.row_nnz(r as usize);
+            if len as usize != csr {
+                let (kind, what) = if len as usize > csr {
+                    (PaddingClaimed, "claims a padding slot")
+                } else {
+                    (Layout, "drops entries")
+                };
+                let detail = format!("packed row {r}: cached len {len} != CSR len {csr} ({what})");
+                return fail(kind, i, detail);
+            }
+            if (i + 1) % window != 0 && i + 1 < n && s.lens[i + 1] > len {
+                let detail = format!("packed rows not length-sorted in their window at index {i}");
+                return fail(LanesOutOfOrder, i + 1, detail);
+            }
+        }
+        let guard = s.fresh(a);
+        match guard.view().first_mismatch(a) {
+            None => Ok(()),
+            Some(q) => fail(
+                ColumnMismatch,
+                q,
+                format!(
+                    "position {q}: slab columns != its CSR row's (n_cols {})",
+                    s.n_cols
+                ),
+            ),
         }
     }
+}
 
-    /// [`spmv_chunks`](Self::spmv_chunks) at one column width.
+impl<T: Scalar> SlabRef<'_, T> {
+    /// [`SlabView::spmv_chunks`] at one column width.
     fn spmv_range<C: SlabCol, S: FnMut(usize, T)>(
         &self,
         cols: &[C],
-        vals: &[T],
         c0: usize,
         c1: usize,
         v: &[T],
         mut sink: S,
     ) {
         for c in c0..c1 {
-            let span = self.chunk_off[c]..self.chunk_off[c + 1];
-            let (cols, vals) = (&cols[span.clone()], &vals[span]);
-            let (lane0, lanes) = self.lanes_of(c);
-            match lanes {
-                8 => self.chunk_fixed::<C, 8, S>(cols, vals, lane0, v, &mut sink),
-                4 => self.chunk_fixed::<C, 4, S>(cols, vals, lane0, v, &mut sink),
-                2 => self.chunk_fixed::<C, 2, S>(cols, vals, lane0, v, &mut sink),
-                _ => self.chunk_dyn(cols, vals, lane0, lanes, v, &mut sink),
+            let span = self.slot_ptr[c]..self.slot_ptr[c + 1];
+            let (cols, vals) = (&cols[span.clone()], &self.vals[span]);
+            let p0 = self.chunk_ptr[c];
+            match self.chunk_ptr[c + 1] - p0 {
+                8 => self.chunk_fixed::<C, 8, S>(cols, vals, p0, v, &mut sink),
+                4 => self.chunk_fixed::<C, 4, S>(cols, vals, p0, v, &mut sink),
+                2 => self.chunk_fixed::<C, 2, S>(cols, vals, p0, v, &mut sink),
+                lanes => self.chunk_dyn(cols, vals, p0, lanes, v, &mut sink),
             }
         }
     }
 
-    /// One full chunk of exactly `L` lanes, with the dense phase (all
-    /// lanes active) unrolled `L`-wide. `L` is a compile-time constant so
-    /// the accumulator array lives in registers and the inner lane loop
-    /// disappears. `cols`/`vals` are the chunk's own slices.
+    /// One full chunk of exactly `L` lanes from position `p0`, with the
+    /// dense phase (all lanes active) unrolled `L`-wide. `L` is a
+    /// compile-time constant so the accumulator array lives in registers
+    /// and the inner lane loop disappears. `cols`/`vals` are the chunk's
+    /// own slices.
     #[inline]
     fn chunk_fixed<C: SlabCol, const L: usize, S: FnMut(usize, T)>(
         &self,
         cols: &[C],
         vals: &[T],
-        lane0: usize,
+        p0: usize,
         v: &[T],
         sink: &mut S,
     ) {
-        let lens = &self.lens[lane0..lane0 + L];
+        let lens = &self.lens[p0..p0 + L];
         let width = lens[0] as usize;
         let min_len = lens[L - 1] as usize;
         let mut sums = [T::ZERO; L];
@@ -648,7 +1076,7 @@ impl<T: Scalar> PackedSell<T> {
             let mut xs = [T::ZERO; L];
             for l in 0..L {
                 // SAFETY: `cw[l]` is a non-padding slot of this chunk's
-                // dense phase; `ensure_values` asserted its column
+                // dense phase; the slab's gather asserted its column
                 // `< n_cols` and `spmv_chunks` asserted
                 // `v.len() >= n_cols`.
                 xs[l] = unsafe { *v.get_unchecked(cw[l].idx()) };
@@ -667,14 +1095,14 @@ impl<T: Scalar> PackedSell<T> {
             let o = j * L;
             for (l, s) in sums.iter_mut().enumerate().take(active) {
                 // SAFETY: `l < active` means lane `l` has `len > j`, so
-                // this slot is non-padding; same refresh-time bound
-                // proof on its column.
+                // this slot is non-padding; same gather-time bound proof
+                // on its column.
                 let x = unsafe { *v.get_unchecked(cols[o + l].idx()) };
                 *s = vals[o + l].mul_add_(x, *s);
             }
         }
         for (l, &s) in sums.iter().enumerate() {
-            sink(self.rows[lane0 + l] as usize, s);
+            sink(self.rows[p0 + l] as usize, s);
         }
     }
 
@@ -685,12 +1113,12 @@ impl<T: Scalar> PackedSell<T> {
         &self,
         cols: &[C],
         vals: &[T],
-        lane0: usize,
+        p0: usize,
         lanes: usize,
         v: &[T],
         sink: &mut S,
     ) {
-        let lens = &self.lens[lane0..lane0 + lanes];
+        let lens = &self.lens[p0..p0 + lanes];
         let width = if lanes == 0 { 0 } else { lens[0] as usize };
         let mut stack = [T::ZERO; 32];
         let mut heap;
@@ -708,92 +1136,32 @@ impl<T: Scalar> PackedSell<T> {
             let o = j * lanes;
             for (l, s) in sums.iter_mut().enumerate().take(active) {
                 // SAFETY: `l < active` means this slot is non-padding;
-                // same refresh-time bound proof as `chunk_fixed`.
+                // same gather-time bound proof as `chunk_fixed`.
                 let x = unsafe { *v.get_unchecked(cols[o + l].idx()) };
                 *s = vals[o + l].mul_add_(x, *s);
             }
         }
         for (l, &s) in sums.iter().enumerate() {
-            sink(self.rows[lane0 + l] as usize, s);
+            sink(self.rows[p0 + l] as usize, s);
         }
     }
 
-    /// Batched SpMV (SpMM) over chunks `[c0, c1)` against `KB`
-    /// right-hand sides read from a row-major block: input row `c` is
-    /// `x[c * x_stride + x_col0 ..][..KB]`. For every packed row `r` the
-    /// kernel walks the row's slots in ascending-`j` order — the **same**
-    /// per-row accumulation order as [`spmv_chunks`](Self::spmv_chunks)
-    /// and the CSR reference, so each of the `KB` output columns is
-    /// bit-for-bit identical to an independent single-vector SpMV — and
-    /// broadcasts each gathered matrix element against the `KB`
-    /// contiguous x-lanes, accumulating into `KB` register-resident
-    /// sums. Matrix bytes are streamed once and pay for `KB` outputs.
-    ///
-    /// Iteration is per-lane (slot stride = the chunk's lane count)
-    /// rather than lane-lockstep: lockstep would need `lanes × KB`
-    /// accumulators, which spills at any useful width, while per-lane
-    /// keeps exactly `KB` sums live — the register-pressure cap that
-    /// bounds the supported RHS widths (see the dispatch in the core
-    /// executor). Padding slots are never read: each lane stops at its
-    /// own length.
-    ///
-    /// `sink` receives `(row, sums)` for every row of the chunk range,
-    /// including empty rows (all-zero sums), matching CSR semantics.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `KB == 0`, the block geometry is inconsistent
-    /// (`x_col0 + KB > x_stride` while columns exist), or `x` is too
-    /// short to hold row `n_cols - 1` — the single up-front bound check
-    /// that, together with the refresh-time column bound, licenses the
-    /// unchecked x-gathers below.
-    #[allow(clippy::too_many_arguments)] // block geometry is three scalars, not a struct
-    pub fn spmm_chunks<const KB: usize, S: FnMut(usize, [T; KB])>(
-        &self,
-        slab: SlabView<'_, T>,
-        c0: usize,
-        c1: usize,
-        x: &[T],
-        x_stride: usize,
-        x_col0: usize,
-        sink: S,
-    ) {
-        assert!(KB > 0, "RHS block width must be positive");
-        if self.n_cols > 0 {
-            assert!(
-                x_col0 + KB <= x_stride,
-                "RHS block {x_col0}..{} overruns the row stride {x_stride}",
-                x_col0 + KB
-            );
-            assert!(
-                (self.n_cols - 1) * x_stride + x_col0 + KB <= x.len(),
-                "input block shorter than the matrix column count"
-            );
-        }
-        let block = (x, x_stride, x_col0);
-        match slab.cols {
-            Cols::Narrow(cols) => self.spmm_range(cols.as_slice(), slab.vals, c0, c1, block, sink),
-            Cols::Wide(cols) => self.spmm_range(cols.as_slice(), slab.vals, c0, c1, block, sink),
-        }
-    }
-
-    /// [`spmm_chunks`](Self::spmm_chunks) at one column width; `block`
-    /// is `(x, x_stride, x_col0)`, already checked.
+    /// [`SlabView::spmm_chunks`] at one column width; `block` is `(x,
+    /// x_stride, x_col0)`, already checked.
     fn spmm_range<C: SlabCol, const KB: usize, S: FnMut(usize, [T; KB])>(
         &self,
         cols: &[C],
-        vals: &[T],
         c0: usize,
         c1: usize,
         (x, x_stride, x_col0): (&[T], usize, usize),
         mut sink: S,
     ) {
         for c in c0..c1 {
-            let span = self.chunk_off[c]..self.chunk_off[c + 1];
-            let (cols, vals) = (&cols[span.clone()], &vals[span]);
-            let (lane0, lanes) = self.lanes_of(c);
+            let span = self.slot_ptr[c]..self.slot_ptr[c + 1];
+            let (cols, vals) = (&cols[span.clone()], &self.vals[span]);
+            let (p0, lanes) = (self.chunk_ptr[c], self.chunk_ptr[c + 1] - self.chunk_ptr[c]);
             for l in 0..lanes {
-                let len = self.lens[lane0 + l] as usize;
+                let len = self.lens[p0 + l] as usize;
                 let mut sums = [T::ZERO; KB];
                 let mut slot = l;
                 for _ in 0..len {
@@ -812,221 +1180,94 @@ impl<T: Scalar> PackedSell<T> {
                     }
                     slot += lanes;
                 }
-                sink(self.rows[lane0 + l] as usize, sums);
+                sink(self.rows[p0 + l] as usize, sums);
             }
         }
-    }
-
-    /// Sequential SpMV over the whole packed subset into `u` (only the
-    /// packed rows are written). Refreshes the value slab from `a` first.
-    /// Reference/diagnostic path; the parallel tiled path lives in the
-    /// execution layer.
-    pub fn spmv_into(&self, a: &CsrMatrix<T>, v: &[T], u: &mut [T]) {
-        self.ensure_values(a);
-        self.with_slab(|slab| {
-            self.spmv_chunks(slab, 0, self.n_chunks(), v, |r, s| u[r] = s);
-        });
-    }
-
-    /// Re-derive the packed layout from `a` and `expected_rows` and prove
-    /// this payload matches it exactly, in this order:
-    ///
-    /// 1. the column count equals `a`'s and the slab's column width is
-    ///    the one it selects;
-    /// 2. the same row set (each row once, in bounds), every packed row
-    ///    in the sort window of `expected_rows` it was listed in;
-    /// 3. chunk offsets that tile the slab, no lane longer than its
-    ///    chunk's slots allow, and each chunk exactly as wide as its
-    ///    first lane;
-    /// 4. lane lengths equal to the CSR row lengths (a longer lane would
-    ///    read padding as an entry) and non-increasing within each
-    ///    window;
-    /// 5. every lane's slots, walked like a refresh, holding the columns
-    ///    of its CSR row's entries in storage order, each `< n_cols`.
-    ///
-    /// The slab is refreshed from `a` before step 5, so the proof covers
-    /// the state execution will read. Returns the first defect.
-    /// O(slots + |rows| + m).
-    pub fn check_against(
-        &self,
-        a: &CsrMatrix<T>,
-        expected_rows: &[u32],
-    ) -> Result<(), PackedDefect> {
-        use DefectKind::*;
-        if self.n_cols != a.n_cols() {
-            return fail(
-                WidthMismatch,
-                format!(
-                    "packed n_cols {} != matrix n_cols {} (gather bound proof void)",
-                    self.n_cols,
-                    a.n_cols()
-                ),
-            );
-        }
-        let col_bytes = self.col_bytes();
-        if (col_bytes == 2) != (self.n_cols <= NARROW_MAX_COLS) {
-            return fail(
-                WidthMismatch,
-                format!("{col_bytes}-byte slab columns for n_cols {}", self.n_cols),
-            );
-        }
-        if self.rows.len() != expected_rows.len() {
-            return fail(
-                RowSet,
-                format!(
-                    "packed row count {} != bin row count {}",
-                    self.rows.len(),
-                    expected_rows.len()
-                ),
-            );
-        }
-        // Row-set and window proof with a window-tag array: every
-        // expected row in bounds and listed once, tagged with its sort
-        // window; then every packed row in bounds, tagged with the
-        // window of its packed position (clearing the tag, so a repeat
-        // fails). Equal counts make that a bijection that keeps every
-        // row in its window.
-        const UNTAGGED: u32 = u32::MAX;
-        let window = SORT_WINDOW_CHUNKS * self.chunk;
-        let m = a.n_rows();
-        let mut tag = vec![UNTAGGED; m];
-        for (pos, &r) in expected_rows.iter().enumerate() {
-            match tag.get_mut(r as usize) {
-                None => return fail(RowSet, format!("bin row {r} out of bounds (m = {m})")),
-                Some(t) if *t != UNTAGGED => {
-                    return fail(RowSet, format!("bin lists row {r} twice"))
-                }
-                Some(t) => *t = (pos / window) as u32,
-            }
-        }
-        for (pos, &r) in self.rows.iter().enumerate() {
-            match tag.get_mut(r as usize) {
-                None => return fail(RowSet, format!("packed row {r} out of bounds (m = {m})")),
-                Some(t) if *t == UNTAGGED => {
-                    return fail(RowSet, "packed rows are not the bin's row set")
-                }
-                Some(t) if *t as usize != pos / window => {
-                    return fail(
-                        RowSet,
-                        format!("packed row {r} at index {pos} left its sort window {t}"),
-                    )
-                }
-                Some(t) => *t = UNTAGGED,
-            }
-        }
-        let slab_len = {
-            let slab = self.slab_read();
-            if slab.vals.len() != slab.cols.len() {
-                return fail(Layout, "slab length mismatch");
-            }
-            slab.cols.len()
-        };
-        if self.lens.len() != self.rows.len()
-            || self.n_chunks() != self.rows.len().div_ceil(self.chunk)
-            || self.chunk_off[0] != 0
-            || self.slots() != slab_len
-        {
-            return fail(Layout, "chunk offsets do not span the slab");
-        }
-        for c in 0..self.n_chunks() {
-            let (lane0, lanes) = self.lanes_of(c);
-            let Some(span) = self.chunk_off[c + 1].checked_sub(self.chunk_off[c]) else {
-                return fail(Layout, format!("chunk {c}: offsets decrease"));
-            };
-            for lane in 0..lanes {
-                let len = self.lens[lane0 + lane] as usize;
-                if len * lanes > span {
-                    return fail(
-                        LaneOverrun,
-                        format!(
-                            "chunk {c} lane {lane}: length {len} runs past the chunk's {} columns",
-                            span / lanes
-                        ),
-                    );
-                }
-            }
-            if span != self.lens[lane0] as usize * lanes {
-                return fail(Layout, format!("chunk {c}: slab size != width × lanes"));
-            }
-        }
-        let mut nnz = 0usize;
-        for (i, (&r, &len)) in self.rows.iter().zip(&self.lens).enumerate() {
-            let csr = a.row_nnz(r as usize);
-            nnz += csr;
-            if len as usize != csr {
-                let (kind, what) = if len as usize > csr {
-                    (PaddingClaimed, "claims a padding slot")
-                } else {
-                    (Layout, "drops entries")
-                };
-                return fail(
-                    kind,
-                    format!("packed row {r}: cached len {len} != CSR len {csr} ({what})"),
-                );
-            }
-            if (i + 1) % window != 0 && i + 1 < self.lens.len() && self.lens[i + 1] > len {
-                return fail(
-                    Layout,
-                    format!("packed rows not length-sorted within their window at index {i}"),
-                );
-            }
-        }
-        if nnz != self.nnz {
-            return fail(
-                Layout,
-                format!("cached nnz {} != lane total {nnz}", self.nnz),
-            );
-        }
-        self.ensure_values(a);
-        let slab = self.slab_read();
-        match &slab.cols {
-            Cols::Narrow(cols) => self.check_columns(cols.as_slice(), a),
-            Cols::Wide(cols) => self.check_columns(cols.as_slice(), a),
-        }
-    }
-
-    /// Step 5 of [`check_against`](Self::check_against) at one column
-    /// width.
-    fn check_columns<C: SlabCol>(&self, cols: &[C], a: &CsrMatrix<T>) -> Result<(), PackedDefect> {
-        for (c, &off) in self.chunk_off[..self.n_chunks()].iter().enumerate() {
-            let (lane0, lanes) = self.lanes_of(c);
-            for lane in 0..lanes {
-                let (rc, _) = a.row(self.rows[lane0 + lane] as usize);
-                for (j, &want) in rc.iter().enumerate() {
-                    let col = cols[off + j * lanes + lane].idx();
-                    if col != want as usize || col >= self.n_cols {
-                        return fail(
-                            DefectKind::ColumnMismatch,
-                            format!(
-                                "chunk {c} lane {lane} col {j}: slab col {col} != CSR col {want} \
-                                 (n_cols {})",
-                                self.n_cols
-                            ),
-                        );
-                    }
-                }
-            }
-        }
-        Ok(())
     }
 }
 
-impl<T: Scalar> Clone for PackedSell<T> {
-    fn clone(&self) -> Self {
-        let slab = self.slab_read();
-        Self {
-            chunk: self.chunk,
-            n_cols: self.n_cols,
-            rows: self.rows.clone(),
-            lens: self.lens.clone(),
-            chunk_off: self.chunk_off.clone(),
-            nnz: self.nnz,
-            vals: RwLock::new(ValueSlab {
-                source: slab.source,
-                cols: slab.cols.clone(),
-                vals: slab.vals.clone(),
-            }),
+impl<T: Scalar> SlabView<'_, T> {
+    /// SpMV over chunks `[c0, c1)`: for every row `r` of those chunks,
+    /// computes `Σ_j A[r,·]·v` in ascending-`j` order (bit-identical to
+    /// the CSR reference) and hands `(row, sum)` to `sink`. Rows with no
+    /// entries still reach the sink with `T::ZERO`, matching CSR
+    /// semantics. Full chunks of 8, 4 or 2 lanes (the heights
+    /// `pick_auto_chunk` tries) run the `L`-unrolled kernel; other
+    /// heights and partial chunks the dynamic one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is shorter than the source matrix's column count —
+    /// the single bound check that covers every gather below.
+    pub fn spmv_chunks<S: FnMut(usize, T)>(self, c0: usize, c1: usize, v: &[T], sink: S) {
+        let s = self.0;
+        assert!(
+            v.len() >= s.n_cols,
+            "input vector shorter than the matrix column count"
+        );
+        match s.cols {
+            Cols::Narrow(cols) => s.spmv_range(cols, c0, c1, v, sink),
+            Cols::Wide(cols) => s.spmv_range(cols, c0, c1, v, sink),
         }
+    }
+
+    /// Batched SpMV (SpMM) over chunks `[c0, c1)` against `KB`
+    /// right-hand sides read from a row-major block: input row `c` is
+    /// `x[c * x_stride + x_col0 ..][..KB]`. Each row's slots are walked in
+    /// ascending-`j` order — the **same** per-row accumulation order as
+    /// [`spmv_chunks`](Self::spmv_chunks) and the CSR reference, so each
+    /// output column is bit-for-bit an independent SpMV — broadcasting
+    /// each matrix element against the `KB` contiguous x-lanes, so matrix
+    /// bytes are streamed once for `KB` outputs. Iteration is per lane,
+    /// not lock-step: lock-step would need `lanes × KB` accumulators,
+    /// which spills at any useful width, while per-lane keeps exactly
+    /// `KB` sums live (the register cap behind the supported RHS widths).
+    /// `sink` receives `(row, sums)` for every row, empty rows included.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `KB == 0`, the block geometry is inconsistent
+    /// (`x_col0 + KB > x_stride` while columns exist), or `x` is too
+    /// short to hold row `n_cols - 1` — the single up-front bound check
+    /// that, together with the gather-time column bound, licenses the
+    /// unchecked x-gathers below.
+    pub fn spmm_chunks<const KB: usize, S: FnMut(usize, [T; KB])>(
+        self,
+        c0: usize,
+        c1: usize,
+        x: &[T],
+        x_stride: usize,
+        x_col0: usize,
+        sink: S,
+    ) {
+        let s = self.0;
+        assert!(KB > 0, "RHS block width must be positive");
+        if s.n_cols > 0 {
+            assert!(
+                x_col0 + KB <= x_stride,
+                "RHS block {x_col0}..{} overruns the row stride {x_stride}",
+                x_col0 + KB
+            );
+            assert!(
+                (s.n_cols - 1) * x_stride + x_col0 + KB <= x.len(),
+                "input block shorter than the matrix column count"
+            );
+        }
+        let block = (x, x_stride, x_col0);
+        match s.cols {
+            Cols::Narrow(cols) => s.spmm_range(cols, c0, c1, block, sink),
+            Cols::Wide(cols) => s.spmm_range(cols, c0, c1, block, sink),
+        }
+    }
+}
+
+/// A packed payload reads as its slab: rows in packed order (each window
+/// of [`SORT_WINDOW_CHUNKS`]` · C` positions sorted by length descending,
+/// then minimum column), chunks, slots, non-zeros and column width.
+impl<T: Scalar> std::ops::Deref for PackedSell<T> {
+    type Target = SellSlab<T>;
+    fn deref(&self) -> &SellSlab<T> {
+        &self.slab
     }
 }
 
@@ -1034,9 +1275,9 @@ impl<T: Scalar> std::fmt::Debug for PackedSell<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PackedSell")
             .field("chunk", &self.chunk)
-            .field("rows", &self.rows.len())
+            .field("rows", &self.rows().len())
             .field("chunks", &self.n_chunks())
-            .field("nnz", &self.nnz)
+            .field("nnz", &self.nnz())
             .field("slots", &self.slots())
             .field("col_bytes", &self.col_bytes())
             .finish()
@@ -1153,7 +1394,7 @@ mod tests {
         // A slab column that no longer mirrors its CSR entry must be
         // named (the refresh is a no-op: the values generation still
         // matches). Slot 0 is lane 0's first entry.
-        let mut slab = p.vals.write().unwrap_or_else(PoisonError::into_inner);
+        let mut slab = p.slab.data.write().unwrap_or_else(PoisonError::into_inner);
         let Cols::Narrow(cols) = &mut slab.cols else {
             panic!("40 columns pack 16-bit")
         };
@@ -1260,13 +1501,13 @@ mod tests {
         // A duplicated or out-of-bounds packed row — also when the whole
         // payload was packed consistently from the duplicate.
         let mut tampered = p.clone();
-        tampered.rows[1] = tampered.rows[0];
+        tampered.slab.rows[1] = tampered.slab.rows[0];
         assert!(tampered.check_against(&a, &rows).is_err());
         assert!(PackedSell::from_rows(&a, &dup, 8)
             .check_against(&a, &rows)
             .is_err());
         let mut tampered = p.clone();
-        tampered.rows[5] = 40;
+        tampered.slab.rows[5] = 40;
         assert!(tampered.check_against(&a, &rows).is_err());
         // Same length, different set.
         let subset: Vec<u32> = (0..20).collect();
@@ -1301,7 +1542,7 @@ mod tests {
                 .collect();
             let mut batched = vec![f64::NAN; a.n_rows() * KB];
             p.with_slab(|slab| {
-                p.spmm_chunks::<KB, _>(slab, 0, p.n_chunks(), &x, stride, col0, |r, sums| {
+                slab.spmm_chunks::<KB, _>(0, p.n_chunks(), &x, stride, col0, |r, sums| {
                     batched[r * KB..(r + 1) * KB].copy_from_slice(&sums);
                 });
             });
@@ -1309,7 +1550,7 @@ mod tests {
                 let v: Vec<f64> = (0..a.n_cols()).map(|c| x[c * stride + col0 + kk]).collect();
                 let mut single = vec![f64::NAN; a.n_rows()];
                 p.with_slab(|slab| {
-                    p.spmv_chunks(slab, 0, p.n_chunks(), &v, |r, s| single[r] = s);
+                    slab.spmv_chunks(0, p.n_chunks(), &v, |r, s| single[r] = s);
                 });
                 for r in 0..a.n_rows() {
                     assert_eq!(
@@ -1457,7 +1698,7 @@ mod tests {
                 let x: Vec<f64> = (0..n_cols * 4).map(|i| (i % 7) as f64 - 3.0).collect();
                 let mut y = vec![[f64::NAN; 3]; a.n_rows()];
                 p.with_slab(|slab| {
-                    p.spmm_chunks::<3, _>(slab, 0, p.n_chunks(), &x, 4, 1, |r, s| y[r] = s);
+                    slab.spmm_chunks::<3, _>(0, p.n_chunks(), &x, 4, 1, |r, s| y[r] = s);
                 });
                 for kk in 0..3 {
                     let vk: Vec<f64> = (0..n_cols).map(|c| x[c * 4 + 1 + kk]).collect();
@@ -1510,7 +1751,7 @@ mod tests {
             let p = PackedSell::from_rows(&a, &rows, 4);
             p.check_against(&a, &rows).unwrap();
             for tamper in SlabTamper::ALL {
-                let bad = tamper.apply(&p).expect("the payload has a site");
+                let bad = p.tampered(tamper).expect("the payload has a site");
                 let err = bad.check_against(&a, &rows).unwrap_err();
                 assert_eq!(
                     err.kind,
@@ -1522,6 +1763,6 @@ mod tests {
         // A payload with no ragged chunk offers no padding to claim.
         let b = gen::random_uniform::<f64>(16, 16, 3, 3, 2);
         let q = PackedSell::from_rows(&b, &all_rows(&b), 4);
-        assert!(SlabTamper::PaddingClaimed.apply(&q).is_none());
+        assert!(q.tampered(SlabTamper::PaddingClaimed).is_none());
     }
 }
