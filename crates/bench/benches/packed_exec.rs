@@ -9,9 +9,10 @@
 //! the row-parallel CSR kernel.
 //!
 //! A second group times a europe_osm-sized road network (511k rows,
-//! one coarse bin) at K = 1 and K = 8, default plan against
-//! `pack: false`: the local view of the row-sort window, which keeps
-//! the packed slab walking `x` and `y` in near row order.
+//! one coarse bin) as one SpMV and as batched executes at K = 1 and
+//! K = 8, default plan against `pack: false`: the local view of the
+//! row-sort window, which keeps the packed slab walking `x` and `y` in
+//! near row order.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use spmv_autotune::kernels::cpu::spmv_row_parallel;
@@ -82,11 +83,13 @@ fn bench_packed(c: &mut Criterion) {
 }
 
 fn bench_road_network(c: &mut Criterion) {
-    const K: usize = 8;
     let a = gen::road_network::<f32>(715, 715, 0.53, 1);
     let v: Vec<f32> = (0..a.n_cols()).map(|i| ((i % 9) as f32) - 4.0).collect();
-    let mut x = DenseBlock::<f32>::zeros(a.n_cols(), K);
-    x.fill_with(|i, j| (((i + 3 * j) % 11) as f32) - 5.0);
+    let block = |k| {
+        let mut x = DenseBlock::<f32>::zeros(a.n_cols(), k);
+        x.fill_with(|i, j| (((i + 3 * j) % 11) as f32) - 5.0);
+        x
+    };
     let mut group = c.benchmark_group("packed_exec_road");
     group.sample_size(10);
     for (label, pack) in [("packed", true), ("csr", false)] {
@@ -105,10 +108,16 @@ fn bench_road_network(c: &mut Criterion) {
             let mut u = vec![0.0f32; a.n_rows()];
             b.iter(|| plan.execute_unchecked(&a, &v, &mut u).unwrap())
         });
-        group.bench_function(BenchmarkId::new("spmm8", label), |b| {
-            let mut y = DenseBlock::<f32>::zeros(a.n_rows(), K);
-            b.iter(|| plan.execute_batch_unchecked(&a, &x, &mut y).unwrap())
-        });
+        // K = 1 through the batched path beside the single-vector one:
+        // the same packed kernel at the same width, so the two arms
+        // differ only by the block plumbing.
+        for k in [1, 8] {
+            let x = block(k);
+            group.bench_function(BenchmarkId::new(format!("spmm{k}"), label), |b| {
+                let mut y = DenseBlock::<f32>::zeros(a.n_rows(), k);
+                b.iter(|| plan.execute_batch_unchecked(&a, &x, &mut y).unwrap())
+            });
+        }
     }
     group.finish();
 }

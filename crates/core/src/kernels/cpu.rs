@@ -148,9 +148,10 @@ pub fn spmv_rows_nnz_balanced<T: Scalar>(
 
 /// Resolve each bin's single-vector (`KB = 1`) table kernel once, before
 /// the parallel region opens. `None` for the formats whose single-vector
-/// tile body is bespoke (CSR row walk, packed chunk stream, cache-blocked
-/// strips); the specialized families execute through the same registry
-/// entries as the batched path, over a stride-1 output view.
+/// tile body is called directly (CSR row walk, packed slab walk,
+/// cache-blocked strips); the specialized families execute through the
+/// same registry entries as the batched path, over a stride-1 output
+/// view.
 fn resolve_tile_kernels<T: Scalar>(payloads: &[BinPayload<T>]) -> Vec<Option<BatchKernelFn<T>>> {
     payloads
         .iter()
@@ -201,9 +202,10 @@ fn exec_tile<T: Scalar>(
                 unsafe { out.write(r as usize, sum) };
             }
         }
+        // The packed walk of the batched path, at `KB = 1` over `v`.
         BinPayload::Packed(packed) => {
             packed.with_slab(|slab| {
-                slab.spmv_chunks(tile.start, tile.end, v, |r, sum| {
+                slab.spmm_chunks::<1, _>(tile.start, tile.end, v, 1, 0, |r, [sum]| {
                     // SAFETY: chunk ranges of one bin are disjoint and
                     // each packed row belongs to exactly one chunk;
                     // same join argument as above.

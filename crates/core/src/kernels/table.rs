@@ -218,7 +218,9 @@ fn batch_csr<T: Scalar, const KB: usize>(args: &BatchArgs<'_, T>) {
 }
 
 /// Packed family: stream the SELL chunk range through the slab's
-/// register-blocked walk.
+/// lock-step walk, a chunk's lanes advancing together with one `KB`-wide
+/// row of sums each; the single-vector tile body runs the same walk at
+/// `KB = 1`.
 fn batch_packed<T: Scalar, const KB: usize>(args: &BatchArgs<'_, T>) {
     let BinPayload::Packed(packed) = args.payload else {
         panic!("packed kernel resolved for a non-packed payload");

@@ -554,6 +554,8 @@ pub struct SpmvPlan<T: Scalar> {
     dispatch: Vec<BinDispatch>,
     payloads: Vec<BinPayload<T>>,
     tiles: Vec<Tile>,
+    /// Per-tile NNZ weights, aligned with `tiles`: the LPT cost the
+    /// batched executor scales by RHS-block width.
     tile_weights: Vec<usize>,
     backend: Box<dyn ExecBackend<T>>,
 }
@@ -792,12 +794,6 @@ impl<T: Scalar> SpmvPlan<T> {
     /// The fused tile queue (empty only for an empty dispatch table).
     pub fn tiles(&self) -> &[Tile] {
         &self.tiles
-    }
-
-    /// Per-tile NNZ weights, aligned with [`tiles`](Self::tiles) — the
-    /// LPT cost the batched executor scales by RHS-block width.
-    pub fn tile_weights(&self) -> &[usize] {
-        &self.tile_weights
     }
 
     /// How many bins were materialised as packed SELL slabs.

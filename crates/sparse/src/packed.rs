@@ -908,7 +908,7 @@ impl<T: Scalar> PackedSell<T> {
     pub fn spmv_into(&self, a: &CsrMatrix<T>, v: &[T], u: &mut [T]) {
         self.ensure_values(a);
         self.with_slab(|slab| {
-            slab.spmv_chunks(0, self.n_chunks(), v, |r, s| u[r] = s);
+            slab.spmm_chunks::<1, _>(0, self.n_chunks(), v, 1, 0, |r, [s]| u[r] = s);
         });
     }
 
@@ -1020,209 +1020,176 @@ impl<T: Scalar> PackedSell<T> {
     }
 }
 
-impl<T: Scalar> SlabRef<'_, T> {
-    /// [`SlabView::spmv_chunks`] at one column width.
-    fn spmv_range<C: SlabCol, S: FnMut(usize, T)>(
-        &self,
-        cols: &[C],
-        c0: usize,
-        c1: usize,
-        v: &[T],
-        mut sink: S,
-    ) {
-        for c in c0..c1 {
-            let span = self.slot_ptr[c]..self.slot_ptr[c + 1];
-            let (cols, vals) = (&cols[span.clone()], &self.vals[span]);
-            let p0 = self.chunk_ptr[c];
-            match self.chunk_ptr[c + 1] - p0 {
-                8 => self.chunk_fixed::<C, 8, S>(cols, vals, p0, v, &mut sink),
-                4 => self.chunk_fixed::<C, 4, S>(cols, vals, p0, v, &mut sink),
-                2 => self.chunk_fixed::<C, 2, S>(cols, vals, p0, v, &mut sink),
-                lanes => self.chunk_dyn(cols, vals, p0, lanes, v, &mut sink),
-            }
-        }
-    }
+/// Accumulator bytes a lane group keeps live: eight 32-byte vector
+/// registers, half the register file, leaving the other half to the
+/// gathered input rows and broadcast values.
+const GROUP_BYTES: usize = 256;
 
-    /// One full chunk of exactly `L` lanes from position `p0`, with the
-    /// dense phase (all lanes active) unrolled `L`-wide. `L` is a
-    /// compile-time constant so the accumulator array lives in registers
-    /// and the inner lane loop disappears. `cols`/`vals` are the chunk's
-    /// own slices.
-    #[inline]
-    fn chunk_fixed<C: SlabCol, const L: usize, S: FnMut(usize, T)>(
-        &self,
-        cols: &[C],
-        vals: &[T],
-        p0: usize,
-        v: &[T],
-        sink: &mut S,
-    ) {
-        let lens = &self.lens[p0..p0 + L];
-        let width = lens[0] as usize;
-        let min_len = lens[L - 1] as usize;
-        let mut sums = [T::ZERO; L];
-        // Dense phase: every lane active, unit-stride slab columns. The
-        // `chunks_exact(L)` windows (L const) drop the per-slot slab
-        // bounds checks; the gather is unchecked because every
-        // non-padding column was proven `< n_cols` when the slab was
-        // gathered and `spmv_chunks` checked `v.len() >= n_cols` once up
-        // front.
-        let dense = cols[..min_len * L].chunks_exact(L);
-        let dense_vals = vals[..min_len * L].chunks_exact(L);
-        for (cw, vw) in dense.zip(dense_vals) {
-            // Gather first, FMA second: the gather loop is scalar loads,
-            // but the FMA loop is contiguous-on-contiguous and the
-            // compiler can turn it into one packed `vfmadd`.
-            let mut xs = [T::ZERO; L];
-            for l in 0..L {
-                // SAFETY: `cw[l]` is a non-padding slot of this chunk's
-                // dense phase; the slab's gather asserted its column
-                // `< n_cols` and `spmv_chunks` asserted
-                // `v.len() >= n_cols`.
-                xs[l] = unsafe { *v.get_unchecked(cw[l].idx()) };
-            }
-            for l in 0..L {
-                sums[l] = vw[l].mul_add_(xs[l], sums[l]);
-            }
-        }
-        // Ragged tail: lanes are length-sorted descending, so the active
-        // lanes at column j are the prefix with len > j.
-        let mut active = L;
-        for j in min_len..width {
-            while active > 0 && (lens[active - 1] as usize) <= j {
-                active -= 1;
-            }
-            let o = j * L;
-            for (l, s) in sums.iter_mut().enumerate().take(active) {
-                // SAFETY: `l < active` means lane `l` has `len > j`, so
-                // this slot is non-padding; same gather-time bound proof
-                // on its column.
-                let x = unsafe { *v.get_unchecked(cols[o + l].idx()) };
-                *s = vals[o + l].mul_add_(x, *s);
-            }
-        }
-        for (l, &s) in sums.iter().enumerate() {
-            sink(self.rows[p0 + l] as usize, s);
-        }
+/// Lanes the walk advances together at RHS width `KB`: as many as hold
+/// about [`GROUP_BYTES`] of sums, rounded down to a power of two so the
+/// groups tile a chunk of 8, 4 or 2 lanes. Derived, not tuned: a whole
+/// 8-lane chunk at f64 and `KB = 8` holds 16 registers of sums, which
+/// sped a block-structured matrix up but slowed a road network down.
+const fn group_lanes<T, const KB: usize>() -> usize {
+    let lanes = GROUP_BYTES / (KB * std::mem::size_of::<T>());
+    if lanes == 0 {
+        1
+    } else {
+        1 << lanes.ilog2()
     }
+}
 
-    /// A partial (or oddly sized) chunk of `lanes` lanes — the same
-    /// phase structure without the compile-time unroll. Accumulators
-    /// live in a fixed stack buffer unless the chunk size is enormous.
-    fn chunk_dyn<C: SlabCol, S: FnMut(usize, T)>(
-        &self,
-        cols: &[C],
-        vals: &[T],
-        p0: usize,
-        lanes: usize,
-        v: &[T],
-        sink: &mut S,
-    ) {
-        let lens = &self.lens[p0..p0 + lanes];
-        let width = if lanes == 0 { 0 } else { lens[0] as usize };
-        let mut stack = [T::ZERO; 32];
-        let mut heap;
-        let sums: &mut [T] = if lanes <= stack.len() {
-            &mut stack[..lanes]
+/// Where the walk reads its right-hand sides: input row `c` is
+/// `x[c * stride + col0..][..KB]`. `PACKED` (`stride == KB`, so `col0 ==
+/// 0`: a whole-width block, and SpMV at `KB = 1`) makes the stride a
+/// compile-time constant, so the row address is a shift.
+#[derive(Clone, Copy)]
+struct Rhs<'a, T, const KB: usize, const PACKED: bool> {
+    x: &'a [T],
+    stride: usize,
+    col0: usize,
+}
+
+impl<T: Scalar, const KB: usize, const PACKED: bool> Rhs<'_, T, KB, PACKED> {
+    /// Input row `col`.
+    ///
+    /// # Safety
+    ///
+    /// `col < n_cols` of the slab whose [`SlabView::spmm_chunks`] bound
+    /// check passed on this block: then `col * stride + col0 + KB <=
+    /// x.len()`.
+    #[inline(always)]
+    unsafe fn row(&self, col: usize) -> [T; KB] {
+        let base = if PACKED {
+            col * KB
         } else {
-            heap = vec![T::ZERO; lanes];
-            &mut heap
+            col * self.stride + self.col0
         };
-        let mut active = lanes;
-        for j in 0..width {
-            while active > 0 && (lens[active - 1] as usize) <= j {
-                active -= 1;
-            }
-            let o = j * lanes;
-            for (l, s) in sums.iter_mut().enumerate().take(active) {
-                // SAFETY: `l < active` means this slot is non-padding;
-                // same gather-time bound proof as `chunk_fixed`.
-                let x = unsafe { *v.get_unchecked(cols[o + l].idx()) };
-                *s = vals[o + l].mul_add_(x, *s);
-            }
-        }
-        for (l, &s) in sums.iter().enumerate() {
-            sink(self.rows[p0 + l] as usize, s);
-        }
+        // SAFETY: in bounds by the caller's contract above.
+        std::array::from_fn(|kk| unsafe { *self.x.get_unchecked(base + kk) })
     }
+}
 
-    /// [`SlabView::spmm_chunks`] at one column width; `block` is `(x,
-    /// x_stride, x_col0)`, already checked.
-    fn spmm_range<C: SlabCol, const KB: usize, S: FnMut(usize, [T; KB])>(
+impl<T: Scalar> SlabRef<'_, T> {
+    /// [`SlabView::spmm_chunks`] at one column width and block shape.
+    /// Chunks of 8, 4 and 2 lanes run in groups of [`group_lanes`] with
+    /// the lane loops unrolled; other heights in groups of up to 8 lanes
+    /// counted at run time.
+    fn walk<C: SlabCol, const KB: usize, const PACKED: bool>(
         &self,
         cols: &[C],
-        c0: usize,
-        c1: usize,
-        (x, x_stride, x_col0): (&[T], usize, usize),
-        mut sink: S,
+        (c0, c1): (usize, usize),
+        rhs: Rhs<'_, T, KB, PACKED>,
+        sink: &mut impl FnMut(usize, [T; KB]),
     ) {
         for c in c0..c1 {
             let span = self.slot_ptr[c]..self.slot_ptr[c + 1];
             let (cols, vals) = (&cols[span.clone()], &self.vals[span]);
             let (p0, lanes) = (self.chunk_ptr[c], self.chunk_ptr[c + 1] - self.chunk_ptr[c]);
-            for l in 0..lanes {
-                let len = self.lens[p0 + l] as usize;
-                let mut sums = [T::ZERO; KB];
-                let mut slot = l;
-                for _ in 0..len {
-                    let av = vals[slot];
-                    let xbase = cols[slot].idx() * x_stride + x_col0;
-                    for (kk, s) in sums.iter_mut().enumerate() {
-                        // SAFETY: `cols[slot] < n_cols` was asserted
-                        // when the slab was gathered, for every
-                        // non-padding slot (lane `l` stops at its own
-                        // length, so `slot` is never padding), and
-                        // `spmm_chunks` proved
-                        // `(n_cols - 1) * x_stride + x_col0 + KB <=
-                        // x.len()`, so `xbase + kk` is in bounds.
-                        let xv = unsafe { *x.get_unchecked(xbase + kk) };
-                        *s = av.mul_add_(xv, *s);
+            match lanes {
+                8 => self.fixed::<_, _, _, 8>((cols, vals), p0, rhs, sink),
+                4 => self.fixed::<_, _, _, 4>((cols, vals), p0, rhs, sink),
+                2 => self.fixed::<_, _, _, 2>((cols, vals), p0, rhs, sink),
+                _ => {
+                    for g0 in (0..lanes).step_by(8) {
+                        let at = (p0, g0, (lanes - g0).min(8));
+                        self.group::<_, _, _, 8>((cols, vals, lanes), at, rhs, sink);
                     }
-                    slot += lanes;
                 }
-                sink(self.rows[p0 + l] as usize, sums);
             }
+        }
+    }
+
+    /// A chunk of exactly `L` lanes from position `p0`, `cols`/`vals` its
+    /// own slots, in groups of a constant lane count.
+    #[inline(always)]
+    fn fixed<C: SlabCol, const KB: usize, const PACKED: bool, const L: usize>(
+        &self,
+        (cols, vals): (&[C], &[T]),
+        p0: usize,
+        rhs: Rhs<'_, T, KB, PACKED>,
+        sink: &mut impl FnMut(usize, [T; KB]),
+    ) {
+        let n = group_lanes::<T, KB>().min(L);
+        for g0 in (0..L).step_by(n) {
+            self.group::<_, _, _, L>((cols, vals, L), (p0, g0, n), rhs, sink);
+        }
+    }
+
+    /// Lanes `g0..g0 + n` (`n <= L`) of the chunk from position `p0`
+    /// whose `stride` lanes hold slots `cols`/`vals`, advanced in
+    /// lock-step one slot column at a time: the dense phase while all `n`
+    /// are active, then the ragged tail over the active prefix. Each lane
+    /// keeps one `KB`-wide row of sums, its own storage-order chain. A
+    /// constant `n` unrolls the lane loops, so the `[[T; KB]; L]` sums
+    /// live in registers.
+    #[inline(always)]
+    fn group<C: SlabCol, const KB: usize, const PACKED: bool, const L: usize>(
+        &self,
+        (cols, vals, stride): (&[C], &[T], usize),
+        (p0, g0, n): (usize, usize, usize),
+        rhs: Rhs<'_, T, KB, PACKED>,
+        sink: &mut impl FnMut(usize, [T; KB]),
+    ) {
+        let lens = &self.lens[p0 + g0..p0 + g0 + n];
+        let (width, min_len) = (lens[0] as usize, lens[n - 1] as usize);
+        let slot_rows = |j0: usize, j1: usize| {
+            let span = j0 * stride..j1 * stride;
+            let rows = cols[span.clone()].chunks_exact(stride);
+            rows.zip(vals[span].chunks_exact(stride))
+        };
+        let mut sums = [[T::ZERO; KB]; L];
+        for (cw, vw) in slot_rows(0, min_len) {
+            let (cw, vw) = (&cw[g0..g0 + n], &vw[g0..g0 + n]);
+            for l in 0..n {
+                // SAFETY: every lane is active in the dense phase, so
+                // `cw[l]` is an entry: the slab's gather asserted its
+                // column `< n_cols`, and `spmm_chunks` checked the block.
+                let x = unsafe { rhs.row(cw[l].idx()) };
+                for kk in 0..KB {
+                    sums[l][kk] = vw[l].mul_add_(x[kk], sums[l][kk]);
+                }
+            }
+        }
+        // Lane lengths do not increase within a chunk, so the active
+        // lanes at column `j` are the prefix with `len > j`; `j < width`
+        // keeps lane 0 active.
+        let mut active = n;
+        for (j, (cw, vw)) in (min_len..).zip(slot_rows(min_len, width)) {
+            while lens[active - 1] as usize <= j {
+                active -= 1;
+            }
+            let (cw, vw) = (&cw[g0..g0 + n], &vw[g0..g0 + n]);
+            // All `n` lanes, tested, rather than `0..active`: constant
+            // lane indices keep the sums in registers.
+            for l in (0..n).filter(|&l| l < active) {
+                // SAFETY: lane `l < active` has `len > j`, so this slot
+                // is an entry; same bound proof as the dense phase.
+                let x = unsafe { rhs.row(cw[l].idx()) };
+                for kk in 0..KB {
+                    sums[l][kk] = vw[l].mul_add_(x[kk], sums[l][kk]);
+                }
+            }
+        }
+        for (l, &s) in sums[..n].iter().enumerate() {
+            sink(self.rows[p0 + g0 + l] as usize, s);
         }
     }
 }
 
 impl<T: Scalar> SlabView<'_, T> {
-    /// SpMV over chunks `[c0, c1)`: for every row `r` of those chunks,
-    /// computes `Σ_j A[r,·]·v` in ascending-`j` order (bit-identical to
-    /// the CSR reference) and hands `(row, sum)` to `sink`. Rows with no
-    /// entries still reach the sink with `T::ZERO`, matching CSR
-    /// semantics. Full chunks of 8, 4 or 2 lanes (the heights
-    /// `pick_auto_chunk` tries) run the `L`-unrolled kernel; other
-    /// heights and partial chunks the dynamic one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is shorter than the source matrix's column count —
-    /// the single bound check that covers every gather below.
-    pub fn spmv_chunks<S: FnMut(usize, T)>(self, c0: usize, c1: usize, v: &[T], sink: S) {
-        let s = self.0;
-        assert!(
-            v.len() >= s.n_cols,
-            "input vector shorter than the matrix column count"
-        );
-        match s.cols {
-            Cols::Narrow(cols) => s.spmv_range(cols, c0, c1, v, sink),
-            Cols::Wide(cols) => s.spmv_range(cols, c0, c1, v, sink),
-        }
-    }
-
-    /// Batched SpMV (SpMM) over chunks `[c0, c1)` against `KB`
-    /// right-hand sides read from a row-major block: input row `c` is
-    /// `x[c * x_stride + x_col0 ..][..KB]`. Each row's slots are walked in
-    /// ascending-`j` order — the **same** per-row accumulation order as
-    /// [`spmv_chunks`](Self::spmv_chunks) and the CSR reference, so each
-    /// output column is bit-for-bit an independent SpMV — broadcasting
-    /// each matrix element against the `KB` contiguous x-lanes, so matrix
-    /// bytes are streamed once for `KB` outputs. Iteration is per lane,
-    /// not lock-step: lock-step would need `lanes × KB` accumulators,
-    /// which spills at any useful width, while per-lane keeps exactly
-    /// `KB` sums live (the register cap behind the supported RHS widths).
-    /// `sink` receives `(row, sums)` for every row, empty rows included.
+    /// SpMV over chunks `[c0, c1)` against `KB` right-hand sides read
+    /// from a row-major block: input row `c` is `x[c * x_stride + x_col0
+    /// ..][..KB]` (SpMV is `KB = 1` over a stride-1 vector). Each row's
+    /// slots are walked in ascending-`j` order, the CSR reference's
+    /// per-row order, so every output column is bit-for-bit an
+    /// independent single-vector SpMV; each matrix element is broadcast
+    /// against its `KB` contiguous x-lanes, so matrix bytes stream once
+    /// for `KB` outputs. A chunk's lanes advance in lock-step, one slot
+    /// column at a time, in groups of about 256 bytes of sums: lanes
+    /// give the FMA units independent chains, so the walk is not bound
+    /// by the latency of one row's chain. `sink` receives `(row, sums)`
+    /// for every row, empty rows included (all `T::ZERO`).
     ///
     /// # Panics
     ///
@@ -1238,7 +1205,7 @@ impl<T: Scalar> SlabView<'_, T> {
         x: &[T],
         x_stride: usize,
         x_col0: usize,
-        sink: S,
+        mut sink: S,
     ) {
         let s = self.0;
         assert!(KB > 0, "RHS block width must be positive");
@@ -1253,10 +1220,20 @@ impl<T: Scalar> SlabView<'_, T> {
                 "input block shorter than the matrix column count"
             );
         }
-        let block = (x, x_stride, x_col0);
-        match s.cols {
-            Cols::Narrow(cols) => s.spmm_range(cols, c0, c1, block, sink),
-            Cols::Wide(cols) => s.spmm_range(cols, c0, c1, block, sink),
+        let (range, sink) = ((c0, c1), &mut sink);
+        let (stride, col0) = (x_stride, x_col0);
+        if x_stride == KB {
+            let rhs = Rhs::<T, KB, true> { x, stride, col0 };
+            match s.cols {
+                Cols::Narrow(cols) => s.walk(cols, range, rhs, sink),
+                Cols::Wide(cols) => s.walk(cols, range, rhs, sink),
+            }
+        } else {
+            let rhs = Rhs::<T, KB, false> { x, stride, col0 };
+            match s.cols {
+                Cols::Narrow(cols) => s.walk(cols, range, rhs, sink),
+                Cols::Wide(cols) => s.walk(cols, range, rhs, sink),
+            }
         }
     }
 }
@@ -1518,52 +1495,6 @@ mod tests {
     }
 
     #[test]
-    fn spmm_chunks_matches_per_column_spmv_bit_for_bit() {
-        let a = gen::mixture::<f64>(
-            300,
-            420,
-            &[
-                RowRegime::new(1, 4, 0.5),
-                RowRegime::new(10, 40, 0.4),
-                RowRegime::new(80, 150, 0.1),
-            ],
-            true,
-            13,
-        );
-        let rows = all_rows(&a);
-        for chunk in [3, 4, 8] {
-            let p = PackedSell::from_rows(&a, &rows, chunk);
-            // A strided row-major block: 4 live columns inside stride 6,
-            // starting at column offset 1.
-            const KB: usize = 4;
-            let (stride, col0) = (6usize, 1usize);
-            let x: Vec<f64> = (0..a.n_cols() * stride)
-                .map(|i| ((i * 7) % 23) as f64 - 11.0)
-                .collect();
-            let mut batched = vec![f64::NAN; a.n_rows() * KB];
-            p.with_slab(|slab| {
-                slab.spmm_chunks::<KB, _>(0, p.n_chunks(), &x, stride, col0, |r, sums| {
-                    batched[r * KB..(r + 1) * KB].copy_from_slice(&sums);
-                });
-            });
-            for kk in 0..KB {
-                let v: Vec<f64> = (0..a.n_cols()).map(|c| x[c * stride + col0 + kk]).collect();
-                let mut single = vec![f64::NAN; a.n_rows()];
-                p.with_slab(|slab| {
-                    slab.spmv_chunks(0, p.n_chunks(), &v, |r, s| single[r] = s);
-                });
-                for r in 0..a.n_rows() {
-                    assert_eq!(
-                        batched[r * KB + kk],
-                        single[r],
-                        "chunk {chunk} row {r} col {kk} diverges"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn sort_rows_refreshes_columns_with_values() {
         // Unsorted rows: packing captures the pre-sort (col, val) order.
         // `sort_rows` permutes pairs within each row and bumps the value
@@ -1647,14 +1578,15 @@ mod tests {
     }
 
     /// A matrix of `m` rows over `n_cols` columns whose rows have 1–9
-    /// unsorted entries spread over the whole column range, with the
-    /// last column present: the width boundary's worst case.
-    fn spread(m: usize, n_cols: usize, seed: u64) -> CsrMatrix<f64> {
+    /// unsorted entries (every 23rd row 40 more) spread over the whole
+    /// column range, with the last column present: the width boundary's
+    /// worst case.
+    fn spread<T: Scalar>(m: usize, n_cols: usize, seed: u64) -> CsrMatrix<T> {
         let mut row_ptr = vec![0usize];
         let mut cols = Vec::new();
         let mut s = seed;
         for r in 0..m {
-            let len = 1 + (r * 7 + seed as usize) % 9;
+            let len = 1 + (r * 7 + seed as usize) % 9 + if r % 23 == 0 { 40 } else { 0 };
             let mut row: Vec<u32> = (0..len)
                 .map(|_| {
                     s = s
@@ -1672,16 +1604,72 @@ mod tests {
             cols.extend(row);
             row_ptr.push(cols.len());
         }
-        let vals: Vec<f64> = (0..cols.len())
-            .map(|k| (k % 13) as f64 * 0.5 - 3.0)
+        let vals: Vec<T> = (0..cols.len())
+            .map(|k| T::from_f64((k % 13) as f64 * 0.5 - 3.0))
             .collect();
         CsrMatrix::from_parts(m, n_cols, row_ptr, cols, vals).unwrap()
+    }
+
+    /// Every output column of `spmm_chunks::<KB>` over the whole payload
+    /// against CSR `spmv_seq` on that column, bit for bit (`-0.0` apart
+    /// from `0.0`), from a whole-width block (`x_stride == KB`) and from
+    /// `KB` columns inside a stride of `KB + 3`. Outputs start as NaN, so
+    /// a row the walk skips shows.
+    fn spmm_matches_csr<T: Scalar, const KB: usize>(
+        a: &CsrMatrix<T>,
+        p: &PackedSell<T>,
+        what: &str,
+    ) {
+        for (stride, col0) in [(KB, 0), (KB + 3, 1)] {
+            let x: Vec<T> = (0..a.n_cols() * stride)
+                .map(|i| T::from_f64(((i * 7) % 23) as f64 - 11.0))
+                .collect();
+            let mut y = vec![[T::from_f64(f64::NAN); KB]; a.n_rows()];
+            p.with_slab(|slab| {
+                slab.spmm_chunks::<KB, _>(0, p.n_chunks(), &x, stride, col0, |r, s| y[r] = s);
+            });
+            for kk in 0..KB {
+                let v: Vec<T> = (0..a.n_cols()).map(|c| x[c * stride + col0 + kk]).collect();
+                let want = a.spmv_seq_alloc(&v).unwrap();
+                for (r, w) in want.iter().enumerate() {
+                    assert_eq!(
+                        y[r][kk].to_f64().to_bits(),
+                        w.to_f64().to_bits(),
+                        "{what} KB {KB} stride {stride}: row {r} column {kk} is {} not {w}",
+                        y[r][kk]
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn spmm_chunks_matches_per_column_spmv_bit_for_bit() {
+        fn at<T: Scalar>(name: &str) {
+            for n_cols in [NARROW_MAX_COLS, NARROW_MAX_COLS + 1] {
+                let a = spread::<T>(301, n_cols, 13);
+                let rows = all_rows(&a);
+                // Heights 2, 4 and 8 run unrolled, 3 at run time; 301
+                // rows leave each a partial last chunk.
+                for chunk in [2, 3, 4, 8] {
+                    let p = PackedSell::from_rows(&a, &rows, chunk);
+                    let what = format!("{name} n_cols {n_cols} chunk {chunk}");
+                    // Every width the executors instantiate (`RHS_WIDTHS`).
+                    spmm_matches_csr::<T, 1>(&a, &p, &what);
+                    spmm_matches_csr::<T, 2>(&a, &p, &what);
+                    spmm_matches_csr::<T, 4>(&a, &p, &what);
+                    spmm_matches_csr::<T, 8>(&a, &p, &what);
+                }
+            }
+        }
+        at::<f32>("f32");
+        at::<f64>("f64");
     }
 
     #[test]
     fn column_width_follows_n_cols_and_stays_bitwise() {
         for (n_cols, bytes) in [(NARROW_MAX_COLS, 2), (NARROW_MAX_COLS + 1, 4)] {
-            let a = spread(300, n_cols, 3);
+            let a = spread::<f64>(300, n_cols, 3);
             assert!(a.col_idx().contains(&((n_cols - 1) as u32)));
             let rows = all_rows(&a);
             let v: Vec<f64> = (0..n_cols).map(|i| (i % 11) as f64 - 5.0).collect();
@@ -1715,7 +1703,7 @@ mod tests {
     fn narrow_slab_refreshes_follow_sort_rows_and_values_mut() {
         // `spread` stores every row's columns descending, so `sort_rows`
         // reverses each row in place.
-        let mut a = spread(200, NARROW_MAX_COLS, 8);
+        let mut a = spread::<f64>(200, NARROW_MAX_COLS, 8);
         assert!(!a.rows_sorted());
         let rows = all_rows(&a);
         let p = PackedSell::from_rows(&a, &rows, 4);
@@ -1746,7 +1734,7 @@ mod tests {
     #[test]
     fn slab_tampers_are_rejected_with_their_defect() {
         for n_cols in [40, NARROW_MAX_COLS + 1] {
-            let a = spread(120, n_cols, 5);
+            let a = spread::<f64>(120, n_cols, 5);
             let rows = all_rows(&a);
             let p = PackedSell::from_rows(&a, &rows, 4);
             p.check_against(&a, &rows).unwrap();
