@@ -1020,37 +1020,16 @@ impl<T: Scalar> PackedSell<T> {
     }
 }
 
-/// Accumulator bytes a lane group keeps live: eight 32-byte vector
-/// registers, half the register file, leaving the other half to the
-/// gathered input rows and broadcast values.
-const GROUP_BYTES: usize = 256;
-
-/// Lanes the walk advances together at RHS width `KB`: as many as hold
-/// about [`GROUP_BYTES`] of sums, rounded down to a power of two so the
-/// groups tile a chunk of 8, 4 or 2 lanes. Derived, not tuned: a whole
-/// 8-lane chunk at f64 and `KB = 8` holds 16 registers of sums, which
-/// sped a block-structured matrix up but slowed a road network down.
-const fn group_lanes<T, const KB: usize>() -> usize {
-    let lanes = GROUP_BYTES / (KB * std::mem::size_of::<T>());
-    if lanes == 0 {
-        1
-    } else {
-        1 << lanes.ilog2()
-    }
-}
-
 /// Where the walk reads its right-hand sides: input row `c` is
-/// `x[c * stride + col0..][..KB]`. `PACKED` (`stride == KB`, so `col0 ==
-/// 0`: a whole-width block, and SpMV at `KB = 1`) makes the stride a
-/// compile-time constant, so the row address is a shift.
+/// `x[c * stride + col0..][..KB]`.
 #[derive(Clone, Copy)]
-struct Rhs<'a, T, const KB: usize, const PACKED: bool> {
+struct Rhs<'a, T, const KB: usize> {
     x: &'a [T],
     stride: usize,
     col0: usize,
 }
 
-impl<T: Scalar, const KB: usize, const PACKED: bool> Rhs<'_, T, KB, PACKED> {
+impl<T: Scalar, const KB: usize> Rhs<'_, T, KB> {
     /// Input row `col`.
     ///
     /// # Safety
@@ -1060,11 +1039,7 @@ impl<T: Scalar, const KB: usize, const PACKED: bool> Rhs<'_, T, KB, PACKED> {
     /// x.len()`.
     #[inline(always)]
     unsafe fn row(&self, col: usize) -> [T; KB] {
-        let base = if PACKED {
-            col * KB
-        } else {
-            col * self.stride + self.col0
-        };
+        let base = col * self.stride + self.col0;
         // SAFETY: in bounds by the caller's contract above.
         std::array::from_fn(|kk| unsafe { *self.x.get_unchecked(base + kk) })
     }
@@ -1072,47 +1047,32 @@ impl<T: Scalar, const KB: usize, const PACKED: bool> Rhs<'_, T, KB, PACKED> {
 
 impl<T: Scalar> SlabRef<'_, T> {
     /// [`SlabView::spmm_chunks`] at one column width and block shape.
-    /// Chunks of 8, 4 and 2 lanes run in groups of [`group_lanes`] with
-    /// the lane loops unrolled; other heights in groups of up to 8 lanes
-    /// counted at run time.
-    fn walk<C: SlabCol, const KB: usize, const PACKED: bool>(
+    /// Chunks of 8, 4 and 2 lanes run as one group with the lane loops
+    /// unrolled; other heights in groups of up to 8 lanes counted at run
+    /// time.
+    fn walk<C: SlabCol, const KB: usize>(
         &self,
         cols: &[C],
         (c0, c1): (usize, usize),
-        rhs: Rhs<'_, T, KB, PACKED>,
+        rhs: Rhs<'_, T, KB>,
         sink: &mut impl FnMut(usize, [T; KB]),
     ) {
         for c in c0..c1 {
             let span = self.slot_ptr[c]..self.slot_ptr[c + 1];
             let (cols, vals) = (&cols[span.clone()], &self.vals[span]);
             let (p0, lanes) = (self.chunk_ptr[c], self.chunk_ptr[c + 1] - self.chunk_ptr[c]);
+            let slots = (cols, vals, lanes);
             match lanes {
-                8 => self.fixed::<_, _, _, 8>((cols, vals), p0, rhs, sink),
-                4 => self.fixed::<_, _, _, 4>((cols, vals), p0, rhs, sink),
-                2 => self.fixed::<_, _, _, 2>((cols, vals), p0, rhs, sink),
+                8 => self.group::<_, _, 8>(slots, (p0, 0, 8), rhs, sink),
+                4 => self.group::<_, _, 4>(slots, (p0, 0, 4), rhs, sink),
+                2 => self.group::<_, _, 2>(slots, (p0, 0, 2), rhs, sink),
                 _ => {
                     for g0 in (0..lanes).step_by(8) {
                         let at = (p0, g0, (lanes - g0).min(8));
-                        self.group::<_, _, _, 8>((cols, vals, lanes), at, rhs, sink);
+                        self.group::<_, _, 8>(slots, at, rhs, sink);
                     }
                 }
             }
-        }
-    }
-
-    /// A chunk of exactly `L` lanes from position `p0`, `cols`/`vals` its
-    /// own slots, in groups of a constant lane count.
-    #[inline(always)]
-    fn fixed<C: SlabCol, const KB: usize, const PACKED: bool, const L: usize>(
-        &self,
-        (cols, vals): (&[C], &[T]),
-        p0: usize,
-        rhs: Rhs<'_, T, KB, PACKED>,
-        sink: &mut impl FnMut(usize, [T; KB]),
-    ) {
-        let n = group_lanes::<T, KB>().min(L);
-        for g0 in (0..L).step_by(n) {
-            self.group::<_, _, _, L>((cols, vals, L), (p0, g0, n), rhs, sink);
         }
     }
 
@@ -1124,11 +1084,11 @@ impl<T: Scalar> SlabRef<'_, T> {
     /// constant `n` unrolls the lane loops, so the `[[T; KB]; L]` sums
     /// live in registers.
     #[inline(always)]
-    fn group<C: SlabCol, const KB: usize, const PACKED: bool, const L: usize>(
+    fn group<C: SlabCol, const KB: usize, const L: usize>(
         &self,
         (cols, vals, stride): (&[C], &[T], usize),
         (p0, g0, n): (usize, usize, usize),
-        rhs: Rhs<'_, T, KB, PACKED>,
+        rhs: Rhs<'_, T, KB>,
         sink: &mut impl FnMut(usize, [T; KB]),
     ) {
         let lens = &self.lens[p0 + g0..p0 + g0 + n];
@@ -1186,9 +1146,9 @@ impl<T: Scalar> SlabView<'_, T> {
     /// independent single-vector SpMV; each matrix element is broadcast
     /// against its `KB` contiguous x-lanes, so matrix bytes stream once
     /// for `KB` outputs. A chunk's lanes advance in lock-step, one slot
-    /// column at a time, in groups of about 256 bytes of sums: lanes
-    /// give the FMA units independent chains, so the walk is not bound
-    /// by the latency of one row's chain. `sink` receives `(row, sums)`
+    /// column at a time, up to 8 at once: lanes give the FMA units
+    /// independent chains, so the walk is not bound by the latency of
+    /// one row's chain. `sink` receives `(row, sums)`
     /// for every row, empty rows included (all `T::ZERO`).
     ///
     /// # Panics
@@ -1220,20 +1180,15 @@ impl<T: Scalar> SlabView<'_, T> {
                 "input block shorter than the matrix column count"
             );
         }
+        let rhs = Rhs::<T, KB> {
+            x,
+            stride: x_stride,
+            col0: x_col0,
+        };
         let (range, sink) = ((c0, c1), &mut sink);
-        let (stride, col0) = (x_stride, x_col0);
-        if x_stride == KB {
-            let rhs = Rhs::<T, KB, true> { x, stride, col0 };
-            match s.cols {
-                Cols::Narrow(cols) => s.walk(cols, range, rhs, sink),
-                Cols::Wide(cols) => s.walk(cols, range, rhs, sink),
-            }
-        } else {
-            let rhs = Rhs::<T, KB, false> { x, stride, col0 };
-            match s.cols {
-                Cols::Narrow(cols) => s.walk(cols, range, rhs, sink),
-                Cols::Wide(cols) => s.walk(cols, range, rhs, sink),
-            }
+        match s.cols {
+            Cols::Narrow(cols) => s.walk(cols, range, rhs, sink),
+            Cols::Wide(cols) => s.walk(cols, range, rhs, sink),
         }
     }
 }
@@ -1649,9 +1604,10 @@ mod tests {
             for n_cols in [NARROW_MAX_COLS, NARROW_MAX_COLS + 1] {
                 let a = spread::<T>(301, n_cols, 13);
                 let rows = all_rows(&a);
-                // Heights 2, 4 and 8 run unrolled, 3 at run time; 301
-                // rows leave each a partial last chunk.
-                for chunk in [2, 3, 4, 8] {
+                // Heights 2, 4 and 8 run unrolled, the others at run
+                // time (11 and 16 in two groups, 11 ending in a partial
+                // one); 301 rows leave each a partial last chunk.
+                for chunk in [2, 3, 4, 8, 11, 16] {
                     let p = PackedSell::from_rows(&a, &rows, chunk);
                     let what = format!("{name} n_cols {n_cols} chunk {chunk}");
                     // Every width the executors instantiate (`RHS_WIDTHS`).
