@@ -15,7 +15,7 @@ use spmv_autotune::strategy::Strategy;
 use spmv_autotune::verify::VerifyError;
 use spmv_gpusim::GpuDevice;
 use spmv_sparse::gen::{self, mixture::RowRegime};
-use spmv_sparse::{CsrMatrix, Scalar};
+use spmv_sparse::{CsrMatrix, PackedSell, Scalar};
 
 /// Outcome of verifying one (strategy, backend, matrix) combination.
 #[derive(Debug)]
@@ -643,8 +643,9 @@ pub fn solve_granularities() -> Vec<(&'static str, usize)> {
 /// bit-for-bit identical to the sequential reference.
 #[derive(Debug)]
 pub struct SolveCheck {
-    /// Operation exercised: `forward`, `backward`, `symgs`, or a
-    /// `tamper: …` snapshot the prover must reject.
+    /// Operation exercised: `forward`, `backward`, `symgs`, a `tamper: …`
+    /// snapshot the prover must reject, or a SymGS residual slab, honest
+    /// or tampered (`residual…`).
     pub op: &'static str,
     /// Label of the matrix checked.
     pub matrix: String,
@@ -661,9 +662,12 @@ pub struct SolveCheck {
 /// every (worker count × level granularity), run each through the
 /// dependency-order prover, and compare the certified execution
 /// bit-for-bit against [`spmv_sparse::solve::sptrsv_seq`] /
-/// [`spmv_sparse::solve::symgs_seq`]. Each suite matrix also gets
-/// eleven rows showing that a tampered schedule-ordered snapshot is
-/// rejected (`snapshot_tamper_checks`).
+/// [`spmv_sparse::solve::symgs_seq`], the SymGS matrix's values changed
+/// between its two sweeps. Each suite matrix also gets eleven rows
+/// showing that a tampered schedule-ordered snapshot is rejected
+/// (`snapshot_tamper_checks`), and five showing that the residual slab
+/// of its 4-worker, every-level-parallel sweep is proven and that each
+/// slab tamper of it is rejected (`residual_tamper_checks`).
 ///
 /// Like the bandwidth sweep, coverage is asserted: at least one plan
 /// must carry a parallel (barrier-stepped) step and at least one must
@@ -712,13 +716,25 @@ pub fn solve_sweep() -> Vec<SolveCheck> {
                         result: result.map(|_| ()),
                     });
                 }
+                let (result, residual) = check_symgs_plan(&sym, config);
                 out.push(SolveCheck {
                     op: "symgs",
                     matrix: label.clone(),
                     workers,
                     granularity,
-                    result: check_symgs_plan(&sym, config),
+                    result,
                 });
+                if (workers, min_parallel_rows) == (4, 1) {
+                    for (op, result) in residual_tamper_checks(residual) {
+                        out.push(SolveCheck {
+                            op,
+                            matrix: label.clone(),
+                            workers,
+                            granularity,
+                            result,
+                        });
+                    }
+                }
             }
         }
     }
@@ -874,23 +890,78 @@ fn check_solve_plan(
     bitwise_eq(&x, &reference, "solve").map(|()| merged)
 }
 
+/// A SymGS plan's residual slab and the matrix whose values it holds.
+type Residual = (CsrMatrix<f64>, PackedSell<f64>);
+
+/// Build one SymGS plan and run two sweeps against `symgs_seq`, bit for
+/// bit, with `sym`'s values changed between them, so the second sweep
+/// checks the routing of a refresh from the general matrix into the
+/// three slabs. Returns the outcome and the plan's residual slab with
+/// the values its proof must find (`None` when the build failed).
 fn check_symgs_plan(
     sym: &CsrMatrix<f64>,
     config: spmv_autotune::solve::SolveConfig,
-) -> Result<(), String> {
-    let mut plan = spmv_autotune::solve::SymgsPlan::build_with(sym, config)
-        .map_err(|e| format!("symgs build: {e}"))?;
+) -> (Result<(), String>, Option<Residual>) {
+    let mut plan = match spmv_autotune::solve::SymgsPlan::build_with(sym, config) {
+        Ok(plan) => plan,
+        Err(e) => return (Err(format!("symgs build: {e}")), None),
+    };
+    let mut sym = sym.clone();
+    let base = sym.values().to_vec();
     let b = probe(sym.n_rows());
     let mut reference = vec![0.25f64; sym.n_rows()];
     let mut x = vec![0.25f64; sym.n_rows()];
-    for sweep in 0..2 {
-        spmv_sparse::solve::symgs_seq(sym, &b, &mut reference)
-            .map_err(|e| format!("symgs_seq (sweep {sweep}): {e}"))?;
-        plan.apply(sym, &b, &mut x)
-            .map_err(|e| format!("symgs apply (sweep {sweep}): {e}"))?;
-        bitwise_eq(&x, &reference, "symgs")?;
+    let mut sweeps = || {
+        for sweep in 0..2 {
+            if sweep > 0 {
+                sym.fill_values_with(|k| base[k] * (1.0 + (k % 3) as f64 * 0.125));
+            }
+            spmv_sparse::solve::symgs_seq(&sym, &b, &mut reference)
+                .map_err(|e| format!("symgs_seq (sweep {sweep}): {e}"))?;
+            plan.apply(&sym, &b, &mut x)
+                .map_err(|e| format!("symgs apply (sweep {sweep}): {e}"))?;
+            bitwise_eq(&x, &reference, &format!("symgs sweep {sweep}"))?;
+        }
+        Ok(())
+    };
+    let result = sweeps();
+    let residual = plan.residual().clone();
+    (result, Some((sym, residual)))
+}
+
+/// The residual slab's negative cases: every shared slab tamper
+/// ([`SlabTamper`], applied to a copy of an honest sweep's residual
+/// slab) must be rejected by `check_residual`, naming the tamper's
+/// defect. Each row is `Ok` when the tamper is caught.
+///
+/// [`SlabTamper`]: spmv_sparse::SlabTamper
+fn residual_tamper_checks(residual: Option<Residual>) -> Vec<(&'static str, Result<(), String>)> {
+    use spmv_autotune::verify::{check_residual, VerifyError};
+    use spmv_sparse::SlabTamper;
+    let Some((a, slab)) = residual else {
+        return vec![("residual tamper: build", Err("no sweep was built".into()))];
+    };
+    let honest = check_residual(&a, &slab).map_err(|e| format!("honest residual rejected: {e}"));
+    let mut out = vec![("residual: honest slab proven", honest)];
+    for tamper in SlabTamper::ALL {
+        let op = match tamper {
+            SlabTamper::LaneOverrun => "residual tamper: lane runs past its chunk",
+            SlabTamper::LanesOutOfOrder => "residual tamper: lanes out of length order",
+            SlabTamper::PaddingClaimed => "residual tamper: padding slot claimed as an entry",
+            SlabTamper::WidthMismatch => "residual tamper: columns at the wrong width",
+        };
+        let result = match slab.tampered(tamper) {
+            None => Err("the honest slab offers no site for this tamper".into()),
+            Some(bad) => match check_residual(&a, &bad) {
+                Err(VerifyError::ResidualInvalid {
+                    defect: Some(got), ..
+                }) if got == tamper.defect() => Ok(()),
+                other => Err(format!("caught wrongly or not at all: {other:?}")),
+            },
+        };
+        out.push((op, result));
     }
-    Ok(())
+    out
 }
 
 fn bitwise_eq(got: &[f64], want: &[f64], what: &str) -> Result<(), String> {
@@ -945,10 +1016,11 @@ mod tests {
     fn solve_sweep_is_certified_and_bit_identical_everywhere() {
         let checks = solve_sweep();
         // Per suite matrix: 2 worker counts × 3 granularities × 3 ops,
-        // plus 11 snapshot tamper cases; then 2 sweep-wide coverage rows.
+        // 11 snapshot tamper cases, the honest residual slab and its 4
+        // tampers; then 2 sweep-wide coverage rows.
         assert_eq!(
             checks.len(),
-            3 * (2 * 3 * 3 + 11) + 2,
+            3 * (2 * 3 * 3 + 11 + 1 + 4) + 2,
             "solve grid changed?"
         );
         for c in &checks {

@@ -1,10 +1,11 @@
 //! Criterion bench for plan set-up: what a plan costs before its first
 //! execute. Times `SpmvPlan::compile` + `verify` on a skewed 30k-row
-//! mixture, and `SymgsPlan::build` (triangular split, two verified
-//! solves, one verified residual SpMV plan for the strict upper half —
-//! the forward solve emits the lower residual itself) on its diagonally
-//! dominant square companion — the local view of `setup_s` in the repo
-//! benchmark.
+//! mixture, and `SymgsPlan::build` (three slabs filled straight from the
+//! matrix and proven: the forward and backward level slabs of two
+//! verified solves, and the row-order slab of the strict upper residual
+//! — the forward solve emits the lower residual itself; no triangular
+//! split) on its diagonally dominant square companion — the local view
+//! of `setup_s` in the repo benchmark.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use spmv_autotune::prelude::*;

@@ -1,15 +1,16 @@
 //! Criterion bench for the level-scheduled triangular solves and the
 //! SymGS sweep built on them: one forward (`L + D`) and one backward
-//! (`D + U`) verified solve, through `solve_unchecked` on the sweep's own
-//! halves, and one whole sweep through `SymgsPlan::apply` (upper
-//! residual SpMV, forward solve emitting the lower residual, backward
-//! solve), at the default worker count and the default work-based level
-//! merge, each level's rows running as lock-step SELL-C chunks. Two
-//! SymGS companions (the off-diagonal pattern plus a dominant diagonal):
-//! the `road_network(715, 715, 0.53, ·)` analogue of europe_osm, whose
-//! wide levels of 0–3-entry rows pack into 8-lane chunks and whose thin
-//! ones merge into serial chunks, and a `block_structured` FEM-like
-//! matrix with few, wide levels. The
+//! (`D + U`) verified solve, through `solve_unchecked` on the split
+//! `SymgsPlan::halves` builds from the sweep's slabs on first call, and
+//! one whole sweep through `SymgsPlan::apply` (upper residual over the
+//! row-order residual slab, forward solve emitting the lower residual,
+//! backward solve), at the default worker count and the default
+//! work-based level merge, each level's rows running as lock-step SELL-C
+//! chunks. Two SymGS companions (the off-diagonal pattern plus a
+//! dominant diagonal): the `road_network(715, 715, 0.53, ·)` analogue of
+//! europe_osm, whose wide levels of 0–3-entry rows pack into 8-lane
+//! chunks and whose thin ones merge into serial chunks, and a
+//! `block_structured` FEM-like matrix with few, wide levels. The
 //! `plan_setup` bench bounds what building these plans costs.
 
 use criterion::{criterion_group, criterion_main, Criterion};

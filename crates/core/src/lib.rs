@@ -97,7 +97,7 @@ pub mod prelude {
     pub use crate::training::{TrainedModel, Trainer, TrainingReport};
     pub use crate::tuner::{TunedStrategy, Tuner, TunerConfig};
     pub use crate::verify::{
-        check_dispatch, check_payloads, check_rhs_blocks, check_solve_schedule,
+        check_dispatch, check_payloads, check_residual, check_rhs_blocks, check_solve_schedule,
         check_solve_snapshot, VerifyError,
     };
     pub use spmv_gpusim::{GpuDevice, LaunchStats};

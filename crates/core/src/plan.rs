@@ -47,15 +47,22 @@ pub struct PatternFingerprint {
 impl PatternFingerprint {
     /// Fingerprint `a`'s sparsity structure. O(m), allocation-free.
     pub fn of<T: Scalar>(a: &CsrMatrix<T>) -> Self {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for &p in a.row_ptr() {
+        Self::of_row_ptr(a.n_rows(), a.n_cols(), a.row_ptr().iter().copied())
+    }
+
+    /// The fingerprint of an `m × n` pattern with row pointer `row_ptr`
+    /// (its last entry is the NNZ), which need not be stored anywhere.
+    pub(crate) fn of_row_ptr(m: usize, n: usize, row_ptr: impl IntoIterator<Item = usize>) -> Self {
+        let (mut h, mut nnz): (u64, usize) = (0xcbf2_9ce4_8422_2325, 0);
+        for p in row_ptr {
             h ^= p as u64;
             h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            nnz = p;
         }
         Self {
-            m: a.n_rows(),
-            n: a.n_cols(),
-            nnz: a.nnz(),
+            m,
+            n,
+            nnz,
             row_ptr_hash: h,
         }
     }
@@ -115,6 +122,16 @@ impl PatternBinding {
         Self {
             fingerprint: PatternFingerprint::of(a),
             pattern_id: a.pattern_id(),
+        }
+    }
+
+    /// A binding to a pattern no matrix was built with (pattern
+    /// generations start at 1), so every matrix takes the fingerprint
+    /// and column check.
+    pub(crate) fn unbound(fingerprint: PatternFingerprint) -> Self {
+        Self {
+            fingerprint,
+            pattern_id: 0,
         }
     }
 

@@ -23,9 +23,11 @@
 //!    Success mints a [`VerifiedSolvePlan`] — unforgeable outside this
 //!    module — whose [`solve_unchecked`](VerifiedSolvePlan::solve_unchecked)
 //!    validates each call in O(1).
-//! 3. [`SymgsPlan`] composes one verified residual SpMV plan (`U·x`)
-//!    with one forward and one backward verified solve into the SymGS
-//!    sweep, bit-for-bit identical to [`spmv_sparse::solve::symgs_seq`].
+//! 3. [`SymgsPlan`] composes a proven residual slab (`U·x`, rows in row
+//!    order) with one forward and one backward verified solve into the
+//!    SymGS sweep, bit-for-bit identical to
+//!    [`spmv_sparse::solve::symgs_seq`]. All three read the general
+//!    matrix itself, each its own triangle; the sweep keeps no split.
 //!    The forward solve runs in its emitting mode: beside each row it
 //!    solves it forms that row's backward residual `b - L·x` from the
 //!    entries it has just read, so a sweep reads `L` once.
@@ -43,8 +45,9 @@
 //! `solve_unchecked` stays a safe fn.
 //!
 //! The copy is a [`SellSlab`] (the SELL-C layout packed SpMV bins use,
-//! with each row's off-diagonals in its lane and its diagonal kept
-//! apart), laid out the way the schedule runs: position `p` is the
+//! with each row's off-diagonals — a sweep's half: its entries on the
+//! solve's side — in its lane and its diagonal kept apart), laid out
+//! the way the schedule runs: position `p` is the
 //! `p`-th row the steps run ([`SolveSnapshot`] is the copied-out form).
 //! The positions of each level form *lock-step chunks* of 1, 2, 4 or 8
 //! lanes that never straddle a level: the level's rows are sorted by
@@ -71,19 +74,12 @@
 //! never lands mid-solve.
 
 use crate::kernels::solve::{solve_chunks, XVec};
-use crate::kernels::KernelId;
-use crate::plan::{
-    pick_auto_chunk, PatternBinding, PatternFingerprint, PlanConfig, PlanError, SpmvPlan,
-    VerifiedPlan,
-};
-use crate::strategy::Strategy;
-use crate::verify::{prove_solve, VerifyError};
+use crate::plan::{pick_auto_chunk, PatternBinding, PatternFingerprint, PlanConfig, PlanError};
+use crate::verify::{prove_residual, prove_solve, VerifyError};
 use spmv_parallel::{fused_for_each_with, num_threads, stepped_for_each};
 use spmv_sparse::packed::{Cols, Entries, SlabCol, SORT_WINDOW_CHUNKS};
-use spmv_sparse::solve::{
-    level_order_with_offdiag, split_triangular, SolveDirection, TriangularHalves,
-};
-use spmv_sparse::{CsrMatrix, Scalar, SellSlab, SlabRef, SlabTamper, SolveBuildError};
+use spmv_sparse::solve::{level_order_with_offdiag, SolveDirection, TriangularHalves};
+use spmv_sparse::{CsrMatrix, PackedSell, Scalar, SellSlab, SlabRef, SlabTamper, SolveBuildError};
 use std::sync::OnceLock;
 
 #[cfg(doc)]
@@ -450,32 +446,33 @@ impl Layout {
             }
         }
     }
+}
 
-    /// Chunk indices splitting chunks `[k0, k1)` into `parts` spans of
-    /// roughly equal work (stored entries plus rows): monotone, first
-    /// `k0`, last `k1` — `rows_nnz_cuts` with chunks for rows.
-    fn work_cuts(&self, k0: usize, k1: usize, parts: usize) -> Vec<usize> {
-        let work = |k: usize| {
-            let lanes = &self.lens[self.chunk_ptr[k]..self.chunk_ptr[k + 1]];
-            lanes.len() + lanes.iter().map(|&l| l as usize).sum::<usize>()
-        };
-        let total: usize = (k0..k1).map(work).sum();
-        let mut cuts = Vec::with_capacity(parts + 1);
-        cuts.push(k0);
-        let mut acc = 0;
-        for k in k0..k1 {
-            if cuts.len() >= parts {
-                break;
-            }
-            acc += work(k);
-            while cuts.len() < parts && acc >= total * cuts.len() / parts {
-                cuts.push(k + 1);
-            }
+/// Chunk indices splitting chunks `[k0, k1)` of a slab with lane lengths
+/// `lens` and chunk bounds `chunk_ptr` into `parts` spans of roughly
+/// equal work (stored entries plus rows): monotone, first `k0`, last
+/// `k1` — `rows_nnz_cuts` with chunks for rows.
+fn work_cuts(lens: &[u32], chunk_ptr: &[usize], k0: usize, k1: usize, parts: usize) -> Vec<usize> {
+    let work = |k: usize| {
+        let lanes = &lens[chunk_ptr[k]..chunk_ptr[k + 1]];
+        lanes.len() + lanes.iter().map(|&l| l as usize).sum::<usize>()
+    };
+    let total: usize = (k0..k1).map(work).sum();
+    let mut cuts = Vec::with_capacity(parts + 1);
+    cuts.push(k0);
+    let mut acc = 0;
+    for k in k0..k1 {
+        if cuts.len() >= parts {
+            break;
         }
-        cuts.resize(parts, k1);
-        cuts.push(k1);
-        cuts
+        acc += work(k);
+        while cuts.len() < parts && acc >= total * cuts.len() / parts {
+            cuts.push(k + 1);
+        }
     }
+    cuts.resize(parts, k1);
+    cuts.push(k1);
+    cuts
 }
 
 impl<T: Scalar> SolvePlan<T> {
@@ -492,8 +489,30 @@ impl<T: Scalar> SolvePlan<T> {
         direction: SolveDirection,
         config: SolveConfig,
     ) -> Result<Self, SolveBuildError> {
+        Self::build_of(a, direction, config, false)
+    }
+
+    /// [`build_with`](Self::build_with), or with `half` the plan of a
+    /// SymGS sweep's `direction` half, straight from its general square
+    /// matrix `a`: the other triangle's entries are skipped, the slab's
+    /// lanes take `a`'s entries on `direction`'s side
+    /// ([`Entries::Lower`] or [`Entries::Upper`]), and the plan is bound
+    /// to the pattern of the half as [`TriangularHalves::from_slabs`]
+    /// builds it (each row's strict entries and one diagonal), not to
+    /// `a`'s: its own solve paths take that split's matrix.
+    fn build_of(
+        a: &CsrMatrix<T>,
+        direction: SolveDirection,
+        config: SolveConfig,
+        half: bool,
+    ) -> Result<Self, SolveBuildError> {
         // Levels in order are the run order; a step is a span of it.
-        let (mut rows, starts, offd) = level_order_with_offdiag(a, direction)?;
+        let (mut rows, starts, offd) = level_order_with_offdiag(a, direction, half)?;
+        let (entries, pattern) = match (half, direction) {
+            (false, _) => (Entries::OffDiagonal, PatternBinding::of(a)),
+            (true, SolveDirection::Forward) => (Entries::Lower, half_binding(a, &rows, &offd)),
+            (true, SolveDirection::Backward) => (Entries::Upper, half_binding(a, &rows, &offd)),
+        };
         let n_levels = starts.len() - 1;
         let workers = config.team();
         let max_padding = PlanConfig::default().max_padding;
@@ -528,7 +547,7 @@ impl<T: Scalar> SolvePlan<T> {
                 bounds.push(vec![run_start, k0]);
                 parallel_flags.push(false);
             }
-            bounds.push(lay.work_cuts(k0, k1, workers));
+            bounds.push(work_cuts(&lay.lens, &lay.chunk_ptr, k0, k1, workers));
             parallel_flags.push(true);
             run_start = k1;
         }
@@ -540,10 +559,10 @@ impl<T: Scalar> SolvePlan<T> {
         }
         // `level_order` proved every row has a diagonal; the last one
         // wins, as in `sptrsv_seq`.
-        let slab = SellSlab::build(a, rows, lay.lens, lay.chunk_ptr, Entries::OffDiagonal);
+        let slab = SellSlab::build(a, rows, lay.lens, lay.chunk_ptr, entries);
         Ok(Self {
             direction,
-            pattern: PatternBinding::of(a),
+            pattern,
             slab,
             bounds,
             parallel_flags,
@@ -592,19 +611,25 @@ impl<T: Scalar> SolvePlan<T> {
         }
         // The dimensions match (the pattern does), so the refresh may
         // read `a`'s rows.
-        {
-            let slab = self.slab.fresh(a);
-            prove_solve(
-                a,
-                self.direction,
-                self.slab.rows(),
-                &self.position_bounds(),
-                &self.parallel_flags,
-                self.workers,
-                Some(slab.view()),
-            )?;
-        }
+        self.prove(a)?;
         Ok(VerifiedSolvePlan { plan: self })
+    }
+
+    /// The prover's obligations on this plan's schedule and slab,
+    /// refreshed from `a` first; for a sweep's half, against the general
+    /// matrix it was built from.
+    fn prove(&self, a: &CsrMatrix<T>) -> Result<(), VerifyError> {
+        let slab = self.slab.fresh(a);
+        prove_solve(
+            a,
+            self.direction,
+            self.slab.entries() != Entries::OffDiagonal,
+            self.slab.rows(),
+            &self.position_bounds(),
+            &self.parallel_flags,
+            self.workers,
+            Some(slab.view()),
+        )
     }
 
     /// The pattern this plan is bound to.
@@ -718,15 +743,16 @@ impl<T: Scalar> SolvePlan<T> {
     /// order counts — the kernel subtracts in it — so a matrix whose
     /// rows [`CsrMatrix::sort_rows`] reordered is refused. O(nnz).
     fn mirrors(&self, a: &CsrMatrix<T>) -> bool {
-        self.slab.read().view().first_mismatch(a).is_none()
+        self.slab.read().first_mismatch(a).is_none()
     }
 
     /// March the worker team through the schedule with `a`'s values.
     /// Callers guarantee `a.n_rows() == m`, `b.len() == m`,
     /// `x.len() == n`; everything else the kernel needs holds by
     /// construction: the slab's structure came from a matrix
-    /// `level_order` validated (square, on-triangle, in-bounds columns,
-    /// full diagonal), the steps run its levels in dependency order,
+    /// `level_order` validated (square, on-triangle or a sweep's half of
+    /// it, in-bounds columns, full diagonal), the steps run its levels in
+    /// dependency order,
     /// and the fields are private so no safe code can change that
     /// structure after the build (a refresh rewrites values only).
     fn run(&self, a: &CsrMatrix<T>, b: &[T], x: &mut [T]) {
@@ -815,24 +841,6 @@ impl<T: Scalar> VerifiedSolvePlan<T> {
         Ok(())
     }
 
-    /// The forward half of a SymGS sweep in one pass over `L + D`: with
-    /// `r = U·x_old` on entry, solves `(L + D) x = b - r` and leaves
-    /// `r = b - L·x` for the backward half (see [`solve_chunks`]).
-    /// Validation as in [`solve_unchecked`](Self::solve_unchecked);
-    /// `r` is the sweep's own scratch, sized at build.
-    fn solve_emitting_unchecked(
-        &self,
-        a: &CsrMatrix<T>,
-        b: &[T],
-        x: &mut [T],
-        r: &mut [T],
-    ) -> Result<(), PlanError> {
-        self.check_call(a, b, x)?;
-        assert_eq!(r.len(), b.len(), "residual scratch has the system's length");
-        self.plan.run_with::<true>(a, b, x, r);
-        Ok(())
-    }
-
     /// The O(1) call validation of the unchecked paths.
     fn check_call(&self, a: &CsrMatrix<T>, b: &[T], x: &[T]) -> Result<(), PlanError> {
         let fp = &self.plan.pattern.fingerprint;
@@ -907,35 +915,121 @@ impl From<VerifyError> for SolveError {
     }
 }
 
+/// The binding of a sweep's half of `a` whose level order lists `rows`
+/// with `offd` entries on the solve's side each: the pattern of that half
+/// as [`TriangularHalves::from_slabs`] builds it, each row's entries
+/// plus one diagonal, fingerprinted without storing it.
+fn half_binding<T: Scalar>(a: &CsrMatrix<T>, rows: &[u32], offd: &[u32]) -> PatternBinding {
+    let m = a.n_rows();
+    let mut len = vec![0u32; m];
+    for (&r, &l) in rows.iter().zip(offd) {
+        len[r as usize] = l + 1;
+    }
+    let row_ptr = std::iter::once(0).chain(len.iter().scan(0, |end, &l| {
+        *end += l as usize;
+        Some(*end)
+    }));
+    PatternBinding::unbound(PatternFingerprint::of_row_ptr(m, a.n_cols(), row_ptr))
+}
+
+/// Spans of the residual slab per worker: the team drains them, so a
+/// worker that finishes early takes another span.
+const RESIDUAL_SPANS_PER_WORKER: usize = 8;
+
+/// A sweep's residual `r = U·x_old`: every row's strictly upper entries
+/// of the general matrix, in row order, as one packed slab
+/// ([`Entries::StrictUpper`]) whose chunk spans the team drains.
+struct Residual<T: Scalar> {
+    /// Rows `0..m`, σ-sorted within windows, in chunks of the height
+    /// [`pick_auto_chunk`] gives the strict upper row lengths (`1` when
+    /// no height packs within the default padding bound).
+    slab: PackedSell<T>,
+    /// Work-balanced chunk spans: monotone, from `0` to the chunk count.
+    cuts: Vec<usize>,
+    workers: usize,
+}
+
+impl<T: Scalar> Residual<T> {
+    /// Pack `a`'s strict upper triangle and prove the result
+    /// ([`prove_residual`]).
+    fn build(a: &CsrMatrix<T>, workers: usize) -> Result<Self, VerifyError> {
+        let m = a.n_rows();
+        let lens: Vec<usize> = (0..m)
+            .map(|i| a.row(i).0.iter().filter(|&&c| c as usize > i).count())
+            .collect();
+        let chunk = pick_auto_chunk(&lens, PlanConfig::default().max_padding).unwrap_or(1);
+        drop(lens);
+        let rows: Vec<u32> = (0..m as u32).collect();
+        let slab = PackedSell::from_rows_of(a, &rows, chunk, Entries::StrictUpper);
+        drop(rows);
+        let spans = RESIDUAL_SPANS_PER_WORKER * workers;
+        let cuts = work_cuts(slab.lens(), slab.chunk_ptr(), 0, slab.n_chunks(), spans);
+        prove_residual(a, &slab, &cuts)?;
+        Ok(Self {
+            slab,
+            cuts,
+            workers,
+        })
+    }
+
+    /// `r = U·x` with `U`'s values refreshed from `a` when stale: each
+    /// row one fused multiply-add chain from zero in storage order, bit
+    /// for bit `spmv_seq` of the strict upper triangle. Callers
+    /// guarantee `x` and `r` have the system's length.
+    fn run(&self, a: &CsrMatrix<T>, x: &[T], r: &mut [T]) {
+        self.slab.ensure_values(a);
+        let out = XVec::new(r);
+        self.slab.with_slab(|slab| {
+            fused_for_each_with(self.workers, self.cuts.len() - 1, |t| {
+                let (c0, c1) = (self.cuts[t], self.cuts[t + 1]);
+                slab.spmm_chunks::<1, _>(c0, c1, x, 1, 0, |i, [sum]| {
+                    // SAFETY: the slab's rows are a permutation of the
+                    // system's (`prove_residual`) and the spans are
+                    // disjoint, so row `i < m = r.len()` is written once,
+                    // by this span, and read by nobody during the drain.
+                    unsafe { out.write(i, sum) }
+                });
+            });
+        });
+    }
+}
+
 /// A compiled symmetric Gauss-Seidel sweep over a general square matrix
-/// `A = L + D + U`, composed entirely from verified parts:
+/// `A = L + D + U`, composed entirely from verified parts that read `A`
+/// itself — the sweep stores no copy of it, only three SELL slabs:
 ///
-/// 1. `r = U x`       — verified SpMV plan over the strict upper half
+/// 1. `r = U x`       — the residual slab: `U`'s rows in row order,
+///    σ-sorted within windows, its chunk spans drained by the team
 /// 2. `(L + D) x = b - r`, fused with `r = b - L x` — the verified
-///    forward solve, which reads every `l_ij` and finalised `x[j]` the
-///    lower residual needs and emits it as it goes
-/// 3. `(D + U) x = r` — verified backward solve
+///    forward solve over the forward level slab (`L`, diagonal), which
+///    reads every `l_ij` and finalised `x[j]` the lower residual needs
+///    and emits it as it goes
+/// 3. `(D + U) x = r` — the verified backward solve over the backward
+///    level slab (`U`, diagonal)
 ///
 /// This is exactly the composed definition of
 /// [`spmv_sparse::solve::symgs_seq`], so the result is bit-for-bit
-/// identical to the sequential reference at every worker count: the
-/// SpMV plan reproduces `spmv_seq` exactly (per-row storage-order
-/// accumulation), the verified solves reproduce `sptrsv_seq` exactly,
-/// and the forward solve's emitted residual runs `spmv_seq`'s fused
-/// multiply-add chain over the strict lower entries in storage order,
-/// apart from the solve's own running sum.
+/// identical to the sequential reference at every worker count: each
+/// residual row is `spmv_seq`'s fused multiply-add chain from zero over
+/// the row's strict upper entries in storage order, the verified solves
+/// reproduce `sptrsv_seq` exactly, and the forward solve's emitted
+/// residual runs the same chain over the strict lower entries, apart
+/// from the solve's own running sum.
 ///
-/// The split is structural and done once; each
-/// [`apply`](SymgsPlan::apply) refreshes the halves' values in O(nnz)
-/// only when the source matrix's value generation changed.
+/// Every slab takes its values straight from `A`'s rows by the split's
+/// routing — `c < i` to the forward slab, `c == i` to the diagonals (the
+/// last duplicate wins), `c > i` to the backward and residual slabs — at
+/// build, and again on an [`apply`](SymgsPlan::apply) whose matrix
+/// carries a new value generation.
 pub struct SymgsPlan<T: Scalar> {
     pattern: PatternBinding,
-    halves: TriangularHalves<T>,
     forward: VerifiedSolvePlan<T>,
     backward: VerifiedSolvePlan<T>,
-    upper_spmv: VerifiedPlan<T>,
+    residual: Residual<T>,
     /// Residual scratch, allocated once.
     r: Vec<T>,
+    /// The split [`halves`](Self::halves) builds on first call.
+    split: OnceLock<TriangularHalves<T>>,
 }
 
 impl<T: Scalar> SymgsPlan<T> {
@@ -946,65 +1040,54 @@ impl<T: Scalar> SymgsPlan<T> {
     }
 
     /// [`build`](Self::build) with explicit solve knobs (shared by the
-    /// forward and backward halves; the residual SpMV plan uses the
-    /// same worker count). The three verified parts are independent and
-    /// are built concurrently on the worker team, or on the caller alone
-    /// when the team is busy; each is the same plan whichever thread
-    /// builds it. The first error is reported in a fixed order —
-    /// forward, backward, upper — not in completion order.
+    /// forward and backward halves; the residual uses the same worker
+    /// count). The three parts — forward half, backward half, residual —
+    /// are built from `a` and proven independently, concurrently on the
+    /// worker team, or on the caller alone when the team is busy; each
+    /// is the same whichever thread builds it. The first error is
+    /// reported in a fixed order — forward, backward, residual — not in
+    /// completion order.
     pub fn build_with(a: &CsrMatrix<T>, config: SolveConfig) -> Result<Self, SolveError> {
-        let halves = split_triangular(a)?;
         let workers = config.team();
-        let solve_for = |half: &CsrMatrix<T>, direction| -> Result<_, SolveError> {
-            Ok(SolvePlan::build_with(half, direction, config)?.verify(half)?)
-        };
-        let spmv_for = |half: &CsrMatrix<T>| -> Result<VerifiedPlan<T>, SolveError> {
-            let backend = crate::exec::NativeCpuBackend::new().with_workers(workers);
-            let plan = SpmvPlan::compile(
-                half,
-                Strategy::single_kernel(KernelId::Serial),
-                Box::new(backend),
-            );
-            Ok(plan.verify(half)?)
+        let solve_for = |direction| -> Result<_, SolveError> {
+            let plan = SolvePlan::build_of(a, direction, config, true)?;
+            plan.prove(a)?;
+            Ok(VerifiedSolvePlan { plan })
         };
         // One three-item drain; results are collected, then unwrapped in
         // the documented error order.
         let solves: [OnceLock<Result<VerifiedSolvePlan<T>, SolveError>>; 2] = Default::default();
-        let upper: OnceLock<Result<VerifiedPlan<T>, SolveError>> = OnceLock::new();
+        let residual: OnceLock<Result<Residual<T>, VerifyError>> = OnceLock::new();
         fused_for_each_with(workers, 3, |part| {
             let fresh = match part {
-                0 => solves[0]
-                    .set(solve_for(halves.lower(), SolveDirection::Forward))
-                    .is_ok(),
-                1 => solves[1]
-                    .set(solve_for(halves.upper(), SolveDirection::Backward))
-                    .is_ok(),
-                _ => upper.set(spmv_for(halves.strict_upper())).is_ok(),
+                0 => solves[0].set(solve_for(SolveDirection::Forward)).is_ok(),
+                1 => solves[1].set(solve_for(SolveDirection::Backward)).is_ok(),
+                _ => residual.set(Residual::build(a, workers)).is_ok(),
             };
             debug_assert!(fresh, "part {part} built twice");
         });
         let built = "the drain builds every part";
         let [forward, backward] = solves.map(|s| s.into_inner().expect(built));
         let (forward, backward) = (forward?, backward?);
-        let upper_spmv = upper.into_inner().expect(built)?;
+        let residual = residual.into_inner().expect(built)?;
         Ok(Self {
             pattern: PatternBinding::of(a),
             r: vec![T::ZERO; a.n_rows()],
-            halves,
             forward,
             backward,
-            upper_spmv,
+            residual,
+            split: OnceLock::new(),
         })
     }
 
     /// Run one sweep: `a` must have the build matrix's pattern (O(1)
     /// for that matrix, a clone, or either after value updates;
-    /// otherwise the fingerprint plus [`TriangularHalves::is_split_of`],
-    /// an exact O(nnz) column comparison), values may differ — they are
-    /// re-copied into the halves when stale. `b` is the right-hand side, `x` the
+    /// otherwise the fingerprint plus an exact O(nnz) comparison of its
+    /// columns with the slabs'), values may differ — they are re-copied
+    /// into the slabs when stale. `b` is the right-hand side, `x` the
     /// iterate updated in place.
     pub fn apply(&mut self, a: &CsrMatrix<T>, b: &[T], x: &mut [T]) -> Result<(), PlanError> {
-        self.pattern.check(a, || self.halves.is_split_of(a))?;
+        self.pattern.check(a, || self.mirrors(a))?;
         let fp = &self.pattern.fingerprint;
         if b.len() != fp.m {
             return Err(PlanError::DimensionMismatch {
@@ -1020,19 +1103,27 @@ impl<T: Scalar> SymgsPlan<T> {
                 got: x.len(),
             });
         }
-        self.halves.ensure_values(a);
         let Self {
-            halves,
             forward,
             backward,
-            upper_spmv,
+            residual,
             r,
             ..
         } = self;
-        upper_spmv.execute_unchecked(halves.strict_upper(), x, r)?;
-        forward.solve_emitting_unchecked(halves.lower(), b, x, r)?;
-        backward.solve_unchecked(halves.upper(), r, x)?;
+        residual.run(a, x, r);
+        forward.plan.run_with::<true>(a, b, x, r);
+        backward.plan.run(a, r, x);
         Ok(())
+    }
+
+    /// Whether `a`'s columns are the build matrix's as the slabs hold
+    /// them (the fingerprint has matched): each row's strictly lower and
+    /// strictly upper entries, in storage order, and a diagonal. Those
+    /// are everything a sweep reads and the order it reads them in. The
+    /// residual slab's lanes are the backward slab's, both proven
+    /// against the build matrix, so two slabs decide it. O(nnz).
+    fn mirrors(&self, a: &CsrMatrix<T>) -> bool {
+        self.forward.plan.mirrors(a) && self.backward.plan.mirrors(a)
     }
 
     /// The pattern this sweep is bound to.
@@ -1040,19 +1131,37 @@ impl<T: Scalar> SymgsPlan<T> {
         &self.pattern.fingerprint
     }
 
-    /// The verified forward (`L + D`) solve.
+    /// The residual slab: `U`'s rows in row order, σ-sorted within
+    /// windows ([`check_residual`](crate::verify::check_residual) is its
+    /// proof).
+    pub fn residual(&self) -> &PackedSell<T> {
+        &self.residual.slab
+    }
+
+    /// The verified forward (`L + D`) solve. It is bound to the pattern
+    /// of [`halves`](Self::halves)`().lower()`, the matrix its own solve
+    /// paths take.
     pub fn forward(&self) -> &VerifiedSolvePlan<T> {
         &self.forward
     }
 
-    /// The verified backward (`D + U`) solve.
+    /// The verified backward (`D + U`) solve, bound to
+    /// [`halves`](Self::halves)`().upper()`.
     pub fn backward(&self) -> &VerifiedSolvePlan<T> {
         &self.backward
     }
 
-    /// The structural split the sweep runs on.
+    /// The structural split `L + D`, `D + U`, `U` of the sweep's matrix,
+    /// for callers that run [`forward`](Self::forward) and
+    /// [`backward`](Self::backward) on their own. A sweep stores no
+    /// split: this one is built on the first call, from the level slabs
+    /// ([`TriangularHalves::from_slabs`]: each row's strict entries,
+    /// then its one diagonal), with the values they hold at that call —
+    /// the last sweep's — and kept. Sweeps never rebuild or refresh it.
     pub fn halves(&self) -> &TriangularHalves<T> {
-        &self.halves
+        self.split.get_or_init(|| {
+            TriangularHalves::from_slabs(&self.forward.plan.slab, &self.backward.plan.slab)
+        })
     }
 }
 
@@ -1063,6 +1172,7 @@ impl<T: Scalar> std::fmt::Debug for SymgsPlan<T> {
             .field("nnz", &self.pattern.fingerprint.nnz)
             .field("forward", &self.forward)
             .field("backward", &self.backward)
+            .field("residual", &self.residual.slab)
             .finish()
     }
 }
@@ -1395,37 +1505,139 @@ mod tests {
         }
     }
 
+    /// [`sym`] with rows the split must route by column, not by place:
+    /// odd rows stored in reverse, every third row's diagonal moved to
+    /// the front (the others keep it mid-row), row `10` carrying a second
+    /// diagonal before its own (the last one wins), row `21` without
+    /// strictly lower entries and row `33` without strictly upper ones.
+    fn routed(m: usize, seed: u64) -> CsrMatrix<f64> {
+        let base = sym(m, seed, &[]);
+        let (mut row_ptr, mut cols, mut vals) = (vec![0usize], Vec::new(), Vec::new());
+        for i in 0..m {
+            let (rc, rv) = base.row(i);
+            let mut e: Vec<(u32, f64)> = rc.iter().copied().zip(rv.iter().copied()).collect();
+            match i {
+                21 => e.retain(|&(c, _)| c as usize >= i),
+                33 => e.retain(|&(c, _)| c as usize <= i),
+                _ => {}
+            }
+            if i % 3 == 0 {
+                let d = e.iter().position(|&(c, _)| c as usize == i).unwrap();
+                let diag = e.remove(d);
+                e.insert(0, diag);
+            }
+            if i % 2 == 1 {
+                e.reverse();
+            }
+            if i == 10 {
+                e.insert(0, (i as u32, 0.5));
+            }
+            for (c, v) in e {
+                cols.push(c);
+                vals.push(v);
+            }
+            row_ptr.push(cols.len());
+        }
+        CsrMatrix::from_parts(m, m, row_ptr, cols, vals).unwrap()
+    }
+
     #[test]
     fn symgs_refreshes_values_on_change() {
-        // A nonzero start keeps `U·x` live, so a half or residual plan
-        // left on stale values shows in the very first sweep after an
-        // update; the second sweep of each version checks that nothing
-        // reverts once the values have settled.
-        let mut a = sym(80, 7, &[]);
+        // A nonzero start keeps `U·x` live, so a slab left on stale
+        // values shows in the very first sweep after an update; the
+        // second sweep of each version checks that nothing reverts once
+        // the values have settled.
+        let a0 = routed(80, 7);
+        let side = |i: usize, lower: bool| {
+            let cols = a0.row(i).0.iter().map(|&c| c as usize);
+            cols.filter(|&c| if lower { c < i } else { c > i }).count()
+        };
+        let diags = a0.row(10).0.iter().filter(|&&c| c == 10).count();
+        assert_eq!((diags, side(21, true), side(33, false)), (2, 0, 0));
+        assert!(side(21, false) > 0 && side(33, true) > 0);
         let b: Vec<f64> = (0..80).map(|i| ((i % 5) as f64) - 2.0).collect();
-        let mut plan = SymgsPlan::build(&a).unwrap();
-        let mut x: Vec<f64> = (0..80).map(|i| ((i * 7 % 11) as f64) - 5.0).collect();
-        let mut x_ref = x.clone();
-        for version in 0..3 {
-            if version > 0 {
-                for (k, v) in a.values_mut().iter_mut().enumerate() {
-                    *v = *v * 3.0 + (k % 4) as f64 * 0.25;
+        for workers in [1usize, 2, 4, 7] {
+            let mut a = a0.clone();
+            let config = SolveConfig {
+                workers,
+                min_parallel_rows: 0,
+            };
+            let mut plan = SymgsPlan::build_with(&a, config).unwrap();
+            let mut x: Vec<f64> = (0..80).map(|i| ((i * 7 % 11) as f64) - 5.0).collect();
+            let mut x_ref = x.clone();
+            for version in 0..3 {
+                if version > 0 {
+                    for (k, v) in a.values_mut().iter_mut().enumerate() {
+                        *v = *v * 3.0 + (k % 4) as f64 * 0.25;
+                    }
+                }
+                for sweep in 0..2 {
+                    let before = x.clone();
+                    plan.apply(&a, &b, &mut x).unwrap();
+                    spmv_sparse::solve::symgs_seq(&a, &b, &mut x_ref).unwrap();
+                    let at = format!("workers {workers} version {version} sweep {sweep}");
+                    assert_ne!(x, before, "{at} moved nothing");
+                    for (i, (got, want)) in x.iter().zip(&x_ref).enumerate() {
+                        assert_eq!(got.to_bits(), want.to_bits(), "{at} row {i}");
+                    }
                 }
             }
-            for sweep in 0..2 {
-                let before = x.clone();
-                plan.apply(&a, &b, &mut x).unwrap();
-                spmv_sparse::solve::symgs_seq(&a, &b, &mut x_ref).unwrap();
-                assert_ne!(x, before, "version {version} sweep {sweep} moved nothing");
-                for (i, (got, want)) in x.iter().zip(&x_ref).enumerate() {
-                    assert_eq!(
-                        got.to_bits(),
-                        want.to_bits(),
-                        "version {version} sweep {sweep} row {i}"
-                    );
-                }
-            }
+            // Neither the build nor a sweep holds a split.
+            assert!(plan.split.get().is_none(), "workers {workers}");
         }
+    }
+
+    #[test]
+    fn halves_are_built_on_first_call_and_run_the_verified_halves() {
+        let mut a = routed(80, 9);
+        let mut plan = SymgsPlan::build(&a).unwrap();
+        a.fill_values_with(|k| (k % 7) as f64 * 0.125 - 0.375 + 4.0 * f64::from(k % 5 == 0));
+        let mut x = vec![0.5; 80];
+        let b: Vec<f64> = (0..80).map(|i| ((i % 9) as f64) - 4.0).collect();
+        plan.apply(&a, &b, &mut x).unwrap();
+        assert!(plan.split.get().is_none());
+        // Values as of the first call: the sweep's.
+        let h = plan.halves();
+        let split = spmv_sparse::solve::split_triangular(&a).unwrap();
+        assert_eq!(h.strict_upper(), split.strict_upper());
+        let same = |got: &[f64], want: &[f64]| {
+            got.iter()
+                .zip(want)
+                .all(|(g, w)| g.to_bits() == w.to_bits())
+        };
+        for (dir, solve, mine, theirs) in [
+            (
+                SolveDirection::Forward,
+                plan.forward(),
+                h.lower(),
+                split.lower(),
+            ),
+            (
+                SolveDirection::Backward,
+                plan.backward(),
+                h.upper(),
+                split.upper(),
+            ),
+        ] {
+            let mut want = vec![0.0; 80];
+            sptrsv_seq(theirs, dir, &b, &mut want).unwrap();
+            for checked in [false, true] {
+                let mut x = vec![f64::NAN; 80];
+                if checked {
+                    solve.solve(mine, &b, &mut x).unwrap();
+                } else {
+                    solve.solve_unchecked(mine, &b, &mut x).unwrap();
+                }
+                assert!(same(&x, &want), "{dir} checked {checked}");
+            }
+            // The sweep's matrix is not the half's.
+            assert!(solve.solve(&a, &b, &mut x).is_err(), "{dir}");
+        }
+        let (mut got, mut want) = (vec![0.25; 80], vec![0.25; 80]);
+        spmv_sparse::solve::symgs_seq_halves(h, &b, &mut got).unwrap();
+        spmv_sparse::solve::symgs_seq(&a, &b, &mut want).unwrap();
+        assert!(same(&got, &want));
+        assert!(std::ptr::eq(h, plan.halves()), "built once");
     }
 
     #[test]
@@ -1507,8 +1719,7 @@ mod tests {
                     .unwrap();
                 let mut x = vec![f64::NAN; m];
                 let mut r = ux.clone();
-                plan.solve_emitting_unchecked(&lower, &b, &mut x, &mut r)
-                    .unwrap();
+                plan.plan().run_with::<true>(&lower, &b, &mut x, &mut r);
                 for i in 0..m {
                     let at = format!("workers={workers} min_parallel={min_parallel} row {i}");
                     assert_eq!(x[i].to_bits(), x_ref[i].to_bits(), "x, {at}");
@@ -1699,8 +1910,7 @@ mod tests {
                     .verify(&lower)
                     .unwrap();
                 let (mut x, mut r) = (vec![f64::NAN; m], ux.clone());
-                plan.solve_emitting_unchecked(&lower, &b, &mut x, &mut r)
-                    .unwrap();
+                plan.plan().run_with::<true>(&lower, &b, &mut x, &mut r);
                 same(&x, &want_x, &format!("emitting x, {at}"));
                 same(&r, &want_r, &format!("emitting r, {at}"));
                 let mut sweep = SymgsPlan::build_with(&sym, cfg).unwrap();

@@ -25,8 +25,9 @@ use crate::kernels::cpu::rows_nnz_cuts;
 use crate::kernels::KernelId;
 use crate::plan::{BinDispatch, BinFormat, BinPayload, Tile};
 use crate::solve::{SolveSnapshot, SolveStep};
+use spmv_sparse::packed::Entries;
 use spmv_sparse::solve::SolveDirection;
-use spmv_sparse::{prefetch_rows_ahead, CsrMatrix, DefectKind, Scalar, SlabRef};
+use spmv_sparse::{prefetch_rows_ahead, CsrMatrix, DefectKind, PackedSell, Scalar, SlabRef};
 
 /// Why a dispatch table failed write-set verification.
 #[derive(Clone, Debug, PartialEq)]
@@ -253,6 +254,19 @@ pub enum VerifyError {
         /// What property failed.
         detail: String,
     },
+    /// A SymGS sweep's residual slab does not mirror the strict upper
+    /// triangle of its matrix ([`check_residual`]), or, at build, its
+    /// chunk spans do not tile the slab: residual rows would be written
+    /// twice, or not at all, or from other entries.
+    ResidualInvalid {
+        /// What property failed.
+        detail: String,
+        /// The slab proof's defect class when the packed layout failed
+        /// ([`PackedSell::check_against`]); `None` for the spans.
+        ///
+        /// [`PackedSell::check_against`]: spmv_sparse::PackedSell::check_against
+        defect: Option<DefectKind>,
+    },
 }
 
 impl std::fmt::Display for VerifyError {
@@ -396,6 +410,9 @@ impl std::fmt::Display for VerifyError {
             ),
             VerifyError::SolveCutsInvalid { step, detail } => {
                 write!(f, "step {step}: worker cuts are not a partition: {detail}")
+            }
+            VerifyError::ResidualInvalid { detail, .. } => {
+                write!(f, "SymGS residual slab: {detail}")
             }
         }
     }
@@ -748,7 +765,9 @@ pub fn check_solve_schedule<T: Scalar>(
     workers: usize,
 ) -> Result<(), VerifyError> {
     let (order, bounds, parallel) = positions_of(steps, workers)?;
-    prove_solve(a, direction, &order, &bounds, &parallel, workers, None)
+    prove_solve(
+        a, direction, false, &order, &bounds, &parallel, workers, None,
+    )
 }
 
 /// [`check_solve_schedule`] plus the obligations of the schedule-ordered
@@ -802,6 +821,7 @@ pub fn check_solve_snapshot<T: Scalar>(
     prove_solve(
         a,
         direction,
+        false,
         &order,
         &bounds,
         &parallel,
@@ -859,10 +879,16 @@ fn positions_of(steps: &[SolveStep], workers: usize) -> Result<Positions, Verify
 /// over the run order `order` split into steps by `bounds` (positions),
 /// plus 7–11 against `snap` when given (obligation 6 holds when `order`
 /// is the snapshot's own row column). Without a snapshot every position
-/// is its own chunk.
+/// is its own chunk. With `half`, `a` is the general matrix of a SymGS
+/// sweep whose `direction` half the plan solves: entries of the other
+/// triangle are not read, so they are skipped rather than rejected
+/// (obligation 3), and the snapshot's lanes hold the strict entries on
+/// `direction`'s side (obligation 7).
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn prove_solve<T: Scalar>(
     a: &CsrMatrix<T>,
     direction: SolveDirection,
+    half: bool,
     order: &[u32],
     bounds: &[Vec<usize>],
     parallel: &[bool],
@@ -976,6 +1002,9 @@ pub(crate) fn prove_solve<T: Scalar>(
                     continue;
                 }
                 if !direction.is_dependency(i, ci) {
+                    if half {
+                        continue;
+                    }
                     return Err(VerifyError::SolveOffTriangle {
                         direction,
                         row: i,
@@ -1041,6 +1070,59 @@ pub(crate) fn prove_solve<T: Scalar>(
                 }
             }
         }
+    }
+    Ok(())
+}
+
+/// Prove a SymGS sweep's residual slab ([`SymgsPlan::residual`])
+/// against the sweep's matrix `a`: it holds the rows `0..m`, each once
+/// and inside its sort window of that list, so its writes `r[i]` are
+/// disjoint and cover the system; it has the shared chunk shape; and
+/// every lane holds its row's strictly upper entries by column, in
+/// storage order, each below `n_cols` ([`PackedSell::check_against`] on
+/// a slab of [`Entries::StrictUpper`]). The slab is refreshed from `a`
+/// first. O(slots + m).
+///
+/// [`SymgsPlan::residual`]: crate::solve::SymgsPlan::residual
+/// [`PackedSell::check_against`]: spmv_sparse::PackedSell::check_against
+pub fn check_residual<T: Scalar>(
+    a: &CsrMatrix<T>,
+    slab: &PackedSell<T>,
+) -> Result<(), VerifyError> {
+    if slab.entries() != Entries::StrictUpper {
+        return Err(VerifyError::ResidualInvalid {
+            detail: format!(
+                "lanes hold {:?}, not the strict upper entries",
+                slab.entries()
+            ),
+            defect: None,
+        });
+    }
+    let rows: Vec<u32> = (0..a.n_rows() as u32).collect();
+    slab.check_against(a, &rows)
+        .map_err(|d| VerifyError::ResidualInvalid {
+            detail: d.detail,
+            defect: Some(d.kind),
+        })
+}
+
+/// [`check_residual`], and the residual's chunk spans `cuts` tile the
+/// slab's chunks in order, so each chunk runs in exactly one span.
+pub(crate) fn prove_residual<T: Scalar>(
+    a: &CsrMatrix<T>,
+    slab: &PackedSell<T>,
+    cuts: &[usize],
+) -> Result<(), VerifyError> {
+    check_residual(a, slab)?;
+    let tiled = cuts.first() == Some(&0)
+        && cuts.last() == Some(&slab.n_chunks())
+        && cuts.windows(2).all(|w| w[0] <= w[1]);
+    if !tiled {
+        let chunks = slab.n_chunks();
+        return Err(VerifyError::ResidualInvalid {
+            detail: format!("{} span bounds do not tile {chunks} chunks", cuts.len()),
+            defect: None,
+        });
     }
     Ok(())
 }

@@ -182,8 +182,9 @@ struct Entry<T: Scalar> {
     confirm: u64,
     /// LRU stamp: the global tick at last use (relaxed store on hit).
     last_used: AtomicU64,
-    /// Measured wall time of the build that produced this entry — the
-    /// rebuild cost the eviction score protects.
+    /// Rebuild cost of this entry in nanoseconds — the measured wall
+    /// time of the build that produced it — which the eviction score
+    /// protects.
     build_ns: u64,
 }
 
@@ -267,6 +268,21 @@ impl<T: Scalar> PlanCache<T> {
         id: PatternIdentity,
         build: impl FnOnce() -> Result<VerifiedPlan<T>, CacheError>,
     ) -> Result<Arc<VerifiedPlan<T>>, CacheError> {
+        self.get_or_build_costed(id, || {
+            let started = std::time::Instant::now();
+            let plan = build()?;
+            Ok((plan, started.elapsed().as_nanos() as u64))
+        })
+    }
+
+    /// [`get_or_build_keyed`](Self::get_or_build_keyed) with a builder
+    /// that reports its plan's rebuild cost in nanoseconds — the figure
+    /// the eviction score protects — beside the plan.
+    fn get_or_build_costed(
+        &self,
+        id: PatternIdentity,
+        build: impl FnOnce() -> Result<(VerifiedPlan<T>, u64), CacheError>,
+    ) -> Result<Arc<VerifiedPlan<T>>, CacheError> {
         let PatternIdentity { key, confirm } = id;
         let mut build = Some(build);
         let shard = &self.shards[self.shard_index(&key)];
@@ -323,12 +339,10 @@ impl<T: Scalar> PlanCache<T> {
                 Action::Build(flight) => {
                     let builder = build.take().expect("builder runs at most once");
                     self.builds.fetch_add(1, Ordering::Relaxed);
-                    let started = std::time::Instant::now();
                     let result = builder();
-                    let build_ns = started.elapsed().as_nanos() as u64;
                     let mut map = shard.write().unwrap();
                     return match result {
-                        Ok(plan) => {
+                        Ok((plan, build_ns)) => {
                             let entry = Arc::new(Entry {
                                 plan: Arc::new(plan),
                                 confirm,
@@ -481,6 +495,20 @@ mod tests {
         ) -> Result<Arc<VerifiedPlan<T>>, CacheError> {
             self.get_or_build_keyed(PatternIdentity::of(a, config), build)
         }
+
+        /// [`get_or_build`](Self::get_or_build) charging a build the
+        /// fixed `cost_ns` instead of its wall time, so eviction order
+        /// does not depend on how busy the host is.
+        fn get_or_build_at_cost(
+            &self,
+            a: &CsrMatrix<T>,
+            config: &PlanConfig,
+            cost_ns: u64,
+            build: impl FnOnce() -> Result<VerifiedPlan<T>, CacheError>,
+        ) -> Result<Arc<VerifiedPlan<T>>, CacheError> {
+            let id = PatternIdentity::of(a, config);
+            self.get_or_build_costed(id, || build().map(|plan| (plan, cost_ns)))
+        }
     }
 
     fn compile(a: &CsrMatrix<f64>) -> Result<VerifiedPlan<f64>, CacheError> {
@@ -555,14 +583,10 @@ mod tests {
         assert_eq!(s.lookups(), 8);
     }
 
-    /// Build with the measured cost pinned well above compile noise, so
-    /// the cost-aware eviction score degrades to exact LRU between
-    /// entries (equal costs ⇒ oldest stamp loses) and the test stays
-    /// deterministic on a loaded runner.
-    fn compile_flat_cost(a: &CsrMatrix<f64>) -> Result<VerifiedPlan<f64>, CacheError> {
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        compile(a)
-    }
+    /// The rebuild cost every entry of the LRU test is charged: equal
+    /// costs make the cost-aware eviction score exact LRU (oldest stamp
+    /// loses).
+    const FLAT_COST_NS: u64 = 20_000_000;
 
     #[test]
     fn capacity_evicts_least_recently_used() {
@@ -574,19 +598,16 @@ mod tests {
         let mats: Vec<_> = (1..=3)
             .map(|seed| gen::random_uniform::<f64>(200 + seed, 200, 1, 4, seed as u64))
             .collect();
-        cache
-            .get_or_build(&mats[0], &cfg, || compile_flat_cost(&mats[0]))
-            .unwrap();
-        cache
-            .get_or_build(&mats[1], &cfg, || compile_flat_cost(&mats[1]))
-            .unwrap();
+        let build = |m: &CsrMatrix<f64>| {
+            cache
+                .get_or_build_at_cost(m, &cfg, FLAT_COST_NS, || compile(m))
+                .unwrap();
+        };
+        build(&mats[0]);
+        build(&mats[1]);
         // Touch matrix 0 so matrix 1 is the LRU victim.
-        cache
-            .get_or_build(&mats[0], &cfg, || compile_flat_cost(&mats[0]))
-            .unwrap();
-        cache
-            .get_or_build(&mats[2], &cfg, || compile_flat_cost(&mats[2]))
-            .unwrap();
+        build(&mats[0]);
+        build(&mats[2]);
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.stats().evictions, 1);
         // Matrix 0 survived (hit); matrix 1 was evicted (miss + build).
@@ -741,13 +762,10 @@ mod tests {
         });
         let cfg = PlanConfig::default();
         let pricey = gen::random_uniform::<f64>(400, 400, 2, 6, 42);
-        // ~100 ms measured build vs sub-ms scans: orders of magnitude,
-        // immune to compile-time noise.
+        // A 100 ms rebuild cost against 0.1 ms ones, charged rather than
+        // measured, so no stall of the host can reorder them.
         cache
-            .get_or_build(&pricey, &cfg, || {
-                std::thread::sleep(std::time::Duration::from_millis(100));
-                compile(&pricey)
-            })
+            .get_or_build_at_cost(&pricey, &cfg, 100_000_000, || compile(&pricey))
             .unwrap();
         // A scan of cheap plans, each requested exactly once and never
         // again. Pure LRU would evict the (now oldest) expensive entry
@@ -757,7 +775,9 @@ mod tests {
             .map(|seed| gen::random_uniform::<f64>(60 + seed, 60, 1, 3, seed as u64))
             .collect();
         for m in &scan {
-            cache.get_or_build(m, &cfg, || compile(m)).unwrap();
+            cache
+                .get_or_build_at_cost(m, &cfg, 100_000, || compile(m))
+                .unwrap();
         }
         assert_eq!(cache.len(), 2);
         assert!(cache.stats().evictions >= 4);

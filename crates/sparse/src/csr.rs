@@ -256,6 +256,15 @@ impl<T: Scalar> CsrMatrix<T> {
         self.values_id
     }
 
+    /// This matrix tagged with value generation `id`: for a copy out of a
+    /// cache that mirrors generation `id` of another matrix's values
+    /// ([`SellSlab::to_csr`](crate::SellSlab::to_csr)), so that the cache
+    /// finds the copy fresh.
+    pub(crate) fn with_values_id(mut self, id: u64) -> Self {
+        self.values_id = id;
+        self
+    }
+
     /// Generation id of the current sparsity pattern. Fresh at
     /// construction, kept by `clone`, changed by [`sort_rows`] (the one
     /// method that may move a column) and by nothing that only touches

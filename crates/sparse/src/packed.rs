@@ -23,11 +23,19 @@
 //!   padding benefit (bins are already workload-homogeneous) while the
 //!   slab still walks `x` and `y` roughly in row order; a whole-bin sort
 //!   turns each length class into its own sweep over both vectors. Its
-//!   lanes hold every entry ([`Entries::All`]).
+//!   lanes hold every entry ([`Entries::All`]), or for a SymGS sweep's
+//!   residual every strictly upper one ([`Entries::StrictUpper`]).
 //! * A triangular solve plan (`spmv_autotune::solve`) cuts its chunks at
 //!   level boundaries, 1, 2, 4 or 8 lanes each; its lanes hold each
 //!   row's off-diagonals, the diagonals kept apart
-//!   ([`Entries::OffDiagonal`]).
+//!   ([`Entries::OffDiagonal`]), or for a SymGS sweep's halves the
+//!   entries of one triangle of the general matrix ([`Entries::Lower`],
+//!   [`Entries::Upper`]).
+//!
+//! A slab's kind ([`Entries`]) routes each entry of a row by its column:
+//! to the lane, to the position's diagonal, or nowhere. So the three
+//! slabs of a SymGS sweep fill and refresh straight from the general
+//! matrix's rows, with no triangular copy in between.
 //!
 //! **One column width per slab**, fixed by `n_cols`: `u16` when the
 //! source matrix has at most [`NARROW_MAX_COLS`] columns, else `u32`
@@ -39,14 +47,16 @@
 //! **One value slab**: columns, values and diagonals live under one
 //! lock, keyed by [`CsrMatrix::values_id`], and a refresh walks each
 //! position's CSR row, in storage order, into its lane's slots
-//! ([`SellSlab::fresh`]). An SpMV slab re-reads its columns with the
-//! values, because an in-place mutation such as [`CsrMatrix::sort_rows`]
-//! permutes the `(col, val)` pairs *within* rows without touching
-//! `row_ptr`: stale columns would pair with fresh values. A solve slab's
-//! columns are frozen at build: its race-freedom rests on the dependency
-//! order its prover established over exactly those columns, and its
-//! unchecked path validates a call in O(1), so a refresh rewrites values
-//! and diagonals only.
+//! ([`SellSlab::fresh`]). An SpMV bin's slab ([`Entries::All`])
+//! re-reads its columns with the values, because an in-place mutation
+//! such as [`CsrMatrix::sort_rows`] permutes the `(col, val)` pairs
+//! *within* rows without touching `row_ptr`: stale columns would pair
+//! with fresh values. Every other slab's columns are frozen at build, so
+//! a refresh rewrites values and diagonals only: a solve slab's
+//! race-freedom rests on the dependency order its prover established
+//! over exactly those columns, and its unchecked path validates a call
+//! in O(1); a SymGS sweep refuses, by an exact column check, any matrix
+//! its slabs do not mirror.
 //!
 //! **One shape proof**: [`SlabRef::check_shape`] proves what every kernel
 //! over a slab relies on, and [`SlabTamper`] builds the layouts it must
@@ -174,20 +184,47 @@ impl Cols {
     }
 }
 
-/// Which of its row's entries a lane holds.
+/// Which of its row's entries a lane holds, in storage order. The kinds
+/// that keep the diagonal apart hold one per position, the last one, as
+/// `sptrsv_seq` takes it. Columns are frozen at build for every kind but
+/// [`All`](Self::All).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Entries {
-    /// Every entry, in storage order (SpMV); columns are re-read with
-    /// the values at every refresh.
+    /// Every entry (SpMV); columns are re-read with the values at every
+    /// refresh.
     All,
-    /// Every entry but the diagonal, in storage order, the diagonal kept
-    /// apart (the last one, as `sptrsv_seq` takes it); columns are frozen
-    /// at build (triangular solves).
+    /// Every entry but the diagonal, kept apart (a triangular system).
     OffDiagonal,
+    /// The strictly lower entries, the diagonal kept apart and the
+    /// strictly upper ones skipped: the forward half of a SymGS sweep,
+    /// read straight from the general matrix.
+    Lower,
+    /// The strictly upper entries, the diagonal kept apart and the
+    /// strictly lower ones skipped: the sweep's backward half.
+    Upper,
+    /// The strictly upper entries alone: the sweep's residual `U·x`.
+    StrictUpper,
 }
 
-/// The cached columns, values and diagonals (empty for [`Entries::All`])
-/// and the value generation they mirror, under one lock so readers
+impl Entries {
+    /// Whether entry `(i, c)` of row `i` belongs in its lane.
+    pub(crate) fn in_lane(self, i: u32, c: u32) -> bool {
+        match self {
+            Entries::All => true,
+            Entries::OffDiagonal => c != i,
+            Entries::Lower => c < i,
+            Entries::Upper | Entries::StrictUpper => c > i,
+        }
+    }
+
+    /// Whether each position keeps its row's diagonal apart.
+    pub(crate) fn keeps_diagonal(self) -> bool {
+        matches!(self, Entries::OffDiagonal | Entries::Lower | Entries::Upper)
+    }
+}
+
+/// The cached columns, values and diagonals (empty unless the entry kind
+/// keeps them apart) and the value generation they mirror, under one lock so readers
 /// always observe a coherent state.
 #[derive(Clone)]
 struct ValueSlab<T> {
@@ -425,6 +462,8 @@ pub struct SellSlab<T: Scalar> {
     chunk_ptr: Vec<usize>,
     /// First slot of each chunk, then the slot count.
     slot_ptr: Vec<usize>,
+    /// Which entries the lanes hold.
+    entries: Entries,
     data: RwLock<ValueSlab<T>>,
 }
 
@@ -456,9 +495,10 @@ impl<T: Scalar> SellSlab<T> {
             slot_ptr.push(slots + lens[w[0]] as usize * (w[1] - w[0]));
         }
         let slots = slot_ptr[slot_ptr.len() - 1];
-        let diag = match entries {
-            Entries::All => Vec::new(),
-            Entries::OffDiagonal => vec![T::ONE; rows.len()],
+        let diag = if entries.keeps_diagonal() {
+            vec![T::ONE; rows.len()]
+        } else {
+            Vec::new()
         };
         let slab = Self {
             n_cols: a.n_cols(),
@@ -466,6 +506,7 @@ impl<T: Scalar> SellSlab<T> {
             lens,
             chunk_ptr,
             slot_ptr,
+            entries,
             data: RwLock::new(ValueSlab {
                 source: 0,
                 cols: Cols::zeroed(a.n_cols(), slots),
@@ -484,6 +525,16 @@ impl<T: Scalar> SellSlab<T> {
     /// Row id at each position.
     pub fn rows(&self) -> &[u32] {
         &self.rows
+    }
+
+    /// Lane length (entries held) at each position.
+    pub fn lens(&self) -> &[u32] {
+        &self.lens
+    }
+
+    /// Which entries the lanes hold.
+    pub fn entries(&self) -> Entries {
+        self.entries
     }
 
     /// First position of each chunk, then the position count.
@@ -561,8 +612,7 @@ impl<T: Scalar> SellSlab<T> {
         let ValueSlab {
             cols, vals, diag, ..
         } = data;
-        // Diagonals kept apart: a solve slab, whose columns are frozen.
-        let with_cols = build || diag.is_empty();
+        let with_cols = build || self.entries == Entries::All;
         match cols {
             Cols::Narrow(cols) => self.walk(cols, vals, diag, a, with_cols),
             Cols::Wide(cols) => self.walk(cols, vals, diag, a, with_cols),
@@ -578,16 +628,15 @@ impl<T: Scalar> SellSlab<T> {
         a: &CsrMatrix<T>,
         with_cols: bool,
     ) {
-        let apart = !diag.is_empty();
+        let apart = self.entries.keeps_diagonal();
         for (q, first, stride) in lanes(&self.chunk_ptr, &self.slot_ptr) {
             prefetch_rows_ahead(a, &self.rows, q);
-            let i = self.rows[q] as usize;
-            let (rc, rv) = a.row(i);
+            let i = self.rows[q];
+            let (rc, rv) = a.row(i as usize);
             let mut slots = (0..self.lens[q] as usize).map(|j| first + j * stride);
             for (&c, &v) in rc.iter().zip(rv) {
-                if apart && c as usize == i {
-                    diag[q] = v;
-                } else if let Some(slot) = slots.next() {
+                if self.entries.in_lane(i, c) {
+                    let Some(slot) = slots.next() else { continue };
                     if with_cols {
                         // The gather bound proof; it also makes the
                         // narrowing exact: `n_cols` chose the width, so
@@ -596,8 +645,51 @@ impl<T: Scalar> SellSlab<T> {
                         cols[slot] = C::from_col(c);
                     }
                     vals[slot] = v;
+                } else if apart && c == i {
+                    diag[q] = v;
                 }
             }
+        }
+    }
+
+    /// The rows back in CSR form, in row order: each row its lane's
+    /// entries in storage order, then its diagonal when `with_diag` and
+    /// the slab keeps one apart. For a slab holding every row of a
+    /// square matrix once (a solve's). The matrix is tagged with the
+    /// value generation the slab mirrors, so handing it back to this slab
+    /// refreshes nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the positions are not a permutation of the rows.
+    pub(crate) fn to_csr(&self, with_diag: bool) -> CsrMatrix<T> {
+        let guard = self.read();
+        let d = guard.lock();
+        let m = self.rows.len();
+        assert_eq!(m, self.n_cols, "a square matrix's rows, each once");
+        let diag = usize::from(with_diag && self.entries.keeps_diagonal());
+        let mut row_ptr = vec![0usize; m + 1];
+        for (&r, &len) in self.rows.iter().zip(&self.lens) {
+            row_ptr[r as usize + 1] = len as usize + diag;
+        }
+        for i in 0..m {
+            row_ptr[i + 1] += row_ptr[i];
+        }
+        let (mut cols, mut vals) = (vec![0; row_ptr[m]], vec![T::ZERO; row_ptr[m]]);
+        for (q, first, stride) in lanes(&self.chunk_ptr, &self.slot_ptr) {
+            let mut k = row_ptr[self.rows[q] as usize];
+            for s in (0..self.lens[q] as usize).map(|j| first + j * stride) {
+                (cols[k], vals[k]) = (d.cols.get(s), d.vals[s]);
+                k += 1;
+            }
+            if diag == 1 {
+                (cols[k], vals[k]) = (self.rows[q], d.diag[q]);
+            }
+        }
+        let csr = CsrMatrix::from_parts_unchecked(m, m, row_ptr, cols, vals);
+        match d.source {
+            0 => csr,
+            source => csr.with_values_id(source),
         }
     }
 }
@@ -634,6 +726,42 @@ impl<T: Scalar> SlabGuard<'_, T> {
             Lock::Read(g) => g,
             Lock::Write(g) => g,
         }
+    }
+
+    /// The first position whose lane does not hold its CSR row's
+    /// entries of the slab's kind ([`Entries`]) by column, in storage
+    /// order, each below `n_cols`, the row keeping a diagonal when the
+    /// slab keeps one apart. O(slots).
+    pub fn first_mismatch(&self, a: &CsrMatrix<T>) -> Option<usize> {
+        match &self.lock().cols {
+            Cols::Narrow(cols) => self.mismatch_in(cols, a),
+            Cols::Wide(cols) => self.mismatch_in(cols, a),
+        }
+    }
+
+    /// [`first_mismatch`](Self::first_mismatch) at one column width: one
+    /// pass over each row.
+    fn mismatch_in<C: SlabCol>(&self, cols: &[C], a: &CsrMatrix<T>) -> Option<usize> {
+        let s = self.slab;
+        lanes(&s.chunk_ptr, &s.slot_ptr).position(|(q, first, stride)| {
+            prefetch_rows_ahead(a, &s.rows, q);
+            let (i, len) = (s.rows[q], s.lens[q] as usize);
+            let (mut j, mut diag) = (0, false);
+            for &c in a.row(i as usize).0 {
+                if c as usize >= s.n_cols {
+                    return true;
+                }
+                if s.entries.in_lane(i, c) {
+                    if j == len || cols[first + j * stride].idx() != c as usize {
+                        return true;
+                    }
+                    j += 1;
+                } else {
+                    diag |= c == i;
+                }
+            }
+            j != len || (s.entries.keeps_diagonal() && !diag)
+        })
     }
 
     /// The held slab, borrowed whole.
@@ -739,22 +867,6 @@ impl<'a, T: Scalar> SlabRef<'a, T> {
         Ok(())
     }
 
-    /// The first position whose lane does not hold its CSR row's columns
-    /// in storage order, each below `n_cols`: every entry, or when the
-    /// slab keeps diagonals apart (`diag` non-empty) every off-diagonal,
-    /// the row keeping a diagonal. O(slots).
-    pub fn first_mismatch(&self, a: &CsrMatrix<T>) -> Option<usize> {
-        let apart = !self.diag.is_empty();
-        lanes(self.chunk_ptr, self.slot_ptr).position(|(q, first, stride)| {
-            let i = self.rows[q];
-            let (rc, _) = a.row(i as usize);
-            let want = rc.iter().filter(|&&c| !apart || c != i).copied();
-            let held = (0..self.lens[q] as usize).map(|j| self.cols.get(first + j * stride));
-            let out = rc.iter().any(|&c| c as usize >= self.n_cols);
-            out || (apart && !rc.contains(&i)) || !want.eq(held)
-        })
-    }
-
     /// Position `p`'s `(column, value)` pairs as its lane's slots hold
     /// them. Panics if `p` or the slots it names are out of bounds.
     pub fn entries(self, p: usize) -> impl Iterator<Item = (u32, T)> + 'a {
@@ -801,7 +913,21 @@ impl<T: Scalar> PackedSell<T> {
     /// Panics if `chunk == 0`, a row id is out of bounds, or `a.nnz()`
     /// overflows the `u32` row lengths.
     pub fn from_rows(a: &CsrMatrix<T>, rows: &[u32], chunk: usize) -> Self {
+        Self::from_rows_of(a, rows, chunk, Entries::All)
+    }
+
+    /// [`from_rows`](Self::from_rows) with lanes holding only the
+    /// `entries` of each row, lengths and minimum columns counted over
+    /// those: [`Entries::All`] for an SpMV bin, [`Entries::StrictUpper`]
+    /// for the residual `U·x` of a SymGS sweep.
+    ///
+    /// # Panics
+    ///
+    /// As [`from_rows`](Self::from_rows), and if `entries` keeps
+    /// diagonals apart, which no SpMV walk reads.
+    pub fn from_rows_of(a: &CsrMatrix<T>, rows: &[u32], chunk: usize, entries: Entries) -> Self {
         assert!(chunk > 0, "chunk size must be positive");
+        assert!(!entries.keeps_diagonal(), "an SpMV slab holds no diagonals");
         assert!(
             a.nnz() < u32::MAX as usize,
             "matrix too large for u32 row lengths"
@@ -820,11 +946,14 @@ impl<T: Scalar> PackedSell<T> {
             .iter()
             .enumerate()
             .map(|(pos, &r)| {
-                let (rcols, _) = a.row(r as usize);
-                let min_col = rcols.iter().copied().min().unwrap_or(u32::MAX);
+                let lane = a
+                    .row(r as usize)
+                    .0
+                    .iter()
+                    .filter(|&&c| entries.in_lane(r, c));
+                let (len, min_col) = lane.fold((0u32, u32::MAX), |(n, m), &c| (n + 1, m.min(c)));
                 // `!len` in the high word puts longer rows first; row
                 // lengths fit u32 (asserted above).
-                let len = rcols.len() as u32;
                 ((u64::from(!len) << 32) | u64::from(min_col), pos)
             })
             .collect();
@@ -841,7 +970,7 @@ impl<T: Scalar> PackedSell<T> {
         let chunk_ptr = (0..n).step_by(chunk).chain([n]).collect();
         Self {
             chunk,
-            slab: SellSlab::build(a, order, lens, chunk_ptr, Entries::All),
+            slab: SellSlab::build(a, order, lens, chunk_ptr, entries),
         }
     }
 
@@ -922,11 +1051,11 @@ impl<T: Scalar> PackedSell<T> {
     ///    of exactly `C` lanes but the last;
     /// 2. the same row set (each row once, in bounds), every packed row
     ///    in the sort window of `expected_rows` it was listed in;
-    /// 3. lane lengths equal to the CSR row lengths (a longer lane would
-    ///    read padding as an entry) and non-increasing within each
-    ///    window;
-    /// 4. every lane's slots holding the columns of its CSR row's entries
-    ///    in storage order, each `< n_cols` ([`SlabRef::first_mismatch`]).
+    /// 3. lane lengths equal to the number of the CSR row's entries of
+    ///    the slab's kind ([`Entries`]; a longer lane would read padding
+    ///    as an entry) and non-increasing within each window;
+    /// 4. every lane's slots holding the columns of those entries in
+    ///    storage order, each `< n_cols` ([`SlabGuard::first_mismatch`]).
     ///
     /// The slab is refreshed from `a` before step 4, so the proof covers
     /// the state execution will read. Returns the first defect.
@@ -990,7 +1119,15 @@ impl<T: Scalar> PackedSell<T> {
             }
         }
         for (i, (&r, &len)) in s.rows.iter().zip(&s.lens).enumerate() {
-            let csr = a.row_nnz(r as usize);
+            let csr = match s.entries {
+                Entries::All => a.row_nnz(r as usize),
+                kind => a
+                    .row(r as usize)
+                    .0
+                    .iter()
+                    .filter(|&&c| kind.in_lane(r, c))
+                    .count(),
+            };
             if len as usize != csr {
                 let (kind, what) = if len as usize > csr {
                     (PaddingClaimed, "claims a padding slot")
@@ -1005,8 +1142,7 @@ impl<T: Scalar> PackedSell<T> {
                 return fail(LanesOutOfOrder, i + 1, detail);
             }
         }
-        let guard = s.fresh(a);
-        match guard.view().first_mismatch(a) {
+        match s.fresh(a).first_mismatch(a) {
             None => Ok(()),
             Some(q) => fail(
                 ColumnMismatch,

@@ -20,8 +20,7 @@
 //!   rejecting non-triangular or diagonal-deficient inputs with a typed
 //!   [`SolveBuildError`];
 //! * [`split_triangular`] — extract the `L + D` / `D + U` halves (and
-//!   the strict upper half `U`) a SymGS sweep is composed from, with
-//!   value refresh so one split serves many value updates;
+//!   the strict upper half `U`) a SymGS sweep is composed from;
 //! * [`sptrsv_seq`] / [`symgs_seq`] — the sequential references every
 //!   parallel execution is compared against **bit for bit**: the
 //!   parallel kernels perform the identical per-row arithmetic in the
@@ -30,6 +29,7 @@
 
 use crate::csr::CsrMatrix;
 use crate::error::{SolveBuildError, SparseError};
+use crate::packed::SellSlab;
 use crate::scalar::Scalar;
 
 /// Which triangle a solve traverses, and in which row order.
@@ -136,6 +136,17 @@ pub fn check_solvable<T: Scalar>(
     a: &CsrMatrix<T>,
     dir: SolveDirection,
 ) -> Result<(), SolveBuildError> {
+    check_rows(a, dir, false)
+}
+
+/// [`check_solvable`], or with `half` the premises of a solve over the
+/// `dir` half of a general matrix: entries of the other triangle are
+/// skipped, not defects.
+fn check_rows<T: Scalar>(
+    a: &CsrMatrix<T>,
+    dir: SolveDirection,
+    half: bool,
+) -> Result<(), SolveBuildError> {
     if a.n_rows() != a.n_cols() {
         return Err(SolveBuildError::NotSquare {
             n_rows: a.n_rows(),
@@ -149,6 +160,8 @@ pub fn check_solvable<T: Scalar>(
             let ci = c as usize;
             if ci == i {
                 has_diag = true;
+            } else if half && !dir.is_dependency(i, ci) && ci < a.n_rows() {
+                continue;
             } else if !dir.is_dependency(i, ci) || ci >= a.n_rows() {
                 return Err(SolveBuildError::OffTriangle {
                     direction: dir,
@@ -182,7 +195,7 @@ pub fn level_order<T: Scalar>(
     a: &CsrMatrix<T>,
     dir: SolveDirection,
 ) -> Result<(Vec<u32>, Vec<usize>), SolveBuildError> {
-    level_order_with_offdiag(a, dir).map(|(rows, starts, _)| (rows, starts))
+    level_order_with_offdiag(a, dir, false).map(|(rows, starts, _)| (rows, starts))
 }
 
 /// A level schedule as [`level_order_with_offdiag`] returns it: rows in
@@ -191,16 +204,21 @@ pub fn level_order<T: Scalar>(
 pub type LevelOrder = (Vec<u32>, Vec<usize>, Vec<u32>);
 
 /// [`level_order`] plus the off-diagonal count of each row it lists —
-/// stored entries minus diagonal entries, aligned with the returned
-/// rows — which the level pass counts as it reads every entry anyway.
+/// its entries on `dir`'s side of the diagonal, aligned with the
+/// returned rows — which the level pass counts as it reads every entry
+/// anyway. With `half`, `a` is a general square matrix and the schedule
+/// is that of its `dir` half, as a SymGS sweep solves it: the other
+/// triangle's entries are skipped rather than rejected, so only a
+/// non-square shape or a missing diagonal is a defect.
 pub fn level_order_with_offdiag<T: Scalar>(
     a: &CsrMatrix<T>,
     dir: SolveDirection,
+    half: bool,
 ) -> Result<LevelOrder, SolveBuildError> {
     // The level pass below checks the `check_solvable` premises as it
-    // goes; on a defect, `check_solvable` names the first one in row
-    // order, whichever the traversal met first.
-    let defect = || check_solvable(a, dir).expect_err("the level pass met a defect");
+    // goes; on a defect, `check_rows` names the first one in row order,
+    // whichever the traversal met first.
+    let defect = || check_rows(a, dir, half).expect_err("the level pass met a defect");
     let m = a.n_rows();
     if a.n_cols() != m {
         return Err(defect());
@@ -215,24 +233,24 @@ pub fn level_order_with_offdiag<T: Scalar>(
     for t in 0..m {
         let i = row_at(t);
         let mut l = 0u32;
-        let cols = a.row(i).0;
-        let mut n_diag = 0;
-        for &c in cols {
+        let (mut deps, mut has_diag) = (0u32, false);
+        for &c in a.row(i).0 {
             let ci = c as usize;
             if ci == i {
-                n_diag += 1;
+                has_diag = true;
             } else if dir.is_dependency(i, ci) && ci < m {
                 // A same-direction dependency: level[ci] is final.
                 l = l.max(level[ci] + 1);
-            } else {
+                deps += 1;
+            } else if !half || ci >= m {
                 return Err(defect());
             }
         }
-        if n_diag == 0 {
+        if !has_diag {
             return Err(defect());
         }
         level[i] = l;
-        offdiag[i] = (cols.len() - n_diag) as u32;
+        offdiag[i] = deps;
         // A level is at most one past the deepest seen so far.
         if l as usize == counts.len() {
             counts.push(0);
@@ -313,20 +331,36 @@ pub fn sptrsv_seq<T: Scalar>(
 /// The three triangular views of a square matrix `A = L + D + U` a SymGS
 /// sweep is composed from: the solvable halves `L + D` and `D + U`, and
 /// the strict upper half `U` its residual SpMV reads. (The strict lower
-/// half is not stored: the sweep's forward solve forms `L·x` from the
-/// `L + D` entries it already reads.) The split is structural and done
-/// once; [`TriangularHalves::ensure_values`] refreshes the copied values
-/// in O(nnz) when the source matrix's values change (same pattern, new
-/// numbers).
+/// half is not stored: the sweep forms `L·x` from the `L + D` entries it
+/// already reads.) [`symgs_seq`] splits once per call; a compiled sweep
+/// holds no split and builds one only on request, from its level slabs
+/// ([`from_slabs`](Self::from_slabs)).
 #[derive(Debug)]
 pub struct TriangularHalves<T: Scalar> {
     lower: CsrMatrix<T>,
     upper: CsrMatrix<T>,
     strict_upper: CsrMatrix<T>,
-    src_values_id: u64,
 }
 
 impl<T: Scalar> TriangularHalves<T> {
+    /// The split held by a sweep's forward slab (`lower`, lanes of
+    /// [`Entries::Lower`]) and backward slab (`upper`, [`Entries::Upper`]),
+    /// values as the slabs hold them: each row's strict entries in
+    /// storage order, then its one diagonal (the last, the one
+    /// [`sptrsv_seq`] divides by, which it reads apart wherever it
+    /// sits). Each matrix carries its slab's value generation, so
+    /// solving with it refreshes nothing.
+    ///
+    /// [`Entries::Lower`]: crate::packed::Entries::Lower
+    /// [`Entries::Upper`]: crate::packed::Entries::Upper
+    pub fn from_slabs(lower: &SellSlab<T>, upper: &SellSlab<T>) -> Self {
+        Self {
+            lower: lower.to_csr(true),
+            upper: upper.to_csr(true),
+            strict_upper: upper.to_csr(false),
+        }
+    }
+
     /// The solvable lower half `L + D`.
     pub fn lower(&self) -> &CsrMatrix<T> {
         &self.lower
@@ -340,75 +374,6 @@ impl<T: Scalar> TriangularHalves<T> {
     /// The strictly-upper half `U` (no diagonal).
     pub fn strict_upper(&self) -> &CsrMatrix<T> {
         &self.strict_upper
-    }
-
-    /// Whether `a` has exactly the pattern these halves were split from:
-    /// the same shape, and every row's entries on or below the diagonal
-    /// are the `L + D` row, those on or above it the `D + U` row, column
-    /// for column in storage order (the strict upper half is the `D + U`
-    /// rows without the diagonal). O(nnz), exact — the column order counts,
-    /// because the refresh routes values by it and the solves subtract
-    /// in it.
-    pub fn is_split_of(&self, a: &CsrMatrix<T>) -> bool {
-        let m = self.lower.n_rows();
-        if a.n_rows() != m
-            || a.n_cols() != m
-            || a.nnz() != self.lower.nnz() + self.strict_upper.nnz()
-        {
-            return false;
-        }
-        (0..m).all(|i| {
-            let (cols, _) = a.row(i);
-            let below = cols.iter().filter(|&&c| c as usize <= i).copied();
-            let above = cols.iter().filter(|&&c| c as usize >= i).copied();
-            below.eq(self.lower.row(i).0.iter().copied())
-                && above.eq(self.upper.row(i).0.iter().copied())
-        })
-    }
-
-    /// Re-copy the halves' values from `a` if its value generation
-    /// changed since the split (or the last refresh). `a` must have the
-    /// sparsity pattern the split was built from — callers guard that
-    /// with a pattern check. Returns whether a refresh ran.
-    ///
-    /// No per-entry position map is kept: the refresh walks `a`'s rows
-    /// in storage order and routes each entry exactly as
-    /// [`split_triangular`]'s fill pass did — a diagonal entry to `L + D`
-    /// and `D + U`, `c < i` to `L + D`, `c > i` to `D + U` and `U` — so each half's cursor lands on the slot the split gave that
-    /// entry. A matrix whose rows route differently (a different
-    /// pattern) gets wrong values, never an out-of-bounds write: every
-    /// write is to a slot that exists.
-    pub fn ensure_values(&mut self, a: &CsrMatrix<T>) -> bool {
-        if a.values_id() == self.src_values_id {
-            return false;
-        }
-        let ld = self.lower.values_mut();
-        let du = self.upper.values_mut();
-        let u = self.strict_upper.values_mut();
-        let (mut kld, mut kdu, mut ku) = (0usize, 0usize, 0usize);
-        let put = |half: &mut [T], k: &mut usize, v: T| {
-            if let Some(slot) = half.get_mut(*k) {
-                *slot = v;
-            }
-            *k += 1;
-        };
-        for i in 0..a.n_rows() {
-            let (cols, vals) = a.row(i);
-            for (&c, &v) in cols.iter().zip(vals) {
-                let ci = c as usize;
-                if ci == i {
-                    put(ld, &mut kld, v);
-                    put(du, &mut kdu, v);
-                } else if ci < i {
-                    put(ld, &mut kld, v);
-                } else {
-                    put(du, &mut kdu, v);
-                    put(u, &mut ku, v);
-                }
-            }
-        }
-        self.src_values_id = a.values_id();
-        true
     }
 }
 
@@ -473,7 +438,6 @@ pub fn split_triangular<T: Scalar>(
             vals: Vec::with_capacity(nnz),
         }
     });
-    // The routing here is the one `ensure_values` replays on refresh.
     for i in 0..m {
         let (cols, vals) = a.row(i);
         for (&c, &v) in cols.iter().zip(vals) {
@@ -498,7 +462,6 @@ pub fn split_triangular<T: Scalar>(
         lower,
         upper,
         strict_upper,
-        src_values_id: a.values_id(),
     })
 }
 
@@ -754,20 +717,15 @@ mod tests {
     }
 
     #[test]
-    fn split_halves_partition_entries_and_refresh_values() {
-        let mut a = gen::banded::<f64>(80, 3, 11);
-        let mut halves = split_triangular(&a).unwrap();
+    fn split_halves_partition_entries() {
+        let a = gen::banded::<f64>(80, 3, 11);
+        let halves = split_triangular(&a).unwrap();
         assert_eq!(
             halves.lower().nnz() + halves.upper().nnz(),
             a.nnz() + a.n_rows(),
             "(L + D) plus (D + U) must cover every entry once, the diagonal twice"
         );
         assert_eq!(halves.lower().nnz() + halves.strict_upper().nnz(), a.nnz());
-        assert!(!halves.ensure_values(&a), "fresh split must be in sync");
-        for v in a.values_mut() {
-            *v *= 2.0;
-        }
-        assert!(halves.ensure_values(&a), "value bump must trigger refresh");
         let i = 40;
         let (_, dv) = halves.lower().row(i);
         let (ac, av) = a.row(i);
@@ -778,37 +736,6 @@ mod tests {
             .map(|(_, &v)| v)
             .unwrap();
         assert_eq!(*dv.last().unwrap(), diag_src);
-    }
-
-    #[test]
-    fn refresh_routes_unsorted_rows_without_maps_and_pattern_checks_are_exact() {
-        // Rows stored in descending column order, diagonal in the middle.
-        let sorted = gen::banded::<f64>(60, 2, 5);
-        let (mut cols, mut vals) = (Vec::new(), Vec::new());
-        for i in 0..60 {
-            let (rc, rv) = sorted.row(i);
-            cols.extend(rc.iter().rev());
-            vals.extend(rv.iter().rev());
-        }
-        let mut a = CsrMatrix::from_parts(60, 60, sorted.row_ptr().to_vec(), cols, vals).unwrap();
-        let mut halves = split_triangular(&a).unwrap();
-        assert!(halves.is_split_of(&a));
-        assert!(halves.is_split_of(&a.clone()));
-        a.fill_values_with(|k| (k % 13) as f64 - 6.0);
-        assert!(halves.ensure_values(&a));
-        let fresh = split_triangular(&a).unwrap();
-        for (got, want) in [
-            (halves.lower(), fresh.lower()),
-            (halves.upper(), fresh.upper()),
-            (halves.strict_upper(), fresh.strict_upper()),
-        ] {
-            assert_eq!(got, want, "a refresh must equal a fresh split");
-        }
-        // Same row pointer, columns re-sorted: not the split's pattern.
-        let mut resorted = a.clone();
-        resorted.sort_rows();
-        assert!(!halves.is_split_of(&resorted));
-        assert!(!halves.is_split_of(&sorted));
     }
 
     #[test]
