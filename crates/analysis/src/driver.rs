@@ -368,78 +368,6 @@ pub fn shrink_guard_lint() -> Result<(), String> {
     Ok(())
 }
 
-/// Kernel-table coverage lint, both directions.
-///
-/// 1. **Reachable ⇒ registered**: for every [`BinFormat`] the plan gate
-///    can emit, every `(kernel_family, register-block width)` key must
-///    resolve through [`spmv_autotune::kernels::table::lookup`] — this
-///    is the global version of the per-bin assertion `compile_with`
-///    makes, proven over the whole format space instead of just the
-///    formats one matrix happens to exercise.
-/// 2. **Registered ⇒ reachable**: every entry the `kernel_table!` macro
-///    generated must carry a family some [`BinFormat`] maps to and a
-///    width the RHS blocker can choose — a registered-but-unreachable
-///    micro-kernel is dead code the type system cannot flag.
-/// 3. **Uniqueness**: no two entries share a `KernelKey`, so table
-///    lookup is unambiguous.
-pub fn kernel_table_lint() -> Result<(), String> {
-    use spmv_autotune::kernels::table::{kernel_table, lookup, KernelKey, RHS_WIDTHS};
-    use std::collections::BTreeSet;
-
-    // One representative per BinFormat variant; the payload-bearing
-    // fields do not influence the family mapping.
-    let formats = [
-        BinFormat::Csr,
-        BinFormat::PackedSell { chunk: 4 },
-        BinFormat::CacheBlockedCsr { strip_cols: 64 },
-        BinFormat::DenseRun,
-        BinFormat::Banded { offsets: 3 },
-        BinFormat::RowRunReuse,
-    ];
-
-    // Direction 1: every reachable key resolves.
-    let mut reachable = BTreeSet::new();
-    for format in formats {
-        let family = format.kernel_family();
-        for kb in RHS_WIDTHS {
-            let key = KernelKey { family, kb };
-            if lookup::<f64>(key).is_none() {
-                return Err(format!(
-                    "reachable key {key} (format {format}) has no registered kernel"
-                ));
-            }
-            if lookup::<f32>(key).is_none() {
-                return Err(format!(
-                    "reachable key {key} (format {format}) has no f32 kernel"
-                ));
-            }
-            reachable.insert(key);
-        }
-    }
-
-    // Directions 2 and 3: every registered entry is reachable & unique.
-    let mut seen = BTreeSet::new();
-    for entry in kernel_table::<f64>() {
-        if !seen.insert(entry.key) {
-            return Err(format!("duplicate table entry for key {}", entry.key));
-        }
-        if !reachable.contains(&entry.key) {
-            return Err(format!(
-                "registered kernel {} is unreachable: no BinFormat maps to it",
-                entry.key
-            ));
-        }
-    }
-    if seen.len() != reachable.len() {
-        return Err(format!(
-            "table registers {} keys but {} are reachable",
-            seen.len(),
-            reachable.len()
-        ));
-    }
-    Ok(())
-}
-
 /// An identical-row-run matrix for the specialized sweep: runs of
 /// `run_len` rows sharing one scattered column list (values still
 /// differ per row), the shape the [`BinFormat::RowRunReuse`] gate
@@ -1039,11 +967,6 @@ mod tests {
     #[test]
     fn shrink_guard_rejects_column_shrunk_matrices() {
         shrink_guard_lint().unwrap();
-    }
-
-    #[test]
-    fn kernel_table_covers_both_directions() {
-        kernel_table_lint().unwrap();
     }
 
     #[test]

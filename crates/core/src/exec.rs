@@ -268,8 +268,15 @@ impl<T: Scalar> ExecBackend<T> for SimGpuBackend {
 
 /// The native multithreaded CPU backend on the `spmv-parallel` worker team.
 ///
-/// [`KernelId`]s map onto the two CPU scheduling disciplines rather than
-/// being emulated thread-for-thread:
+/// A compiled plan runs on one executor for SpMV and SpMM
+/// ([`launch_plan`](ExecBackend::launch_plan) and
+/// [`launch_plan_batch`](ExecBackend::launch_plan_batch)): a drain over
+/// the plan's (tile × RHS-block) work items in which each bin's payload
+/// picks the kernel body. The bin's [`KernelId`] plays no part there.
+///
+/// [`launch`](ExecBackend::launch), the one-bin path that `run_hetero`
+/// uses, maps [`KernelId`]s onto the two CPU scheduling disciplines
+/// rather than emulating them thread-for-thread:
 ///
 /// * `Serial` (one work-item per row) → row-chunked dynamic scheduling —
 ///   the same "cheap on uniform short rows" trade-off;
@@ -313,6 +320,13 @@ impl<T: Scalar> ExecBackend<T> for NativeCpuBackend {
         "native-cpu"
     }
 
+    /// Runs `kernel`'s CPU discipline over `rows`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v`/`u` lengths don't match the matrix, or if `rows`
+    /// names a row twice or a row id `>= n_rows`: two workers would
+    /// write one output element.
     fn launch(
         &self,
         a: &CsrMatrix<T>,
@@ -329,16 +343,16 @@ impl<T: Scalar> ExecBackend<T> for NativeCpuBackend {
                 spmv_rows_nnz_balanced(a, rows, parts, v, u)
             }
         };
-        result.expect("plan validated dimensions");
+        result.unwrap_or_else(|e| panic!("native launch: {e}"));
         LaunchCost {
             stats: None,
             wall: t0.elapsed(),
         }
     }
 
-    /// The fused path: one parallel region over the precompiled tile
-    /// queue, workers stealing across bins, packed bins executing from
-    /// their SELL slabs.
+    /// The plan executor at `K = 1`: one parallel region over the
+    /// precompiled tile queue, workers stealing across bins, each tile
+    /// running its bin's kernel body over a stride-1 view of `v`.
     fn launch_plan(
         &self,
         a: &CsrMatrix<T>,
@@ -347,25 +361,16 @@ impl<T: Scalar> ExecBackend<T> for NativeCpuBackend {
         u: &mut [T],
     ) -> LaunchCost {
         let t0 = Instant::now();
-        run_plan_tiles(
-            a,
-            parts.dispatch,
-            parts.payloads,
-            parts.tiles,
-            self.workers,
-            v,
-            u,
-        )
-        .expect("plan validated dimensions");
+        run_plan_tiles(a, parts, self.workers, v, u).expect("plan validated dimensions");
         LaunchCost {
             stats: None,
             wall: t0.elapsed(),
         }
     }
 
-    /// The real batched path: register-blocked multi-RHS kernels over the
-    /// (tile × RHS-block) work queue — one matrix traversal pays for a
-    /// whole RHS block.
+    /// The plan executor over the (tile × RHS-block) work queue:
+    /// register-blocked kernel bodies, so one matrix traversal pays for
+    /// a whole RHS block.
     fn launch_plan_batch(
         &self,
         a: &CsrMatrix<T>,
@@ -374,17 +379,7 @@ impl<T: Scalar> ExecBackend<T> for NativeCpuBackend {
         y: &mut DenseBlock<T>,
     ) -> LaunchCost {
         let t0 = Instant::now();
-        run_plan_tiles_batch(
-            a,
-            parts.dispatch,
-            parts.payloads,
-            parts.tiles,
-            parts.tile_weights,
-            self.workers,
-            x,
-            y,
-        )
-        .expect("plan validated dimensions");
+        run_plan_tiles_batch(a, parts, self.workers, x, y).expect("plan validated dimensions");
         LaunchCost {
             stats: None,
             wall: t0.elapsed(),
@@ -456,6 +451,15 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "listed twice")]
+    fn native_launch_panics_on_a_repeated_row() {
+        let a = probe();
+        let v = vec![1.0f64; a.n_cols()];
+        let mut u = vec![0.0f64; a.n_rows()];
+        NativeCpuBackend::new().launch(&a, &[0, 0], KernelId::Serial, &v, &mut u);
     }
 
     #[test]

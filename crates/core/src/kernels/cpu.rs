@@ -1,14 +1,24 @@
-//! Native CPU SpMV kernels on the `spmv-parallel` substrate.
+//! Native CPU SpMV on the `spmv-parallel` substrate: the compiled-plan
+//! executor behind `NativeCpuBackend`, and the row kernels of its
+//! one-bin launches.
 //!
-//! These are real multithreaded implementations (not simulations) used by
-//! the examples, the CPU side of the heterogeneous scheduling sketch
-//! (§VI future work), and the Criterion microbenches. The two variants
-//! mirror the load-balancing split the paper's binning addresses:
-//! row-parallel (cheap, imbalanced) versus NNZ-balanced partitioning.
+//! `run_plan_tiles` (SpMV) and `run_plan_tiles_batch` (SpMM) run one
+//! executor: a drain over the plan's (tile × RHS-block) work items, SpMV
+//! being the `K = 1` case over a stride-1 view of `v`. Each item runs
+//! one const-`KB` tile function whose `match` on the bin payload picks
+//! the kernel body; the bodies live in the private `table` module.
+//!
+//! [`spmv_rows_chunked`] and [`spmv_rows_nnz_balanced`] back
+//! `NativeCpuBackend::launch`, the per-bin launch `run_hetero` uses.
+//! [`spmv_row_parallel`] and [`spmv_nnz_balanced`] are whole-matrix
+//! row-parallel and NNZ-balanced SpMV, the baselines the benches
+//! compare plans against: the load-balancing split the paper's binning
+//! addresses.
 
-use crate::kernels::table::{self, BatchArgs, BatchKernelFn, KernelKey};
-use crate::plan::{rhs_blocks, BinDispatch, BinPayload, Tile};
-use spmv_parallel::{drain_for_each, fused_for_each_with, parallel_for};
+use crate::exec::PlanParts;
+use crate::kernels::table::{self, TileArgs};
+use crate::plan::{rhs_blocks, BinPayload};
+use spmv_parallel::{drain_for_each, parallel_for};
 use spmv_sparse::{CsrMatrix, DenseBlock, Scalar, SparseError};
 
 /// Row-parallel SpMV: rows are distributed in fixed-size chunks. The CPU
@@ -19,7 +29,7 @@ pub fn spmv_row_parallel<T: Scalar>(
     u: &mut [T],
 ) -> Result<(), SparseError> {
     check_dims(a, v, u)?;
-    let out = SliceWriter::new(u);
+    let out = BlockWriter::vector(u);
     parallel_for(a.n_rows(), 256, |start, end| {
         for i in start..end {
             let (cols, vals) = a.row(i);
@@ -29,7 +39,7 @@ pub fn spmv_row_parallel<T: Scalar>(
             }
             // SAFETY: `parallel_for` hands out disjoint row ranges and
             // returns only once every worker is done; `u` outlives the call.
-            unsafe { out.write(i, sum) };
+            unsafe { out.write_block(i, 0, [sum]) };
         }
     });
     Ok(())
@@ -69,7 +79,7 @@ pub fn spmv_nnz_balanced_with_cuts<T: Scalar>(
         cuts.first() == Some(&0) && cuts.last() == Some(&a.n_rows()),
         "cuts must span [0, n_rows]"
     );
-    let out = SliceWriter::new(u);
+    let out = BlockWriter::vector(u);
     parallel_for(cuts.len() - 1, 1, |p0, p1| {
         for p in p0..p1 {
             for i in cuts[p]..cuts[p + 1] {
@@ -79,7 +89,7 @@ pub fn spmv_nnz_balanced_with_cuts<T: Scalar>(
                     sum = x.mul_add_(v[c as usize], sum);
                 }
                 // SAFETY: cut ranges are disjoint; see above.
-                unsafe { out.write(i, sum) };
+                unsafe { out.write_block(i, 0, [sum]) };
             }
         }
     });
@@ -91,6 +101,9 @@ pub fn spmv_nnz_balanced_with_cuts<T: Scalar>(
 /// CPU backend: cheap scheduling, no balancing — right for bins of
 /// uniformly short rows.
 ///
+/// Returns [`SparseError::InvalidStructure`] if `rows` names a row of
+/// the matrix twice or a row id `>= n_rows`.
+///
 /// [`KernelId::Serial`]: crate::kernels::KernelId::Serial
 pub fn spmv_rows_chunked<T: Scalar>(
     a: &CsrMatrix<T>,
@@ -100,7 +113,8 @@ pub fn spmv_rows_chunked<T: Scalar>(
     u: &mut [T],
 ) -> Result<(), SparseError> {
     check_dims(a, v, u)?;
-    let out = SliceWriter::new(u);
+    check_distinct_rows(a, rows)?;
+    let out = BlockWriter::vector(u);
     parallel_for(rows.len(), grain.max(1), |start, end| {
         for &r in &rows[start..end] {
             let (cols, vals) = a.row(r as usize);
@@ -108,9 +122,10 @@ pub fn spmv_rows_chunked<T: Scalar>(
             for (&c, &x) in cols.iter().zip(vals) {
                 sum = x.mul_add_(v[c as usize], sum);
             }
-            // SAFETY: each row id appears once in `rows`, so writes are
-            // disjoint; `parallel_for` returns only once every worker is done.
-            unsafe { out.write(r as usize, sum) };
+            // SAFETY: `check_distinct_rows` proved each row id in bounds
+            // and listed once, so writes are disjoint; `parallel_for`
+            // returns only once every worker is done.
+            unsafe { out.write_block(r as usize, 0, [sum]) };
         }
     });
     Ok(())
@@ -120,6 +135,9 @@ pub fn spmv_rows_chunked<T: Scalar>(
 /// `rows` list is cut into `parts` spans of roughly equal non-zero count
 /// in one O(|rows|) scan, so one heavy row cannot serialise the launch.
 /// Backs the subvector/vector kernels on the native CPU backend.
+///
+/// Returns [`SparseError::InvalidStructure`] if `rows` names a row of
+/// the matrix twice or a row id `>= n_rows`.
 pub fn spmv_rows_nnz_balanced<T: Scalar>(
     a: &CsrMatrix<T>,
     rows: &[u32],
@@ -128,8 +146,17 @@ pub fn spmv_rows_nnz_balanced<T: Scalar>(
     u: &mut [T],
 ) -> Result<(), SparseError> {
     check_dims(a, v, u)?;
+    check_distinct_rows(a, rows)?;
     let cuts = rows_nnz_cuts(a, rows, parts);
-    let out = SliceWriter::new(u);
+    // The spans `rows[cuts[p]..cuts[p + 1]]` the workers write must
+    // partition `rows`: first cut 0, last `|rows|`, monotone. O(parts).
+    assert!(
+        cuts.first() == Some(&0)
+            && cuts.last() == Some(&rows.len())
+            && cuts.windows(2).all(|w| w[0] <= w[1]),
+        "row cuts must partition the row list"
+    );
+    let out = BlockWriter::vector(u);
     parallel_for(cuts.len() - 1, 1, |p0, p1| {
         for p in p0..p1 {
             for &r in &rows[cuts[p]..cuts[p + 1]] {
@@ -138,168 +165,175 @@ pub fn spmv_rows_nnz_balanced<T: Scalar>(
                 for (&c, &x) in cols.iter().zip(vals) {
                     sum = x.mul_add_(v[c as usize], sum);
                 }
-                // SAFETY: cut spans are disjoint; see above.
-                unsafe { out.write(r as usize, sum) };
+                // SAFETY: the cut spans partition `rows` (asserted above)
+                // and `check_distinct_rows` proved every id in bounds and
+                // listed once, so writes are disjoint; `parallel_for`
+                // returns only once every worker is done.
+                unsafe { out.write_block(r as usize, 0, [sum]) };
             }
         }
     });
     Ok(())
 }
 
-/// Resolve each bin's single-vector (`KB = 1`) table kernel once, before
-/// the parallel region opens. `None` for the formats whose single-vector
-/// tile body is called directly (CSR row walk, packed slab walk,
-/// cache-blocked strips); the specialized families execute through the
-/// same registry entries as the batched path, over a stride-1 output
-/// view.
-fn resolve_tile_kernels<T: Scalar>(payloads: &[BinPayload<T>]) -> Vec<Option<BatchKernelFn<T>>> {
-    payloads
-        .iter()
-        .map(|p| match p {
-            BinPayload::DenseRun(_) | BinPayload::Banded(_) | BinPayload::RowRun(_) => {
-                let key = KernelKey {
-                    family: table::payload_family(p),
-                    kb: 1,
-                };
-                Some(
-                    table::lookup::<T>(key)
-                        .unwrap_or_else(|| panic!("kernel table missing entry {key}")),
-                )
-            }
-            BinPayload::Csr | BinPayload::Packed(_) | BinPayload::Blocked { .. } => None,
-        })
-        .collect()
-}
-
-/// Execute one tile of the queue — the per-item body of
-/// [`run_plan_tiles`]. Which worker runs a tile cannot change a bit of
-/// the result: the per-row FMA chains below depend only on the tile,
-/// never on the schedule.
-#[allow(clippy::too_many_arguments)]
-fn exec_tile<T: Scalar>(
-    a: &CsrMatrix<T>,
-    dispatch: &[BinDispatch],
-    payloads: &[BinPayload<T>],
-    kernels: &[Option<BatchKernelFn<T>>],
-    tile: &Tile,
-    v: &[T],
-    out: SliceWriter<T>,
-    scratch: &mut BlockedScratch<T>,
-) {
-    let d = &dispatch[tile.bin];
-    match &payloads[tile.bin] {
-        BinPayload::Csr => {
-            for &r in &d.rows[tile.start..tile.end] {
-                let (cols, vals) = a.row(r as usize);
-                let mut sum = T::ZERO;
-                for (&c, &x) in cols.iter().zip(vals) {
-                    sum = x.mul_add_(v[c as usize], sum);
-                }
-                // SAFETY: tiles of one bin cover disjoint spans of its
-                // row list, bins own disjoint rows, and the parallel
-                // region returns only once every worker is done, before
-                // `u` is observable again.
-                unsafe { out.write(r as usize, sum) };
-            }
-        }
-        // The packed walk of the batched path, at `KB = 1` over `v`.
-        BinPayload::Packed(packed) => {
-            packed.with_slab(|slab| {
-                slab.spmm_chunks::<1, _>(tile.start, tile.end, v, 1, 0, |r, [sum]| {
-                    // SAFETY: chunk ranges of one bin are disjoint and
-                    // each packed row belongs to exactly one chunk;
-                    // same join argument as above.
-                    unsafe { out.write(r, sum) };
-                });
-            });
-        }
-        BinPayload::Blocked { strip_cols } => {
-            blocked_rows_spmv(
-                a,
-                &d.rows[tile.start..tile.end],
-                *strip_cols,
-                v,
-                &out,
-                scratch,
-            );
-        }
-        // Structure-specialized bins run their registry kernel at
-        // `KB = 1` over a stride-1 view of `u`: one kernel body per
-        // family serves both the single-vector and the batched path.
-        // Write soundness is the CSR arm's argument — these payloads
-        // tile the bin's row list, so tiles still own disjoint rows.
-        BinPayload::DenseRun(_) | BinPayload::Banded(_) | BinPayload::RowRun(_) => {
-            let args = BatchArgs {
-                a,
-                bin_rows: &d.rows,
-                payload: &payloads[tile.bin],
-                start: tile.start,
-                end: tile.end,
-                xs: v,
-                x_stride: 1,
-                c0: 0,
-                out: out.as_block(),
-            };
-            (kernels[tile.bin].expect("specialized bin without a resolved kernel"))(&args);
-        }
-    }
-}
-
-/// Execute a compiled plan's whole dispatch in **one** parallel region
-/// over its precompiled tile queue — the native path behind
-/// [`NativeCpuBackend::launch_plan`].
-///
-/// Workers claim `(bin, range)` tiles from the queue, so a thread
-/// finishing one bin's tiles immediately steals the next bin's: one
-/// join per execute, not one barrier per bin. CSR tiles walk their span
-/// of the dispatch row list; packed tiles stream their SELL chunk
-/// range; cache-blocked tiles walk the same row span strip-by-strip
-/// with worker-private cursors and partial sums (`blocked_rows_spmv` —
-/// bit-identical, the strips only reorder *when* entries are consumed
-/// across rows, never within one). Packed value slabs are refreshed
-/// from `a` up front, single-threaded, so the parallel region only ever
-/// takes read locks.
-///
-/// Write soundness: each row of the matrix appears in exactly one bin
-/// (binning invariant, proven by `check_dispatch`), each bin's tiles
-/// partition its work (proven by `check_payloads`), and a packed bin's
-/// rows are the bin's rows (ditto) — so across the whole queue every
-/// output index is written by exactly one tile, and the result is
-/// bit-for-bit identical to sequential execution under any schedule.
+/// Execute a compiled plan's SpMV, `u = A · v`: the plan executor at
+/// `K = 1` over a stride-1 view of `v`, the native path behind
+/// [`NativeCpuBackend::launch_plan`]. Allocates nothing but the
+/// per-worker buffers of cache-blocked bins' strip walk.
 ///
 /// `workers` caps the parallel region (`0` = process default).
 ///
 /// [`NativeCpuBackend::launch_plan`]: crate::exec::NativeCpuBackend
-pub fn run_plan_tiles<T: Scalar>(
+pub(crate) fn run_plan_tiles<T: Scalar>(
     a: &CsrMatrix<T>,
-    dispatch: &[BinDispatch],
-    payloads: &[BinPayload<T>],
-    tiles: &[Tile],
+    parts: &PlanParts<'_, T>,
     workers: usize,
     v: &[T],
     u: &mut [T],
 ) -> Result<(), SparseError> {
     check_dims(a, v, u)?;
+    run_plan(a, parts, workers, (v, 1), &[(0, 1)], BlockWriter::vector(u));
+    Ok(())
+}
+
+/// Execute a compiled plan against a block of `K` right-hand sides,
+/// `y = A · x` (SpMM): the plan executor over the blocks
+/// [`rhs_blocks`] decomposes `K` into (greedy 8/4/2/1), the native path
+/// behind `NativeCpuBackend::launch_plan_batch`. Each output column is
+/// bit-for-bit the SpMV of its input column.
+///
+/// `workers` caps the parallel region (`0` = process default).
+pub(crate) fn run_plan_tiles_batch<T: Scalar>(
+    a: &CsrMatrix<T>,
+    parts: &PlanParts<'_, T>,
+    workers: usize,
+    x: &DenseBlock<T>,
+    y: &mut DenseBlock<T>,
+) -> Result<(), SparseError> {
+    check_block_dims(a, x, y)?;
+    let blocks = rhs_blocks(x.k());
+    let xs = (x.as_slice(), x.stride());
+    run_plan(a, parts, workers, xs, &blocks, BlockWriter::block(y));
+    Ok(())
+}
+
+/// The plan executor: one parallel region drains the plan's
+/// *(tile, RHS block)* work items, each running one tile's span of its
+/// bin against one contiguous column block of `x`. Workers claim items
+/// off one cursor, so a thread finishing one bin's tiles immediately
+/// steals the next bin's: one join per execute, not one barrier per bin.
+///
+/// Items are ordered heaviest first with weight `tile_nnz ×
+/// block_width`, the LPT discipline of the tile queue extended to `K`.
+/// With one block the queue's own order already is that order, so
+/// item `i` is tile `i` and no item list is built. Packed value slabs
+/// are refreshed from `a` up front, single-threaded, so the parallel
+/// region only ever takes read locks.
+///
+/// Write soundness: each row of the matrix appears in exactly one bin
+/// (binning invariant, proven by `check_dispatch`), each bin's tiles
+/// partition its work and a packed bin's rows are the bin's rows (both
+/// proven by `check_payloads`), and the blocks partition `[0, K)`
+/// (`check_rhs_blocks`). So every output element `(row, column)` is
+/// written by exactly one item, and the result is bit-for-bit
+/// identical to sequential execution under any schedule: the per-row
+/// FMA chains depend only on the item, never on the worker.
+fn run_plan<T: Scalar>(
+    a: &CsrMatrix<T>,
+    parts: &PlanParts<'_, T>,
+    workers: usize,
+    (xs, x_stride): (&[T], usize),
+    blocks: &[(usize, usize)],
+    out: BlockWriter<T>,
+) {
+    let PlanParts {
+        dispatch,
+        payloads,
+        tiles,
+        tile_weights,
+    } = *parts;
     assert_eq!(dispatch.len(), payloads.len(), "payload table misaligned");
+    debug_assert_eq!(tiles.len(), tile_weights.len(), "tile weights misaligned");
     for p in payloads {
         if let BinPayload::Packed(packed) = p {
             packed.ensure_values(a);
         }
     }
-    let out = SliceWriter::new(u);
-    let kernels = resolve_tile_kernels(payloads);
+    let mut items: Vec<(u32, u32)> = Vec::new();
+    if blocks.len() > 1 {
+        items.reserve(tiles.len() * blocks.len());
+        for bi in 0..blocks.len() {
+            for ti in 0..tiles.len() {
+                items.push((ti as u32, bi as u32));
+            }
+        }
+        // The sort is stable, so equal weights keep the tile queue's
+        // own LPT order.
+        items.sort_by_key(|&(ti, bi)| {
+            std::cmp::Reverse(tile_weights[ti as usize] * blocks[bi as usize].1)
+        });
+    }
     drain_for_each(
         workers,
-        tiles.len(),
+        tiles.len() * blocks.len(),
         BlockedScratch::<T>::default,
-        |scratch, t| exec_tile(a, dispatch, payloads, &kernels, &tiles[t], v, out, scratch),
+        |scratch, i| {
+            let (ti, bi) = match items.get(i) {
+                Some(&(ti, bi)) => (ti as usize, bi as usize),
+                None => (i, 0),
+            };
+            let tile = &tiles[ti];
+            let (c0, width) = blocks[bi];
+            let args = TileArgs {
+                a,
+                bin_rows: &dispatch[tile.bin].rows,
+                start: tile.start,
+                end: tile.end,
+                xs,
+                x_stride,
+                c0,
+                out,
+            };
+            let payload = &payloads[tile.bin];
+            match width {
+                1 => run_tile::<T, 1>(payload, &args, scratch),
+                2 => run_tile::<T, 2>(payload, &args, scratch),
+                4 => run_tile::<T, 4>(payload, &args, scratch),
+                8 => run_tile::<T, 8>(payload, &args, scratch),
+                _ => unreachable!("rhs_blocks emits widths 1, 2, 4 and 8 only"),
+            }
+        },
     );
-    Ok(())
+}
+
+/// Run one work item at RHS width `KB`: the bin's payload picks the
+/// kernel body, and each body gets its own payload type. A cache-blocked
+/// bin walks its strips at `KB = 1` and takes the CSR body at wider
+/// blocks: the strip schedule is a single-vector locality overlay (a
+/// wider block already amortises each gather across its lanes), and
+/// both walks consume each row in storage order, so the results are
+/// bit-identical either way.
+fn run_tile<T: Scalar, const KB: usize>(
+    payload: &BinPayload<T>,
+    args: &TileArgs<'_, T>,
+    scratch: &mut BlockedScratch<T>,
+) {
+    match payload {
+        BinPayload::Csr => table::csr::<T, KB>(args),
+        BinPayload::Blocked { strip_cols } if KB == 1 => {
+            blocked_rows_spmv(args, *strip_cols, scratch)
+        }
+        BinPayload::Blocked { .. } => table::csr::<T, KB>(args),
+        BinPayload::Packed(packed) => table::packed::<T, KB>(packed, args),
+        BinPayload::DenseRun(runs) => table::dense_run::<T, KB>(runs, args),
+        BinPayload::Banded(band) => table::banded::<T, KB>(band, args),
+        BinPayload::RowRun(rr) => table::row_run::<T, KB>(rr, args),
+    }
 }
 
 /// Worker-private cursor/partial-sum buffers for the cache-blocked
-/// executor — reused across tiles so the hot path never allocates after
-/// the first tile a worker claims.
+/// strip walk — reused across tiles so the hot path never allocates
+/// after the first blocked tile a worker claims.
 struct BlockedScratch<T: Scalar> {
     cursors: Vec<usize>,
     sums: Vec<T>,
@@ -314,12 +348,12 @@ impl<T: Scalar> Default for BlockedScratch<T> {
     }
 }
 
-/// Cache-blocked SpMV over one tile's row span: the gather vector `v` is
-/// walked in vertical strips of `strip_cols` columns, and every row's
-/// cursor pauses at the strip boundary, carrying its partial sum to the
-/// next strip. Within one strip the working set of `v` is at most
-/// `strip_cols` elements, so scatter-heavy rows stop thrashing the cache
-/// across the full width of `v`.
+/// Cache-blocked SpMV over one tile's row span, one RHS column: the
+/// gather vector is walked in vertical strips of `strip_cols` columns,
+/// and every row's cursor pauses at the strip boundary, carrying its
+/// partial sum to the next strip. Within one strip the working set of
+/// the gather vector is at most `strip_cols` elements, so scatter-heavy
+/// rows stop thrashing the cache across its full width.
 ///
 /// **Deterministic reduction order.** Each row's entries are consumed in
 /// exact CSR storage position order: the strip loop only ever *pauses* a
@@ -332,28 +366,27 @@ impl<T: Scalar> Default for BlockedScratch<T> {
 /// win, they cannot lose entries: a column below an earlier strip's end
 /// still satisfies `cols[j] < strip_end` for every later strip).
 fn blocked_rows_spmv<T: Scalar>(
-    a: &CsrMatrix<T>,
-    rows: &[u32],
+    args: &TileArgs<'_, T>,
     strip_cols: usize,
-    v: &[T],
-    out: &SliceWriter<T>,
     scratch: &mut BlockedScratch<T>,
 ) {
+    let rows = &args.bin_rows[args.start..args.end];
     let strip_cols = strip_cols.max(1);
     let n = rows.len();
     scratch.cursors.clear();
     scratch.cursors.resize(n, 0);
     scratch.sums.clear();
     scratch.sums.resize(n, T::ZERO);
-    let n_cols = a.n_cols();
+    let n_cols = args.a.n_cols();
     let mut strip_end = strip_cols.min(n_cols);
     loop {
         for (i, &r) in rows.iter().enumerate() {
-            let (cols, vals) = a.row(r as usize);
+            let (cols, vals) = args.a.row(r as usize);
             let mut j = scratch.cursors[i];
             let mut sum = scratch.sums[i];
             while j < cols.len() && (cols[j] as usize) < strip_end {
-                sum = vals[j].mul_add_(v[cols[j] as usize], sum);
+                let xv = args.xs[cols[j] as usize * args.x_stride + args.c0];
+                sum = vals[j].mul_add_(xv, sum);
                 j += 1;
             }
             scratch.cursors[i] = j;
@@ -365,113 +398,13 @@ fn blocked_rows_spmv<T: Scalar>(
         strip_end = (strip_end + strip_cols).min(n_cols);
     }
     for (i, &r) in rows.iter().enumerate() {
-        // SAFETY: the same tile-disjointness argument as the CSR arm —
-        // this tile owns `rows`, every strip of a row was accumulated
-        // into this tile's scratch, and the parallel region returns
-        // only once every worker is done, before `u` is observable again.
-        unsafe { out.write(r as usize, scratch.sums[i]) };
+        // SAFETY: the same item-disjointness argument as the CSR body —
+        // this item owns `rows` × column `c0`, every strip of a row was
+        // accumulated into this item's scratch, and the parallel region
+        // returns only once every worker is done, before the output is
+        // observable again.
+        unsafe { args.out.write_block(r as usize, args.c0, [scratch.sums[i]]) };
     }
-}
-
-/// Batched (multi-RHS) plan execution: the SpMM analogue of
-/// [`run_plan_tiles`], behind `NativeCpuBackend::launch_plan_batch`.
-///
-/// The RHS width `K` is decomposed into register-blocked widths by
-/// [`rhs_blocks`] (greedy 8/4/2/1), and the work queue becomes the cross
-/// product *(tile, RHS block)*: each item runs one tile's rows against
-/// one contiguous column block of `x`/`y`, gathering every matrix element
-/// once and broadcasting it against the block's contiguous x-lanes. Items
-/// are ordered heaviest first with weight `tile_nnz × block_width`, so
-/// the LPT discipline of the single-vector queue extends to `K`.
-///
-/// Write soundness extends the single-vector argument by one axis: tiles
-/// write disjoint **row** sets (proven by `check_dispatch` +
-/// `check_payloads`), RHS blocks write disjoint **column** ranges
-/// (`rhs_blocks` partitions `[0, K)`, proven by `check_payloads`), so
-/// every `(row, column)` output element is written by exactly one item.
-///
-/// `workers` caps the parallel region (`0` = process default).
-#[allow(clippy::too_many_arguments)]
-pub fn run_plan_tiles_batch<T: Scalar>(
-    a: &CsrMatrix<T>,
-    dispatch: &[BinDispatch],
-    payloads: &[BinPayload<T>],
-    tiles: &[Tile],
-    tile_weights: &[usize],
-    workers: usize,
-    x: &DenseBlock<T>,
-    y: &mut DenseBlock<T>,
-) -> Result<(), SparseError> {
-    check_block_dims(a, x, y)?;
-    assert_eq!(dispatch.len(), payloads.len(), "payload table misaligned");
-    debug_assert_eq!(tiles.len(), tile_weights.len(), "tile weights misaligned");
-    let k = x.k();
-    if k == 0 {
-        return Ok(());
-    }
-    for p in payloads {
-        if let BinPayload::Packed(packed) = p {
-            packed.ensure_values(a);
-        }
-    }
-    let blocks = rhs_blocks(k);
-    let mut items: Vec<(u32, u32)> = Vec::with_capacity(tiles.len() * blocks.len());
-    for bi in 0..blocks.len() {
-        for ti in 0..tiles.len() {
-            items.push((ti as u32, bi as u32));
-        }
-    }
-    // LPT accounting for K: heaviest (tile, block) first. The sort is
-    // stable, so equal weights keep the tile queue's own LPT order.
-    items.sort_by_key(|&(ti, bi)| {
-        let w = tile_weights.get(ti as usize).copied().unwrap_or(0);
-        std::cmp::Reverse(w * blocks[bi as usize].1)
-    });
-    let xs = x.as_slice();
-    let x_stride = x.stride();
-    let out = BlockWriter::new(y);
-    // Resolve every (bin, RHS-block) kernel from the generated table
-    // before the parallel region: the hot loop below is one indirect
-    // call per work item, no width `match` and no registry walk.
-    // Cache-blocked bins resolve to the CSR family — the strip schedule
-    // is a single-vector locality optimisation (the register-blocked
-    // walk already amortises gathers across RHS lanes), and both walks
-    // consume storage order, so the results are bit-identical either
-    // way.
-    let resolved: Vec<Vec<BatchKernelFn<T>>> = payloads
-        .iter()
-        .map(|p| {
-            let family = table::payload_family(p);
-            blocks
-                .iter()
-                .map(|&(_, width)| {
-                    let key = KernelKey { family, kb: width };
-                    table::lookup::<T>(key)
-                        .unwrap_or_else(|| panic!("kernel table missing entry {key}"))
-                })
-                .collect()
-        })
-        .collect();
-    let exec_item = |it: usize| {
-        let (ti, bi) = items[it];
-        let tile = &tiles[ti as usize];
-        let (c0, _) = blocks[bi as usize];
-        let d = &dispatch[tile.bin];
-        let args = BatchArgs {
-            a,
-            bin_rows: &d.rows,
-            payload: &payloads[tile.bin],
-            start: tile.start,
-            end: tile.end,
-            xs,
-            x_stride,
-            c0,
-            out,
-        };
-        resolved[tile.bin][bi as usize](&args);
-    };
-    fused_for_each_with(workers, items.len(), exec_item);
-    Ok(())
 }
 
 /// Positions into `rows` that split it into `parts` spans of roughly
@@ -550,6 +483,31 @@ fn check_block_dims<T: Scalar>(
     Ok(())
 }
 
+/// Reject a row list the row-subset kernels cannot write soundly: an id
+/// of `n_rows` or more, or an id listed twice (two workers would store
+/// to the same output element unsynchronised). O(n_rows) scratch, one
+/// scan, before any parallel region opens.
+fn check_distinct_rows<T: Scalar>(a: &CsrMatrix<T>, rows: &[u32]) -> Result<(), SparseError> {
+    let mut seen = vec![false; a.n_rows()];
+    for &r in rows {
+        match seen.get_mut(r as usize) {
+            None => {
+                return Err(SparseError::InvalidStructure(format!(
+                    "row id {r} out of range for {} rows",
+                    a.n_rows()
+                )))
+            }
+            Some(true) => {
+                return Err(SparseError::InvalidStructure(format!(
+                    "row id {r} listed twice"
+                )))
+            }
+            Some(s) => *s = true,
+        }
+    }
+    Ok(())
+}
+
 fn check_dims<T: Scalar>(a: &CsrMatrix<T>, v: &[T], u: &[T]) -> Result<(), SparseError> {
     if v.len() != a.n_cols() {
         return Err(SparseError::DimensionMismatch {
@@ -568,76 +526,17 @@ fn check_dims<T: Scalar>(a: &CsrMatrix<T>, v: &[T], u: &[T]) -> Result<(), Spars
     Ok(())
 }
 
-/// Raw shared-write window over an output slice. Debug builds assert
-/// every write is in bounds; release builds compile the check out — the
-/// static proof in `spmv_autotune::verify` (write-set disjointness +
-/// in-bounds over a plan's whole dispatch table) is what justifies
-/// removing it from the hot path.
+/// Raw shared-write window over a row-major output block; a vector is
+/// the one-column block of stride 1. Writes land at `row * stride +
+/// col`; soundness comes from the caller's disjointness argument (for
+/// the plan executor, the proof that every work item owns a disjoint
+/// row set × column range). Debug builds assert every write is in
+/// bounds; release builds compile the check out — the static proof in
+/// `spmv_autotune::verify` (write-set disjointness + in-bounds over a
+/// plan's whole dispatch table) is what justifies removing it from the
+/// hot path.
 #[derive(Clone, Copy)]
-struct SliceWriter<T> {
-    ptr: *mut T,
-    #[cfg(debug_assertions)]
-    len: usize,
-}
-// SAFETY: used only for disjoint-index writes inside one parallel
-// region, which returns only once every worker is done.
-unsafe impl<T: Send> Send for SliceWriter<T> {}
-// SAFETY: same restriction — disjoint indices, every worker done before use.
-unsafe impl<T: Send> Sync for SliceWriter<T> {}
-
-impl<T> SliceWriter<T> {
-    fn new(u: &mut [T]) -> Self {
-        Self {
-            ptr: u.as_mut_ptr(),
-            #[cfg(debug_assertions)]
-            len: u.len(),
-        }
-    }
-
-    /// # Safety
-    ///
-    /// `i` must be in bounds of the wrapped slice and no other thread may
-    /// write index `i` concurrently.
-    unsafe fn write(&self, i: usize, val: T) {
-        #[cfg(debug_assertions)]
-        debug_assert!(
-            i < self.len,
-            "SliceWriter: index {i} out of bounds ({})",
-            self.len
-        );
-        // SAFETY: caller guarantees `i < len` and exclusive ownership of
-        // index `i` for the duration of the enclosing parallel scope.
-        unsafe { *self.ptr.add(i) = val };
-    }
-
-    /// Reinterpret the wrapped vector as a stride-1 single-column block,
-    /// so the `KB = 1` table kernels can serve single-vector execution:
-    /// `write_block(r, 0, [sum])` lands at index `r`, exactly where
-    /// [`write`](Self::write) would put it.
-    fn as_block(&self) -> BlockWriter<T> {
-        BlockWriter {
-            ptr: self.ptr,
-            stride: 1,
-            #[cfg(debug_assertions)]
-            len: self.len,
-        }
-    }
-}
-
-/// Raw shared-write window over a row-major output block: the batched
-/// counterpart of the crate-private `SliceWriter`. Writes land at
-/// `row * stride + col`; soundness comes from the (tile × RHS-block)
-/// disjointness proof — each work item owns a disjoint (row set ×
-/// column range) rectangle.
-///
-/// Public only because it appears in [`crate::kernels::table::BatchArgs`]
-/// (so the registry's fn-pointer type is nameable outside the crate);
-/// the fields and both constructors (`BlockWriter::new` /
-/// `SliceWriter::as_block`) stay crate-private, so every instance is
-/// born inside an executor that owns the disjointness argument —
-/// external code can inspect the registry but never invoke a kernel.
-#[derive(Clone, Copy)]
-pub struct BlockWriter<T> {
+pub(super) struct BlockWriter<T> {
     ptr: *mut T,
     stride: usize,
     #[cfg(debug_assertions)]
@@ -651,7 +550,16 @@ unsafe impl<T: Send> Send for BlockWriter<T> {}
 unsafe impl<T: Send> Sync for BlockWriter<T> {}
 
 impl<T: Scalar> BlockWriter<T> {
-    fn new(y: &mut DenseBlock<T>) -> Self {
+    fn vector(u: &mut [T]) -> Self {
+        Self {
+            ptr: u.as_mut_ptr(),
+            stride: 1,
+            #[cfg(debug_assertions)]
+            len: u.len(),
+        }
+    }
+
+    fn block(y: &mut DenseBlock<T>) -> Self {
         Self {
             ptr: y.as_mut_slice().as_mut_ptr(),
             stride: y.stride(),
@@ -660,13 +568,18 @@ impl<T: Scalar> BlockWriter<T> {
         }
     }
 
+    /// Row stride of the wrapped block (`1` for a vector).
+    pub(super) fn stride(&self) -> usize {
+        self.stride
+    }
+
     /// Store `sums` at `(row, c0..c0 + KB)`.
     ///
     /// # Safety
     ///
     /// Every target index must be in bounds of the wrapped block and no
     /// other thread may write the same `(row, column)` concurrently.
-    pub(crate) unsafe fn write_block<const KB: usize>(&self, row: usize, c0: usize, sums: [T; KB]) {
+    pub(super) unsafe fn write_block<const KB: usize>(&self, row: usize, c0: usize, sums: [T; KB]) {
         let base = row * self.stride + c0;
         #[cfg(debug_assertions)]
         debug_assert!(
@@ -676,7 +589,7 @@ impl<T: Scalar> BlockWriter<T> {
         );
         for (kk, &s) in sums.iter().enumerate() {
             // SAFETY: caller guarantees the rectangle is in bounds and
-            // exclusively owned for the duration of the fused scope.
+            // exclusively owned for the duration of the parallel region.
             unsafe { *self.ptr.add(base + kk) = s };
         }
     }
@@ -740,6 +653,69 @@ mod tests {
                 n < avg * 2 + 100,
                 "part {p} has {n} nnz (avg {avg}) — unbalanced"
             );
+        }
+    }
+
+    /// A row list naming a row twice, or a row the matrix does not
+    /// have, is rejected before any worker writes `u`.
+    fn rejects_bad_row_lists(
+        run: impl Fn(&CsrMatrix<f64>, &[u32], &[f64], &mut [f64]) -> Result<(), SparseError>,
+    ) {
+        let a = figure1_example::<f64>();
+        let v = vec![1.0; a.n_cols()];
+        let n = a.n_rows() as u32;
+        for rows in [&[0, 0][..], &[2, 1, 2], &[n], &[0, n + 5]] {
+            let mut u = vec![f64::NAN; a.n_rows()];
+            let result = run(&a, rows, &v, &mut u);
+            assert!(
+                matches!(result, Err(SparseError::InvalidStructure(_))),
+                "rows {rows:?}: {result:?}"
+            );
+            assert!(u.iter().all(|x| x.is_nan()), "rows {rows:?} wrote u");
+        }
+        let mut u = vec![0.0; a.n_rows()];
+        run(&a, &[3, 0], &v, &mut u).unwrap();
+    }
+
+    #[test]
+    fn rows_chunked_rejects_repeated_and_out_of_range_rows() {
+        rejects_bad_row_lists(|a, rows, v, u| spmv_rows_chunked(a, rows, 1, v, u));
+    }
+
+    #[test]
+    fn rows_nnz_balanced_rejects_repeated_and_out_of_range_rows() {
+        rejects_bad_row_lists(|a, rows, v, u| spmv_rows_nnz_balanced(a, rows, 2, v, u));
+    }
+
+    #[test]
+    fn row_cuts_partition_every_row_list() {
+        // Rows 0, 3, 6, … are empty: zero-NNZ rows inside, at the start
+        // of and making up whole row lists.
+        let mut coo = spmv_sparse::CooMatrix::<f64>::new(60, 40);
+        for r in (0..60).filter(|r| r % 3 != 0) {
+            for j in 0..1 + r % 7 {
+                coo.push(r, (r * 11 + j * 5) % 40, 1.0);
+            }
+        }
+        let a = coo.to_csr();
+        let lists: [Vec<u32>; 5] = [
+            Vec::new(),
+            (0..60).collect(),
+            (0..60).rev().step_by(2).collect(),
+            (0..60).step_by(3).collect(),
+            vec![0],
+        ];
+        let workers = spmv_parallel::num_threads();
+        for rows in &lists {
+            let n = rows.len();
+            for parts in [1, 2, 3, workers * 4, n, n + 7] {
+                let cuts = rows_nnz_cuts(&a, rows, parts);
+                let what = format!("{n} rows, {parts} parts: {cuts:?}");
+                assert_eq!(cuts.len(), parts.max(1) + 1, "{what}");
+                assert_eq!(cuts.first(), Some(&0), "{what}");
+                assert_eq!(cuts.last(), Some(&n), "{what}");
+                assert!(cuts.windows(2).all(|w| w[0] <= w[1]), "{what}");
+            }
         }
     }
 

@@ -20,7 +20,7 @@ pub mod cpu;
 mod serial;
 pub(crate) mod solve;
 mod subvector;
-pub mod table;
+mod table;
 
 use spmv_gpusim::{GpuDevice, LaunchStats};
 use spmv_sparse::{CsrMatrix, Scalar};

@@ -1,204 +1,48 @@
-//! The pattern-specialized kernel table: a macro-generated
-//! `KernelKey → fn-pointer` registry replacing the hand-written
-//! width/KB `match` ladders that used to live in [`cpu`].
+//! The kernel bodies of the native plan executor, one per payload
+//! family: the CSR row walk, the packed SELL chunk walk, and the
+//! dense-run, banded and row-run traversals. Each is const-generic over
+//! the register-blocked RHS width `KB` (1, 2, 4 or 8) and runs one
+//! (tile, RHS-block) work item: it reads `KB` right-hand sides from a
+//! row-major block and writes its tile's rows × its block's columns,
+//! nothing else. SpMV is the same body at `KB = 1` over a stride-1 view
+//! of `v`, so each family has one body for every width.
 //!
-//! One kernel *family* per payload shape, instantiated at every
-//! register-blocked RHS width in [`RHS_WIDTHS`] by `kernel_table!`'s
-//! nested expansion — adding a family or a width is one token in the
-//! macro invocation, never a new `match` arm. Plan compilation asserts
-//! registry coverage for every format it emits
-//! ([`BinFormat::kernel_family`]), the executors resolve entries once
-//! per (bin, RHS-block) outside their parallel regions, and `spmv-lint`
-//! sweeps the registry both ways (every reachable key registered, every
-//! registered key reachable).
-//!
-//! Single-vector execution of the specialized families goes through the
-//! same registry at `KB = 1` over a stride-1 output view, so there is
-//! exactly one kernel body per family.
-//!
-//! [`cpu`]: crate::kernels::cpu
-//! [`BinFormat::kernel_family`]: crate::plan::BinFormat::kernel_family
+//! The executor's per-item tile function in `cpu` is the only place a
+//! body is chosen: it matches on the bin's payload and hands each body
+//! its own payload type.
 
 use super::cpu::BlockWriter;
-use crate::plan::BinPayload;
-use spmv_sparse::{CsrMatrix, Scalar};
+use spmv_sparse::{BandSet, CsrMatrix, DenseRuns, PackedSell, RowRuns, Scalar};
 
-/// The payload-shape axis of the kernel key space: which traversal a
-/// bin's entries execute with. [`Csr`](Self::Csr) also serves
-/// cache-blocked bins in the batched path — the strip schedule is a
-/// single-vector locality optimisation, and both walks consume storage
-/// order, so the results are bit-identical either way.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum KernelFamily {
-    /// Row-list walk through the CSR arrays (plain and cache-blocked
-    /// bins).
-    Csr,
-    /// Column-major SELL chunk walk over a packed slab.
-    Packed,
-    /// Contiguous-run traversal: strided dense AXPYs, no per-element
-    /// index gathers.
-    DenseRun,
-    /// Diagonal-offset traversal: the offset list is the only index
-    /// metadata.
-    Banded,
-    /// Identical-row-run traversal: one shared column pattern per run.
-    RowRun,
-}
-
-impl KernelFamily {
-    /// Every family in the registry, in registration order.
-    pub const ALL: [KernelFamily; 5] = [
-        KernelFamily::Csr,
-        KernelFamily::Packed,
-        KernelFamily::DenseRun,
-        KernelFamily::Banded,
-        KernelFamily::RowRun,
-    ];
-
-    /// Short label (`csr`, `packed`, `dense-run`, `banded`, `row-run`).
-    pub fn label(self) -> &'static str {
-        match self {
-            KernelFamily::Csr => "csr",
-            KernelFamily::Packed => "packed",
-            KernelFamily::DenseRun => "dense-run",
-            KernelFamily::Banded => "banded",
-            KernelFamily::RowRun => "row-run",
-        }
-    }
-}
-
-impl std::fmt::Display for KernelFamily {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.label())
-    }
-}
-
-/// The register-blocked RHS widths every family is instantiated at —
-/// exactly the widths [`crate::plan::rhs_blocks`] decomposes a batch
-/// into (proven by `verify::check_rhs_blocks`).
-pub const RHS_WIDTHS: [usize; 4] = [1, 2, 4, 8];
-
-/// One point of the kernel instantiation matrix: a payload family at a
-/// register-blocked RHS width.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct KernelKey {
-    /// Payload-shape axis.
-    pub family: KernelFamily,
-    /// RHS-block width axis (`∈` [`RHS_WIDTHS`]).
-    pub kb: usize,
-}
-
-impl std::fmt::Display for KernelKey {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}×{}", self.family, self.kb)
-    }
-}
-
-/// Everything one table kernel needs to execute one (tile, RHS-block)
+/// Everything one kernel body needs to execute one (tile, RHS-block)
 /// work item. `start..end` is the tile's span in the bin's own work
-/// coordinates: chunk indices for [`KernelFamily::Packed`], positions
-/// into `bin_rows` for every other family.
-pub struct BatchArgs<'a, T: Scalar> {
+/// coordinates: chunk indices for a packed slab, positions into
+/// `bin_rows` for every other payload.
+pub(super) struct TileArgs<'a, T: Scalar> {
     /// The matrix (values are always read from here, in storage order).
-    pub a: &'a CsrMatrix<T>,
-    /// The bin's **full** dispatch row list (kernels slice it by
-    /// `start..end`; run-based kernels need the full list to clip runs).
-    pub bin_rows: &'a [u32],
-    /// The bin's payload (must match the kernel's family).
-    pub payload: &'a BinPayload<T>,
-    /// Tile start (inclusive), in the family's work coordinates.
-    pub start: usize,
+    pub(super) a: &'a CsrMatrix<T>,
+    /// The bin's **full** dispatch row list (bodies slice it by
+    /// `start..end`; run-based bodies need the full list to clip runs).
+    pub(super) bin_rows: &'a [u32],
+    /// Tile start (inclusive), in the payload's work coordinates.
+    pub(super) start: usize,
     /// Tile end (exclusive).
-    pub end: usize,
+    pub(super) end: usize,
     /// The RHS block storage (`x` as a flat row-major slice).
-    pub xs: &'a [T],
+    pub(super) xs: &'a [T],
     /// Row stride of `xs` (`1` for single-vector execution).
-    pub x_stride: usize,
+    pub(super) x_stride: usize,
     /// First RHS column this work item owns.
-    pub c0: usize,
+    pub(super) c0: usize,
     /// Output writer (stride-1 view of `u` for single-vector execution).
-    pub out: BlockWriter<T>,
-}
-
-/// A registered kernel: reads its [`BatchArgs`], writes its tile's rows
-/// × its RHS block, nothing else.
-pub type BatchKernelFn<T> = fn(&BatchArgs<'_, T>);
-
-/// One row of the generated registry.
-pub struct KernelEntry<T: Scalar> {
-    /// The instantiation point.
-    pub key: KernelKey,
-    /// The compiled kernel.
-    pub run: BatchKernelFn<T>,
-}
-
-/// Generate the registry from one `family => body` list × one width
-/// list: the outer arm iterates families, the inner arms instantiate
-/// each body at every width literal — once as the [`kernel_table`]
-/// listing and once as [`lookup`]'s allocation-free `match`. This is
-/// the **only** place the (family × KB) matrix is spelled out.
-macro_rules! kernel_table {
-    ($( $family:ident => $body:ident ),+ $(,)?) => {
-        kernel_table!(@gen [1, 2, 4, 8] $( $family => $body ),+);
-    };
-    (@gen $widths:tt $( $family:ident => $body:ident ),+) => {
-        /// The full generated kernel table: every family at every RHS
-        /// width, in deterministic (family, width) order.
-        pub fn kernel_table<T: Scalar>() -> Vec<KernelEntry<T>> {
-            let mut table = Vec::with_capacity(KernelFamily::ALL.len() * RHS_WIDTHS.len());
-            $( kernel_table!(@push table, $family, $body, $widths); )+
-            table
-        }
-
-        /// Resolve one instantiation point, `None` for widths outside
-        /// [`RHS_WIDTHS`]. A `match` over family × width: no table is
-        /// built, so executors may resolve per call.
-        pub fn lookup<T: Scalar>(key: KernelKey) -> Option<BatchKernelFn<T>> {
-            match key.family {
-                $( KernelFamily::$family => kernel_table!(@width key.kb, $body, $widths), )+
-            }
-        }
-    };
-    (@push $table:ident, $family:ident, $body:ident, [$( $kb:literal ),+]) => {
-        $( $table.push(KernelEntry {
-            key: KernelKey { family: KernelFamily::$family, kb: $kb },
-            run: $body::<T, $kb>,
-        }); )+
-    };
-    (@width $kb_of:expr, $body:ident, [$( $kb:literal ),+]) => {
-        match $kb_of {
-            $( $kb => Some($body::<T, $kb> as BatchKernelFn<T>), )+
-            _ => None,
-        }
-    };
-}
-
-kernel_table! {
-    Csr => batch_csr,
-    Packed => batch_packed,
-    DenseRun => batch_dense_run,
-    Banded => batch_banded,
-    RowRun => batch_row_run,
-}
-
-/// The kernel family a payload executes with (the payload side of
-/// [`crate::plan::BinFormat::kernel_family`] — the two must agree, and
-/// `check_payloads` proves the format/payload pairing).
-pub fn payload_family<T: Scalar>(p: &BinPayload<T>) -> KernelFamily {
-    match p {
-        BinPayload::Csr | BinPayload::Blocked { .. } => KernelFamily::Csr,
-        BinPayload::Packed(_) => KernelFamily::Packed,
-        BinPayload::DenseRun(_) => KernelFamily::DenseRun,
-        BinPayload::Banded(_) => KernelFamily::Banded,
-        BinPayload::RowRun(_) => KernelFamily::RowRun,
-    }
+    pub(super) out: BlockWriter<T>,
 }
 
 /// CSR family: walk each row's entries once in ascending storage order
 /// (bit-identical per column to the single-vector reference) and
 /// broadcast every gathered element against the `KB` contiguous x-lanes
 /// of the column block.
-fn batch_csr<T: Scalar, const KB: usize>(args: &BatchArgs<'_, T>) {
+pub(super) fn csr<T: Scalar, const KB: usize>(args: &TileArgs<'_, T>) {
     for &r in &args.bin_rows[args.start..args.end] {
         let (cols, vals) = args.a.row(r as usize);
         let mut sums = [T::ZERO; KB];
@@ -219,24 +63,25 @@ fn batch_csr<T: Scalar, const KB: usize>(args: &BatchArgs<'_, T>) {
 
 /// Packed family: stream the SELL chunk range through the slab's
 /// lock-step walk, a chunk's lanes advancing together with one `KB`-wide
-/// row of sums each; the single-vector tile body runs the same walk at
-/// `KB = 1`.
-fn batch_packed<T: Scalar, const KB: usize>(args: &BatchArgs<'_, T>) {
-    let BinPayload::Packed(packed) = args.payload else {
-        panic!("packed kernel resolved for a non-packed payload");
-    };
+/// row of sums each; SpMV runs the same walk at `KB = 1`.
+pub(super) fn packed<T: Scalar, const KB: usize>(packed: &PackedSell<T>, args: &TileArgs<'_, T>) {
+    let (start, end, xs, c0, out) = (args.start, args.end, args.xs, args.c0, args.out);
     packed.with_slab(|slab| {
-        slab.spmm_chunks::<KB, _>(
-            args.start,
-            args.end,
-            args.xs,
-            args.x_stride,
-            args.c0,
+        if KB == 1 && args.x_stride == 1 && out.stride() == 1 {
+            // Single-vector view: the walk compiled for constant unit
+            // strides gathers `x[col]` and stores `u[row]` with no
+            // address multiply.
             // SAFETY: chunk ranges of one bin are disjoint, each packed
-            // row belongs to exactly one chunk, and this item owns
-            // columns `c0..c0 + KB`; same join argument as `batch_csr`.
-            |r, sums| unsafe { args.out.write_block(r, args.c0, sums) },
-        );
+            // row belongs to exactly one chunk, and this item owns column
+            // 0 (`c0 + KB <= x_stride`); same join argument as `csr`.
+            let sink = move |r, sums| unsafe { out.write_block(r, 0, sums) };
+            slab.spmm_chunks::<KB, _>(start, end, xs, 1, 0, sink);
+        } else {
+            // SAFETY: as above, with this item owning columns
+            // `c0..c0 + KB`.
+            let sink = move |r, sums| unsafe { out.write_block(r, c0, sums) };
+            slab.spmm_chunks::<KB, _>(start, end, xs, args.x_stride, c0, sink);
+        }
     });
 }
 
@@ -253,10 +98,7 @@ fn batch_packed<T: Scalar, const KB: usize>(args: &BatchArgs<'_, T>) {
 /// are each a single run of the same length — the shape a banded bin
 /// routed here always has. Wider blocks already carry `KB` independent
 /// lanes per row.
-fn batch_dense_run<T: Scalar, const KB: usize>(args: &BatchArgs<'_, T>) {
-    let BinPayload::DenseRun(runs) = args.payload else {
-        panic!("dense-run kernel resolved for a non-dense-run payload");
-    };
+pub(super) fn dense_run<T: Scalar, const KB: usize>(runs: &DenseRuns, args: &TileArgs<'_, T>) {
     let row_off = runs.row_off();
     let all_runs = runs.runs();
     let single_run_len = |p: usize| {
@@ -296,7 +138,7 @@ fn batch_dense_run<T: Scalar, const KB: usize>(args: &BatchArgs<'_, T>) {
                 }
                 for (q, s) in sums.into_iter().enumerate() {
                     // SAFETY: same (tile × block) disjointness as
-                    // `batch_csr`.
+                    // `csr`.
                     unsafe { args.out.write_block(r0 + q, args.c0, [s; KB]) };
                 }
                 pos += 8;
@@ -356,7 +198,7 @@ fn batch_dense_run<T: Scalar, const KB: usize>(args: &BatchArgs<'_, T>) {
                 }
                 for q in 0..4 {
                     // SAFETY: same (tile × block) disjointness as
-                    // `batch_csr`.
+                    // `csr`.
                     unsafe { args.out.write_block(rows[q], args.c0, sums[q]) };
                 }
                 pos += 4;
@@ -390,7 +232,7 @@ fn batch_dense_run<T: Scalar, const KB: usize>(args: &BatchArgs<'_, T>) {
                 }
             }
         }
-        // SAFETY: same (tile × block) disjointness as `batch_csr`.
+        // SAFETY: same (tile × block) disjointness as `csr`.
         unsafe { args.out.write_block(r, args.c0, sums) };
         pos += 1;
     }
@@ -401,10 +243,7 @@ fn batch_dense_run<T: Scalar, const KB: usize>(args: &BatchArgs<'_, T>) {
 /// so the kernel iterates offsets with **zero index traffic** — values
 /// stream in storage order, which the proof makes ascending-column
 /// order.
-fn batch_banded<T: Scalar, const KB: usize>(args: &BatchArgs<'_, T>) {
-    let BinPayload::Banded(band) = args.payload else {
-        panic!("banded kernel resolved for a non-banded payload");
-    };
+pub(super) fn banded<T: Scalar, const KB: usize>(band: &BandSet, args: &TileArgs<'_, T>) {
     let offsets = band.offsets();
     let n = args.a.n_cols() as i64;
     let (min_off, max_off) = match (offsets.first(), offsets.last()) {
@@ -448,7 +287,7 @@ fn batch_banded<T: Scalar, const KB: usize>(args: &BatchArgs<'_, T>) {
                 }
                 for (q, s) in sums.into_iter().enumerate() {
                     // SAFETY: same (tile × block) disjointness as
-                    // `batch_csr`.
+                    // `csr`.
                     unsafe { args.out.write_block(r0 + q, args.c0, [s; KB]) };
                 }
                 pos += 8;
@@ -497,7 +336,7 @@ fn batch_banded<T: Scalar, const KB: usize>(args: &BatchArgs<'_, T>) {
                 }
             }
             for q in 0..4 {
-                // SAFETY: same (tile × block) disjointness as `batch_csr`.
+                // SAFETY: same (tile × block) disjointness as `csr`.
                 unsafe { args.out.write_block(rows[q], args.c0, sums[q]) };
             }
             pos += 4;
@@ -535,7 +374,7 @@ fn batch_banded<T: Scalar, const KB: usize>(args: &BatchArgs<'_, T>) {
                 }
             }
         }
-        // SAFETY: same (tile × block) disjointness as `batch_csr`.
+        // SAFETY: same (tile × block) disjointness as `csr`.
         unsafe { args.out.write_block(r, args.c0, sums) };
         pos += 1;
     }
@@ -547,10 +386,7 @@ fn batch_banded<T: Scalar, const KB: usize>(args: &BatchArgs<'_, T>) {
 /// values against it. Any row of a run is a valid pattern source — the
 /// proof (`RowRuns::check_against`) says their column lists are
 /// identical — so clipping a run at a tile boundary is harmless.
-fn batch_row_run<T: Scalar, const KB: usize>(args: &BatchArgs<'_, T>) {
-    let BinPayload::RowRun(rr) = args.payload else {
-        panic!("row-run kernel resolved for a non-row-run payload");
-    };
+pub(super) fn row_run<T: Scalar, const KB: usize>(rr: &RowRuns, args: &TileArgs<'_, T>) {
     if args.start >= args.end {
         return;
     }
@@ -586,7 +422,7 @@ fn batch_row_run<T: Scalar, const KB: usize>(args: &BatchArgs<'_, T>) {
                 }
             }
             for q in 0..4 {
-                // SAFETY: same (tile × block) disjointness as `batch_csr`.
+                // SAFETY: same (tile × block) disjointness as `csr`.
                 unsafe { args.out.write_block(rows[q], args.c0, sums[q]) };
             }
             p += 4;
@@ -608,7 +444,7 @@ fn batch_row_run<T: Scalar, const KB: usize>(args: &BatchArgs<'_, T>) {
                 }
             }
             for q in 0..2 {
-                // SAFETY: same (tile × block) disjointness as `batch_csr`.
+                // SAFETY: same (tile × block) disjointness as `csr`.
                 unsafe { args.out.write_block(rows[q], args.c0, sums[q]) };
             }
             p += 2;
@@ -624,49 +460,10 @@ fn batch_row_run<T: Scalar, const KB: usize>(args: &BatchArgs<'_, T>) {
                     sums[kk] = av.mul_add_(xr[kk], sums[kk]);
                 }
             }
-            // SAFETY: same (tile × block) disjointness as `batch_csr`.
+            // SAFETY: same (tile × block) disjointness as `csr`.
             unsafe { args.out.write_block(r, args.c0, sums) };
         }
         pos = seg_end;
         run += 1;
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn table_covers_every_family_at_every_width() {
-        let table = kernel_table::<f64>();
-        assert_eq!(table.len(), KernelFamily::ALL.len() * RHS_WIDTHS.len());
-        for family in KernelFamily::ALL {
-            for kb in RHS_WIDTHS {
-                let key = KernelKey { family, kb };
-                assert!(lookup::<f64>(key).is_some(), "missing {key}");
-                assert!(lookup::<f32>(key).is_some(), "missing {key} (f32)");
-            }
-        }
-    }
-
-    #[test]
-    fn unregistered_widths_resolve_to_none() {
-        for kb in [0usize, 3, 5, 16] {
-            let key = KernelKey {
-                family: KernelFamily::Csr,
-                kb,
-            };
-            assert!(lookup::<f64>(key).is_none(), "{key} should be unregistered");
-        }
-    }
-
-    #[test]
-    fn keys_are_unique() {
-        let table = kernel_table::<f32>();
-        for (i, e) in table.iter().enumerate() {
-            for other in &table[i + 1..] {
-                assert_ne!(e.key, other.key, "duplicate registry key");
-            }
-        }
     }
 }

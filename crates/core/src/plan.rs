@@ -18,7 +18,6 @@
 use crate::binning::{bin_matrix, Bins};
 use crate::exec::{ExecBackend, LaunchCost, PlanParts};
 use crate::kernels::cpu::rows_nnz_cuts;
-use crate::kernels::table::{self, KernelFamily, KernelKey};
 use crate::kernels::KernelId;
 use crate::strategy::Strategy;
 use crate::verify::{check_dispatch, check_payloads, VerifyError};
@@ -275,23 +274,6 @@ impl std::fmt::Display for BinFormat {
             BinFormat::DenseRun => write!(f, "dense-run"),
             BinFormat::Banded { offsets } => write!(f, "banded-{offsets}"),
             BinFormat::RowRunReuse => write!(f, "row-run"),
-        }
-    }
-}
-
-impl BinFormat {
-    /// The kernel-table family this format executes with — the index
-    /// plan compilation uses to assert registry coverage (see
-    /// [`crate::kernels::table`]). Cache-blocked bins map to the CSR
-    /// family: the strip schedule is a single-vector scheduling overlay,
-    /// not a different kernel body.
-    pub fn kernel_family(self) -> KernelFamily {
-        match self {
-            BinFormat::Csr | BinFormat::CacheBlockedCsr { .. } => KernelFamily::Csr,
-            BinFormat::PackedSell { .. } => KernelFamily::Packed,
-            BinFormat::DenseRun => KernelFamily::DenseRun,
-            BinFormat::Banded { .. } => KernelFamily::Banded,
-            BinFormat::RowRunReuse => KernelFamily::RowRun,
         }
     }
 }
@@ -614,17 +596,6 @@ impl<T: Scalar> SpmvPlan<T> {
         let mut payloads = Vec::new();
         for (bin_id, rows, nnz) in expand_populated(a, &bins) {
             let (format, payload) = choose_format(a, &rows, &config);
-            // Plan compilation indexes the generated kernel table rather
-            // than open-coding dispatch: every format the gate can emit
-            // must resolve at every register-blocked RHS width, or the
-            // plan is unexecutable and compilation must fail loudly.
-            let family = format.kernel_family();
-            for kb in table::RHS_WIDTHS {
-                assert!(
-                    table::lookup::<T>(KernelKey { family, kb }).is_some(),
-                    "kernel table has no entry for {family}×{kb} (bin {bin_id}, format {format})"
-                );
-            }
             dispatch.push(BinDispatch {
                 bin_id,
                 kernel: strategy.kernel_for(bin_id),
@@ -648,7 +619,8 @@ impl<T: Scalar> SpmvPlan<T> {
         }
     }
 
-    /// Execute the plan: one backend launch per dispatch entry.
+    /// Execute the plan: one backend `launch_plan` over the compiled
+    /// tables (the simulated GPU launches each bin in turn).
     ///
     /// Validates dimensions and the pattern (O(1) for the compile matrix,
     /// a clone, or either after value updates; otherwise the fingerprint

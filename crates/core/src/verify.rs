@@ -1,27 +1,34 @@
-//! Write-set disjointness checker: statically prove that a plan's
-//! dispatch table writes every output index exactly once.
+//! Write-set proofs: statically prove that executing a plan writes
+//! every output element exactly once.
 //!
-//! [`SpmvPlan::execute`] launches one kernel per populated bin, and the
-//! kernels write `u[r]` through raw pointers (`SliceWriter`) from many
-//! threads. That is only sound when, across *all* bins, every row index
-//! is (a) in bounds and (b) owned by exactly one launch — and, for the
-//! NNZ-balanced Subvector/Vector launches on the native CPU backend,
-//! when the per-launch cut positions partition the bin's row list.
+//! On the native backend [`SpmvPlan::execute`] runs the plan's whole
+//! tile queue in one parallel region, and the kernel bodies write
+//! output rows through a raw-pointer writer from many threads. That is
+//! only sound when every written index is in bounds and written by
+//! exactly one (tile, RHS-block) work item:
 //!
-//! [`check_dispatch`] proves all of that from the [`BinDispatch`] table
-//! and the CSR row pointer in one O(m + nnz-scan) pass. Plans that pass
-//! become a [`VerifiedPlan`] (see [`SpmvPlan::verify`]) which unlocks
-//! [`VerifiedPlan::execute_unchecked`] — the fast path that drops the
-//! per-execute pattern check from the hot loop. Failures are a
-//! typed [`VerifyError`] naming the bin, kernel id, and offending row
-//! range.
+//! - [`check_dispatch`] proves, from the [`BinDispatch`] table and the
+//!   CSR row pointer in one O(m + Σ|rows|) pass, that every listed row
+//!   id is in bounds and every row of the matrix is listed by exactly
+//!   one bin;
+//! - [`check_payloads`] proves that each bin's tiles partition its work
+//!   (spans of its row list, or chunk ranges of a packed slab whose rows
+//!   are the bin's rows) and that every payload mirrors the CSR arrays;
+//! - [`check_rhs_blocks`] proves that the RHS blocks of a batched
+//!   execute partition its columns.
+//!
+//! Plans that pass become a [`VerifiedPlan`] (see [`SpmvPlan::verify`])
+//! which unlocks [`VerifiedPlan::execute_unchecked`] — the fast path
+//! that drops the per-execute pattern check from the hot loop. Failures
+//! are a typed [`VerifyError`] naming the bin, kernel id, and offending
+//! row range. The level-scheduled solves have their own
+//! dependency-order prover ([`check_solve_schedule`]).
 //!
 //! [`SpmvPlan::execute`]: crate::plan::SpmvPlan::execute
 //! [`SpmvPlan::verify`]: crate::plan::SpmvPlan::verify
 //! [`VerifiedPlan`]: crate::plan::VerifiedPlan
 //! [`VerifiedPlan::execute_unchecked`]: crate::plan::VerifiedPlan::execute_unchecked
 
-use crate::kernels::cpu::rows_nnz_cuts;
 use crate::kernels::KernelId;
 use crate::plan::{BinDispatch, BinFormat, BinPayload, Tile};
 use crate::solve::{SolveSnapshot, SolveStep};
@@ -74,7 +81,7 @@ pub enum VerifyError {
         rows: (u32, u32),
     },
     /// A bin's cached NNZ count disagrees with the row pointer, so the
-    /// NNZ-balanced split would be computed from wrong totals.
+    /// bin's tiling and traffic accounting would use wrong totals.
     BinNnzMismatch {
         /// The inconsistent bin.
         bin_id: usize,
@@ -84,18 +91,6 @@ pub enum VerifyError {
         stored: usize,
         /// NNZ the row pointer actually gives.
         actual: usize,
-    },
-    /// The NNZ-balanced cut positions for a Subvector/Vector launch do
-    /// not partition the bin's row list.
-    SplitNotPartition {
-        /// The bin whose split is broken.
-        bin_id: usize,
-        /// Its kernel.
-        kernel: KernelId,
-        /// Partition count that produced the broken cuts.
-        parts: usize,
-        /// What property failed.
-        detail: String,
     },
     /// A bin's packed payload disagrees with its dispatch entry: wrong
     /// format recorded, wrong row set, or slab contents that do not
@@ -317,16 +312,6 @@ impl std::fmt::Display for VerifyError {
                 f,
                 "bin {bin_id} ({kernel}): cached nnz {stored} != row-pointer nnz {actual}"
             ),
-            VerifyError::SplitNotPartition {
-                bin_id,
-                kernel,
-                parts,
-                detail,
-            } => write!(
-                f,
-                "bin {bin_id} ({kernel}): nnz-balanced split with {parts} parts is not a \
-                 partition: {detail}"
-            ),
             VerifyError::PackedPayloadInvalid {
                 bin_id,
                 kernel,
@@ -426,13 +411,9 @@ impl std::error::Error for VerifyError {}
 /// 1. every listed row id is in `[0, m)`;
 /// 2. across all bins, every row of the matrix is listed exactly once
 ///    (disjointness + coverage);
-/// 3. each bin's cached NNZ matches the row pointer;
-/// 4. for Subvector/Vector bins, the NNZ-balanced cut positions used by
-///    the native CPU backend partition the bin's row list for every
-///    plausible partition count (the split is deterministic, so checking
-///    the cut properties *is* checking the runtime's write sets).
+/// 3. each bin's cached NNZ matches the row pointer.
 ///
-/// O(m) space, O(m + Σ|rows|) time plus O(|rows|) per balanced bin.
+/// O(m) space, O(m + Σ|rows|) time.
 pub fn check_dispatch<T: Scalar>(
     a: &CsrMatrix<T>,
     dispatch: &[BinDispatch],
@@ -482,11 +463,6 @@ pub fn check_dispatch<T: Scalar>(
         return Err(VerifyError::UncoveredRows {
             rows: (first as u32, last as u32),
         });
-    }
-    for d in dispatch {
-        if matches!(d.kernel, KernelId::Subvector(_) | KernelId::Vector) {
-            check_balanced_split(a, d)?;
-        }
     }
     Ok(())
 }
@@ -1201,35 +1177,6 @@ fn overlap_range(rows_a: &[u32], rows_b: &[u32], same_entry: bool, hit: u32) -> 
         }
     }
     (lo, hi)
-}
-
-/// Prove the NNZ-balanced cut positions partition `d.rows` for every
-/// partition count the native CPU backend could plausibly use: the cut
-/// list must start at 0, end at `|rows|`, and be monotone — exactly the
-/// properties that make the per-part spans `rows[cuts[p]..cuts[p+1]]`
-/// disjoint and complete.
-fn check_balanced_split<T: Scalar>(a: &CsrMatrix<T>, d: &BinDispatch) -> Result<(), VerifyError> {
-    let n = d.rows.len();
-    let candidates = [1, 2, 3, spmv_parallel::num_threads() * 4, n.max(1), n + 7];
-    for &parts in &candidates {
-        let cuts = rows_nnz_cuts(a, &d.rows, parts);
-        let fail = |detail: String| VerifyError::SplitNotPartition {
-            bin_id: d.bin_id,
-            kernel: d.kernel,
-            parts,
-            detail,
-        };
-        if cuts.first() != Some(&0) {
-            return Err(fail(format!("first cut {:?} != 0", cuts.first())));
-        }
-        if cuts.last() != Some(&n) {
-            return Err(fail(format!("last cut {:?} != |rows| = {n}", cuts.last())));
-        }
-        if let Some(w) = cuts.windows(2).find(|w| w[0] > w[1]) {
-            return Err(fail(format!("cuts not monotone at {} > {}", w[0], w[1])));
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]

@@ -1746,7 +1746,7 @@ mod tests {
                 for chunk in [2, 3, 4, 8, 11, 16] {
                     let p = PackedSell::from_rows(&a, &rows, chunk);
                     let what = format!("{name} n_cols {n_cols} chunk {chunk}");
-                    // Every width the executors instantiate (`RHS_WIDTHS`).
+                    // Every width the plan executor's `match kb` runs.
                     spmm_matches_csr::<T, 1>(&a, &p, &what);
                     spmm_matches_csr::<T, 2>(&a, &p, &what);
                     spmm_matches_csr::<T, 4>(&a, &p, &what);

@@ -1,5 +1,5 @@
 //! Structure-exploiting bin specializations: the pack-time *detectors*
-//! and *structural proofs* behind the pattern-specialized kernel table.
+//! and *structural proofs* behind the structure-specialized kernel bodies.
 //!
 //! Where [`crate::packed`] streams one 16- or 32-bit column per slot, the
 //! three shapes here eliminate that stream for bins whose sparsity has exploitable
